@@ -93,16 +93,13 @@ func (w *epochWaver) apply(comp *composite.Composite) error {
 }
 
 // addEpochSeries measures the epoch-publication cost on the big-graph
-// workload, both arms replaying identical waves:
-//
-//	epoch_publish            apply wave, CloneCOW (the serving path)
-//	epoch_publish_fullclone  apply wave, deep Clone + Compile all
-//
-// and then the end-to-end write throughput of a live daemon under
-// closed-loop /updates traffic, with and without FullClonePublish. The
-// ≥5x acceptance gate is enforced here: a tree where the COW publish
-// has decayed to within 5x of the full clone fails the bench run
-// outright rather than emitting a quietly regressed number.
+// workload — epoch_publish: apply one wave, then CloneCOW (the serving
+// path) — and the end-to-end write throughput of a live daemon under
+// closed-loop /updates traffic (serve_write_qps). The ≥5x acceptance
+// gate is enforced here against the pinned full-clone baseline: a tree
+// where the COW publish has decayed to within 5x of what a deep
+// Clone + Compile cost fails the bench run outright rather than
+// emitting a quietly regressed number.
 func addEpochSeries(rep *PerfReport, add func(string, testing.BenchmarkResult)) error {
 	g, comp, err := epochGraph()
 	if err != nil {
@@ -110,8 +107,9 @@ func addEpochSeries(rep *PerfReport, add func(string, testing.BenchmarkResult)) 
 	}
 
 	// Warm the composite once: compile everything and cut one snapshot
-	// so both timed loops start from the steady serving state (all
-	// fragments frozen-shared, waves thawing only what they touch).
+	// so the timed loop starts from the steady serving state (all
+	// fragments compiled and shared, waves thawing only the vertices
+	// they touch).
 	waver := newEpochWaver(g)
 	sink := comp.CloneCOW()
 	cow := testing.Benchmark(func(b *testing.B) {
@@ -128,42 +126,22 @@ func addEpochSeries(rep *PerfReport, add func(string, testing.BenchmarkResult)) 
 		return fmt.Errorf("bench: epoch_publish produced no snapshot")
 	}
 
-	full := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := waver.apply(comp); err != nil {
-				b.Fatal(err)
-			}
-			sink = comp.Clone()
-			for j := 0; j < sink.K(); j++ {
-				sink.Partition(j).Compile()
-			}
-		}
-	})
-	add("epoch_publish_fullclone", full)
-
 	cowNs := float64(cow.T.Nanoseconds()) / float64(cow.N)
-	fullNs := float64(full.T.Nanoseconds()) / float64(full.N)
+	fullNs := baselineFor(rep, "epoch_publish").NsPerOp
 	if cowNs > 0 {
 		rep.EpochPublishSpeedup = fullNs / cowNs
 	}
 	if rep.EpochPublishSpeedup < 5 {
-		return fmt.Errorf("bench: epoch_publish speedup %.2fx vs full clone is below the 5x acceptance gate (%.2fms vs %.2fms per publish)",
+		return fmt.Errorf("bench: epoch_publish speedup %.2fx vs the full-clone baseline is below the 5x acceptance gate (%.2fms vs %.2fms per publish)",
 			rep.EpochPublishSpeedup, cowNs/1e6, fullNs/1e6)
 	}
 
 	// End-to-end: acked write batches per second through a live daemon.
-	if rep.ServeWriteQPS, err = serveWriteQPS(false); err != nil {
-		return err
-	}
-	if rep.ServeWriteQPSFullClone, err = serveWriteQPS(true); err != nil {
+	if rep.ServeWriteQPS, err = serveWriteQPS(); err != nil {
 		return err
 	}
 	if rep.ServeWriteQPS > 0 {
 		rep.Results = append(rep.Results, PerfResult{Name: "serve_write_qps", NsPerOp: 1e9 / rep.ServeWriteQPS})
-	}
-	if rep.ServeWriteQPSFullClone > 0 {
-		rep.Results = append(rep.Results, PerfResult{Name: "serve_write_qps_fullclone", NsPerOp: 1e9 / rep.ServeWriteQPSFullClone})
 	}
 	return nil
 }
@@ -172,7 +150,7 @@ func addEpochSeries(rep *PerfReport, add func(string, testing.BenchmarkResult)) 
 // with closed-loop write-only traffic: 8 workers, each owning a
 // disjoint slice of writer-safe edges, posting delete+re-insert
 // batches back to back. Returns acked batches per second.
-func serveWriteQPS(fullClone bool) (float64, error) {
+func serveWriteQPS() (float64, error) {
 	g, comp, err := epochGraph()
 	if err != nil {
 		return 0, err
@@ -187,10 +165,9 @@ func serveWriteQPS(fullClone bool) (float64, error) {
 		return 0, err
 	}
 	srv, err := serve.New(st, serve.Config{
-		SessionsPerAlgo:  2,
-		MaxInflight:      64,
-		UpdateQueue:      256,
-		FullClonePublish: fullClone,
+		SessionsPerAlgo: 2,
+		MaxInflight:     64,
+		UpdateQueue:     256,
 	})
 	if err != nil {
 		st.Close()

@@ -1,6 +1,7 @@
 package composite
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -14,6 +15,15 @@ import (
 // the arc index stays exact. This property test drives a long seeded
 // random interleaving — including deliberate no-op deletes and repeat
 // inserts — and re-checks both invariants after every single step.
+//
+// The index under test is the sorted base plus overlay: every few
+// steps the composite is cut with CloneCOW, which folds the overlays
+// into new sorted arrays, so steps land on fresh bases, on overlays
+// with tombstones and on both. A deep Clone taken at the start runs the
+// same steps and is never cut (its whole index stays in its overlay);
+// after every step the two must be in the same state and give the same
+// Locate, StorageArcs and CoreArcs answers, and every cut must still
+// answer what it answered when it was taken.
 
 // arcSet collects the distinct arcs a partition stores (union over
 // fragments, replicas deduplicated).
@@ -48,6 +58,18 @@ func TestCoherenceUnderRandomInterleavings(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	oracle := c.Clone()
+	type cutAnswer struct {
+		cut    *Composite
+		u, v   graph.VertexID
+		locate [3]string // per fragment, at the time of the cut
+	}
+	locate := func(c *Composite, i int, u, v graph.VertexID) string {
+		core, res, present := c.Locate(i, u, v)
+		return fmt.Sprint(core, res, present)
+	}
+	var cuts []cutAnswer
+
 	steps := 400
 	if testing.Short() {
 		steps = 120
@@ -61,6 +83,7 @@ func TestCoherenceUnderRandomInterleavings(t *testing.T) {
 	nv := uint32(g.NumVertices())
 
 	for step := 0; step < steps; step++ {
+		var tu, tv graph.VertexID // the arc this step is about
 		switch op := rng.Intn(10); {
 		case op < 4: // insert a fresh edge
 			u, v := rng.Uint32()%nv, rng.Uint32()%nv
@@ -68,9 +91,13 @@ func TestCoherenceUnderRandomInterleavings(t *testing.T) {
 				step--
 				continue
 			}
+			tu, tv = graph.VertexID(u), graph.VertexID(v)
 			dest := []int{rng.Intn(c.N()), rng.Intn(c.N())}
-			if err := c.InsertEdge(graph.VertexID(u), graph.VertexID(v), dest); err != nil {
+			if err := c.InsertEdge(tu, tv, dest); err != nil {
 				t.Fatalf("step %d: insert (%d,%d): %v", step, u, v, err)
+			}
+			if err := oracle.InsertEdge(tu, tv, dest); err != nil {
+				t.Fatalf("step %d: oracle insert (%d,%d): %v", step, u, v, err)
 			}
 			live[uint64(u)<<32|uint64(v)] = true
 			liveList = append(liveList, uint64(u)<<32|uint64(v))
@@ -84,7 +111,8 @@ func TestCoherenceUnderRandomInterleavings(t *testing.T) {
 			liveList[i] = liveList[len(liveList)-1]
 			liveList = liveList[:len(liveList)-1]
 			delete(live, k)
-			if !c.DeleteEdge(graph.VertexID(k>>32), graph.VertexID(uint32(k))) {
+			tu, tv = graph.VertexID(k>>32), graph.VertexID(uint32(k))
+			if !c.DeleteEdge(tu, tv) || !oracle.DeleteEdge(tu, tv) {
 				t.Fatalf("step %d: live edge (%d,%d) not found", step, k>>32, uint32(k))
 			}
 		case op < 8: // re-insert a live edge (must be a coherent no-op)
@@ -93,9 +121,13 @@ func TestCoherenceUnderRandomInterleavings(t *testing.T) {
 				continue
 			}
 			k := liveList[rng.Intn(len(liveList))]
+			tu, tv = graph.VertexID(k>>32), graph.VertexID(uint32(k))
 			dest := []int{rng.Intn(c.N()), rng.Intn(c.N())}
-			if err := c.InsertEdge(graph.VertexID(k>>32), graph.VertexID(uint32(k)), dest); err != nil {
+			if err := c.InsertEdge(tu, tv, dest); err != nil {
 				t.Fatalf("step %d: repeat insert: %v", step, err)
+			}
+			if err := oracle.InsertEdge(tu, tv, dest); err != nil {
+				t.Fatalf("step %d: oracle repeat insert: %v", step, err)
 			}
 		default: // delete an absent edge (must report not-found, change nothing)
 			u, v := rng.Uint32()%nv, rng.Uint32()%nv
@@ -103,8 +135,40 @@ func TestCoherenceUnderRandomInterleavings(t *testing.T) {
 				step--
 				continue
 			}
-			if c.DeleteEdge(graph.VertexID(u), graph.VertexID(v)) {
+			tu, tv = graph.VertexID(u), graph.VertexID(v)
+			if c.DeleteEdge(tu, tv) || oracle.DeleteEdge(tu, tv) {
 				t.Fatalf("step %d: absent edge (%d,%d) reported deleted", step, u, v)
+			}
+		}
+
+		if err := c.EqualState(oracle); err != nil {
+			t.Fatalf("step %d: diverged from the never-cut oracle: %v", step, err)
+		}
+		if a, b := c.StorageArcs(), oracle.StorageArcs(); a != b {
+			t.Fatalf("step %d: StorageArcs %d vs oracle %d", step, a, b)
+		}
+		for i := 0; i < c.N(); i++ {
+			if a, b := c.CoreArcs(i), oracle.CoreArcs(i); a != b {
+				t.Fatalf("step %d: CoreArcs(%d) %d vs oracle %d", step, i, a, b)
+			}
+			if a, b := locate(c, i, tu, tv), locate(oracle, i, tu, tv); a != b {
+				t.Fatalf("step %d: Locate(%d,%d,%d) = %s, oracle says %s", step, i, tu, tv, a, b)
+			}
+		}
+		if step%7 == 3 {
+			ca := cutAnswer{cut: c.CloneCOW(), u: tu, v: tv}
+			for i := range ca.locate {
+				ca.locate[i] = locate(ca.cut, i, tu, tv)
+			}
+			cuts = append(cuts, ca)
+		}
+		// Later steps write overlays over, and fold new bases out of,
+		// the bases the earlier cuts share.
+		for _, old := range cuts {
+			for i := range old.locate {
+				if got := locate(old.cut, i, old.u, old.v); got != old.locate[i] {
+					t.Fatalf("step %d: an earlier cut's Locate(%d,%d,%d) changed from %s to %s", step, i, old.u, old.v, old.locate[i], got)
+				}
 			}
 		}
 

@@ -7,21 +7,62 @@ package composite
 
 import (
 	"fmt"
-	"sync/atomic"
+	"math/bits"
+	"slices"
 
 	"adp/internal/graph"
 	"adp/internal/partition"
 )
 
-// residualSet is a bitset over the k partitions (k ≤ 32).
-type residualSet uint32
+// indexEntry is the per-arc coherence index of Section 6.1 inside one
+// composite fragment: a bitset over the k partitions (k ≤ 32) naming
+// those whose fragment holds the arc. All k bits set means the arc
+// sits in the fragment's core; otherwise the bits name the residual
+// fragments F̂ji that hold it. Zero describes no stored arc, so the
+// index overlay uses it as the tombstone.
+type indexEntry uint32
 
-// indexEntry is the per-arc coherence index of Section 6.1: whether
-// the arc sits in the fragment's core, and otherwise which residual
-// fragments F̂ji hold it.
-type indexEntry struct {
-	core      bool
-	residuals residualSet
+// fragIndex is the coherence index of one composite fragment as of its
+// last fold: arc keys in ascending order with their entries alongside.
+// Immutable once built; CloneCOW siblings share it by pointer.
+type fragIndex struct {
+	keys    []uint64
+	entries []indexEntry
+}
+
+// fold returns the index with the overlay's entries applied, by linear
+// merge: only the overlay's keys are sorted, untouched runs are copied
+// whole and tombstoned keys are left out.
+func (b *fragIndex) fold(over map[uint64]indexEntry) *fragIndex {
+	if len(over) == 0 {
+		return b
+	}
+	changed := make([]uint64, 0, len(over))
+	for k := range over {
+		changed = append(changed, k)
+	}
+	slices.Sort(changed)
+	out := &fragIndex{
+		keys:    make([]uint64, 0, len(b.keys)+len(changed)),
+		entries: make([]indexEntry, 0, len(b.keys)+len(changed)),
+	}
+	keys, entries := b.keys, b.entries
+	for _, k := range changed {
+		n, found := slices.BinarySearch(keys, k)
+		out.keys = append(out.keys, keys[:n]...)
+		out.entries = append(out.entries, entries[:n]...)
+		if found {
+			n++
+		}
+		keys, entries = keys[n:], entries[n:]
+		if e := over[k]; e != 0 {
+			out.keys = append(out.keys, k)
+			out.entries = append(out.entries, e)
+		}
+	}
+	out.keys = append(out.keys, keys...)
+	out.entries = append(out.entries, entries...)
+	return out
 }
 
 // Composite is a composite partition HP(n,k) =
@@ -34,29 +75,15 @@ type Composite struct {
 	// coreArcs[i] counts |Ci| (in arcs); the explicit arc sets live in
 	// the coherence index.
 	coreArcs []int
-	// index[i] maps arc key -> placement inside composite fragment i.
-	index []map[uint64]indexEntry
-	// sharedIdx[i] marks index[i] as shared with a CloneCOW sibling
-	// (typically a published epoch): the next write to that fragment's
-	// index must replace the map with a private copy (ownIndex), never
-	// mutate the shared one. Always non-nil, same length as index.
-	sharedIdx []bool
-	// idxStamp[i] identifies the map object behind index[i]: fresh maps
-	// get fresh stamps, COW clones share them. Stamp equality across two
-	// composites therefore means "same map" — the basis of the epoch
-	// memory accounting in ShareStats.
-	idxStamp []uint64
-}
-
-// idxStampCounter issues process-unique index-map stamps.
-var idxStampCounter atomic.Uint64
-
-func freshStamps(n int) []uint64 {
-	s := make([]uint64, n)
-	for i := range s {
-		s[i] = idxStampCounter.Add(1)
-	}
-	return s
+	// index[i] maps arc key -> placement inside composite fragment i, as
+	// of the last fold. Never written once built: two composites hold
+	// the same pointer exactly when they share that fragment's index,
+	// which is what ShareStats counts.
+	index []*fragIndex
+	// over[i] holds the entries InsertEdge/DeleteEdge wrote since the
+	// last fold (nil until the first); CloneCOW folds it into a new
+	// index[i]. Reads probe it before index[i].
+	over []map[uint64]indexEntry
 }
 
 func arcKey(u, v graph.VertexID) uint64 { return uint64(u)<<32 | uint64(v) }
@@ -85,30 +112,31 @@ func New(g *graph.Graph, parts []*partition.Partition) (*Composite, error) {
 	return c, nil
 }
 
+// full is the entry of a core arc: every partition holds it.
+func (c *Composite) full() indexEntry { return indexEntry(1<<uint(c.k) - 1) }
+
 // rebuildIndex recomputes cores and the coherence index from the
 // individual partitions. Each fragment's k sorted arc-key lists are
-// k-way merged so every unique arc costs exactly one map insert with
-// its residual set and core bit already complete — on the recovery
-// path (all fragments frozen, arc arrays presorted) this replaces the
-// old get+set per arc occurrence plus a full rewrite pass, the
-// dominant hashing cost of reopening a store.
+// k-way merged, which emits every unique arc once, in key order, with
+// its entry already complete — so the index arrays are appended to
+// directly and nothing is hashed.
 func (c *Composite) rebuildIndex() {
 	c.coreArcs = make([]int, c.n)
-	c.index = make([]map[uint64]indexEntry, c.n)
-	full := residualSet(1<<uint(c.k) - 1)
+	c.index = make([]*fragIndex, c.n)
+	c.over = make([]map[uint64]indexEntry, c.n)
+	full := c.full()
 	lists := make([][]uint64, c.k)
 	pos := make([]int, c.k)
 	for i := 0; i < c.n; i++ {
-		// Presize to the summed per-partition arc counts (an upper
-		// bound: shared arcs are counted once per partition) so the
-		// recovery path never pays incremental map growth.
-		est := 0
+		// Every arc is in at least one list, so the longest list is a
+		// lower bound on the unique count and a good first capacity.
+		longest := 0
 		for j, p := range c.parts {
 			lists[j] = p.Fragment(i).AppendSortedArcKeys(lists[j][:0])
 			pos[j] = 0
-			est += len(lists[j])
+			longest = max(longest, len(lists[j]))
 		}
-		idx := make(map[uint64]indexEntry, est)
+		idx := &fragIndex{keys: make([]uint64, 0, longest), entries: make([]indexEntry, 0, longest)}
 		for {
 			min, any := ^uint64(0), false
 			for j := 0; j < c.k; j++ {
@@ -124,38 +152,39 @@ func (c *Composite) rebuildIndex() {
 			var e indexEntry
 			for j := 0; j < c.k; j++ {
 				if pos[j] < len(lists[j]) && lists[j][pos[j]] == min {
-					e.residuals |= 1 << uint(j)
+					e |= 1 << uint(j)
 					pos[j]++
 				}
 			}
-			if e.residuals == full {
-				e = indexEntry{core: true}
+			if e == full {
 				c.coreArcs[i]++
 			}
-			idx[min] = e
+			idx.keys = append(idx.keys, min)
+			idx.entries = append(idx.entries, e)
 		}
 		c.index[i] = idx
 	}
-	c.sharedIdx = make([]bool, c.n)
-	c.idxStamp = freshStamps(c.n)
 }
 
-// ownIndex returns index[i] for writing, first replacing it with a
-// private copy when the current map is shared with a COW clone. The
-// copy costs O(|index[i]|) once per fragment per publish cycle — the
-// "touched index vertices" term of the O(delta) epoch cut.
-func (c *Composite) ownIndex(i int) map[uint64]indexEntry {
-	if c.sharedIdx[i] {
-		m := c.index[i]
-		nm := make(map[uint64]indexEntry, len(m))
-		for k, e := range m {
-			nm[k] = e
-		}
-		c.index[i] = nm
-		c.sharedIdx[i] = false
-		c.idxStamp[i] = idxStampCounter.Add(1)
+// entry returns the index entry of the arc key in composite fragment
+// i, zero when the fragment does not hold the arc.
+func (c *Composite) entry(i int, key uint64) indexEntry {
+	if e, ok := c.over[i][key]; ok {
+		return e
 	}
-	return c.index[i]
+	if x, ok := slices.BinarySearch(c.index[i].keys, key); ok {
+		return c.index[i].entries[x]
+	}
+	return 0
+}
+
+// setEntry records the arc key's new entry in fragment i's overlay;
+// zero removes the arc.
+func (c *Composite) setEntry(i int, key uint64, e indexEntry) {
+	if c.over[i] == nil {
+		c.over[i] = map[uint64]indexEntry{}
+	}
+	c.over[i][key] = e
 }
 
 // K returns the number of bundled partitions.
@@ -177,12 +206,12 @@ func (c *Composite) CoreArcs(i int) int { return c.coreArcs[i] }
 // Σ_i (|Ci| + Σ_j |F̂ji|): arcs in a core are stored once regardless
 // of how many partitions share them.
 func (c *Composite) StorageArcs() int {
-	total := 0
+	total, full := 0, c.full()
 	for i := 0; i < c.n; i++ {
 		total += c.coreArcs[i]
-		for _, e := range c.index[i] {
-			if !e.core {
-				total += popcount(e.residuals)
+		for _, e := range c.index[i].fold(c.over[i]).entries {
+			if e != full {
+				total += bits.OnesCount32(uint32(e))
 			}
 		}
 	}
@@ -212,15 +241,15 @@ func (c *Composite) FC() float64 {
 // the core and the list of partitions whose residual holds it
 // (empty for core arcs, per the (ci, ri) index of Section 6.1).
 func (c *Composite) Locate(i int, u, v graph.VertexID) (core bool, residuals []int, present bool) {
-	e, ok := c.index[i][arcKey(u, v)]
-	if !ok {
+	e := c.entry(i, arcKey(u, v))
+	if e == 0 {
 		return false, nil, false
 	}
-	if e.core {
+	if e == c.full() {
 		return true, nil, true
 	}
 	for j := 0; j < c.k; j++ {
-		if e.residuals&(1<<uint(j)) != 0 {
+		if e&(1<<uint(j)) != 0 {
 			residuals = append(residuals, j)
 		}
 	}
@@ -249,20 +278,20 @@ func (c *Composite) DeleteEdge(u, v graph.VertexID) bool {
 func (c *Composite) deleteArc(u, v graph.VertexID) bool {
 	found := false
 	for i := 0; i < c.n; i++ {
-		e, ok := c.index[i][arcKey(u, v)]
-		if !ok {
+		e := c.entry(i, arcKey(u, v))
+		if e == 0 {
 			continue
 		}
 		found = true
 		for j := 0; j < c.k; j++ {
-			if e.core || e.residuals&(1<<uint(j)) != 0 {
+			if e&(1<<uint(j)) != 0 {
 				c.parts[j].RemoveArc(i, u, v)
 			}
 		}
-		if e.core {
+		if e == c.full() {
 			c.coreArcs[i]--
 		}
-		delete(c.ownIndex(i), arcKey(u, v))
+		c.setEntry(i, arcKey(u, v), 0)
 	}
 	return found
 }
@@ -275,44 +304,25 @@ func (c *Composite) InsertEdge(u, v graph.VertexID, dest []int) error {
 	if len(dest) != c.k {
 		return fmt.Errorf("composite: %d destinations for %d partitions", len(dest), c.k)
 	}
-	allSame := true
-	for _, d := range dest[1:] {
-		if d != dest[0] {
-			allSame = false
-			break
-		}
-	}
 	for j, d := range dest {
 		if d < 0 || d >= c.n {
 			return fmt.Errorf("composite: destination %d out of range", d)
 		}
 		c.parts[j].AddEdge(d, u, v)
 	}
-	full := residualSet(1<<uint(c.k) - 1)
+	// Each destination fragment gains the arc for the partitions routed
+	// there. A set that fills up — at once when all destinations agree,
+	// or across inserts — IS the core case (every partition holds the
+	// arc in this fragment), as rebuildIndex classifies it on recovery.
+	full := c.full()
 	stamp := func(key uint64) {
-		if allSame {
-			idx := c.ownIndex(dest[0])
-			e := idx[key]
-			if !e.core {
-				idx[key] = indexEntry{core: true}
-				c.coreArcs[dest[0]]++
-			}
-			return
-		}
 		for j, d := range dest {
-			idx := c.ownIndex(d)
-			e := idx[key]
-			if !e.core {
-				e.residuals |= 1 << uint(j)
-				// A residual set that fills up across inserts IS the core
-				// case — every partition holds the arc in this fragment —
-				// and rebuildIndex classifies it as such on recovery; the
-				// incremental path must agree.
-				if e.residuals == full {
-					e = indexEntry{core: true}
+			e := c.entry(d, key)
+			if ne := e | 1<<uint(j); ne != e {
+				if ne == full {
 					c.coreArcs[d]++
 				}
-				idx[key] = e
+				c.setEntry(d, key, ne)
 			}
 		}
 	}
@@ -324,77 +334,71 @@ func (c *Composite) InsertEdge(u, v graph.VertexID, dest []int) error {
 }
 
 // Clone returns a deep copy sharing only the immutable graph: every
-// bundled partition is cloned and the coherence index is copied rather
-// than rebuilt (mutation order is preserved, so a clone's adjacency is
-// bitwise the original's). The serving plane clones the store's live
-// composite to publish immutable epoch snapshots.
+// bundled partition is cloned (mutation order is preserved, so a
+// clone's adjacency is bitwise the original's) and the coherence index
+// is copied out whole into the clone's overlay, over an empty base.
+// It is the oracle the copy-on-write tests compare CloneCOW against.
 func (c *Composite) Clone() *Composite {
 	out := &Composite{
 		g: c.g, n: c.n, k: c.k,
 		parts:    make([]*partition.Partition, c.k),
-		coreArcs: append([]int(nil), c.coreArcs...),
-		index:    make([]map[uint64]indexEntry, c.n),
+		coreArcs: slices.Clone(c.coreArcs),
+		index:    make([]*fragIndex, c.n),
+		over:     make([]map[uint64]indexEntry, c.n),
 	}
 	for j, p := range c.parts {
 		out.parts[j] = p.Clone()
 	}
-	for i, m := range c.index {
-		nm := make(map[uint64]indexEntry, len(m))
-		for k, e := range m {
-			nm[k] = e
+	for i := range c.index {
+		idx := c.index[i].fold(c.over[i])
+		out.index[i] = &fragIndex{}
+		out.over[i] = make(map[uint64]indexEntry, len(idx.keys))
+		for x, k := range idx.keys {
+			out.over[i][k] = idx.entries[x]
 		}
-		out.index[i] = nm
 	}
-	out.sharedIdx = make([]bool, c.n)
-	out.idxStamp = freshStamps(c.n)
 	return out
 }
 
 // CloneCOW returns a structurally-sharing snapshot of the composite:
 // every bundled partition is cloned through Partition.CloneCOW (shared
-// immutable compiled fragments, copied spines) and the coherence index
-// maps are shared outright — both sides are flagged so the next index
-// write on either side copies the touched fragment's map first
-// (ownIndex). Only the spines (coreArcs, the index slice, the flags)
-// are copied eagerly, so a cut costs O(touched fragments + touched
-// index vertices) since the previous cut instead of O(graph). The
-// serving plane publishes epoch snapshots through this path; Clone
-// remains the full-deep-copy oracle.
+// immutable compiled fragments, copied spines), the index overlays
+// written since the last cut are folded into new index arrays, and
+// every fragment's index is then shared by pointer, so a cut costs one
+// linear merge per touched fragment instead of O(graph). The serving
+// plane publishes epochs through it; Clone remains the deep-copy oracle.
 func (c *Composite) CloneCOW() *Composite {
+	for i, over := range c.over {
+		if len(over) > 0 {
+			c.index[i], c.over[i] = c.index[i].fold(over), nil
+		}
+	}
 	out := &Composite{
 		g: c.g, n: c.n, k: c.k,
-		parts:     make([]*partition.Partition, c.k),
-		coreArcs:  append([]int(nil), c.coreArcs...),
-		index:     append([]map[uint64]indexEntry(nil), c.index...),
-		sharedIdx: make([]bool, c.n),
-		idxStamp:  append([]uint64(nil), c.idxStamp...),
+		parts:    make([]*partition.Partition, c.k),
+		coreArcs: slices.Clone(c.coreArcs),
+		index:    slices.Clone(c.index),
+		over:     make([]map[uint64]indexEntry, c.n),
 	}
 	for j, p := range c.parts {
 		out.parts[j] = p.CloneCOW()
-	}
-	for i := range c.sharedIdx {
-		c.sharedIdx[i] = true
-		out.sharedIdx[i] = true
 	}
 	return out
 }
 
 // ShareStats describes how much of c's storage is shared with prev
-// (typically the previous epoch's composite): fragments and index maps
-// that are the same objects cost no marginal memory; owned ones are
-// summed at approximate resident bytes. prev == nil counts everything
+// (typically the previous epoch's composite): fragments and per-fragment
+// indexes that are the same objects cost no marginal memory; owned ones
+// are summed at approximate resident bytes. prev == nil counts everything
 // as owned — the full materialized size of one epoch.
 type ShareStats struct {
-	SharedFragments int
-	OwnedFragments  int
-	SharedIndexMaps int
-	OwnedIndexMaps  int
-	OwnedBytes      int64
+	SharedFragments, OwnedFragments int
+	SharedIndexMaps, OwnedIndexMaps int
+	OwnedBytes                      int64
 }
 
-// indexEntryApproxBytes is the rough per-entry resident cost of a
-// coherence-index map cell (8-byte key + padded entry + map overhead).
-const indexEntryApproxBytes = 24
+// indexEntryBytes: an 8-byte key and a 4-byte indexEntry.
+const indexEntryBytes = 12
 
 // ShareStats computes the sharing breakdown of c against prev.
 func (c *Composite) ShareStats(prev *Composite) ShareStats {
@@ -410,11 +414,11 @@ func (c *Composite) ShareStats(prev *Composite) ShareStats {
 		st.OwnedBytes += ob
 	}
 	for i := 0; i < c.n; i++ {
-		if prev != nil && i < prev.n && c.idxStamp[i] == prev.idxStamp[i] {
+		if prev != nil && i < prev.n && c.index[i] == prev.index[i] {
 			st.SharedIndexMaps++
 		} else {
 			st.OwnedIndexMaps++
-			st.OwnedBytes += int64(len(c.index[i])) * indexEntryApproxBytes
+			st.OwnedBytes += int64(len(c.index[i].keys)) * indexEntryBytes
 		}
 	}
 	return st
@@ -443,8 +447,7 @@ func (c *Composite) ValidateIndex() error {
 			count := 0
 			f.Vertices(func(v graph.VertexID, adj *partition.Adj) {
 				for _, w := range adj.Out {
-					e, ok := c.index[i][arcKey(v, w)]
-					if !ok || (!e.core && e.residuals&(1<<uint(j)) == 0) {
+					if c.entry(i, arcKey(v, w))&(1<<uint(j)) == 0 {
 						count++
 					}
 				}
@@ -474,24 +477,16 @@ func (c *Composite) EqualState(o *Composite) error {
 		if c.coreArcs[i] != o.coreArcs[i] {
 			return fmt.Errorf("composite: core of fragment %d is %d arcs vs %d", i, c.coreArcs[i], o.coreArcs[i])
 		}
-		if len(c.index[i]) != len(o.index[i]) {
-			return fmt.Errorf("composite: index of fragment %d has %d arcs vs %d", i, len(c.index[i]), len(o.index[i]))
+		ci, oi := c.index[i].fold(c.over[i]), o.index[i].fold(o.over[i])
+		if len(ci.keys) != len(oi.keys) {
+			return fmt.Errorf("composite: index of fragment %d has %d arcs vs %d", i, len(ci.keys), len(oi.keys))
 		}
-		for k, e := range c.index[i] {
-			oe, ok := o.index[i][k]
-			if !ok || e != oe {
+		for x, k := range ci.keys {
+			if oi.keys[x] != k || oi.entries[x] != ci.entries[x] {
+				k = min(k, oi.keys[x])
 				return fmt.Errorf("composite: index of fragment %d diverges at arc (%d,%d)", i, uint32(k>>32), uint32(k))
 			}
 		}
 	}
 	return nil
-}
-
-func popcount(x residualSet) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

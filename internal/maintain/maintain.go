@@ -405,8 +405,9 @@ func (l *Loop) buildCandidate(base *composite.Composite) (cand *composite.Compos
 		}
 	}()
 	// COW cut: the refiners mutate work through exported mutators only,
-	// which thaw (copy) a fragment before writing, so base's shared
-	// compiled fragments stay intact for the rollback path.
+	// which copy a vertex's adjacency into work's own overlay before
+	// writing, so base's shared compiled fragments stay intact for the
+	// rollback path.
 	work := base.CloneCOW()
 	ctx, cancel := context.WithTimeout(l.ctx, l.cfg.RefineTimeout)
 	defer cancel()

@@ -96,21 +96,15 @@ func compressFragment(c *compiledFragment) *compressedFragment {
 // cannot occur here; the streams decode to exactly the recorded
 // extents by construction.
 func (z *compressedFragment) inflate() *compiledFragment {
-	c := &compiledFragment{
-		ids:   z.ids,
-		local: make([]int32, z.nv),
-	}
-	for i := range c.local {
-		c.local[i] = -1
-	}
-	for l, v := range z.ids {
-		c.local[v] = int32(l)
-	}
+	c := &compiledFragment{ids: z.ids, local: newLocal(z.nv, z.ids)}
 	c.adjs = make([]Adj, len(z.ids))
 	c.outAdj = make([]graph.VertexID, 0, z.numArcs)
 	c.inAdj = make([]graph.VertexID, 0, z.numArcs)
+	c.arcOff = make([]int32, len(z.ids)+1)
+	c.arcOff[len(z.ids)] = int32(z.numArcs)
 	for l := range z.ids {
 		oLo := len(c.outAdj)
+		c.arcOff[l] = int32(oLo)
 		c.outAdj, _ = decodeZigzagDeltas(c.outAdj, z.outData[z.outOff[l]:z.outOff[l+1]])
 		iLo := len(c.inAdj)
 		c.inAdj, _ = decodeZigzagDeltas(c.inAdj, z.inData[z.inOff[l]:z.inOff[l+1]])
@@ -127,7 +121,6 @@ func (z *compressedFragment) inflate() *compiledFragment {
 		prev += d
 		c.arcs = append(c.arcs, prev)
 	}
-	c.buildArcOff()
 	return c
 }
 
@@ -147,21 +140,20 @@ func (c *compiledFragment) byteSize() int64 {
 		int64(len(c.arcs))*8 + int64(len(c.arcOff))*4
 }
 
-// CompileCompressed compiles every fragment (if needed) and swaps it
-// to the compressed cold form, dropping the packed arrays and the
-// mutable maps. Accessors that need random access (HasArc, Adjacency,
-// the engine's compiled views) transparently inflate a fragment back
-// to packed form on first use, and the first structural mutation thaws
-// the maps — CompileCompressed is a storage-state transition, not a
-// restriction on what the partition can do afterwards.
+// CompileCompressed compiles every fragment (if needed) and swaps its
+// base to the compressed cold form, dropping the packed arrays.
+// Accessors that need random access (HasArc, Adjacency, the engine's
+// compiled views) transparently inflate a fragment back to packed form
+// on first use, as does the first structural mutation —
+// CompileCompressed is a storage-state transition, not a restriction
+// on what the partition can do afterwards.
 func (p *Partition) CompileCompressed() *Partition {
 	p.Compile()
 	for _, f := range p.frags {
 		if f.czf.Load() == nil {
-			f.czf.Store(compressFragment(f.cf.Load()))
+			f.czf.Store(compressFragment(f.base.Load()))
 		}
-		f.verts, f.arcs = nil, nil
-		f.cf.Store(nil)
+		f.base.Store(nil)
 	}
 	return p
 }
@@ -174,12 +166,11 @@ func (p *Partition) CompileCompressed() *Partition {
 // ratio so the memory win is self-policing.
 func (p *Partition) FootprintBytes() (packed, compressed int64) {
 	for _, f := range p.frags {
-		z := f.czf.Load()
-		c := f.cf.Load()
-		if c == nil && z == nil {
+		if f.ov.Load() != nil {
 			p.Compile()
-			c = f.cf.Load()
 		}
+		z := f.czf.Load()
+		c := f.base.Load()
 		if z == nil {
 			z = compressFragment(c)
 		}

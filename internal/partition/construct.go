@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 
 	"adp/internal/graph"
 )
@@ -79,47 +80,37 @@ func FromEdgeAssignment(g *graph.Graph, assign EdgeAssigner, n int) (*Partition,
 }
 
 // Clone returns a deep copy of the partition sharing only the
-// immutable graph. Refiners mutate partitions in place; benchmarks
-// clone the baseline first.
+// immutable graph: every fragment is copied out whole into an overlay
+// over no base, whatever form the original is in. Refiners mutate
+// partitions in place; benchmarks clone the baseline first, and the
+// copy-on-write tests use Clone as the oracle that shares nothing.
 func (p *Partition) Clone() *Partition {
 	q := &Partition{
 		g:      p.g,
 		frags:  make([]*Fragment, len(p.frags)),
 		copies: make([][]int32, len(p.copies)),
-		master: make([]int32, len(p.master)),
-	}
-	q.owner = make([]int32, len(p.owner))
-	copy(q.master, p.master)
-	copy(q.owner, p.owner)
-	if p.weight != nil {
-		q.weight = append([]float64(nil), p.weight...)
+		master: slices.Clone(p.master),
+		owner:  slices.Clone(p.owner),
+		weight: slices.Clone(p.weight),
 	}
 	for v, cs := range p.copies {
 		q.copies[v] = append([]int32(nil), cs...)
 	}
 	for i, f := range p.frags {
-		if f.frozen() {
-			// Frozen fragments share their immutable compiled and
-			// compressed forms: a mutation on either clone thaws fresh
-			// maps and drops only that clone's pointers, so sharing is
-			// safe and cloning a cold partition costs nothing per arc.
-			nf := &Fragment{id: i}
-			nf.cf.Store(f.cf.Load())
-			nf.czf.Store(f.czf.Load())
-			q.frags[i] = nf
-			continue
+		ov := &overlay{
+			verts:  make(map[graph.VertexID]*Adj, f.NumVertices()),
+			arcs:   make(map[uint64]bool, f.NumArcs()),
+			nVerts: f.NumVertices(),
+			nArcs:  f.NumArcs(),
 		}
-		nf := &Fragment{id: i, verts: make(map[graph.VertexID]*Adj, len(f.verts)), arcs: make(map[uint64]struct{}, len(f.arcs))}
-		for v, adj := range f.verts {
-			nf.verts[v] = &Adj{
-				Out: append([]graph.VertexID(nil), adj.Out...),
-				In:  append([]graph.VertexID(nil), adj.In...),
+		f.Vertices(func(v graph.VertexID, adj *Adj) {
+			ov.verts[v] = &Adj{Out: slices.Clone(adj.Out), In: slices.Clone(adj.In)}
+			for _, w := range adj.Out {
+				ov.arcs[arcKey(v, w)] = true
 			}
-		}
-		for k := range f.arcs {
-			nf.arcs[k] = struct{}{}
-		}
-		q.frags[i] = nf
+		})
+		q.frags[i] = &Fragment{id: i}
+		q.frags[i].ov.Store(ov)
 	}
 	return q
 }

@@ -1,51 +1,46 @@
 package partition
 
+import "slices"
+
 // Copy-on-write cloning: the serving plane publishes an epoch snapshot
-// per update wave, and a wave touches a handful of fragments — so a
-// publish must not pay for the fragments it did not touch. CloneCOW
-// compiles the partition (refreshing exactly the fragments the last
-// waves invalidated) and then shares every fragment's immutable
-// compiled/compressed form with the clone, copying only the partition
-// spine (master/owner/weight arrays and the outer copies index).
+// per update wave, and a wave touches a handful of vertices — so a
+// publish must not pay for what it did not touch. CloneCOW compiles the
+// partition (one linear merge per fragment the last waves touched) and
+// shares every fragment's immutable base with the clone, copying only
+// the partition spine (master/owner/weight and the outer copies index).
 //
 // Sharing discipline (what keeps a shared structure immutable):
 //
 //   - A *compiledFragment / *compressedFragment value is never mutated
-//     after construction. Mutators thaw a private map form out of it
-//     (ensureMutable copies the adjacency slices) and drop only their
-//     own fragment's pointer (invalidate), so a clone holding the same
-//     pointer is untouched. This is the same rule the frozen-fragment
-//     machinery of the flat loaders established; CloneCOW leans on it.
+//     after construction. Mutators copy the adjacency of the vertices
+//     they touch into their own fragment's overlay (thaw) and record
+//     arc changes there; Compile builds a new base from base + overlay
+//     and swaps only its own fragment's pointer, so a clone holding the
+//     old pointer is untouched. A new base may share the ids, local
+//     and arcs arrays of the one it was folded from; they are immutable.
 //   - The per-vertex copies slices are shared between both sides after
-//     a CloneCOW. The copiesShared flag makes insertCopy/removeCopy
-//     allocate a fresh slice instead of writing the shared backing
-//     array in place (which would also scribble over the frozen
-//     loaders' arena). The flag is sticky: once a partition has been
-//     COW-cloned, every later copy-set change allocates — the price is
-//     one small allocation per changed vertex, paid only by mutated
-//     partitions.
+//     a CloneCOW. The sticky copiesShared flag makes insertCopy and
+//     removeCopy allocate a fresh slice instead of writing the shared
+//     backing array (which may also be the flat loaders' arena): one
+//     small allocation per changed vertex, paid only by partitions
+//     that were COW-cloned.
 //   - master/owner/weight are flat arrays written in place by mutators,
 //     so they are memcpy'd at clone time (O(n) words, not O(arcs)).
 func (p *Partition) CloneCOW() *Partition {
 	p.Compile()
 	q := &Partition{
-		g:      p.g,
-		frags:  make([]*Fragment, len(p.frags)),
-		copies: make([][]int32, len(p.copies)),
-		master: make([]int32, len(p.master)),
-		owner:  make([]int32, len(p.owner)),
-	}
-	copy(q.master, p.master)
-	copy(q.owner, p.owner)
-	copy(q.copies, p.copies)
-	if p.weight != nil {
-		q.weight = append([]float64(nil), p.weight...)
+		g:            p.g,
+		frags:        make([]*Fragment, len(p.frags)),
+		copies:       slices.Clone(p.copies),
+		master:       slices.Clone(p.master),
+		owner:        slices.Clone(p.owner),
+		weight:       slices.Clone(p.weight),
+		copiesShared: true,
 	}
 	p.copiesShared = true
-	q.copiesShared = true
 	for i, f := range p.frags {
 		nf := &Fragment{id: i}
-		nf.cf.Store(f.cf.Load())
+		nf.base.Store(f.base.Load())
 		nf.czf.Store(f.czf.Load())
 		q.frags[i] = nf
 	}
@@ -53,37 +48,51 @@ func (p *Partition) CloneCOW() *Partition {
 }
 
 // ShareStats compares p's fragments against prev's (typically the same
-// partition in the previous epoch): fragments whose compiled form is
-// the same object are shared (zero marginal memory); the rest are owned
-// and their approximate resident bytes are summed. prev == nil counts
-// everything as owned — the full materialized size.
+// partition in the previous epoch): fragments whose base is the same
+// object are shared (zero marginal memory); the rest are owned and
+// their approximate resident bytes, less what they still share with
+// prev's fragment, are summed. prev == nil counts everything as owned
+// — the full materialized size.
 func (p *Partition) ShareStats(prev *Partition) (shared, owned int, ownedBytes int64) {
 	for i, f := range p.frags {
-		c := f.cf.Load()
-		if prev != nil && i < len(prev.frags) && c != nil && c == prev.frags[i].cf.Load() {
+		var pf *Fragment
+		if prev != nil && i < len(prev.frags) {
+			pf = prev.frags[i]
+		}
+		if c := f.base.Load(); pf != nil && c != nil && c == pf.base.Load() {
 			shared++
 			continue
 		}
 		owned++
-		ownedBytes += f.ApproxBytes()
+		ownedBytes += f.ApproxBytes(pf)
 	}
 	return shared, owned, ownedBytes
 }
 
-// ApproxBytes estimates the resident size of the fragment's dominant
-// representation: exact array lengths for a compiled form, encoded
-// byte extents for a compressed-only form, and a rough per-entry cost
-// for the map form. Used for the /metrics epoch memory accounting;
-// not a precise heap measurement.
-func (f *Fragment) ApproxBytes() int64 {
-	if c := f.cf.Load(); c != nil {
-		return int64(len(c.ids))*4 + int64(len(c.local))*4 + int64(len(c.adjs))*48 +
-			int64(len(c.outAdj)+len(c.inAdj))*4 + int64(len(c.arcs))*8 + int64(len(c.arcOff))*4
+// ApproxBytes estimates the resident size of the fragment's base: exact
+// array lengths for a compiled one, encoded byte extents for a
+// compressed-only one. The ids and local arrays, and the arc array, are
+// not counted when they are the very arrays prev's base holds (a fold
+// that did not change the vertex set, or the arc set, shares them).
+// Used for the /metrics epoch memory accounting; not a heap measurement.
+func (f *Fragment) ApproxBytes(prev *Fragment) int64 {
+	c := f.base.Load()
+	if c == nil {
+		if z := f.czf.Load(); z != nil {
+			return z.byteSize()
+		}
+		return 0
 	}
-	if z := f.czf.Load(); z != nil {
-		return int64(len(z.ids))*4 + int64(len(z.outOff)+len(z.inOff))*4 +
-			int64(len(z.outData)+len(z.inData)+len(z.arcData))
+	n := c.byteSize()
+	if prev == nil || prev.base.Load() == nil {
+		return n
 	}
-	// Map form: rough amortized map-cell plus adjacency costs.
-	return int64(len(f.verts))*64 + int64(len(f.arcs))*16
+	pc := prev.base.Load()
+	if len(c.local) > 0 && len(pc.local) > 0 && &c.local[0] == &pc.local[0] {
+		n -= int64(len(c.ids)+len(c.local)) * 4
+	}
+	if len(c.arcs) > 0 && len(pc.arcs) > 0 && &c.arcs[0] == &pc.arcs[0] {
+		n -= int64(len(c.arcs)) * 8
+	}
+	return n
 }

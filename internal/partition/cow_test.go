@@ -19,7 +19,7 @@ func TestCloneCOWSharesAndIsolates(t *testing.T) {
 		t.Fatalf("fresh COW clone diverges: %v", err)
 	}
 	for i := range p.frags {
-		pc, qc := p.frags[i].cf.Load(), q.frags[i].cf.Load()
+		pc, qc := p.frags[i].base.Load(), q.frags[i].base.Load()
 		if pc == nil || pc != qc {
 			t.Fatalf("fragment %d compiled form not shared after CloneCOW", i)
 		}
@@ -141,4 +141,77 @@ func TestCloneCOWChain(t *testing.T) {
 	if err := live.EqualPlacement(oracle); err != nil {
 		t.Fatalf("live partition diverged from oracle: %v", err)
 	}
+}
+
+// TestShareStatsSkipsSharedIDArrays: a fold that leaves the vertex set
+// and the arc set alone reuses the previous base's ids, local and arcs
+// arrays, so the bytes a publish is charged for the owned fragment must
+// leave them out.
+func TestShareStatsSkipsSharedIDArrays(t *testing.T) {
+	g := figure1G1(t)
+	p := figure1bPartition(t, g)
+	prev := p.CloneCOW()
+
+	// Drop and restore one arc: t4 is dropped from F2 and comes back, so
+	// the fragment is rebuilt over an unchanged vertex set.
+	if !p.RemoveArc(1, s5, t4) {
+		t.Fatal("expected arc s5→t4 in F2")
+	}
+	p.AddArc(1, s5, t4)
+	p.Compile()
+
+	f, pf := p.frags[1], prev.frags[1]
+	c, pc := f.base.Load(), pf.base.Load()
+	if c == pc {
+		t.Fatal("touched fragment still shares its base")
+	}
+	if &c.ids[0] != &pc.ids[0] || &c.local[0] != &pc.local[0] {
+		t.Fatal("unchanged vertex set should share ids and local with the previous base")
+	}
+	if &c.arcs[0] != &pc.arcs[0] {
+		t.Fatal("unchanged arc set should share arcs with the previous base")
+	}
+	full, marginal := f.ApproxBytes(nil), f.ApproxBytes(pf)
+	if want := full - int64(len(c.ids)+len(c.local))*4 - int64(len(c.arcs))*8; marginal != want {
+		t.Fatalf("marginal bytes %d, want %d (full %d less the shared id and arc arrays)", marginal, want, full)
+	}
+	sh, ow, bytes := p.ShareStats(prev)
+	if sh != 1 || ow != 1 || bytes != marginal {
+		t.Fatalf("ShareStats = (%d shared, %d owned, %d bytes), want (1, 1, %d)", sh, ow, bytes, marginal)
+	}
+
+	// A net arc change gives the fold an arc array of its own.
+	p.RemoveArc(1, s5, t4)
+	p.Compile()
+	if c2 := f.base.Load(); len(c2.arcs) != len(c.arcs)-1 || &c2.arcs[0] == &c.arcs[0] {
+		t.Fatal("a removed arc must produce a new arc array")
+	}
+}
+
+// TestCompileFoldIsIdempotent: Compile stores the new base before it
+// clears the overlay, so a racing Compile (the bench grids build
+// clusters over one shared partition) can pair the overlay with the
+// base it has already been folded into. Folding it in again must
+// change nothing.
+func TestCompileFoldIsIdempotent(t *testing.T) {
+	g := figure1G1(t)
+	nv := g.NumVertices()
+	check := func(what string, f *Fragment) {
+		t.Helper()
+		ov := f.ov.Load()
+		once := compileFragment(f.base.Load(), ov, nv)
+		twice := compileFragment(once, ov, nv)
+		f1, f2 := freezeFragment(0, once), freezeFragment(0, twice)
+		if d := SnapshotBase(f1).Diff(SnapshotBase(f2)); d != "" {
+			t.Fatalf("%s: folding the overlay into its own result changed %s", what, d)
+		}
+	}
+	p := figure1bPartition(t, g)
+	check("overlay over no base", p.frags[1])
+
+	p.Compile()
+	p.AddArc(1, s1, t5)    // new arc, new vertex s1
+	p.RemoveArc(1, s5, t4) // drops t4: a tombstone
+	p.RemoveArc(1, s5, t5) // removed arc, thawed endpoints stay
+	check("overlay over a base", p.frags[1])
 }

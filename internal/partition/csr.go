@@ -1,7 +1,7 @@
 package partition
 
 import (
-	"sort"
+	"slices"
 
 	"adp/internal/graph"
 )
@@ -13,10 +13,9 @@ import (
 // searches instead of map probes — the memory-layout discipline of
 // Buluç et al. applied to the fragment store.
 //
-// The mutable map form stays authoritative: the compiled form is a
-// cache built by Compile and dropped by every structural mutation, so
-// the refiners keep their cheap incremental updates and the engine
-// recompiles at cluster construction (the compile-after-mutate seam).
+// A compiledFragment is immutable once built and shared by pointer
+// between clones and epochs: mutations accumulate in the fragment's
+// overlay and Compile folds them into a new value (compileFragment).
 type compiledFragment struct {
 	// ids holds every vertex copy in ascending id order; the index of
 	// a vertex in ids is its local id.
@@ -36,108 +35,165 @@ type compiledFragment struct {
 	// arcOff[l] is the first index in arcs whose source is ids[l]
 	// (arcOff[len(ids)] = len(arcs)): keys sort by source first, so a
 	// source's arcs are contiguous and a probe is an O(1) remap plus a
-	// binary search over that vertex's out-degree only.
+	// binary search over that vertex's out-degree only. A vertex's
+	// out-arcs are exactly the arc keys it is the source of, so this is
+	// also where adjs[l].Out starts in outAdj: how builders fill it in.
 	arcOff []int32
 }
 
-// Compile builds (or rebuilds) the flat execution form of every
-// fragment. Idempotent: already-compiled fragments are skipped, and
-// any structural mutation (AddArc, RemoveVertex, ...) drops the
-// affected fragment's compiled form so a later Compile refreshes it.
-// The engine compiles automatically at cluster construction; callers
-// only need Compile directly when benchmarking the flat accessors.
+// Compile folds every fragment's overlay into its flat execution form.
+// Idempotent: fragments without an overlay are skipped, and any
+// structural mutation (AddArc, RemoveVertex, ...) gives the affected
+// fragment an overlay again so a later Compile refreshes it. The
+// engine compiles at cluster construction and CloneCOW at every cut.
 //
 // Compile is safe to call from concurrent readers of an otherwise
 // quiescent partition (the bench grids build clusters over a shared
 // cached baseline): compilation is deterministic, so racing compiles
-// store interchangeable values. Mutation remains single-threaded, as
-// everywhere else in the package.
+// store interchangeable values. Mutation remains single-threaded.
 func (p *Partition) Compile() *Partition {
 	nv := p.g.NumVertices()
 	for _, f := range p.frags {
-		if f.cf.Load() != nil {
+		ov := f.ov.Load()
+		if ov == nil {
+			f.compiled()
 			continue
 		}
-		if z := f.czf.Load(); z != nil {
-			f.cf.Store(z.inflate())
-			continue
-		}
-		f.cf.Store(compileFragment(f, nv))
+		f.base.Store(compileFragment(f.base.Load(), ov, nv))
+		f.ov.Store(nil)
 	}
 	return p
 }
 
-// Compiled reports whether the fragment currently carries its flat
-// execution form.
-func (f *Fragment) Compiled() bool { return f.cf.Load() != nil }
+// Compiled reports whether the fragment currently is its flat
+// execution form: a base and no overlay.
+func (f *Fragment) Compiled() bool { return f.ov.Load() == nil && f.base.Load() != nil }
 
-// invalidate drops the compiled and compressed forms; called by every
-// structural mutator so the map form stays the single source of truth.
-// Mutators thaw frozen fragments first (ensureMutable), so the maps
-// always exist by the time this runs.
-func (f *Fragment) invalidate() {
-	f.cf.Store(nil)
-	f.czf.Store(nil)
+// adjacency is Fragment.Adjacency on the base alone; nil-safe.
+func (c *compiledFragment) adjacency(v graph.VertexID) *Adj {
+	if c == nil || int(v) >= len(c.local) {
+		return nil
+	}
+	l := c.local[v]
+	if l < 0 {
+		return nil
+	}
+	return &c.adjs[l]
 }
 
-func compileFragment(f *Fragment, numVertices int) *compiledFragment {
+// compileFragment folds the overlay ov into the base b (nil for a
+// fragment that never had one) by linear merge: only the overlay's
+// touched ids and arc keys are sorted, the runs of untouched base
+// vertices between them are block-copied, and the id and remap arrays
+// are shared with b when the vertex set did not change, the arc array
+// when the arc set did not (an edge deleted and re-inserted). The
+// result is array for array what sorting and packing the whole fragment
+// from scratch produces.
+func compileFragment(b *compiledFragment, ov *overlay, numVertices int) *compiledFragment {
+	if b == nil {
+		b = &compiledFragment{}
+	}
+	touched := ov.sortedVerts()
+	sameSet := len(b.local) == numVertices
+	for _, v := range touched {
+		if (ov.verts[v] == nil) != (b.adjacency(v) == nil) {
+			sameSet = false
+		}
+	}
+	// Every arc is one entry of its source's Out and one of its
+	// target's In, so both packed arrays hold exactly nArcs entries.
 	c := &compiledFragment{
-		ids:   make([]graph.VertexID, 0, len(f.verts)),
-		local: make([]int32, numVertices),
+		ids:    b.ids,
+		local:  b.local,
+		adjs:   make([]Adj, 0, ov.nVerts),
+		outAdj: make([]graph.VertexID, 0, ov.nArcs),
+		inAdj:  make([]graph.VertexID, 0, ov.nArcs),
+		arcOff: make([]int32, 0, ov.nVerts+1),
 	}
-	for i := range c.local {
-		c.local[i] = -1
+	if !sameSet {
+		c.ids = make([]graph.VertexID, 0, ov.nVerts)
 	}
-	for v := range f.verts {
-		c.ids = append(c.ids, v)
+	// pack appends the vertices vs, whose lists lie back to back at the
+	// start of out and in, and returns how much of each they cover. The
+	// headers are laid out first and the contents follow as two block
+	// copies, in the order the mutators left them, so compiled
+	// execution visits arcs in that order and floating-point reductions
+	// are unchanged.
+	pack := func(vs []graph.VertexID, adjs []Adj, out, in []graph.VertexID) (int, int) {
+		o0, i0 := len(c.outAdj), len(c.inAdj)
+		o, i := o0, i0
+		for _, a := range adjs {
+			c.arcOff = append(c.arcOff, int32(o))
+			c.adjs = append(c.adjs, Adj{Out: c.outAdj[o : o+len(a.Out) : o+len(a.Out)], In: c.inAdj[i : i+len(a.In) : i+len(a.In)]})
+			o, i = o+len(a.Out), i+len(a.In)
+		}
+		c.outAdj = append(c.outAdj, out[:o-o0]...)
+		c.inAdj = append(c.inAdj, in[:i-i0]...)
+		if !sameSet {
+			c.ids = append(c.ids, vs...)
+		}
+		return o - o0, i - i0
 	}
-	sort.Slice(c.ids, func(i, j int) bool { return c.ids[i] < c.ids[j] })
-	totalOut, totalIn := 0, 0
-	for _, v := range c.ids {
-		adj := f.verts[v]
-		totalOut += len(adj.Out)
-		totalIn += len(adj.In)
+	// bl walks b's local ids; bo and bi are where bl's lists start in
+	// b's packed arrays.
+	bl, bo, bi := 0, 0, 0
+	for _, v := range touched {
+		n, found := slices.BinarySearch(b.ids[bl:], v)
+		no, ni := pack(b.ids[bl:bl+n], b.adjs[bl:bl+n], b.outAdj[bo:], b.inAdj[bi:])
+		bl, bo, bi = bl+n, bo+no, bi+ni
+		if found { // superseded by the overlay's copy, or dropped
+			bo, bi = bo+len(b.adjs[bl].Out), bi+len(b.adjs[bl].In)
+			bl++
+		}
+		if adj := ov.verts[v]; adj != nil {
+			pack([]graph.VertexID{v}, []Adj{*adj}, adj.Out, adj.In)
+		}
 	}
-	c.adjs = make([]Adj, len(c.ids))
-	c.outAdj = make([]graph.VertexID, 0, totalOut)
-	c.inAdj = make([]graph.VertexID, 0, totalIn)
-	for l, v := range c.ids {
-		c.local[v] = int32(l)
-		adj := f.verts[v]
-		// Packed lists preserve the mutable form's arc order exactly,
-		// so compiled execution visits arcs in the same order as the
-		// map form and floating-point reductions are unchanged.
-		oLo := len(c.outAdj)
-		c.outAdj = append(c.outAdj, adj.Out...)
-		iLo := len(c.inAdj)
-		c.inAdj = append(c.inAdj, adj.In...)
-		c.adjs[l] = Adj{Out: c.outAdj[oLo:len(c.outAdj):len(c.outAdj)], In: c.inAdj[iLo:len(c.inAdj):len(c.inAdj)]}
+	pack(b.ids[bl:], b.adjs[bl:], b.outAdj[bo:], b.inAdj[bi:])
+	c.arcOff = append(c.arcOff, int32(len(c.outAdj)))
+	if !sameSet {
+		c.local = newLocal(numVertices, c.ids)
 	}
-	c.arcs = make([]uint64, 0, len(f.arcs))
-	for k := range f.arcs {
-		c.arcs = append(c.arcs, k)
+	if c.arcs = b.arcs; len(ov.arcs) > 0 {
+		c.arcs = mergeArcKeys(make([]uint64, 0, ov.nArcs), b.arcs, ov.arcs)
 	}
-	sort.Slice(c.arcs, func(i, j int) bool { return c.arcs[i] < c.arcs[j] })
-	c.buildArcOff()
 	return c
 }
 
-// buildArcOff derives the per-source offsets into the sorted arc
-// array; ids and arcs must already be populated and sorted.
-func (c *compiledFragment) buildArcOff() {
-	c.arcOff = make([]int32, len(c.ids)+1)
-	a := 0
-	for l, id := range c.ids {
-		lo := uint64(id) << 32
-		for a < len(c.arcs) && c.arcs[a] < lo {
-			a++ // arcs whose source has no copy here cannot exist (Validate), but stay safe
+// newLocal builds the global→local remap of the ascending id array.
+func newLocal(numVertices int, ids []graph.VertexID) []int32 {
+	local := make([]int32, numVertices)
+	for i := range local {
+		local[i] = -1
+	}
+	for l, v := range ids {
+		local[v] = int32(l)
+	}
+	return local
+}
+
+// mergeArcKeys appends to dst the sorted arc keys of base with the
+// overlay's changes applied: base runs between changed keys are copied
+// whole, and a changed key comes out once if it is now present and not
+// at all otherwise, whether or not base holds it.
+func mergeArcKeys(dst, base []uint64, changed map[uint64]bool) []uint64 {
+	keys := make([]uint64, 0, len(changed))
+	for k := range changed {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		n, found := slices.BinarySearch(base, k)
+		dst = append(dst, base[:n]...)
+		if found {
+			n++
 		}
-		c.arcOff[l] = int32(a)
-		for a < len(c.arcs) && c.arcs[a]>>32 == uint64(id) {
-			a++
+		base = base[n:]
+		if changed[k] {
+			dst = append(dst, k)
 		}
 	}
-	c.arcOff[len(c.ids)] = int32(len(c.arcs))
+	return append(dst, base...)
 }
 
 // hasArc probes the compiled arc array: O(1) source remap plus a
@@ -189,12 +245,13 @@ func (f *Fragment) VertexAt(l int) graph.VertexID { return f.compiled().ids[l] }
 
 // LocalRemap returns a copy of the compiled local-id remap padded to
 // numVertices (-1 for vertices with no copy here) plus the number of
-// local slots, or (nil, 0) when the fragment carries no compiled form.
+// local slots, or (nil, 0) when the fragment is not compiled (it has
+// an overlay, so the base's local ids no longer describe it).
 // The cost tracker seeds its dense contribution slabs from it, so on a
 // compiled partition the slabs start compact instead of graph-wide.
 func (f *Fragment) LocalRemap(numVertices int) ([]int32, int) {
-	c := f.compiled()
-	if c == nil {
+	ov, c := f.ov.Load(), f.compiled()
+	if ov != nil || c == nil {
 		return nil, 0
 	}
 	remap := make([]int32, numVertices)

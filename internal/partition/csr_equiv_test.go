@@ -2,6 +2,8 @@ package partition_test
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -51,44 +53,43 @@ func buildShape(t testing.TB, seed int64, mode int) *partition.Partition {
 // map-form fragment and its compiled twin.
 func sameFragment(t *testing.T, p, q *partition.Partition, i int) {
 	t.Helper()
+	sameReads(t, p, q, i)
 	f, cf := p.Fragment(i), q.Fragment(i)
-	if f.NumVertices() != cf.NumVertices() {
-		t.Fatalf("frag %d: NumVertices %d vs %d", i, f.NumVertices(), cf.NumVertices())
-	}
 	if f.NumArcs() != cf.NumArcSlots() {
 		t.Fatalf("frag %d: NumArcs %d vs NumArcSlots %d", i, f.NumArcs(), cf.NumArcSlots())
+	}
+	l := 0
+	cf.Vertices(func(v graph.VertexID, _ *partition.Adj) {
+		if cf.LocalIndex(v) != l || cf.VertexAt(l) != v {
+			t.Fatalf("frag %d vertex %d: LocalIndex/VertexAt roundtrip broke (l=%d)", i, v, l)
+		}
+		l++
+	})
+}
+
+// sameReads compares what the form-independent accessors answer for
+// fragment i of two partitions, whatever form either is in.
+func sameReads(t *testing.T, p, q *partition.Partition, i int) {
+	t.Helper()
+	f, cf := p.Fragment(i), q.Fragment(i)
+	if f.NumVertices() != cf.NumVertices() || f.NumArcs() != cf.NumArcs() {
+		t.Fatalf("frag %d: (%d vertices, %d arcs) vs (%d, %d)", i, f.NumVertices(), f.NumArcs(), cf.NumVertices(), cf.NumArcs())
 	}
 	// Vertices must visit the same ids in the same (ascending) order
 	// with identical adjacency contents and order.
 	var mv, cv []graph.VertexID
 	f.Vertices(func(v graph.VertexID, _ *partition.Adj) { mv = append(mv, v) })
 	cf.Vertices(func(v graph.VertexID, _ *partition.Adj) { cv = append(cv, v) })
-	if len(mv) != len(cv) {
-		t.Fatalf("frag %d: vertex walk lengths %d vs %d", i, len(mv), len(cv))
+	if !slices.Equal(mv, cv) || !slices.Equal(mv, f.SortedVertices()) || !slices.Equal(cv, cf.SortedVertices()) {
+		t.Fatalf("frag %d: vertex walks differ: %v vs %v", i, mv, cv)
 	}
-	for k := range mv {
-		if mv[k] != cv[k] {
-			t.Fatalf("frag %d: vertex walk order differs at %d: %d vs %d", i, k, mv[k], cv[k])
-		}
-	}
-	for l, v := range cv {
+	for _, v := range cv {
 		ma, ca := f.Adjacency(v), cf.Adjacency(v)
-		if len(ma.Out) != len(ca.Out) || len(ma.In) != len(ca.In) {
-			t.Fatalf("frag %d vertex %d: degrees (%d,%d) vs (%d,%d)",
-				i, v, len(ma.Out), len(ma.In), len(ca.Out), len(ca.In))
+		if !slices.Equal(ma.Out, ca.Out) || !slices.Equal(ma.In, ca.In) {
+			t.Fatalf("frag %d vertex %d: adjacency (%v,%v) vs (%v,%v)", i, v, ma.Out, ma.In, ca.Out, ca.In)
 		}
-		for k := range ma.Out {
-			if ma.Out[k] != ca.Out[k] {
-				t.Fatalf("frag %d vertex %d: out-adjacency order differs at %d", i, v, k)
-			}
-		}
-		for k := range ma.In {
-			if ma.In[k] != ca.In[k] {
-				t.Fatalf("frag %d vertex %d: in-adjacency order differs at %d", i, v, k)
-			}
-		}
-		if cf.LocalIndex(v) != l || cf.VertexAt(l) != v {
-			t.Fatalf("frag %d vertex %d: LocalIndex/VertexAt roundtrip broke (l=%d)", i, v, l)
+		if !f.Has(v) || !cf.Has(v) {
+			t.Fatalf("frag %d: walked vertex %d reported absent", i, v)
 		}
 		if p.Status(i, v) != q.Status(i, v) {
 			t.Fatalf("frag %d vertex %d: status %v vs %v", i, v, p.Status(i, v), q.Status(i, v))
@@ -124,10 +125,167 @@ func TestQuickCompileEquivalence(t *testing.T) {
 			}
 			return true
 		})
-		return ok
+		return ok && mutateRecompileEquivalent(t, p, seed)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mutateRecompileEquivalent drives seeded random AddArc / RemoveArc /
+// RemoveVertex sequences through a CloneCOW'd (compiled, shared)
+// partition and, in lockstep, through a deep Clone that is never
+// compiled — the oracle that keeps every vertex in its maps. After
+// every Compile the merged base must equal, array for array, a
+// from-scratch compile of a copy of the oracle, and every snapshot cut
+// earlier must still be bit for bit what it was when it was cut.
+func mutateRecompileEquivalent(t *testing.T, p *partition.Partition, seed int64) bool {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	n, nv := p.NumFragments(), p.Graph().NumVertices()
+	live := p.Clone()
+	oracle := p.Clone()
+
+	type cut struct {
+		part *partition.Partition
+		want []*partition.BaseSnapshot
+	}
+	snapshot := func(q *partition.Partition) cut {
+		c := cut{part: q}
+		for i := 0; i < n; i++ {
+			c.want = append(c.want, partition.SnapshotBase(q.Fragment(i)))
+		}
+		return c
+	}
+	cuts := []cut{snapshot(live.CloneCOW())}
+
+	for round := 0; round < 6; round++ {
+		touched := make([]bool, n)
+		for op := 0; op < 1+rng.Intn(12); op++ {
+			i := rng.Intn(n)
+			f := live.Fragment(i)
+			before := [2]int{f.NumVertices(), f.NumArcs()}
+			verts := f.SortedVertices()
+			switch k := rng.Intn(10); {
+			case k < 4 || len(verts) == 0: // add an arc, sometimes to a vertex new to the fragment
+				u, v := graph.VertexID(rng.Intn(nv)), graph.VertexID(rng.Intn(nv))
+				if len(verts) > 0 && rng.Intn(2) == 0 {
+					u = verts[rng.Intn(len(verts))]
+				}
+				live.AddArc(i, u, v)
+				oracle.AddArc(i, u, v)
+			case k < 8: // remove a stored arc (or miss)
+				u := verts[rng.Intn(len(verts))]
+				v := graph.VertexID(rng.Intn(nv))
+				if out := f.Adjacency(u).Out; len(out) > 0 {
+					v = out[rng.Intn(len(out))]
+				}
+				if live.RemoveArc(i, u, v) != oracle.RemoveArc(i, u, v) {
+					t.Errorf("round %d: RemoveArc(%d,%d,%d) disagrees with the oracle", round, i, u, v)
+					return false
+				}
+			default:
+				v := verts[rng.Intn(len(verts))]
+				live.RemoveVertex(i, v)
+				oracle.RemoveVertex(i, v)
+			}
+			if before != [2]int{f.NumVertices(), f.NumArcs()} {
+				touched[i] = true
+			}
+		}
+		for i := 0; i < n; i++ {
+			f := live.Fragment(i)
+			if remap, slots := f.LocalRemap(nv); touched[i] && (f.Compiled() || remap != nil || slots != 0) {
+				t.Errorf("round %d: fragment %d has an overlay yet reports compiled", round, i)
+				return false
+			}
+			sameReads(t, oracle, live, i)
+		}
+		if err := live.EqualPlacement(oracle); err != nil {
+			t.Errorf("round %d: overlay reads diverge from the oracle: %v", round, err)
+			return false
+		}
+
+		next := live.CloneCOW() // compiles live: the linear merge under test
+		ref := oracle.Clone().Compile()
+		prev := cuts[len(cuts)-1].part
+		for i := 0; i < n; i++ {
+			if !live.Fragment(i).Compiled() {
+				t.Errorf("round %d: fragment %d not compiled after CloneCOW", round, i)
+				return false
+			}
+			if d := partition.SnapshotBase(live.Fragment(i)).Diff(partition.SnapshotBase(ref.Fragment(i))); d != "" {
+				t.Errorf("round %d: fragment %d: merged base differs from the from-scratch compile in %s", round, i, d)
+				return false
+			}
+			if err := partition.CheckPacked(live.Fragment(i)); err != nil {
+				t.Errorf("round %d: %v", round, err)
+				return false
+			}
+			sameVerts := slices.Equal(live.Fragment(i).SortedVertices(), prev.Fragment(i).SortedVertices())
+			if shared := partition.SharesIDs(live.Fragment(i), prev.Fragment(i)); shared != sameVerts {
+				t.Errorf("round %d: fragment %d: vertex set unchanged=%v but ids/local shared=%v", round, i, sameVerts, shared)
+				return false
+			}
+		}
+		if err := next.EqualPlacement(ref); err != nil {
+			t.Errorf("round %d: cut diverges from the oracle: %v", round, err)
+			return false
+		}
+		for c, old := range cuts {
+			for i := 0; i < n; i++ {
+				if d := old.want[i].Diff(partition.SnapshotBase(old.part.Fragment(i))); d != "" {
+					t.Errorf("round %d: cut %d fragment %d changed after it was cut (%s)", round, c, i, d)
+					return false
+				}
+			}
+		}
+		cuts = append(cuts, snapshot(next))
+	}
+	return true
+}
+
+// ringPartition is a 2-fragment partition of the n-vertex graph with
+// arcs (i,i+1) and (i,i+2) mod n: every vertex has in- and out-degree
+// 2, whatever n is.
+func ringPartition(t testing.TB, n int) *partition.Partition {
+	b := graph.NewBuilder(n)
+	for i := 0; i < n; i++ {
+		b.AddEdge(graph.VertexID(i), graph.VertexID((i+1)%n))
+		b.AddEdge(graph.VertexID(i), graph.VertexID((i+2)%n))
+	}
+	assign := make([]int, n)
+	for v := n / 2; v < n; v++ {
+		assign[v] = 1
+	}
+	p, err := partition.FromVertexAssignment(b.MustBuild(), assign, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// One arc delete + insert on a compiled fragment thaws its two
+// endpoints, not the fragment: the number of objects it allocates does
+// not depend on how many vertices the fragment holds.
+func TestThawAllocsIndependentOfFragmentSize(t *testing.T) {
+	allocs := func(n int) float64 {
+		p := ringPartition(t, n)
+		p.CloneCOW()
+		return testing.AllocsPerRun(20, func() {
+			q := p.CloneCOW() // a fixed number of objects per fragment count
+			if !q.RemoveArc(0, 3, 4) {
+				t.Fatal("arc (3,4) missing from fragment 0")
+			}
+			q.AddArc(0, 3, 4)
+			if q.Fragment(0).Compiled() || !q.Fragment(1).Compiled() {
+				t.Fatal("exactly fragment 0 should carry an overlay")
+			}
+		})
+	}
+	small, large := allocs(200), allocs(2000)
+	if small != large {
+		t.Fatalf("delete+insert of one arc allocates %.0f objects on a 100-vertex fragment, %.0f on a 1000-vertex one", small, large)
 	}
 }
 
@@ -211,4 +369,79 @@ func BenchmarkFragmentHasArc(b *testing.B) {
 	compiled := p.Clone().Compile()
 	b.Run("map", func(b *testing.B) { probe(b, p) })
 	b.Run("csr", func(b *testing.B) { probe(b, compiled) })
+}
+
+// BenchmarkMutateRecompile is the serving plane's write path on one
+// partition: a one-arc change on a compiled 8-fragment partition, then
+// the CloneCOW that folds the touched fragment's overlay into a new
+// base by linear merge and shares the other seven.
+func BenchmarkMutateRecompile(b *testing.B) {
+	g := gen.PowerLaw(gen.PowerLawConfig{N: 4000, AvgDeg: 8, Exponent: 2.1, Directed: true, Seed: 7})
+	assign := make([]int, g.NumVertices())
+	for v := range assign {
+		assign[v] = (v * 13) % 8
+	}
+	p, err := partition.FromVertexAssignment(g, assign, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type arc struct{ u, v graph.VertexID }
+	var arcsList []arc
+	g.Edges(func(u, v graph.VertexID) bool {
+		arcsList = append(arcsList, arc{u, v})
+		return true
+	})
+	sink := p.CloneCOW()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := arcsList[(i*7919)%len(arcsList)]
+		f := assign[a.u]
+		if i%2 == 0 {
+			p.RemoveArc(f, a.u, a.v)
+		} else {
+			p.AddArc(f, a.u, a.v)
+		}
+		sink = p.CloneCOW()
+	}
+	if sink.NumFragments() != 8 {
+		b.Fatal("lost fragments")
+	}
+}
+
+// Compile's contract for the bench grids: goroutines that build
+// clusters over one shared, otherwise quiescent partition may compile
+// it concurrently and read it meanwhile; every one of them ends up with
+// the base a lone Compile produces. Run under -race.
+func TestConcurrentCompileOfSharedPartition(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		p := buildShape(t, seed, int(seed))
+		ref := p.Clone().Compile()
+		if seed%2 == 1 { // an overlay over a base, not only over none
+			p.Compile()
+			p.RemoveVertex(0, p.Fragment(0).SortedVertices()[0])
+			ref.RemoveVertex(0, ref.Fragment(0).SortedVertices()[0])
+			ref.Compile()
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.Compile()
+				for i := 0; i < p.NumFragments(); i++ {
+					f, rf := p.Fragment(i), ref.Fragment(i)
+					if f.NumVertices() != rf.NumVertices() || f.NumArcs() != rf.NumArcs() || !slices.Equal(f.SortedVertices(), rf.SortedVertices()) {
+						t.Errorf("seed %d fragment %d: reads during the racing compiles diverge", seed, i)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for i := 0; i < p.NumFragments(); i++ {
+			if d := partition.SnapshotBase(p.Fragment(i)).Diff(partition.SnapshotBase(ref.Fragment(i))); d != "" {
+				t.Fatalf("seed %d fragment %d: concurrently compiled base differs in %s", seed, i, d)
+			}
+		}
+	}
 }

@@ -20,33 +20,23 @@ func (p *Partition) EqualPlacement(q *Partition) error {
 		return fmt.Errorf("partition: %d vertices vs %d", len(p.master), len(q.master))
 	}
 	for i := range p.frags {
-		pf, qf := p.frags[i], q.frags[i]
-		if pf.NumVertices() != qf.NumVertices() {
-			return fmt.Errorf("partition: fragment %d holds %d vertices vs %d", i, pf.NumVertices(), qf.NumVertices())
+		pk, qk := p.frags[i].AppendSortedArcKeys(nil), q.frags[i].AppendSortedArcKeys(nil)
+		if len(pk) != len(qk) {
+			return fmt.Errorf("partition: fragment %d holds %d arcs vs %d", i, len(pk), len(qk))
 		}
-		if pf.NumArcs() != qf.NumArcs() {
-			return fmt.Errorf("partition: fragment %d holds %d arcs vs %d", i, pf.NumArcs(), qf.NumArcs())
-		}
-		var diverged error
-		pf.eachArcKey(func(k uint64) bool {
-			if !qf.hasArcKey(k) {
-				diverged = fmt.Errorf("partition: fragment %d arc (%d,%d) missing from other", i, uint32(k>>32), uint32(k))
-				return false
+		for x := range pk {
+			if k := min(pk[x], qk[x]); pk[x] != qk[x] {
+				return fmt.Errorf("partition: fragment %d arc (%d,%d) is in one partition only", i, uint32(k>>32), uint32(k))
 			}
-			return true
-		})
-		if diverged != nil {
-			return diverged
 		}
-		pf.eachVertexID(func(v graph.VertexID) bool {
-			if !qf.Has(v) {
-				diverged = fmt.Errorf("partition: fragment %d vertex %d missing from other", i, v)
-				return false
+		pv, qv := p.frags[i].SortedVertices(), q.frags[i].SortedVertices()
+		if len(pv) != len(qv) {
+			return fmt.Errorf("partition: fragment %d holds %d vertices vs %d", i, len(pv), len(qv))
+		}
+		for x := range pv {
+			if pv[x] != qv[x] {
+				return fmt.Errorf("partition: fragment %d vertex %d is in one partition only", i, min(pv[x], qv[x]))
 			}
-			return true
-		})
-		if diverged != nil {
-			return diverged
 		}
 	}
 	for v := range p.master {

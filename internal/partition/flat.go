@@ -7,14 +7,14 @@ import (
 	"adp/internal/graph"
 )
 
-// Flat (frozen) construction: the loaders on the big-graph path build
+// Flat construction: the loaders on the big-graph path build
 // fragments directly in compiled form from arc-key lists, skipping the
 // per-vertex maps entirely. The resulting fragments are bitwise
 // equivalent to map-built fragments after Compile — same ids, same
 // packed adjacency order (the key list plays the role of AddArc
 // insertion order), same sorted arc array — so the engine, the
-// refiners (after an automatic thaw) and the equality checkers see no
-// difference. What changes is the cost: building 10M arcs allocates a
+// refiners (thawing the vertices they touch) and the equality checkers
+// see no difference. What changes is the cost: building 10M arcs allocates a
 // handful of arrays instead of millions of map cells.
 
 // buildCompiled constructs a compiled fragment from an arc-key list in
@@ -92,15 +92,15 @@ func buildCompiled(nv int, keys []uint64, loners []graph.VertexID) *compiledFrag
 	if !slices.IsSorted(c.arcs) {
 		slices.Sort(c.arcs)
 	}
-	c.buildArcOff()
+	c.arcOff = outOff
 	return c
 }
 
-// freezeFragment wraps a directly-built compiled form in a frozen
-// Fragment (no maps until the first mutation thaws them).
+// freezeFragment wraps a directly-built compiled form in a Fragment
+// with no overlay.
 func freezeFragment(id int, c *compiledFragment) *Fragment {
 	f := &Fragment{id: id}
-	f.cf.Store(c)
+	f.base.Store(c)
 	return f
 }
 
@@ -160,7 +160,7 @@ func assembleFrozen(g *graph.Graph, frags []*Fragment) *Partition {
 	}
 	off := make([]int32, nv+1)
 	for _, f := range frags {
-		for _, v := range f.cf.Load().ids {
+		for _, v := range f.base.Load().ids {
 			off[v+1]++
 		}
 	}
@@ -171,7 +171,7 @@ func assembleFrozen(g *graph.Graph, frags []*Fragment) *Partition {
 	pos := make([]int32, nv)
 	copy(pos, off[:nv])
 	for i, f := range frags {
-		for _, v := range f.cf.Load().ids {
+		for _, v := range f.base.Load().ids {
 			arena[pos[v]] = int32(i)
 			pos[v]++
 		}
@@ -248,70 +248,20 @@ func FromVertexAssignmentFlat(g *graph.Graph, assign []int, n int) (*Partition, 
 	return p, nil
 }
 
-// eachVertexID calls fn for every vertex copy until fn returns false.
-// Iteration order is unspecified on the map form and ascending on a
-// frozen one — callers must not rely on it.
-func (f *Fragment) eachVertexID(fn func(graph.VertexID) bool) {
-	if f.frozen() {
-		c := f.cf.Load()
-		if c == nil {
-			for _, v := range f.czf.Load().ids {
-				if !fn(v) {
-					return
-				}
-			}
-			return
-		}
-		for _, v := range c.ids {
-			if !fn(v) {
-				return
-			}
-		}
-		return
-	}
-	for v := range f.verts {
-		if !fn(v) {
-			return
-		}
-	}
-}
-
-// eachArcKey calls fn for every stored arc key until fn returns false.
-func (f *Fragment) eachArcKey(fn func(uint64) bool) {
-	if f.frozen() {
-		for _, k := range f.compiled().arcs {
-			if !fn(k) {
-				return
-			}
-		}
-		return
-	}
-	for k := range f.arcs {
-		if !fn(k) {
-			return
-		}
-	}
-}
-
 // AppendSortedArcKeys appends every stored arc as a packed
 // src<<32|dst key in ascending order and returns the extended slice.
-// Frozen fragments answer straight from the sorted compiled arc array;
-// map fragments pay one collect + sort. Callers (the composite
-// coherence index) use this to merge fragments without hashing each
-// arc.
+// Compiled fragments answer straight from the sorted base arc array;
+// an overlay costs one sort of its changed keys plus the merge.
+// Callers (the composite coherence index) use this to merge fragments
+// without hashing each arc.
 func (f *Fragment) AppendSortedArcKeys(dst []uint64) []uint64 {
-	if f.frozen() {
-		return append(dst, f.compiled().arcs...)
+	ov := f.ov.Load()
+	var base []uint64
+	if c := f.compiled(); c != nil {
+		base = c.arcs
 	}
-	start := len(dst)
-	for k := range f.arcs {
-		dst = append(dst, k)
+	if ov == nil {
+		return append(dst, base...)
 	}
-	slices.Sort(dst[start:])
-	return dst
-}
-
-// hasArcKey is HasArc on a prepacked key.
-func (f *Fragment) hasArcKey(k uint64) bool {
-	return f.HasArc(graph.VertexID(k>>32), graph.VertexID(k))
+	return mergeArcKeys(dst, base, ov.arcs)
 }

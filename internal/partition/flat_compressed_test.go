@@ -46,6 +46,13 @@ func TestFromVertexAssignmentFlatMatchesMap(t *testing.T) {
 			for i := 0; i < pm.NumFragments(); i++ {
 				sameFragment(t, pm, pf, i)
 			}
+			// The directly-built arrays are the ones Compile packs.
+			pm.Compile()
+			for i := 0; i < pm.NumFragments(); i++ {
+				if d := partition.SnapshotBase(pf.Fragment(i)).Diff(partition.SnapshotBase(pm.Fragment(i))); d != "" {
+					t.Fatalf("directed=%v seed=%d frag %d: flat-built base differs from the compiled one in %s", directed, seed, i, d)
+				}
+			}
 			if err := pf.Validate(); err != nil {
 				t.Fatalf("flat partition invalid: %v", err)
 			}
@@ -79,9 +86,13 @@ func TestCompileCompressedEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		for mode := 0; mode < 3; mode++ {
 			p := buildShape(t, seed, mode)
+			packed := p.Clone().Compile()
 			q := p.Clone().CompileCompressed()
 			for i := 0; i < p.NumFragments(); i++ {
-				sameFragment(t, p, q, i)
+				sameFragment(t, p, q, i) // inflates q's fragment
+				if d := partition.SnapshotBase(q.Fragment(i)).Diff(partition.SnapshotBase(packed.Fragment(i))); d != "" {
+					t.Fatalf("seed=%d mode=%d frag %d: inflated base differs from the packed one in %s", seed, mode, i, d)
+				}
 			}
 			// HasArc parity both directions on every graph arc.
 			p.Graph().Edges(func(u, v graph.VertexID) bool {
@@ -101,8 +112,9 @@ func TestCompileCompressedEquivalence(t *testing.T) {
 }
 
 // TestCompressedThaw verifies a compressed partition stays fully
-// mutable: mutations thaw fragments back to map form transparently and
-// the result still validates and matches a never-compressed twin.
+// mutable: a mutation inflates the fragment and thaws the vertices it
+// touches transparently, and the result still validates and matches a
+// never-compressed twin.
 func TestCompressedThaw(t *testing.T) {
 	p := buildShape(t, 3, 0)
 	q := p.Clone().CompileCompressed()

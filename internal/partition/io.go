@@ -99,7 +99,7 @@ func ReadDynamic(r io.Reader, g *graph.Graph) (*Partition, error) {
 
 // read is the flat recovery decoder: it collects each fragment's arc
 // keys with block reads and manual little-endian decoding, builds the
-// fragments directly in frozen compiled form (no per-arc map inserts,
+// fragments directly in compiled form (no per-arc map inserts,
 // no per-vertex *Adj allocations), and wires the partition-level
 // copies/master indexes from one counting arena. The result is
 // placement-equal to what the old AddArc-per-arc path produced, with

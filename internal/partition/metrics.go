@@ -17,11 +17,10 @@ type Metrics struct {
 // vertex copies in fragment i: the |Vi| used by fv and λv.
 func (p *Partition) NonDummyCount(i int) int {
 	count := 0
-	p.frags[i].eachVertexID(func(v graph.VertexID) bool {
+	p.frags[i].Vertices(func(v graph.VertexID, _ *Adj) {
 		if s := p.Status(i, v); s == ECutNode || s == VCutNode {
 			count++
 		}
-		return true
 	})
 	return count
 }

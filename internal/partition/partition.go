@@ -14,6 +14,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -60,78 +61,113 @@ type Adj struct {
 // LocalDegree returns the number of local incident arcs.
 func (a *Adj) LocalDegree() int { return len(a.Out) + len(a.In) }
 
-// Fragment is one piece Fi of a hybrid partition. It stores a set of
-// arcs of G as per-vertex adjacency plus an arc-set index for O(1)
-// membership tests.
+// Fragment is one piece Fi of a hybrid partition: a set of arcs of G
+// held as per-vertex adjacency plus an arc set.
 //
-// A Fragment has three representations: the mutable map form the
-// constructors and refiners build against, a flat compiled form (see
-// Compile) the execution engine reads, and a delta-varint compressed
-// form (see CompileCompressed) for cold storage. While the maps exist
-// they stay authoritative — the compiled form is then a cache dropped
-// by every structural mutation. A fragment may also be frozen
-// (verts == nil): the flat loaders and the compressed lifecycle build
-// the compiled/compressed form directly and skip the maps entirely;
-// the first structural mutation thaws the maps back into existence
-// (ensureMutable), so every mutator keeps working unchanged.
+// A Fragment is one thing: an immutable compiled base (see
+// compiledFragment) plus a small map overlay holding only the vertices
+// and arc keys a mutation touched. The constructors and refiners build
+// against an overlay over a nil base (every vertex lives in the maps);
+// Compile folds the overlay into a new base and drops it, so a compiled
+// fragment is a base with no overlay. A mutation of a compiled fragment
+// creates an overlay and copies just the touched vertices' adjacency
+// into it (thaw) — the base is never written, because clones and epochs
+// share it by pointer. Every accessor reads overlay-then-base. The
+// compressed form (see CompileCompressed) is a cold encoding of the
+// base, inflated on first random access.
 type Fragment struct {
-	id    int
-	verts map[graph.VertexID]*Adj
-	arcs  map[uint64]struct{}
-	// cf caches the compiled form; atomic because concurrent cluster
+	id int
+	// base is the compiled form; atomic because concurrent cluster
 	// constructions may Compile a shared baseline partition.
-	cf atomic.Pointer[compiledFragment]
-	// czf holds the delta-varint compressed form; when set and cf is
-	// nil, accessors needing random access inflate it on first use.
+	base atomic.Pointer[compiledFragment]
+	// czf holds the compressed encoding of the base; when set and base
+	// is nil, accessors needing random access inflate it on first use.
 	czf atomic.Pointer[compressedFragment]
+	// ov is nil on a compiled fragment. Compile stores the new base
+	// before clearing it, so a racing reader that still holds the old
+	// overlay sees the same contents through either base.
+	ov atomic.Pointer[overlay]
 }
 
-// frozen reports whether the fragment currently has no mutable map
-// form (compiled/compressed representation only).
-func (f *Fragment) frozen() bool { return f.verts == nil }
+// overlay is the mutable part of a Fragment, relative to its base.
+type overlay struct {
+	// verts holds the private adjacency of every touched vertex; a nil
+	// value marks a base vertex whose copy was dropped.
+	verts map[graph.VertexID]*Adj
+	// arcs holds true for an arc added on top of the base and false
+	// for a base arc that was removed; untouched base arcs are absent.
+	arcs map[uint64]bool
+	// Fragment totals (base and overlay together).
+	nVerts, nArcs int
+}
 
-// compiled returns the flat form, inflating the compressed form when
-// that is all the fragment carries. Returns nil on a map-only
-// fragment. Racing inflations store interchangeable values, matching
-// the Compile contract.
+// compiled returns the base (nil when there is none), inflating the
+// compressed form first when that is all the fragment carries. Kept
+// small so the hot accessors inline the common case.
 func (f *Fragment) compiled() *compiledFragment {
-	if c := f.cf.Load(); c != nil {
+	if c := f.base.Load(); c != nil {
 		return c
 	}
-	if z := f.czf.Load(); z != nil {
-		c := z.inflate()
-		f.cf.Store(c)
-		return c
-	}
-	return nil
+	return f.inflate()
 }
 
-// ensureMutable rebuilds the map form of a frozen fragment so a
-// structural mutator can proceed. Adjacency slices are copied out of
-// the packed arrays: clones may share the immutable compiled form, so
-// in-place mutation of its storage is never allowed.
-func (f *Fragment) ensureMutable() {
-	if f.verts != nil {
-		return
+// inflate rebuilds the base from the compressed form, if there is one.
+// Racing inflations store interchangeable values, as racing Compiles do.
+func (f *Fragment) inflate() *compiledFragment {
+	z := f.czf.Load()
+	if z == nil {
+		return nil
 	}
-	c := f.compiled()
-	verts := make(map[graph.VertexID]*Adj, len(c.ids))
-	for l, v := range c.ids {
-		adj := &Adj{}
-		if len(c.adjs[l].Out) > 0 {
-			adj.Out = append([]graph.VertexID(nil), c.adjs[l].Out...)
-		}
-		if len(c.adjs[l].In) > 0 {
-			adj.In = append([]graph.VertexID(nil), c.adjs[l].In...)
-		}
-		verts[v] = adj
+	c := z.inflate()
+	f.base.Store(c)
+	return c
+}
+
+// mutable returns the overlay a structural mutator writes, creating it
+// on the first mutation of a compiled fragment. The compressed form
+// encodes the base being diverged from, so it is dropped.
+func (f *Fragment) mutable() *overlay {
+	if ov := f.ov.Load(); ov != nil {
+		return ov
 	}
-	arcs := make(map[uint64]struct{}, len(c.arcs))
-	for _, k := range c.arcs {
-		arcs[k] = struct{}{}
+	ov := &overlay{verts: map[graph.VertexID]*Adj{}, arcs: map[uint64]bool{}}
+	if c := f.compiled(); c != nil {
+		ov.nVerts, ov.nArcs = len(c.ids), len(c.arcs)
 	}
-	f.verts, f.arcs = verts, arcs
-	// cf stays valid until the caller's mutation invalidates it.
+	f.czf.Store(nil)
+	f.ov.Store(ov)
+	return ov
+}
+
+// thaw returns the overlay's private copy of v's adjacency, copying it
+// out of the base on first touch (the base's packed arrays are shared
+// with clones and never written). Nil when v has no copy here.
+func (f *Fragment) thaw(ov *overlay, v graph.VertexID) *Adj {
+	if adj, ok := ov.verts[v]; ok {
+		return adj
+	}
+	badj := f.base.Load().adjacency(v)
+	if badj == nil {
+		return nil
+	}
+	adj := &Adj{Out: slices.Clone(badj.Out), In: slices.Clone(badj.In)}
+	ov.verts[v] = adj
+	return adj
+}
+
+// setArc records that the arc with key k is now present or absent.
+// An overlay entry that restores the base's own answer is removed.
+func (ov *overlay) setArc(k uint64, present bool) {
+	if old, ok := ov.arcs[k]; ok && old != present {
+		delete(ov.arcs, k)
+	} else {
+		ov.arcs[k] = present
+	}
+	if present {
+		ov.nArcs++
+	} else {
+		ov.nArcs--
+	}
 }
 
 func arcKey(u, v graph.VertexID) uint64 { return uint64(u)<<32 | uint64(v) }
@@ -141,115 +177,117 @@ func (f *Fragment) ID() int { return f.id }
 
 // NumArcs returns |Ei|, the number of arcs stored in the fragment.
 func (f *Fragment) NumArcs() int {
-	if f.frozen() {
-		if z := f.czf.Load(); z != nil {
-			return z.numArcs
-		}
-		return len(f.cf.Load().arcs)
+	if ov := f.ov.Load(); ov != nil {
+		return ov.nArcs
 	}
-	return len(f.arcs)
+	if c := f.base.Load(); c != nil {
+		return len(c.arcs)
+	}
+	return f.czf.Load().numArcs
 }
 
 // NumVertices returns the number of vertex copies (including dummies)
 // present in the fragment.
 func (f *Fragment) NumVertices() int {
-	if f.frozen() {
-		if z := f.czf.Load(); z != nil {
-			return len(z.ids)
-		}
-		return len(f.cf.Load().ids)
+	if ov := f.ov.Load(); ov != nil {
+		return ov.nVerts
 	}
-	return len(f.verts)
+	if c := f.base.Load(); c != nil {
+		return len(c.ids)
+	}
+	return len(f.czf.Load().ids)
 }
 
 // Has reports whether a copy of v is present.
 func (f *Fragment) Has(v graph.VertexID) bool {
-	if f.frozen() {
-		if c := f.cf.Load(); c != nil {
-			return int(v) < len(c.local) && c.local[v] >= 0
+	if ov := f.ov.Load(); ov != nil {
+		if adj, ok := ov.verts[v]; ok {
+			return adj != nil
 		}
-		// Binary search the compressed id array; no inflation needed.
-		ids := f.czf.Load().ids
-		i := sort.Search(len(ids), func(k int) bool { return ids[k] >= v })
-		return i < len(ids) && ids[i] == v
 	}
-	_, ok := f.verts[v]
-	return ok
+	if c := f.base.Load(); c != nil {
+		return c.adjacency(v) != nil
+	}
+	if z := f.czf.Load(); z != nil {
+		// Binary search the compressed id array; no inflation needed.
+		_, ok := slices.BinarySearch(z.ids, v)
+		return ok
+	}
+	return false
 }
 
-// HasArc reports whether the arc (u,v) is stored locally: a binary
-// search on the compiled arc array, a map probe otherwise.
+// HasArc reports whether the arc (u,v) is stored locally: an overlay
+// probe when the fragment has one (and then no compressed form is left
+// to inflate, see mutable), then a binary search on the base's arcs.
 func (f *Fragment) HasArc(u, v graph.VertexID) bool {
-	if c := f.cf.Load(); c != nil {
-		return c.hasArc(u, v)
+	if ov := f.ov.Load(); ov != nil {
+		if present, ok := ov.arcs[arcKey(u, v)]; ok {
+			return present
+		}
+		c := f.base.Load()
+		return c != nil && c.hasArc(u, v)
 	}
-	if f.frozen() {
-		return f.compiled().hasArc(u, v)
-	}
-	_, ok := f.arcs[arcKey(u, v)]
-	return ok
+	return f.compiled().hasArc(u, v)
 }
 
 // Adjacency returns the local adjacency of v, or nil if absent.
 func (f *Fragment) Adjacency(v graph.VertexID) *Adj {
-	c := f.cf.Load()
-	if c == nil && f.frozen() {
-		c = f.compiled()
-	}
-	if c != nil {
-		if int(v) >= len(c.local) {
-			return nil
+	if ov := f.ov.Load(); ov != nil {
+		if adj, ok := ov.verts[v]; ok {
+			return adj
 		}
-		l := c.local[v]
-		if l < 0 {
-			return nil
-		}
-		return &c.adjs[l]
+		return f.base.Load().adjacency(v)
 	}
-	return f.verts[v]
+	return f.compiled().adjacency(v)
 }
 
 // Vertices calls fn for every vertex copy in ascending id order.
 // Deterministic iteration keeps the refiners reproducible. On a
 // compiled fragment this walks the prebuilt id array (no per-call
-// sort, no map access).
+// sort, no map access); with an overlay the sorted touched ids are
+// merged into that walk.
 func (f *Fragment) Vertices(fn func(v graph.VertexID, adj *Adj)) {
-	c := f.cf.Load()
-	if c == nil && f.frozen() {
-		c = f.compiled()
+	ov := f.ov.Load()
+	var ids []graph.VertexID
+	var adjs []Adj
+	if c := f.compiled(); c != nil {
+		ids, adjs = c.ids, c.adjs
 	}
-	if c != nil {
-		for l, v := range c.ids {
-			fn(v, &c.adjs[l])
+	l := 0
+	if ov != nil {
+		for _, v := range ov.sortedVerts() {
+			for ; l < len(ids) && ids[l] < v; l++ {
+				fn(ids[l], &adjs[l])
+			}
+			if l < len(ids) && ids[l] == v {
+				l++
+			}
+			if adj := ov.verts[v]; adj != nil {
+				fn(v, adj)
+			}
 		}
-		return
 	}
-	for _, v := range f.sortVertices() {
-		fn(v, f.verts[v])
+	for ; l < len(ids); l++ {
+		fn(ids[l], &adjs[l])
 	}
 }
 
 // SortedVertices returns the ids of all vertex copies in ascending
 // order. The returned slice is the caller's to keep.
 func (f *Fragment) SortedVertices() []graph.VertexID {
-	if f.frozen() {
-		if z := f.czf.Load(); z != nil {
-			return append([]graph.VertexID(nil), z.ids...)
-		}
-		return append([]graph.VertexID(nil), f.cf.Load().ids...)
-	}
-	if c := f.cf.Load(); c != nil {
-		return append([]graph.VertexID(nil), c.ids...)
-	}
-	return f.sortVertices()
+	ids := make([]graph.VertexID, 0, f.NumVertices())
+	f.Vertices(func(v graph.VertexID, _ *Adj) { ids = append(ids, v) })
+	return ids
 }
 
-func (f *Fragment) sortVertices() []graph.VertexID {
-	ids := make([]graph.VertexID, 0, len(f.verts))
-	for v := range f.verts {
+// sortedVerts returns every touched vertex id (tombstones included) in
+// ascending order.
+func (ov *overlay) sortedVerts() []graph.VertexID {
+	ids := make([]graph.VertexID, 0, len(ov.verts))
+	for v := range ov.verts {
 		ids = append(ids, v)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -282,7 +320,8 @@ func NewEmpty(g *graph.Graph, n int) *Partition {
 		owner:  make([]int32, g.NumVertices()),
 	}
 	for i := range p.frags {
-		p.frags[i] = &Fragment{id: i, verts: map[graph.VertexID]*Adj{}, arcs: map[uint64]struct{}{}}
+		p.frags[i] = &Fragment{id: i}
+		p.frags[i].mutable()
 	}
 	for i := range p.master {
 		p.master[i] = -1
@@ -333,19 +372,20 @@ func (p *Partition) SetMaster(v graph.VertexID, i int) error {
 	return nil
 }
 
-// ensureVertex adds an empty copy of v to fragment i.
+// ensureVertex returns the writable adjacency of v's copy in fragment
+// i, adding an empty copy when there is none.
 func (p *Partition) ensureVertex(i int, v graph.VertexID) *Adj {
 	f := p.frags[i]
-	f.ensureMutable()
-	if adj, ok := f.verts[v]; ok {
-		return adj
-	}
-	f.invalidate()
-	adj := &Adj{}
-	f.verts[v] = adj
-	p.insertCopy(v, int32(i))
-	if p.master[v] < 0 {
-		p.master[v] = int32(i)
+	ov := f.mutable()
+	adj := f.thaw(ov, v)
+	if adj == nil {
+		adj = &Adj{}
+		ov.verts[v] = adj
+		ov.nVerts++
+		p.insertCopy(v, int32(i))
+		if p.master[v] < 0 {
+			p.master[v] = int32(i)
+		}
 	}
 	return adj
 }
@@ -397,7 +437,11 @@ func (p *Partition) removeCopy(v graph.VertexID, i int32) {
 
 // AddVertex places an (initially edge-less) copy of v in fragment i.
 // Used for dummy placeholders.
-func (p *Partition) AddVertex(i int, v graph.VertexID) { p.ensureVertex(i, v) }
+func (p *Partition) AddVertex(i int, v graph.VertexID) {
+	if !p.frags[i].Has(v) {
+		p.ensureVertex(i, v)
+	}
+}
 
 // AddArc stores the arc (u,v) in fragment i, creating vertex copies
 // for both endpoints as needed. Adding an arc twice is a no-op.
@@ -405,16 +449,13 @@ func (p *Partition) AddVertex(i int, v graph.VertexID) { p.ensureVertex(i, v) }
 // arc pair stays co-located.
 func (p *Partition) AddArc(i int, u, v graph.VertexID) {
 	f := p.frags[i]
-	f.ensureMutable()
-	k := arcKey(u, v)
-	if _, ok := f.arcs[k]; ok {
+	if f.HasArc(u, v) {
 		return
 	}
-	f.invalidate()
-	f.arcs[k] = struct{}{}
+	f.mutable().setArc(arcKey(u, v), true)
 	ua := p.ensureVertex(i, u)
-	va := p.ensureVertex(i, v)
 	ua.Out = append(ua.Out, v)
+	va := p.ensureVertex(i, v)
 	va.In = append(va.In, u)
 }
 
@@ -431,19 +472,14 @@ func (p *Partition) AddEdge(i int, u, v graph.VertexID) {
 // become edge-less are removed. Returns true if the arc was present.
 func (p *Partition) RemoveArc(i int, u, v graph.VertexID) bool {
 	f := p.frags[i]
-	if f.frozen() && !f.HasArc(u, v) {
+	if !f.HasArc(u, v) {
 		return false
 	}
-	f.ensureMutable()
-	k := arcKey(u, v)
-	if _, ok := f.arcs[k]; !ok {
-		return false
-	}
-	f.invalidate()
-	delete(f.arcs, k)
-	ua := f.verts[u]
+	ov := f.mutable()
+	ov.setArc(arcKey(u, v), false)
+	ua := f.thaw(ov, u)
 	ua.Out = removeID(ua.Out, v)
-	va := f.verts[v]
+	va := f.thaw(ov, v)
 	va.In = removeID(va.In, u)
 	p.dropIfIsolated(i, u)
 	p.dropIfIsolated(i, v)
@@ -462,34 +498,32 @@ func (p *Partition) RemoveEdge(i int, u, v graph.VertexID) bool {
 // RemoveVertex drops v's copy from fragment i together with all its
 // local incident arcs.
 func (p *Partition) RemoveVertex(i int, v graph.VertexID) {
-	f := p.frags[i]
-	if f.frozen() && !f.Has(v) {
+	adj := p.frags[i].Adjacency(v)
+	if adj == nil {
 		return
 	}
-	f.ensureMutable()
-	adj, ok := f.verts[v]
-	if !ok {
-		return
-	}
-	for _, w := range append([]graph.VertexID(nil), adj.Out...) {
+	// Copies: the removals rewrite (or thaw away from) these lists.
+	out, in := slices.Clone(adj.Out), slices.Clone(adj.In)
+	for _, w := range out {
 		p.RemoveArc(i, v, w)
 	}
-	for _, w := range append([]graph.VertexID(nil), adj.In...) {
+	for _, w := range in {
 		p.RemoveArc(i, w, v)
 	}
-	// The copy may remain as an edge-less placeholder; drop it.
-	if a, ok := f.verts[v]; ok && a.LocalDegree() == 0 {
-		f.invalidate()
-		delete(f.verts, v)
-		p.removeCopy(v, int32(i))
-	}
+	p.dropIfIsolated(i, v) // an edge-less placeholder copy
 }
 
 func (p *Partition) dropIfIsolated(i int, v graph.VertexID) {
 	f := p.frags[i]
-	if adj, ok := f.verts[v]; ok && adj.LocalDegree() == 0 {
-		f.invalidate()
-		delete(f.verts, v)
+	if adj := f.Adjacency(v); adj != nil && adj.LocalDegree() == 0 {
+		// A tombstone when the base holds v, plain removal otherwise.
+		ov := f.mutable()
+		if f.base.Load().adjacency(v) != nil {
+			ov.verts[v] = nil
+		} else {
+			delete(ov.verts, v)
+		}
+		ov.nVerts--
 		p.removeCopy(v, int32(i))
 	}
 }

@@ -150,8 +150,12 @@ type Follower struct {
 	snapshots       atomic.Int64
 	leaderCommitted atomic.Uint64
 	lastOK          atomic.Int64 // unixnano of last successful pull
-	promoted        atomic.Bool
 	runErr          atomic.Pointer[error]
+	// promoteMu serialises promotion attempts; promoted flips only
+	// after applier.Promote has succeeded, so a failed attempt can be
+	// retried and Promoted() never runs ahead of the node's state.
+	promoteMu sync.Mutex
+	promoted  atomic.Bool
 }
 
 // NewFollower builds a pump; Start (or Run) begins pulling.
@@ -203,10 +207,26 @@ func (f *Follower) Err() error {
 // auto-promoted follower (idempotent).
 func (f *Follower) Promote() error {
 	f.Stop()
-	if f.promoted.Swap(true) {
+	return f.promote(nil)
+}
+
+// promote fences the log and flips the node writable, once. stopErr,
+// when non-nil, is why the pump is stopping: it is stored before the
+// flag, so whoever observes Promoted() also observes Err().
+func (f *Follower) promote(stopErr error) error {
+	f.promoteMu.Lock()
+	defer f.promoteMu.Unlock()
+	if f.promoted.Load() {
 		return nil
 	}
-	return f.applier.Promote()
+	if err := f.applier.Promote(); err != nil {
+		return err
+	}
+	if stopErr != nil {
+		f.runErr.Store(&stopErr)
+	}
+	f.promoted.Store(true)
+	return nil
 }
 
 // Promoted reports whether this node has been promoted.
@@ -391,11 +411,11 @@ func (f *Follower) leaseExpired() bool {
 }
 
 func (f *Follower) autoPromote() error {
-	if f.promoted.Swap(true) {
+	if f.promoted.Load() {
 		return ErrPromoted
 	}
 	f.cfg.logf("replica: follower %s lease expired (no pull for %s); promoting", f.cfg.ID, f.cfg.Lease)
-	if err := f.applier.Promote(); err != nil {
+	if err := f.promote(ErrPromoted); err != nil {
 		return fmt.Errorf("replica: lease promotion: %w", err)
 	}
 	return ErrPromoted

@@ -521,3 +521,39 @@ func TestTCPCatchUp(t *testing.T) {
 	<-serveDone
 	testutil.CheckGoroutines(t, base, 2)
 }
+
+// failOnceApplier is an Applier whose first Promote fails.
+type failOnceApplier struct {
+	promotes int
+}
+
+func (a *failOnceApplier) ApplyFrames([]store.RawFrame) (uint64, int, error) { return 0, 0, nil }
+func (a *failOnceApplier) InstallSnapshot([]byte, uint64) (uint64, error)    { return 0, nil }
+func (a *failOnceApplier) AppliedLSN() uint64                                { return 0 }
+func (a *failOnceApplier) Promote() error {
+	a.promotes++
+	if a.promotes == 1 {
+		return errors.New("fence failed")
+	}
+	return nil
+}
+
+// TestPromoteFailureLeavesFlagClear: Promoted() describes the node, so
+// a failed applier.Promote must leave it false and a retry must run the
+// promotion again; once it succeeded further calls are no-ops.
+func TestPromoteFailureLeavesFlagClear(t *testing.T) {
+	a := &failOnceApplier{}
+	pump := NewFollower(a, FollowerConfig{ID: "p"})
+	if err := pump.Promote(); err == nil {
+		t.Fatal("first Promote should surface the applier's error")
+	}
+	if pump.Promoted() {
+		t.Fatal("Promoted() true after a failed promotion")
+	}
+	if err := pump.Promote(); err != nil || !pump.Promoted() {
+		t.Fatalf("retry: err %v, promoted %v", err, pump.Promoted())
+	}
+	if err := pump.Promote(); err != nil || a.promotes != 2 {
+		t.Fatalf("idempotent call: err %v, applier promoted %d times, want 2", err, a.promotes)
+	}
+}

@@ -45,10 +45,14 @@ func TestServeDrain(t *testing.T) {
 	}
 	results := make(chan outcome, 8)
 	var wg sync.WaitGroup
+	// One connection per request: a shared transport dials a spare
+	// connection when requests start together, and Shutdown waits 5 s on
+	// a connection that never sent a request before it calls it idle.
+	hc := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 	post := func(req runRequest) {
 		defer wg.Done()
 		b, _ := json.Marshal(req)
-		resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(b))
+		resp, err := hc.Post(ts.URL+"/run", "application/json", bytes.NewReader(b))
 		if err != nil {
 			results <- outcome{err: err}
 			return

@@ -106,9 +106,9 @@ func (s *Server) BeginMaintenance() (*composite.Composite, uint64, error) {
 	e := s.cur.Load()
 	// The base is cut through the same COW path as epoch publishes: it
 	// shares the epoch's immutable compiled fragments, and the refiner
-	// thawing a fragment (via exported mutators) copies before writing,
-	// so the live epoch is never perturbed.
-	return s.cutComposite(e.comp), e.seq, nil
+	// (via exported mutators) copies what it touches into its own
+	// overlay before writing, so the live epoch is never perturbed.
+	return e.comp.CloneCOW(), e.seq, nil
 }
 
 // EndMaintenance disarms delta capture and drops the buffer.

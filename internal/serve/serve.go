@@ -9,28 +9,26 @@
 //     mutated only by the background apply loop (one goroutine), never
 //     served directly — the store is not safe for concurrent use.
 //   - Each published epoch is a copy-on-write snapshot of the
-//     composite (composite.CloneCOW): every partition is pre-compiled
-//     to its CSR form and fragments the last wave did not touch are
-//     shared — as the same immutable compiled value — with the
-//     previous epoch, so a cut costs O(touched fragments + touched
-//     index vertices), not O(graph). The snapshot is installed behind
-//     an atomic.Pointer. Readers pin exactly one epoch per request
-//     (pin/unpin is a refcount used for drain accounting and metrics;
-//     reclamation is the garbage collector's job), so every response
-//     is internally consistent with one snapshot — snapshot isolation
-//     by construction, with zero locks on the read path.
+//     composite (composite.CloneCOW): fragments the last wave did not
+//     touch are shared with the previous epoch as the same immutable
+//     compiled value, so a cut costs O(touched fragments), not
+//     O(graph). The snapshot is installed behind an atomic.Pointer.
+//     Readers pin exactly one epoch per request (a refcount for drain
+//     accounting and metrics; reclamation is the garbage collector's
+//     job), so every response is consistent with one snapshot, with
+//     zero locks on the read path.
 //   - POST /updates batches flow through a bounded queue to the apply
-//     loop, which applies them to the store (durable on WAL commit),
-//     then clones, compiles and atomically publishes the next epoch.
-//     Writers never block readers: readers keep serving the previous
-//     epoch until the swap.
+//     loop, which gathers them into waves on a fixed cadence (pace),
+//     applies a wave to the store (durable on WAL commit), then cuts
+//     and atomically publishes the next epoch. Readers keep serving
+//     the previous epoch until the swap.
 //
 // Requests are admission-controlled (a semaphore bounds in-flight
 // /run work; the update queue bounds writer backlog) and /run sessions
 // come from per-algorithm pools of engine clusters built on
-// internal/pool. Drain stops the HTTP listener, lets in-flight
-// sessions complete (cancelling them after the grace deadline), drains
-// the update queue, flushes the WAL and closes the store.
+// internal/pool. Drain stops the HTTP listener, lets in-flight sessions
+// complete (cancelling them after the grace deadline), drains the
+// update queue, flushes the WAL and closes the store.
 package serve
 
 import (
@@ -38,6 +36,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,12 +86,6 @@ type Config struct {
 	// the chaos harness threads deterministic engine faults through a
 	// live server with it.
 	RunInjector *fault.Injector
-	// FullClonePublish forces every epoch cut through the full deep
-	// Clone()+Compile() path instead of the structural-sharing CloneCOW
-	// path. Benchmarks and oracle tests use it to measure the O(graph)
-	// baseline the COW publish is gated against; production leaves it
-	// off.
-	FullClonePublish bool
 	// ReadOnly starts the server in follower mode: POST /updates is
 	// rejected (or forwarded, see LeaderURL) and the composite advances
 	// only through the replication surface (ReplApply and friends).
@@ -224,6 +217,7 @@ type Server struct {
 	epochMu     sync.Mutex
 	retired     []*epoch
 	lastPublish epochMemStats
+	lastWave    time.Time // start of the last update wave; apply loop only
 
 	// Counters mirrored out of the apply loop so /metrics never
 	// touches the store.
@@ -282,11 +276,9 @@ func (s *Server) pool() *pool.Pool {
 	return pool.Default()
 }
 
-// newEpoch compiles the cloned composite and builds its session pools.
+// newEpoch builds the session pools over a cut composite (CloneCOW
+// leaves every partition compiled).
 func (s *Server) newEpoch(seq uint64, comp *composite.Composite, lsn uint64) *epoch {
-	for _, p := range comp.Partitions() {
-		p.Compile()
-	}
 	e := &epoch{seq: seq, lsn: lsn, comp: comp}
 	algos := costmodel.Algos()
 	e.pools = make([]*sessionPool, len(algos))
@@ -300,32 +292,18 @@ func (s *Server) newEpoch(seq uint64, comp *composite.Composite, lsn uint64) *ep
 // epochMemStats is the sharing breakdown of one publish, surfaced by
 // GET /metrics so COW sharing is observable, not assumed.
 type epochMemStats struct {
-	publishNS       int64
-	sharedFragments int
-	ownedFragments  int
-	sharedIndexMaps int
-	ownedIndexMaps  int
+	publishNS                       int64
+	sharedFragments, ownedFragments int
+	sharedIndexMaps, ownedIndexMaps int
 	// newBytes approximates the memory the publish newly materialized
-	// (owned fragments + owned index maps); epochBytes approximates the
-	// epoch's full resident size as if nothing were shared.
-	newBytes   int64
-	epochBytes int64
-}
-
-// cutComposite cuts a publishable snapshot of comp: the structural-
-// sharing CloneCOW by default, or the O(graph) deep Clone when
-// FullClonePublish is set (bench baselines and oracle tests).
-func (s *Server) cutComposite(comp *composite.Composite) *composite.Composite {
-	if s.cfg.FullClonePublish {
-		return comp.Clone()
-	}
-	return comp.CloneCOW()
+	// (owned fragments + owned index bases); epochBytes the epoch's
+	// full resident size as if nothing were shared.
+	newBytes, epochBytes int64
 }
 
 // publish cuts a snapshot of comp, installs it as the next epoch, and
-// retires the previous one into the pinned-epoch ledger. Called only
-// by New and the apply loop (the single writer), so the cut walks the
-// composite while nothing mutates it.
+// retires the previous one into the pinned-epoch ledger. Only New and
+// the apply loop (the single writer) call it: nothing mutates comp.
 func (s *Server) publish(comp *composite.Composite) *epoch {
 	old := s.cur.Load()
 	seq := uint64(1)
@@ -336,7 +314,7 @@ func (s *Server) publish(comp *composite.Composite) *epoch {
 	// The epoch advertises the durable watermark, not the last appended
 	// LSN: bounded-staleness reads (min_lsn) promise "this epoch covers
 	// every commit up to lsn", which only the committed prefix delivers.
-	ne := s.newEpoch(seq, s.cutComposite(comp), s.st.CommittedLSN())
+	ne := s.newEpoch(seq, comp.CloneCOW(), s.st.CommittedLSN())
 	elapsed := time.Since(start)
 	s.cur.Store(ne)
 	s.recordPublish(old, ne, elapsed)
@@ -370,19 +348,9 @@ func (s *Server) recordPublish(old, ne *epoch, d time.Duration) {
 }
 
 // pruneRetiredLocked drops retired epochs no reader still pins, so the
-// ledger (and /metrics epochs_retained) tracks only epochs actually
-// held open. Caller holds epochMu.
+// ledger tracks only epochs held open. Caller holds epochMu.
 func (s *Server) pruneRetiredLocked() {
-	kept := s.retired[:0]
-	for _, e := range s.retired {
-		if e.pins.Load() > 0 {
-			kept = append(kept, e)
-		}
-	}
-	for i := len(kept); i < len(s.retired); i++ {
-		s.retired[i] = nil // release for the garbage collector
-	}
-	s.retired = kept
+	s.retired = slices.DeleteFunc(s.retired, func(e *epoch) bool { return e.pins.Load() == 0 })
 }
 
 // epochMemSnapshot returns the count of epochs currently retained
@@ -414,14 +382,7 @@ func (e *epoch) unpin() { e.pins.Add(-1) }
 // session pool for that index runs over partition index%K — 1:1 when
 // the store bundles the full five-algorithm batch, folded modulo K
 // for smaller composites.
-func algoIndex(a costmodel.Algo) int {
-	for i, x := range costmodel.Algos() {
-		if x == a {
-			return i
-		}
-	}
-	return 0
-}
+func algoIndex(a costmodel.Algo) int { return max(slices.Index(costmodel.Algos(), a), 0) }
 
 // metrics computes (once per epoch) the structural metrics and
 // reference-model costs served by GET /metrics. Safe for concurrent
@@ -457,15 +418,15 @@ type updateResult struct {
 	inserts, deletes int
 }
 
-// applyLoop is the single writer: it drains the update queue, folds up
-// to MaxBatch queued batches into one wave, applies them to the store
-// (each batch is one durable WAL commit), and publishes a fresh epoch
-// covering the wave. Maintenance swap requests interleave with waves
-// on the same goroutine, so promotions serialize with the update
-// stream by construction. A non-retryable store write failure poisons
-// the write path — the last good epoch keeps serving reads, updates
-// fail fast until the process restarts and recovery truncates to the
-// committed prefix.
+// applyLoop is the single writer: it holds the first queued batch until
+// its wave is due (pace), folds up to MaxBatch queued batches into the
+// wave, applies them to the store (each batch is one durable WAL
+// commit), and publishes a fresh epoch covering the wave. Maintenance
+// swap requests interleave with waves on the same goroutine, so
+// promotions serialize with the update stream by construction. A
+// non-retryable store write failure poisons the write path — the last
+// good epoch keeps serving reads, updates fail fast until the process
+// restarts and recovery truncates to the committed prefix.
 func (s *Server) applyLoop() {
 	defer s.applyWG.Done()
 	for {
@@ -474,6 +435,7 @@ func (s *Server) applyLoop() {
 			if !ok {
 				return
 			}
+			s.pace()
 			wave := []*updateBatch{b}
 		fold:
 			for len(wave) < s.cfg.MaxBatch {
@@ -496,13 +458,40 @@ func (s *Server) applyLoop() {
 	}
 }
 
+// A cut copies every fragment its wave touched, and one 8-mutation
+// batch touches most of them, so a publish costs about as much for one
+// batch as for MaxBatch. Waves therefore start publishInterval apart,
+// and a batch that opens one after a pause is held gatherWindow for
+// company: writers that post together are acked together every time,
+// not in alternating waves of one whenever the first beats the second
+// to the loop by microseconds, and a tight writer loop cannot make the
+// daemon allocate a snapshot per request. The price: a writer posting
+// back to back is acked once per interval. A full wave does not wait.
+const (
+	publishInterval = 40 * time.Millisecond
+	gatherWindow    = 2 * time.Millisecond
+)
+
+// pace sleeps until the wave whose first batch just arrived is due; the
+// next interval counts from that time, so late wake-ups do not add up.
+func (s *Server) pace() {
+	due := time.Now()
+	if len(s.updates)+1 < s.cfg.MaxBatch {
+		due = due.Add(gatherWindow)
+		if next := s.lastWave.Add(publishInterval); next.After(due) {
+			due = next
+		}
+		time.Sleep(time.Until(due))
+	}
+	s.lastWave = due
+}
+
 // applyBatch runs one batch through the store chunk by chunk (a chunk
-// is the run of mutations up to a commit marker, i.e. one durable WAL
-// commit). A transient fsync failure is retried in place up to
-// cfg.ApplyRetries times with exponential backoff: the store keeps the
-// interrupted commit's bytes pending, so a successful RetrySync
-// completes that exact commit and the chunk — nothing is reapplied,
-// nothing is lost. Only an exhausted ladder or a non-retryable failure
+// is the mutations up to a commit marker: one durable WAL commit). A
+// transient fsync failure is retried in place up to cfg.ApplyRetries
+// times with exponential backoff: the store keeps the interrupted
+// commit's bytes pending, so a successful RetrySync completes exactly
+// that commit. Only an exhausted ladder or a non-retryable failure
 // (torn write, crash, semantic error) leaves the store poisoned.
 func (s *Server) applyBatch(muts []store.Mutation) (inserts, deletes int, err error) {
 	start := 0
@@ -566,11 +555,7 @@ func (s *Server) applyWave(wave []*updateBatch) {
 	s.committed.Store(s.st.Committed())
 
 	if failedAt < 0 {
-		// Every batch committed: cut and publish the next epoch. The
-		// COW cut shares every fragment the wave left untouched with
-		// the previous epoch, so its cost is O(touched fragments +
-		// touched index vertices), not O(graph). Readers keep the old
-		// epoch until the atomic swap.
+		// Every batch committed: cut and publish the next epoch.
 		ne := s.publish(s.st.Composite())
 		s.epochSwaps.Add(1)
 		s.captureWave(ne.seq, wave)
@@ -580,11 +565,10 @@ func (s *Server) applyWave(wave []*updateBatch) {
 		}
 	}
 	// A failed wave publishes nothing: the batch that poisoned the
-	// store may have half-applied to the in-memory composite, so the
-	// only trustworthy states are the last published epoch (served
-	// until restart) and the committed WAL prefix (recovered on
-	// reopen). Batches before the failure are durable but stay
-	// invisible; their result says so via epoch == 0.
+	// store may have half-applied to the in-memory composite, so only
+	// the last published epoch and the committed WAL prefix can be
+	// trusted. Batches before the failure are durable but invisible;
+	// their result says so via epoch == 0.
 	for i, b := range wave {
 		b.reply <- results[i]
 	}

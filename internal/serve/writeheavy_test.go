@@ -151,8 +151,8 @@ func TestServeWriteHeavyIsolation(t *testing.T) {
 		}(r)
 	}
 
-	// Updates-dominant writer: back-to-back batches, no pacing beyond a
-	// tiny yield so readers sample a few distinct epochs.
+	// Updates-dominant writer: back-to-back batches, one wave each at
+	// the apply loop's cadence, so readers sample distinct epochs.
 	prefixByEpoch := map[uint64]int{1: 0}
 	for i := 0; i < numBatches; i++ {
 		status, ur, eb := ts.postUpdates(t, streams[i])
@@ -331,5 +331,49 @@ func TestServeWriteHeavyChaos(t *testing.T) {
 	defer st.Close()
 	if err := st.Composite().EqualState(oracle); err != nil {
 		t.Fatalf("recovered state diverges from oracle after chaos: %v", err)
+	}
+}
+
+// TestServeWavesArePaced pins the apply loop's cadence: a lone writer
+// posting back to back gets one wave per publishInterval, and writers
+// that post together share waves instead of taking one each.
+func TestServeWavesArePaced(t *testing.T) {
+	g, comp := writeHeavyGraph(t)
+	ts := startServerOn(t, filepath.Join(t.TempDir(), "store"), g, comp, Config{}, store.Options{})
+	const writers, perWriter = 4, 5
+	_, streams := writeHeavyBatches(t, g, (writers+1)*perWriter, 2)
+	post := func(i int) {
+		if status, ur, eb := ts.postUpdates(t, streams[i]); status != http.StatusOK || !ur.Visible {
+			t.Errorf("batch %d: status %d visible %v (%v)", i, status, ur.Visible, eb)
+		}
+	}
+
+	e0, t0 := ts.Epoch(), time.Now()
+	for i := 0; i < perWriter; i++ {
+		post(i)
+	}
+	if d, least := time.Since(t0), (perWriter-1)*publishInterval; d < least {
+		t.Errorf("%d back-to-back batches took %v, under %v: waves are not paced", perWriter, d, least)
+	}
+	if n := ts.Epoch() - e0; n != perWriter {
+		t.Errorf("lone writer: %d batches published %d epochs", perWriter, n)
+	}
+
+	e0 = ts.Epoch()
+	var wg sync.WaitGroup
+	for w := 1; w <= writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				post(w*perWriter + i)
+			}
+		}(w)
+	}
+	wg.Wait()
+	// In step the writers need perWriter waves; a straggler or two may
+	// add a few, but nowhere near one wave per batch.
+	if n := ts.Epoch() - e0; n >= writers*perWriter/2 {
+		t.Errorf("%d writers x %d batches published %d epochs: waves do not gather", writers, perWriter, n)
 	}
 }

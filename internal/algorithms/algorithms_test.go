@@ -355,17 +355,17 @@ func TestEdgeWeightDeterministicPositive(t *testing.T) {
 	}
 }
 
-func TestIntersectAbove(t *testing.T) {
+func TestIntersectSorted(t *testing.T) {
 	a := []graph.VertexID{1, 3, 5, 7, 9}
 	b := []graph.VertexID{3, 4, 5, 9, 11}
-	if got := intersectAbove(a, b, 4); got != 2 { // {5, 9}
-		t.Fatalf("intersectAbove = %d, want 2", got)
+	if got := intersectSorted(a, b); got != 3 { // {3, 5, 9}
+		t.Fatalf("intersectSorted = %d, want 3", got)
 	}
-	if got := intersectAbove(a, b, 0); got != 3 { // {3, 5, 9}
-		t.Fatalf("intersectAbove floor 0 = %d, want 3", got)
+	if got := intersectSorted(a[2:], b); got != 2 { // {5, 9}
+		t.Fatalf("intersectSorted of a suffix = %d, want 2", got)
 	}
-	if got := intersectAbove(nil, b, 0); got != 0 {
-		t.Fatalf("intersectAbove nil = %d", got)
+	if got := intersectSorted(nil, b); got != 0 {
+		t.Fatalf("intersectSorted nil = %d", got)
 	}
 }
 

@@ -1,9 +1,10 @@
 package algorithms
 
 import (
+	"slices"
+
 	"adp/internal/engine"
 	"adp/internal/graph"
-	"adp/internal/partition"
 )
 
 const kindCNCount uint8 = 31
@@ -17,7 +18,7 @@ type CNOptions struct {
 }
 
 type cnState struct {
-	exch *exchState
+	exch exchState
 	// total is worker 0's aggregate; it lives in State (not a closure)
 	// so a checkpoint rollback rewinds it instead of double-counting
 	// on replay.
@@ -42,63 +43,57 @@ func RunCN(c *engine.Cluster, opts CNOptions) (CNResult, *engine.Report, error) 
 		return opts.Theta <= 0 || g.InDegree(w) <= opts.Theta
 	}
 	exch := &neighborExchange{
-		list: func(adj *partition.Adj) []graph.VertexID { return adj.In },
-		needs: func(w *engine.WorkerCtx) map[graph.VertexID]bool {
-			need := map[graph.VertexID]bool{}
-			w.Fragment().Vertices(func(v graph.VertexID, adj *partition.Adj) {
-				if !inTheta(v) || g.InDegree(v) < 2 {
-					return
-				}
-				for _, u := range adj.In {
-					if w.ResponsibleFor(v, u, v) {
-						need[v] = true
-						return
-					}
-				}
-			})
-			return need
+		in: true,
+		needs: func(w *engine.WorkerCtx, need []bool) {
+			in := w.InScan()
+			for l, v := range w.Plan().IDs {
+				need[l] = inTheta(v) && g.InDegree(v) >= 2 && in.AnyResponsible(l)
+			}
 		},
 	}
 	step := func(w *engine.WorkerCtx, s int, inbox []engine.Message) bool {
 		switch s {
 		case 0:
-			w.State = &cnState{exch: exch.step0(w)}
+			st := reuseState[cnState](w)
+			st.total = CNResult{}
+			exch.step0(w, &st.exch)
 			return false
 		case 1:
 			st := w.State.(*cnState)
-			exch.step1(w, st.exch, inbox)
+			exch.step1(w, &st.exch, inbox)
 			return false
 		case 2:
 			st := w.State.(*cnState)
-			exch.step2(w, st.exch, inbox)
+			exch.step2(w, &st.exch, inbox)
 			var count int64
 			var checksum uint64
-			w.Fragment().Vertices(func(v graph.VertexID, adj *partition.Adj) {
-				if !inTheta(v) {
-					return
+			in := w.InScan()
+			for l, v := range w.Plan().IDs {
+				fullIn := st.exch.full[l]
+				if len(fullIn) == 0 || !inTheta(v) {
+					continue
 				}
-				fullIn := st.exch.full[v]
-				if fullIn == nil {
-					return
-				}
-				work := 0
-				for _, u := range adj.In {
-					if !w.ResponsibleFor(v, u, v) {
+				responsible := 0
+				for k := in.Off[l]; k < in.Off[l+1]; k++ {
+					if !in.Responsible(k) {
 						continue
 					}
-					work += len(fullIn)
-					for _, u2 := range fullIn {
-						if u2 <= u {
-							continue
-						}
-						count++
+					responsible++
+					// u pairs with the in-neighbours after it in id order.
+					u := in.NbrID[k]
+					pos, found := slices.BinarySearch(fullIn, u)
+					if found {
+						pos++
+					}
+					count += int64(len(fullIn) - pos)
+					for _, u2 := range fullIn[pos:] {
 						checksum += pairHash(u, u2, v)
 					}
 				}
-				if work > 0 {
-					w.ChargeVertex(v, float64(work))
+				if responsible > 0 {
+					w.ChargeVertex(v, float64(responsible*len(fullIn)))
 				}
-			})
+			}
 			// The checksum ships as two exact 32-bit halves: float64
 			// represents integers below 2^53 exactly, while raw bit
 			// reinterpretation would risk NaN payload trouble.

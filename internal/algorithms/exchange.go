@@ -1,11 +1,10 @@
 package algorithms
 
 import (
-	"sort"
+	"slices"
 
 	"adp/internal/engine"
 	"adp/internal/graph"
-	"adp/internal/partition"
 )
 
 // neighborExchange is the shared mirror→master→requester adjacency
@@ -20,65 +19,47 @@ import (
 // gTC models.
 // Superstep 2: requesters install the responses; compute can start.
 type neighborExchange struct {
-	// list extracts the relevant local adjacency (undirected
-	// neighbours for TC, in-neighbours for CN).
-	list func(adj *partition.Adj) []graph.VertexID
-	// needs lists the vertices this worker must know the full list of.
-	needs func(w *engine.WorkerCtx) map[graph.VertexID]bool
+	// in selects the local adjacency exchanged: in-neighbours for CN,
+	// out-neighbours (undirected neighbours) for TC.
+	in bool
+	// needs marks, by local id, the vertices this worker must know the
+	// full list of.
+	needs func(w *engine.WorkerCtx, need []bool)
 }
 
+// exchState is the exchange's per-worker state, addressed by local id.
+// Every list the worker sorts, merges or ships is carved from one
+// arena, so a warm worker exchanges without allocating.
 type exchState struct {
-	full       map[graph.VertexID][]graph.VertexID
-	shares     map[graph.VertexID][][]graph.VertexID
-	pendingOwn map[graph.VertexID]bool
+	// full[l] is the complete id-sorted neighbour list of local vertex
+	// l; empty when this worker has no use for it. It points into an
+	// arena (this worker's, or the answering master's) that stays
+	// untouched until its owner's next Run.
+	full [][]graph.VertexID
+	// pending lists the needed vertices this worker masters but holds
+	// incompletely; superstep 1 resolves them from the shares.
+	pending []int32
+
+	// Reusable buffers, each refilled by the superstep that reads it, so
+	// a rollback rewinds none. A carved arena segment is never written
+	// again; a grown arena leaves earlier segments valid in the old one.
+	arena []graph.VertexID
+	need  []bool
+	// merged memoises superstep 1's mergedList by local id: a map,
+	// because a master merges only the few vertices it is asked about.
+	merged map[int32][]graph.VertexID
+	// head[l] / next[i] chain the inbox indices of the share messages
+	// about local vertex l, in delivery order, -1 ending a chain.
+	head, next []int32
+	parts      [][]graph.VertexID // mergedList's operands
 }
 
-// clone deep-copies the exchange state (adjacency slices included) so
-// checkpointed copies share no memory with the live run.
-func (st *exchState) clone() *exchState {
-	if st == nil {
-		return nil
-	}
-	out := &exchState{pendingOwn: cloneSetMap(st.pendingOwn)}
-	if st.full != nil {
-		out.full = make(map[graph.VertexID][]graph.VertexID, len(st.full))
-		for v, l := range st.full {
-			out.full[v] = append([]graph.VertexID(nil), l...)
-		}
-	}
-	if st.shares != nil {
-		out.shares = make(map[graph.VertexID][][]graph.VertexID, len(st.shares))
-		for v, ls := range st.shares {
-			cp := make([][]graph.VertexID, len(ls))
-			for i, l := range ls {
-				cp[i] = append([]graph.VertexID(nil), l...)
-			}
-			out.shares[v] = cp
-		}
-	}
-	return out
-}
-
-// cloneValMap / cloneSetMap are the shared deep-copy helpers behind
-// the algorithm states' Snapshot methods.
-func cloneValMap(m map[graph.VertexID]float64) map[graph.VertexID]float64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[graph.VertexID]float64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func cloneSetMap(m map[graph.VertexID]bool) map[graph.VertexID]bool {
-	if m == nil {
-		return nil
-	}
-	out := make(map[graph.VertexID]bool, len(m))
-	for k, v := range m {
-		out[k] = v
+// clone deep-copies what a rollback must rewind, so checkpointed copies
+// share no memory with the live run; the buffers regrow on demand.
+func (st *exchState) clone() exchState {
+	out := exchState{full: make([][]graph.VertexID, len(st.full)), pending: slices.Clone(st.pending)}
+	for l, list := range st.full {
+		out.full[l] = slices.Clone(list)
 	}
 	return out
 }
@@ -89,117 +70,121 @@ const (
 	kindAdjResp
 )
 
-func (e *neighborExchange) step0(w *engine.WorkerCtx) *exchState {
-	p := w.Partition()
-	st := &exchState{
-		full:       map[graph.VertexID][]graph.VertexID{},
-		shares:     map[graph.VertexID][][]graph.VertexID{},
-		pendingOwn: map[graph.VertexID]bool{},
+// list returns the exchanged local adjacency of local vertex l.
+func (e *neighborExchange) list(pl *engine.Plan, l int) []graph.VertexID {
+	if e.in {
+		return pl.Adjs[l].In
 	}
+	return pl.Adjs[l].Out
+}
+
+// carve appends the id-sorted, duplicate-free union of lists to the
+// arena and returns it as a capacity-limited segment.
+func (st *exchState) carve(lists ...[]graph.VertexID) []graph.VertexID {
+	start := len(st.arena)
+	for _, l := range lists {
+		st.arena = append(st.arena, l...)
+	}
+	seg := st.arena[start:]
+	slices.Sort(seg)
+	seg = slices.Compact(seg)
+	st.arena = st.arena[:start+len(seg)]
+	return seg[:len(seg):len(seg)]
+}
+
+func (e *neighborExchange) step0(w *engine.WorkerCtx, st *exchState) {
+	p, pl := w.Partition(), w.Plan()
+	nl := len(pl.IDs)
+	st.full, st.need = sized(st.full, nl), sized(st.need, nl)
+	st.pending, st.arena = st.pending[:0], st.arena[:0]
 	// Share local lists of border vertices whose master is incomplete.
-	w.Fragment().Vertices(func(x graph.VertexID, adj *partition.Adj) {
-		if !p.IsBorder(x) {
-			return
+	for l, f := range pl.Flags {
+		if f&engine.FlagShares != 0 {
+			x := pl.IDs[l]
+			w.Send(p.Master(x), engine.Message{V: x, Kind: kindAdjShare, Adj: st.carve(e.list(pl, l))})
 		}
-		m := p.Master(x)
-		if m == w.ID() || p.IsComplete(m, x) {
-			return
-		}
-		local := sortedCopy(e.list(adj))
-		w.Send(m, engine.Message{V: x, Kind: kindAdjShare, Adj: local})
-	})
+	}
 	// Resolve needs.
-	for x := range e.needs(w) {
-		adj := w.Fragment().Adjacency(x)
-		switch {
-		case adj != nil && p.IsComplete(w.ID(), x):
-			st.full[x] = sortedCopy(e.list(adj))
-		case p.Master(x) == w.ID():
-			st.pendingOwn[x] = true
+	e.needs(w, st.need)
+	for l, needed := range st.need {
+		if !needed {
+			continue
+		}
+		switch f := pl.Flags[l]; {
+		case f&engine.FlagComplete != 0:
+			st.full[l] = st.carve(e.list(pl, l))
+		case f&engine.FlagMaster != 0:
+			st.pending = append(st.pending, int32(l))
 		default:
 			// The requester id rides in Data[0] so the master knows
 			// where to respond.
-			w.Send(p.Master(x), engine.Message{V: x, Kind: kindAdjReq, Data: []float64{float64(w.ID())}})
+			x := pl.IDs[l]
+			w.SendVal(p.Master(x), x, kindAdjReq, float64(w.ID()))
 		}
 	}
-	return st
 }
 
 func (e *neighborExchange) step1(w *engine.WorkerCtx, st *exchState, inbox []engine.Message) {
-	p := w.Partition()
-	var requests []engine.Message
+	pl := w.Plan()
+	nl := len(pl.IDs)
+	// Chain the shares per subject, walking the inbox backwards so each
+	// chain runs in delivery order.
+	st.head, st.next = sized(st.head, nl), sized(st.next, len(inbox))
+	for l := range st.head {
+		st.head[l] = -1
+	}
+	for i := len(inbox) - 1; i >= 0; i-- {
+		if m := inbox[i]; m.Kind == kindAdjShare {
+			l := pl.Local[m.V]
+			st.next[i], st.head[l] = st.head[l], int32(i)
+		}
+	}
+	if st.merged == nil {
+		st.merged = map[int32][]graph.VertexID{}
+	}
+	clear(st.merged)
+	mergedList := func(l int32) []graph.VertexID {
+		list, ok := st.merged[l]
+		if !ok {
+			st.parts = append(st.parts[:0], e.list(pl, int(l)))
+			for i := st.head[l]; i >= 0; i = st.next[i] {
+				st.parts = append(st.parts, inbox[i].Adj)
+			}
+			list = st.carve(st.parts...)
+			w.ChargeVertex(pl.IDs[l], float64(len(list)))
+			st.merged[l] = list
+		}
+		return list
+	}
 	for _, m := range inbox {
-		switch m.Kind {
-		case kindAdjShare:
-			st.shares[m.V] = append(st.shares[m.V], m.Adj)
-		case kindAdjReq:
-			requests = append(requests, m)
+		if m.Kind == kindAdjReq {
+			list := mergedList(pl.Local[m.V])
+			w.Send(int(m.Data[0]), engine.Message{V: m.V, Kind: kindAdjResp, Adj: list})
+			w.ChargeVertexComm(m.V, float64(len(list)))
 		}
 	}
-	merged := map[graph.VertexID][]graph.VertexID{}
-	mergedList := func(x graph.VertexID) []graph.VertexID {
-		if l, ok := merged[x]; ok {
-			return l
-		}
-		var own []graph.VertexID
-		if adj := w.Fragment().Adjacency(x); adj != nil {
-			own = sortedCopy(e.list(adj))
-		}
-		l := mergeSorted(own, st.shares[x])
-		w.ChargeVertex(x, float64(len(l)))
-		merged[x] = l
-		return l
-	}
-	for _, m := range requests {
-		requester := int(m.Data[0])
-		l := mergedList(m.V)
-		w.Send(requester, engine.Message{V: m.V, Kind: kindAdjResp, Adj: l})
-		w.ChargeVertexComm(m.V, float64(len(l)))
-	}
-	for x := range st.pendingOwn {
-		st.full[x] = mergedList(x)
+	for _, l := range st.pending {
+		st.full[l] = mergedList(l)
 	}
 	// Shares for un-requested vertices still incurred wire cost;
 	// attribute it to the master copy for the training log.
-	for x, sh := range st.shares {
-		if p.Master(x) == w.ID() {
-			total := 0
-			for _, l := range sh {
-				total += len(l)
-			}
-			w.ChargeVertexComm(x, float64(total))
+	for l, i := range st.head {
+		if i < 0 || pl.Flags[l]&engine.FlagMaster == 0 {
+			continue
 		}
+		total := 0
+		for ; i >= 0; i = st.next[i] {
+			total += len(inbox[i].Adj)
+		}
+		w.ChargeVertexComm(pl.IDs[l], float64(total))
 	}
-	st.shares = nil
 }
 
 func (e *neighborExchange) step2(w *engine.WorkerCtx, st *exchState, inbox []engine.Message) {
+	pl := w.Plan()
 	for _, m := range inbox {
 		if m.Kind == kindAdjResp {
-			st.full[m.V] = m.Adj
+			st.full[pl.Local[m.V]] = m.Adj
 		}
 	}
-}
-
-func sortedCopy(s []graph.VertexID) []graph.VertexID {
-	out := append([]graph.VertexID(nil), s...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// mergeSorted unions the base sorted list with additional sorted
-// lists, removing duplicates.
-func mergeSorted(base []graph.VertexID, extra [][]graph.VertexID) []graph.VertexID {
-	all := append([]graph.VertexID(nil), base...)
-	for _, l := range extra {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	out := all[:0]
-	for i, v := range all {
-		if i == 0 || all[i-1] != v {
-			out = append(out, v)
-		}
-	}
-	return out
 }

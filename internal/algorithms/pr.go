@@ -1,9 +1,9 @@
 package algorithms
 
 import (
+	"slices"
+
 	"adp/internal/engine"
-	"adp/internal/graph"
-	"adp/internal/partition"
 )
 
 // PROptions configures a PageRank run.
@@ -21,23 +21,27 @@ func (o *PROptions) defaults() {
 	}
 }
 
-// prState keeps per-vertex values in dense slices indexed by the
-// fragment's compiled local id (see partition.Fragment.LocalIndex), so
-// the inner loops are array reads instead of map probes and a
-// superstep allocates nothing.
+// prState keeps per-vertex values in dense slices indexed by local id
+// (the scan plan's addressing), so the inner loops are array reads and
+// a superstep allocates nothing; reuseState keeps the arrays warm
+// between Runs.
 type prState struct {
 	rank    []float64 // by local id
 	partial []float64 // by local id; valid where has[l]
 	has     []bool    // partial accumulated this iteration
-	scratch []int     // AppendMirrors scratch
+	// Recomputed before every use, so a rollback need not rewind them:
+	// contrib[l] = rank[l] / outdeg(l) for the current iteration, and
+	// the AppendMirrors scratch.
+	contrib []float64
+	mirrors []int
 }
 
 // Snapshot deep-copies the state for engine checkpointing.
 func (st *prState) Snapshot() any {
 	return &prState{
-		rank:    append([]float64(nil), st.rank...),
-		partial: append([]float64(nil), st.partial...),
-		has:     append([]bool(nil), st.has...),
+		rank:    slices.Clone(st.rank),
+		partial: slices.Clone(st.partial),
+		has:     slices.Clone(st.has),
 	}
 }
 
@@ -58,8 +62,11 @@ const (
 //	      broadcast them to mirrors, which apply them at the start of
 //	      the next even superstep.
 //
-// The result matches PRSeq bit-for-bit up to floating-point summation
-// order.
+// The even superstep is a flat scan of the worker's in-plan: each
+// vertex's share rank/outdeg is divided out once per iteration and the
+// in-lists sum it over their responsible positions in list order — the
+// operands and order of dividing per arc, so ranks do not depend on the
+// plan. The result matches PRSeq up to floating-point summation order.
 func RunPR(c *engine.Cluster, opts PROptions) ([]float64, *engine.Report, error) {
 	opts.defaults()
 	p := c.Partition()
@@ -68,77 +75,62 @@ func RunPR(c *engine.Cluster, opts PROptions) ([]float64, *engine.Report, error)
 	invN := 1 / float64(n)
 
 	step := func(w *engine.WorkerCtx, s int, inbox []engine.Message) bool {
-		frag := w.Fragment()
-		var st *prState
-		if w.State == nil {
-			nl := frag.NumVertices()
-			st = &prState{rank: make([]float64, nl), partial: make([]float64, nl), has: make([]bool, nl)}
+		pl := w.Plan()
+		st, _ := w.State.(*prState)
+		if st == nil {
+			st = reuseState[prState](w)
+			nl := len(pl.IDs)
+			st.rank, st.partial, st.has = sized(st.rank, nl), sized(st.partial, nl), sized(st.has, nl)
 			for l := range st.rank {
 				st.rank[l] = invN
 			}
-			w.State = st
-		} else {
-			st = w.State.(*prState)
 		}
 		iter := s / 2
 		if iter >= opts.Iterations {
 			return true
 		}
+		w.AddWork(float64(len(inbox)))
 		if s%2 == 0 {
 			// Apply rank broadcasts from the previous odd superstep.
 			for _, m := range inbox {
 				if m.Kind == kindRank {
-					st.rank[frag.LocalIndex(m.V)] = m.Data[0]
+					st.rank[pl.Local[m.V]] = m.Data[0]
 				}
-				w.AddWork(1)
 			}
-			// Accumulate partials over responsible in-arcs. Vertices
-			// walks the compiled form in ascending id order, so the
-			// running counter l is exactly the local id.
-			for l := range st.partial {
-				st.partial[l] = 0
-				st.has[l] = false
-			}
+			// Dangling mass is counted once, at the vertex's compute
+			// copy (e-cut node, or master among v-cut copies).
+			st.contrib = sized(st.contrib, len(pl.IDs))
 			var dangling float64
-			l := 0
-			frag.Vertices(func(v graph.VertexID, adj *partition.Adj) {
-				sum := 0.0
-				any := false
-				for _, u := range adj.In {
-					if !w.ResponsibleFor(v, u, v) {
-						continue
-					}
-					sum += st.rank[frag.LocalIndex(u)] / float64(g.OutDegree(u))
-					any = true
-				}
-				// The scan walks every local in-arc (the responsibility
-				// check is part of it), so the true per-vertex work is
-				// d+L(v) — the shape hPR learns.
-				if len(adj.In) > 0 {
-					w.ChargeVertex(v, float64(len(adj.In)))
-				}
-				if any {
-					st.partial[l] = sum
-					st.has[l] = true
-				}
-				// Dangling mass: counted once at the vertex's compute
-				// copy (e-cut node, or master among v-cut copies).
-				if g.OutDegree(v) == 0 && prCountsDangling(p, w.ID(), v) {
+			for l, v := range pl.IDs {
+				if d := g.OutDegree(v); d > 0 {
+					st.contrib[l] = st.rank[l] / float64(d)
+				} else if pl.Flags[l]&engine.FlagCompute != 0 {
 					dangling += st.rank[l]
 				}
-				l++
-			})
-			// Ship border partials to masters; keep local ones.
-			for l, ok := range st.has {
-				if !ok {
-					continue
+			}
+			// Accumulate partials over responsible in-arcs, shipping
+			// border partials to masters and keeping local ones.
+			in := w.InScan()
+			for l, v := range pl.IDs {
+				lo, hi := in.Off[l], in.Off[l+1]
+				sum, any := 0.0, false
+				for k := lo; k < hi; k++ {
+					if in.Responsible(k) {
+						sum += st.contrib[in.Nbr[k]]
+						any = true
+					}
 				}
-				v := frag.VertexAt(l)
-				if p.IsBorder(v) && !w.IsMaster(v) {
-					w.SendVal(p.Master(v), v, kindPartial, st.partial[l])
-					st.partial[l] = 0
-					st.has[l] = false
+				// The scan walks every local in-arc (the responsibility
+				// bit is part of it), so the true per-vertex work is
+				// d+L(v) — the shape hPR learns.
+				if hi > lo {
+					w.ChargeVertex(v, float64(hi-lo))
 				}
+				if f := pl.Flags[l]; any && f&engine.FlagBorder != 0 && f&engine.FlagMaster == 0 {
+					w.SendVal(p.Master(v), v, kindPartial, sum)
+					sum, any = 0, false
+				}
+				st.partial[l], st.has[l] = sum, any
 			}
 			// Dangling mass to every worker so all masters share the
 			// same base next superstep.
@@ -152,34 +144,27 @@ func RunPR(c *engine.Cluster, opts PROptions) ([]float64, *engine.Report, error)
 		for _, m := range inbox {
 			switch m.Kind {
 			case kindPartial:
-				st.partial[frag.LocalIndex(m.V)] += m.Data[0]
+				st.partial[pl.Local[m.V]] += m.Data[0]
 			case kindDangling:
 				danglingTerm += m.Data[0]
 			}
-			w.AddWork(1)
 		}
 		base := (1-opts.Damping)*invN + opts.Damping*danglingTerm*invN
-		l := 0
-		frag.Vertices(func(v graph.VertexID, _ *partition.Adj) {
-			lv := l
-			l++
-			if !w.IsMaster(v) {
-				return
+		for l, v := range pl.IDs {
+			f := pl.Flags[l]
+			if f&engine.FlagMaster == 0 {
+				continue
 			}
-			newRank := base + opts.Damping*st.partial[lv]
-			st.rank[lv] = newRank
+			newRank := base + opts.Damping*st.partial[l]
+			st.rank[l] = newRank
 			w.AddWork(1)
-			st.scratch = w.AppendMirrors(st.scratch[:0], v)
-			for _, dst := range st.scratch {
-				w.SendVal(dst, v, kindRank, newRank)
+			if f&engine.FlagBorder != 0 {
+				st.mirrors = w.AppendMirrors(st.mirrors[:0], v)
+				for _, dst := range st.mirrors {
+					w.SendVal(dst, v, kindRank, newRank)
+				}
+				w.ChargeVertexComm(v, float64(len(st.mirrors)))
 			}
-			if len(st.scratch) > 0 {
-				w.ChargeVertexComm(v, float64(len(st.scratch)))
-			}
-		})
-		for i := range st.partial {
-			st.partial[i] = 0
-			st.has[i] = false
 		}
 		return iter+1 >= opts.Iterations
 	}
@@ -189,31 +174,17 @@ func RunPR(c *engine.Cluster, opts PROptions) ([]float64, *engine.Report, error)
 	}
 	rank := make([]float64, n)
 	for i := 0; i < p.NumFragments(); i++ {
-		st, _ := c.Worker(i).State.(*prState)
+		w := c.Worker(i)
+		st, _ := w.State.(*prState)
 		if st == nil {
 			continue
 		}
-		frag := p.Fragment(i)
-		l := 0
-		frag.Vertices(func(v graph.VertexID, _ *partition.Adj) {
-			if p.Master(v) == i {
+		pl := w.Plan()
+		for l, v := range pl.IDs {
+			if pl.Flags[l]&engine.FlagMaster != 0 {
 				rank[v] = st.rank[l]
 			}
-			l++
-		})
+		}
 	}
 	return rank, rep, nil
-}
-
-// prCountsDangling designates exactly one copy of a dangling vertex to
-// contribute its mass: the e-cut node when v is e-cut, otherwise the
-// master copy.
-func prCountsDangling(p *partition.Partition, frag int, v graph.VertexID) bool {
-	switch p.Status(frag, v) {
-	case partition.ECutNode:
-		return true
-	case partition.VCutNode:
-		return p.Master(v) == frag
-	}
-	return false
 }

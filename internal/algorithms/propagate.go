@@ -1,7 +1,7 @@
 package algorithms
 
 import (
-	"math"
+	"slices"
 
 	"adp/internal/engine"
 	"adp/internal/graph"
@@ -13,8 +13,7 @@ import (
 // entries into interfaces — the sweep is the innermost loop of WCC and
 // SSSP and must not allocate per relaxation.
 type propEntry struct {
-	v   graph.VertexID
-	l   int // local id of v (dense state index)
+	l   int32 // local id of the vertex (dense state index)
 	val float64
 }
 
@@ -67,10 +66,12 @@ func (h *propHeap) pop() propEntry {
 // master-mirror protocol whose cost gA models.
 //
 // Because min is idempotent and commutative, replicated arcs need no
-// responsibility dedup.
+// responsibility dedup — so the sweep reads only the plan's per-vertex
+// part, never its Scans, and a WCC/SSSP cluster never builds them.
 type propagation struct {
-	// relaxTargets yields the (neighbour, newValue) relaxations of v.
-	relax func(v graph.VertexID, val float64, adj *partition.Adj, visit func(w graph.VertexID, nv float64))
+	// relax offers st.lower(u, nv) to every neighbour u that v's value
+	// val improves.
+	relax func(st *propState, v graph.VertexID, val float64, adj *partition.Adj)
 	// init returns the starting value of v.
 	init func(v graph.VertexID) float64
 	// scanDegree is the number of arcs relax scans for v — the
@@ -79,9 +80,10 @@ type propagation struct {
 	scanDegree func(adj *partition.Adj) int
 }
 
-// propState keeps per-vertex values in dense slices indexed by the
-// fragment's compiled local id, plus the reusable sweep heap and
-// mirror scratch, so steady-state supersteps allocate nothing.
+// propState keeps per-vertex values in dense slices indexed by local
+// id, plus the reusable sweep heap and mirror scratch, so steady-state
+// supersteps allocate nothing; reuseState keeps all of it warm between
+// Runs.
 type propState struct {
 	val   []float64 // by local id
 	dirty []bool    // border copies whose value changed since last sync
@@ -89,17 +91,32 @@ type propState struct {
 	// communication training sample; per-vertex comm cost is charged
 	// once (∝ r(v)), matching the gWCC/gSSSP shape, while every
 	// broadcast still pays wire bytes.
-	synced  []bool
-	pq      propHeap // reusable sweep buffer
-	scratch []int    // AppendMirrors scratch
+	synced []bool
+	// Not rewound: the heap is empty at every barrier, pl is immutable.
+	pq      propHeap
+	mirrors []int // AppendMirrors scratch
+	pl      *engine.Plan
 }
 
 // Snapshot deep-copies the state for engine checkpointing.
 func (st *propState) Snapshot() any {
 	return &propState{
-		val:    append([]float64(nil), st.val...),
-		dirty:  append([]bool(nil), st.dirty...),
-		synced: append([]bool(nil), st.synced...),
+		val:    slices.Clone(st.val),
+		dirty:  slices.Clone(st.dirty),
+		synced: slices.Clone(st.synced),
+		pl:     st.pl,
+	}
+}
+
+// lower offers vertex u the value nv: taken when smaller, which queues
+// u for the sweep and marks a border copy for synchronisation.
+func (st *propState) lower(u graph.VertexID, nv float64) {
+	if lu := st.pl.Local[u]; lu >= 0 && nv < st.val[lu] {
+		st.val[lu] = nv
+		st.pq.push(propEntry{lu, nv})
+		if st.pl.Flags[lu]&engine.FlagBorder != 0 {
+			st.dirty[lu] = true
+		}
 	}
 }
 
@@ -108,81 +125,55 @@ const (
 	kindToMirror
 )
 
-// run executes the propagation and returns per-vertex values read from
-// master copies.
-func (pr *propagation) run(c *engine.Cluster, maxSupersteps int) (map[graph.VertexID]float64, *engine.Report, error) {
+// run executes the propagation and returns the value of every vertex,
+// indexed by vertex id and read from master copies (a vertex no
+// fragment holds keeps its starting value).
+func (pr *propagation) run(c *engine.Cluster, maxSupersteps int) ([]float64, *engine.Report, error) {
 	p := c.Partition()
 	step := func(w *engine.WorkerCtx, s int, inbox []engine.Message) bool {
-		frag := w.Fragment()
-		var st *propState
-		if w.State == nil {
-			nl := frag.NumVertices()
-			st = &propState{val: make([]float64, nl), dirty: make([]bool, nl), synced: make([]bool, nl)}
-			l := 0
-			frag.Vertices(func(v graph.VertexID, _ *partition.Adj) {
+		st, _ := w.State.(*propState)
+		if st == nil {
+			st = reuseState[propState](w)
+			st.pl = w.Plan()
+			nl := len(st.pl.IDs)
+			st.val, st.dirty, st.synced = sized(st.val, nl), sized(st.dirty, nl), sized(st.synced, nl)
+			for l, v := range st.pl.IDs {
 				st.val[l] = pr.init(v)
-				l++
-			})
-			w.State = st
-		} else {
-			st = w.State.(*propState)
+			}
 		}
+		pl := st.pl
 		// (1) apply incoming updates.
 		st.pq = st.pq[:0]
 		for _, m := range inbox {
-			if lv := frag.LocalIndex(m.V); lv >= 0 && m.Data[0] < st.val[lv] {
-				st.val[lv] = m.Data[0]
-				st.pq.push(propEntry{m.V, lv, m.Data[0]})
-				if p.IsBorder(m.V) {
-					st.dirty[lv] = true
-				}
-			}
-			w.AddWork(1)
+			st.lower(m.V, m.Data[0])
 		}
+		w.AddWork(float64(len(inbox)))
 		// On the first superstep every vertex is a seed, and the full
 		// scan is where per-vertex cost samples come from: each vertex
 		// is charged its local degree exactly once (the hWCC/hSSSP
 		// shape); all later incremental relaxations count as fragment
 		// work only.
 		if s == 0 {
-			l := 0
-			frag.Vertices(func(v graph.VertexID, adj *partition.Adj) {
-				st.pq.push(propEntry{v, l, st.val[l]})
-				w.ChargeVertex(v, float64(pr.scanDegree(adj)))
-				l++
-			})
+			for l, v := range pl.IDs {
+				st.pq.push(propEntry{int32(l), st.val[l]})
+				w.ChargeVertex(v, float64(pr.scanDegree(&pl.Adjs[l])))
+			}
 		}
 		// (2) local fixpoint as a value-ordered sweep (a local
 		// Dijkstra): values only decrease, so popping in ascending
 		// order settles each vertex at most once per superstep and
-		// keeps the work insensitive to relaxation order. The visit
-		// closure is hoisted out of the pop loop so the sweep itself
-		// allocates nothing.
-		visit := func(u graph.VertexID, nv float64) {
-			if lu := frag.LocalIndex(u); lu >= 0 && nv < st.val[lu] {
-				st.val[lu] = nv
-				st.pq.push(propEntry{u, lu, nv})
-				if p.IsBorder(u) {
-					st.dirty[lu] = true
-				}
-			}
-		}
+		// keeps the work insensitive to relaxation order.
 		for len(st.pq) > 0 {
 			top := st.pq.pop()
 			if top.val > st.val[top.l] {
 				continue // stale entry
 			}
-			adj := frag.Adjacency(top.v)
-			if adj == nil {
-				continue
-			}
+			adj := &pl.Adjs[top.l]
 			w.AddWork(float64(pr.scanDegree(adj)))
-			pr.relax(top.v, top.val, adj, visit)
+			pr.relax(st, pl.IDs[top.l], top.val, adj)
 		}
 		// (3) synchronise borders through masters, in ascending local
-		// id order (the former map walk visited them in random order;
-		// per-vertex messages are independent, so the report is
-		// unchanged and delivery becomes deterministic for free).
+		// id order.
 		changed := false
 		for l, d := range st.dirty {
 			if !d {
@@ -190,15 +181,15 @@ func (pr *propagation) run(c *engine.Cluster, maxSupersteps int) (map[graph.Vert
 			}
 			changed = true
 			st.dirty[l] = false
-			v := frag.VertexAt(l)
-			if w.IsMaster(v) {
-				st.scratch = w.AppendMirrors(st.scratch[:0], v)
-				for _, dst := range st.scratch {
+			v := pl.IDs[l]
+			if pl.Flags[l]&engine.FlagMaster != 0 {
+				st.mirrors = w.AppendMirrors(st.mirrors[:0], v)
+				for _, dst := range st.mirrors {
 					w.SendVal(dst, v, kindToMirror, st.val[l])
 				}
 				if !st.synced[l] {
 					st.synced[l] = true
-					w.ChargeVertexComm(v, float64(len(st.scratch)))
+					w.ChargeVertexComm(v, float64(len(st.mirrors)))
 				}
 			} else {
 				w.SendVal(p.Master(v), v, kindToMaster, st.val[l])
@@ -211,19 +202,20 @@ func (pr *propagation) run(c *engine.Cluster, maxSupersteps int) (map[graph.Vert
 		return nil, rep, err
 	}
 	// Collect values from master copies.
-	out := make(map[graph.VertexID]float64, p.Graph().NumVertices())
+	out := make([]float64, p.Graph().NumVertices())
+	for v := range out {
+		out[v] = pr.init(graph.VertexID(v))
+	}
 	for i := 0; i < p.NumFragments(); i++ {
 		st, _ := c.Worker(i).State.(*propState)
 		if st == nil {
 			continue
 		}
-		l := 0
-		p.Fragment(i).Vertices(func(v graph.VertexID, _ *partition.Adj) {
-			if p.Master(v) == i {
+		for l, v := range st.pl.IDs {
+			if st.pl.Flags[l]&engine.FlagMaster != 0 {
 				out[v] = st.val[l]
 			}
-			l++
-		})
+		}
 	}
 	return out, rep, nil
 }
@@ -240,12 +232,12 @@ func RunWCC(c *engine.Cluster) (WCCResult, *engine.Report, error) {
 	pr := &propagation{
 		init:       func(v graph.VertexID) float64 { return float64(v) },
 		scanDegree: func(adj *partition.Adj) int { return adj.LocalDegree() },
-		relax: func(v graph.VertexID, val float64, adj *partition.Adj, visit func(graph.VertexID, float64)) {
+		relax: func(st *propState, v graph.VertexID, val float64, adj *partition.Adj) {
 			for _, u := range adj.Out {
-				visit(u, val)
+				st.lower(u, val)
 			}
 			for _, u := range adj.In {
-				visit(u, val)
+				st.lower(u, val)
 			}
 		},
 	}
@@ -253,15 +245,15 @@ func RunWCC(c *engine.Cluster) (WCCResult, *engine.Report, error) {
 	if err != nil {
 		return WCCResult{}, rep, err
 	}
-	n := c.Partition().Graph().NumVertices()
-	res := WCCResult{Labels: make([]graph.VertexID, n)}
-	roots := map[graph.VertexID]bool{}
-	for v := 0; v < n; v++ {
-		label := graph.VertexID(vals[graph.VertexID(v)])
-		res.Labels[v] = label
-		roots[label] = true
+	// Labels are smallest member ids, so a component's one vertex
+	// labelled with itself counts it.
+	res := WCCResult{Labels: make([]graph.VertexID, len(vals))}
+	for v, val := range vals {
+		res.Labels[v] = graph.VertexID(val)
+		if int(res.Labels[v]) == v {
+			res.Count++
+		}
 	}
-	res.Count = len(roots)
 	return res, rep, nil
 }
 
@@ -286,27 +278,18 @@ func RunSSSP(c *engine.Cluster, source graph.VertexID) (SSSPResult, *engine.Repo
 			return Unreachable
 		},
 		scanDegree: func(adj *partition.Adj) int { return len(adj.Out) },
-		relax: func(v graph.VertexID, val float64, adj *partition.Adj, visit func(graph.VertexID, float64)) {
+		relax: func(st *propState, v graph.VertexID, val float64, adj *partition.Adj) {
 			if val >= Unreachable {
 				return
 			}
 			for _, u := range adj.Out {
-				visit(u, val+EdgeWeight(v, u))
+				st.lower(u, val+EdgeWeight(v, u))
 			}
 		},
 	}
-	vals, rep, err := pr.run(c, 10000)
+	dist, rep, err := pr.run(c, 10000)
 	if err != nil {
 		return SSSPResult{}, rep, err
 	}
-	n := c.Partition().Graph().NumVertices()
-	res := SSSPResult{Dist: make([]float64, n)}
-	for v := 0; v < n; v++ {
-		d, ok := vals[graph.VertexID(v)]
-		if !ok {
-			d = Unreachable
-		}
-		res.Dist[v] = math.Min(d, Unreachable)
-	}
-	return res, rep, nil
+	return SSSPResult{Dist: dist}, rep, nil
 }

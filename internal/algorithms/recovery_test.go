@@ -166,3 +166,44 @@ func TestRecoveryWithRandomSchedule(t *testing.T) {
 		t.Fatal("SimCost diverged across identical seeds")
 	}
 }
+
+// TestRecoveryOnWarmCluster: a cluster's workers reuse the previous
+// Run's state as buffers, and a rollback swaps in checkpoint copies
+// that carry only what Snapshot rewinds. A recovered run on a warm
+// cluster, and a clean run after it, must still reproduce the cold
+// run's outcome and Report exactly.
+func TestRecoveryOnWarmCluster(t *testing.T) {
+	opts := Options{CNTheta: 10, SSSPSource: 1}
+	for _, algo := range costmodel.Algos() {
+		g := gen.PowerLaw(gen.PowerLawConfig{N: 300, AvgDeg: 5, Exponent: 2.2, Directed: algo != costmodel.TC, Seed: 4})
+		p, err := partitioner.GridVertexCut(g, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := engine.NewCluster(p).UsePool(pool.Serial())
+		want, err := Run(c, algo, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run, injected := range []bool{true, false} {
+			var inj *fault.Injector
+			if injected {
+				inj = fault.NewInjector(recoverySchedule(t)...)
+			}
+			got, err := Run(c.Configure(engine.Options{Injector: inj}), algo, opts)
+			if err != nil {
+				t.Fatalf("%v warm run %d: %v", algo, run, err)
+			}
+			wr, gr := want.Report, got.Report
+			if got.Value != want.Value || got.Checksum != want.Checksum || gr.Supersteps != wr.Supersteps ||
+				gr.CriticalWork != wr.CriticalWork || gr.CriticalBytes != wr.CriticalBytes ||
+				!reflect.DeepEqual(gr.Work, wr.Work) || !reflect.DeepEqual(gr.MsgCount, wr.MsgCount) ||
+				!reflect.DeepEqual(gr.MsgBytes, wr.MsgBytes) {
+				t.Fatalf("%v warm run %d (injected=%v) diverged from the cold run: %v vs %v", algo, run, injected, gr, wr)
+			}
+			if injected && gr.Recoveries < 2 {
+				t.Fatalf("%v: Recoveries = %d, want >= 2", algo, gr.Recoveries)
+			}
+		}
+	}
+}

@@ -137,3 +137,27 @@ func weightedSum(rank []float64) float64 {
 	}
 	return s
 }
+
+// reuseState makes the worker's Scratch its State for a new Run and
+// returns it: the state the previous Run of the same algorithm left
+// behind, whose buffers are warm, or a fresh one the first time.
+func reuseState[T any](w *engine.WorkerCtx) *T {
+	st, _ := w.Scratch.(*T)
+	if st == nil {
+		st = new(T)
+		w.Scratch = st
+	}
+	w.State = st
+	return st
+}
+
+// sized returns s with length n and every element zero, reusing its
+// capacity when it suffices.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}

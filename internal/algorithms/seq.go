@@ -10,7 +10,6 @@ package algorithms
 
 import (
 	"container/heap"
-	"sort"
 
 	"adp/internal/graph"
 )
@@ -117,13 +116,10 @@ func intersectOrdered(g *graph.Graph, a, b []graph.VertexID, floor graph.VertexI
 	return n
 }
 
-// intersectAbove counts common elements of two sorted lists strictly
-// greater than floor (plain id order); kept for CN-style uses and
-// tests.
-func intersectAbove(a, b []graph.VertexID, floor graph.VertexID) int64 {
-	i := sort.Search(len(a), func(k int) bool { return a[k] > floor })
-	j := sort.Search(len(b), func(k int) bool { return b[k] > floor })
+// intersectSorted counts the common elements of two id-sorted lists.
+func intersectSorted(a, b []graph.VertexID) int64 {
 	var n int64
+	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
 		case a[i] < b[j]:

@@ -5,7 +5,6 @@ import (
 
 	"adp/internal/engine"
 	"adp/internal/graph"
-	"adp/internal/partition"
 )
 
 const kindTCCount uint8 = 30
@@ -24,10 +23,14 @@ func sortCost(n int) float64 {
 }
 
 type tcState struct {
-	exch *exchState
+	exch exchState
 	// total is worker 0's aggregate; kept in State so checkpoint
 	// rollback rewinds it (see cnState.total).
 	total int64
+	// Superstep-2 buffers, refilled there: the part of each full list
+	// above its vertex in the TC order, upper[upperOff[l]:upperOff[l+1]].
+	upper    []graph.VertexID
+	upperOff []int32
 }
 
 // Snapshot deep-copies the state for engine checkpointing.
@@ -36,47 +39,69 @@ func (st *tcState) Snapshot() any {
 }
 
 // RunTC counts the triangles of the cluster's (undirected) graph.
-// Triangle {a<b<c} is counted at the worker responsible for edge
+// Triangle {a≺b≺c} is counted at the worker responsible for edge
 // (a,b) after the neighbour exchange delivers full adjacency of split
 // vertices (the Fig. 1(e)/(f) communication TC incurs on v-cut
 // vertices). The total lands on worker 0.
+//
+// The count at edge (a,b) is |N⁺(a) ∩ N⁺(b)|, N⁺(x) being x's
+// neighbours above x in the TC order: c closes a triangle counted here
+// iff it neighbours both and b ≺ c, and a ≺ b ≺ c puts such a c in
+// N⁺(a) as well, the order being transitive. Each N⁺ is filtered out of
+// the full list once per vertex, so an edge merges two short upper
+// lists instead of two full hub lists; the charged work still follows
+// the full lists' lengths, the shape hTC learns.
 func RunTC(c *engine.Cluster) (int64, *engine.Report, error) {
 	g := c.Partition().Graph()
 	if !g.Undirected() {
 		return 0, nil, errors.New("algorithms: TC requires an undirected graph")
 	}
+	// leads: this worker counts the triangles of a's edge at position k.
+	leads := func(out *engine.Scan, a graph.VertexID, k int32) bool {
+		return out.Responsible(k) && TCLess(g, a, out.NbrID[k])
+	}
 	exch := &neighborExchange{
-		list: func(adj *partition.Adj) []graph.VertexID { return adj.Out },
-		needs: func(w *engine.WorkerCtx) map[graph.VertexID]bool {
-			need := map[graph.VertexID]bool{}
-			w.Fragment().Vertices(func(a graph.VertexID, adj *partition.Adj) {
-				for _, b := range adj.Out {
-					if TCLess(g, a, b) && w.ResponsibleFor(a, a, b) {
-						need[a] = true
-						need[b] = true
+		needs: func(w *engine.WorkerCtx, need []bool) {
+			out := w.OutScan()
+			for l, a := range w.Plan().IDs {
+				for k := out.Off[l]; k < out.Off[l+1]; k++ {
+					if leads(out, a, k) {
+						need[l], need[out.Nbr[k]] = true, true
 					}
 				}
-			})
-			return need
+			}
 		},
 	}
 	step := func(w *engine.WorkerCtx, s int, inbox []engine.Message) bool {
 		switch s {
 		case 0:
-			w.State = &tcState{exch: exch.step0(w)}
+			st := reuseState[tcState](w)
+			st.total = 0
+			exch.step0(w, &st.exch)
 			return false
 		case 1:
 			st := w.State.(*tcState)
-			exch.step1(w, st.exch, inbox)
+			exch.step1(w, &st.exch, inbox)
 			return false
 		case 2:
 			st := w.State.(*tcState)
-			exch.step2(w, st.exch, inbox)
+			exch.step2(w, &st.exch, inbox)
+			pl, out, full := w.Plan(), w.OutScan(), st.exch.full
+			st.upper, st.upperOff = st.upper[:0], sized(st.upperOff, len(pl.IDs)+1)
+			for l, a := range pl.IDs {
+				for _, c := range full[l] {
+					if TCLess(g, a, c) {
+						st.upper = append(st.upper, c)
+					}
+				}
+				st.upperOff[l+1] = int32(len(st.upper))
+			}
+			upper := func(l int32) []graph.VertexID { return st.upper[st.upperOff[l]:st.upperOff[l+1]] }
 			var count int64
-			w.Fragment().Vertices(func(a graph.VertexID, adj *partition.Adj) {
-				na := st.exch.full[a]
-				if na == nil {
-					return
+			for l, a := range pl.IDs {
+				na := full[l]
+				if len(na) == 0 {
+					continue
 				}
 				// Preparing a vertex costs dL (edge-list scan) plus
 				// dG·log(dG) (sorting/indexing its full neighbour
@@ -84,21 +109,22 @@ func RunTC(c *engine.Cluster) (int64, *engine.Report, error) {
 				// responsible here — the α·dL term of hTC, which the
 				// paper's learned model shows dominating until
 				// dL·dG grows large.
-				w.ChargeVertex(a, float64(len(adj.Out))+sortCost(len(na)))
-				for _, b := range adj.Out {
-					if !TCLess(g, a, b) || !w.ResponsibleFor(a, a, b) {
+				lo, hi := out.Off[l], out.Off[l+1]
+				w.ChargeVertex(a, float64(hi-lo)+sortCost(len(na)))
+				for k := lo; k < hi; k++ {
+					if !leads(out, a, k) {
 						continue
 					}
-					nb := st.exch.full[b]
-					count += intersectOrdered(g, na, nb, b)
+					lb := out.Nbr[k]
+					count += intersectSorted(upper(int32(l)), upper(lb))
 					// Each endpoint pays for scanning its own list:
 					// a vertex's total cost is then (edges it leads)
 					// × its degree — the β·dL·dG shape of hTC —
 					// rather than inheriting its neighbours' degrees.
 					w.ChargeVertex(a, float64(len(na)))
-					w.ChargeVertex(b, float64(len(nb)))
+					w.ChargeVertex(out.NbrID[k], float64(len(full[lb])))
 				}
-			})
+			}
 			w.Send(0, engine.Message{Kind: kindTCCount, Data: []float64{float64(count)}})
 			return false
 		case 3:

@@ -224,7 +224,9 @@ func Perf() (*PerfReport, error) {
 	add("fragment_has_arc_map", probe(p.Clone()))
 	add("fragment_has_arc_csr", probe(p.Clone().Compile()))
 
-	// Micro: per-arc ownership probes on the compiled bitset path.
+	// Micro: arc ownership at every worker, first as per-arc probes
+	// (a binary search each: what fills the scan plan), then as the
+	// algorithms read it: the plan's cached bit per in-list position.
 	c := engine.NewCluster(p)
 	add("responsible_for_csr", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -233,6 +235,23 @@ func Perf() (*PerfReport, error) {
 			for _, a := range arcsList {
 				for w := 0; w < p.NumFragments(); w++ {
 					if c.Worker(w).Responsible(a.u, a.v) {
+						owners++
+					}
+				}
+			}
+		}
+		if owners != len(arcsList)*b.N {
+			b.Fatalf("owners = %d", owners)
+		}
+	}))
+	add("responsible_for_plan", testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		owners := 0
+		for i := 0; i < b.N; i++ {
+			for w := 0; w < p.NumFragments(); w++ {
+				in := c.Worker(w).InScan()
+				for k := range in.Nbr {
+					if in.Responsible(int32(k)) {
 						owners++
 					}
 				}

@@ -13,12 +13,13 @@
 // samples [X(v), t(v)] from.
 //
 // The hot path is flat (see DESIGN.md "Data layout"): the cluster
-// compiles its partition at construction so fragment accessors are
-// array reads and binary searches, arc responsibility is a bitset over
-// compiled arc slots, per-vertex cost charging is dense, and the
-// message plane reuses its outbox/inbox buffers and scalar payload
-// arenas — the steady-state superstep loop performs no heap
-// allocations (locked in by TestSteadyStateZeroAllocs).
+// compiles its partition at construction, each worker derives a scan
+// plan from it on first use (plan.go: adjacency by local id, arc
+// responsibility as one cached bit per list position), per-vertex cost
+// charging is dense, and the message plane reuses its outbox/inbox
+// buffers and scalar payload arenas across supersteps and Runs — the
+// steady-state superstep loop performs no heap allocations (locked in
+// by TestSteadyStateZeroAllocs).
 package engine
 
 import (
@@ -121,12 +122,18 @@ type Cluster struct {
 	workers []*WorkerCtx
 	// foreignArc[i] is a bitset over fragment i's compiled arc slots:
 	// bit k set means a lower fragment also stores arc slot k, so this
-	// worker is not responsible for it. Replaces the former
-	// per-fragment map[uint64]bool with two array loads per probe.
+	// worker is not responsible for it.
 	foreignArc [][]uint64
 	// computeFrag[v] is the fragment of v's e-cut node, or -1 when v
 	// is v-cut (computation split across copies).
 	computeFrag []int32
+
+	// inboxes, halts and redeliv are the barrier's per-worker buffers,
+	// kept here so their capacity survives Runs: a Run truncates the
+	// inboxes at its start and zeroes their slots at its end.
+	inboxes [][]Message
+	halts   []bool
+	redeliv []int64
 
 	recordCosts bool
 	// pl executes superstep fan-outs and message routing; defaults to
@@ -142,7 +149,9 @@ type Cluster struct {
 // while the cluster is in use (a mutation drops the compiled form and
 // the responsibility index would go stale).
 func NewCluster(p *partition.Partition) *Cluster {
-	c := &Cluster{p: p, n: p.NumFragments(), pl: pool.Default()}
+	n := p.NumFragments()
+	c := &Cluster{p: p, n: n, pl: pool.Default(),
+		inboxes: make([][]Message, n), halts: make([]bool, n), redeliv: make([]int64, n)}
 	p.Compile()
 	c.buildResponsibility()
 	c.workers = make([]*WorkerCtx, c.n)
@@ -190,33 +199,43 @@ func (c *Cluster) Worker(i int) *WorkerCtx { return c.workers[i] }
 // buildResponsibility computes, for every replicated arc, which
 // fragments are NOT responsible for it (every arc's responsible owner
 // is its lowest-id holder), plus each vertex's compute fragment.
-// Algorithms that must process each arc of G exactly once filter
-// through ResponsibleFor. The result is one bitset per fragment,
-// indexed by compiled arc slot.
+// The result is one bitset per fragment, indexed by compiled arc slot.
+//
+// A fragment storing an arc holds a copy of its source, so only a
+// replicated source's arcs can be stored twice, and keys sort by source,
+// so each copy's out-arcs are one run of its fragment's key array.
+// Walking a border vertex's runs in ascending fragment order, stamping
+// each target with the source, finds every arc a lower fragment already
+// stores: one pass over those runs, no arc hashed.
 func (c *Cluster) buildResponsibility() {
-	seen := make(map[uint64]bool, c.p.Graph().NumEdges())
+	packed := make([]partition.Packed, c.n)
 	c.foreignArc = make([][]uint64, c.n)
-	for i := 0; i < c.n; i++ {
-		f := c.p.Fragment(i)
-		bits := make([]uint64, (f.NumArcSlots()+63)/64)
-		f.ArcSlots(func(slot int, u, v graph.VertexID) {
-			k := uint64(u)<<32 | uint64(v)
-			if seen[k] {
-				bits[slot>>6] |= 1 << (uint(slot) & 63)
-			} else {
-				seen[k] = true
-			}
-		})
-		c.foreignArc[i] = bits
+	for i := range packed {
+		packed[i] = c.p.Fragment(i).Packed()
+		c.foreignArc[i] = make([]uint64, (len(packed[i].Arcs)+63)/64)
 	}
 	nv := c.p.Graph().NumVertices()
 	c.computeFrag = make([]int32, nv)
-	for v := 0; v < nv; v++ {
-		c.computeFrag[v] = -1
-		for _, i := range c.p.Copies(graph.VertexID(v)) {
-			if c.p.Status(int(i), graph.VertexID(v)) == partition.ECutNode {
-				c.computeFrag[v] = i
-				break
+	// seen[t] == v+1: a fragment visited earlier stores the arc (v,t).
+	seen := make([]uint32, nv)
+	for vi := 0; vi < nv; vi++ {
+		v := graph.VertexID(vi)
+		c.computeFrag[v] = int32(c.p.CompleteFragment(v))
+		copies := c.p.Copies(v)
+		if len(copies) < 2 {
+			continue
+		}
+		for _, i := range copies {
+			pk, foreign := &packed[i], c.foreignArc[i]
+			l := pk.Local[v]
+			first := int(pk.ArcOff[l])
+			for k, key := range pk.Arcs[first:pk.ArcOff[l+1]] {
+				if t := uint32(key); seen[t] == uint32(v)+1 {
+					slot := first + k
+					foreign[slot>>6] |= 1 << (uint(slot) & 63)
+				} else {
+					seen[t] = uint32(v) + 1
+				}
 			}
 		}
 	}
@@ -261,7 +280,8 @@ func (c *Cluster) Run(init func(w *WorkerCtx), step StepFunc, maxSupersteps int)
 // are truncated and refilled in place, and SendVal payloads come from
 // the workers' double-buffered arenas. Per-superstep heap traffic is
 // therefore zero once buffer capacities stabilise (checkpoints and
-// recoveries, which clone state by design, are the exception).
+// recoveries, which clone state by design, are the exception), and
+// the buffers belong to the cluster, so the next Run finds them warm.
 func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step StepFunc, maxSupersteps int) (*Report, error) {
 	if c.opts.MaxSupersteps > 0 {
 		maxSupersteps = c.opts.MaxSupersteps
@@ -292,20 +312,20 @@ func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step Step
 	if err := ctx.Err(); err != nil {
 		return fail("cancelled before start", err)
 	}
-	for _, w := range c.workers {
+	inboxes, halts, redeliv := c.inboxes, c.halts, c.redeliv
+	for i, w := range c.workers {
 		w.reset()
+		inboxes[i] = inboxes[i][:0]
 	}
+	defer c.releaseMessages()
 	if init != nil {
 		c.parallel(func(w *WorkerCtx) { init(w) })
 	}
-	inboxes := make([][]Message, c.n)
-	halts := make([]bool, c.n)
-	redeliv := make([]int64, c.n)
 	var ck *checkpoint
 	lastCk := -1
 	if ckEvery > 0 {
 		var err error
-		if ck, err = c.snapshot(0, inboxes, rep); err != nil {
+		if ck, err = c.snapshot(0, rep); err != nil {
 			return fail("checkpoint failed", err)
 		}
 		lastCk = 0
@@ -377,7 +397,7 @@ func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step Step
 		if attempts > maxRec {
 			return cause
 		}
-		c.restore(ck, inboxes, rep)
+		c.restore(ck, rep)
 		s = ck.next - 1 // loop increment resumes at ck.next
 		return nil
 	}
@@ -388,7 +408,7 @@ func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step Step
 		}
 		// Periodic barrier checkpoint.
 		if ck != nil && s > lastCk && s%ckEvery == 0 {
-			nck, err := c.snapshot(s, inboxes, rep)
+			nck, err := c.snapshot(s, rep)
 			if err != nil {
 				return fail("checkpoint failed", err)
 			}
@@ -501,6 +521,19 @@ func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step Step
 	return fail(fmt.Sprintf("no convergence within %d supersteps", maxSupersteps), nil)
 }
 
+// releaseMessages zeroes the retained inboxes and outboxes when a Run
+// ends, up to their capacity (a slot past the current length can hold a
+// message of an earlier superstep), so a warm cluster's buffers pin no
+// Adj or Data payload of a finished run.
+func (c *Cluster) releaseMessages() {
+	for i, w := range c.workers {
+		clear(c.inboxes[i][:cap(c.inboxes[i])])
+		for _, msgs := range w.outbox {
+			clear(msgs[:cap(msgs)])
+		}
+	}
+}
+
 // parallel runs fn once per worker on the cluster's pool. Each
 // invocation only touches its own WorkerCtx (and slot-indexed result
 // slices), so the superstep barrier is exactly the Run return.
@@ -555,8 +588,15 @@ type WorkerCtx struct {
 	vertexComp []float64
 	vertexComm []float64
 
-	// State is scratch space owned by the running algorithm.
+	// State is the running algorithm's per-Run state; reset clears it.
 	State any
+	// Scratch is the running algorithm's reusable buffers: it survives
+	// reset, so a later Run of the same algorithm finds them warm (one
+	// that finds another's scratch replaces it). Checkpoints cover State
+	// alone, so nothing a rollback must rewind may live only here.
+	Scratch any
+	// plan is built on first use (see plan.go).
+	plan *Plan
 }
 
 // reset truncates the reusable buffers (keeping their capacity) and
@@ -590,9 +630,6 @@ func (w *WorkerCtx) Fragment() *partition.Fragment { return w.frag }
 // as Master/Copies/Status are allowed; mutation is not).
 func (w *WorkerCtx) Partition() *partition.Partition { return w.cluster.p }
 
-// Graph returns the underlying graph (read-only).
-func (w *WorkerCtx) Graph() *graph.Graph { return w.cluster.p.Graph() }
-
 // foreignBit reports whether the arc slot is owned by a lower
 // fragment: two array loads against the responsibility bitset.
 func (w *WorkerCtx) foreignBit(slot int) bool {
@@ -605,10 +642,7 @@ func (w *WorkerCtx) foreignBit(slot int) bool {
 // exactly once.
 func (w *WorkerCtx) Responsible(u, v graph.VertexID) bool {
 	slot, ok := w.frag.ArcIndex(u, v)
-	if !ok {
-		return false
-	}
-	return !w.foreignBit(slot)
+	return ok && !w.foreignBit(slot)
 }
 
 // ResponsibleFor reports whether this worker processes the arc (u,v)
@@ -619,14 +653,21 @@ func (w *WorkerCtx) Responsible(u, v graph.VertexID) bool {
 // deduplicated to the lowest holder. Exactly one worker is responsible
 // per (subject, arc) pair, and migrating or splitting the subject
 // moves its work accordingly.
+//
+// A per-arc probe (a binary search): algorithms read the scan plan,
+// which caches the answer for every list position.
 func (w *WorkerCtx) ResponsibleFor(subject, u, v graph.VertexID) bool {
-	slot, ok := w.frag.ArcIndex(u, v)
-	if !ok {
-		return false
-	}
+	return w.frag.HasArc(u, v) && w.responsibleStored(subject, u, v)
+}
+
+// responsibleStored is the placement rule itself, for an arc this
+// worker is known to store — the one definition ResponsibleFor answers
+// from and the scan plan is filled by.
+func (w *WorkerCtx) responsibleStored(subject, u, v graph.VertexID) bool {
 	if cf := w.cluster.computeFrag[subject]; cf >= 0 {
 		return int(cf) == w.id
 	}
+	slot, _ := w.frag.ArcIndex(u, v)
 	return !w.foreignBit(slot)
 }
 
@@ -660,18 +701,6 @@ func (w *WorkerCtx) AppendMirrors(dst []int, v graph.VertexID) []int {
 		}
 	}
 	return dst
-}
-
-// Mirrors returns the fragments holding copies of v other than this
-// worker. Allocates; hot paths use AppendMirrors with a scratch
-// slice.
-func (w *WorkerCtx) Mirrors(v graph.VertexID) []int {
-	return w.AppendMirrors(nil, v)
-}
-
-// IsMaster reports whether this worker hosts v's master copy.
-func (w *WorkerCtx) IsMaster(v graph.VertexID) bool {
-	return w.cluster.p.Master(v) == w.id
 }
 
 // AddWork charges units of computation to this worker in the current

@@ -177,7 +177,7 @@ func TestHarvestSamples(t *testing.T) {
 	step := func(w *WorkerCtx, s int, inbox []Message) bool {
 		w.Fragment().Vertices(func(v graph.VertexID, adj *partition.Adj) {
 			w.ChargeVertex(v, float64(adj.LocalDegree()))
-			if p.IsBorder(v) && w.IsMaster(v) {
+			if p.IsBorder(v) && p.Master(v) == w.ID() {
 				w.ChargeVertexComm(v, 2)
 			}
 		})

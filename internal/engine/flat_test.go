@@ -51,7 +51,7 @@ func TestCostRecordingSurvivesConsecutiveRuns(t *testing.T) {
 	step := func(w *WorkerCtx, s int, inbox []Message) bool {
 		w.Fragment().Vertices(func(v graph.VertexID, adj *partition.Adj) {
 			w.ChargeVertex(v, float64(adj.LocalDegree()))
-			if p.IsBorder(v) && w.IsMaster(v) {
+			if p.IsBorder(v) && p.Master(v) == w.ID() {
 				w.ChargeVertexComm(v, 2)
 			}
 		})
@@ -110,48 +110,11 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// legacyResponsibility replicates the pre-CSR map-probe ownership test
-// (fragment arc-set map probe + foreign-arc map probe) as the baseline
-// for BenchmarkResponsibleFor.
-type legacyResponsibility struct {
-	arcs    []map[uint64]struct{}
-	foreign []map[uint64]bool
-}
-
-func newLegacyResponsibility(p *partition.Partition) *legacyResponsibility {
-	n := p.NumFragments()
-	lr := &legacyResponsibility{
-		arcs:    make([]map[uint64]struct{}, n),
-		foreign: make([]map[uint64]bool, n),
-	}
-	seen := make(map[uint64]bool)
-	for i := 0; i < n; i++ {
-		lr.arcs[i] = make(map[uint64]struct{})
-		lr.foreign[i] = make(map[uint64]bool)
-		p.Fragment(i).ArcSlots(func(_ int, u, v graph.VertexID) {
-			k := uint64(u)<<32 | uint64(v)
-			lr.arcs[i][k] = struct{}{}
-			if seen[k] {
-				lr.foreign[i][k] = true
-			} else {
-				seen[k] = true
-			}
-		})
-	}
-	return lr
-}
-
-func (lr *legacyResponsibility) responsible(i int, u, v graph.VertexID) bool {
-	k := uint64(u)<<32 | uint64(v)
-	if _, ok := lr.arcs[i][k]; !ok {
-		return false
-	}
-	return !lr.foreign[i][k]
-}
-
-// BenchmarkResponsibleFor probes arc ownership for every graph arc at
-// every worker — the inner-loop shape of the PR/TC/CN algorithms —
-// comparing the pre-PR map probes against the compiled bitset path.
+// BenchmarkResponsibleFor resolves arc responsibility for every in-arc
+// of the graph at every worker, the way the PR and CN kernels meet it:
+// "probe" asks ResponsibleFor per arc (a binary search each — what the
+// kernels did before the scan plan and what fills it), "plan" reads the
+// cached bit per list position of a built plan.
 func BenchmarkResponsibleFor(b *testing.B) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 4000, AvgDeg: 8, Exponent: 2.1, Directed: true, Seed: 7})
 	assign := make([]int, g.NumVertices())
@@ -163,45 +126,81 @@ func BenchmarkResponsibleFor(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := NewCluster(p)
-	type arc struct{ u, v graph.VertexID }
-	var arcsList []arc
-	g.Edges(func(u, v graph.VertexID) bool {
-		arcsList = append(arcsList, arc{u, v})
-		return true
+	b.Run("probe", func(b *testing.B) {
+		b.ReportAllocs()
+		owners := 0
+		for i := 0; i < b.N; i++ {
+			for _, w := range c.workers {
+				w.frag.Vertices(func(v graph.VertexID, adj *partition.Adj) {
+					for _, u := range adj.In {
+						if w.ResponsibleFor(v, u, v) {
+							owners++
+						}
+					}
+				})
+			}
+		}
+		if owners != int(g.NumEdges())*b.N {
+			b.Fatalf("owners = %d", owners)
+		}
 	})
-
-	b.Run("map", func(b *testing.B) {
-		lr := newLegacyResponsibility(p)
+	b.Run("plan", func(b *testing.B) {
+		for _, w := range c.workers {
+			w.InScan()
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		owners := 0
 		for i := 0; i < b.N; i++ {
-			for _, a := range arcsList {
-				for w := 0; w < c.n; w++ {
-					if lr.responsible(w, a.u, a.v) {
+			for _, w := range c.workers {
+				in := w.InScan()
+				for k := range in.Nbr {
+					if in.Responsible(int32(k)) {
 						owners++
 					}
 				}
 			}
 		}
-		if owners != len(arcsList)*b.N {
+		if owners != int(g.NumEdges())*b.N {
 			b.Fatalf("owners = %d", owners)
 		}
 	})
-	b.Run("csr", func(b *testing.B) {
-		b.ReportAllocs()
-		owners := 0
-		for i := 0; i < b.N; i++ {
-			for _, a := range arcsList {
-				for w := 0; w < c.n; w++ {
-					if c.Worker(w).Responsible(a.u, a.v) {
-						owners++
+}
+
+// The inboxes and outboxes keep their capacity between Runs but must
+// not keep a finished run's messages alive: every slot, including those
+// past the final length, is zero once Run returns — also on a failed
+// run.
+func TestRunReleasesMessagePayloads(t *testing.T) {
+	c := testCluster(t, 2).UsePool(pool.Serial())
+	step := func(w *WorkerCtx, s int, inbox []Message) bool {
+		if s < 3 {
+			// Fewer messages each superstep, so stale slots trail the
+			// final length.
+			for i := s; i < 3; i++ {
+				w.Send(1-w.ID(), Message{V: graph.VertexID(i), Adj: []graph.VertexID{1, 2, 3}})
+			}
+			return false
+		}
+		return true
+	}
+	for _, budget := range []int{6, 2} { // converges; runs out of supersteps
+		_, err := c.Run(nil, step, budget)
+		if (err != nil) != (budget == 2) {
+			t.Fatalf("budget %d: err = %v", budget, err)
+		}
+		for i, w := range c.workers {
+			boxes := append([][]Message{c.inboxes[i]}, w.outbox...)
+			for _, box := range boxes {
+				for _, m := range box[:cap(box)] {
+					if m.Adj != nil || m.Data != nil || m.V != 0 {
+						t.Fatalf("budget %d worker %d: retained message %+v after Run", budget, i, m)
 					}
 				}
 			}
+			if cap(c.inboxes[i]) == 0 {
+				t.Fatalf("budget %d worker %d: inbox capacity not retained", budget, i)
+			}
 		}
-		if owners != len(arcsList)*b.N {
-			b.Fatalf("owners = %d", owners)
-		}
-	})
+	}
 }

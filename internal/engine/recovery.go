@@ -2,9 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"adp/internal/fault"
-	"adp/internal/graph"
 )
 
 // checkpoint is one globally consistent snapshot taken at a superstep
@@ -31,30 +31,23 @@ type checkpoint struct {
 	comm [][]float64
 }
 
-// cloneMessages deep-copies a message batch, including payload slices,
-// so replayed supersteps cannot mutate checkpointed traffic (SendVal
-// payloads in particular live in arenas that replay overwrites).
-func cloneMessages(msgs []Message) []Message {
-	if msgs == nil {
-		return nil
+// appendClones appends deep copies of a message batch to dst, payload
+// slices included, so replayed supersteps cannot mutate checkpointed
+// traffic (SendVal payloads in particular live in arenas that replay
+// overwrites). snapshot clones into fresh memory; restore passes the
+// retained, truncated box so its capacity survives a rollback.
+func appendClones(dst, msgs []Message) []Message {
+	dst = slices.Grow(dst, len(msgs))
+	for _, m := range msgs {
+		dst = append(dst, Message{V: m.V, Kind: m.Kind, Data: slices.Clone(m.Data), Adj: slices.Clone(m.Adj)})
 	}
-	out := make([]Message, len(msgs))
-	for i, m := range msgs {
-		out[i] = Message{V: m.V, Kind: m.Kind}
-		if m.Data != nil {
-			out[i].Data = append([]float64(nil), m.Data...)
-		}
-		if m.Adj != nil {
-			out[i].Adj = append([]graph.VertexID(nil), m.Adj...)
-		}
-	}
-	return out
+	return dst
 }
 
 // snapshot captures the barrier state before superstep next. Worker
 // states must be nil or implement Snapshotter (and so must the values
 // Snapshot returns, see the interface contract).
-func (c *Cluster) snapshot(next int, inboxes [][]Message, rep *Report) (*checkpoint, error) {
+func (c *Cluster) snapshot(next int, rep *Report) (*checkpoint, error) {
 	ck := &checkpoint{
 		next:      next,
 		states:    make([]any, c.n),
@@ -84,10 +77,10 @@ func (c *Cluster) snapshot(next int, inboxes [][]Message, rep *Report) (*checkpo
 		}
 		outb := make([][]Message, c.n)
 		for d, msgs := range w.outbox {
-			outb[d] = cloneMessages(msgs)
+			outb[d] = appendClones(nil, msgs)
 		}
 		ck.outboxes[i] = outb
-		ck.inboxes[i] = cloneMessages(inboxes[i])
+		ck.inboxes[i] = appendClones(nil, c.inboxes[i])
 		if c.recordCosts {
 			ck.comp[i] = append([]float64(nil), w.vertexComp...)
 			ck.comm[i] = append([]float64(nil), w.vertexComm...)
@@ -99,23 +92,21 @@ func (c *Cluster) snapshot(next int, inboxes [][]Message, rep *Report) (*checkpo
 // restore rolls every worker, the in-flight inboxes and the report
 // accumulators back to the checkpoint barrier. Stored states are
 // re-cloned (not handed out) so the checkpoint survives any number of
-// subsequent rollbacks untouched. Outboxes and inboxes are cloned into
-// fresh memory, which also detaches replay from the workers' SendVal
-// arenas — replay refills the arenas from the checkpointed superstep
-// onward.
-func (c *Cluster) restore(ck *checkpoint, inboxes [][]Message, rep *Report) {
+// subsequent rollbacks untouched. Outboxes and inboxes are refilled in
+// place with clones whose payloads live in fresh memory, which also
+// detaches replay from the workers' SendVal arenas — replay refills
+// the arenas from the checkpointed superstep onward.
+func (c *Cluster) restore(ck *checkpoint, rep *Report) {
 	for i, w := range c.workers {
 		if ck.states[i] == nil {
 			w.State = nil
 		} else {
 			w.State = ck.states[i].(Snapshotter).Snapshot()
 		}
-		outb := make([][]Message, c.n)
 		for d, msgs := range ck.outboxes[i] {
-			outb[d] = cloneMessages(msgs)
+			w.outbox[d] = appendClones(w.outbox[d][:0], msgs)
 		}
-		w.outbox = outb
-		inboxes[i] = cloneMessages(ck.inboxes[i])
+		c.inboxes[i] = appendClones(c.inboxes[i][:0], ck.inboxes[i])
 		w.arenas[0] = w.arenas[0][:0]
 		w.arenas[1] = w.arenas[1][:0]
 		if c.recordCosts {

@@ -66,7 +66,7 @@ func TestResponsibleForVCutSplit(t *testing.T) {
 	})
 }
 
-func TestMirrorsAndIsMaster(t *testing.T) {
+func TestAppendMirrors(t *testing.T) {
 	g := gen.ErdosRenyi(80, 4, true, 5)
 	assign := make([]int, g.NumVertices())
 	for v := range assign {
@@ -79,27 +79,16 @@ func TestMirrorsAndIsMaster(t *testing.T) {
 	c := NewCluster(p)
 	for v := 0; v < g.NumVertices(); v++ {
 		vid := graph.VertexID(v)
-		masterCount := 0
 		for i := 0; i < 3; i++ {
-			w := c.Worker(i)
-			if w.IsMaster(vid) {
-				masterCount++
-				if !p.Fragment(i).Has(vid) {
-					t.Fatalf("master of %d at fragment %d without a copy", v, i)
-				}
-			}
-			mirrors := w.Mirrors(vid)
+			mirrors := c.Worker(i).AppendMirrors(nil, vid)
 			if want := len(p.Copies(vid)); p.Fragment(i).Has(vid) && len(mirrors) != want-1 {
 				t.Fatalf("vertex %d: %d mirrors from fragment %d, want %d", v, len(mirrors), i, want-1)
 			}
 			for _, mi := range mirrors {
 				if mi == i {
-					t.Fatalf("Mirrors(%d) includes self", v)
+					t.Fatalf("AppendMirrors(%d) includes self", v)
 				}
 			}
-		}
-		if masterCount != 1 {
-			t.Fatalf("vertex %d has %d masters", v, masterCount)
 		}
 	}
 }

@@ -29,8 +29,8 @@ type compiledFragment struct {
 	outAdj []graph.VertexID
 	inAdj  []graph.VertexID
 	// arcs is the sorted arc-key array; the index of a key is the
-	// fragment's arc slot, which the engine's responsibility bitsets
-	// are indexed by.
+	// fragment's arc slot, which the engine's responsibility index is
+	// keyed by.
 	arcs []uint64
 	// arcOff[l] is the first index in arcs whose source is ids[l]
 	// (arcOff[len(ids)] = len(arcs)): keys sort by source first, so a
@@ -227,22 +227,6 @@ func (c *compiledFragment) arcIndex(u, v graph.VertexID) (int, bool) {
 	return 0, false
 }
 
-// LocalIndex returns the compiled-form local id of v, or -1 when v has
-// no copy here. Only valid on a compiled fragment (engine execution);
-// algorithms use it to keep per-vertex state in dense slices instead
-// of maps.
-func (f *Fragment) LocalIndex(v graph.VertexID) int {
-	c := f.compiled()
-	if int(v) >= len(c.local) {
-		return -1
-	}
-	return int(c.local[v])
-}
-
-// VertexAt returns the vertex with compiled local id l (the inverse of
-// LocalIndex). Only valid on a compiled fragment.
-func (f *Fragment) VertexAt(l int) graph.VertexID { return f.compiled().ids[l] }
-
 // LocalRemap returns a copy of the compiled local-id remap padded to
 // numVertices (-1 for vertices with no copy here) plus the number of
 // local slots, or (nil, 0) when the fragment is not compiled (it has
@@ -269,16 +253,32 @@ func (f *Fragment) ArcIndex(u, v graph.VertexID) (int, bool) {
 	return f.compiled().arcIndex(u, v)
 }
 
-// NumArcSlots returns the compiled arc-array length (equal to NumArcs;
-// the engine sizes its responsibility bitsets with it). Only valid on
-// a compiled or compressed fragment (the latter inflates on demand).
-func (f *Fragment) NumArcSlots() int { return len(f.compiled().arcs) }
+// Packed is a read-only view of a compiled fragment's arrays, for
+// consumers that address the fragment by index instead of by vertex id
+// (the engine builds its scan plans and responsibility index from it).
+// The slices are the fragment's own and are shared with clones and
+// epochs: callers must not write them.
+type Packed struct {
+	// IDs[l] is the vertex with local id l, ascending; Local is the
+	// inverse remap, -1 where the fragment holds no copy.
+	IDs   []graph.VertexID
+	Local []int32
+	// Adjs[l] is the adjacency of IDs[l]. Its lists are windows into
+	// Out and In, where the lists of consecutive local ids lie back to
+	// back, so a running sum of their lengths addresses both arrays.
+	Adjs    []Adj
+	Out, In []graph.VertexID
+	// Arcs is the sorted arc-key array; the index of a key is the
+	// fragment's arc slot. ArcOff[l]:ArcOff[l+1] are the slots whose
+	// source is IDs[l] and, every out-arc being one key, also where
+	// Adjs[l].Out lies in Out.
+	Arcs   []uint64
+	ArcOff []int32
+}
 
-// ArcSlots calls fn for every compiled arc slot in ascending key
-// order, decoding the (u,v) endpoints. Only valid on a compiled
-// fragment.
-func (f *Fragment) ArcSlots(fn func(slot int, u, v graph.VertexID)) {
-	for k, key := range f.compiled().arcs {
-		fn(k, graph.VertexID(key>>32), graph.VertexID(key&0xffffffff))
-	}
+// Packed returns the view. Only valid on a compiled or compressed
+// fragment (the latter inflates on demand).
+func (f *Fragment) Packed() Packed {
+	c := f.compiled()
+	return Packed{IDs: c.ids, Local: c.local, Adjs: c.adjs, Out: c.outAdj, In: c.inAdj, Arcs: c.arcs, ArcOff: c.arcOff}
 }

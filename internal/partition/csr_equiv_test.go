@@ -55,16 +55,33 @@ func sameFragment(t *testing.T, p, q *partition.Partition, i int) {
 	t.Helper()
 	sameReads(t, p, q, i)
 	f, cf := p.Fragment(i), q.Fragment(i)
-	if f.NumArcs() != cf.NumArcSlots() {
-		t.Fatalf("frag %d: NumArcs %d vs NumArcSlots %d", i, f.NumArcs(), cf.NumArcSlots())
+	pk := cf.Packed()
+	if slots := len(pk.Arcs); f.NumArcs() != slots || len(pk.Out) != slots || len(pk.In) != slots {
+		t.Fatalf("frag %d: NumArcs %d vs %d arc slots, %d out and %d in entries", i, f.NumArcs(), slots, len(pk.Out), len(pk.In))
 	}
-	l := 0
-	cf.Vertices(func(v graph.VertexID, _ *partition.Adj) {
-		if cf.LocalIndex(v) != l || cf.VertexAt(l) != v {
-			t.Fatalf("frag %d vertex %d: LocalIndex/VertexAt roundtrip broke (l=%d)", i, v, l)
+	// The packed view is what the engine's scan plan addresses by
+	// index: local ids walk Vertices' order, the lists of consecutive
+	// local ids lie back to back in Out and In, ArcOff is the running
+	// out-degree, and an arc's slot lies in its source's ArcOff range.
+	l, out, in := 0, 0, 0
+	cf.Vertices(func(v graph.VertexID, adj *partition.Adj) {
+		if pk.IDs[l] != v || int(pk.Local[v]) != l {
+			t.Fatalf("frag %d vertex %d: packed IDs/Local roundtrip broke (l=%d)", i, v, l)
 		}
-		l++
+		if int(pk.ArcOff[l]) != out || !slices.Equal(pk.Adjs[l].Out, adj.Out) || !slices.Equal(pk.Adjs[l].In, adj.In) ||
+			!slices.Equal(pk.Out[out:out+len(adj.Out)], adj.Out) || !slices.Equal(pk.In[in:in+len(adj.In)], adj.In) {
+			t.Fatalf("frag %d vertex %d: packed lists do not lie at out %d / in %d", i, v, out, in)
+		}
+		for _, x := range adj.Out {
+			if slot, ok := cf.ArcIndex(v, x); !ok || slot < out || slot >= out+len(adj.Out) || pk.Arcs[slot] != uint64(v)<<32|uint64(x) {
+				t.Fatalf("frag %d arc (%d,%d): slot %d outside its source's range [%d,%d)", i, v, x, slot, out, out+len(adj.Out))
+			}
+		}
+		l, out, in = l+1, out+len(adj.Out), in+len(adj.In)
 	})
+	if len(pk.IDs) != l || int(pk.ArcOff[l]) != out || !slices.IsSorted(pk.Arcs) {
+		t.Fatalf("frag %d: packed view ends at %d ids / offset %d, walk at %d / %d", i, len(pk.IDs), pk.ArcOff[l], l, out)
+	}
 }
 
 // sameReads compares what the form-independent accessors answer for

@@ -89,18 +89,6 @@ func BenchmarkAblations(b *testing.B) { benchExperiment(b, "ablation") }
 // cost model.
 func BenchmarkGingerSweep(b *testing.B) { benchExperiment(b, "gingersweep") }
 
-// poolModes are the two scheduling strategies the runtime guards
-// compare: the shared bounded pool every hot path now runs on, and the
-// goroutine-per-item fan-out it replaced (pool.Unbounded, kept only as
-// this baseline).
-var poolModes = []struct {
-	name string
-	pl   func() *pool.Pool
-}{
-	{"pooled", pool.Default},
-	{"spawn-per-item", pool.Unbounded},
-}
-
 var migrateFixture struct {
 	once sync.Once
 	base *partition.Partition
@@ -129,27 +117,20 @@ func migrateSetup(b *testing.B) (*partition.Partition, costmodel.CostModel) {
 
 // BenchmarkParallelMigrate guards the refiner hot path: the full
 // ParE2H schedule (concurrent probe passes at every superstep) on the
-// shared pool versus the goroutine-per-probe baseline. allocs/op is
-// the headline number — per-item spawning pays two allocations per
-// probe before any refinement work happens.
+// shared pool, allocs/op reported.
 func BenchmarkParallelMigrate(b *testing.B) {
 	base, m := migrateSetup(b)
-	for _, mode := range poolModes {
-		b.Run(mode.name, func(b *testing.B) {
-			pl := mode.pl()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := base.Clone()
-				refine.ParE2H(p, m, refine.Config{Pool: pl})
-			}
-		})
+	pl := pool.Default()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := base.Clone()
+		refine.ParE2H(p, m, refine.Config{Pool: pl})
 	}
 }
 
 // BenchmarkEngineRun guards the BSP engine: five PageRank supersteps
-// over an 8-fragment cluster, scheduled on the shared pool versus
-// goroutine-per-fragment spawning, allocs/op reported.
+// over an 8-fragment cluster on the shared pool, allocs/op reported.
 func BenchmarkEngineRun(b *testing.B) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 6000, AvgDeg: 8, Exponent: 2.1, Directed: true, Seed: 23})
 	p, err := partitioner.FennelEdgeCut(g, 8, partitioner.FennelConfig{})
@@ -157,16 +138,12 @@ func BenchmarkEngineRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := algorithms.Options{PRIterations: 5}
-	for _, mode := range poolModes {
-		b.Run(mode.name, func(b *testing.B) {
-			pl := mode.pl()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := algorithms.Run(engine.NewCluster(p).UsePool(pl), costmodel.PR, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	pl := pool.Default()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := algorithms.Run(engine.NewCluster(p).UsePool(pl), costmodel.PR, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

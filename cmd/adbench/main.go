@@ -9,7 +9,8 @@
 //
 // Every table's numbers are identical for any -workers value (the
 // shared pool guarantees schedule-independent output); the flag only
-// trades wall time against CPU.
+// trades wall time against CPU. Performance is judged by
+// `bash benchmark/run.sh` (BENCHMARK.json), not here.
 package main
 
 import (
@@ -26,92 +27,33 @@ import (
 	"adp/internal/prof"
 )
 
-func main() {
-	workers := flag.Int("workers", 0, "worker-pool size for all parallel phases (0 = GOMAXPROCS, 1 = single-threaded)")
-	seed := flag.Int64("seed", 1, "seed for rand:N fault schedules")
-	timeout := flag.Duration("timeout", 0, "abort the remaining experiments after this duration (0 = no timeout)")
-	faultSpec := flag.String("faults", "", `fault schedule injected into every engine run: grammar spec or "rand:N" (costs are unchanged by design)`)
-	jsonPath := flag.String("json", "", "run the engine/partition perf suite and write the machine-readable report (e.g. BENCH_4.json) to this path, then exit")
-	against := flag.String("against", "", "with -json: gate against this prior report (engine_run ns/op, plus allocs/op and bytes/op of every shared series) and exit 1 on a >20% regression")
-	serveLoad := flag.Bool("serve-load", false, "run the serving-plane load measurement (boots adserve's daemon on loopback, drives mixed /run+/vertex traffic) and exit")
-	serveDur := flag.Duration("serve-duration", 0, "with -serve-load: duration per phase (default 2s)")
-	serveQPS := flag.Float64("serve-qps", 0, "with -serve-load: open-loop target QPS (default 1000)")
-	serveWorkers := flag.Int("serve-workers", 0, "with -serve-load: client concurrency (default 16)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
-	flag.Usage = usage
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is main with an exit code instead of os.Exit, so the deferred
+// profile stop runs on every path, failures included.
+func run(args []string) int {
+	fs := flag.NewFlagSet("adbench", flag.ExitOnError)
+	workers := fs.Int("workers", 0, "worker-pool size for all parallel phases (0 = GOMAXPROCS, 1 = single-threaded)")
+	seed := fs.Int64("seed", 1, "seed for rand:N fault schedules")
+	timeout := fs.Duration("timeout", 0, "abort the remaining experiments after this duration (0 = no timeout)")
+	faultSpec := fs.String("faults", "", `fault schedule injected into every engine run: grammar spec or "rand:N" (costs are unchanged by design)`)
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this path on exit")
+	fs.Usage = usage
+	fs.Parse(args)
 	if *workers != 0 {
 		pool.SetDefaultWorkers(*workers)
 	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "adbench:", err)
-		os.Exit(1)
+		return 1
 	}
 	defer stopProf()
-	if *serveLoad {
-		res, err := bench.ServeLoad(bench.ServeLoadConfig{
-			Duration:  *serveDur,
-			TargetQPS: *serveQPS,
-			Workers:   *serveWorkers,
-			Seed:      *seed,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("open loop, no writer:   %s\n", res.Open)
-		fmt.Printf("open loop, with writer: %s\n", res.OpenWriter)
-		fmt.Printf("closed loop (max QPS):  %s\n", res.Closed)
-		if ratio := float64(res.OpenWriter.ReadP99) / float64(res.Open.ReadP99); res.Open.ReadP99 > 0 {
-			fmt.Printf("writer impact on read p99: %.2fx\n", ratio)
-		}
-		return
-	}
-	if *jsonPath != "" {
-		rep, err := bench.Perf()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adbench:", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adbench:", err)
-			os.Exit(1)
-		}
-		if err := rep.WriteJSON(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: %s\n", *jsonPath, rep.Summary())
-		if *against != "" {
-			prior, err := os.Open(*against)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "adbench:", err)
-				stopProf()
-				os.Exit(1)
-			}
-			err = rep.CompareAgainst(prior, 0.20)
-			prior.Close()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "adbench:", err)
-				stopProf()
-				os.Exit(1)
-			}
-			fmt.Printf("within the +20%% gates of %s (engine_run ns/op; allocs/op and bytes/op of every shared series)\n", *against)
-		}
-		return
-	}
 	events, err := fault.FromFlag(*faultSpec, *seed, 8, 8)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "adbench:", err)
-		os.Exit(2)
+		return 2
 	}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -120,38 +62,39 @@ func main() {
 		defer cancel()
 	}
 	bench.Configure(engine.Options{Context: ctx, Injector: fault.NewInjector(events...)})
-	args := flag.Args()
-	if len(args) == 0 {
+	ids := fs.Args()
+	if len(ids) == 0 {
 		usage()
-		os.Exit(2)
+		return 2
 	}
-	switch args[0] {
+	switch ids[0] {
 	case "list":
 		for _, e := range bench.Experiments() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	case "all":
-		args = nil
+		ids = nil
 		for _, e := range bench.Experiments() {
-			args = append(args, e.ID)
+			ids = append(ids, e.ID)
 		}
 	}
-	for _, id := range args {
+	for _, id := range ids {
 		e, ok := bench.ByID(id)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "adbench: unknown experiment %q (try 'adbench list')\n", id)
-			os.Exit(2)
+			return 2
 		}
 		start := time.Now()
 		tbl, err := e.Run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "adbench: %s: %v\n", id, err)
-			os.Exit(1)
+			return 1
 		}
 		tbl.Fprint(os.Stdout)
 		fmt.Printf("(%s regenerated in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
+	return 0
 }
 
 func usage() {
@@ -163,17 +106,6 @@ usage:
 
 -workers sizes the shared worker pool (0 = GOMAXPROCS). Results are
 identical for every value; only wall time changes.
--json PATH runs the engine/partition perf suite instead and writes the
-machine-readable benchmark report (ns/op, allocs/op, speedup vs the
-pinned pre-change baselines) to PATH; -against PRIOR then gates
-engine_run ns/op plus allocs/op and bytes/op of every series shared
-with the prior report at +20% (with small absolute floors for jitter),
-exiting 1 on regression.
--serve-load runs the serving-plane load measurement instead: it boots
-the adserve daemon over the reference graph on a loopback listener and
-drives mixed /run+/vertex traffic in three phases (open loop without
-and with a concurrent /updates writer, then closed-loop saturation);
--serve-duration, -serve-qps and -serve-workers shape it.
 -cpuprofile / -memprofile write runtime/pprof CPU and heap profiles.
 -faults injects a deterministic fault schedule (grammar spec or
 "rand:N", drawn from -seed) into every engine run; checkpoint/recovery

@@ -6,7 +6,7 @@
 //
 //	adpart -graph twitter -n 8 -base Fennel -algo CN
 //	adpart -graph path/to/edges.txt -n 4 -base Grid -algo batch
-//	adpart -graph big.txt -n 8 -stream -compressed
+//	adpart -graph big.txt -n 8 -stream
 //	adpart -graph big.txt -saveflat big.flat && adpart -graph big.flat -mmap
 //	adpart -algo batch -store state/ -updates stream.txt
 //	adpart -fsck state/ [-repair]
@@ -16,8 +16,6 @@
 // Big-graph data plane: -stream ingests edge-list files with the
 // chunk-parallel loader and runs streaming Fennel during the build
 // (the baseline partition exists the moment the graph does);
-// -compressed holds the partition adjacency in the delta-varint
-// compressed form (inflating on demand) and prints the footprint;
 // -saveflat writes the loaded graph as a flat binary CSR, which -mmap
 // then serves zero-copy from page cache.
 // -updates applies an edge-update stream ("+ u v [dests]", "- u v",
@@ -49,63 +47,67 @@ import (
 	"adp/internal/store"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is main with an exit code instead of os.Exit, so the deferred
+// profile stop runs on every path, failures included.
+func run(args []string) int {
+	fs := flag.NewFlagSet("adpart", flag.ExitOnError)
 	var (
-		graphName = flag.String("graph", "social", "named graph (social|twitter|web|road) or edge-list file path")
-		n         = flag.Int("n", 4, "number of fragments")
-		baseName  = flag.String("base", "Fennel", "baseline partitioner (xtraPuLP|Fennel|Grid|NE|Ginger|TopoX|Hash|Multilevel|DBH|HDRF)")
-		algoName  = flag.String("algo", "PR", "target algorithm (CN|TC|WCC|PR|SSSP) or 'batch' for the composite")
-		symmetric = flag.Bool("undirected", false, "symmetrise the graph (required for TC)")
-		savePath  = flag.String("save", "", "write the refined partition to this file")
-		workers   = flag.Int("workers", 0, "worker-pool size for refinement and simulation (0 = GOMAXPROCS, 1 = single-threaded)")
-		seed      = flag.Int64("seed", 1, "seed for rand:N fault schedules")
-		timeout   = flag.Duration("timeout", 0, "abort the run after this duration (0 = no timeout)")
-		faultSpec = flag.String("faults", "", `fault schedule for the simulated run: grammar spec ("crash@1:w0,drop@2:d1#0") or "rand:N"`)
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this path on exit")
-		updates   = flag.String("updates", "", "apply an edge-update stream from this file ('+ u v [dests]', '- u v', 'commit')")
-		storeDir  = flag.String("store", "", "with -algo batch: keep the composite in a crash-consistent store at this directory")
-		fsckDir   = flag.String("fsck", "", "check the store at this directory and exit (0 healthy, 1 damaged)")
-		repair    = flag.Bool("repair", false, "with -fsck: truncate damaged or un-acked log tails in place")
-		fsckJSON  = flag.Bool("json", false, "with -fsck: emit the machine-readable report instead of the text format")
-		stream    = flag.Bool("stream", false, "one-pass ingest: run streaming Fennel while the graph builds (implies -base Fennel)")
-		compress  = flag.Bool("compressed", false, "hold the partition adjacency gap-compressed (inflates on demand) and print the footprint")
-		useMmap   = flag.Bool("mmap", false, "load -graph as a flat binary CSR via mmap (write one with -saveflat)")
-		saveFlat  = flag.String("saveflat", "", "write the loaded graph in flat binary CSR format to this path and continue")
+		graphName = fs.String("graph", "social", "named graph (social|twitter|web|road) or edge-list file path")
+		n         = fs.Int("n", 4, "number of fragments")
+		baseName  = fs.String("base", "Fennel", "baseline partitioner (xtraPuLP|Fennel|Grid|NE|Ginger|TopoX|Hash|Multilevel|DBH|HDRF)")
+		algoName  = fs.String("algo", "PR", "target algorithm (CN|TC|WCC|PR|SSSP) or 'batch' for the composite")
+		symmetric = fs.Bool("undirected", false, "symmetrise the graph (required for TC)")
+		savePath  = fs.String("save", "", "write the refined partition to this file")
+		workers   = fs.Int("workers", 0, "worker-pool size for refinement and simulation (0 = GOMAXPROCS, 1 = single-threaded)")
+		seed      = fs.Int64("seed", 1, "seed for rand:N fault schedules")
+		timeout   = fs.Duration("timeout", 0, "abort the run after this duration (0 = no timeout)")
+		faultSpec = fs.String("faults", "", `fault schedule for the simulated run: grammar spec ("crash@1:w0,drop@2:d1#0") or "rand:N"`)
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this path")
+		memProf   = fs.String("memprofile", "", "write a heap profile to this path on exit")
+		updates   = fs.String("updates", "", "apply an edge-update stream from this file ('+ u v [dests]', '- u v', 'commit')")
+		storeDir  = fs.String("store", "", "with -algo batch: keep the composite in a crash-consistent store at this directory")
+		fsckDir   = fs.String("fsck", "", "check the store at this directory and exit (0 healthy, 1 damaged)")
+		repair    = fs.Bool("repair", false, "with -fsck: truncate damaged or un-acked log tails in place")
+		fsckJSON  = fs.Bool("json", false, "with -fsck: emit the machine-readable report instead of the text format")
+		stream    = fs.Bool("stream", false, "one-pass ingest: run streaming Fennel while the graph builds (implies -base Fennel)")
+		useMmap   = fs.Bool("mmap", false, "load -graph as a flat binary CSR via mmap (write one with -saveflat)")
+		saveFlat  = fs.String("saveflat", "", "write the loaded graph in flat binary CSR format to this path and continue")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	if *fsckDir != "" {
 		// Deep snapshot verification needs the graph the store was built
 		// over; only use one the caller named explicitly.
 		graphSet := false
-		flag.Visit(func(f *flag.Flag) { graphSet = graphSet || f.Name == "graph" })
+		fs.Visit(func(f *flag.Flag) { graphSet = graphSet || f.Name == "graph" })
 		rep, err := runFsck(*fsckDir, *repair, *graphName, *symmetric, graphSet)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if *fsckJSON {
 			if err := rep.WriteJSON(os.Stdout); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		} else {
 			rep.Format(os.Stdout)
 		}
 		if !rep.Healthy() {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	if *workers != 0 {
 		pool.SetDefaultWorkers(*workers)
 	}
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer stopProf()
 	events, err := fault.FromFlag(*faultSpec, *seed, *n, 8)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -118,7 +120,7 @@ func main() {
 	loadStart := time.Now()
 	g, st, mapping, err := loadGraphBig(*graphName, *symmetric, *useMmap, *stream, *n)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if mapping != nil {
 		defer mapping.Close()
@@ -127,7 +129,7 @@ func main() {
 	fmt.Printf("graph: %v\n", graph.ComputeStats(g))
 	if *saveFlat != "" {
 		if err := writeFlat(*saveFlat, g); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		fmt.Printf("flat CSR written to %s (%d bytes; load it with -mmap)\n", *saveFlat, graph.FixedSizeBytes(g))
 	}
@@ -145,7 +147,7 @@ func main() {
 			base, err = partitioner.FennelStreamEdgeCut(g, *n, partitioner.FennelConfig{})
 		}
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		where := "over built graph"
 		if st != nil {
@@ -157,35 +159,32 @@ func main() {
 		var ok bool
 		spec, ok = partitioner.ByName(*baseName)
 		if !ok {
-			fatal(fmt.Errorf("unknown baseline %q", *baseName))
+			return fail(fmt.Errorf("unknown baseline %q", *baseName))
 		}
 		start := time.Now()
 		base, err = spec.Run(g, *n)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		fmt.Printf("baseline %s (%s) in %v: %s\n", spec.Name, spec.Family, time.Since(start).Round(time.Millisecond), metricsLine(base))
-	}
-	if *compress {
-		packed, compressed := base.CompileCompressed().FootprintBytes()
-		fmt.Printf("compressed adjacency: %d bytes vs %d packed (%.1f%% of packed)\n",
-			compressed, packed, float64(compressed)/float64(packed)*100)
 	}
 
 	var muts []store.Mutation
 	if *updates != "" {
 		muts, err = loadUpdates(*updates)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	if strings.EqualFold(*algoName, "batch") {
-		runBatch(base, spec, muts, *storeDir)
-		return
+		if err := runBatch(base, spec, muts, *storeDir); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 	algo, err := parseAlgo(*algoName)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	model := costmodel.Reference(algo)
 	before := costmodel.Evaluate(base, model)
@@ -194,7 +193,7 @@ func main() {
 	stats := refine.ForFamily(spec.Family, refined, model, refine.Config{})
 	if stats == nil {
 		fmt.Println("hybrid baseline: no refinement applied")
-		return
+		return 0
 	}
 	after := costmodel.Evaluate(refined, model)
 	fmt.Printf("refined for %v in %v: %s\n", algo, stats.Total.Round(time.Millisecond), metricsLine(refined))
@@ -206,7 +205,7 @@ func main() {
 	fmt.Printf("  cost balance λ%v: %.2f -> %.2f\n", algo,
 		costmodel.LambdaCost(before), costmodel.LambdaCost(after))
 	if err := refined.Validate(); err != nil {
-		fatal(fmt.Errorf("refined partition failed validation: %w", err))
+		return fail(fmt.Errorf("refined partition failed validation: %w", err))
 	}
 	if len(muts) > 0 {
 		// Incremental maintenance (refine.ApplyUpdates): carry the
@@ -215,7 +214,7 @@ func main() {
 		start = time.Now()
 		updated, ustats, err := refine.ApplyUpdates(refined, model, ins, del, refine.Config{})
 		if err != nil {
-			fatal(fmt.Errorf("applying updates: %w", err))
+			return fail(fmt.Errorf("applying updates: %w", err))
 		}
 		fmt.Printf("  updates (+%d -%d) in %v: carried=%d routed=%d dropped=%d migrated=%d mastersMoved=%d\n",
 			len(ins), len(del), time.Since(start).Round(time.Millisecond),
@@ -232,7 +231,7 @@ func main() {
 	out, err := algorithms.Run(engine.NewCluster(refined).Configure(runOpts), algo,
 		algorithms.Options{SSSPSource: 1, PRIterations: 5})
 	if err != nil {
-		fatal(fmt.Errorf("simulated %v run: %w", algo, err))
+		return fail(fmt.Errorf("simulated %v run: %w", algo, err))
 	}
 	fmt.Printf("  simulated %v run in %v: cost=%.4g supersteps=%d recoveries=%d redelivered=%d stragglers=%d\n",
 		algo, time.Since(start).Round(time.Millisecond),
@@ -241,17 +240,18 @@ func main() {
 	if *savePath != "" {
 		f, err := os.Create(*savePath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		if err := partition.Write(f, refined); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		fmt.Printf("  partition written to %s\n", *savePath)
 	}
+	return 0
 }
 
-func runBatch(base *partition.Partition, spec partitioner.Spec, muts []store.Mutation, storeDir string) {
+func runBatch(base *partition.Partition, spec partitioner.Spec, muts []store.Mutation, storeDir string) error {
 	models := make([]costmodel.CostModel, 0, 5)
 	for _, a := range costmodel.Algos() {
 		models = append(models, costmodel.Reference(a))
@@ -265,10 +265,10 @@ func runBatch(base *partition.Partition, spec partitioner.Spec, muts []store.Mut
 	case partitioner.VertexCutFamily:
 		comp, _, err = composite.MV2H(base, models, composite.Options{})
 	default:
-		fatal(fmt.Errorf("batch mode requires an edge-cut or vertex-cut baseline"))
+		return fmt.Errorf("batch mode requires an edge-cut or vertex-cut baseline")
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("composite for %v in %v\n", costmodel.Algos(), time.Since(start).Round(time.Millisecond))
 
@@ -281,7 +281,7 @@ func runBatch(base *partition.Partition, spec partitioner.Spec, muts []store.Mut
 			var info *store.RecoveryInfo
 			st, info, err = store.Open(storeDir, base.Graph(), store.Options{})
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			fmt.Printf("  store: %v\n", info)
 			comp = st.Composite()
@@ -291,23 +291,23 @@ func runBatch(base *partition.Partition, spec partitioner.Spec, muts []store.Mut
 		if len(muts) > 0 {
 			ins, del, err := st.Apply(muts)
 			if err != nil {
-				fatal(fmt.Errorf("applying updates through store: %w", err))
+				return fmt.Errorf("applying updates through store: %w", err)
 			}
 			fmt.Printf("  updates: +%d -%d committed durably (lsn=%d)\n", ins, del, st.LSN())
 		}
 		if err := st.Snapshot(); err != nil {
-			fatal(err)
+			return err
 		}
 		if err := st.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 	} else if len(muts) > 0 {
 		ins, del, err := applyCompositeUpdates(comp, muts)
 		if err != nil {
-			fatal(fmt.Errorf("applying updates: %w", err))
+			return fmt.Errorf("applying updates: %w", err)
 		}
 		if err := comp.ValidateIndex(); err != nil {
-			fatal(fmt.Errorf("composite index invalid after updates: %w", err))
+			return fmt.Errorf("composite index invalid after updates: %w", err)
 		}
 		fmt.Printf("  updates: +%d -%d applied coherently\n", ins, del)
 	}
@@ -319,6 +319,7 @@ func runBatch(base *partition.Partition, spec partitioner.Spec, muts []store.Mut
 		fmt.Printf("  %-4v parallel cost %.4g, λ=%.2f\n", a,
 			costmodel.ParallelCost(costs), costmodel.LambdaCost(costs))
 	}
+	return nil
 }
 
 // applyCompositeUpdates drives an update stream through the coherent
@@ -463,7 +464,8 @@ func metricsLine(p *partition.Partition) string {
 	return fmt.Sprintf("fv=%.2f fe=%.2f λv=%.2f λe=%.2f", m.FV, m.FE, m.LambdaV, m.LambdaE)
 }
 
-func fatal(err error) {
+// fail reports err and returns the failure exit code.
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "adpart:", err)
-	os.Exit(1)
+	return 1
 }

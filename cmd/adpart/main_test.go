@@ -10,6 +10,7 @@ import (
 	"adp/internal/partition"
 	"adp/internal/partitioner"
 	"adp/internal/store"
+	"adp/internal/testutil"
 )
 
 func TestParseAlgo(t *testing.T) {
@@ -213,4 +214,14 @@ func TestRunFsckEndToEnd(t *testing.T) {
 	if !rep.Healthy() {
 		t.Fatal("store still damaged after repair")
 	}
+}
+
+// TestProfileWrittenOnFailure: a run that fails after profiling started
+// must still stop the profile, or -cpuprofile leaves an unusable file.
+func TestProfileWrittenOnFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	if code := run([]string{"-cpuprofile", path, "-base", "no-such-partitioner"}); code != 1 {
+		t.Fatalf("exit code %d for an unknown -base, want 1", code)
+	}
+	testutil.CheckCPUProfile(t, path)
 }

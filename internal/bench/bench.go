@@ -3,7 +3,8 @@
 // repository: Exp-1 (Fig 9a-j), Exp-2 (Table 4 / Fig 10a), Exp-3
 // (Fig 9k), Exp-4 (Fig 10b + space), Exp-5 (Fig 9l), Exp-6 (Table 5),
 // Table 3, and the appendix phase decomposition (Fig 11), plus the
-// DESIGN.md ablations.
+// DESIGN.md ablations and two wall-clock measurements of the serving
+// planes (replication lag/failover, maintenance drift recovery).
 //
 // "Execution time" columns report the engine's deterministic simulated
 // parallel cost (compute critical path + weighted communication
@@ -236,7 +237,8 @@ type Experiment struct {
 	Run   func() (*Table, error)
 }
 
-// Experiments lists every reproducible table/figure in paper order.
+// Experiments lists every reproducible table/figure in paper order,
+// then the serving-plane measurements.
 func Experiments() []Experiment {
 	return []Experiment{
 		{"table3", "Partition metrics of Twitter* (Table 3)", Table3},
@@ -260,6 +262,8 @@ func Experiments() []Experiment {
 		{"seqcmp", "Monolithic reference vs partitioned execution (Exp-6 remark)", SeqCompare},
 		{"gingersweep", "Ginger threshold sweep vs cost-driven refinement", GingerSweep},
 		{"ablation", "Design-choice ablations (DESIGN.md)", Ablations},
+		{"repl", "Replication lag and failover over the pipe transport", Replication},
+		{"drift", "Maintenance drift recovery through the live update path", DriftRecover},
 	}
 }
 

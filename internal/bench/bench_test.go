@@ -27,7 +27,7 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	want := []string{"table3", "fig9a", "fig9b", "fig9c", "fig9d", "fig9e", "fig9f",
 		"fig9g", "fig9h", "fig9i", "fig9j", "fig9k", "fig9l", "table4", "fig10b",
-		"space", "table5", "fig11", "seqcmp", "gingersweep", "ablation"}
+		"space", "table5", "fig11", "seqcmp", "gingersweep", "ablation", "repl", "drift"}
 	if len(Experiments()) != len(want) {
 		t.Fatalf("expected %d experiments, got %d", len(want), len(Experiments()))
 	}

@@ -22,47 +22,23 @@ import (
 	"adp/internal/store"
 )
 
-// DriftRecoverConfig shapes the self-healing measurement: how long the
-// maintenance plane takes to notice a workload/structure drift and
-// promote a re-refined epoch.
-type DriftRecoverConfig struct {
-	// SkewEdges is the number of extra edges injected into fragment 0
-	// of every partition — the drift event. Default 600.
-	SkewEdges int
-	// Interval is the drift-detector tick. Default 20ms.
-	Interval time.Duration
-	// Timeout bounds the whole measurement. Default 120s.
-	Timeout time.Duration
-}
-
-func (c *DriftRecoverConfig) fill() {
-	if c.SkewEdges <= 0 {
-		c.SkewEdges = 600
-	}
-	if c.Interval <= 0 {
-		c.Interval = 20 * time.Millisecond
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 120 * time.Second
-	}
-}
-
-// DriftRecoverResult is the measured recovery.
-type DriftRecoverResult struct {
-	// Recover is the wall time from the drift injection (first skewed
-	// update batch posted) to the first validated promotion.
-	Recover time.Duration
-	// Drift is the detector signal that triggered the cycle.
-	Drift float64
-}
+// The drift experiment's fixed shape: the number of extra edges
+// injected into fragment 0 of every partition (the drift event), the
+// drift-detector tick, and the bound on the whole measurement.
+const (
+	driftSkewEdges = 600
+	driftInterval  = 20 * time.Millisecond
+	driftTimeout   = 120 * time.Second
+)
 
 // DriftRecover boots a serving daemon plus its maintenance loop over a
 // mid-size reference graph, injects a structural skew through the live
 // update path, keeps request traffic flowing, and times how long the
 // loop takes to detect the drift, re-refine off the serving path and
-// promote a validated epoch.
-func DriftRecover(cfg DriftRecoverConfig) (*DriftRecoverResult, error) {
-	cfg.fill()
+// promote a validated epoch: wall time from the first skewed update
+// batch posted to the first validated promotion, with the detector
+// signal that triggered the cycle.
+func DriftRecover() (*Table, error) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 2000, AvgDeg: 6, Exponent: 2.1, Directed: false, Seed: 29})
 	p1, err := partitioner.HashEdgeCut(g, 4)
 	if err != nil {
@@ -107,7 +83,7 @@ func DriftRecover(cfg DriftRecoverConfig) (*DriftRecoverResult, error) {
 	url := "http://" + l.Addr().String()
 
 	lp := maintain.New(srv, maintain.Config{
-		Interval:       cfg.Interval,
+		Interval:       driftInterval,
 		DriftThreshold: 0.05,
 		MinGain:        -1, // measure detection + promotion latency, not gain
 		RefineTimeout:  60 * time.Second,
@@ -121,8 +97,8 @@ func DriftRecover(cfg DriftRecoverConfig) (*DriftRecoverResult, error) {
 	var sb strings.Builder
 	count := 0
 	n := g.NumVertices()
-	for u := 0; u < n && count < cfg.SkewEdges; u++ {
-		for v := u + 1; v < n && count < cfg.SkewEdges; v++ {
+	for u := 0; u < n && count < driftSkewEdges; u++ {
+		for v := u + 1; v < n && count < driftSkewEdges; v++ {
 			uu, vv := graph.VertexID(u), graph.VertexID(v)
 			if !g.HasEdge(uu, vv) && !g.HasEdge(vv, uu) {
 				fmt.Fprintf(&sb, "+ %d %d 0 0\n", u, v)
@@ -144,7 +120,7 @@ func DriftRecover(cfg DriftRecoverConfig) (*DriftRecoverResult, error) {
 	// Keep traffic flowing so the detector window sees the skewed
 	// workload, and wait for the first validated promotion.
 	body, _ := json.Marshal(map[string]any{"algo": "WCC"})
-	deadline := time.Now().Add(cfg.Timeout)
+	deadline := time.Now().Add(driftTimeout)
 	for {
 		resp, err := http.Post(url+"/run", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -156,25 +132,21 @@ func DriftRecover(cfg DriftRecoverConfig) (*DriftRecoverResult, error) {
 			return nil, fmt.Errorf("bench: drift traffic: status %d", resp.StatusCode)
 		}
 		if st := lp.Status(); st.Promoted >= 1 {
-			return &DriftRecoverResult{Recover: time.Since(start), Drift: st.LastDrift}, nil
+			ms := float64(time.Since(start).Microseconds()) / 1000
+			t := &Table{
+				ID:     "drift",
+				Title:  fmt.Sprintf("Maintenance drift recovery (PowerLaw N=2000, 2x4 fragments, %d skewed edges)", driftSkewEdges),
+				Header: []string{"recover(ms)", "drift signal"},
+			}
+			t.addRow([]string{fmtF(ms), fmtF(st.LastDrift)}, []float64{ms, st.LastDrift})
+			t.Notes = append(t.Notes,
+				"wall time from the skewed /updates batch to the maintenance loop's first validated promotion, under continuous /run traffic; one sample")
+			return t, nil
 		}
 		if time.Now().After(deadline) {
 			st := lp.Status()
 			return nil, fmt.Errorf("bench: no promotion within %v (drift %.4f, cycles %d, last error %q)",
-				cfg.Timeout, st.LastDrift, st.Cycles, st.LastError)
+				driftTimeout, st.LastDrift, st.Cycles, st.LastError)
 		}
 	}
-}
-
-// addDriftSeries folds the self-healing measurement into the report:
-// drift_recover is ns from drift injection to the first validated
-// promotion.
-func addDriftSeries(rep *PerfReport) error {
-	res, err := DriftRecover(DriftRecoverConfig{})
-	if err != nil {
-		return err
-	}
-	rep.Results = append(rep.Results, PerfResult{Name: "drift_recover", NsPerOp: float64(res.Recover.Nanoseconds())})
-	rep.DriftRecoverMs = float64(res.Recover.Nanoseconds()) / 1e6
-	return nil
 }

@@ -16,20 +16,20 @@ import (
 	"adp/internal/store"
 )
 
-// addReplSeries measures the replication plane over the in-process
-// pipe transport on a clean network:
+// Replication measures the replication plane over the in-process pipe
+// transport on a clean network:
 //
-//   - replication_lag: wall time from a leader commit to the follower's
+//   - replication lag: wall time from a leader commit to the follower's
 //     durable apply of that LSN — the freshness bound a min_lsn reader
 //     actually waits out.
 //   - failover: wall time from a dead leader to the promoted follower
 //     acking its first own committed write (pump stop + log fence +
 //     segment rotation + write + fsync).
-func addReplSeries(rep *PerfReport) error {
+func Replication() (*Table, error) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 3000, AvgDeg: 6, Exponent: 2.1, Directed: true, Seed: 29})
 	p1, err := partitioner.HashEdgeCut(g, 8)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	assign := make([]int, g.NumVertices())
 	for v := range assign {
@@ -37,26 +37,27 @@ func addReplSeries(rep *PerfReport) error {
 	}
 	p2, err := partition.FromVertexAssignment(g, assign, 8)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	comp, err := composite.New(g, []*partition.Partition{p1, p2})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	dir, err := os.MkdirTemp("", "adp-bench-repl-")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer os.RemoveAll(dir)
 	st, err := store.Create(filepath.Join(dir, "leader"), comp, store.Options{})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer st.Close()
 
-	// The same deterministic toggle stream addStoreSeries uses: fresh
-	// pairs insert, collisions with the live set delete.
+	// Deterministic toggle stream: a multiplicative stride walks vertex
+	// pairs; fresh pairs insert, collisions with the live set delete, so
+	// the store never grows without bound.
 	nv := uint32(g.NumVertices())
 	dest := []int{0, 1}
 	live := map[uint64]bool{}
@@ -87,7 +88,7 @@ func addReplSeries(rep *PerfReport) error {
 	// Seed history so bootstrap ships a real snapshot.
 	for i := 0; i < 10; i++ {
 		if err := commitBatch(4); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
@@ -99,7 +100,7 @@ func addReplSeries(rep *PerfReport) error {
 	defer cancel()
 	fst, err := replica.Bootstrap(ctx, pipe.Dialer(), filepath.Join(dir, "follower"), g, store.Options{})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer fst.Close()
 
@@ -142,18 +143,16 @@ func addReplSeries(rep *PerfReport) error {
 	for i := 0; i < warm+rounds; i++ {
 		t0 := time.Now()
 		if err := commitBatch(4); err != nil {
-			return err
+			return nil, err
 		}
 		if err := waitApplied(st.CommittedLSN()); err != nil {
-			return err
+			return nil, err
 		}
 		if i >= warm {
 			total += time.Since(t0)
 		}
 	}
-	lag := total / rounds
-	rep.ReplicationLagMs = float64(lag) / float64(time.Millisecond)
-	rep.Results = append(rep.Results, PerfResult{Name: "replication_lag", NsPerOp: float64(lag.Nanoseconds())})
+	lagMS := float64((total / rounds).Microseconds()) / 1000
 
 	// failover: kill the transport, promote, and time to the first own
 	// committed write on the new leader. The follower is fully caught
@@ -161,18 +160,24 @@ func addReplSeries(rep *PerfReport) error {
 	t0 := time.Now()
 	pipe.Close()
 	if err := pump.Promote(); err != nil {
-		return err
+		return nil, err
 	}
 	u32 := uint32(step*2654435761) % nv
 	v32 := (u32 + 1 + uint32(step*40503)%(nv-1)) % nv
 	if err := fst.Insert(graph.VertexID(u32), graph.VertexID(v32), dest); err != nil {
-		return err
+		return nil, err
 	}
 	if err := fst.Commit(); err != nil {
-		return err
+		return nil, err
 	}
-	fo := time.Since(t0)
-	rep.FailoverMs = float64(fo) / float64(time.Millisecond)
-	rep.Results = append(rep.Results, PerfResult{Name: "failover", NsPerOp: float64(fo.Nanoseconds())})
-	return nil
+	failoverMS := float64(time.Since(t0).Microseconds()) / 1000
+	t := &Table{
+		ID:     "repl",
+		Title:  "Replication lag and failover (PowerLaw N=3000, 2x8 fragments, pipe transport)",
+		Header: []string{"replication lag(ms)", "failover(ms)"},
+	}
+	t.addRow([]string{fmtF(lagMS), fmtF(failoverMS)}, []float64{lagMS, failoverMS})
+	t.Notes = append(t.Notes,
+		fmt.Sprintf("lag: mean over %d rounds of a 4-mutation leader commit to the follower's durable apply; failover: dead leader to the promoted follower's first own committed write, one sample", rounds))
+	return t, nil
 }

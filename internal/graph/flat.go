@@ -25,6 +25,11 @@ const (
 	flatHeaderLen = 24
 )
 
+// FixedSizeBytes returns the size of g in the flat format.
+func FixedSizeBytes(g *Graph) int64 {
+	return flatHeaderLen + 2*8*int64(g.NumVertices()+1) + 2*4*g.NumEdges()
+}
+
 // WriteFlatBinary writes g in the flat mmap-able CSR format.
 func WriteFlatBinary(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriterSize(w, 1<<20)

@@ -18,36 +18,6 @@ func roundTripGraph(t *testing.T, directed bool, seed int64) *Graph {
 	return g
 }
 
-// TestCompressedRoundTrip: write→read is bitwise lossless for directed
-// and undirected graphs, including an empty one.
-func TestCompressedRoundTrip(t *testing.T) {
-	for _, directed := range []bool{true, false} {
-		for seed := int64(0); seed < 3; seed++ {
-			g := roundTripGraph(t, directed, seed)
-			var buf bytes.Buffer
-			if err := WriteBinaryCompressed(&buf, g); err != nil {
-				t.Fatal(err)
-			}
-			if int64(buf.Len()) != CompressedSizeBytes(g) {
-				t.Fatalf("CompressedSizeBytes=%d but encoder wrote %d", CompressedSizeBytes(g), buf.Len())
-			}
-			got, err := ReadBinaryCompressed(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			graphBitwiseEqual(t, g, got, "compressed round trip")
-		}
-	}
-	empty, _ := FromEdges(0, nil, false)
-	var buf bytes.Buffer
-	if err := WriteBinaryCompressed(&buf, empty); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBinaryCompressed(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("empty graph round trip: %v", err)
-	}
-}
-
 // TestFlatRoundTrip: the flat format survives both the portable reader
 // and (on unix) the mmap view, bitwise.
 func TestFlatRoundTrip(t *testing.T) {
@@ -84,65 +54,8 @@ func TestFlatRoundTrip(t *testing.T) {
 	}
 }
 
-// compressedFixture encodes a tiny valid compressed graph for the
+// flatFixture encodes a tiny valid graph in the flat format for the
 // corruption table to mangle: 3 vertices, arcs 0→{1,2}, 1→{2}.
-func compressedFixture() []byte {
-	g, err := FromEdges(3, []Edge{{0, 1}, {0, 2}, {1, 2}}, false)
-	if err != nil {
-		panic(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteBinaryCompressed(&buf, g); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
-// TestReadBinaryCompressedCorrupt mirrors io_corrupt_test.go: each row
-// mangles one aspect of the fixture and pins the error substring.
-func TestReadBinaryCompressedCorrupt(t *testing.T) {
-	base := compressedFixture()
-	// Layout: [0:4 magic][4:8 flags][8:12 n][12:20 m][20 deg0][21 first0]
-	// [22 gap][23 deg1][24 first1][25 deg2]
-	cases := []struct {
-		name   string
-		mangle func([]byte) []byte
-		want   string
-	}{
-		{"truncated header", func(b []byte) []byte { return b[:10] }, "reading compressed header"},
-		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }, "bad compressed magic"},
-		{"vertex cap", func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[8:], 1<<29)
-			return b
-		}, "vertices (cap"},
-		{"arc cap", func(b []byte) []byte {
-			binary.LittleEndian.PutUint64(b[12:], 1<<40)
-			return b
-		}, "arcs (cap"},
-		{"truncated degree", func(b []byte) []byte { return b[:23] }, "reading degree of vertex 1"},
-		{"truncated gap", func(b []byte) []byte { return b[:22] }, "reading neighbor 1 of vertex 0"},
-		{"degree overflow", func(b []byte) []byte { b[20] = 200; return b }, "degrees exceed declared"},
-		{"zero gap", func(b []byte) []byte { b[22] = 0; return b }, "zero gap"},
-		{"neighbor out of range", func(b []byte) []byte { b[21] = 9; return b }, "beyond 3 vertices"},
-		{"degree sum short", func(b []byte) []byte {
-			binary.LittleEndian.PutUint64(b[12:], 5)
-			return b
-		}, "degrees sum to 3 arcs, header declares 5"},
-		{"trailing bytes", func(b []byte) []byte { return append(b, 0x00) }, "trailing bytes"},
-		{"false undirected flag", func(b []byte) []byte { b[4] = 1; return b }, "undirected flag set"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			b := tc.mangle(append([]byte(nil), base...))
-			_, err := ReadBinaryCompressed(bytes.NewReader(b))
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("want error containing %q, got %v", tc.want, err)
-			}
-		})
-	}
-}
-
-// flatFixture encodes the same tiny graph in the flat format.
 func flatFixture() []byte {
 	g, err := FromEdges(3, []Edge{{0, 1}, {0, 2}, {1, 2}}, false)
 	if err != nil {
@@ -224,29 +137,6 @@ func TestReadFlatBinaryCorrupt(t *testing.T) {
 			}
 		})
 	}
-}
-
-// FuzzReadBinaryCompressed: arbitrary bytes must never panic, and
-// accepted graphs must validate and re-encode to the same bytes.
-func FuzzReadBinaryCompressed(f *testing.F) {
-	f.Add(compressedFixture())
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinaryCompressed(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("accepted invalid graph: %v", err)
-		}
-		var buf bytes.Buffer
-		if err := WriteBinaryCompressed(&buf, g); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), data) {
-			t.Fatalf("accepted non-canonical encoding (%d bytes in, %d out)", len(data), buf.Len())
-		}
-	})
 }
 
 // FuzzReadFlatBinary: arbitrary bytes must never panic, and accepted

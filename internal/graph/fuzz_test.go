@@ -35,23 +35,3 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadBinary: arbitrary bytes must never panic the binary reader.
-func FuzzReadBinary(f *testing.F) {
-	var seed bytes.Buffer
-	g := NewBuilder(4)
-	g.AddEdge(0, 1)
-	_ = WriteBinary(&seed, g.MustBuild())
-	f.Add(seed.Bytes())
-	f.Add([]byte{})
-	f.Add(make([]byte, 40))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if verr := g.Validate(); verr != nil {
-			t.Fatalf("parsed graph invalid: %v", verr)
-		}
-	})
-}

@@ -198,10 +198,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 		}
 		g := b.MustBuild()
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
+		if err := WriteFlatBinary(&buf, g); err != nil {
 			t.Fatal(err)
 		}
-		g2, err := ReadBinary(&buf)
+		g2, err := ReadFlatBinary(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewBuffer(make([]byte, 32))); err == nil {
+	if _, err := ReadFlatBinary(bytes.NewBuffer(make([]byte, 32))); err == nil {
 		t.Fatal("expected bad-magic error")
 	}
 }

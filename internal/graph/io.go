@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
@@ -111,89 +110,4 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		}
 	}
 	return FromEdges(n, edges, undirected)
-}
-
-const binaryMagic = uint32(0xAD9A_0001)
-
-// WriteBinary writes g in a compact little-endian binary format:
-// magic, flags, n, m, then the out-index and out-adjacency arrays.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	flags := uint32(0)
-	if g.Undirected() {
-		flags = 1
-	}
-	hdr := []uint32{binaryMagic, flags, uint32(g.NumVertices())}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.NumEdges()); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.outIndex); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.outAdj); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses the format produced by WriteBinary and rebuilds
-// the in-adjacency. Truncated or corrupt input yields a wrapped error
-// naming the section that failed, never a panic.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var magic, flags, n uint32
-	var m int64
-	for _, p := range []any{&magic, &flags, &n, &m} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("graph: reading header: %w", err)
-		}
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x", magic)
-	}
-	// Sanity-cap the declared sizes before allocating: a corrupt or
-	// hostile header must not be able to demand gigabytes.
-	const maxVertices, maxArcs = 1 << 28, 1 << 31
-	if n > maxVertices {
-		return nil, fmt.Errorf("graph: header declares %d vertices (cap %d)", n, maxVertices)
-	}
-	if m < 0 || m > maxArcs {
-		return nil, fmt.Errorf("graph: header declares %d arcs (cap %d)", m, int64(maxArcs))
-	}
-	outIndex := make([]int64, n+1)
-	if err := binary.Read(br, binary.LittleEndian, outIndex); err != nil {
-		return nil, fmt.Errorf("graph: reading out-index (%d vertices): %w", n, err)
-	}
-	// The index must be monotone within [0, m] or the slicing below
-	// would panic on corrupt input.
-	for v := 0; v < int(n); v++ {
-		if outIndex[v] < 0 || outIndex[v] > outIndex[v+1] || outIndex[v+1] > m {
-			return nil, fmt.Errorf("graph: corrupt index at vertex %d", v)
-		}
-	}
-	if n > 0 && outIndex[0] != 0 {
-		return nil, fmt.Errorf("graph: corrupt index origin")
-	}
-	outAdj := make([]VertexID, m)
-	if err := binary.Read(br, binary.LittleEndian, outAdj); err != nil {
-		return nil, fmt.Errorf("graph: reading adjacency (%d arcs): %w", m, err)
-	}
-	b := NewBuilder(int(n))
-	if flags&1 != 0 {
-		b = NewUndirectedBuilder(int(n))
-	}
-	for v := 0; v < int(n); v++ {
-		for _, w := range outAdj[outIndex[v]:outIndex[v+1]] {
-			if flags&1 != 0 && VertexID(v) > w {
-				continue
-			}
-			b.AddEdge(VertexID(v), w)
-		}
-	}
-	return b.Build()
 }

@@ -1,10 +1,7 @@
 package graph
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
-	"io"
 	"strconv"
 	"strings"
 	"testing"
@@ -49,82 +46,5 @@ func TestReadEdgeListWrapsParseError(t *testing.T) {
 	var numErr *strconv.NumError
 	if !errors.As(err, &numErr) {
 		t.Fatalf("error %v does not wrap a *strconv.NumError", err)
-	}
-}
-
-// binFixture serialises a small valid graph for byte-patching.
-func binFixture(t *testing.T) []byte {
-	t.Helper()
-	b := NewBuilder(4)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(2, 3)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, b.MustBuild()); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestReadBinaryCorrupt tables the binary failure modes. Wire layout:
-// magic u32 @0, flags u32 @4, n u32 @8, m i64 @12, outIndex (n+1)×i64
-// @20, outAdj m×u32.
-func TestReadBinaryCorrupt(t *testing.T) {
-	valid := binFixture(t)
-	patch := func(off int, vals ...byte) []byte {
-		b := append([]byte(nil), valid...)
-		copy(b[off:], vals)
-		return b
-	}
-	cases := []struct {
-		name string
-		data []byte
-		want string
-	}{
-		{"empty", nil, "header"},
-		{"truncated header", valid[:6], "header"},
-		{"bad magic", patch(0, 0xde, 0xad), "magic"},
-		{"vertex count over cap", patch(8, 0xff, 0xff, 0xff, 0x7f), "cap"},
-		{"negative arc count", patch(12, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff), "cap"},
-		{"non-monotone index", patch(20, 0x40, 0, 0, 0, 0, 0, 0, 0), "corrupt index"},
-		{"truncated index", valid[:24], "out-index"},
-		{"truncated adjacency", valid[:len(valid)-2], "adjacency"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadBinary(bytes.NewReader(tc.data))
-			if err == nil {
-				t.Fatal("corrupt input accepted")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
-			}
-		})
-	}
-}
-
-// TestReadBinaryWrapsIOError: truncation mid-section must surface
-// io.ErrUnexpectedEOF through the wrap chain.
-func TestReadBinaryWrapsIOError(t *testing.T) {
-	valid := binFixture(t)
-	_, err := ReadBinary(bytes.NewReader(valid[:len(valid)-2]))
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("error %v does not wrap io.ErrUnexpectedEOF", err)
-	}
-}
-
-// TestReadBinaryHeaderCapBeforeAlloc: a hostile header demanding huge
-// arrays must be rejected by the cap check, not by attempting the
-// allocation.
-func TestReadBinaryHeaderCapBeforeAlloc(t *testing.T) {
-	var buf bytes.Buffer
-	le := binary.LittleEndian
-	_ = binary.Write(&buf, le, binaryMagic)
-	_ = binary.Write(&buf, le, uint32(0))
-	_ = binary.Write(&buf, le, uint32(1<<30)) // n over cap
-	_ = binary.Write(&buf, le, int64(8))
-	if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err == nil ||
-		!strings.Contains(err.Error(), "cap") {
-		t.Fatalf("oversized header not capped: %v", err)
 	}
 }

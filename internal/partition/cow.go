@@ -11,13 +11,13 @@ import "slices"
 //
 // Sharing discipline (what keeps a shared structure immutable):
 //
-//   - A *compiledFragment / *compressedFragment value is never mutated
-//     after construction. Mutators copy the adjacency of the vertices
-//     they touch into their own fragment's overlay (thaw) and record
-//     arc changes there; Compile builds a new base from base + overlay
-//     and swaps only its own fragment's pointer, so a clone holding the
-//     old pointer is untouched. A new base may share the ids, local
-//     and arcs arrays of the one it was folded from; they are immutable.
+//   - A *compiledFragment value is never mutated after construction.
+//     Mutators copy the adjacency of the vertices they touch into their
+//     own fragment's overlay (thaw) and record arc changes there;
+//     Compile builds a new base from base + overlay and swaps only its
+//     own fragment's pointer, so a clone holding the old pointer is
+//     untouched. A new base may share the ids, local and arcs arrays of
+//     the one it was folded from; they are immutable.
 //   - The per-vertex copies slices are shared between both sides after
 //     a CloneCOW. The sticky copiesShared flag makes insertCopy and
 //     removeCopy allocate a fresh slice instead of writing the shared
@@ -41,7 +41,6 @@ func (p *Partition) CloneCOW() *Partition {
 	for i, f := range p.frags {
 		nf := &Fragment{id: i}
 		nf.base.Store(f.base.Load())
-		nf.czf.Store(f.czf.Load())
 		q.frags[i] = nf
 	}
 	return q
@@ -69,18 +68,14 @@ func (p *Partition) ShareStats(prev *Partition) (shared, owned int, ownedBytes i
 	return shared, owned, ownedBytes
 }
 
-// ApproxBytes estimates the resident size of the fragment's base: exact
-// array lengths for a compiled one, encoded byte extents for a
-// compressed-only one. The ids and local arrays, and the arc array, are
-// not counted when they are the very arrays prev's base holds (a fold
-// that did not change the vertex set, or the arc set, shares them).
+// ApproxBytes estimates the resident size of the fragment's base from
+// its exact array lengths. The ids and local arrays, and the arc array,
+// are not counted when they are the very arrays prev's base holds (a
+// fold that did not change the vertex set, or the arc set, shares them).
 // Used for the /metrics epoch memory accounting; not a heap measurement.
 func (f *Fragment) ApproxBytes(prev *Fragment) int64 {
 	c := f.base.Load()
 	if c == nil {
-		if z := f.czf.Load(); z != nil {
-			return z.byteSize()
-		}
 		return 0
 	}
 	n := c.byteSize()

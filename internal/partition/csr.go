@@ -56,7 +56,6 @@ func (p *Partition) Compile() *Partition {
 	for _, f := range p.frags {
 		ov := f.ov.Load()
 		if ov == nil {
-			f.compiled()
 			continue
 		}
 		f.base.Store(compileFragment(f.base.Load(), ov, nv))
@@ -196,6 +195,15 @@ func mergeArcKeys(dst, base []uint64, changed map[uint64]bool) []uint64 {
 	return append(dst, base...)
 }
 
+// byteSize returns the heap footprint of the compiled form's arrays.
+func (c *compiledFragment) byteSize() int64 {
+	const adjHdr = 48 // two slice headers
+	return int64(len(c.ids))*4 + int64(len(c.local))*4 +
+		int64(len(c.adjs))*adjHdr +
+		int64(len(c.outAdj)+len(c.inAdj))*4 +
+		int64(len(c.arcs))*8 + int64(len(c.arcOff))*4
+}
+
 // hasArc probes the compiled arc array: O(1) source remap plus a
 // binary search over that source's out-arcs only.
 func (c *compiledFragment) hasArc(u, v graph.VertexID) bool {
@@ -234,7 +242,7 @@ func (c *compiledFragment) arcIndex(u, v graph.VertexID) (int, bool) {
 // The cost tracker seeds its dense contribution slabs from it, so on a
 // compiled partition the slabs start compact instead of graph-wide.
 func (f *Fragment) LocalRemap(numVertices int) ([]int32, int) {
-	ov, c := f.ov.Load(), f.compiled()
+	ov, c := f.ov.Load(), f.base.Load()
 	if ov != nil || c == nil {
 		return nil, 0
 	}
@@ -250,7 +258,7 @@ func (f *Fragment) LocalRemap(numVertices int) ([]int32, int) {
 // engine's responsibility bitsets use — and whether the arc is stored
 // locally. Only valid on a compiled fragment.
 func (f *Fragment) ArcIndex(u, v graph.VertexID) (int, bool) {
-	return f.compiled().arcIndex(u, v)
+	return f.base.Load().arcIndex(u, v)
 }
 
 // Packed is a read-only view of a compiled fragment's arrays, for
@@ -276,9 +284,8 @@ type Packed struct {
 	ArcOff []int32
 }
 
-// Packed returns the view. Only valid on a compiled or compressed
-// fragment (the latter inflates on demand).
+// Packed returns the view. Only valid on a compiled fragment.
 func (f *Fragment) Packed() Packed {
-	c := f.compiled()
+	c := f.base.Load()
 	return Packed{IDs: c.ids, Local: c.local, Adjs: c.adjs, Out: c.outAdj, In: c.inAdj, Arcs: c.arcs, ArcOff: c.arcOff}
 }

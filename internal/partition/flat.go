@@ -257,7 +257,7 @@ func FromVertexAssignmentFlat(g *graph.Graph, assign []int, n int) (*Partition, 
 func (f *Fragment) AppendSortedArcKeys(dst []uint64) []uint64 {
 	ov := f.ov.Load()
 	var base []uint64
-	if c := f.compiled(); c != nil {
+	if c := f.base.Load(); c != nil {
 		base = c.arcs
 	}
 	if ov == nil {

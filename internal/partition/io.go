@@ -11,7 +11,7 @@ import (
 
 // Serialisation: a partition persists as its fragment arc sets plus
 // the owner and master maps; the graph itself is stored separately
-// (see graph.WriteBinary) and supplied again at load time, the way a
+// (see graph.WriteFlatBinary) and supplied again at load time, the way a
 // production system keeps topology and placement apart.
 
 const partitionMagic = uint32(0xAD9A_0002)

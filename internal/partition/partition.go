@@ -72,17 +72,12 @@ func (a *Adj) LocalDegree() int { return len(a.Out) + len(a.In) }
 // fragment is a base with no overlay. A mutation of a compiled fragment
 // creates an overlay and copies just the touched vertices' adjacency
 // into it (thaw) — the base is never written, because clones and epochs
-// share it by pointer. Every accessor reads overlay-then-base. The
-// compressed form (see CompileCompressed) is a cold encoding of the
-// base, inflated on first random access.
+// share it by pointer. Every accessor reads overlay-then-base.
 type Fragment struct {
 	id int
 	// base is the compiled form; atomic because concurrent cluster
 	// constructions may Compile a shared baseline partition.
 	base atomic.Pointer[compiledFragment]
-	// czf holds the compressed encoding of the base; when set and base
-	// is nil, accessors needing random access inflate it on first use.
-	czf atomic.Pointer[compressedFragment]
 	// ov is nil on a compiled fragment. Compile stores the new base
 	// before clearing it, so a racing reader that still holds the old
 	// overlay sees the same contents through either base.
@@ -101,40 +96,16 @@ type overlay struct {
 	nVerts, nArcs int
 }
 
-// compiled returns the base (nil when there is none), inflating the
-// compressed form first when that is all the fragment carries. Kept
-// small so the hot accessors inline the common case.
-func (f *Fragment) compiled() *compiledFragment {
-	if c := f.base.Load(); c != nil {
-		return c
-	}
-	return f.inflate()
-}
-
-// inflate rebuilds the base from the compressed form, if there is one.
-// Racing inflations store interchangeable values, as racing Compiles do.
-func (f *Fragment) inflate() *compiledFragment {
-	z := f.czf.Load()
-	if z == nil {
-		return nil
-	}
-	c := z.inflate()
-	f.base.Store(c)
-	return c
-}
-
 // mutable returns the overlay a structural mutator writes, creating it
-// on the first mutation of a compiled fragment. The compressed form
-// encodes the base being diverged from, so it is dropped.
+// on the first mutation of a compiled fragment.
 func (f *Fragment) mutable() *overlay {
 	if ov := f.ov.Load(); ov != nil {
 		return ov
 	}
 	ov := &overlay{verts: map[graph.VertexID]*Adj{}, arcs: map[uint64]bool{}}
-	if c := f.compiled(); c != nil {
+	if c := f.base.Load(); c != nil {
 		ov.nVerts, ov.nArcs = len(c.ids), len(c.arcs)
 	}
-	f.czf.Store(nil)
 	f.ov.Store(ov)
 	return ov
 }
@@ -180,10 +151,7 @@ func (f *Fragment) NumArcs() int {
 	if ov := f.ov.Load(); ov != nil {
 		return ov.nArcs
 	}
-	if c := f.base.Load(); c != nil {
-		return len(c.arcs)
-	}
-	return f.czf.Load().numArcs
+	return len(f.base.Load().arcs)
 }
 
 // NumVertices returns the number of vertex copies (including dummies)
@@ -192,10 +160,7 @@ func (f *Fragment) NumVertices() int {
 	if ov := f.ov.Load(); ov != nil {
 		return ov.nVerts
 	}
-	if c := f.base.Load(); c != nil {
-		return len(c.ids)
-	}
-	return len(f.czf.Load().ids)
+	return len(f.base.Load().ids)
 }
 
 // Has reports whether a copy of v is present.
@@ -205,20 +170,12 @@ func (f *Fragment) Has(v graph.VertexID) bool {
 			return adj != nil
 		}
 	}
-	if c := f.base.Load(); c != nil {
-		return c.adjacency(v) != nil
-	}
-	if z := f.czf.Load(); z != nil {
-		// Binary search the compressed id array; no inflation needed.
-		_, ok := slices.BinarySearch(z.ids, v)
-		return ok
-	}
-	return false
+	return f.base.Load().adjacency(v) != nil
 }
 
 // HasArc reports whether the arc (u,v) is stored locally: an overlay
-// probe when the fragment has one (and then no compressed form is left
-// to inflate, see mutable), then a binary search on the base's arcs.
+// probe when the fragment has one, then a binary search on the base's
+// arcs.
 func (f *Fragment) HasArc(u, v graph.VertexID) bool {
 	if ov := f.ov.Load(); ov != nil {
 		if present, ok := ov.arcs[arcKey(u, v)]; ok {
@@ -227,7 +184,7 @@ func (f *Fragment) HasArc(u, v graph.VertexID) bool {
 		c := f.base.Load()
 		return c != nil && c.hasArc(u, v)
 	}
-	return f.compiled().hasArc(u, v)
+	return f.base.Load().hasArc(u, v)
 }
 
 // Adjacency returns the local adjacency of v, or nil if absent.
@@ -238,7 +195,7 @@ func (f *Fragment) Adjacency(v graph.VertexID) *Adj {
 		}
 		return f.base.Load().adjacency(v)
 	}
-	return f.compiled().adjacency(v)
+	return f.base.Load().adjacency(v)
 }
 
 // Vertices calls fn for every vertex copy in ascending id order.
@@ -250,7 +207,7 @@ func (f *Fragment) Vertices(fn func(v graph.VertexID, adj *Adj)) {
 	ov := f.ov.Load()
 	var ids []graph.VertexID
 	var adjs []Adj
-	if c := f.compiled(); c != nil {
+	if c := f.base.Load(); c != nil {
 		ids, adjs = c.ids, c.adjs
 	}
 	l := 0

@@ -150,19 +150,3 @@ func TestRunChunksNilCtxUnchanged(t *testing.T) {
 		}
 	}
 }
-
-// TestUnboundedRunCtx: the legacy per-item mode honours cancellation
-// too (items check ctx before running).
-func TestUnboundedRunCtx(t *testing.T) {
-	p := Unbounded()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran atomic.Int64
-	err := p.RunCtx(ctx, 64, func(i int) { ran.Add(1) })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran.Load() != 0 {
-		t.Fatalf("%d items ran under a pre-cancelled context", ran.Load())
-	}
-}

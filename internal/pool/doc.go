@@ -36,6 +36,4 @@
 //   - Serial(): one worker, caller's goroutine, ascending index
 //     order — the deterministic single-threaded mode tests pin
 //     against.
-//   - Unbounded(): the legacy goroutine-per-item schedule, retained
-//     only as the benchmark baseline.
 package pool

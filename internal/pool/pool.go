@@ -50,9 +50,6 @@ func (p *Panic) String() string {
 // acyclic and the pool cannot deadlock on itself.
 type Pool struct {
 	workers int
-	// perItem marks the Unbounded legacy mode: one goroutine per
-	// chunk of one item, kept only as a benchmark baseline.
-	perItem bool
 
 	once sync.Once
 	jobs chan *job
@@ -73,30 +70,14 @@ func New(workers int) *Pool {
 // used by tests.
 func Serial() *Pool { return New(1) }
 
-// Unbounded returns a pool that spawns one goroutine per item — the
-// legacy fan-out strategy every call site used before the shared pool
-// existed. It is retained solely as the baseline for the
-// pooled-vs-spawn benchmarks and must not be used on hot paths.
-func Unbounded() *Pool { return &Pool{perItem: true} }
-
-// Workers returns the concurrency bound (0 for an Unbounded pool).
-func (p *Pool) Workers() int {
-	if p.perItem {
-		return 0
-	}
-	return p.workers
-}
+// Workers returns the concurrency bound.
+func (p *Pool) Workers() int { return p.workers }
 
 // Close releases the helper goroutines. The pool must not be used
 // after Close; the process-wide Default pool is never closed.
 func (p *Pool) Close() {
-	if p.perItem {
-		return
-	}
 	p.once.Do(func() {}) // forbid a post-Close lazy start
-	if p.jobs != nil {
-		close(p.jobs)
-	}
+	close(p.jobs)
 }
 
 var (
@@ -241,10 +222,6 @@ func (p *Pool) runChunksCtx(ctx context.Context, n, chunk int, fn func(lo, hi in
 	if n <= 0 {
 		return nil
 	}
-	if p.perItem {
-		runPerItem(ctx, n, fn)
-		return ctxErr(ctx)
-	}
 	if p.workers == 1 {
 		return p.runSerial(ctx, n, chunk, fn)
 	}
@@ -317,26 +294,6 @@ func ctxErr(ctx context.Context) error {
 		return nil
 	}
 	return ctx.Err()
-}
-
-// runPerItem is the Unbounded legacy schedule: one goroutine per item.
-func runPerItem(ctx context.Context, n int, fn func(lo, hi int)) {
-	j := &job{n: n, chunk: 1, fn: fn, ctx: ctx}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			if j.ctx != nil && j.ctx.Err() != nil {
-				return
-			}
-			j.call(i, i+1)
-		}(i)
-	}
-	wg.Wait()
-	if pv := j.pval.Load(); pv != nil {
-		panic(pv)
-	}
 }
 
 // Map runs fn over [0, n) on p and collects the results into a

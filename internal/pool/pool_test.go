@@ -91,7 +91,7 @@ func TestRunChunksPartitionRange(t *testing.T) {
 }
 
 func TestPanicPropagation(t *testing.T) {
-	pools := map[string]*Pool{"serial": Serial(), "bounded": New(4), "unbounded": Unbounded()}
+	pools := map[string]*Pool{"serial": Serial(), "bounded": New(4)}
 	for name, p := range pools {
 		func() {
 			defer func() {
@@ -214,9 +214,6 @@ func TestWorkersAccessorAndSizing(t *testing.T) {
 	if got := New(5).Workers(); got != 5 {
 		t.Fatalf("New(5).Workers() = %d", got)
 	}
-	if got := Unbounded().Workers(); got != 0 {
-		t.Fatalf("Unbounded().Workers() = %d, want 0", got)
-	}
 	if got := Serial().Workers(); got != 1 {
 		t.Fatalf("Serial().Workers() = %d, want 1", got)
 	}
@@ -243,18 +240,6 @@ func TestDefaultPoolAndResize(t *testing.T) {
 	SetDefaultWorkers(0)
 	if got := Default().Workers(); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("after SetDefaultWorkers(0), Workers() = %d", got)
-	}
-}
-
-func TestUnboundedCoversAllItems(t *testing.T) {
-	p := Unbounded()
-	const n = 500
-	hits := make([]int32, n)
-	p.Run(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("unbounded: index %d executed %d times", i, h)
-		}
 	}
 }
 

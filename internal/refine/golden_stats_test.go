@@ -44,9 +44,10 @@ var goldenStats = []goldenStat{
 	{"learned/v2h", 0x4014ecc664ce04f0, 214, 0, 69, 1040},
 }
 
-// goldenLearnedModel mirrors bench.LearnedDegreeModel (bench imports
-// refine, so the model is rebuilt here): a degree-2 hA over
-// {d+L, d+G} and a degree-1 gA over r, both in learned Model form.
+// goldenLearnedModel is a cost pair of the shape costmodel.Train
+// produces: a degree-2 hA over {d+L, d+G} with CN-like weights and a
+// degree-1 gA over r with PR-like weights, both in learned Model form,
+// so the compiled-kernel path runs rather than the reference closures.
 func goldenLearnedModel() costmodel.CostModel {
 	h := &costmodel.Model{
 		Terms:   costmodel.PolyTerms([]costmodel.VarKind{costmodel.DLIn, costmodel.DGIn}, 2),

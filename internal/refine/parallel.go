@@ -23,7 +23,7 @@ type pending struct {
 
 // migrateScratch holds every buffer the migrate superstep loop needs,
 // allocated once per phase and reused across supersteps so the loop
-// itself performs no heap allocation (ProbeLoopAllocs locks this). The
+// itself performs no heap allocation (TestProbeLoopAllocFree locks this). The
 // probe pass only writes per-candidate verdict slots, so the scratch
 // is owned by the coordinating goroutine and the determinism contract
 // — identical Stats for any pool size — is untouched.

@@ -9,9 +9,8 @@ import (
 // TestWalAppendAllocFree pins the framing hot path at zero heap
 // allocations per record: the payload prefix and the edge body live on
 // the stack and the CRC is chained piecewise, so a steady-state append
-// into a buffer with retained capacity never touches the allocator.
-// This is the wal_append bench contract — a reintroduced per-frame
-// make() shows up here before it shows up in BENCH_*.json.
+// into a buffer with retained capacity never touches the allocator: a
+// reintroduced per-frame make() shows up here first.
 func TestWalAppendAllocFree(t *testing.T) {
 	buf := make([]byte, 0, 1<<12)
 	lsn := uint64(1)

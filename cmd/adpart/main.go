@@ -188,7 +188,7 @@ func run(args []string) int {
 	}
 	model := costmodel.Reference(algo)
 	before := costmodel.Evaluate(base, model)
-	refined := base.Clone()
+	refined := base.CloneCOW()
 	start := time.Now()
 	stats := refine.ForFamily(spec.Family, refined, model, refine.Config{})
 	if stats == nil {

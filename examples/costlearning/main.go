@@ -67,7 +67,7 @@ func main() {
 	}
 	model := costmodel.CostModel{H: h, G: costmodel.Reference(costmodel.CN).G}
 	before := costmodel.Evaluate(base, model)
-	refined := base.Clone()
+	refined := base.CloneCOW()
 	refine.ParE2H(refined, model, refine.Config{})
 	after := costmodel.Evaluate(refined, model)
 	fmt.Printf("refinement driven by the learned model: parallel cost %.4g -> %.4g (λ %.2f -> %.2f)\n",

@@ -34,7 +34,7 @@ func main() {
 	before := costmodel.Evaluate(base, model)
 
 	// 4. Refine the edge-cut into a PR-driven hybrid partition.
-	refined := base.Clone()
+	refined := base.CloneCOW()
 	stats := refine.ParE2H(refined, model, refine.Config{})
 	after := costmodel.Evaluate(refined, model)
 

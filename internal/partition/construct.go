@@ -16,31 +16,40 @@ func FromVertexAssignment(g *graph.Graph, assign []int, n int) (*Partition, erro
 	if len(assign) != g.NumVertices() {
 		return nil, fmt.Errorf("partition: assignment covers %d of %d vertices", len(assign), g.NumVertices())
 	}
-	p := NewEmpty(g, n)
-	for v := range assign {
-		if assign[v] < 0 || assign[v] >= n {
-			return nil, fmt.Errorf("partition: vertex %d assigned to fragment %d of %d", v, assign[v], n)
+	// Masters and compute owners are the owner fragment, which holds
+	// every arc incident to v: known up front, so the keys go straight
+	// into the lists, past AddArc's first-touch bookkeeping.
+	b := NewBuilder(g, n)
+	for v, i := range assign {
+		if i < 0 || i >= n {
+			return nil, fmt.Errorf("partition: vertex %d assigned to fragment %d of %d", v, i, n)
+		}
+		if g.OutDegree(graph.VertexID(v))+g.InDegree(graph.VertexID(v)) > 0 {
+			b.master[v] = int32(i)
 		}
 	}
+	// Count first, so that each fragment's arc list is allocated once.
+	counts := make([]int, n)
 	g.Edges(func(s, d graph.VertexID) bool {
-		p.AddArc(assign[s], s, d)
+		counts[assign[s]]++
 		if assign[d] != assign[s] {
-			p.AddArc(assign[d], s, d)
+			counts[assign[d]]++
 		}
 		return true
 	})
-	// Isolated vertices still need a home.
-	for v := 0; v < g.NumVertices(); v++ {
-		if g.OutDegree(graph.VertexID(v)) == 0 && g.InDegree(graph.VertexID(v)) == 0 {
-			p.AddVertex(assign[v], graph.VertexID(v))
-		}
+	for i, c := range counts {
+		b.keys[i] = make([]uint64, 0, c)
 	}
-	// Masters and compute owners default to the owner fragment.
-	for v := 0; v < g.NumVertices(); v++ {
-		if p.frags[assign[v]].Has(graph.VertexID(v)) {
-			p.master[v] = int32(assign[v])
+	g.Edges(func(s, d graph.VertexID) bool {
+		b.keys[assign[s]] = append(b.keys[assign[s]], arcKey(s, d))
+		if assign[d] != assign[s] {
+			b.keys[assign[d]] = append(b.keys[assign[d]], arcKey(s, d))
 		}
-		p.owner[v] = int32(assign[v])
+		return true
+	})
+	p := b.Build(func(v graph.VertexID) int { return assign[v] }) // isolated vertices: at their owner too
+	for v, i := range assign {
+		p.owner[v] = int32(i)
 	}
 	return p, nil
 }
@@ -54,7 +63,7 @@ type EdgeAssigner func(src, dst graph.VertexID) int
 // edge→fragment assignment: each edge lives in exactly one fragment
 // (fe = 1) and vertices are replicated wherever their edges land.
 func FromEdgeAssignment(g *graph.Graph, assign EdgeAssigner, n int) (*Partition, error) {
-	p := NewEmpty(g, n)
+	b := NewBuilder(g, n)
 	var err error
 	g.Edges(func(s, d graph.VertexID) bool {
 		if g.Undirected() && s > d {
@@ -65,18 +74,13 @@ func FromEdgeAssignment(g *graph.Graph, assign EdgeAssigner, n int) (*Partition,
 			err = fmt.Errorf("partition: edge (%d,%d) assigned to fragment %d of %d", s, d, i, n)
 			return false
 		}
-		p.AddEdge(i, s, d)
+		b.AddEdge(i, s, d)
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if g.OutDegree(graph.VertexID(v)) == 0 && g.InDegree(graph.VertexID(v)) == 0 {
-			p.AddVertex(int(graph.VertexID(v))%n, graph.VertexID(v))
-		}
-	}
-	return p, nil
+	return b.Build(func(v graph.VertexID) int { return int(v) % n }), nil
 }
 
 // Clone returns a deep copy of the partition sharing only the

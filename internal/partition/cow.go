@@ -39,9 +39,7 @@ func (p *Partition) CloneCOW() *Partition {
 	}
 	p.copiesShared = true
 	for i, f := range p.frags {
-		nf := &Fragment{id: i}
-		nf.base.Store(f.base.Load())
-		q.frags[i] = nf
+		q.frags[i] = freezeFragment(i, f.base.Load())
 	}
 	return q
 }

@@ -206,10 +206,17 @@ func TestCompileFoldIsIdempotent(t *testing.T) {
 			t.Fatalf("%s: folding the overlay into its own result changed %s", what, d)
 		}
 	}
-	p := figure1bPartition(t, g)
-	check("overlay over no base", p.frags[1])
+	// An overlay over no base: what NewEmpty and its writers (the
+	// composite builders, refine.ApplyUpdates) leave before Compile.
+	fresh := NewEmpty(g, 2)
+	figure1bPartition(t, g).frags[1].Vertices(func(v graph.VertexID, adj *Adj) {
+		for _, w := range adj.Out {
+			fresh.AddArc(1, v, w)
+		}
+	})
+	check("overlay over no base", fresh.frags[1])
 
-	p.Compile()
+	p := figure1bPartition(t, g)
 	p.AddArc(1, s1, t5)    // new arc, new vertex s1
 	p.RemoveArc(1, s5, t4) // drops t4: a tombstone
 	p.RemoveArc(1, s5, t5) // removed arc, thawed endpoints stay

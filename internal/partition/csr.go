@@ -80,17 +80,20 @@ func (c *compiledFragment) adjacency(v graph.VertexID) *Adj {
 	return &c.adjs[l]
 }
 
+// noBase stands in for the base of a fragment that never had one.
+var noBase = &compiledFragment{arcOff: []int32{0}}
+
 // compileFragment folds the overlay ov into the base b (nil for a
 // fragment that never had one) by linear merge: only the overlay's
-// touched ids and arc keys are sorted, the runs of untouched base
-// vertices between them are block-copied, and the id and remap arrays
-// are shared with b when the vertex set did not change, the arc array
-// when the arc set did not (an edge deleted and re-inserted). The
-// result is array for array what sorting and packing the whole fragment
-// from scratch produces.
+// touched ids are sorted, the runs of untouched base vertices between
+// them are block-copied, and the id and remap arrays are shared with b
+// when the vertex set did not change, the arc array when the arc set
+// did not (an edge deleted and re-inserted). The result is array for
+// array what sorting and packing the whole fragment from scratch
+// produces.
 func compileFragment(b *compiledFragment, ov *overlay, numVertices int) *compiledFragment {
 	if b == nil {
-		b = &compiledFragment{}
+		b = noBase
 	}
 	touched := ov.sortedVerts()
 	sameSet := len(b.local) == numVertices
@@ -154,7 +157,7 @@ func compileFragment(b *compiledFragment, ov *overlay, numVertices int) *compile
 		c.local = newLocal(numVertices, c.ids)
 	}
 	if c.arcs = b.arcs; len(ov.arcs) > 0 {
-		c.arcs = mergeArcKeys(make([]uint64, 0, ov.nArcs), b.arcs, ov.arcs)
+		c.arcs = appendFoldedArcs(make([]uint64, 0, ov.nArcs), b, ov, touched)
 	}
 	return c
 }
@@ -171,28 +174,24 @@ func newLocal(numVertices int, ids []graph.VertexID) []int32 {
 	return local
 }
 
-// mergeArcKeys appends to dst the sorted arc keys of base with the
-// overlay's changes applied: base runs between changed keys are copied
-// whole, and a changed key comes out once if it is now present and not
-// at all otherwise, whether or not base holds it.
-func mergeArcKeys(dst, base []uint64, changed map[uint64]bool) []uint64 {
-	keys := make([]uint64, 0, len(changed))
-	for k := range changed {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		n, found := slices.BinarySearch(base, k)
-		dst = append(dst, base[:n]...)
-		if found {
-			n++
+// appendFoldedArcs appends to dst the sorted arc keys of b with the
+// overlay applied, touched being ov.sortedVerts(). A changed arc always
+// has a thawed source, so b's runs of untouched vertices are copied
+// whole and each touched vertex's run is re-derived from its out-list:
+// no key of the overlay's arc map is collected or sorted.
+func appendFoldedArcs(dst []uint64, b *compiledFragment, ov *overlay, touched []graph.VertexID) []uint64 {
+	bl := 0
+	for _, v := range touched {
+		n, found := slices.BinarySearch(b.ids[bl:], v)
+		dst = append(dst, b.arcs[b.arcOff[bl]:b.arcOff[bl+n]]...)
+		if bl += n; found {
+			bl++
 		}
-		base = base[n:]
-		if changed[k] {
-			dst = append(dst, k)
+		if adj := ov.verts[v]; adj != nil {
+			dst = appendArcRun(dst, v, adj.Out)
 		}
 	}
-	return append(dst, base...)
+	return append(dst, b.arcs[b.arcOff[bl]:]...)
 }
 
 // byteSize returns the heap footprint of the compiled form's arrays.
@@ -205,14 +204,14 @@ func (c *compiledFragment) byteSize() int64 {
 }
 
 // hasArc probes the compiled arc array: O(1) source remap plus a
-// binary search over that source's out-arcs only.
+// binary search over that source's out-arcs only. Nil-safe.
 func (c *compiledFragment) hasArc(u, v graph.VertexID) bool {
 	_, ok := c.arcIndex(u, v)
 	return ok
 }
 
 func (c *compiledFragment) arcIndex(u, v graph.VertexID) (int, bool) {
-	if int(u) >= len(c.local) {
+	if c == nil || int(u) >= len(c.local) {
 		return 0, false
 	}
 	lu := c.local[u]

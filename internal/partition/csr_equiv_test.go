@@ -142,7 +142,7 @@ func TestQuickCompileEquivalence(t *testing.T) {
 			}
 			return true
 		})
-		return ok && mutateRecompileEquivalent(t, p, seed)
+		return ok && mutateRecompileEquivalent(t, p, seed) && refinerOverlaysEquivalent(t, p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -258,6 +258,74 @@ func mutateRecompileEquivalent(t *testing.T, p *partition.Partition, seed int64)
 			}
 		}
 		cuts = append(cuts, snapshot(next))
+	}
+	return true
+}
+
+// refinerOverlaysEquivalent folds the overlays a refiner leaves on a
+// compiled 4-fragment partition — a hub moved out of fragment 0 whole
+// into fragment 1, a vertex of fragment 2 dropped to a tombstone, an
+// arc of fragment 3 deleted and re-inserted — and holds the fold to the
+// from-scratch compile of a deep Clone taken through the same calls.
+// Fragment 3's arc set is back where it was, so its new base must still
+// share the arc array with the old one.
+func refinerOverlaysEquivalent(t *testing.T, p *partition.Partition) bool {
+	t.Helper()
+	live, oracle := p.CloneCOW(), p.Clone()
+	prev := live.CloneCOW()
+	hub := live.Fragment(0).SortedVertices()[0]
+	live.Fragment(0).Vertices(func(v graph.VertexID, adj *partition.Adj) {
+		if adj.LocalDegree() > live.Fragment(0).Adjacency(hub).LocalDegree() {
+			hub = v
+		}
+	})
+	dropped := live.Fragment(2).SortedVertices()[0]
+	var u, w graph.VertexID
+	live.Fragment(3).Vertices(func(v graph.VertexID, adj *partition.Adj) {
+		if len(adj.Out) > 0 {
+			u, w = v, adj.Out[0]
+		}
+	})
+	adj := live.Fragment(0).Adjacency(hub)
+	out, in := slices.Clone(adj.Out), slices.Clone(adj.In)
+	for _, q := range []*partition.Partition{live, oracle} {
+		for _, x := range out {
+			q.AddArc(1, hub, x)
+		}
+		for _, x := range in {
+			q.AddArc(1, x, hub)
+		}
+		q.RemoveVertex(0, hub)
+		q.RemoveVertex(2, dropped)
+		if !q.RemoveArc(3, u, w) {
+			t.Errorf("arc (%d,%d) missing from fragment 3", u, w)
+			return false
+		}
+		q.AddArc(3, u, w)
+	}
+	if live.Fragment(0).Has(hub) || live.Fragment(2).Has(dropped) || !live.Fragment(3).HasArc(u, w) {
+		t.Errorf("overlay reads wrong after the refiner-shaped moves")
+		return false
+	}
+	live.Compile()
+	oracle.Compile()
+	for i := 0; i < live.NumFragments(); i++ {
+		if d := partition.SnapshotBase(live.Fragment(i)).Diff(partition.SnapshotBase(oracle.Fragment(i))); d != "" {
+			t.Errorf("refiner-shaped overlay: fragment %d: fold differs from the from-scratch compile in %s", i, d)
+			return false
+		}
+		if err := partition.CheckPacked(live.Fragment(i)); err != nil {
+			t.Error(err)
+			return false
+		}
+	}
+	if !partition.SharesArcs(live.Fragment(3), prev.Fragment(3)) || partition.SharesArcs(live.Fragment(0), prev.Fragment(0)) {
+		t.Errorf("arc array sharing: fragment 3 (arc set unchanged) must share with the old base, fragment 0 (hub gone) must not")
+		return false
+	}
+	if err := live.EqualPlacement(oracle); err != nil {
+		t.Errorf("refiner-shaped overlay: fold diverges from the oracle: %v", err)
+		return false
 	}
 	return true
 }

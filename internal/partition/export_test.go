@@ -92,3 +92,10 @@ func SharesIDs(a, b *Fragment) bool {
 	ca, cb := a.base.Load(), b.base.Load()
 	return len(ca.local) > 0 && &ca.local[0] == &cb.local[0] && len(ca.ids) > 0 && &ca.ids[0] == &cb.ids[0]
 }
+
+// SharesArcs reports whether the two compiled fragments hold the very
+// same arc array.
+func SharesArcs(a, b *Fragment) bool {
+	ca, cb := a.base.Load(), b.base.Load()
+	return len(ca.arcs) > 0 && len(cb.arcs) > 0 && &ca.arcs[0] == &cb.arcs[0]
+}

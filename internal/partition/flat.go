@@ -1,21 +1,18 @@
 package partition
 
 import (
-	"fmt"
 	"slices"
 
 	"adp/internal/graph"
 )
 
-// Flat construction: the loaders on the big-graph path build
-// fragments directly in compiled form from arc-key lists, skipping the
-// per-vertex maps entirely. The resulting fragments are bitwise
-// equivalent to map-built fragments after Compile — same ids, same
-// packed adjacency order (the key list plays the role of AddArc
-// insertion order), same sorted arc array — so the engine, the
-// refiners (thawing the vertices they touch) and the equality checkers
-// see no difference. What changes is the cost: building 10M arcs allocates a
-// handful of arrays instead of millions of map cells.
+// Flat construction: every constructor (through Builder) and the file
+// reader build fragments directly in compiled form from arc-key lists,
+// skipping the per-vertex maps. The fragments are bitwise what NewEmpty +
+// the same AddArc sequence + Compile gives — same ids, same packed
+// adjacency order (the key list plays the role of AddArc insertion
+// order), same sorted arc array — at a handful of arrays per fragment
+// instead of a map cell per vertex and arc.
 
 // buildCompiled constructs a compiled fragment from an arc-key list in
 // insertion order (deduplicated; key = src<<32|dst) plus edge-less
@@ -87,17 +84,34 @@ func buildCompiled(nv int, keys []uint64, loners []graph.VertexID) *compiledFrag
 		c.adjs[l] = Adj{Out: c.outAdj[oLo:oHi:oHi], In: c.inAdj[iLo:iHi:iHi]}
 	}
 
-	c.arcs = make([]uint64, len(keys))
-	copy(c.arcs, keys)
-	if !slices.IsSorted(c.arcs) {
-		slices.Sort(c.arcs)
+	// Keys in ascending order (g.Edges order, a writer's) are the arc
+	// array. Otherwise it is rebuilt a source at a time: a vertex's arc
+	// keys are its out-list's and ids ascend, so sorting each run on its
+	// own sorts the array.
+	if c.arcs = slices.Clone(keys); !slices.IsSorted(keys) {
+		c.arcs = c.arcs[:0]
+		for l, v := range ids {
+			c.arcs = appendArcRun(c.arcs, v, c.adjs[l].Out)
+		}
 	}
 	c.arcOff = outOff
 	return c
 }
 
-// freezeFragment wraps a directly-built compiled form in a Fragment
-// with no overlay.
+// appendArcRun appends the arc keys v is the source of, ascending: the
+// slots arcOff gives v in a compiled fragment's arc array.
+func appendArcRun(dst []uint64, v graph.VertexID, out []graph.VertexID) []uint64 {
+	n := len(dst)
+	for _, w := range out {
+		dst = append(dst, arcKey(v, w))
+	}
+	if run := dst[n:]; !slices.IsSorted(run) {
+		slices.Sort(run)
+	}
+	return dst
+}
+
+// freezeFragment wraps a compiled form in a Fragment with no overlay.
 func freezeFragment(id int, c *compiledFragment) *Fragment {
 	f := &Fragment{id: id}
 	f.base.Store(c)
@@ -146,16 +160,17 @@ func dedupKeysInOrder(keys []uint64) []uint64 {
 
 // assembleFrozen wires frozen fragments into a Partition: the copies
 // index is carved out of one counting arena (fragments are visited in
-// ascending id order, so each vertex's copy list comes out sorted),
-// and masters default to the first fragment holding the vertex —
-// the same first-touch rule ensureVertex applies on the map path.
-func assembleFrozen(g *graph.Graph, frags []*Fragment) *Partition {
+// ascending id order, so each vertex's copy list comes out sorted).
+// The masters are the caller's: the fragments do not say which one
+// touched a vertex first, ensureVertex's rule, so a Builder records that
+// as it goes and Read takes them from the file.
+func assembleFrozen(g *graph.Graph, frags []*Fragment, master []int32) *Partition {
 	nv := g.NumVertices()
 	p := &Partition{
 		g:      g,
 		frags:  frags,
 		copies: make([][]int32, nv),
-		master: make([]int32, nv),
+		master: master,
 		owner:  make([]int32, nv),
 	}
 	off := make([]int32, nv+1)
@@ -177,91 +192,91 @@ func assembleFrozen(g *graph.Graph, frags []*Fragment) *Partition {
 		}
 	}
 	for v := 0; v < nv; v++ {
-		lo, hi := off[v], off[v+1]
-		if lo == hi {
-			p.master[v] = -1
-		} else {
+		if lo, hi := off[v], off[v+1]; lo < hi {
 			// Capacity clipped to length: insertCopy appends must
 			// reallocate instead of scribbling into the neighbour's
 			// arena region.
 			p.copies[v] = arena[lo:hi:hi]
-			p.master[v] = p.copies[v][0]
 		}
 		p.owner[v] = -1
 	}
 	return p
 }
 
-// FromVertexAssignmentFlat is FromVertexAssignment built on the frozen
-// fast path: identical placement, masters and owners, but fragments
-// are constructed directly in compiled form. Use it for large graphs
-// where the map-backed constructor's per-vertex allocations dominate.
-func FromVertexAssignmentFlat(g *graph.Graph, assign []int, n int) (*Partition, error) {
-	if len(assign) != g.NumVertices() {
-		return nil, fmt.Errorf("partition: assignment covers %d of %d vertices", len(assign), g.NumVertices())
+// Builder accumulates a partition as per-fragment arc lists in call
+// order and builds every fragment straight into compiled form: what the
+// constructors use instead of NewEmpty + one AddArc per arc. The result
+// is, array for array, what Compile gives after the same calls on a
+// NewEmpty partition, provided no (fragment, arc) pair is added twice —
+// a Builder does not probe for repeats the way Partition.AddArc does.
+type Builder struct {
+	g    *graph.Graph
+	keys [][]uint64
+	// master[v] is the first fragment a call touched v in (ensureVertex's
+	// rule on the map path), -1 while v is untouched.
+	master []int32
+}
+
+// NewBuilder returns a builder of an n-fragment partition of g.
+func NewBuilder(g *graph.Graph, n int) *Builder {
+	b := &Builder{g: g, keys: make([][]uint64, n), master: make([]int32, g.NumVertices())}
+	for v := range b.master {
+		b.master[v] = -1
 	}
-	for v := range assign {
-		if assign[v] < 0 || assign[v] >= n {
-			return nil, fmt.Errorf("partition: vertex %d assigned to fragment %d of %d", v, assign[v], n)
+	return b
+}
+
+// AddArc stores the arc (u,v) in fragment i.
+func (b *Builder) AddArc(i int, u, v graph.VertexID) {
+	b.keys[i] = append(b.keys[i], arcKey(u, v))
+	if b.master[u] < 0 {
+		b.master[u] = int32(i)
+	}
+	if b.master[v] < 0 {
+		b.master[v] = int32(i)
+	}
+}
+
+// AddEdge stores the edge (u,v): for undirected graphs both arcs, for
+// directed graphs the single arc.
+func (b *Builder) AddEdge(i int, u, v graph.VertexID) {
+	b.AddArc(i, u, v)
+	if b.g.Undirected() && u != v {
+		b.AddArc(i, v, u)
+	}
+}
+
+// Build returns the partition. Every vertex no arc touched gets an
+// edge-less copy in fragment loner(v), mastered there; owners are unset.
+func (b *Builder) Build(loner func(v graph.VertexID) int) *Partition {
+	loners := make([][]graph.VertexID, len(b.keys))
+	for v, m := range b.master {
+		if m < 0 {
+			i := loner(graph.VertexID(v))
+			loners[i] = append(loners[i], graph.VertexID(v))
+			b.master[v] = int32(i)
 		}
 	}
-	// Count, then fill, each fragment's key list in the exact order
-	// FromVertexAssignment issues AddArc calls.
-	counts := make([]int64, n)
-	g.Edges(func(s, d graph.VertexID) bool {
-		counts[assign[s]]++
-		if assign[d] != assign[s] {
-			counts[assign[d]]++
-		}
-		return true
-	})
-	keys := make([][]uint64, n)
-	for i := range keys {
-		keys[i] = make([]uint64, 0, counts[i])
-	}
-	g.Edges(func(s, d graph.VertexID) bool {
-		k := arcKey(s, d)
-		keys[assign[s]] = append(keys[assign[s]], k)
-		if assign[d] != assign[s] {
-			keys[assign[d]] = append(keys[assign[d]], k)
-		}
-		return true
-	})
-	loners := make([][]graph.VertexID, n)
-	for v := 0; v < g.NumVertices(); v++ {
-		if g.OutDegree(graph.VertexID(v)) == 0 && g.InDegree(graph.VertexID(v)) == 0 {
-			loners[assign[v]] = append(loners[assign[v]], graph.VertexID(v))
-		}
-	}
-	nv := g.NumVertices()
-	frags := make([]*Fragment, n)
+	frags := make([]*Fragment, len(b.keys))
 	for i := range frags {
-		frags[i] = freezeFragment(i, buildCompiled(nv, keys[i], loners[i]))
+		frags[i] = freezeFragment(i, buildCompiled(b.g.NumVertices(), b.keys[i], loners[i]))
 	}
-	p := assembleFrozen(g, frags)
-	for v := 0; v < nv; v++ {
-		if p.frags[assign[v]].Has(graph.VertexID(v)) {
-			p.master[v] = int32(assign[v])
-		}
-		p.owner[v] = int32(assign[v])
-	}
-	return p, nil
+	return assembleFrozen(b.g, frags, b.master)
 }
 
 // AppendSortedArcKeys appends every stored arc as a packed
 // src<<32|dst key in ascending order and returns the extended slice.
 // Compiled fragments answer straight from the sorted base arc array;
-// an overlay costs one sort of its changed keys plus the merge.
+// an overlay costs one sort of its touched ids plus the fold by runs.
 // Callers (the composite coherence index) use this to merge fragments
 // without hashing each arc.
 func (f *Fragment) AppendSortedArcKeys(dst []uint64) []uint64 {
-	ov := f.ov.Load()
-	var base []uint64
-	if c := f.base.Load(); c != nil {
-		base = c.arcs
+	ov, b := f.ov.Load(), f.base.Load()
+	if b == nil {
+		b = noBase
 	}
-	if ov == nil {
-		return append(dst, base...)
+	if ov == nil || len(ov.arcs) == 0 {
+		return append(dst, b.arcs...)
 	}
-	return mergeArcKeys(dst, base, ov.arcs)
+	return appendFoldedArcs(dst, b, ov, ov.sortedVerts())
 }

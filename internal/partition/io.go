@@ -196,7 +196,7 @@ func read(r io.Reader, g *graph.Graph, static bool) (*Partition, error) {
 	if err := readI32s(br, master, scratch); err != nil {
 		return nil, fmt.Errorf("partition: reading master map: %w", err)
 	}
-	p := assembleFrozen(g, frags)
+	p := assembleFrozen(g, frags, master)
 	for v, o := range owner {
 		if o < -1 || o >= int32(n) {
 			return nil, fmt.Errorf("partition: owner of vertex %d is fragment %d of %d", v, o, n)
@@ -207,8 +207,12 @@ func read(r io.Reader, g *graph.Graph, static bool) (*Partition, error) {
 		if mfrag >= int32(n) {
 			return nil, fmt.Errorf("partition: master of vertex %d is fragment %d of %d", v, mfrag, n)
 		}
-		if mfrag >= 0 && p.frags[mfrag].Has(graph.VertexID(v)) {
-			p.master[v] = mfrag
+		// A master that holds no copy falls back to the lowest fragment
+		// that does.
+		if mfrag < 0 || !p.frags[mfrag].Has(graph.VertexID(v)) {
+			if master[v] = -1; len(p.copies[v]) > 0 {
+				master[v] = p.copies[v][0]
+			}
 		}
 	}
 	return p, nil

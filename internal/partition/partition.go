@@ -66,12 +66,13 @@ func (a *Adj) LocalDegree() int { return len(a.Out) + len(a.In) }
 //
 // A Fragment is one thing: an immutable compiled base (see
 // compiledFragment) plus a small map overlay holding only the vertices
-// and arc keys a mutation touched. The constructors and refiners build
-// against an overlay over a nil base (every vertex lives in the maps);
-// Compile folds the overlay into a new base and drops it, so a compiled
-// fragment is a base with no overlay. A mutation of a compiled fragment
+// and arc keys a mutation touched. The constructors emit bases (see
+// Builder); only NewEmpty starts from an overlay over a nil base, where
+// every vertex lives in the maps. Compile folds the overlay into a new
+// base and drops it, so a compiled fragment is a base with no overlay.
+// A mutation of a compiled fragment — a refiner's move, a served write —
 // creates an overlay and copies just the touched vertices' adjacency
-// into it (thaw) — the base is never written, because clones and epochs
+// into it (thaw): the base is never written, because clones and epochs
 // share it by pointer. Every accessor reads overlay-then-base.
 type Fragment struct {
 	id int
@@ -181,8 +182,6 @@ func (f *Fragment) HasArc(u, v graph.VertexID) bool {
 		if present, ok := ov.arcs[arcKey(u, v)]; ok {
 			return present
 		}
-		c := f.base.Load()
-		return c != nil && c.hasArc(u, v)
 	}
 	return f.base.Load().hasArc(u, v)
 }
@@ -193,7 +192,6 @@ func (f *Fragment) Adjacency(v graph.VertexID) *Adj {
 		if adj, ok := ov.verts[v]; ok {
 			return adj
 		}
-		return f.base.Load().adjacency(v)
 	}
 	return f.base.Load().adjacency(v)
 }

@@ -30,25 +30,31 @@ func GingerHybrid(g *graph.Graph, n int, cfg GingerConfig) (*partition.Partition
 	for v := 0; v < g.NumVertices(); v++ {
 		home[v] = base.Owner(graph.VertexID(v))
 	}
-	p := partition.NewEmpty(g, n)
+	return splitHubs(g, n, home, func(v graph.VertexID) bool { return g.InDegree(v) > cfg.DegreeThreshold }), nil
+}
+
+// splitHubs builds the hybrid partition both baselines end in: an edge
+// is co-located with its target at the target's home unless the target
+// is a hub, whose in-edges are scattered to their sources' homes; every
+// vertex is owned at home, where an isolated one gets its only copy.
+func splitHubs(g *graph.Graph, n int, home []int, isHub func(graph.VertexID) bool) *partition.Partition {
+	b := partition.NewBuilder(g, n)
 	g.Edges(func(s, d graph.VertexID) bool {
 		if g.Undirected() && s > d {
 			return true
 		}
-		if g.InDegree(d) > cfg.DegreeThreshold {
-			p.AddEdge(home[s], s, d) // split the high-degree target
+		if isHub(d) {
+			b.AddEdge(home[s], s, d)
 		} else {
-			p.AddEdge(home[d], s, d) // co-locate with the low-degree target
+			b.AddEdge(home[d], s, d)
 		}
 		return true
 	})
-	for v := 0; v < g.NumVertices(); v++ {
-		if len(p.Copies(graph.VertexID(v))) == 0 {
-			p.AddVertex(home[v], graph.VertexID(v))
-		}
-		p.SetOwner(graph.VertexID(v), home[v])
+	p := b.Build(func(v graph.VertexID) int { return home[v] })
+	for v, i := range home {
+		p.SetOwner(graph.VertexID(v), i)
 	}
-	return p, nil
+	return p
 }
 
 // TopoXConfig tunes the TopoX hybrid baseline.
@@ -130,23 +136,5 @@ func TopoXHybrid(g *graph.Graph, n int, cfg TopoXConfig) (*partition.Partition, 
 	for v := 0; v < nv; v++ {
 		home[v] = superHome[super[v]]
 	}
-	p := partition.NewEmpty(g, n)
-	g.Edges(func(s, d graph.VertexID) bool {
-		if g.Undirected() && s > d {
-			return true
-		}
-		if isHub(d) {
-			p.AddEdge(home[s], s, d)
-		} else {
-			p.AddEdge(home[d], s, d)
-		}
-		return true
-	})
-	for v := 0; v < nv; v++ {
-		if len(p.Copies(graph.VertexID(v))) == 0 {
-			p.AddVertex(home[v], graph.VertexID(v))
-		}
-		p.SetOwner(graph.VertexID(v), home[v])
-	}
-	return p, nil
+	return splitHubs(g, n, home, isHub), nil
 }

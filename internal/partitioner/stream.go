@@ -106,12 +106,12 @@ func (s *FennelStream) Vertex(v graph.VertexID, out []graph.VertexID) {
 func (s *FennelStream) Assignment() []int { return s.assign }
 
 // Partition materialises the edge-cut partition over the finished
-// graph using the flat (frozen compiled-form) constructor.
+// graph.
 func (s *FennelStream) Partition(g *graph.Graph) (*partition.Partition, error) {
 	if s.assign == nil {
 		return nil, fmt.Errorf("partitioner: FennelStream never streamed (Begin not called)")
 	}
-	return partition.FromVertexAssignmentFlat(g, s.assign, s.n)
+	return partition.FromVertexAssignment(g, s.assign, s.n)
 }
 
 // FennelStreamEdgeCut runs the streaming Fennel over an already-built

@@ -116,10 +116,19 @@ type NEConfig struct {
 // locality (low fv) at the price of some edge imbalance, matching the
 // paper's Table 3 observation (NE: fv 2.7, λv 8.0).
 func NEVertexCut(g *graph.Graph, n int, cfg NEConfig) (*partition.Partition, error) {
+	b := partition.NewBuilder(g, n)
+	neExpand(g, n, cfg, b.AddEdge)
+	// Isolated vertices go round-robin.
+	return b.Build(func(v graph.VertexID) int { return int(v) % n }), nil
+}
+
+// neExpand runs the expansion and hands every edge of g, once, to place
+// with the fragment that claimed it (an undirected edge smaller endpoint
+// first).
+func neExpand(g *graph.Graph, n int, cfg NEConfig, place func(i int, u, v graph.VertexID)) {
 	if cfg.Slack == 0 {
 		cfg.Slack = 0.05
 	}
-	p := partition.NewEmpty(g, n)
 	totalArcs := g.NumEdges()
 	if g.Undirected() {
 		totalArcs = g.NumUndirectedEdges()
@@ -155,15 +164,7 @@ func NEVertexCut(g *graph.Graph, n int, cfg NEConfig) (*partition.Partition, err
 				return
 			}
 			assignedEdge[k] = true
-			if g.Undirected() {
-				a, b := u, w
-				if a > b {
-					a, b = b, a
-				}
-				p.AddEdge(i, a, b)
-			} else {
-				p.AddArc(i, u, w)
-			}
+			place(i, graph.VertexID(k>>32), graph.VertexID(k))
 			count++
 			unassignedDeg[u]--
 			unassignedDeg[w]--
@@ -228,11 +229,4 @@ func NEVertexCut(g *graph.Graph, n int, cfg NEConfig) (*partition.Partition, err
 			}
 		}
 	}
-	// Isolated vertices.
-	for v := 0; v < nv; v++ {
-		if len(p.Copies(graph.VertexID(v))) == 0 {
-			p.AddVertex(v%n, graph.VertexID(v))
-		}
-	}
-	return p, nil
 }

@@ -208,21 +208,17 @@ func run(args []string) int {
 		return fail(fmt.Errorf("refined partition failed validation: %w", err))
 	}
 	if len(muts) > 0 {
-		// Incremental maintenance (refine.ApplyUpdates): carry the
-		// refined placement over to the updated graph and rebalance.
-		ins, del := store.SplitEdges(muts)
-		start = time.Now()
-		updated, ustats, err := refine.ApplyUpdates(refined, model, ins, del, refine.Config{})
+		// A single partition is a k = 1 composite: the stream goes through
+		// the same coherent insert/delete fold as batch mode and the store.
+		comp, err := composite.New(g, []*partition.Partition{refined})
 		if err != nil {
-			return fail(fmt.Errorf("applying updates: %w", err))
+			return fail(err)
 		}
-		fmt.Printf("  updates (+%d -%d) in %v: carried=%d routed=%d dropped=%d migrated=%d mastersMoved=%d\n",
-			len(ins), len(del), time.Since(start).Round(time.Millisecond),
-			ustats.CarriedArcs, ustats.RoutedArcs, ustats.DroppedArcs,
-			ustats.Migrated, ustats.MastersMoved)
-		upd := costmodel.Evaluate(updated, model)
-		fmt.Printf("  updated metrics: %s, parallel cost %.4g\n", metricsLine(updated), costmodel.ParallelCost(upd))
-		refined = updated
+		if err := foldUpdates(comp, muts); err != nil {
+			return fail(err)
+		}
+		upd := costmodel.Evaluate(refined, model)
+		fmt.Printf("  updated metrics: %s, parallel cost %.4g\n", metricsLine(refined), costmodel.ParallelCost(upd))
 	}
 	// Simulate the target algorithm over the refined partition — with
 	// -faults this exercises checkpoint/recovery, and the reported cost
@@ -302,14 +298,9 @@ func runBatch(base *partition.Partition, spec partitioner.Spec, muts []store.Mut
 			return err
 		}
 	} else if len(muts) > 0 {
-		ins, del, err := applyCompositeUpdates(comp, muts)
-		if err != nil {
-			return fmt.Errorf("applying updates: %w", err)
+		if err := foldUpdates(comp, muts); err != nil {
+			return err
 		}
-		if err := comp.ValidateIndex(); err != nil {
-			return fmt.Errorf("composite index invalid after updates: %w", err)
-		}
-		fmt.Printf("  updates: +%d -%d applied coherently\n", ins, del)
 	}
 	fmt.Printf("  fc=%.2f composite=%d arcs, separate=%d arcs (%.0f%% saved)\n",
 		comp.FC(), comp.StorageArcs(), comp.SeparateStorageArcs(),
@@ -322,28 +313,19 @@ func runBatch(base *partition.Partition, spec partitioner.Spec, muts []store.Mut
 	return nil
 }
 
-// applyCompositeUpdates drives an update stream through the coherent
-// in-memory composite path: every bundled partition sees every edge
+// foldUpdates drives an update stream through the coherent in-memory
+// composite path (store.Fold): every bundled partition sees every edge
 // change, with locality routing standing in for absent destinations.
-func applyCompositeUpdates(c *composite.Composite, muts []store.Mutation) (inserts, deletes int, err error) {
-	for i, m := range muts {
-		switch m.Kind {
-		case store.MutInsert:
-			dest := m.Dest
-			if len(dest) == 0 {
-				dest = store.RouteDest(c, m.U, m.V)
-			}
-			if err := c.InsertEdge(m.U, m.V, dest); err != nil {
-				return inserts, deletes, fmt.Errorf("mutation %d: %w", i, err)
-			}
-			inserts++
-		case store.MutDelete:
-			if c.DeleteEdge(m.U, m.V) {
-				deletes++
-			}
-		}
+func foldUpdates(c *composite.Composite, muts []store.Mutation) error {
+	ins, del, err := store.Fold(c, muts)
+	if err != nil {
+		return fmt.Errorf("applying updates: %w", err)
 	}
-	return inserts, deletes, nil
+	if err := c.ValidateIndex(); err != nil {
+		return fmt.Errorf("composite index invalid after updates: %w", err)
+	}
+	fmt.Printf("  updates: +%d -%d applied coherently\n", ins, del)
+	return nil
 }
 
 func loadUpdates(path string) ([]store.Mutation, error) {

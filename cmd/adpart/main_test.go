@@ -7,6 +7,7 @@ import (
 
 	"adp/internal/composite"
 	"adp/internal/costmodel"
+	"adp/internal/graph"
 	"adp/internal/partition"
 	"adp/internal/partitioner"
 	"adp/internal/store"
@@ -131,7 +132,7 @@ func TestApplyCompositeUpdates(t *testing.T) {
 		{Kind: store.MutCommit},
 		{Kind: store.MutDelete, U: 0, V: 7},
 	}
-	ins, del, err := applyCompositeUpdates(c, muts)
+	ins, del, err := store.Fold(c, muts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +147,21 @@ func TestApplyCompositeUpdates(t *testing.T) {
 	}
 	if _, _, present := c.Locate(0, 0, 9); !present {
 		t.Fatal("routed insert missing")
+	}
+	// The fold refuses what the store refuses: a vertex the graph does
+	// not have, a destination vector of the wrong shape.
+	beyond := graph.VertexID(c.Partition(0).Graph().NumVertices())
+	for _, bad := range []store.Mutation{
+		{Kind: store.MutInsert, U: 0, V: beyond},
+		{Kind: store.MutInsert, U: 0, V: 8, Dest: []int{1}},
+		{Kind: store.MutInsert, U: 0, V: 8, Dest: []int{1, 3}},
+	} {
+		if _, _, err := store.Fold(c, []store.Mutation{bad}); err == nil {
+			t.Fatalf("fold accepted %v", bad)
+		}
+	}
+	if err := c.ValidateIndex(); err != nil {
+		t.Fatalf("refused mutations disturbed the index: %v", err)
 	}
 }
 

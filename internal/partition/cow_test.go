@@ -207,7 +207,7 @@ func TestCompileFoldIsIdempotent(t *testing.T) {
 		}
 	}
 	// An overlay over no base: what NewEmpty and its writers (the
-	// composite builders, refine.ApplyUpdates) leave before Compile.
+	// composite builders) leave before Compile.
 	fresh := NewEmpty(g, 2)
 	figure1bPartition(t, g).frags[1].Vertices(func(v graph.VertexID, adj *Adj) {
 		for _, w := range adj.Out {

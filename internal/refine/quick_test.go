@@ -86,31 +86,3 @@ func TestQuickRefinementPreservesCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: ApplyUpdates with empty update sets drops and routes
-// nothing, stays valid, and never worsens the modelled parallel cost
-// beyond the rebalance tolerance. (It is not a strict identity: the
-// embedded rebalance pass may still shuffle borderline candidates.)
-func TestQuickApplyUpdatesIdentity(t *testing.T) {
-	f := func(seed int64) bool {
-		g := gen.PowerLaw(gen.PowerLawConfig{N: 200, AvgDeg: 4, Exponent: 2.3, Directed: true, Seed: seed})
-		m := costmodel.Reference(costmodel.PR)
-		p, err := partitioner.FennelEdgeCut(g, 3, partitioner.FennelConfig{})
-		if err != nil {
-			return false
-		}
-		E2H(p, m, Config{})
-		before := parallelCost(p, m)
-		np, stats, err := ApplyUpdates(p, m, nil, nil, Config{})
-		if err != nil || np.Validate() != nil {
-			return false
-		}
-		if stats.RoutedArcs != 0 || stats.DroppedArcs != 0 {
-			return false
-		}
-		return parallelCost(np, m) <= before*1.10+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}

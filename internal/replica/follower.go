@@ -423,53 +423,23 @@ func (f *Follower) autoPromote() error {
 
 // StoreApplier applies pulled history straight into a bare store — the
 // pump goroutine is the store's single writer. Commit-time fsync
-// failures are laddered through RetrySync like the serving plane does;
-// AppendReplicated's LSN skip makes the re-apply after a successful
-// retry idempotent.
+// failures go through the store's retry ladder, as on the serving
+// plane.
 type StoreApplier struct {
 	St *store.Store
-	// Retries bounds RetrySync attempts per batch (default 3).
-	Retries int
-	// RetryBase is the backoff unit between attempts (default 1ms).
-	RetryBase time.Duration
 }
 
-func (a *StoreApplier) retries() int {
-	if a.Retries <= 0 {
-		return 3
-	}
-	return a.Retries
-}
-
-func (a *StoreApplier) retryBase() time.Duration {
-	if a.RetryBase <= 0 {
-		return time.Millisecond
-	}
-	return a.RetryBase
-}
-
-// ApplyFrames ingests frames with the RetrySync ladder.
+// ApplyFrames ingests frames, retrying a failed commit fsync up to 3
+// times from a 1ms backoff.
 func (a *StoreApplier) ApplyFrames(frames []store.RawFrame) (uint64, int, error) {
-	commits, err := a.St.AppendReplicated(frames)
-	for attempt := 0; err != nil && a.St.CanRetrySync() && attempt < a.retries(); attempt++ {
-		time.Sleep(a.retryBase() << uint(attempt))
-		if rerr := a.St.RetrySync(); rerr != nil {
-			continue
-		}
-		commits++ // the interrupted commit completed durably
-		var more int
-		more, err = a.St.AppendReplicated(frames)
-		commits += more
-	}
+	commits, _, err := a.St.AppendReplicatedRetrying(frames, 3, time.Millisecond)
 	return a.St.CommittedLSN(), commits, err
 }
 
 // InstallSnapshot replaces local state with a leader snapshot.
 func (a *StoreApplier) InstallSnapshot(data []byte, lsn uint64) (uint64, error) {
-	if err := a.St.InstallSnapshot(data, lsn); err != nil {
-		return a.St.CommittedLSN(), err
-	}
-	return a.St.CommittedLSN(), nil
+	err := a.St.InstallSnapshot(data, lsn)
+	return a.St.CommittedLSN(), err
 }
 
 // Promote fences the log for leadership.

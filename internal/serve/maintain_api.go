@@ -160,28 +160,24 @@ func (s *Server) captureDelta(baseSeq uint64) (muts []store.Mutation, overflow b
 	return muts, false
 }
 
-// replayOnto applies a captured delta to a candidate composite.
-// Inserts without an explicit destination vector are re-routed by
-// locality against the CANDIDATE — the refined placement routes its
-// own arcs; the edge set still ends up identical to the store's.
+// replayOnto applies a captured delta to a candidate composite through
+// the same fold every unlogged composite update uses. Inserts without
+// an explicit destination vector are re-routed by locality against the
+// CANDIDATE — the refined placement routes its own arcs; the edge set
+// still ends up identical to the store's. A delete that finds no edge
+// means the candidate did not start from the base's edge set.
 func replayOnto(c *composite.Composite, muts []store.Mutation) error {
-	for i, m := range muts {
-		switch m.Kind {
-		case store.MutInsert:
-			dest := m.Dest
-			if len(dest) != c.K() {
-				dest = store.RouteDest(c, m.U, m.V)
-			}
-			if err := c.InsertEdge(m.U, m.V, dest); err != nil {
-				return fmt.Errorf("replaying insert %d (%d,%d): %w", i, m.U, m.V, err)
-			}
-		case store.MutDelete:
-			if !c.DeleteEdge(m.U, m.V) {
-				return fmt.Errorf("replaying delete %d: edge (%d,%d) not present", i, m.U, m.V)
-			}
+	deletes := 0
+	for _, m := range muts {
+		if m.Kind == store.MutDelete {
+			deletes++
 		}
 	}
-	return nil
+	_, found, err := store.Fold(c, muts)
+	if err == nil && found != deletes {
+		err = fmt.Errorf("%d of %d replayed deletes found no edge", deletes-found, deletes)
+	}
+	return err
 }
 
 // swapRequest asks the apply loop to promote (or roll back to) cand.
@@ -248,18 +244,11 @@ func (s *Server) applySwap(sr *swapRequest) {
 		res.err = fmt.Errorf("serve: candidate index invalid after catch-up: %w", err)
 		return
 	}
-	if err := s.st.ReplaceComposite(sr.cand); err != nil {
-		if s.st.Failed() {
-			s.storeFailed.Store(true)
-			s.logf("serve: durable swap failed, store poisoned: %v", err)
-		}
-		res.err = err
+	res.err = s.st.ReplaceComposite(sr.cand)
+	ne := s.finish(res.err, res.err == nil)
+	if ne == nil {
 		return
 	}
-	s.lastLSN.Store(s.st.LSN())
-	s.committed.Store(s.st.Committed())
-	ne := s.publish(sr.cand)
-	s.epochSwaps.Add(1)
 	if sr.rollback {
 		s.maintRollbacks.Add(1)
 	} else {

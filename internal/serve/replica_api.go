@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"adp/internal/store"
 )
@@ -142,82 +141,34 @@ func (s *Server) PromoteToLeader() error {
 	return res.err
 }
 
-// applyRepl executes one replication request (apply loop only).
+// applyRepl executes one replication request (apply loop only). Frames
+// run under the same store-owned fsync retry ladder as update waves; a
+// *store.GapError is soft and leaves the store healthy, every other
+// failure has poisoned it — finish mirrors whichever happened.
 func (s *Server) applyRepl(rr *replReq) {
 	res := replRes{}
+	publish := false
 	switch {
 	case s.storeFailed.Load():
 		res.err = fmt.Errorf("serve: store write path failed; restart to recover")
 	case rr.promote:
-		res.err = s.applyPromote()
+		s.st.AbortReplicated()
+		res.err = s.st.RotateSegment()
 	case rr.snapshot != nil:
-		res.err = s.applyReplSnapshot(rr.snapshot, rr.snapLSN)
+		// Validation rejections (stale or undecodable snapshots) leave
+		// the store healthy; mid-install failures poison it.
+		if res.err = s.st.InstallSnapshot(rr.snapshot, rr.snapLSN); res.err == nil {
+			publish = true
+			s.replSnapshots.Add(1)
+		}
 	default:
-		res.commits, res.err = s.applyReplFrames(rr.frames)
+		var retries int
+		res.commits, retries, res.err = s.st.AppendReplicatedRetrying(rr.frames, s.cfg.ApplyRetries, s.cfg.ApplyRetryBase)
+		s.applyRetries.Add(int64(retries))
+		s.replCommits.Add(int64(res.commits))
+		publish = res.commits > 0
 	}
-	s.lastLSN.Store(s.st.LSN())
-	s.committed.Store(s.st.Committed())
+	s.finish(res.err, publish)
 	res.applied = s.st.CommittedLSN()
 	rr.reply <- res
-}
-
-// applyReplFrames runs AppendReplicated under the same transient-fsync
-// retry ladder as update batches. Re-feeding the full slice after a
-// successful RetrySync is safe: the completed commit advanced the
-// watermark, so its frames are LSN-skipped and only the unprocessed
-// tail applies.
-func (s *Server) applyReplFrames(frames []store.RawFrame) (int, error) {
-	commits, err := s.st.AppendReplicated(frames)
-	if err != nil {
-		for attempt := 0; attempt < s.cfg.ApplyRetries && s.st.CanRetrySync(); attempt++ {
-			time.Sleep(s.cfg.ApplyRetryBase << attempt)
-			s.applyRetries.Add(1)
-			if rerr := s.st.RetrySync(); rerr != nil {
-				continue
-			}
-			commits++ // the commit RetrySync completed
-			var more int
-			more, err = s.st.AppendReplicated(frames)
-			commits += more
-			if err == nil {
-				break
-			}
-		}
-	}
-	var gap *store.GapError
-	if err != nil && !errors.As(err, &gap) {
-		s.storeFailed.Store(true)
-		s.logf("serve: replicated apply failed, store poisoned: %v", err)
-	}
-	if commits > 0 {
-		s.publish(s.st.Composite())
-		s.epochSwaps.Add(1)
-		s.replCommits.Add(int64(commits))
-	}
-	return commits, err
-}
-
-func (s *Server) applyReplSnapshot(data []byte, lsn uint64) error {
-	if err := s.st.InstallSnapshot(data, lsn); err != nil {
-		// Validation rejections (stale or undecodable snapshots) leave
-		// the store healthy; mid-install failures poison it — mirror
-		// whichever happened.
-		if s.st.Failed() {
-			s.storeFailed.Store(true)
-		}
-		return err
-	}
-	s.publish(s.st.Composite())
-	s.epochSwaps.Add(1)
-	s.replSnapshots.Add(1)
-	return nil
-}
-
-func (s *Server) applyPromote() error {
-	s.st.AbortReplicated()
-	if err := s.st.RotateSegment(); err != nil {
-		s.storeFailed.Store(true)
-		return err
-	}
-	return nil
 }

@@ -241,6 +241,51 @@ func TestFollowerSnapshotInstall(t *testing.T) {
 	}
 }
 
+// TestFollowerGapIsSoft: the apply loop's tail takes storeFailed from
+// the store's own poison state, so a run of frames that skips ahead — a
+// *store.GapError, which disturbs nothing — must leave the write path
+// healthy and the re-pull must land; a frame the store rejects poisons
+// it, and the same tail reports that.
+func TestFollowerGapIsSoft(t *testing.T) {
+	g, st := leaderStore(t, t.TempDir()+"/leader", 4)
+	ts, snapLSN := startFollower(t, g, st, Config{})
+	frames, leaderLSN, err := st.TailFrom(snapLSN+1, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var gap *store.GapError
+	applied, commits, err := ts.ReplApply(frames[1:])
+	if !errors.As(err, &gap) || gap.Want != snapLSN+1 {
+		t.Fatalf("gapped frames returned %v, want a GapError wanting lsn %d", err, snapLSN+1)
+	}
+	if applied != snapLSN || commits != 0 {
+		t.Fatalf("gapped frames landed at %d (%d commits), want %d (0)", applied, commits, snapLSN)
+	}
+	if m := ts.getMetrics(t); m.Store.Failed || m.Epoch != 1 {
+		t.Fatalf("after a gap: store failed=%v epoch=%d, want healthy on epoch 1", m.Store.Failed, m.Epoch)
+	}
+	if applied, _, err := ts.ReplApply(frames); err != nil || applied != leaderLSN {
+		t.Fatalf("re-pull after the gap landed at %d (%v), want %d", applied, err, leaderLSN)
+	}
+	if m := ts.getMetrics(t); m.Store.Failed || m.Epoch != 2 || m.EpochLSN != leaderLSN {
+		t.Fatalf("after the re-pull: failed=%v epoch=%d lsn=%d", m.Store.Failed, m.Epoch, m.EpochLSN)
+	}
+
+	// An insert naming a vertex the graph does not have is rejected by
+	// the store's frame interpreter, which poisons.
+	bad := store.RawFrame{LSN: leaderLSN + 1, Kind: 2, Body: []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}}
+	if _, _, err := ts.ReplApply([]store.RawFrame{bad}); err == nil || errors.As(err, &gap) {
+		t.Fatalf("hostile frame returned %v, want a poisoning rejection", err)
+	}
+	if m := ts.getMetrics(t); !m.Store.Failed || m.Epoch != 2 {
+		t.Fatalf("after a rejected frame: failed=%v epoch=%d, want failed on epoch 2", m.Store.Failed, m.Epoch)
+	}
+	if _, _, err := ts.ReplApply(frames); err == nil {
+		t.Fatal("poisoned follower accepted more frames")
+	}
+}
+
 // TestFollowerForwarding proves a follower with a leader URL proxies
 // writes instead of bouncing them, and degrades to a typed 502 when
 // the leader is unreachable.

@@ -69,12 +69,12 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxSupersteps, when > 0, overrides every run's superstep budget.
 	MaxSupersteps int
-	// ApplyRetries bounds the in-place retry ladder for transient
-	// commit-time fsync failures: the apply loop re-issues the failed
-	// fsync up to this many times (exponential backoff from
-	// ApplyRetryBase) before poisoning the write path. Non-fsync write
-	// failures (torn writes, crashes) poison immediately. Default 3;
-	// negative disables retries.
+	// ApplyRetries bounds the store's in-place retry ladder for
+	// transient commit-time fsync failures, for update waves and
+	// replicated frames alike: the failed fsync is re-issued up to this
+	// many times (exponential backoff from ApplyRetryBase) before the
+	// write path stays poisoned. Non-fsync write failures (torn writes,
+	// crashes) poison immediately. Default 3; negative disables retries.
 	ApplyRetries int
 	// ApplyRetryBase is the first backoff step of the retry ladder;
 	// each attempt doubles it. Default 2ms.
@@ -422,11 +422,12 @@ type updateResult struct {
 // its wave is due (pace), folds up to MaxBatch queued batches into the
 // wave, applies them to the store (each batch is one durable WAL
 // commit), and publishes a fresh epoch covering the wave. Maintenance
-// swap requests interleave with waves on the same goroutine, so
-// promotions serialize with the update stream by construction. A
-// non-retryable store write failure poisons the write path — the last
-// good epoch keeps serving reads, updates fail fast until the process
-// restarts and recovery truncates to the committed prefix.
+// swap and replication requests interleave with waves on the same
+// goroutine, so they serialize with the update stream by construction,
+// and all three end in finish. A non-retryable store write failure
+// poisons the write path — the last good epoch keeps serving reads,
+// updates fail fast until the process restarts and recovery truncates
+// to the committed prefix.
 func (s *Server) applyLoop() {
 	defer s.applyWG.Done()
 	for {
@@ -486,89 +487,58 @@ func (s *Server) pace() {
 	s.lastWave = due
 }
 
-// applyBatch runs one batch through the store chunk by chunk (a chunk
-// is the mutations up to a commit marker: one durable WAL commit). A
-// transient fsync failure is retried in place up to cfg.ApplyRetries
-// times with exponential backoff: the store keeps the interrupted
-// commit's bytes pending, so a successful RetrySync completes exactly
-// that commit. Only an exhausted ladder or a non-retryable failure
-// (torn write, crash, semantic error) leaves the store poisoned.
-func (s *Server) applyBatch(muts []store.Mutation) (inserts, deletes int, err error) {
-	start := 0
-	for start <= len(muts) {
-		end := len(muts)
-		for i := start; i < len(muts); i++ {
-			if muts[i].Kind == store.MutCommit {
-				end = i + 1
-				break
-			}
-		}
-		if start == end {
-			break
-		}
-		chunk := muts[start:end]
-		ins, del, aerr := s.st.Apply(chunk)
-		if aerr != nil {
-			for attempt := 0; attempt < s.cfg.ApplyRetries && s.st.CanRetrySync(); attempt++ {
-				time.Sleep(s.cfg.ApplyRetryBase << attempt)
-				s.applyRetries.Add(1)
-				if rerr := s.st.RetrySync(); rerr == nil {
-					// The interrupted commit is durable now; the chunk's
-					// mutations were all applied before the fsync, so the
-					// chunk is complete.
-					aerr = nil
-					break
-				}
-			}
-		}
-		inserts += ins
-		deletes += del
-		if aerr != nil {
-			return inserts, deletes, aerr
-		}
-		start = end
+// finish is the one tail of every apply-loop request, whichever
+// producer it came from (update wave, maintenance swap, replication):
+// mirror the store's counters out for /metrics, derive storeFailed from
+// the store's own poison state, and — when the request advanced the
+// composite — cut and publish the next epoch. err is the request's
+// error, for the log line that goes with a poisoning.
+func (s *Server) finish(err error, publish bool) *epoch {
+	s.lastLSN.Store(s.st.LSN())
+	s.committed.Store(s.st.Committed())
+	if s.st.Failed() && !s.storeFailed.Load() {
+		s.storeFailed.Store(true)
+		s.logf("serve: store poisoned, write path failed until restart: %v", err)
 	}
-	return inserts, deletes, nil
+	if !publish {
+		return nil
+	}
+	ne := s.publish(s.st.Composite())
+	s.epochSwaps.Add(1)
+	return ne
 }
 
 func (s *Server) applyWave(wave []*updateBatch) {
 	results := make([]updateResult, len(wave))
-	failedAt := -1
+	var failed error
 	for i, b := range wave {
-		if failedAt >= 0 {
+		if failed != nil {
 			// A poisoned store fails every later batch fast; skip the
 			// Apply call so the in-memory composite is not touched.
 			results[i] = updateResult{err: fmt.Errorf("serve: store write path failed; restart to recover")}
 			continue
 		}
-		ins, del, err := s.applyBatch(b.muts)
+		// Each commit marker is one durable WAL commit, retried in place
+		// on a transient fsync failure (store.ApplyRetrying).
+		ins, del, retries, err := s.st.ApplyRetrying(b.muts, s.cfg.ApplyRetries, s.cfg.ApplyRetryBase)
+		s.applyRetries.Add(int64(retries))
 		results[i] = updateResult{err: err, inserts: ins, deletes: del}
-		if err != nil {
-			failedAt = i
-			s.storeFailed.Store(true)
-			s.logf("serve: update batch failed, store poisoned: %v", err)
-		} else {
+		if failed = err; err == nil {
 			s.updatesApplied.Add(int64(ins + del))
 		}
 	}
-	s.lastLSN.Store(s.st.LSN())
-	s.committed.Store(s.st.Committed())
-
-	if failedAt < 0 {
-		// Every batch committed: cut and publish the next epoch.
-		ne := s.publish(s.st.Composite())
-		s.epochSwaps.Add(1)
+	// A failed wave publishes nothing: the batch that poisoned the store
+	// may have half-applied to the in-memory composite, so only the last
+	// published epoch and the committed WAL prefix can be trusted.
+	// Batches before the failure are durable but invisible; their result
+	// says so via epoch == 0.
+	if ne := s.finish(failed, failed == nil); ne != nil {
 		s.captureWave(ne.seq, wave)
 		for i := range results {
 			results[i].epoch = ne.seq
 			results[i].lsn = ne.lsn
 		}
 	}
-	// A failed wave publishes nothing: the batch that poisoned the
-	// store may have half-applied to the in-memory composite, so only
-	// the last published epoch and the committed WAL prefix can be
-	// trusted. Batches before the failure are durable but invisible;
-	// their result says so via epoch == 0.
 	for i, b := range wave {
 		b.reply <- results[i]
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"adp/internal/composite"
 	"adp/internal/graph"
@@ -134,25 +133,11 @@ func (r *FsckReport) WriteJSON(w io.Writer) error {
 // Repaired.
 func Fsck(dir string, g *graph.Graph, repair bool) (*FsckReport, error) {
 	fs := vfs(osVFS{})
-	names, err := fs.List(dir)
+	snapLSNs, segLSNs, err := storeFiles(fs, dir)
 	if err != nil {
 		return nil, fmt.Errorf("fsck: %w", err)
 	}
 	rep := &FsckReport{Dir: dir}
-
-	var snapLSNs, segLSNs []uint64
-	segName := make(map[uint64]string)
-	for _, n := range names {
-		if lsn, ok := parseSnapName(n); ok {
-			snapLSNs = append(snapLSNs, lsn)
-		}
-		if lsn, ok := parseWALName(n); ok {
-			segLSNs = append(segLSNs, lsn)
-			segName[lsn] = n
-		}
-	}
-	sort.Slice(snapLSNs, func(i, j int) bool { return snapLSNs[i] < snapLSNs[j] })
-	sort.Slice(segLSNs, func(i, j int) bool { return segLSNs[i] < segLSNs[j] })
 
 	for _, lsn := range snapLSNs {
 		st := SnapshotStatus{Name: snapName(lsn), LSN: lsn}
@@ -175,7 +160,7 @@ func Fsck(dir string, g *graph.Graph, repair bool) (*FsckReport, error) {
 
 	next := uint64(0)
 	for _, lsn := range segLSNs {
-		st := SegmentStatus{Name: segName[lsn], StartLSN: lsn, CommittedEnd: segHdrLen}
+		st := SegmentStatus{Name: walName(lsn), StartLSN: lsn, CommittedEnd: segHdrLen}
 		data, err := fs.ReadFile(join(dir, st.Name))
 		if err != nil {
 			st.Damage = &Damage{Offset: 0, Reason: err.Error()}

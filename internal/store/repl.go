@@ -3,7 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
-	"os"
+	"time"
 
 	"adp/internal/composite"
 	"adp/internal/graph"
@@ -13,87 +13,30 @@ import (
 // (internal/replica). A follower appends the leader's frames verbatim
 // — same LSNs, same payload bytes — so the two logs describe one
 // shared LSN space and idempotence reduces to an LSN comparison.
-// Mutations are staged in memory and folded into the composite only
-// when their commit marker is durably on disk, mirroring replay(): the
-// follower's disk always holds a committed prefix of the leader's
+// Frames go through the same interpret → flush → foldStaged path as
+// recovery (store.go): mutations are staged in memory and folded into
+// the composite only when their commit marker is durably on disk, so
+// the follower's disk always holds a committed prefix of the leader's
 // history, no matter where the stream dies.
-
-// replStagedMut is one decoded-but-uncommitted replicated mutation.
-type replStagedMut struct {
-	insert bool
-	u, v   graph.VertexID
-	dest   []int
-}
 
 // CreateReplica initialises dir (created if missing, must not already
 // hold a store) as a follower bootstrapped from a leader snapshot: the
-// raw snapshot bytes are persisted verbatim at snapLSN and replication
-// resumes at snapLSN+1.
+// raw snapshot bytes are persisted verbatim at snapLSN — bit-identical
+// to the leader's file — and replication resumes at snapLSN+1.
 func CreateReplica(dir string, g *graph.Graph, snap []byte, snapLSN uint64, opts Options) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	fs := withInjector(vfs(osVFS{}), opts.Injector)
-	names, err := fs.List(dir)
+	fs, err := newStoreDir(dir, opts)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	for _, n := range names {
-		_, isSnap := parseSnapName(n)
-		_, isWAL := parseWALName(n)
-		if isSnap || isWAL {
-			return nil, fmt.Errorf("store: %s already holds a store (found %s); use Open", dir, n)
-		}
+		return nil, err
 	}
 	comp, err := composite.ReadDynamic(bytes.NewReader(snap), g)
 	if err != nil {
 		return nil, fmt.Errorf("store: decoding leader snapshot: %w", err)
 	}
-	s := &Store{
-		dir:     dir,
-		fs:      fs,
-		opts:    opts,
-		g:       g,
-		comp:    comp,
-		snapLSN: snapLSN,
-		nextLSN: snapLSN + 1,
-	}
-	if err := s.writeRawSnapshot(snap, snapLSN); err != nil {
+	s := &Store{dir: dir, fs: fs, opts: opts, g: g}
+	if err := s.rebase(comp, snap, snapLSN); err != nil {
 		return nil, err
 	}
-	if err := s.openSegment(); err != nil {
-		return nil, err
-	}
-	s.commitLSN.Store(snapLSN)
 	return s, nil
-}
-
-// writeRawSnapshot persists already-encoded snapshot bytes atomically
-// (temp file + fsync + rename), bit-identical to the leader's file.
-func (s *Store) writeRawSnapshot(data []byte, lsn uint64) error {
-	final := snapName(lsn)
-	tmp := final + ".tmp"
-	f, err := s.fs.Create(join(s.dir, tmp))
-	if err != nil {
-		return fmt.Errorf("store: creating snapshot: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("store: writing snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: syncing snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: closing snapshot: %w", err)
-	}
-	if err := s.fs.Rename(join(s.dir, tmp), join(s.dir, final)); err != nil {
-		return fmt.Errorf("store: publishing snapshot: %w", err)
-	}
-	s.snapLSN = lsn
-	s.mutsSinceSnap = 0
-	return nil
 }
 
 // AppendReplicated ingests a run of leader frames. Frames at or below
@@ -108,7 +51,6 @@ func (s *Store) AppendReplicated(frames []RawFrame) (commits int, err error) {
 	if err := s.ready(); err != nil {
 		return 0, err
 	}
-	nVerts := uint64(s.g.NumVertices())
 	for _, f := range frames {
 		if f.LSN < s.nextLSN {
 			continue // already durable or already staged
@@ -116,45 +58,18 @@ func (s *Store) AppendReplicated(frames []RawFrame) (commits int, err error) {
 		if f.LSN > s.nextLSN {
 			return commits, &GapError{Want: s.nextLSN, Got: f.LSN}
 		}
-		switch recKind(f.Kind) {
-		case recDest:
-			dest, derr := decodeDest(f.Body)
-			if derr != nil {
-				return commits, s.fail(fmt.Errorf("store: replicated frame %d: %w", f.LSN, derr))
-			}
-			if len(dest) != s.comp.K() {
-				return commits, s.fail(fmt.Errorf("store: replicated dest at lsn %d has %d entries, composite has %d partitions", f.LSN, len(dest), s.comp.K()))
-			}
-			for _, d := range dest {
-				if d < 0 || d >= s.comp.N() {
-					return commits, s.fail(fmt.Errorf("store: replicated dest at lsn %d: fragment %d out of range [0,%d)", f.LSN, d, s.comp.N()))
-				}
-			}
-			s.replDest = dest
-		case recInsert, recDelete:
-			u, v, derr := decodeEdge(f.Body)
-			if derr != nil {
-				return commits, s.fail(fmt.Errorf("store: replicated frame %d: %w", f.LSN, derr))
-			}
-			if uint64(u) >= nVerts || uint64(v) >= nVerts {
-				return commits, s.fail(fmt.Errorf("store: replicated edge (%d,%d) at lsn %d beyond %d vertices", u, v, f.LSN, nVerts))
-			}
-			if recKind(f.Kind) == recInsert && s.replDest == nil {
-				return commits, s.fail(fmt.Errorf("store: replicated insert at lsn %d with no destination vector in effect", f.LSN))
-			}
-			s.replStaged = append(s.replStaged, replStagedMut{insert: recKind(f.Kind) == recInsert, u: u, v: v, dest: s.replDest})
-			s.pendingMuts++
-		case recCommit:
-			if len(f.Body) != 4 {
-				return commits, s.fail(fmt.Errorf("store: replicated commit at lsn %d has %d body bytes, want 4", f.LSN, len(f.Body)))
-			}
-		default:
-			return commits, s.fail(fmt.Errorf("store: replicated frame %d has unknown kind %d", f.LSN, f.Kind))
+		kind := recKind(f.Kind)
+		if err := s.interpret(f.LSN, kind, f.Body); err != nil {
+			return commits, s.fail(fmt.Errorf("store: replicated frame %d: %w", f.LSN, err))
 		}
-		s.pending = appendFrame(s.pending, f.LSN, recKind(f.Kind), f.Body)
+		s.pendingMuts = len(s.staged)
+		s.pending = appendFrame(s.pending, f.LSN, kind, f.Body)
 		s.nextLSN = f.LSN + 1
-		if recKind(f.Kind) == recCommit {
-			if err := s.replCommit(); err != nil {
+		if kind == recCommit {
+			// Same commit as the leader's: one append of every frame since
+			// the last boundary, fsync per SyncEvery (a failed fsync poisons
+			// retryably), and only then the fold and the watermark.
+			if err := s.flush(); err != nil {
 				return commits, err
 			}
 			commits++
@@ -164,7 +79,7 @@ func (s *Store) AppendReplicated(frames []RawFrame) (commits int, err error) {
 	// has pending bytes, and Snapshot's implicit commit would mint a
 	// commit frame at an LSN the leader owns.
 	if s.opts.SnapshotEvery > 0 && s.mutsSinceSnap >= s.opts.SnapshotEvery &&
-		len(s.pending) == 0 && len(s.replStaged) == 0 {
+		len(s.pending) == 0 && len(s.staged) == 0 {
 		if err := s.Snapshot(); err != nil {
 			return commits, err
 		}
@@ -172,49 +87,20 @@ func (s *Store) AppendReplicated(frames []RawFrame) (commits int, err error) {
 	return commits, nil
 }
 
-// replCommit makes the staged batch durable and visible, mirroring
-// commit(): one append of every frame since the last boundary, fsync
-// per SyncEvery (a failed fsync poisons retryably — RetrySync finishes
-// the bookkeeping AND the staged fold), then the composite apply and
-// the watermark advance.
-func (s *Store) replCommit() error {
-	if _, err := s.seg.Write(s.pending); err != nil {
-		return s.fail(fmt.Errorf("store: appending replicated batch: %w", err))
-	}
-	s.commitsSinceSync++
-	if s.commitsSinceSync >= s.opts.syncEvery() {
-		if err := s.seg.Sync(); err != nil {
-			s.retrySync = true
-			return s.fail(fmt.Errorf("store: syncing replicated log: %w", err))
-		}
-		s.commitsSinceSync = 0
-	}
-	s.committed += int64(s.pendingMuts)
-	s.mutsSinceSnap += s.pendingMuts
-	s.pending = s.pending[:0]
-	s.pendingMuts = 0
-	if err := s.applyReplStaged(); err != nil {
+// AppendReplicatedRetrying is AppendReplicated under the fsync retry
+// ladder (see ApplyRetrying), and also reports the retries made.
+// Re-feeding the full slice once a retry lands is safe: the completed
+// commit advanced the next LSN, so its frames are skipped and only the
+// unprocessed tail applies.
+func (s *Store) AppendReplicatedRetrying(frames []RawFrame, attempts int, base time.Duration) (commits, retries int, err error) {
+	commits, err = s.AppendReplicated(frames)
+	retries, err = s.retrySyncLadder(err, attempts, base, func() error {
+		commits++ // the commit RetrySync completed
+		more, err := s.AppendReplicated(frames)
+		commits += more
 		return err
-	}
-	s.commitLSN.Store(s.nextLSN - 1)
-	return nil
-}
-
-// applyReplStaged folds the staged replicated mutations into the
-// composite. A failure here is unreachable after frame validation and
-// poisons the store (the composite may be half-updated).
-func (s *Store) applyReplStaged() error {
-	for _, m := range s.replStaged {
-		if m.insert {
-			if err := s.comp.InsertEdge(m.u, m.v, m.dest); err != nil {
-				return s.fail(fmt.Errorf("store: applying replicated insert (%d,%d): %w", m.u, m.v, err))
-			}
-		} else {
-			s.comp.DeleteEdge(m.u, m.v)
-		}
-	}
-	s.replStaged = s.replStaged[:0]
-	return nil
+	})
+	return commits, retries, err
 }
 
 // AbortReplicated discards staged-but-uncommitted replicated state
@@ -224,7 +110,7 @@ func (s *Store) applyReplStaged() error {
 func (s *Store) AbortReplicated() {
 	s.pending = s.pending[:0]
 	s.pendingMuts = 0
-	s.replStaged = s.replStaged[:0]
+	s.staged = s.staged[:0]
 	s.nextLSN = s.commitLSN.Load() + 1
 }
 
@@ -236,19 +122,12 @@ func (s *Store) RotateSegment() error {
 	if err := s.ready(); err != nil {
 		return err
 	}
-	if len(s.pending) > 0 || len(s.replStaged) > 0 {
+	if len(s.pending) > 0 || len(s.staged) > 0 {
 		return fmt.Errorf("store: rotate with %d pending bytes; abort or commit first", len(s.pending))
 	}
-	if err := s.seg.Sync(); err != nil {
-		s.retrySync = true
-		return s.fail(fmt.Errorf("store: syncing log before rotate: %w", err))
+	if err := s.seal("rotate"); err != nil {
+		return err
 	}
-	s.commitsSinceSync = 0
-	if err := s.seg.Close(); err != nil {
-		s.seg = nil
-		return s.fail(fmt.Errorf("store: closing segment: %w", err))
-	}
-	s.seg = nil
 	return s.openSegment()
 }
 
@@ -270,26 +149,6 @@ func (s *Store) InstallSnapshot(data []byte, lsn uint64) error {
 		return fmt.Errorf("store: decoding leader snapshot: %w", err)
 	}
 	s.AbortReplicated()
-	s.replDest = nil
-	if err := s.seg.Sync(); err != nil {
-		s.retrySync = true
-		return s.fail(fmt.Errorf("store: syncing log before snapshot install: %w", err))
-	}
-	s.commitsSinceSync = 0
-	if err := s.seg.Close(); err != nil {
-		s.seg = nil
-		return s.fail(fmt.Errorf("store: closing segment: %w", err))
-	}
-	s.seg = nil
-	if err := s.writeRawSnapshot(data, lsn); err != nil {
-		return s.fail(err)
-	}
-	s.comp = comp
-	s.nextLSN = lsn + 1
-	if err := s.openSegment(); err != nil {
-		return err
-	}
-	s.commitLSN.Store(lsn)
-	s.compact()
-	return nil
+	s.stickyDest = nil
+	return s.reseat("snapshot install", comp, data, lsn)
 }

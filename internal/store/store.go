@@ -6,10 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"adp/internal/composite"
 	"adp/internal/fault"
@@ -35,13 +36,6 @@ type Options struct {
 	Injector *fault.DiskInjector
 }
 
-func (o Options) syncEvery() int {
-	if o.SyncEvery < 1 {
-		return 1
-	}
-	return o.SyncEvery
-}
-
 // RecoveryInfo describes what Open found and did.
 type RecoveryInfo struct {
 	// SnapshotLSN is the LSN covered by the snapshot recovery started
@@ -50,9 +44,6 @@ type RecoveryInfo struct {
 	// Replayed counts committed mutations applied on top of the
 	// snapshot.
 	Replayed int
-	// SkippedFrames counts valid frames at or below the snapshot LSN
-	// (already folded into the snapshot).
-	SkippedFrames int
 	// DiscardedMutations counts valid but never-committed mutations
 	// dropped from the tail (they were never acked).
 	DiscardedMutations int
@@ -97,11 +88,13 @@ type Store struct {
 	// everything else keeps the single-writer discipline.
 	commitLSN atomic.Uint64
 
-	// Replication staging (follower role): mutations decoded from
-	// leader frames since the last commit boundary, applied to the
-	// composite only when their commit marker lands durably.
-	replStaged []replStagedMut
-	replDest   []int
+	// What interpret has read since the last commit boundary (recovery
+	// and the follower role; the leader applies eagerly and stages
+	// nothing): the decoded mutations, folded into the composite only
+	// once their commit marker is on disk, and the sticky destination
+	// vector in effect — which a fresh segment's header records.
+	staged     []stagedMut
+	stickyDest []int
 
 	seg     vfile
 	segName string
@@ -130,52 +123,65 @@ func parseLSNName(name, prefix, suffix string) (uint64, bool) {
 		return 0, false
 	}
 	hex := name[len(prefix) : len(name)-len(suffix)]
-	if len(hex) != 16 {
-		return 0, false
-	}
 	lsn, err := strconv.ParseUint(hex, 16, 64)
-	return lsn, err == nil
+	// Only the spelling snapName/walName produce counts: every reader
+	// below re-derives the file name from the LSN.
+	return lsn, err == nil && fmt.Sprintf("%016x", lsn) == hex
 }
 
 func parseSnapName(name string) (uint64, bool) { return parseLSNName(name, "snap-", ".comp") }
 func parseWALName(name string) (uint64, bool)  { return parseLSNName(name, "wal-", ".log") }
 
-// Create initialises dir (created if missing, must not already hold a
-// store) with a full snapshot of c at LSN 0 and an empty WAL segment.
-// The store mutates c in place from then on.
-func Create(dir string, c *composite.Composite, opts Options) (*Store, error) {
+// storeFiles is the one reading of a store directory: the LSNs of its
+// snapshot files and of its WAL segments, each ascending (List sorts
+// names, and fixed-width hex sorts as the numbers do). A directory
+// holds a store exactly when either list is non-empty.
+func storeFiles(fs vfs, dir string) (snaps, segs []uint64, err error) {
+	names, err := fs.List(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, n := range names {
+		if lsn, ok := parseSnapName(n); ok {
+			snaps = append(snaps, lsn)
+		} else if lsn, ok := parseWALName(n); ok {
+			segs = append(segs, lsn)
+		}
+	}
+	return snaps, segs, nil
+}
+
+// newStoreDir makes dir (created if missing) ready to receive a fresh
+// store and refuses one that already holds store files.
+func newStoreDir(dir string, opts Options) (vfs, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	fs := withInjector(vfs(osVFS{}), opts.Injector)
-	names, err := fs.List(dir)
+	snaps, segs, err := storeFiles(fs, dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	for _, n := range names {
-		_, isSnap := parseSnapName(n)
-		_, isWAL := parseWALName(n)
-		if isSnap || isWAL {
-			return nil, fmt.Errorf("store: %s already holds a store (found %s); use Open", dir, n)
-		}
+	if len(snaps)+len(segs) > 0 {
+		return nil, fmt.Errorf("store: %s already holds a store (%d snapshots, %d segments); use Open", dir, len(snaps), len(segs))
 	}
-	s := &Store{
-		dir:  dir,
-		fs:   fs,
-		opts: opts,
-		g:    c.Partition(0).Graph(),
-		comp: c,
-		// LSN 0 is reserved for "nothing logged yet": the first frame
-		// gets LSN 1 and the initial snapshot covers LSN 0.
-		nextLSN: 1,
-	}
-	if err := s.writeSnapshot(); err != nil {
+	return fs, nil
+}
+
+// Create initialises dir (created if missing, must not already hold a
+// store) with a full snapshot of c at LSN 0 and an empty WAL segment.
+// The store mutates c in place from then on.
+func Create(dir string, c *composite.Composite, opts Options) (*Store, error) {
+	fs, err := newStoreDir(dir, opts)
+	if err != nil {
 		return nil, err
 	}
-	if err := s.openSegment(); err != nil {
+	s := &Store{dir: dir, fs: fs, opts: opts, g: c.Partition(0).Graph()}
+	// LSN 0 is reserved for "nothing logged yet": the initial snapshot
+	// covers it and the first frame gets LSN 1.
+	if err := s.rebase(c, nil, 0); err != nil {
 		return nil, err
 	}
-	s.commitLSN.Store(s.nextLSN - 1)
 	return s, nil
 }
 
@@ -188,26 +194,11 @@ func Create(dir string, c *composite.Composite, opts Options) (*Store, error) {
 // when compaction has discarded frames a fallback snapshot would need.
 func Open(dir string, g *graph.Graph, opts Options) (*Store, *RecoveryInfo, error) {
 	fs := withInjector(vfs(osVFS{}), opts.Injector)
-	names, err := fs.List(dir)
+	snaps, segLSNs, err := storeFiles(fs, dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
 	info := &RecoveryInfo{}
-
-	var snaps []uint64
-	segs := make(map[uint64]string)
-	var segLSNs []uint64
-	for _, n := range names {
-		if lsn, ok := parseSnapName(n); ok {
-			snaps = append(snaps, lsn)
-		}
-		if lsn, ok := parseWALName(n); ok {
-			segs[lsn] = n
-			segLSNs = append(segLSNs, lsn)
-		}
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })
-	sort.Slice(segLSNs, func(i, j int) bool { return segLSNs[i] < segLSNs[j] })
 	if len(snaps) == 0 {
 		return nil, nil, fmt.Errorf("store: %s holds no snapshot", dir)
 	}
@@ -241,7 +232,7 @@ func Open(dir string, g *graph.Graph, opts Options) (*Store, *RecoveryInfo, erro
 	info.SnapshotLSN = compLSN
 
 	s := &Store{dir: dir, fs: fs, opts: opts, g: g, comp: comp, snapLSN: compLSN, nextLSN: compLSN + 1}
-	if err := s.replay(segs, segLSNs, info); err != nil {
+	if err := s.replay(segLSNs, info); err != nil {
 		return nil, nil, err
 	}
 	if err := s.openSegment(); err != nil {
@@ -251,22 +242,110 @@ func Open(dir string, g *graph.Graph, opts Options) (*Store, *RecoveryInfo, erro
 	return s, info, nil
 }
 
+// stagedMut is one mutation interpret has read and not yet folded.
+type stagedMut struct {
+	insert bool
+	u, v   graph.VertexID
+	dest   []int
+}
+
+// checkDest validates a destination vector against c's shape — the one
+// check every vector read from a log, a segment header or a caller
+// passes before it can place an arc.
+func checkDest(c *composite.Composite, dest []int) error {
+	if len(dest) != c.K() {
+		return fmt.Errorf("dest vector has %d entries, composite has %d partitions", len(dest), c.K())
+	}
+	for _, d := range dest {
+		if d < 0 || d >= c.N() {
+			return fmt.Errorf("dest fragment %d out of range [0,%d)", d, c.N())
+		}
+	}
+	return nil
+}
+
+// checkEdge rejects an edge naming a vertex g does not have.
+func checkEdge(g *graph.Graph, u, v graph.VertexID) error {
+	if n := uint64(g.NumVertices()); uint64(u) >= n || uint64(v) >= n {
+		return fmt.Errorf("edge (%d,%d) beyond %d vertices", u, v, n)
+	}
+	return nil
+}
+
+// interpret is the one reader of WAL frames, shared by recovery and the
+// follower role. It validates a frame's (kind, body) against the
+// composite's shape, the vertex range and the sticky destination
+// vector, and stages what the frame says: a recDest replaces the sticky
+// vector, an insert or delete joins the staged batch unless the
+// snapshot already covers its LSN. Nothing reaches the composite until
+// foldStaged runs at the batch's commit marker. What a rejection means
+// is the caller's call: Damage on recovery, poison on a follower. (The
+// leader does not come through here: its Insert/Delete apply first and
+// log second, because locality routing reads the composite mid-batch.)
+func (s *Store) interpret(lsn uint64, kind recKind, body []byte) error {
+	switch kind {
+	case recDest:
+		dest, err := decodeDest(body)
+		if err == nil {
+			err = checkDest(s.comp, dest)
+		}
+		if err != nil {
+			return err
+		}
+		s.stickyDest = dest
+	case recInsert, recDelete:
+		u, v, err := decodeEdge(body)
+		if err == nil {
+			err = checkEdge(s.g, u, v)
+		}
+		if err != nil {
+			return err
+		}
+		if kind == recInsert && s.stickyDest == nil {
+			return errors.New("insert with no destination vector in effect")
+		}
+		if lsn > s.snapLSN {
+			s.staged = append(s.staged, stagedMut{insert: kind == recInsert, u: u, v: v, dest: s.stickyDest})
+		}
+	case recCommit:
+		if len(body) != 4 {
+			return fmt.Errorf("commit body is %d bytes, want 4", len(body))
+		}
+	default:
+		return fmt.Errorf("unknown record kind %d", kind)
+	}
+	return nil
+}
+
+// foldStaged applies the staged batch to the composite and reports its
+// size — the one place a logged mutation reaches memory on the recovery
+// and follower paths, run only once the batch's commit marker is on
+// disk. An error is unreachable after interpret's validation and leaves
+// the composite half-updated.
+func (s *Store) foldStaged() (int, error) {
+	for _, m := range s.staged {
+		if m.insert {
+			if err := s.comp.InsertEdge(m.u, m.v, m.dest); err != nil {
+				return 0, fmt.Errorf("applying insert (%d,%d): %w", m.u, m.v, err)
+			}
+		} else {
+			s.comp.DeleteEdge(m.u, m.v)
+		}
+	}
+	n := len(s.staged)
+	s.staged = s.staged[:0]
+	return n, nil
+}
+
 // replay walks the WAL segments in LSN order, applies committed
 // batches above the snapshot LSN, and physically truncates the log at
 // the first damage or after the last commit.
-func (s *Store) replay(segs map[uint64]string, segLSNs []uint64, info *RecoveryInfo) error {
-	type batched struct {
-		insert bool
-		u, v   graph.VertexID
-		dest   []int
-	}
+func (s *Store) replay(segLSNs []uint64, info *RecoveryInfo) error {
 	var (
-		batch   []batched
-		curDest []int
 		// destAtCommit is the sticky dest vector as of the last commit
-		// boundary — recovered into replDest so a restarted follower can
-		// keep self-contained segment headers (a recDest in a discarded
-		// uncommitted tail must not leak into it).
+		// boundary — what stickyDest is reset to afterwards so a restarted
+		// follower can keep self-contained segment headers (a recDest in a
+		// discarded uncommitted tail must not leak into it).
 		destAtCommit []int
 		next         = uint64(0) // expected first LSN; 0 accepts any start
 	)
@@ -285,36 +364,35 @@ func (s *Store) replay(segs map[uint64]string, segLSNs []uint64, info *RecoveryI
 	// truncation floor when no commit survives (v2 headers are longer
 	// than the fixed 8 bytes).
 	liveHdrLen := int64(segHdrLen)
-	damageAt := func(si int, d *Damage) {
+	damageAt := func(si int, off int64, reason string) {
 		if info.Damage == nil {
-			info.Damage = d
-			info.DamagedSegment = segs[segLSNs[si]]
+			info.Damage = &Damage{Offset: off, Reason: reason}
+			info.DamagedSegment = walName(segLSNs[si])
 		}
 	}
-	nVerts := uint64(s.g.NumVertices())
 
 scan:
 	for si := liveStart; si < len(segLSNs); si++ {
 		start := segLSNs[si]
-		data, err := s.fs.ReadFile(join(s.dir, segs[start]))
+		data, err := s.fs.ReadFile(join(s.dir, walName(start)))
 		if err != nil {
-			return fmt.Errorf("store: reading segment %s: %w", segs[start], err)
+			return fmt.Errorf("store: reading segment %s: %w", walName(start), err)
 		}
 		if next != 0 && start != next {
 			// A gap or overlap between segments severs the LSN chain:
 			// nothing from here on is trustworthy.
-			damageAt(si, &Damage{Offset: 0, Reason: fmt.Sprintf("segment starts at lsn %d, want %d", start, next)})
+			damageAt(si, 0, fmt.Sprintf("segment starts at lsn %d, want %d", start, next))
 			break scan
 		}
 		if next == 0 && start > s.snapLSN+1 {
 			// The live log does not reach back to the snapshot: frames
 			// between are missing, so nothing here can be applied.
-			damageAt(si, &Damage{Offset: 0, Reason: fmt.Sprintf("segment starts at lsn %d, snapshot covers %d", start, s.snapLSN)})
+			damageAt(si, 0, fmt.Sprintf("segment starts at lsn %d, snapshot covers %d", start, s.snapLSN))
 			break scan
 		}
 		frames, hdrDest, dmg, err := scanSegmentDest(data, start)
 		if err != nil {
-			damageAt(si, &Damage{Offset: 0, Reason: err.Error()})
+			damageAt(si, 0, err.Error())
 			break scan
 		}
 		if si == liveStart {
@@ -323,97 +401,42 @@ scan:
 		if hdrDest != nil {
 			// A follower-opened segment seeds the sticky dest vector from
 			// its header; validate like a recDest frame.
-			if len(hdrDest) != s.comp.K() {
-				damageAt(si, &Damage{Offset: 0, Reason: fmt.Sprintf("header dest has %d entries, composite has %d partitions", len(hdrDest), s.comp.K())})
-				break scan
-			}
-			ok := true
-			for _, d := range hdrDest {
-				if d < 0 || d >= s.comp.N() {
-					damageAt(si, &Damage{Offset: 0, Reason: fmt.Sprintf("header dest fragment %d out of range [0,%d)", d, s.comp.N())})
-					ok = false
-					break
-				}
-			}
-			if !ok {
+			if err := checkDest(s.comp, hdrDest); err != nil {
+				damageAt(si, 0, "segment header: "+err.Error())
 				break scan
 			}
 			// Segments open only at commit boundaries, so the header dest
 			// is also the dest-at-commit state until a commit says
 			// otherwise.
-			curDest = hdrDest
-			destAtCommit = hdrDest
+			s.stickyDest, destAtCommit = hdrDest, hdrDest
 		}
 		for _, f := range frames {
-			bad := func(reason string) { damageAt(si, &Damage{Offset: f.off, Reason: reason}) }
-			switch f.kind {
-			case recDest:
-				dest, derr := decodeDest(f.body)
-				if derr != nil {
-					bad(derr.Error())
+			if err := s.interpret(f.lsn, f.kind, f.body); err != nil {
+				damageAt(si, f.off, err.Error())
+				break scan
+			}
+			if f.kind == recCommit {
+				n, err := s.foldStaged()
+				if err != nil {
+					// Classified as damage rather than a failed recovery.
+					damageAt(si, f.off, err.Error())
 					break scan
 				}
-				if len(dest) != s.comp.K() {
-					bad(fmt.Sprintf("dest vector has %d entries, composite has %d partitions", len(dest), s.comp.K()))
-					break scan
-				}
-				for _, d := range dest {
-					if d < 0 || d >= s.comp.N() {
-						bad(fmt.Sprintf("dest fragment %d out of range [0,%d)", d, s.comp.N()))
-						break scan
-					}
-				}
-				curDest = dest
-			case recInsert, recDelete:
-				u, v, derr := decodeEdge(f.body)
-				if derr != nil {
-					bad(derr.Error())
-					break scan
-				}
-				if uint64(u) >= nVerts || uint64(v) >= nVerts {
-					bad(fmt.Sprintf("edge (%d,%d) beyond %d vertices", u, v, nVerts))
-					break scan
-				}
-				if f.kind == recInsert && curDest == nil {
-					bad("insert with no destination vector in effect")
-					break scan
-				}
-				if f.lsn > s.snapLSN {
-					batch = append(batch, batched{insert: f.kind == recInsert, u: u, v: v, dest: curDest})
-				} else {
-					info.SkippedFrames++
-				}
-			case recCommit:
-				for _, m := range batch {
-					if m.insert {
-						if err := s.comp.InsertEdge(m.u, m.v, m.dest); err != nil {
-							// Unreachable after the validation above;
-							// classified as damage rather than a failed
-							// recovery.
-							bad(fmt.Sprintf("applying insert: %v", err))
-							break scan
-						}
-					} else {
-						s.comp.DeleteEdge(m.u, m.v)
-					}
-					info.Replayed++
-				}
-				if f.lsn <= s.snapLSN {
-					info.SkippedFrames++
-				}
-				batch = batch[:0]
+				info.Replayed += n
 				lastCommitSeg, lastCommitOff = si, f.end
 				s.nextLSN = f.lsn + 1
-				destAtCommit = curDest
+				destAtCommit = s.stickyDest
 			}
 		}
 		if dmg != nil {
-			damageAt(si, dmg)
+			damageAt(si, dmg.Offset, dmg.Reason)
 			break scan
 		}
 		next = start + uint64(len(frames))
 	}
-	info.DiscardedMutations = len(batch)
+	info.DiscardedMutations = len(s.staged)
+	s.staged = s.staged[:0]
+	s.stickyDest = destAtCommit
 
 	// Physical truncation: cut the damaged/uncommitted tail so future
 	// opens see a log ending exactly at the last acked commit. Live
@@ -424,36 +447,25 @@ scan:
 	if keepSeg < 0 {
 		keepSeg, keepOff = liveStart, liveHdrLen
 	}
-	if destAtCommit != nil {
-		s.replDest = append([]int(nil), destAtCommit...)
-	}
-	for si := len(segLSNs) - 1; si >= liveStart; si-- {
-		name := segs[segLSNs[si]]
+	for si := len(segLSNs) - 1; si >= keepSeg; si-- {
+		name := walName(segLSNs[si])
 		path := join(s.dir, name)
-		switch {
-		case si > keepSeg:
-			info.TruncatedBytes += s.fileSizeBeyond(path, 0)
+		// An unreadable length counts as nothing to cut, as a file already
+		// at or below the boundary does.
+		size, _ := s.fs.Size(path)
+		if si > keepSeg {
+			info.TruncatedBytes += size
 			if err := s.fs.Remove(path); err != nil {
 				return fmt.Errorf("store: removing %s: %w", name, err)
 			}
-		case si == keepSeg:
-			if extra := s.fileSizeBeyond(path, keepOff); extra > 0 {
-				info.TruncatedBytes += extra
-				if err := s.fs.Truncate(path, keepOff); err != nil {
-					return fmt.Errorf("store: truncating %s: %w", name, err)
-				}
+		} else if size > keepOff {
+			info.TruncatedBytes += size - keepOff
+			if err := s.fs.Truncate(path, keepOff); err != nil {
+				return fmt.Errorf("store: truncating %s: %w", name, err)
 			}
 		}
 	}
 	return nil
-}
-
-func (s *Store) fileSizeBeyond(path string, keep int64) int64 {
-	data, err := s.fs.ReadFile(path)
-	if err != nil || int64(len(data)) <= keep {
-		return 0
-	}
-	return int64(len(data)) - keep
 }
 
 // openSegment starts a fresh active segment at the next LSN.
@@ -464,12 +476,12 @@ func (s *Store) openSegment() error {
 		return s.fail(fmt.Errorf("store: creating segment: %w", err))
 	}
 	hdr := newSegmentHeader()
-	if len(s.replDest) > 0 {
+	if len(s.stickyDest) > 0 {
 		// Follower role: replicated frames are appended verbatim, so the
 		// fresh segment cannot re-log a recDest without consuming an LSN.
 		// Record the sticky dest vector in the header instead, keeping
 		// the segment self-contained for replay.
-		hdr = newSegmentHeaderDest(s.replDest)
+		hdr = newSegmentHeaderDest(s.stickyDest)
 	}
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
@@ -523,8 +535,8 @@ func (s *Store) CanRetrySync() bool {
 // success the interrupted commit's bookkeeping is completed and the
 // poison cleared — the store is fully usable again, with every
 // previously acked batch durable. On failure the store stays poisoned
-// and remains retryable, so callers can ladder a bounded number of
-// attempts before giving up and reopening.
+// and remains retryable, so retrySyncLadder can make a bounded number
+// of attempts before the caller gives up and reopens.
 func (s *Store) RetrySync() error {
 	if !s.CanRetrySync() {
 		return fmt.Errorf("store: failure is not a retryable fsync (cause: %v)", s.failed)
@@ -533,29 +545,38 @@ func (s *Store) RetrySync() error {
 		s.failed = fmt.Errorf("store: retrying log sync: %w", err)
 		return s.failed
 	}
-	// Durable now: finish what commit() skipped when the sync failed.
+	// Durable now: finish what flush skipped when the sync failed.
 	s.commitsSinceSync = 0
-	s.committed += int64(s.pendingMuts)
-	s.mutsSinceSnap += s.pendingMuts
-	s.pending = s.pending[:0]
-	s.pendingMuts = 0
 	s.failed = nil
 	s.retrySync = false
-	// A replicated commit interrupted by the failed sync still has its
-	// staged mutations to fold into the composite.
-	if err := s.applyReplStaged(); err != nil {
-		return err
+	return s.finishCommit()
+}
+
+// retrySyncLadder is the one back-off loop around RetrySync. err is what
+// an operation just returned; while it left the store retryably
+// poisoned and attempts remain, the ladder sleeps base<<attempt,
+// re-issues the fsync and, once it lands, lets resume finish the
+// operation (nil when the interrupted commit was all that was left).
+// It returns the attempts made and the operation's final error: only an
+// exhausted ladder or a non-retryable failure (torn write, crash,
+// rejected input) leaves the store poisoned.
+func (s *Store) retrySyncLadder(err error, attempts int, base time.Duration, resume func() error) (int, error) {
+	tried := 0
+	for ; err != nil && tried < attempts && s.CanRetrySync(); tried++ {
+		time.Sleep(base << tried)
+		if s.RetrySync() == nil {
+			err = nil
+			if resume != nil {
+				err = resume()
+			}
+		}
 	}
-	s.commitLSN.Store(s.nextLSN - 1)
-	return nil
+	return tried, err
 }
 
 // Composite exposes the live in-memory composite. Mutate it only
 // through the store, or the log diverges from the state.
 func (s *Store) Composite() *composite.Composite { return s.comp }
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
 
 // LSN returns the LSN of the most recently appended frame.
 func (s *Store) LSN() uint64 { return s.nextLSN - 1 }
@@ -570,20 +591,25 @@ func (s *Store) CommittedLSN() uint64 { return s.commitLSN.Load() }
 func (s *Store) Committed() int64 { return s.committed }
 
 // Insert coherently inserts the edge into every bundled partition and
-// logs it. dest[j] names the target fragment in partition j; a nil
+// logs it. dest[j] names the target fragment in partition j; an empty
 // dest routes each partition by endpoint locality
 // (refine.RouteFragment). Durable only after Commit.
 func (s *Store) Insert(u, v graph.VertexID, dest []int) error {
 	if err := s.ready(); err != nil {
 		return err
 	}
-	if int64(u) >= int64(s.g.NumVertices()) || int64(v) >= int64(s.g.NumVertices()) {
-		return fmt.Errorf("store: edge (%d,%d) beyond %d vertices", u, v, s.g.NumVertices())
+	if err := checkEdge(s.g, u, v); err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
-	if dest == nil {
+	if len(dest) == 0 {
 		dest = RouteDest(s.comp, u, v)
 	}
-	if !equalInts(dest, s.lastDest) {
+	// Checked before the vector is logged: a recDest that recovery would
+	// reject must never reach the file.
+	if err := checkDest(s.comp, dest); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if !slices.Equal(dest, s.lastDest) {
 		s.pending = appendFrame(s.pending, s.nextLSN, recDest, encodeDest(dest))
 		s.nextLSN++
 		s.lastDest = append([]int(nil), dest...)
@@ -633,29 +659,51 @@ func (s *Store) commit(allowSnap bool) error {
 	binary.LittleEndian.PutUint32(cnt[:], uint32(s.pendingMuts))
 	s.pending = appendFrame(s.pending, s.nextLSN, recCommit, cnt[:])
 	s.nextLSN++
+	if err := s.flush(); err != nil {
+		return err
+	}
+	if allowSnap && s.opts.SnapshotEvery > 0 && s.mutsSinceSnap >= s.opts.SnapshotEvery {
+		return s.Snapshot()
+	}
+	return nil
+}
+
+// flush is the one commit: everything pending — a batch ending in its
+// commit marker, whether the leader framed it or a follower copied it —
+// goes to the log in a single append, is fsynced per SyncEvery, and only
+// then becomes visible through finishCommit.
+func (s *Store) flush() error {
 	if _, err := s.seg.Write(s.pending); err != nil {
 		return s.fail(fmt.Errorf("store: appending commit batch: %w", err))
 	}
 	s.commitsSinceSync++
-	if s.commitsSinceSync >= s.opts.syncEvery() {
+	if s.commitsSinceSync >= max(1, s.opts.SyncEvery) {
 		if err := s.seg.Sync(); err != nil {
 			// The batch (commit frame included) is already in the file;
 			// only the fsync failed, so the commit can be completed by
 			// RetrySync. pending/committed are deliberately left alone:
-			// RetrySync finishes that bookkeeping on success.
+			// finishCommit runs from there on success.
 			s.retrySync = true
 			return s.fail(fmt.Errorf("store: syncing log: %w", err))
 		}
 		s.commitsSinceSync = 0
 	}
+	return s.finishCommit()
+}
+
+// finishCommit is the bookkeeping of a batch that just became durable:
+// count it, drop the pending bytes, fold what a follower staged for it
+// into the composite, and only then advance the watermark readers and
+// replication see.
+func (s *Store) finishCommit() error {
 	s.committed += int64(s.pendingMuts)
 	s.mutsSinceSnap += s.pendingMuts
 	s.pending = s.pending[:0]
 	s.pendingMuts = 0
-	s.commitLSN.Store(s.nextLSN - 1)
-	if allowSnap && s.opts.SnapshotEvery > 0 && s.mutsSinceSnap >= s.opts.SnapshotEvery {
-		return s.Snapshot()
+	if _, err := s.foldStaged(); err != nil {
+		return s.fail(fmt.Errorf("store: %w", err))
 	}
+	s.commitLSN.Store(s.nextLSN - 1)
 	return nil
 }
 
@@ -667,27 +715,7 @@ func (s *Store) Snapshot() error {
 	if err := s.commit(false); err != nil {
 		return err
 	}
-	if err := s.ready(); err != nil {
-		return err
-	}
-	if err := s.seg.Sync(); err != nil {
-		s.retrySync = true
-		return s.fail(fmt.Errorf("store: syncing log before snapshot: %w", err))
-	}
-	s.commitsSinceSync = 0
-	if err := s.seg.Close(); err != nil {
-		s.seg = nil
-		return s.fail(fmt.Errorf("store: closing segment: %w", err))
-	}
-	s.seg = nil
-	if err := s.writeSnapshot(); err != nil {
-		return s.fail(err)
-	}
-	if err := s.openSegment(); err != nil {
-		return err
-	}
-	s.compact()
-	return nil
+	return s.reseat("snapshot", s.comp, nil, s.nextLSN-1)
 }
 
 // ReplaceComposite durably replaces the live composite with c — the
@@ -717,23 +745,61 @@ func (s *Store) ReplaceComposite(c *composite.Composite) error {
 	if err := s.commit(false); err != nil {
 		return err
 	}
+	return s.reseat("replace", c, nil, s.nextLSN-1)
+}
+
+// seal is the one end of an active segment: fsync it, close it. A
+// failed fsync poisons retryably (the file is still open and intact); a
+// failed close does not.
+func (s *Store) seal(before string) error {
 	if err := s.seg.Sync(); err != nil {
 		s.retrySync = true
-		return s.fail(fmt.Errorf("store: syncing log before replace: %w", err))
+		return s.fail(fmt.Errorf("store: syncing log before %s: %w", before, err))
 	}
 	s.commitsSinceSync = 0
-	if err := s.seg.Close(); err != nil {
-		s.seg = nil
+	err := s.seg.Close()
+	s.seg = nil
+	if err != nil {
 		return s.fail(fmt.Errorf("store: closing segment: %w", err))
 	}
-	s.seg = nil
-	old := s.comp
-	s.comp = c
-	if err := s.writeSnapshot(); err != nil {
-		s.comp = old
+	return nil
+}
+
+// rebase makes (comp, lsn) the store's durable base: the snapshot is
+// persisted, and only once it is visible does the store adopt comp, move
+// the watermark to lsn and open a fresh segment at lsn+1. data is comp
+// already encoded (a leader's snapshot bytes, kept verbatim) or nil to
+// encode it here.
+func (s *Store) rebase(comp *composite.Composite, data []byte, lsn uint64) error {
+	if data == nil {
+		// Encode in memory first: the snapshot lands in one Write call, so
+		// injected write faults hit whole-snapshot boundaries and the op
+		// count stays deterministic for the fault schedules.
+		var buf bytes.Buffer
+		if err := composite.Write(&buf, comp); err != nil {
+			return s.fail(fmt.Errorf("store: encoding snapshot: %w", err))
+		}
+		data = buf.Bytes()
+	}
+	if err := s.persistSnapshot(data, lsn); err != nil {
 		return s.fail(err)
 	}
+	s.comp, s.snapLSN, s.nextLSN, s.mutsSinceSnap = comp, lsn, lsn+1, 0
 	if err := s.openSegment(); err != nil {
+		return err
+	}
+	s.commitLSN.Store(lsn)
+	return nil
+}
+
+// reseat is the one segment rotation under a new base: seal the active
+// segment, rebase onto (comp, lsn), compact what the new snapshot
+// covers.
+func (s *Store) reseat(before string, comp *composite.Composite, data []byte, lsn uint64) error {
+	if err := s.seal(before); err != nil {
+		return err
+	}
+	if err := s.rebase(comp, data, lsn); err != nil {
 		return err
 	}
 	s.compact()
@@ -744,42 +810,36 @@ func (s *Store) ReplaceComposite(c *composite.Composite) error {
 // but one older snapshot (kept as a bitrot fallback). Advisory: a
 // failed listing just leaves garbage for the next compaction.
 func (s *Store) compact() {
-	names, err := s.fs.List(s.dir)
+	snaps, segs, err := storeFiles(s.fs, s.dir)
 	if err != nil {
 		return
 	}
-	var oldSnaps []uint64
-	for _, n := range names {
-		if _, ok := parseWALName(n); ok && n != s.segName {
-			_ = s.fs.Remove(join(s.dir, n))
-		}
-		if lsn, ok := parseSnapName(n); ok && lsn < s.snapLSN {
-			oldSnaps = append(oldSnaps, lsn)
+	for _, lsn := range segs {
+		if walName(lsn) != s.segName {
+			_ = s.fs.Remove(join(s.dir, walName(lsn)))
 		}
 	}
-	sort.Slice(oldSnaps, func(i, j int) bool { return oldSnaps[i] < oldSnaps[j] })
-	for i := 0; i+1 < len(oldSnaps); i++ {
-		_ = s.fs.Remove(join(s.dir, snapName(oldSnaps[i])))
+	var old []uint64
+	for _, lsn := range snaps {
+		if lsn < s.snapLSN {
+			old = append(old, lsn)
+		}
+	}
+	for i := 0; i+1 < len(old); i++ {
+		_ = s.fs.Remove(join(s.dir, snapName(old[i])))
 	}
 }
 
-// writeSnapshot persists the composite as snap-<lastLSN> atomically.
-func (s *Store) writeSnapshot() error {
-	lsn := s.nextLSN - 1
+// persistSnapshot publishes data as snap-<lsn> atomically: an fsynced
+// temp file, then a rename.
+func (s *Store) persistSnapshot(data []byte, lsn uint64) error {
 	final := snapName(lsn)
 	tmp := final + ".tmp"
-	// Encode in memory first: the snapshot lands in one Write call, so
-	// injected write faults hit whole-snapshot boundaries and the op
-	// count stays deterministic for the fault schedules.
-	var buf bytes.Buffer
-	if err := composite.Write(&buf, s.comp); err != nil {
-		return fmt.Errorf("store: encoding snapshot: %w", err)
-	}
 	f, err := s.fs.Create(join(s.dir, tmp))
 	if err != nil {
 		return fmt.Errorf("store: creating snapshot: %w", err)
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		return fmt.Errorf("store: writing snapshot: %w", err)
 	}
@@ -793,8 +853,6 @@ func (s *Store) writeSnapshot() error {
 	if err := s.fs.Rename(join(s.dir, tmp), join(s.dir, final)); err != nil {
 		return fmt.Errorf("store: publishing snapshot: %w", err)
 	}
-	s.snapLSN = lsn
-	s.mutsSinceSnap = 0
 	return nil
 }
 
@@ -804,29 +862,16 @@ func (s *Store) Close() error {
 	if s.seg == nil {
 		return nil
 	}
-	if err := s.commit(false); err != nil {
-		s.seg.Close()
-		s.seg = nil
-		return err
-	}
-	if err := s.seg.Sync(); err != nil {
-		s.seg.Close()
-		s.seg = nil
-		return s.fail(fmt.Errorf("store: syncing log on close: %w", err))
-	}
-	err := s.seg.Close()
-	s.seg = nil
-	return err
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	err := s.commit(false)
+	if err == nil {
+		if err = s.seg.Sync(); err != nil {
+			err = s.fail(fmt.Errorf("store: syncing log on close: %w", err))
 		}
 	}
-	return true
+	cerr := s.seg.Close()
+	s.seg = nil
+	if err != nil {
+		return err
+	}
+	return cerr
 }

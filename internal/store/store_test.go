@@ -533,10 +533,6 @@ commit
 			t.Fatalf("mutation %d renders %q, want %q", i, m.String(), want[i])
 		}
 	}
-	ins, del := SplitEdges(muts)
-	if len(ins) != 2 || len(del) != 1 {
-		t.Fatalf("split %d/%d, want 2/1", len(ins), len(del))
-	}
 	for _, bad := range []string{"x 1 2", "+ 1", "- 1 2 3", "commit now", "+ a b"} {
 		if _, err := ParseUpdates(bytes.NewReader([]byte(bad))); err == nil {
 			t.Fatalf("accepted %q", bad)

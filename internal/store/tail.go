@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Segment tailing: the replication leader reads committed WAL frames
@@ -62,17 +61,10 @@ func (s *Store) TailFrom(from uint64, max int) ([]RawFrame, uint64, error) {
 	if from > committed {
 		return nil, committed, nil
 	}
-	names, err := s.fs.List(s.dir)
+	_, segLSNs, err := storeFiles(s.fs, s.dir)
 	if err != nil {
 		return nil, committed, fmt.Errorf("store: listing segments: %w", err)
 	}
-	var segLSNs []uint64
-	for _, n := range names {
-		if lsn, ok := parseWALName(n); ok {
-			segLSNs = append(segLSNs, lsn)
-		}
-	}
-	sort.Slice(segLSNs, func(i, j int) bool { return segLSNs[i] < segLSNs[j] })
 	if len(segLSNs) == 0 || segLSNs[0] > from {
 		return nil, committed, ErrCompacted
 	}
@@ -143,20 +135,14 @@ func (s *Store) TailFrom(from uint64, max int) ([]RawFrame, uint64, error) {
 // newest is never removed).
 func (s *Store) NewestSnapshot() (uint64, []byte, error) {
 	for attempt := 0; ; attempt++ {
-		names, err := s.fs.List(s.dir)
+		snaps, _, err := storeFiles(s.fs, s.dir)
 		if err != nil {
 			return 0, nil, fmt.Errorf("store: listing snapshots: %w", err)
 		}
-		best := uint64(0)
-		found := false
-		for _, n := range names {
-			if lsn, ok := parseSnapName(n); ok && (!found || lsn > best) {
-				best, found = lsn, true
-			}
-		}
-		if !found {
+		if len(snaps) == 0 {
 			return 0, nil, fmt.Errorf("store: %s holds no snapshot", s.dir)
 		}
+		best := snaps[len(snaps)-1]
 		data, err := s.fs.ReadFile(join(s.dir, snapName(best)))
 		if err == nil {
 			return best, data, nil
@@ -185,27 +171,20 @@ type WalStats struct {
 // the log and snapshots.
 func (s *Store) WalStats() WalStats {
 	st := WalStats{CommittedLSN: s.commitLSN.Load()}
-	names, err := s.fs.List(s.dir)
+	snaps, segs, err := storeFiles(s.fs, s.dir)
 	if err != nil {
 		return st
 	}
-	for _, n := range names {
-		if _, ok := parseWALName(n); ok {
-			st.Segments++
-			if sz, serr := s.fs.Size(join(s.dir, n)); serr == nil {
-				st.Bytes += sz
-			}
-			continue
-		}
-		if lsn, ok := parseSnapName(n); ok {
-			st.Snapshots++
-			if lsn > st.SnapshotLSN {
-				st.SnapshotLSN = lsn
-			}
-			if sz, serr := s.fs.Size(join(s.dir, n)); serr == nil {
-				st.SnapshotBytes += sz
-			}
-		}
+	st.Snapshots, st.Segments = len(snaps), len(segs)
+	// A file a racing compaction removed reads as size 0.
+	for _, lsn := range snaps {
+		st.SnapshotLSN = lsn
+		sz, _ := s.fs.Size(join(s.dir, snapName(lsn)))
+		st.SnapshotBytes += sz
+	}
+	for _, lsn := range segs {
+		sz, _ := s.fs.Size(join(s.dir, walName(lsn)))
+		st.Bytes += sz
 	}
 	return st
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"time"
 
 	"adp/internal/composite"
 	"adp/internal/graph"
@@ -117,8 +118,7 @@ func ParseUpdates(r io.Reader) ([]Mutation, error) {
 }
 
 // RouteDest derives a destination vector for inserting (u,v): each
-// bundled partition routes independently by endpoint locality, the
-// same policy refine.ApplyUpdates uses for single partitions.
+// bundled partition routes independently by endpoint locality.
 func RouteDest(c *composite.Composite, u, v graph.VertexID) []int {
 	dest := make([]int, c.K())
 	for j := range dest {
@@ -130,47 +130,77 @@ func RouteDest(c *composite.Composite, u, v graph.VertexID) []int {
 // Apply runs a parsed update stream through the store: inserts and
 // deletes between commit markers form one durable batch each; a
 // trailing unterminated batch is committed at the end. It returns the
-// number of applied inserts and deletes.
+// number of applied inserts and deletes. A failure part-way leaves the
+// mutations before it applied in memory but never acked, so it poisons
+// the store like any other write-path error.
 func (s *Store) Apply(muts []Mutation) (inserts, deletes int, err error) {
+	inserts, deletes, _, err = s.ApplyRetrying(muts, 0, 0)
+	return inserts, deletes, err
+}
+
+// ApplyRetrying is Apply with every commit under the fsync retry
+// ladder: a transient commit-time fsync failure is retried in place up
+// to attempts times, backing off from base and doubling — the store
+// keeps the interrupted commit's bytes pending, so a retry that lands
+// completes exactly that commit and the stream carries on. It also
+// reports the retries made.
+func (s *Store) ApplyRetrying(muts []Mutation, attempts int, base time.Duration) (inserts, deletes, retries int, err error) {
+	commit := func() error {
+		n, err := s.retrySyncLadder(s.Commit(), attempts, base, nil)
+		retries += n
+		return err
+	}
+	for i, m := range muts {
+		switch m.Kind {
+		case MutInsert:
+			if err = s.Insert(m.U, m.V, m.Dest); err == nil {
+				inserts++
+			}
+		case MutDelete:
+			if _, err = s.Delete(m.U, m.V); err == nil {
+				deletes++
+			}
+		case MutCommit:
+			err = commit()
+		}
+		if err != nil {
+			return inserts, deletes, retries, s.fail(fmt.Errorf("store: mutation %d: %w", i, err))
+		}
+	}
+	return inserts, deletes, retries, commit()
+}
+
+// Fold applies an update stream to a composite that no store fronts —
+// the same coherent insert/delete without the log, for `adpart
+// -updates` and for catching a maintenance candidate up. Commit markers
+// are framing only; an insert without destinations is routed by
+// locality against c. It returns the inserts applied and the deletes
+// that found their edge, so a caller that must refuse an absent delete
+// can count.
+func Fold(c *composite.Composite, muts []Mutation) (inserts, deletesFound int, err error) {
+	g := c.Partition(0).Graph()
 	for i, m := range muts {
 		switch m.Kind {
 		case MutInsert:
 			dest := m.Dest
-			if len(dest) != 0 && len(dest) != s.comp.K() {
-				return inserts, deletes, fmt.Errorf("store: mutation %d: %d destinations for %d partitions", i, len(dest), s.comp.K())
-			}
 			if len(dest) == 0 {
-				dest = nil
+				dest = RouteDest(c, m.U, m.V)
 			}
-			if err := s.Insert(m.U, m.V, dest); err != nil {
-				return inserts, deletes, fmt.Errorf("store: mutation %d: %w", i, err)
+			if err = checkEdge(g, m.U, m.V); err == nil {
+				err = checkDest(c, dest)
+			}
+			if err == nil {
+				err = c.InsertEdge(m.U, m.V, dest)
+			}
+			if err != nil {
+				return inserts, deletesFound, fmt.Errorf("store: mutation %d: %w", i, err)
 			}
 			inserts++
 		case MutDelete:
-			if _, err := s.Delete(m.U, m.V); err != nil {
-				return inserts, deletes, fmt.Errorf("store: mutation %d: %w", i, err)
-			}
-			deletes++
-		case MutCommit:
-			if err := s.Commit(); err != nil {
-				return inserts, deletes, fmt.Errorf("store: mutation %d: %w", i, err)
+			if c.DeleteEdge(m.U, m.V) {
+				deletesFound++
 			}
 		}
 	}
-	return inserts, deletes, s.Commit()
-}
-
-// SplitEdges separates a mutation stream into the insert and delete
-// edge lists refine.ApplyUpdates consumes (commit markers are batch
-// framing only).
-func SplitEdges(muts []Mutation) (inserts, deletes []graph.Edge) {
-	for _, m := range muts {
-		switch m.Kind {
-		case MutInsert:
-			inserts = append(inserts, graph.Edge{Src: m.U, Dst: m.V})
-		case MutDelete:
-			deletes = append(deletes, graph.Edge{Src: m.U, Dst: m.V})
-		}
-	}
-	return inserts, deletes
+	return inserts, deletesFound, nil
 }

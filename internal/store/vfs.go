@@ -22,8 +22,6 @@ type vfile interface {
 type vfs interface {
 	// Create truncates/creates name for writing.
 	Create(name string) (vfile, error)
-	// Append opens name for appending, creating it if absent.
-	Append(name string) (vfile, error)
 	ReadFile(name string) ([]byte, error)
 	Rename(oldname, newname string) error
 	Remove(name string) error
@@ -39,10 +37,6 @@ type osVFS struct{}
 
 func (osVFS) Create(name string) (vfile, error) {
 	return os.OpenFile(name, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-}
-
-func (osVFS) Append(name string) (vfile, error) {
-	return os.OpenFile(name, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 }
 
 func (osVFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
@@ -102,17 +96,6 @@ func (v *faultVFS) Create(name string) (vfile, error) {
 		return nil, fault.ErrCrashed
 	}
 	f, err := v.base.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{f: f, inj: v.inj}, nil
-}
-
-func (v *faultVFS) Append(name string) (vfile, error) {
-	if v.inj.Crashed() {
-		return nil, fault.ErrCrashed
-	}
-	f, err := v.base.Append(name)
 	if err != nil {
 		return nil, err
 	}

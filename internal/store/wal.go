@@ -72,20 +72,6 @@ const (
 	recCommit
 )
 
-func (k recKind) String() string {
-	switch k {
-	case recDest:
-		return "dest"
-	case recInsert:
-		return "ins"
-	case recDelete:
-		return "del"
-	case recCommit:
-		return "commit"
-	}
-	return "invalid"
-}
-
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // frame is one decoded WAL record.
@@ -153,20 +139,17 @@ func parseSegmentHeader(data []byte) ([]int, int64, error) {
 	case segVersion:
 		return nil, segHdrLen, nil
 	case segVersionDest:
+		// The extension is a recDest body: [k u16][k × dest u32].
 		if len(data) < segHdrLen+2 {
 			return nil, 0, fmt.Errorf("%w: torn dest extension", errBadSegHeader)
 		}
-		k := int(binary.LittleEndian.Uint16(data[segHdrLen:]))
-		if k < 1 || k > 32 {
-			return nil, 0, fmt.Errorf("%w: dest extension length %d out of range [1,32]", errBadSegHeader, k)
-		}
-		end := segHdrLen + 2 + 4*k
+		end := segHdrLen + 2 + 4*int(binary.LittleEndian.Uint16(data[segHdrLen:]))
 		if len(data) < end {
 			return nil, 0, fmt.Errorf("%w: torn dest extension", errBadSegHeader)
 		}
-		dest := make([]int, k)
-		for j := range dest {
-			dest[j] = int(binary.LittleEndian.Uint32(data[segHdrLen+2+4*j:]))
+		dest, err := decodeDest(data[segHdrLen:end])
+		if err != nil {
+			return nil, 0, fmt.Errorf("%w: %v", errBadSegHeader, err)
 		}
 		return dest, int64(end), nil
 	default:
@@ -291,14 +274,9 @@ func newSegmentHeader() []byte {
 }
 
 // newSegmentHeaderDest builds a version-2 header carrying the sticky
-// destination vector in effect at segment open.
+// destination vector in effect at segment open, as a recDest body.
 func newSegmentHeaderDest(dest []int) []byte {
-	hdr := make([]byte, segHdrLen+2+4*len(dest))
-	binary.LittleEndian.PutUint32(hdr, segMagic)
+	hdr := newSegmentHeader()
 	binary.LittleEndian.PutUint32(hdr[4:], segVersionDest)
-	binary.LittleEndian.PutUint16(hdr[segHdrLen:], uint16(len(dest)))
-	for j, d := range dest {
-		binary.LittleEndian.PutUint32(hdr[segHdrLen+2+4*j:], uint32(d))
-	}
-	return hdr
+	return append(hdr, encodeDest(dest)...)
 }

@@ -118,7 +118,7 @@ func run(args []string) int {
 	runOpts := engine.Options{Context: ctx, Injector: fault.NewInjector(events...)}
 
 	loadStart := time.Now()
-	g, st, mapping, err := loadGraphBig(*graphName, *symmetric, *useMmap, *stream, *n)
+	g, st, mapping, err := loadGraph(*graphName, *symmetric, *useMmap, *stream, *n)
 	if err != nil {
 		return fail(err)
 	}
@@ -144,7 +144,8 @@ func run(args []string) int {
 			// partition is all that is left.
 			base, err = st.Partition(g)
 		} else {
-			base, err = partitioner.FennelStreamEdgeCut(g, *n, partitioner.FennelConfig{})
+			// Streamed over the built graph, Fennel is FennelEdgeCut.
+			base, err = partitioner.FennelEdgeCut(g, *n, partitioner.FennelConfig{})
 		}
 		if err != nil {
 			return fail(err)
@@ -248,23 +249,10 @@ func run(args []string) int {
 }
 
 func runBatch(base *partition.Partition, spec partitioner.Spec, muts []store.Mutation, storeDir string) error {
-	models := make([]costmodel.CostModel, 0, 5)
-	for _, a := range costmodel.Algos() {
-		models = append(models, costmodel.Reference(a))
-	}
 	start := time.Now()
-	var comp *composite.Composite
-	var err error
-	switch spec.Family {
-	case partitioner.EdgeCutFamily:
-		comp, _, err = composite.ME2H(base, models, composite.Options{})
-	case partitioner.VertexCutFamily:
-		comp, _, err = composite.MV2H(base, models, composite.Options{})
-	default:
-		return fmt.Errorf("batch mode requires an edge-cut or vertex-cut baseline")
-	}
+	comp, _, err := composite.ForFamily(spec.Family, base, costmodel.ReferenceModels(), composite.Options{})
 	if err != nil {
-		return err
+		return fmt.Errorf("batch mode: %w", err)
 	}
 	fmt.Printf("composite for %v in %v\n", costmodel.Algos(), time.Since(start).Round(time.Millisecond))
 
@@ -344,7 +332,7 @@ func runFsck(dir string, repair bool, graphName string, symmetric, deep bool) (*
 	var g *graph.Graph
 	if deep {
 		var err error
-		g, err = loadGraph(graphName, symmetric)
+		g, err = gen.Load(graphName, symmetric)
 		if err != nil {
 			return nil, err
 		}
@@ -352,13 +340,13 @@ func runFsck(dir string, repair bool, graphName string, symmetric, deep bool) (*
 	return store.Fsck(dir, g, repair)
 }
 
-// loadGraphBig is loadGraph extended with the big-graph ingest paths:
+// loadGraph is gen.Load extended with the big-graph ingest paths:
 // mmap serves a flat binary CSR zero-copy, and stream runs streaming
 // Fennel while an edge-list file parses and builds (the returned
 // FennelStream is non-nil exactly when that happened — synthetic or
 // symmetrised graphs stream after the build instead, since the
 // assignment must see the graph the run will use).
-func loadGraphBig(name string, symmetric, useMmap, stream bool, frags int) (*graph.Graph, *partitioner.FennelStream, *graph.Mapping, error) {
+func loadGraph(name string, symmetric, useMmap, stream bool, frags int) (*graph.Graph, *partitioner.FennelStream, *graph.Mapping, error) {
 	if useMmap {
 		g, mapping, err := graph.MapFlatBinary(name)
 		if err != nil {
@@ -371,24 +359,20 @@ func loadGraphBig(name string, symmetric, useMmap, stream bool, frags int) (*gra
 		}
 		return g, nil, mapping, nil
 	}
-	switch strings.ToLower(name) {
-	case "social", "twitter", "web", "road":
-	default:
-		if stream && !symmetric {
-			f, err := os.Open(name)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			defer f.Close()
-			st := partitioner.NewFennelStream(frags, partitioner.FennelConfig{})
-			g, err := graph.ParallelReadEdgeListStreaming(f, graph.LoadOptions{}, st)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return g, st, nil, nil
+	if stream && !symmetric && !gen.IsNamed(name) {
+		f, err := os.Open(name)
+		if err != nil {
+			return nil, nil, nil, err
 		}
+		defer f.Close()
+		st := partitioner.NewFennelStream(frags, partitioner.FennelConfig{})
+		g, err := graph.ParallelReadEdgeListStreaming(f, graph.LoadOptions{}, st)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return g, st, nil, nil
 	}
-	g, err := loadGraph(name, symmetric)
+	g, err := gen.Load(name, symmetric)
 	return g, nil, nil, err
 }
 
@@ -402,34 +386,6 @@ func writeFlat(path string, g *graph.Graph) error {
 		return err
 	}
 	return f.Close()
-}
-
-func loadGraph(name string, symmetric bool) (*graph.Graph, error) {
-	var g *graph.Graph
-	switch strings.ToLower(name) {
-	case "social":
-		g = gen.SocialSmall()
-	case "twitter":
-		g = gen.TwitterLike()
-	case "web":
-		g = gen.WebLike()
-	case "road":
-		g = gen.RoadLike()
-	default:
-		f, err := os.Open(name)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		g, err = graph.ReadEdgeList(f)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if symmetric && !g.Undirected() {
-		g = graph.Symmetrize(g)
-	}
-	return g, nil
 }
 
 func parseAlgo(s string) (costmodel.Algo, error) {

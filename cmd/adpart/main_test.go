@@ -37,7 +37,7 @@ func TestParseAlgo(t *testing.T) {
 
 func TestLoadGraphNamed(t *testing.T) {
 	for _, name := range []string{"social", "twitter", "web", "road"} {
-		g, err := loadGraph(name, false)
+		g, _, _, err := loadGraph(name, false, false, false, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -46,7 +46,7 @@ func TestLoadGraphNamed(t *testing.T) {
 		}
 	}
 	// Symmetrisation flag.
-	g, err := loadGraph("social", true)
+	g, _, _, err := loadGraph("social", true, false, false, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +61,14 @@ func TestLoadGraphFromFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("# vertices 4 directed\n0 1\n1 2\n2 3\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g, err := loadGraph(path, false)
+	g, _, _, err := loadGraph(path, false, false, false, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NumVertices() != 4 || g.NumEdges() != 3 {
 		t.Fatalf("loaded %v", g)
 	}
-	if _, err := loadGraph(filepath.Join(dir, "missing.txt"), false); err == nil {
+	if _, _, _, err := loadGraph(filepath.Join(dir, "missing.txt"), false, false, false, 4); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -101,7 +101,7 @@ func TestLoadUpdates(t *testing.T) {
 // testBatchComposite bundles two partitions of the small social graph.
 func testBatchComposite(t *testing.T) *composite.Composite {
 	t.Helper()
-	g, err := loadGraph("social", false)
+	g, _, _, err := loadGraph("social", false, false, false, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -110,7 +109,7 @@ func main() {
 		pool.SetDefaultWorkers(*workers)
 	}
 
-	g, err := loadGraph(*graphName, *symmetric)
+	g, err := gen.Load(*graphName, *symmetric)
 	if err != nil {
 		fatal(err)
 	}
@@ -337,17 +336,26 @@ func promoteStore(dir string, g *graph.Graph) error {
 	return nil
 }
 
+// openExisting recovers the store in dir and prints its RecoveryInfo;
+// (nil, nil) means dir is empty or missing, so there is none to open.
+func openExisting(dir string, g *graph.Graph) (*store.Store, error) {
+	if names, err := os.ReadDir(dir); err != nil || len(names) == 0 {
+		return nil, nil
+	}
+	st, info, err := store.Open(dir, g, store.Options{})
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "adserve: store: %v\n", info)
+	return st, nil
+}
+
 // openOrBootstrap recovers an existing follower store (recovery lands
 // on the committed prefix) or bootstraps an empty directory from the
 // leader's newest snapshot.
 func openOrBootstrap(dir string, g *graph.Graph, leaderAddr string) (*store.Store, error) {
-	if names, err := os.ReadDir(dir); err == nil && len(names) > 0 {
-		st, info, err := store.Open(dir, g, store.Options{})
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "adserve: store: %v\n", info)
-		return st, nil
+	if st, err := openExisting(dir, g); st != nil || err != nil {
+		return st, err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -363,13 +371,8 @@ func openOrBootstrap(dir string, g *graph.Graph, leaderAddr string) (*store.Stor
 // fresh one with the five-algorithm batch composite over g — the same
 // construction `adpart -algo batch -store` uses.
 func openOrCreate(dir string, g *graph.Graph, baseName string, n int) (*store.Store, error) {
-	if names, err := os.ReadDir(dir); err == nil && len(names) > 0 {
-		st, info, err := store.Open(dir, g, store.Options{})
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "adserve: store: %v\n", info)
-		return st, nil
+	if st, err := openExisting(dir, g); st != nil || err != nil {
+		return st, err
 	}
 	spec, ok := partitioner.ByName(baseName)
 	if !ok {
@@ -379,21 +382,9 @@ func openOrCreate(dir string, g *graph.Graph, baseName string, n int) (*store.St
 	if err != nil {
 		return nil, err
 	}
-	models := make([]costmodel.CostModel, 0, len(costmodel.Algos()))
-	for _, a := range costmodel.Algos() {
-		models = append(models, costmodel.Reference(a))
-	}
-	var comp *composite.Composite
-	switch spec.Family {
-	case partitioner.EdgeCutFamily:
-		comp, _, err = composite.ME2H(base, models, composite.Options{})
-	case partitioner.VertexCutFamily:
-		comp, _, err = composite.MV2H(base, models, composite.Options{})
-	default:
-		return nil, fmt.Errorf("baseline %q is neither edge-cut nor vertex-cut", baseName)
-	}
+	comp, _, err := composite.ForFamily(spec.Family, base, costmodel.ReferenceModels(), composite.Options{})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("baseline %q: %w", baseName, err)
 	}
 	st, err := store.Create(dir, comp, store.Options{})
 	if err != nil {
@@ -405,34 +396,6 @@ func openOrCreate(dir string, g *graph.Graph, baseName string, n int) (*store.St
 
 func graphLabel(g *graph.Graph) string {
 	return fmt.Sprintf("%d vertices / %d edges", g.NumVertices(), g.NumEdges())
-}
-
-func loadGraph(name string, symmetric bool) (*graph.Graph, error) {
-	var g *graph.Graph
-	switch strings.ToLower(name) {
-	case "social":
-		g = gen.SocialSmall()
-	case "twitter":
-		g = gen.TwitterLike()
-	case "web":
-		g = gen.WebLike()
-	case "road":
-		g = gen.RoadLike()
-	default:
-		f, err := os.Open(name)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		g, err = graph.ReadEdgeList(f)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if symmetric && !g.Undirected() {
-		g = graph.Symmetrize(g)
-	}
-	return g, nil
 }
 
 func fatal(err error) {

@@ -56,11 +56,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var models []costmodel.CostModel
-	for _, a := range costmodel.Algos() {
-		models = append(models, costmodel.Reference(a))
-	}
-	comp, stats, err := composite.ME2H(base, models, composite.Options{})
+	comp, stats, err := composite.ME2H(base, costmodel.ReferenceModels(), composite.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

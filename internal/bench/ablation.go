@@ -49,11 +49,11 @@ func Ablations() (*Table, error) {
 	)
 
 	// (3) GetDest greedy cover vs naive destinations.
-	greedy, _, err := composite.ME2H(base, batchModels(), composite.Options{})
+	greedy, _, err := composite.ME2H(base, costmodel.ReferenceModels(), composite.Options{})
 	if err != nil {
 		return nil, err
 	}
-	naive, _, err := composite.ME2H(base, batchModels(), composite.Options{NaiveDest: true})
+	naive, _, err := composite.ME2H(base, costmodel.ReferenceModels(), composite.Options{NaiveDest: true})
 	if err != nil {
 		return nil, err
 	}

@@ -93,6 +93,9 @@ const (
 	DSRoad    = "traffic*"     // roadLike stand-in
 )
 
+// genNames maps the dataset names to gen.Load's.
+var genNames = map[string]string{DSSocial: "social", DSTwitter: "twitter", DSWeb: "web", DSRoad: "road"}
+
 var datasetCache sync.Map // name -> *graph.Graph
 
 // Dataset returns (and caches) the named stand-in graph. Suffix "-u"
@@ -102,21 +105,13 @@ func Dataset(name string) *graph.Graph {
 	if g, ok := datasetCache.Load(name); ok {
 		return g.(*graph.Graph)
 	}
-	var g *graph.Graph
-	switch strings.TrimSuffix(name, "-u") {
-	case DSSocial:
-		g = gen.SocialSmall()
-	case DSTwitter:
-		g = gen.TwitterLike()
-	case DSWeb:
-		g = gen.WebLike()
-	case DSRoad:
-		g = gen.RoadLike()
-	default:
+	short, ok := genNames[strings.TrimSuffix(name, "-u")]
+	if !ok {
 		panic("bench: unknown dataset " + name)
 	}
-	if strings.HasSuffix(name, "-u") && !g.Undirected() {
-		g = graph.Symmetrize(g)
+	g, err := gen.Load(short, strings.HasSuffix(name, "-u"))
+	if err != nil {
+		panic(err) // stand-ins are generated, never read
 	}
 	actual, _ := datasetCache.LoadOrStore(name, g)
 	return actual.(*graph.Graph)

@@ -18,14 +18,6 @@ import (
 // {CN, TC, WCC, PR, SSSP}.
 var batchAlgos = []costmodel.Algo{costmodel.CN, costmodel.TC, costmodel.WCC, costmodel.PR, costmodel.SSSP}
 
-func batchModels() []costmodel.CostModel {
-	out := make([]costmodel.CostModel, len(batchAlgos))
-	for i, a := range batchAlgos {
-		out[i] = costmodel.Reference(a)
-	}
-	return out
-}
-
 // batchGraphName is the dataset the mixed-workload experiments run on:
 // the symmetrised Twitter stand-in, so TC can share the partition with
 // the directed algorithms exactly as the paper runs its batch on one
@@ -57,17 +49,9 @@ func compositeFor(baseName string) (*compositeResult, error) {
 		return nil, err
 	}
 	start := time.Now()
-	var comp *composite.Composite
-	switch spec.Family {
-	case partitioner.EdgeCutFamily:
-		comp, _, err = composite.ME2H(base, batchModels(), composite.Options{})
-	case partitioner.VertexCutFamily:
-		comp, _, err = composite.MV2H(base, batchModels(), composite.Options{})
-	default:
-		return nil, fmt.Errorf("bench: %s is not refinable", baseName)
-	}
+	comp, _, err := composite.ForFamily(spec.Family, base, costmodel.ReferenceModels(), composite.Options{})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bench: %s: %w", baseName, err)
 	}
 	r := &compositeResult{comp: comp, base: base, build: time.Since(start)}
 	compositeCache[baseName] = r

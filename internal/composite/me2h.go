@@ -1,12 +1,15 @@
 package composite
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"adp/internal/costmodel"
 	"adp/internal/graph"
 	"adp/internal/partition"
+	"adp/internal/partitioner"
 	"adp/internal/refine"
 )
 
@@ -32,47 +35,9 @@ type Options struct {
 // modelled by models from the edge-cut partition base (Fig. 6). The
 // input partition is not modified.
 func ME2H(base *partition.Partition, models []costmodel.CostModel, opts Options) (*Composite, *BuildStats, error) {
-	b := newBuilder(base, models)
-	b.naiveDest = opts.NaiveDest
+	b := newBuilder(base, models, opts)
 	start := time.Now()
-
-	// Init (Fig. 7): per input fragment, walk e-cut nodes in BFS order
-	// and keep each one in place for every algorithm whose budget
-	// allows — growing the shared core Ci.
-	for i := 0; i < b.n; i++ {
-		for _, v := range b.bfsOrderCached(i) {
-			if base.Status(i, v) != partition.ECutNode {
-				continue
-			}
-			shared := 0
-			for j := range b.parts {
-				if b.fitsWhole(j, i, v) {
-					b.assignWhole(j, i, v)
-					shared++
-				}
-			}
-			if shared == len(b.parts) {
-				b.stats.InitShared++
-			}
-		}
-	}
-
-	b.rebuildTrackers()
-
-	// VAssign (lines 8-13): route each leftover candidate for the
-	// algorithms that still need it, minimising the number of distinct
-	// destinations via the GetDest greedy set cover.
-	for i := 0; i < b.n; i++ {
-		for _, v := range b.bfsOrderCached(i) {
-			if base.Status(i, v) != partition.ECutNode {
-				continue
-			}
-			b.vAssign(i, v, func(j int, x int) bool { return b.fitsWhole(j, x, v) },
-				func(j, x int) { b.assignWhole(j, x, v) })
-		}
-	}
-
-	b.rebuildTrackers()
+	b.place(wholeVertex{b})
 
 	// EAssign (lines 14-18): split what remains edge by edge onto the
 	// cheapest fragment per algorithm.
@@ -99,6 +64,19 @@ func ME2H(base *partition.Partition, models []costmodel.CostModel, opts Options)
 	return comp, b.stats, nil
 }
 
+// ForFamily builds the composite for the family of the baseline that
+// produced base: ME2H for edge-cuts, MV2H for vertex-cuts. Hybrid
+// baselines have neither to start from.
+func ForFamily(fam partitioner.Family, base *partition.Partition, models []costmodel.CostModel, opts Options) (*Composite, *BuildStats, error) {
+	switch fam {
+	case partitioner.EdgeCutFamily:
+		return ME2H(base, models, opts)
+	case partitioner.VertexCutFamily:
+		return MV2H(base, models, opts)
+	}
+	return nil, nil, fmt.Errorf("composite: a %v baseline is neither edge-cut nor vertex-cut", fam)
+}
+
 // builder carries the shared state of ME2H/MV2H.
 type builder struct {
 	g        *graph.Graph
@@ -113,22 +91,7 @@ type builder struct {
 	// (fragment, vertex).
 	copyAssigned []map[uint64]bool
 	naiveDest    bool
-	bfsCache     map[int][]graph.VertexID
 	stats        *BuildStats
-}
-
-// bfsOrderCached memoises bfsOrder per input fragment: Init and
-// VAssign walk the same order.
-func (b *builder) bfsOrderCached(i int) []graph.VertexID {
-	if b.bfsCache == nil {
-		b.bfsCache = map[int][]graph.VertexID{}
-	}
-	if o, ok := b.bfsCache[i]; ok {
-		return o
-	}
-	o := bfsOrder(b.base, i)
-	b.bfsCache[i] = o
-	return o
 }
 
 // rebuildTrackers re-evaluates every target partition from scratch,
@@ -139,10 +102,10 @@ func (b *builder) rebuildTrackers() {
 	}
 }
 
-func newBuilder(base *partition.Partition, models []costmodel.CostModel) *builder {
+func newBuilder(base *partition.Partition, models []costmodel.CostModel, opts Options) *builder {
 	g := base.Graph()
 	n := base.NumFragments()
-	b := &builder{g: g, base: base, models: models, n: n, stats: &BuildStats{}}
+	b := &builder{g: g, base: base, models: models, n: n, naiveDest: opts.NaiveDest, stats: &BuildStats{}}
 	for _, m := range models {
 		// Budget Bj = average ChAj over the INPUT partition (line 1),
 		// with 5% slack so that algorithms the input already balances
@@ -154,20 +117,152 @@ func newBuilder(base *partition.Partition, models []costmodel.CostModel) *builde
 		b.parts = append(b.parts, p)
 		b.trs = append(b.trs, costmodel.NewTracker(p, m))
 		b.assigned = append(b.assigned, map[graph.VertexID]bool{})
+		b.copyAssigned = append(b.copyAssigned, map[uint64]bool{})
 	}
 	b.stats.Budgets = b.budgets
 	return b
 }
 
-// fitsWhole probes ChAj(F^j_x ∪ (v,Ev)) ≤ Bj for a complete copy.
-func (b *builder) fitsWhole(j, x int, v graph.VertexID) bool {
-	h := b.trs[j].HypotheticalComp(v, b.g.InDegree(v), b.g.OutDegree(v), 0, false)
-	return b.trs[j].Comp(x)+h <= b.budgets[j]
+// unit is what Init and GetDest place (Fig. 7): ME2H routes whole
+// vertices (wholeVertex), MV2H base copies (i, v) with their local arc
+// sets (baseCopy). j names the target partition, x a fragment of it.
+type unit interface {
+	// eligible reports whether (i, v) carries computation to place.
+	eligible(i int, v graph.VertexID) bool
+	// pending reports whether partition j still needs (i, v) placed.
+	pending(j, i int, v graph.VertexID) bool
+	// fits probes ChAj(F^j_x ∪ (i, v)) ≤ Bj.
+	fits(j, i, x int, v graph.VertexID) bool
+	apply(j, i, x int, v graph.VertexID)
+	// cost is (i, v)'s hypothetical contribution under model j.
+	cost(j, i int, v graph.VertexID) float64
 }
 
-// assignWhole places v with every incident arc into fragment x of
+// place runs Init and VAssign over the base fragments, each walked in
+// the BFS order of procedure Init. Init keeps every eligible unit in
+// place for each algorithm whose budget allows — growing the shared
+// core Ci; VAssign (lines 8-13) routes the leftovers with GetDest.
+func (b *builder) place(u unit) {
+	var bfs refine.BFS
+	orders := make([][]graph.VertexID, b.n)
+	for i := range orders {
+		orders[i] = slices.Clone(bfs.Order(b.base, i))
+	}
+	for i, order := range orders {
+		for _, v := range order {
+			if !u.eligible(i, v) {
+				continue
+			}
+			shared := 0
+			for j := range b.parts {
+				if u.fits(j, i, i, v) {
+					u.apply(j, i, i, v)
+					shared++
+				}
+			}
+			if shared == len(b.parts) {
+				b.stats.InitShared++
+			}
+		}
+	}
+	b.rebuildTrackers()
+	for i, order := range orders {
+		for _, v := range order {
+			if u.eligible(i, v) {
+				b.getDest(u, i, v)
+			}
+		}
+	}
+	b.rebuildTrackers()
+}
+
+// getDest implements procedure GetDest (Fig. 7): given the set Ov of
+// algorithms that still need unit (src, v) placed, repeatedly pick the
+// destination fragment accepted by the most remaining algorithms — a
+// greedy minimum set cover that minimises v's replication across the
+// composite and with it fc. NaiveDest instead lets each algorithm take
+// the first fragment that fits.
+func (b *builder) getDest(u unit, src int, v graph.VertexID) {
+	var ov []int
+	for j := range b.parts {
+		if u.pending(j, src, v) {
+			ov = append(ov, j)
+		}
+	}
+	if b.naiveDest {
+		for _, j := range ov {
+			for x := 0; x < b.n; x++ {
+				if u.fits(j, src, x, v) {
+					u.apply(j, src, x, v)
+					break
+				}
+			}
+		}
+		return
+	}
+	for len(ov) > 0 {
+		bestX, bestCover := -1, 0
+		// The source fragment is probed first so that cover ties keep
+		// the candidate where its neighbours are (locality).
+		for _, x := range b.fragOrder(src) {
+			cover := 0
+			for _, j := range ov {
+				if u.fits(j, src, x, v) {
+					cover++
+				}
+			}
+			if cover > bestCover {
+				bestX, bestCover = x, cover
+			}
+		}
+		if bestX < 0 {
+			// No fragment fits any remaining algorithm within budget.
+			// A unit that would fit an empty fragment still goes WHOLE
+			// to the currently cheapest one (the budgets hover at the
+			// average late in the pass, and shredding it via EAssign
+			// would destroy locality for nothing); only genuine
+			// over-budget hubs are left for EAssign. Placing for j
+			// changes only partition j, so no later j fits either.
+			for _, j := range ov {
+				// Keep only small units whole: a large one would
+				// overload the destination (quadratic-cost algorithms
+				// care), so it is left for EAssign to split.
+				if u.cost(j, src, v) > 0.25*b.budgets[j] {
+					continue
+				}
+				u.apply(j, src, b.trs[j].ArgminComp(), v)
+			}
+			return
+		}
+		var rest []int
+		for _, j := range ov {
+			if u.fits(j, src, bestX, v) {
+				u.apply(j, src, bestX, v)
+			} else {
+				rest = append(rest, j)
+			}
+		}
+		ov = rest
+	}
+}
+
+// wholeVertex is ME2H's unit: a vertex with every incident arc, owned
+// by its e-cut node in the base.
+type wholeVertex struct{ *builder }
+
+func (b wholeVertex) eligible(i int, v graph.VertexID) bool {
+	return b.base.Status(i, v) == partition.ECutNode
+}
+
+func (b wholeVertex) pending(j, _ int, v graph.VertexID) bool { return !b.assigned[j][v] }
+
+func (b wholeVertex) fits(j, i, x int, v graph.VertexID) bool {
+	return b.trs[j].Comp(x)+b.cost(j, i, v) <= b.budgets[j]
+}
+
+// apply places v with every incident arc into fragment x of
 // partition j.
-func (b *builder) assignWhole(j, x int, v graph.VertexID) {
+func (b wholeVertex) apply(j, _, x int, v graph.VertexID) {
 	p := b.parts[j]
 	for _, w := range b.g.OutNeighbors(v) {
 		p.AddArc(x, v, w)
@@ -190,89 +285,9 @@ func (b *builder) assignWhole(j, x int, v graph.VertexID) {
 	b.stats.Assigned++
 }
 
-// vAssign implements procedure GetDest (Fig. 7): given the set Ov of
-// algorithms that still need candidate v placed, repeatedly pick the
-// destination fragment accepted by the most remaining algorithms —
-// a greedy minimum set cover that minimises v's replication across
-// the composite and with it fc.
-func (b *builder) vAssign(src int, v graph.VertexID, fits func(j, x int) bool, apply func(j, x int)) {
-	var ov []int
-	for j := range b.parts {
-		if !b.assigned[j][v] {
-			ov = append(ov, j)
-		}
-	}
-	if b.naiveDest {
-		for _, j := range ov {
-			for x := 0; x < b.n; x++ {
-				if fits(j, x) {
-					apply(j, x)
-					break
-				}
-			}
-		}
-		return
-	}
-	for len(ov) > 0 {
-		bestX, bestCover := -1, 0
-		// The source fragment is probed first so that cover ties keep
-		// the candidate where its neighbours are (locality).
-		for _, x := range b.fragOrder(src) {
-			cover := 0
-			for _, j := range ov {
-				if fits(j, x) {
-					cover++
-				}
-			}
-			if cover > bestCover {
-				bestX, bestCover = x, cover
-			}
-		}
-		if bestX < 0 {
-			// No fragment fits any remaining algorithm within budget.
-			// A vertex that would fit an empty fragment still goes
-			// WHOLE to the currently cheapest one (the budgets hover
-			// at the average late in the pass, and shredding such a
-			// vertex via EAssign would destroy locality for nothing);
-			// only genuine over-budget hubs are left for EAssign.
-			for _, j := range ov {
-				// Keep only small vertices whole: a large one would
-				// overload the destination (quadratic-cost algorithms
-				// care), so it is left for EAssign to split.
-				if b.wholeCost(j, v) > 0.25*b.budgets[j] {
-					continue
-				}
-				apply(j, b.argminComp(j))
-			}
-			return
-		}
-		var rest []int
-		for _, j := range ov {
-			if fits(j, bestX) {
-				apply(j, bestX)
-			} else {
-				rest = append(rest, j)
-			}
-		}
-		ov = rest
-	}
-}
-
-// wholeCost is v's hypothetical contribution as a complete copy under
-// model j.
-func (b *builder) wholeCost(j int, v graph.VertexID) float64 {
+// cost is v's hypothetical contribution as a complete copy.
+func (b wholeVertex) cost(j, _ int, v graph.VertexID) float64 {
 	return b.trs[j].HypotheticalComp(v, b.g.InDegree(v), b.g.OutDegree(v), 0, false)
-}
-
-// argminComp returns partition j's cheapest fragment.
-func (b *builder) argminComp(j int) int {
-	best := 0
-	for x := 1; x < b.n; x++ {
-		if b.trs[j].Comp(x) < b.trs[j].Comp(best) {
-			best = x
-		}
-	}
-	return best
 }
 
 // fragOrder yields fragment indices with src first.
@@ -328,67 +343,12 @@ func (b *builder) eAssign(j int, v graph.VertexID, arcs []arcT) {
 	p := b.parts[j]
 	tr := b.trs[j]
 	for _, a := range arcs {
-		x := 0
-		for y := 1; y < b.n; y++ {
-			if tr.Comp(y) < tr.Comp(x) {
-				x = y
-			}
-		}
-		p.AddEdge(x, a.u, a.w)
-		refreshTracker(tr, []graph.VertexID{a.u, a.w})
+		p.AddEdge(tr.ArgminComp(), a.u, a.w)
+		tr.RefreshSet([]graph.VertexID{a.u, a.w})
 		b.stats.SplitEdges++
 	}
 	if len(arcs) == 0 && len(p.Copies(v)) == 0 {
 		p.AddVertex(int(v)%b.n, v)
 	}
 	b.assigned[j][v] = true
-}
-
-// bfsOrder walks the non-dummy nodes of base fragment i in BFS order
-// (the locality-preserving order of procedure Init).
-func bfsOrder(base *partition.Partition, i int) []graph.VertexID {
-	f := base.Fragment(i)
-	ids := f.SortedVertices()
-	seen := make(map[graph.VertexID]bool, len(ids))
-	order := make([]graph.VertexID, 0, len(ids))
-	queue := make([]graph.VertexID, 0, len(ids))
-	enqueue := func(v graph.VertexID) {
-		if !seen[v] {
-			seen[v] = true
-			queue = append(queue, v)
-		}
-	}
-	for _, root := range ids {
-		if seen[root] {
-			continue
-		}
-		enqueue(root)
-		for head := len(order); head < len(queue); head++ {
-			v := queue[head]
-			order = append(order, v)
-			adj := f.Adjacency(v)
-			if adj == nil {
-				continue
-			}
-			nbrs := append([]graph.VertexID(nil), adj.Out...)
-			nbrs = append(nbrs, adj.In...)
-			sort.Slice(nbrs, func(a, b int) bool { return nbrs[a] < nbrs[b] })
-			for _, w := range nbrs {
-				if f.Has(w) {
-					enqueue(w)
-				}
-			}
-		}
-	}
-	return order
-}
-
-func refreshTracker(tr *costmodel.Tracker, touched []graph.VertexID) {
-	seen := map[graph.VertexID]bool{}
-	for _, v := range touched {
-		if !seen[v] {
-			seen[v] = true
-			tr.Refresh(v)
-		}
-	}
 }

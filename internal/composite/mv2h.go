@@ -16,44 +16,9 @@ import (
 // (turning v-cut nodes into e-cut nodes within budget) and MAssign.
 // The input partition is not modified.
 func MV2H(base *partition.Partition, models []costmodel.CostModel, opts Options) (*Composite, *BuildStats, error) {
-	b := newBuilder(base, models)
-	b.naiveDest = opts.NaiveDest
+	b := newBuilder(base, models, opts)
 	start := time.Now()
-
-	// Init: keep each base copy in place for every algorithm whose
-	// budget allows, growing the core.
-	for i := 0; i < b.n; i++ {
-		for _, v := range b.bfsOrderCached(i) {
-			if !isComputeCopy(base, i, v) {
-				continue
-			}
-			shared := 0
-			for j := range b.parts {
-				if b.fitsLocal(j, i, i, v) {
-					b.assignLocal(j, i, i, v)
-					shared++
-				}
-			}
-			if shared == len(b.parts) {
-				b.stats.InitShared++
-			}
-		}
-	}
-
-	b.rebuildTrackers()
-
-	// VAssign: route leftover copies with the GetDest greedy cover.
-	for i := 0; i < b.n; i++ {
-		src := i
-		for _, v := range b.bfsOrderCached(i) {
-			if !isComputeCopy(base, i, v) {
-				continue
-			}
-			b.vAssignLocal(src, v)
-		}
-	}
-
-	b.rebuildTrackers()
+	b.place(baseCopy{b})
 
 	// Residuals: split edge by edge.
 	for j := range b.parts {
@@ -90,29 +55,26 @@ func isComputeCopy(base *partition.Partition, i int, v graph.VertexID) bool {
 }
 
 func (b *builder) localAssigned(j, i int, v graph.VertexID) bool {
-	return b.assignedCopy(j)[copyKey(i, v)]
+	return b.copyAssigned[j][copyKey(i, v)]
 }
 
 func (b *builder) markLocal(j, i int, v graph.VertexID) {
-	b.assignedCopy(j)[copyKey(i, v)] = true
+	b.copyAssigned[j][copyKey(i, v)] = true
 }
 
 func copyKey(i int, v graph.VertexID) uint64 { return uint64(i)<<32 | uint64(v) }
 
-// assignedCopy lazily materialises the per-copy assignment set for
-// algorithm j (stored beside the per-vertex map used by ME2H).
-func (b *builder) assignedCopy(j int) map[uint64]bool {
-	if b.copyAssigned == nil {
-		b.copyAssigned = make([]map[uint64]bool, len(b.parts))
-	}
-	if b.copyAssigned[j] == nil {
-		b.copyAssigned[j] = map[uint64]bool{}
-	}
-	return b.copyAssigned[j]
-}
+// baseCopy is MV2H's unit: the copy of v in base fragment i with its
+// local arc set (v, Evi).
+type baseCopy struct{ *builder }
 
-// fitsLocal probes ChAj(F^j_x ∪ (v,Evi)) ≤ Bj for base copy (i,v).
-func (b *builder) fitsLocal(j, i, x int, v graph.VertexID) bool {
+func (b baseCopy) eligible(i int, v graph.VertexID) bool { return isComputeCopy(b.base, i, v) }
+
+func (b baseCopy) pending(j, i int, v graph.VertexID) bool { return !b.localAssigned(j, i, v) }
+
+// fits probes ChAj(F^j_x ∪ (v,Evi)) ≤ Bj, counting the arcs v already
+// has in F^j_x.
+func (b baseCopy) fits(j, i, x int, v graph.VertexID) bool {
 	adj := b.base.Fragment(i).Adjacency(v)
 	if adj == nil {
 		return true
@@ -128,9 +90,9 @@ func (b *builder) fitsLocal(j, i, x int, v graph.VertexID) bool {
 	return b.trs[j].Comp(x)+delta <= b.budgets[j]
 }
 
-// assignLocal places base copy (i,v) — its local arc set — into
-// fragment x of partition j.
-func (b *builder) assignLocal(j, i, x int, v graph.VertexID) {
+// apply places base copy (i,v) — its local arc set — into fragment x
+// of partition j.
+func (b baseCopy) apply(j, i, x int, v graph.VertexID) {
 	p := b.parts[j]
 	adj := b.base.Fragment(i).Adjacency(v)
 	if adj != nil {
@@ -145,69 +107,13 @@ func (b *builder) assignLocal(j, i, x int, v graph.VertexID) {
 		p.AddVertex(x, v)
 	}
 	b.markLocal(j, i, v)
-	// Light refresh; see assignWhole.
+	// Light refresh; see wholeVertex.apply.
 	b.trs[j].Refresh(v)
 	b.stats.Assigned++
 }
 
-// vAssignLocal is GetDest for a base copy.
-func (b *builder) vAssignLocal(i int, v graph.VertexID) {
-	var ov []int
-	for j := range b.parts {
-		if !b.localAssigned(j, i, v) {
-			ov = append(ov, j)
-		}
-	}
-	if b.naiveDest {
-		for _, j := range ov {
-			for x := 0; x < b.n; x++ {
-				if b.fitsLocal(j, i, x, v) {
-					b.assignLocal(j, i, x, v)
-					break
-				}
-			}
-		}
-		return
-	}
-	for len(ov) > 0 {
-		bestX, bestCover := -1, 0
-		for _, x := range b.fragOrder(i) {
-			cover := 0
-			for _, j := range ov {
-				if b.fitsLocal(j, i, x, v) {
-					cover++
-				}
-			}
-			if cover > bestCover {
-				bestX, bestCover = x, cover
-			}
-		}
-		if bestX < 0 {
-			// See vAssign: route whole copies to the cheapest fragment
-			// unless the copy alone blows the budget.
-			for _, j := range ov {
-				x := b.argminComp(j)
-				if b.fitsLocal(j, i, x, v) || b.localCost(j, i, v) <= 0.25*b.budgets[j] {
-					b.assignLocal(j, i, x, v)
-				}
-			}
-			return
-		}
-		var rest []int
-		for _, j := range ov {
-			if b.fitsLocal(j, i, bestX, v) {
-				b.assignLocal(j, i, bestX, v)
-			} else {
-				rest = append(rest, j)
-			}
-		}
-		ov = rest
-	}
-}
-
-// localCost is base copy (i,v)'s hypothetical contribution under
-// model j.
-func (b *builder) localCost(j, i int, v graph.VertexID) float64 {
+// cost is base copy (i,v)'s hypothetical contribution on its own.
+func (b baseCopy) cost(j, i int, v graph.VertexID) float64 {
 	adj := b.base.Fragment(i).Adjacency(v)
 	if adj == nil {
 		return 0

@@ -212,13 +212,16 @@ func (t *Tracker) Comm(i int) float64 { return t.comm[i] }
 // Total returns the tracked CA(Fi).
 func (t *Tracker) Total(i int) float64 { return t.comp[i] + t.comm[i] }
 
-// Costs snapshots the tracked per-fragment costs.
-func (t *Tracker) Costs() []FragCost {
-	out := make([]FragCost, len(t.comp))
-	for i := range out {
-		out[i] = FragCost{Comp: t.comp[i], Comm: t.comm[i]}
+// ArgminComp returns the fragment with the lowest tracked ChA, the
+// lowest id among ties — where ESplit and EAssign send an arc.
+func (t *Tracker) ArgminComp() int {
+	best := 0
+	for i := 1; i < len(t.comp); i++ {
+		if t.comp[i] < t.comp[best] {
+			best = i
+		}
 	}
-	return out
+	return best
 }
 
 // Refresh recomputes the contribution of each vertex in every

@@ -25,6 +25,16 @@ func (a Algo) String() string {
 // the mixed-workload experiments.
 func Algos() []Algo { return []Algo{CN, TC, WCC, PR, SSSP} }
 
+// ReferenceModels returns Reference(a) for each algorithm of Algos, in
+// that order: the models of the five-algorithm batch composite.
+func ReferenceModels() []CostModel {
+	ms := make([]CostModel, 0, numAlgos)
+	for _, a := range Algos() {
+		ms = append(ms, Reference(a))
+	}
+	return ms
+}
+
 // Reference returns the cost model the paper learned for a (Table 5).
 // These analytic functions are the inputs our partitioners are driven
 // by in the experiments, exactly as the paper feeds its learned models

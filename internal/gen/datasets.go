@@ -1,6 +1,11 @@
 package gen
 
-import "adp/internal/graph"
+import (
+	"os"
+	"strings"
+
+	"adp/internal/graph"
+)
 
 // The paper evaluates on liveJournal (4.8M/68M), Twitter (42M/1.5B),
 // UKWeb (106M/3.7B) and a US road network. Those datasets are
@@ -31,6 +36,41 @@ func WebLike() *graph.Graph {
 // RoadLike is the traffic stand-in: a high-diameter 2-D grid.
 func RoadLike() *graph.Graph {
 	return Grid2D(70, 70)
+}
+
+// named maps the stand-ins' command-line names to their generators.
+var named = map[string]func() *graph.Graph{
+	"social": SocialSmall, "twitter": TwitterLike, "web": WebLike, "road": RoadLike,
+}
+
+// IsNamed reports whether name (any case) is a stand-in's name rather
+// than an edge-list path.
+func IsNamed(name string) bool {
+	_, ok := named[strings.ToLower(name)]
+	return ok
+}
+
+// Load returns the stand-in called name (social, twitter, web or road,
+// any case) or, for any other name, the graph in the edge-list file at
+// that path. symmetric symmetrises a directed result.
+func Load(name string, symmetric bool) (*graph.Graph, error) {
+	var g *graph.Graph
+	if mk, ok := named[strings.ToLower(name)]; ok {
+		g = mk()
+	} else {
+		f, err := os.Open(name)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		if g, err = graph.ReadEdgeList(f); err != nil {
+			return nil, err
+		}
+	}
+	if symmetric && !g.Undirected() {
+		g = graph.Symmetrize(g)
+	}
+	return g, nil
 }
 
 // Scaled returns a family of synthetic graphs for the Exp-5

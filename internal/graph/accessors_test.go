@@ -16,15 +16,6 @@ func TestGraphString(t *testing.T) {
 	}
 }
 
-func TestNumPendingEdges(t *testing.T) {
-	b := NewBuilder(3)
-	b.AddEdge(0, 1)
-	b.AddEdge(0, 1)
-	if got := b.NumPendingEdges(); got != 2 {
-		t.Fatalf("NumPendingEdges = %d (pre-dedup count expected)", got)
-	}
-}
-
 func TestNumUndirectedEdgesDirectedGraph(t *testing.T) {
 	g := mustGraph(t, 3, []Edge{{0, 1}, {1, 2}}, false)
 	if got := g.NumUndirectedEdges(); got != 2 {

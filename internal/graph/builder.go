@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "adp/internal/pool"
 
 // Builder accumulates edges and constructs an immutable Graph.
 // Builders are not safe for concurrent use.
@@ -38,70 +35,15 @@ func (b *Builder) AddEdge(u, v VertexID) {
 	b.edges = append(b.edges, Edge{u, v})
 }
 
-// NumPendingEdges reports how many arcs have been added so far
-// (before dedup, excluding implied reverse arcs).
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
+// serial runs the sequential constructors' builds on the caller's
+// goroutine; a one-worker pool starts no helpers, so sharing it is safe.
+var serial = pool.Serial()
 
 // Build constructs the Graph. It deduplicates edges, drops self loops
 // (unless KeepSelfLoops), sorts adjacency lists, and verifies vertex
 // ranges.
 func (b *Builder) Build() (*Graph, error) {
-	for _, e := range b.edges {
-		if int(e.Src) >= b.n || int(e.Dst) >= b.n {
-			return nil, fmt.Errorf("graph: edge (%d,%d) out of range for n=%d", e.Src, e.Dst, b.n)
-		}
-	}
-	arcs := make([]Edge, 0, len(b.edges)*2)
-	for _, e := range b.edges {
-		if e.Src == e.Dst && !b.keepLoops {
-			continue
-		}
-		arcs = append(arcs, e)
-		if b.undirected && e.Src != e.Dst {
-			arcs = append(arcs, Edge{e.Dst, e.Src})
-		}
-	}
-	sort.Slice(arcs, func(i, j int) bool {
-		if arcs[i].Src != arcs[j].Src {
-			return arcs[i].Src < arcs[j].Src
-		}
-		return arcs[i].Dst < arcs[j].Dst
-	})
-	arcs = dedupSorted(arcs)
-
-	g := &Graph{n: b.n, undirected: b.undirected}
-	g.outIndex = make([]int64, b.n+1)
-	g.outAdj = make([]VertexID, len(arcs))
-	for _, e := range arcs {
-		g.outIndex[e.Src+1]++
-	}
-	for v := 0; v < b.n; v++ {
-		g.outIndex[v+1] += g.outIndex[v]
-	}
-	cursor := make([]int64, b.n)
-	copy(cursor, g.outIndex[:b.n])
-	for _, e := range arcs {
-		g.outAdj[cursor[e.Src]] = e.Dst
-		cursor[e.Src]++
-	}
-
-	// In-adjacency via a counting pass over the same arcs.
-	g.inIndex = make([]int64, b.n+1)
-	g.inAdj = make([]VertexID, len(arcs))
-	for _, e := range arcs {
-		g.inIndex[e.Dst+1]++
-	}
-	for v := 0; v < b.n; v++ {
-		g.inIndex[v+1] += g.inIndex[v]
-	}
-	copy(cursor, g.inIndex[:b.n])
-	// Iterating arcs in (src,dst) order yields sorted in-adjacency
-	// because sources ascend for each fixed destination bucket.
-	for _, e := range arcs {
-		g.inAdj[cursor[e.Dst]] = e.Src
-		cursor[e.Dst]++
-	}
-	return g, nil
+	return build(b.n, b.edges, b.undirected, b.keepLoops, serial, nil)
 }
 
 // MustBuild is Build that panics on error; for tests and generators
@@ -129,16 +71,7 @@ func dedupSorted(arcs []Edge) []Edge {
 
 // FromEdges is a convenience constructor over an explicit edge list.
 func FromEdges(n int, edges []Edge, undirected bool) (*Graph, error) {
-	var b *Builder
-	if undirected {
-		b = NewUndirectedBuilder(n)
-	} else {
-		b = NewBuilder(n)
-	}
-	for _, e := range edges {
-		b.AddEdge(e.Src, e.Dst)
-	}
-	return b.Build()
+	return build(n, edges, undirected, false, serial, nil)
 }
 
 // Symmetrize returns the undirected version of g: every arc gains its

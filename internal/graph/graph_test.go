@@ -224,32 +224,6 @@ func graphsEqual(a, b *Graph) bool {
 	return reflect.DeepEqual(a.EdgeList(), b.EdgeList())
 }
 
-func TestBFSOrderCoversAll(t *testing.T) {
-	g := mustGraph(t, 6, []Edge{{0, 1}, {1, 2}, {4, 5}}, false)
-	order := BFSOrder(g, []VertexID{0}, true)
-	if len(order) != 6 {
-		t.Fatalf("exhaustive BFS covered %d of 6", len(order))
-	}
-	seen := map[VertexID]bool{}
-	for _, v := range order {
-		if seen[v] {
-			t.Fatalf("vertex %d visited twice", v)
-		}
-		seen[v] = true
-	}
-	if order[0] != 0 {
-		t.Fatalf("BFS must start at root, started at %d", order[0])
-	}
-}
-
-func TestBFSOrderNonExhaustive(t *testing.T) {
-	g := mustGraph(t, 6, []Edge{{0, 1}, {1, 2}, {4, 5}}, false)
-	order := BFSOrder(g, []VertexID{0}, false)
-	if len(order) != 3 {
-		t.Fatalf("component BFS covered %d, want 3", len(order))
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	g := mustGraph(t, 7, []Edge{{0, 1}, {1, 2}, {3, 4}, {5, 6}, {6, 5}}, false)
 	labels, count := ConnectedComponents(g)

@@ -42,11 +42,26 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // corrupt or hostile input cannot demand huge allocations up front.
 const maxDeclaredVertices = 1 << 28
 
+// headerError is the header rule both edge-list readers enforce: the
+// "# vertices N kind" line may appear at most once, and only before the
+// first edge line. headerLine and firstEdge are the lines of an earlier
+// header and of the first edge, 0 when there was none.
+func headerError(lineNo, headerLine, firstEdge int) error {
+	switch {
+	case headerLine > 0:
+		return fmt.Errorf("graph: line %d: second '# vertices' header (the first is line %d)", lineNo, headerLine)
+	case firstEdge > 0:
+		return fmt.Errorf("graph: line %d: '# vertices' header after the first edge (line %d)", lineNo, firstEdge)
+	}
+	return nil
+}
+
 // ReadEdgeList parses the format produced by WriteEdgeList. Lines
-// starting with '%' or additional '#' lines are skipped, so common
+// starting with '%' or other '#' lines are skipped, so common
 // SNAP-style edge lists also parse (pass explicit n via the header or
-// the maximum seen vertex + 1 is used). Malformed input fails with the
-// offending line number; errors wrap the underlying parse/IO cause.
+// the maximum seen vertex + 1 is used). Malformed input, including a
+// header that repeats or follows an edge, fails with the offending line
+// number; errors wrap the underlying parse/IO cause.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -54,7 +69,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	undirected := false
 	var edges []Edge
 	maxV := VertexID(0)
-	lineNo := 0
+	lineNo, headerLine, firstEdge := 0, 0, 0
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -64,6 +79,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if strings.HasPrefix(line, "#") {
 			fields := strings.Fields(line)
 			if len(fields) >= 4 && fields[1] == "vertices" {
+				if err := headerError(lineNo, headerLine, firstEdge); err != nil {
+					return nil, err
+				}
 				v, err := strconv.Atoi(fields[2])
 				if err != nil {
 					return nil, fmt.Errorf("graph: line %d: bad header vertex count: %w", lineNo, err)
@@ -71,8 +89,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 				if v < 0 || v > maxDeclaredVertices {
 					return nil, fmt.Errorf("graph: line %d: header declares %d vertices (cap %d)", lineNo, v, maxDeclaredVertices)
 				}
-				n = v
-				undirected = fields[3] == "undirected"
+				n, undirected, headerLine = v, fields[3] == "undirected", lineNo
 			}
 			continue
 		}
@@ -97,6 +114,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		}
 		if e.Dst > maxV {
 			maxV = e.Dst
+		}
+		if firstEdge == 0 {
+			firstEdge = lineNo
 		}
 		edges = append(edges, e)
 	}

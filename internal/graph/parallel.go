@@ -12,20 +12,20 @@ import (
 	"adp/internal/pool"
 )
 
-// Big-graph ingestion: the sequential Builder walks every edge twice
-// through a sort of the whole arc slice, which dominates wall time on
-// 10M-edge inputs. The parallel path below splits the work into
-// data-determined chunks (fixed byte/arc extents, never dependent on
-// the worker count), processes chunks on an internal/pool instance,
-// and merges per-chunk results with a deterministic k-way merge — so
-// the resulting Graph is bitwise identical for any Workers value,
-// including 1, and identical to what the sequential Builder produces.
+// Big-graph ingestion: the work splits into data-determined chunks
+// (fixed byte/arc extents, never dependent on the worker count),
+// processed on an internal/pool instance and merged with a
+// deterministic k-way merge — so the resulting Graph is bitwise
+// identical for any Workers value, including 1. Every constructor, the
+// sequential Builder included, builds through the one expand → sort →
+// merge → CSR fill below.
 
 // LoadOptions tunes the parallel ingestion paths.
 type LoadOptions struct {
 	// Workers bounds the pool; <= 0 uses GOMAXPROCS.
 	Workers int
-	// ChunkBytes is the target text-chunk size for ParallelReadEdgeList;
+	// ChunkBytes is the target text-chunk size for
+	// ParallelReadEdgeListStreaming;
 	// <= 0 selects 4 MiB. Chunk boundaries extend to the next newline,
 	// so they are a function of the input bytes only.
 	ChunkBytes int
@@ -59,11 +59,12 @@ type textChunk struct {
 type parsedChunk struct {
 	edges      []Edge
 	maxV       VertexID
-	headerN    int  // last header's vertex count, -1 if none
-	headerDir  bool // last header's undirected flag
-	sawHeader  bool
+	headerN    int  // the header's vertex count
+	headerDir  bool // the header's undirected flag
+	headerLine int  // the header's line, 0 if the chunk has none
+	firstEdge  int  // the first edge line, 0 if the chunk has none
+	badHeader  int  // a header after the chunk's own header or edge
 	err        error
-	undirected bool
 }
 
 // splitLines reads r fully and cuts it into newline-aligned chunks of
@@ -108,7 +109,7 @@ func splitLines(r io.Reader, chunkBytes int) ([]textChunk, error) {
 // per-line grammar of ReadEdgeList. Range checks against a declared n
 // happen at merge time (the header may live in another chunk).
 func parseChunk(c textChunk) parsedChunk {
-	out := parsedChunk{headerN: -1}
+	var out parsedChunk
 	lineNo := c.firstLine - 1
 	data := c.data
 	for len(data) > 0 {
@@ -133,6 +134,10 @@ func parseChunk(c textChunk) parsedChunk {
 		if strings.HasPrefix(line, "#") {
 			fields := strings.Fields(line)
 			if len(fields) >= 4 && fields[1] == "vertices" {
+				if out.headerLine > 0 || out.firstEdge > 0 {
+					out.badHeader = lineNo // reported at merge, against the whole input
+					return out
+				}
 				v, err := strconv.Atoi(fields[2])
 				if err != nil {
 					out.err = fmt.Errorf("graph: line %d: bad header vertex count: %w", lineNo, err)
@@ -142,9 +147,7 @@ func parseChunk(c textChunk) parsedChunk {
 					out.err = fmt.Errorf("graph: line %d: header declares %d vertices (cap %d)", lineNo, v, maxDeclaredVertices)
 					return out
 				}
-				out.headerN = v
-				out.headerDir = fields[3] == "undirected"
-				out.sawHeader = true
+				out.headerN, out.headerDir, out.headerLine = v, fields[3] == "undirected", lineNo
 			}
 			continue
 		}
@@ -170,47 +173,28 @@ func parseChunk(c textChunk) parsedChunk {
 		if e.Dst > out.maxV {
 			out.maxV = e.Dst
 		}
+		if out.firstEdge == 0 {
+			out.firstEdge = lineNo
+		}
 		out.edges = append(out.edges, e)
 	}
 	return out
 }
 
-// ParallelReadEdgeList parses the WriteEdgeList/SNAP text format with
-// chunked parallel parsing and a parallel CSR build. The result is
-// bitwise identical to ReadEdgeList for well-formed inputs (header, if
-// any, preceding out-of-range data) and independent of opt.Workers.
-func ParallelReadEdgeList(r io.Reader, opt LoadOptions) (*Graph, error) {
-	pl := pool.New(opt.workers())
-	defer pl.Close()
-	n, edges, undirected, err := parseEdgeListChunks(r, opt, pl)
-	if err != nil {
-		return nil, err
-	}
-	return FromEdgesParallel(n, edges, undirected, pl)
-}
-
-// ParallelReadEdgeListStreaming is ParallelReadEdgeList fused with
-// BuildStreaming: the text is parsed chunk-parallel and the consumer
-// receives every finished forward star during the build — the one-pass
-// load-and-partition path for edge-list files.
+// ParallelReadEdgeListStreaming parses the WriteEdgeList/SNAP text
+// format chunk-parallel — the grammar and the header rule of
+// ReadEdgeList, so both accept the same inputs and build the same
+// Graph — and builds it with BuildStreaming: a non-nil consume receives
+// every finished forward star during the build, the one-pass
+// load-and-partition path for edge-list files. The result is
+// independent of opt.Workers.
 func ParallelReadEdgeListStreaming(r io.Reader, opt LoadOptions, consume VertexConsumer) (*Graph, error) {
-	pl := pool.New(opt.workers())
-	n, edges, undirected, err := parseEdgeListChunks(r, opt, pl)
-	pl.Close()
-	if err != nil {
-		return nil, err
-	}
-	return BuildStreaming(n, edges, undirected, opt, consume)
-}
-
-// parseEdgeListChunks runs the chunk-parallel text parse and header
-// merge shared by the parallel readers, returning the declared (or
-// inferred) vertex count and the raw edge stream in input order.
-func parseEdgeListChunks(r io.Reader, opt LoadOptions, pl *pool.Pool) (int, []Edge, bool, error) {
 	chunks, err := splitLines(r, opt.chunkBytes())
 	if err != nil {
-		return 0, nil, false, fmt.Errorf("graph: reading edge list: %w", err)
+		return nil, fmt.Errorf("graph: reading edge list: %w", err)
 	}
+	pl := pool.New(opt.workers())
+	defer pl.Close()
 	parsed := pool.Map(pl, len(chunks), func(i int) parsedChunk {
 		return parseChunk(chunks[i])
 	})
@@ -218,13 +202,25 @@ func parseEdgeListChunks(r io.Reader, opt LoadOptions, pl *pool.Pool) (int, []Ed
 	undirected := false
 	maxV := VertexID(0)
 	total := 0
+	headerLine, firstEdge := 0, 0
 	for _, pc := range parsed {
-		if pc.err != nil {
-			return 0, nil, false, pc.err
+		// The header rule spans chunks: a chunk's first header is checked
+		// against the earlier chunks, before pc.err, which can only come
+		// from a later line.
+		if pc.headerLine > 0 {
+			if err := headerError(pc.headerLine, headerLine, firstEdge); err != nil {
+				return nil, err
+			}
+			n, undirected, headerLine = pc.headerN, pc.headerDir, pc.headerLine
 		}
-		if pc.sawHeader {
-			n = pc.headerN
-			undirected = pc.headerDir
+		if firstEdge == 0 {
+			firstEdge = pc.firstEdge
+		}
+		if pc.badHeader > 0 {
+			return nil, headerError(pc.badHeader, headerLine, firstEdge)
+		}
+		if pc.err != nil {
+			return nil, pc.err
 		}
 		if pc.maxV > maxV {
 			maxV = pc.maxV
@@ -238,7 +234,7 @@ func parseEdgeListChunks(r io.Reader, opt LoadOptions, pl *pool.Pool) (int, []Ed
 	if n >= 0 {
 		for _, e := range edges {
 			if int64(e.Src) >= int64(n) || int64(e.Dst) >= int64(n) {
-				return 0, nil, false, fmt.Errorf("graph: edge (%d,%d) out of declared range [0,%d)", e.Src, e.Dst, n)
+				return nil, fmt.Errorf("graph: edge (%d,%d) out of declared range [0,%d)", e.Src, e.Dst, n)
 			}
 		}
 	} else {
@@ -247,7 +243,7 @@ func parseEdgeListChunks(r io.Reader, opt LoadOptions, pl *pool.Pool) (int, []Ed
 			n = 0
 		}
 	}
-	return n, edges, undirected, nil
+	return build(n, edges, undirected, false, pl, consume)
 }
 
 // FromEdgesParallel builds the same Graph as FromEdges — bitwise — by
@@ -255,14 +251,18 @@ func parseEdgeListChunks(r io.Reader, opt LoadOptions, pl *pool.Pool) (int, []Ed
 // extents depend only on len(edges), so the output does not vary with
 // the pool's worker count.
 func FromEdgesParallel(n int, edges []Edge, undirected bool, pl *pool.Pool) (*Graph, error) {
-	if len(edges) == 0 {
-		return FromEdges(n, nil, undirected)
-	}
-	arcs, err := expandSortMerge(n, edges, undirected, pl)
+	return build(n, edges, undirected, false, pl, nil)
+}
+
+// build is the one CSR construction: expand, sort and merge the arcs on
+// pl, fill the out-CSR, then the in-CSR. With consume non-nil the
+// finished forward stars stream to it in id order on this goroutine
+// while the in-adjacency scatter proceeds on a helper.
+func build(n int, edges []Edge, undirected, keepLoops bool, pl *pool.Pool, consume VertexConsumer) (*Graph, error) {
+	arcs, err := expandSortMerge(n, edges, undirected, keepLoops, pl)
 	if err != nil {
 		return nil, err
 	}
-
 	g := &Graph{n: n, undirected: undirected}
 	g.outIndex = make([]int64, n+1)
 	for _, e := range arcs {
@@ -278,15 +278,29 @@ func FromEdgesParallel(n int, edges []Edge, undirected bool, pl *pool.Pool) (*Gr
 			g.outAdj[i] = arcs[i].Dst
 		}
 	})
-	g.buildInAdjacency(arcs)
+	if consume == nil {
+		g.buildInAdjacency(arcs)
+		return g, nil
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		g.buildInAdjacency(arcs)
+	}()
+	consume.Begin(n, int64(len(arcs)))
+	for v := 0; v < n; v++ {
+		consume.Vertex(VertexID(v), g.outAdj[g.outIndex[v]:g.outIndex[v+1]])
+	}
+	<-done
 	return g, nil
 }
 
 // expandSortMerge bounds-checks edges, expands them per fixed-extent
-// chunk (loop drop + symmetrise), sorts each chunk, and k-way-merges
-// the sorted runs into one sorted duplicate-free arc slice — the same
-// arcs Builder.Build derives, computed chunk-parallel.
-func expandSortMerge(n int, edges []Edge, undirected bool, pl *pool.Pool) ([]Edge, error) {
+// chunk (loops dropped unless keepLoops, kept once when symmetrising;
+// every other edge gains its reverse when undirected), sorts each
+// chunk, and k-way-merges the sorted runs into one sorted
+// duplicate-free arc slice.
+func expandSortMerge(n int, edges []Edge, undirected, keepLoops bool, pl *pool.Pool) ([]Edge, error) {
 	nchunks := (len(edges) + arcChunk - 1) / arcChunk
 	if nchunks == 0 {
 		return nil, nil
@@ -304,6 +318,9 @@ func expandSortMerge(n int, edges []Edge, undirected bool, pl *pool.Pool) ([]Edg
 		run := make([]Edge, 0, (hi-lo)*2)
 		for _, e := range edges[lo:hi] {
 			if e.Src == e.Dst {
+				if keepLoops {
+					run = append(run, e)
+				}
 				continue
 			}
 			run = append(run, e)
@@ -324,7 +341,7 @@ func expandSortMerge(n int, edges []Edge, undirected bool, pl *pool.Pool) ([]Edg
 
 // buildInAdjacency fills inIndex/inAdj from sorted deduped arcs; the
 // arc-order scatter yields sorted in-lists (sources ascend per
-// destination bucket), matching Builder.Build.
+// destination bucket).
 func (g *Graph) buildInAdjacency(arcs []Edge) {
 	g.inIndex = make([]int64, g.n+1)
 	g.inAdj = make([]VertexID, len(arcs))
@@ -447,35 +464,5 @@ type VertexConsumer interface {
 func BuildStreaming(n int, edges []Edge, undirected bool, opt LoadOptions, consume VertexConsumer) (*Graph, error) {
 	pl := pool.New(opt.workers())
 	defer pl.Close()
-	arcs, err := expandSortMerge(n, edges, undirected, pl)
-	if err != nil {
-		return nil, err
-	}
-	g := &Graph{n: n, undirected: undirected}
-	g.outIndex = make([]int64, n+1)
-	for _, e := range arcs {
-		g.outIndex[e.Src+1]++
-	}
-	for v := 0; v < n; v++ {
-		g.outIndex[v+1] += g.outIndex[v]
-	}
-	g.outAdj = make([]VertexID, len(arcs))
-	for i, e := range arcs {
-		g.outAdj[i] = e.Dst
-	}
-	// Overlap: the consumer streams forward stars on this goroutine
-	// while the in-adjacency scatter proceeds on a helper.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		g.buildInAdjacency(arcs)
-	}()
-	if consume != nil {
-		consume.Begin(n, int64(len(arcs)))
-		for v := 0; v < n; v++ {
-			consume.Vertex(VertexID(v), g.outAdj[g.outIndex[v]:g.outIndex[v+1]])
-		}
-	}
-	<-done
-	return g, nil
+	return build(n, edges, undirected, false, pl, consume)
 }

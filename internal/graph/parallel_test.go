@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -44,18 +45,48 @@ func randomEdges(n, m int, seed int64) []Edge {
 	return edges
 }
 
-// TestFromEdgesParallelMatchesBuild: the chunk-parallel build must be
-// bitwise the sequential Builder across worker counts, directions, and
-// messy inputs.
+// refCSR is the independent oracle for the one CSR build: expand
+// (loops dropped, reverse arcs when undirected), sort, dedup, then
+// bucket per vertex — the definition, with none of build's chunking.
+func refCSR(n int, edges []Edge, undirected bool) *Graph {
+	var arcs []Edge
+	for _, e := range edges {
+		if e.Src != e.Dst {
+			arcs = append(arcs, e)
+			if undirected {
+				arcs = append(arcs, Edge{e.Dst, e.Src})
+			}
+		}
+	}
+	sort.Slice(arcs, func(i, j int) bool { return cmpEdge(arcs[i], arcs[j]) < 0 })
+	arcs = slices.Compact(arcs)
+	g := &Graph{n: n, undirected: undirected, outIndex: make([]int64, n+1), inIndex: make([]int64, n+1)}
+	out, in := make([][]VertexID, n), make([][]VertexID, n)
+	for _, e := range arcs {
+		out[e.Src] = append(out[e.Src], e.Dst)
+		in[e.Dst] = append(in[e.Dst], e.Src)
+	}
+	for v := 0; v < n; v++ {
+		g.outAdj, g.inAdj = append(g.outAdj, out[v]...), append(g.inAdj, in[v]...)
+		g.outIndex[v+1], g.inIndex[v+1] = int64(len(g.outAdj)), int64(len(g.inAdj))
+	}
+	return g
+}
+
+// TestFromEdgesParallelMatchesBuild: the sequential and chunk-parallel
+// constructors must both be bitwise the reference CSR across worker
+// counts, directions, and messy inputs.
 func TestFromEdgesParallelMatchesBuild(t *testing.T) {
 	workersSweep := []int{1, 4, runtime.NumCPU()}
 	for _, undirected := range []bool{false, true} {
 		for seed := int64(0); seed < 3; seed++ {
 			edges := randomEdges(500, 4000, seed)
-			want, err := FromEdges(500, edges, undirected)
+			want := refCSR(500, edges, undirected)
+			seq, err := FromEdges(500, edges, undirected)
 			if err != nil {
 				t.Fatal(err)
 			}
+			graphBitwiseEqual(t, want, seq, "sequential undirected="+boolStr(undirected))
 			for _, w := range workersSweep {
 				pl := pool.New(w)
 				got, err := FromEdgesParallel(500, edges, undirected, pl)
@@ -108,8 +139,8 @@ func TestParallelReadEdgeListMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range []int{1, 4, runtime.NumCPU()} {
-			got, err := ParallelReadEdgeList(bytes.NewReader(text.Bytes()),
-				LoadOptions{Workers: w, ChunkBytes: 512})
+			got, err := ParallelReadEdgeListStreaming(bytes.NewReader(text.Bytes()),
+				LoadOptions{Workers: w, ChunkBytes: 512}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,12 +172,12 @@ func TestParallelReadEdgeListErrors(t *testing.T) {
 		text.WriteString("0 1\n")
 	}
 	text.WriteString("zz 1\n") // line 201
-	_, err := ParallelReadEdgeList(bytes.NewReader(text.Bytes()), LoadOptions{Workers: 4, ChunkBytes: 128})
+	_, err := ParallelReadEdgeListStreaming(bytes.NewReader(text.Bytes()), LoadOptions{Workers: 4, ChunkBytes: 128}, nil)
 	if err == nil || !strings.Contains(err.Error(), "line 201") {
 		t.Fatalf("error lost line attribution: %v", err)
 	}
-	_, err = ParallelReadEdgeList(strings.NewReader("# vertices 3 directed\n0 1\n1 9\n"),
-		LoadOptions{Workers: 2, ChunkBytes: 8})
+	_, err = ParallelReadEdgeListStreaming(strings.NewReader("# vertices 3 directed\n0 1\n1 9\n"),
+		LoadOptions{Workers: 2, ChunkBytes: 8}, nil)
 	if err == nil || !strings.Contains(err.Error(), "out of declared range") {
 		t.Fatalf("range violation not rejected: %v", err)
 	}
@@ -203,9 +234,44 @@ func TestBuildStreamingConsumer(t *testing.T) {
 	}
 }
 
+// TestEdgeListHeaderRule: both readers accept a "# vertices" header at
+// most once and only before the first edge line, and reject anything
+// else with a line-numbered error; SNAP-style '#' comments anywhere and
+// WriteEdgeList output are unaffected. Tiny chunks put the header and
+// the edges in different parallel parse chunks.
+func TestEdgeListHeaderRule(t *testing.T) {
+	var written bytes.Buffer
+	if err := WriteEdgeList(&written, mustGraph(t, 5, []Edge{{0, 1}, {3, 4}}, true)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, input, wantErr string
+	}{
+		{"header after out-of-range edge", "# vertices 3 directed\n0 5\n# vertices 10 directed\n", "line"},
+		{"header after edge", "0 1\n# vertices 4 undirected\n", "line 2: '# vertices' header after the first edge (line 1)"},
+		{"header after edge, later chunk", "0 1\n1 2\n2 3\n# vertices 9 directed\n", "line 4: '# vertices' header after the first edge (line 1)"},
+		{"second header", "# vertices 4 directed\n# vertices 4 directed\n0 1\n", "line 2: second '# vertices' header (the first is line 1)"},
+		{"second header, later chunk", "# vertices 4 directed\n0 1\n% c\n# vertices 4 undirected\n", "line 4: second '# vertices' header (the first is line 1)"},
+		{"SNAP comments", "# Nodes: 4 Edges: 2\n# FromNodeId ToNodeId\n0 1\n# trailing comment\n2 3\n", ""},
+		{"header then comments", "% c\n# vertices 6 directed\n# note\n0 1\n# more\n", ""},
+		{"WriteEdgeList output", written.String(), ""},
+	} {
+		_, serr := ReadEdgeList(strings.NewReader(c.input))
+		_, perr := ParallelReadEdgeListStreaming(strings.NewReader(c.input), LoadOptions{Workers: 2, ChunkBytes: 4}, nil)
+		for reader, err := range map[string]error{"ReadEdgeList": serr, "ParallelReadEdgeListStreaming": perr} {
+			switch {
+			case c.wantErr == "" && err != nil:
+				t.Errorf("%s: %s rejected: %v", c.name, reader, err)
+			case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+				t.Errorf("%s: %s = %v, want an error containing %q", c.name, reader, err, c.wantErr)
+			}
+		}
+	}
+}
+
 // FuzzParallelReadEdgeList: the chunked parallel parser must never
-// panic, and whenever the sequential reader accepts an input the
-// parallel one must produce the identical graph.
+// panic, must accept exactly the inputs the sequential reader accepts,
+// and must then produce the identical graph.
 func FuzzParallelReadEdgeList(f *testing.F) {
 	f.Add("# vertices 4 directed\n0 1\n1 2\n")
 	f.Add("# vertices 3 undirected\n0 1\n")
@@ -213,22 +279,13 @@ func FuzzParallelReadEdgeList(f *testing.F) {
 	f.Add("0 1\n\n\n2 3")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, input string) {
-		got, perr := ParallelReadEdgeList(strings.NewReader(input), LoadOptions{Workers: 3, ChunkBytes: 16})
+		got, perr := ParallelReadEdgeListStreaming(strings.NewReader(input), LoadOptions{Workers: 3, ChunkBytes: 16}, nil)
 		want, serr := ReadEdgeList(strings.NewReader(input))
-		if serr != nil {
-			// The parallel reader resolves headers before range checks,
-			// so it may accept inputs the line-ordered reader rejects;
-			// it must still never produce an invalid graph.
-			if perr == nil {
-				if verr := got.Validate(); verr != nil {
-					t.Fatalf("parallel reader accepted invalid graph: %v", verr)
-				}
-			}
-			return
+		if (perr == nil) != (serr == nil) {
+			t.Fatalf("readers disagree: parallel %v, sequential %v", perr, serr)
 		}
-		if perr != nil {
-			t.Fatalf("sequential accepted, parallel rejected: %v", perr)
+		if serr == nil {
+			graphBitwiseEqual(t, want, got, "fuzz")
 		}
-		graphBitwiseEqual(t, want, got, "fuzz")
 	})
 }

@@ -1,59 +1,5 @@
 package graph
 
-// BFSOrder returns the vertices of g reachable along out-edges from
-// the given roots, in breadth-first order. Vertices not listed in
-// roots and not reachable are appended afterwards in id order, so the
-// result is always a permutation prefix covering all n vertices when
-// exhaustive is true.
-func BFSOrder(g *Graph, roots []VertexID, exhaustive bool) []VertexID {
-	n := g.NumVertices()
-	seen := make([]bool, n)
-	order := make([]VertexID, 0, n)
-	queue := make([]VertexID, 0, n)
-	enqueue := func(v VertexID) {
-		if !seen[v] {
-			seen[v] = true
-			queue = append(queue, v)
-		}
-	}
-	for _, r := range roots {
-		enqueue(r)
-	}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		order = append(order, v)
-		for _, w := range g.OutNeighbors(v) {
-			enqueue(w)
-		}
-		if g.Undirected() {
-			continue
-		}
-		for _, w := range g.InNeighbors(v) {
-			enqueue(w)
-		}
-	}
-	if exhaustive {
-		for v := 0; v < n; v++ {
-			if !seen[VertexID(v)] {
-				enqueue(VertexID(v))
-				for head := len(order); head < len(queue); head++ {
-					u := queue[head]
-					order = append(order, u)
-					for _, w := range g.OutNeighbors(u) {
-						enqueue(w)
-					}
-					if !g.Undirected() {
-						for _, w := range g.InNeighbors(u) {
-							enqueue(w)
-						}
-					}
-				}
-			}
-		}
-	}
-	return order
-}
-
 // ConnectedComponents labels each vertex with the smallest vertex id
 // in its weakly connected component and returns the labels plus the
 // number of components. Used both as the sequential WCC oracle and by

@@ -99,3 +99,25 @@ func SharesArcs(a, b *Fragment) bool {
 	ca, cb := a.base.Load(), b.base.Load()
 	return len(ca.arcs) > 0 && len(cb.arcs) > 0 && &ca.arcs[0] == &cb.arcs[0]
 }
+
+// StorageVertices returns the total number of vertex copies stored,
+// dummies included — the space-accounting numerator for Exp-4.
+func (p *Partition) StorageVertices() int {
+	total := 0
+	for _, f := range p.frags {
+		total += f.NumVertices()
+	}
+	return total
+}
+
+// BorderNodes returns Fi.O for fragment i: the vertices of Fi that are
+// replicated somewhere else, in ascending order.
+func (p *Partition) BorderNodes(i int) []graph.VertexID {
+	var out []graph.VertexID
+	for _, v := range p.frags[i].SortedVertices() {
+		if p.IsBorder(v) {
+			out = append(out, v)
+		}
+	}
+	return out
+}

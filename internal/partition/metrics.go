@@ -105,16 +105,6 @@ func (p *Partition) IsVertexCut() bool {
 	return int64(total) == p.g.NumEdges()
 }
 
-// StorageVertices returns the total number of vertex copies stored,
-// dummies included — the space-accounting numerator for Exp-4.
-func (p *Partition) StorageVertices() int {
-	total := 0
-	for _, f := range p.frags {
-		total += f.NumVertices()
-	}
-	return total
-}
-
 // StorageArcs returns Σ|Ei| over fragments.
 func (p *Partition) StorageArcs() int {
 	total := 0
@@ -122,16 +112,4 @@ func (p *Partition) StorageArcs() int {
 		total += f.NumArcs()
 	}
 	return total
-}
-
-// BorderNodes returns Fi.O for fragment i: the vertices of Fi that are
-// replicated somewhere else, in ascending order.
-func (p *Partition) BorderNodes(i int) []graph.VertexID {
-	var out []graph.VertexID
-	for _, v := range p.frags[i].SortedVertices() {
-		if p.IsBorder(v) {
-			out = append(out, v)
-		}
-	}
-	return out
 }

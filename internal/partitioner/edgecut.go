@@ -42,59 +42,61 @@ func (c *FennelConfig) defaults() {
 	}
 }
 
-// FennelEdgeCut implements the one-pass streaming heuristic of
-// Tsourakakis et al.: vertex v goes to the fragment maximising
-// |N(v) ∩ Vi| − α·γ·|Vi|^(γ−1) subject to a capacity cap. Vertices
-// stream in id order, neighbours on either edge direction count.
-func FennelEdgeCut(g *graph.Graph, n int, cfg FennelConfig) (*partition.Partition, error) {
-	cfg.defaults()
-	nv := g.NumVertices()
-	m := float64(g.NumEdges())
-	alpha := m * math.Pow(float64(n), cfg.Gamma-1) / math.Pow(float64(nv), cfg.Gamma)
-	capLimit := int(cfg.Slack*float64(nv)/float64(n)) + 1
+// fennel is the Fennel objective of Tsourakakis et al. shared by
+// FennelEdgeCut, ReFennelEdgeCut and FennelStream: a vertex goes to the
+// fragment maximising |N(v) ∩ Vi| − α·γ·|Vi|^(γ−1) among those below
+// the capacity cap, or to the smallest when every fragment is full.
+type fennel struct {
+	gamma, alpha float64
+	capLimit     int
+	sizes        []int
+	// neighborIn counts the vertex's placed neighbours per fragment; the
+	// caller loads it, place consumes and clears it.
+	neighborIn []int
+}
 
-	assign := make([]int, nv)
-	for i := range assign {
-		assign[i] = -1
+func newFennel(n, nv int, m int64, cfg FennelConfig) fennel {
+	cfg.defaults()
+	return fennel{
+		gamma:      cfg.Gamma,
+		alpha:      float64(m) * math.Pow(float64(n), cfg.Gamma-1) / math.Pow(float64(nv), cfg.Gamma),
+		capLimit:   int(cfg.Slack*float64(nv)/float64(n)) + 1,
+		sizes:      make([]int, n),
+		neighborIn: make([]int, n),
 	}
-	sizes := make([]int, n)
-	neighborIn := make([]int, n)
-	for v := 0; v < nv; v++ {
-		for i := range neighborIn {
-			neighborIn[i] = 0
+}
+
+// place picks the fragment for the vertex whose neighbour counts are
+// loaded, charges it one vertex and clears the counts.
+func (f *fennel) place() int {
+	best, bestScore := -1, math.Inf(-1)
+	for i, size := range f.sizes {
+		if size >= f.capLimit {
+			continue
 		}
-		countNeighbor := func(w graph.VertexID) {
-			if a := assign[w]; a >= 0 {
-				neighborIn[a]++
-			}
+		score := float64(f.neighborIn[i]) - f.alpha*f.gamma*math.Pow(float64(size), f.gamma-1)
+		if score > bestScore {
+			best, bestScore = i, score
 		}
-		for _, w := range g.OutNeighbors(graph.VertexID(v)) {
-			countNeighbor(w)
-		}
-		for _, w := range g.InNeighbors(graph.VertexID(v)) {
-			countNeighbor(w)
-		}
-		best, bestScore := -1, math.Inf(-1)
-		for i := 0; i < n; i++ {
-			if sizes[i] >= capLimit {
-				continue
-			}
-			score := float64(neighborIn[i]) - alpha*cfg.Gamma*math.Pow(float64(sizes[i]), cfg.Gamma-1)
-			if score > bestScore {
-				best, bestScore = i, score
-			}
-		}
-		if best < 0 { // every fragment at capacity: put in the smallest
-			for i := 0; i < n; i++ {
-				if best < 0 || sizes[i] < sizes[best] {
-					best = i
-				}
-			}
-		}
-		assign[v] = best
-		sizes[best]++
 	}
-	return partition.FromVertexAssignment(g, assign, n)
+	if best < 0 { // every fragment at capacity: put in the smallest
+		for i := range f.sizes {
+			if best < 0 || f.sizes[i] < f.sizes[best] {
+				best = i
+			}
+		}
+	}
+	f.sizes[best]++
+	clear(f.neighborIn)
+	return best
+}
+
+// FennelEdgeCut implements the one-pass streaming heuristic of
+// Tsourakakis et al.: vertices stream in id order and each goes where
+// the Fennel objective puts it, neighbours on either edge direction
+// counting once placed. It is one pass of ReFennelEdgeCut.
+func FennelEdgeCut(g *graph.Graph, n int, cfg FennelConfig) (*partition.Partition, error) {
+	return ReFennelEdgeCut(g, n, 1, cfg)
 }
 
 // ReFennelEdgeCut runs Fennel for several restreaming passes (the
@@ -102,34 +104,25 @@ func FennelEdgeCut(g *graph.Graph, n int, cfg FennelConfig) (*partition.Partitio
 // are re-streamed with full knowledge of everyone else's current
 // placement, which repairs the early blind decisions of a single pass.
 func ReFennelEdgeCut(g *graph.Graph, n, passes int, cfg FennelConfig) (*partition.Partition, error) {
-	cfg.defaults()
 	if passes < 1 {
 		passes = 2
 	}
 	nv := g.NumVertices()
-	m := float64(g.NumEdges())
-	alpha := m * math.Pow(float64(n), cfg.Gamma-1) / math.Pow(float64(nv), cfg.Gamma)
-	capLimit := int(cfg.Slack*float64(nv)/float64(n)) + 1
-
+	obj := newFennel(n, nv, g.NumEdges(), cfg)
 	assign := make([]int, nv)
 	for i := range assign {
 		assign[i] = -1
 	}
-	sizes := make([]int, n)
-	neighborIn := make([]int, n)
+	count := func(w graph.VertexID) {
+		if a := assign[w]; a >= 0 {
+			obj.neighborIn[a]++
+		}
+	}
 	for pass := 0; pass < passes; pass++ {
 		for v := 0; v < nv; v++ {
 			if old := assign[v]; old >= 0 {
-				sizes[old]--
+				obj.sizes[old]--
 				assign[v] = -1
-			}
-			for i := range neighborIn {
-				neighborIn[i] = 0
-			}
-			count := func(w graph.VertexID) {
-				if a := assign[w]; a >= 0 {
-					neighborIn[a]++
-				}
 			}
 			for _, w := range g.OutNeighbors(graph.VertexID(v)) {
 				count(w)
@@ -137,25 +130,7 @@ func ReFennelEdgeCut(g *graph.Graph, n, passes int, cfg FennelConfig) (*partitio
 			for _, w := range g.InNeighbors(graph.VertexID(v)) {
 				count(w)
 			}
-			best, bestScore := -1, math.Inf(-1)
-			for i := 0; i < n; i++ {
-				if sizes[i] >= capLimit {
-					continue
-				}
-				score := float64(neighborIn[i]) - alpha*cfg.Gamma*math.Pow(float64(sizes[i]), cfg.Gamma-1)
-				if score > bestScore {
-					best, bestScore = i, score
-				}
-			}
-			if best < 0 {
-				for i := 0; i < n; i++ {
-					if best < 0 || sizes[i] < sizes[best] {
-						best = i
-					}
-				}
-			}
-			assign[v] = best
-			sizes[best]++
+			assign[v] = obj.place()
 		}
 	}
 	return partition.FromVertexAssignment(g, assign, n)

@@ -27,7 +27,7 @@ func TestProbeLoopAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := costmodel.NewTracker(ec, goldenLearnedModel())
-	candidates := getCandidates(tr, 0, 0, true)
+	candidates := getCandidates(tr, 0, 0, &BFS{})
 	if len(candidates) == 0 {
 		t.Fatal("no migration candidates")
 	}

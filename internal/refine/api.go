@@ -59,16 +59,9 @@ func ctxErr(ctx context.Context) error {
 // budget, returning the number of v-cut nodes merged. The composite
 // partitioner MV2H reuses it per target partition.
 func VMergeSweep(p *partition.Partition, m costmodel.CostModel, budget float64) int {
-	tr := costmodel.NewTracker(p, m)
-	total := 0
-	for pass := 0; pass < 8; pass++ {
-		st := &Stats{}
-		if vMergePass(tr, budget, st) == 0 {
-			break
-		}
-		total += st.Merged
-	}
-	return total
+	stats := &Stats{}
+	_ = vMerge(nil, costmodel.NewTracker(p, m), nil, budget, stats) // a nil ctx never cancels
+	return stats.Merged
 }
 
 // MAssignOnly runs the MAssign phase alone on p, returning how many
@@ -92,16 +85,4 @@ func ForFamily(fam partitioner.Family, p *partition.Partition, m costmodel.CostM
 		return ParV2H(p, m, cfg)
 	}
 	return nil
-}
-
-// ForFamilyCtx is ForFamily under a context; see ParE2HCtx for the
-// abort contract. Hybrid families return (nil, nil).
-func ForFamilyCtx(ctx context.Context, fam partitioner.Family, p *partition.Partition, m costmodel.CostModel, cfg Config) (*Stats, error) {
-	switch fam {
-	case partitioner.EdgeCutFamily:
-		return ParE2HCtx(ctx, p, m, cfg)
-	case partitioner.VertexCutFamily:
-		return ParV2HCtx(ctx, p, m, cfg)
-	}
-	return nil, nil
 }

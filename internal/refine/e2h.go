@@ -3,7 +3,6 @@ package refine
 import (
 	"context"
 	"sort"
-	"time"
 
 	"adp/internal/costmodel"
 	"adp/internal/graph"
@@ -22,77 +21,11 @@ func E2H(p *partition.Partition, m costmodel.CostModel, cfg Config) *Stats {
 // candidates, supersteps and phases; the partial Stats and ctx error
 // are returned, and the partially refined partition remains valid.
 func E2HCtx(ctx context.Context, p *partition.Partition, m costmodel.CostModel, cfg Config) (*Stats, error) {
-	cfg.defaults()
-	start := time.Now()
-	tr := costmodel.NewTracker(p, m)
-	stats := &Stats{}
-
-	// Budget B = average computational cost (line 1).
-	var total float64
-	for i := 0; i < p.NumFragments(); i++ {
-		total += tr.Comp(i)
-	}
-	budget := total / float64(p.NumFragments())
-	stats.Budget = budget
-
-	over, under := classify(tr, budget)
-	var bs bfsScratch
-	var candidates []candidate
-	for _, i := range over {
-		candidates = append(candidates, getCandidatesScratch(tr, i, budget, !cfg.ArbitraryCandidates, &bs)...)
-	}
-
-	// Phase 1: EMigrate (lines 6-10).
-	t0 := time.Now()
-	var leftover []candidate
-	var err error
-	if cfg.Parallel {
-		leftover, err = parallelMigrateCtx(ctx, cfg.Pool, tr, candidates, under, budget, cfg.BatchSize, eMigrateProbe, eMigrateApply, stats, &migrateScratch{})
-	} else {
-		for _, c := range candidates {
-			if err = ctxErr(ctx); err != nil {
-				break
-			}
-			if !eMigrateTry(tr, c, under, budget, stats) {
-				leftover = append(leftover, c)
-			}
-		}
-	}
-	stats.PhaseDurations[0] = time.Since(t0)
-	if err != nil {
-		stats.Total = time.Since(start)
-		return stats, err
-	}
-
-	// Phase 2: ESplit (lines 11-14).
-	if cfg.Phases >= 2 {
-		t1 := time.Now()
-		for _, c := range leftover {
-			if err = ctxErr(ctx); err != nil {
-				break
-			}
-			eSplit(tr, c, stats)
-		}
-		stats.PhaseDurations[1] = time.Since(t1)
-		if err != nil {
-			stats.Total = time.Since(start)
-			return stats, err
-		}
-	}
-
-	// Phase 3: MAssign (line 15).
-	if cfg.Phases >= 3 {
-		if err = ctxErr(ctx); err != nil {
-			stats.Total = time.Since(start)
-			return stats, err
-		}
-		t2 := time.Now()
-		stats.MastersMoved = mAssign(tr)
-		stats.PhaseDurations[2] = time.Since(t2)
-	}
-	stats.Total = time.Since(start)
-	return stats, nil
+	return e2h.run(ctx, p, m, cfg)
 }
+
+// e2h is EMigrate for the migrate phase and ESplit for phase 2.
+var e2h = refiner{eMigrateProbe, eMigrateApply, eSplitLeftovers}
 
 // eMigrateProbe evaluates whether candidate c fits fragment j within
 // the budget: ChA(Fj ∪ {(v, Evi)}) ≤ B, approximated by Fj's tracked
@@ -107,24 +40,20 @@ func eMigrateProbe(tr *costmodel.Tracker, c candidate, j int, budget float64) bo
 
 // eMigrateApply performs the accepted migration.
 func eMigrateApply(tr *costmodel.Tracker, c candidate, j int, stats *Stats) {
-	touched := moveECutVertex(tr.Partition(), c.v, c.frag, j)
-	refreshAll(tr, touched)
+	tr.RefreshSet(moveECutVertex(tr.Partition(), c.v, c.frag, j))
 	stats.Migrated++
 }
 
-// eMigrateTry is the sequential EMigrate inner loop: offer the
-// candidate to each underloaded fragment in turn.
-func eMigrateTry(tr *costmodel.Tracker, c candidate, under []int, budget float64, stats *Stats) bool {
-	for _, j := range under {
-		if j == c.frag {
-			continue
+// eSplitLeftovers is phase 2 of E2H: every candidate EMigrate could not
+// place is split (lines 11-14).
+func eSplitLeftovers(ctx context.Context, tr *costmodel.Tracker, leftover []candidate, _ float64, stats *Stats) error {
+	for _, c := range leftover {
+		if err := ctxErr(ctx); err != nil {
+			return err
 		}
-		if eMigrateProbe(tr, c, j, budget) {
-			eMigrateApply(tr, c, j, stats)
-			return true
-		}
+		eSplit(tr, c, stats)
 	}
-	return false
+	return nil
 }
 
 // eSplit cuts the remaining candidate into v-cut pieces, moving its
@@ -155,24 +84,13 @@ func eSplit(tr *costmodel.Tracker, c candidate, stats *Stats) {
 		return arcs[a].w < arcs[b].w
 	})
 	for _, a := range arcs {
-		t := argminComp(tr)
+		t := tr.ArgminComp()
 		if t == c.frag {
 			continue // already on the cheapest fragment
 		}
-		touched := moveSingleArc(p, c.frag, t, a.u, a.w, c.v)
-		refreshAll(tr, touched)
+		tr.RefreshSet(moveSingleArc(p, c.frag, t, a.u, a.w, c.v))
 		stats.SplitEdges++
 	}
-}
-
-func argminComp(tr *costmodel.Tracker) int {
-	best := 0
-	for i := 1; i < tr.Partition().NumFragments(); i++ {
-		if tr.Comp(i) < tr.Comp(best) {
-			best = i
-		}
-	}
-	return best
 }
 
 // mAssign implements the MAssign phase (Eq. 5): border masters are

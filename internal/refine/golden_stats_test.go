@@ -13,7 +13,8 @@ import (
 
 // goldenStats pins the refiner Stats of twelve deterministic workloads
 // — all five algorithms through both ParE2H and ParV2H, plus a
-// learned-degree polynomial Model through each refiner — to the exact
+// learned-degree polynomial Model through each refiner, each also
+// through the serial E2H/V2H schedule — to the exact
 // values the map-backed Tracker and interpreted Model.Eval produced
 // before the refinement plane was flattened (dense slabs + compiled
 // kernels). Budget is pinned by Float64bits, so any floating-point
@@ -44,6 +45,23 @@ var goldenStats = []goldenStat{
 	{"learned/v2h", 0x4014ecc664ce04f0, 214, 0, 69, 1040},
 }
 
+// goldenSerialStats are the same workloads through the serial E2H/V2H
+// schedule, recorded on the two drivers before they became one.
+var goldenSerialStats = []goldenStat{
+	{"CN/e2h", 0x40157ecac543faac, 270, 648, 0, 929},
+	{"CN/v2h", 0x40157f43a122ddd5, 221, 0, 56, 985},
+	{"TC/e2h", 0x40125f8789affaeb, 264, 15, 0, 8},
+	{"TC/v2h", 0x40125f8789affade, 376, 0, 9, 742},
+	{"WCC/e2h", 0x3f9a8c660db456f1, 253, 25, 0, 921},
+	{"WCC/v2h", 0x3fa56dda5c65bfed, 395, 0, 8, 877},
+	{"PR/e2h", 0x3fc50b0ceb11a308, 219, 7, 0, 850},
+	{"PR/v2h", 0x3fd5e1239be67b2d, 290, 0, 7, 839},
+	{"SSSP/e2h", 0x3fee0e7bc3c5bd14, 264, 8, 0, 975},
+	{"SSSP/v2h", 0x3ff0422a58e0b370, 471, 0, 8, 853},
+	{"learned/e2h", 0x4014ebfb50c699d3, 268, 656, 0, 866},
+	{"learned/v2h", 0x4014ecc664ce04f0, 217, 0, 71, 1012},
+}
+
 // goldenLearnedModel is a cost pair of the shape costmodel.Train
 // produces: a degree-2 hA over {d+L, d+G} with CN-like weights and a
 // degree-1 gA over r with PR-like weights, both in learned Model form,
@@ -61,8 +79,8 @@ func goldenLearnedModel() costmodel.CostModel {
 }
 
 // goldenWorkload rebuilds the deterministic workload behind a golden
-// label and runs the matching refiner on the given pool.
-func goldenWorkload(t *testing.T, label string, pl *pool.Pool) *Stats {
+// label and runs the matching refiner on the given pool, or serially.
+func goldenWorkload(t *testing.T, label string, pl *pool.Pool, serial bool) *Stats {
 	t.Helper()
 	var m costmodel.CostModel
 	var seed int64
@@ -92,11 +110,17 @@ func goldenWorkload(t *testing.T, label string, pl *pool.Pool) *Stats {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if serial {
+			return E2H(ec, m, Config{Pool: pl})
+		}
 		return ParE2H(ec, m, Config{Pool: pl})
 	}
 	vc, err := partitioner.GridVertexCut(g, 6)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if serial {
+		return V2H(vc, m, Config{Pool: pl})
 	}
 	return ParV2H(vc, m, Config{Pool: pl})
 }
@@ -104,25 +128,30 @@ func goldenWorkload(t *testing.T, label string, pl *pool.Pool) *Stats {
 // TestGoldenStatsMatchMapBackedImplementation is the acceptance lock:
 // Stats (Budget, Migrated, SplitEdges, Merged, MastersMoved) must be
 // bitwise-identical to the retired map-backed implementation for every
-// algorithm, through both refiners, across {1, 4, NumCPU} pools.
+// algorithm, through both refiners, across {1, 4, NumCPU} pools; the
+// serial schedule, which never touches the pool, runs once.
 func TestGoldenStatsMatchMapBackedImplementation(t *testing.T) {
+	for _, gs := range goldenSerialStats {
+		t.Run(gs.label+"/serial", func(t *testing.T) { checkGolden(t, gs, goldenWorkload(t, gs.label, nil, true), 1) })
+	}
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		pl := pool.New(workers)
 		for _, gs := range goldenStats {
 			gs := gs
-			t.Run(gs.label, func(t *testing.T) {
-				s := goldenWorkload(t, gs.label, pl)
-				if got := math.Float64bits(s.Budget); got != gs.budgetBits {
-					t.Errorf("workers=%d: Budget bits = %#016x (%v), map-backed implementation had %#016x (%v)",
-						workers, got, s.Budget, gs.budgetBits, math.Float64frombits(gs.budgetBits))
-				}
-				if s.Migrated != gs.migrated || s.SplitEdges != gs.splitEdges || s.Merged != gs.merged || s.MastersMoved != gs.masters {
-					t.Errorf("workers=%d: counters = {mig=%d split=%d merged=%d masters=%d}, map-backed implementation had {mig=%d split=%d merged=%d masters=%d}",
-						workers, s.Migrated, s.SplitEdges, s.Merged, s.MastersMoved,
-						gs.migrated, gs.splitEdges, gs.merged, gs.masters)
-				}
-			})
+			t.Run(gs.label, func(t *testing.T) { checkGolden(t, gs, goldenWorkload(t, gs.label, pl, false), workers) })
 		}
 		pl.Close()
+	}
+}
+
+func checkGolden(t *testing.T, gs goldenStat, s *Stats, workers int) {
+	if got := math.Float64bits(s.Budget); got != gs.budgetBits {
+		t.Errorf("workers=%d: Budget bits = %#016x (%v), map-backed implementation had %#016x (%v)",
+			workers, got, s.Budget, gs.budgetBits, math.Float64frombits(gs.budgetBits))
+	}
+	if s.Migrated != gs.migrated || s.SplitEdges != gs.splitEdges || s.Merged != gs.merged || s.MastersMoved != gs.masters {
+		t.Errorf("workers=%d: counters = {mig=%d split=%d merged=%d masters=%d}, map-backed implementation had {mig=%d split=%d merged=%d masters=%d}",
+			workers, s.Migrated, s.SplitEdges, s.Merged, s.MastersMoved,
+			gs.migrated, gs.splitEdges, gs.merged, gs.masters)
 	}
 }

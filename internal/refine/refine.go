@@ -19,6 +19,7 @@
 package refine
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -90,12 +91,14 @@ type candidate struct {
 	v    graph.VertexID
 }
 
-// bfsScratch holds the BFS frontier buffers of getCandidates, reused
-// across fragments (and refiner phases) so candidate gathering does
-// not rebuild its visited set and queues per call. seen is graph-wide
-// and cleared through the visit queue, so reuse is O(visited), not
-// O(|V|).
-type bfsScratch struct {
+// BFS is the locality order of GetCandidates (Fig. 3) and of the
+// composite partitioners' Init (Fig. 7), on reusable scratch: every
+// vertex of a fragment, breadth-first over the fragment-local
+// adjacency, each tree rooted at the smallest unvisited id and
+// neighbours taken in id order, so the order is deterministic. seen is
+// graph-wide and cleared through the visit queue, so reuse is
+// O(visited), not O(|V|). The zero value is ready to use.
+type BFS struct {
 	seen  []bool
 	queue []graph.VertexID
 	nbrs  vidSorter
@@ -110,67 +113,61 @@ func (x *vidSorter) Len() int           { return len(x.s) }
 func (x *vidSorter) Less(a, b int) bool { return x.s[a] < x.s[b] }
 func (x *vidSorter) Swap(a, b int)      { x.s[a], x.s[b] = x.s[b], x.s[a] }
 
+// Order returns the vertices of fragment i of p in BFS order. The visit
+// queue doubles as the order: vertices are appended exactly once, in
+// visit order, and the head index walks behind. The result aliases the
+// scratch and is valid until the next call.
+func (sc *BFS) Order(p *partition.Partition, i int) []graph.VertexID {
+	f := p.Fragment(i)
+	ids := f.SortedVertices()
+	if len(sc.seen) < p.Graph().NumVertices() {
+		sc.seen = make([]bool, p.Graph().NumVertices())
+	}
+	queue := sc.queue[:0]
+	if cap(queue) < len(ids) {
+		queue = make([]graph.VertexID, 0, len(ids))
+	}
+	for _, root := range ids {
+		if sc.seen[root] {
+			continue
+		}
+		sc.seen[root] = true
+		queue = append(queue, root)
+		for head := len(queue) - 1; head < len(queue); head++ {
+			v := queue[head]
+			adj := f.Adjacency(v)
+			if adj == nil {
+				continue
+			}
+			sc.nbrs.s = append(append(sc.nbrs.s[:0], adj.Out...), adj.In...)
+			sort.Sort(&sc.nbrs)
+			for _, w := range sc.nbrs.s {
+				if !sc.seen[w] && f.Has(w) {
+					sc.seen[w] = true
+					queue = append(queue, w)
+				}
+			}
+		}
+	}
+	for _, v := range queue {
+		sc.seen[v] = false
+	}
+	sc.queue = queue
+	return queue
+}
+
 // getCandidates implements procedure GetCandidates (Fig. 3): a BFS
 // traversal over the fragment's non-dummy nodes greedily retains a
 // coherent sub-fragment within budget B; everything else is returned
-// as migration candidates in BFS order. With bfs=false the traversal
+// as migration candidates in BFS order. With a nil bfs the traversal
 // degrades to plain id order (the locality ablation).
-func getCandidates(tr *costmodel.Tracker, i int, budget float64, bfs bool) []candidate {
-	return getCandidatesScratch(tr, i, budget, bfs, &bfsScratch{})
-}
-
-// getCandidatesScratch is getCandidates on caller-owned scratch.
-func getCandidatesScratch(tr *costmodel.Tracker, i int, budget float64, bfs bool, sc *bfsScratch) []candidate {
+func getCandidates(tr *costmodel.Tracker, i int, budget float64, bfs *BFS) []candidate {
 	p := tr.Partition()
-	f := p.Fragment(i)
-	ids := f.SortedVertices()
-	if len(ids) == 0 {
-		return nil
-	}
-	order := ids
-	if bfs {
-		// BFS over the fragment-local adjacency, exhaustive and
-		// rooted at the smallest vertex id for determinism. The visit
-		// queue doubles as the order: vertices are appended exactly
-		// once, in visit order, and the head index walks behind.
-		if len(sc.seen) < p.Graph().NumVertices() {
-			sc.seen = make([]bool, p.Graph().NumVertices())
-		}
-		queue := sc.queue[:0]
-		if cap(queue) < len(ids) {
-			queue = make([]graph.VertexID, 0, len(ids))
-		}
-		for _, root := range ids {
-			if sc.seen[root] {
-				continue
-			}
-			sc.seen[root] = true
-			queue = append(queue, root)
-			for head := len(queue) - 1; head < len(queue); head++ {
-				v := queue[head]
-				adj := f.Adjacency(v)
-				if adj == nil {
-					continue
-				}
-				// Deterministic neighbour order.
-				nbrs := sc.nbrs.s[:0]
-				nbrs = append(nbrs, adj.Out...)
-				nbrs = append(nbrs, adj.In...)
-				sc.nbrs.s = nbrs
-				sort.Sort(&sc.nbrs)
-				for _, w := range sc.nbrs.s {
-					if !sc.seen[w] && f.Has(w) {
-						sc.seen[w] = true
-						queue = append(queue, w)
-					}
-				}
-			}
-		}
-		order = queue
-		for _, v := range queue {
-			sc.seen[v] = false
-		}
-		sc.queue = queue
+	var order []graph.VertexID
+	if bfs != nil {
+		order = bfs.Order(p, i)
+	} else {
+		order = p.Fragment(i).SortedVertices()
 	}
 	kept := 0.0
 	var out []candidate
@@ -189,6 +186,84 @@ func getCandidatesScratch(tr *costmodel.Tracker, i int, budget float64, bfs bool
 	return out
 }
 
+// refiner names what E2H (Fig. 3) and V2H (Fig. 4) each put into the
+// steps they share: the probe and apply of the migrate phase, and
+// phase 2 — ESplit over the migrate leftovers, or VMerge.
+type refiner struct {
+	probe  probeFunc
+	apply  applyFunc
+	phase2 func(ctx context.Context, tr *costmodel.Tracker, leftover []candidate, budget float64, stats *Stats) error
+}
+
+// run refines p in place: budget B, candidates, the migrate phase on
+// the serial or the BSP schedule, phase 2 and MAssign, each phase
+// timed. Cancellation is observed between candidates, supersteps and
+// phases; the partial Stats and the ctx error are returned, and the
+// partially refined partition remains valid.
+func (r refiner) run(ctx context.Context, p *partition.Partition, m costmodel.CostModel, cfg Config) (*Stats, error) {
+	cfg.defaults()
+	start := time.Now()
+	tr := costmodel.NewTracker(p, m)
+	stats := &Stats{}
+	done := func(err error) (*Stats, error) {
+		stats.Total = time.Since(start)
+		return stats, err
+	}
+
+	// Budget B = average computational cost (line 1).
+	var total float64
+	for i := 0; i < p.NumFragments(); i++ {
+		total += tr.Comp(i)
+	}
+	budget := total / float64(p.NumFragments())
+	stats.Budget = budget
+
+	over, under := classify(tr, budget)
+	var bfs *BFS
+	if !cfg.ArbitraryCandidates {
+		bfs = &BFS{}
+	}
+	var candidates []candidate
+	for _, i := range over {
+		candidates = append(candidates, getCandidates(tr, i, budget, bfs)...)
+	}
+
+	// Phase 1: EMigrate / VMigrate (lines 6-10).
+	t0 := time.Now()
+	var leftover []candidate
+	var err error
+	if cfg.Parallel {
+		leftover, err = parallelMigrateCtx(ctx, cfg.Pool, tr, candidates, under, budget, cfg.BatchSize, r.probe, r.apply, stats, &migrateScratch{})
+	} else {
+		leftover, err = serialMigrate(ctx, tr, candidates, under, budget, r.probe, r.apply, stats)
+	}
+	stats.PhaseDurations[0] = time.Since(t0)
+	if err != nil {
+		return done(err)
+	}
+
+	// Phase 2: ESplit / VMerge (lines 11-14).
+	if cfg.Phases >= 2 {
+		t1 := time.Now()
+		err = r.phase2(ctx, tr, leftover, budget, stats)
+		stats.PhaseDurations[1] = time.Since(t1)
+		if err != nil {
+			return done(err)
+		}
+	}
+
+	// Phase 3: MAssign (line 15).
+	if cfg.Phases >= 3 {
+		if err = ctxErr(ctx); err != nil {
+			return done(err)
+		}
+		t2 := time.Now()
+		stats.MastersMoved = mAssign(tr)
+		stats.PhaseDurations[2] = time.Since(t2)
+	}
+	return done(nil)
+}
+
 // classify splits fragments into overloaded and underloaded sets
 // against the budget.
 func classify(tr *costmodel.Tracker, budget float64) (over, under []int) {
@@ -200,6 +275,31 @@ func classify(tr *costmodel.Tracker, budget float64) (over, under []int) {
 		}
 	}
 	return over, under
+}
+
+// serialMigrate is the sequential migrate loop: each candidate is
+// offered to the underloaded fragments in turn and applied at the first
+// that accepts it. Candidates no fragment accepts are returned.
+func serialMigrate(ctx context.Context, tr *costmodel.Tracker, candidates []candidate, under []int, budget float64,
+	probe probeFunc, apply applyFunc, stats *Stats) ([]candidate, error) {
+	var leftover []candidate
+	for _, c := range candidates {
+		if err := ctxErr(ctx); err != nil {
+			return leftover, err
+		}
+		placed := false
+		for _, j := range under {
+			if j != c.frag && probe(tr, c, j, budget) {
+				apply(tr, c, j, stats)
+				placed = true
+				break
+			}
+		}
+		if !placed {
+			leftover = append(leftover, c)
+		}
+	}
+	return leftover, nil
 }
 
 // arcRemovableFrom reports whether the arc (u,w) may be dropped from
@@ -288,11 +388,4 @@ func moveSingleArc(p *partition.Partition, i, t int, u, w graph.VertexID, subjec
 		}
 	}
 	return []graph.VertexID{u, w}
-}
-
-// refreshAll refreshes the tracker for a touched-vertex set, each
-// distinct vertex once in first-occurrence order (the tracker's
-// allocation-free stamp dedup).
-func refreshAll(tr *costmodel.Tracker, touched []graph.VertexID) {
-	tr.RefreshSet(touched)
 }

@@ -304,11 +304,11 @@ func TestGetCandidatesRespectsBudget(t *testing.T) {
 	p := hubConcentratedEdgeCut(t, g, 4)
 	tr := costmodel.NewTracker(p, m)
 	// A huge budget keeps everything.
-	if cands := getCandidates(tr, 0, 1e18, true); len(cands) != 0 {
+	if cands := getCandidates(tr, 0, 1e18, &BFS{}); len(cands) != 0 {
 		t.Fatalf("infinite budget still produced %d candidates", len(cands))
 	}
 	// A zero budget evicts every computing vertex.
-	all := getCandidates(tr, 0, 0, true)
+	all := getCandidates(tr, 0, 0, &BFS{})
 	if len(all) != p.NonDummyCount(0) {
 		t.Fatalf("zero budget: %d candidates, want %d", len(all), p.NonDummyCount(0))
 	}

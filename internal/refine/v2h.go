@@ -3,7 +3,6 @@ package refine
 import (
 	"context"
 	"sort"
-	"time"
 
 	"adp/internal/costmodel"
 	"adp/internal/graph"
@@ -20,88 +19,14 @@ func V2H(p *partition.Partition, m costmodel.CostModel, cfg Config) *Stats {
 
 // V2HCtx is V2H under a context; see E2HCtx for the abort contract.
 func V2HCtx(ctx context.Context, p *partition.Partition, m costmodel.CostModel, cfg Config) (*Stats, error) {
-	cfg.defaults()
-	start := time.Now()
-	tr := costmodel.NewTracker(p, m)
-	stats := &Stats{}
-
-	var total float64
-	for i := 0; i < p.NumFragments(); i++ {
-		total += tr.Comp(i)
-	}
-	budget := total / float64(p.NumFragments())
-	stats.Budget = budget
-
-	over, under := classify(tr, budget)
-	var bs bfsScratch
-	var candidates []candidate
-	for _, i := range over {
-		candidates = append(candidates, getCandidatesScratch(tr, i, budget, !cfg.ArbitraryCandidates, &bs)...)
-	}
-
-	// Phase 1: VMigrate (lines 6-10) — a candidate may only move onto
-	// an underloaded fragment that already holds a copy of it, which
-	// removes one replica.
-	t0 := time.Now()
-	var err error
-	if cfg.Parallel {
-		_, err = parallelMigrateCtx(ctx, cfg.Pool, tr, candidates, under, budget, cfg.BatchSize, vMigrateProbe, vMigrateApply, stats, &migrateScratch{})
-	} else {
-		for _, c := range candidates {
-			if err = ctxErr(ctx); err != nil {
-				break
-			}
-			for _, j := range under {
-				if j == c.frag {
-					continue
-				}
-				if vMigrateProbe(tr, c, j, budget) {
-					vMigrateApply(tr, c, j, stats)
-					break
-				}
-			}
-		}
-	}
-	stats.PhaseDurations[0] = time.Since(t0)
-	if err != nil {
-		stats.Total = time.Since(start)
-		return stats, err
-	}
-
-	// Phase 2: VMerge (lines 11-14) — iteratively turn v-cut nodes of
-	// underloaded fragments into e-cut nodes by pulling in their
-	// missing arcs, until no valid merge remains.
-	if cfg.Phases >= 2 {
-		t1 := time.Now()
-		for pass := 0; pass < 8; pass++ {
-			if err = ctxErr(ctx); err != nil {
-				break
-			}
-			merged := vMergePass(tr, budget, stats)
-			if merged == 0 {
-				break
-			}
-		}
-		stats.PhaseDurations[1] = time.Since(t1)
-		if err != nil {
-			stats.Total = time.Since(start)
-			return stats, err
-		}
-	}
-
-	// Phase 3: MAssign (line 15), shared with E2H.
-	if cfg.Phases >= 3 {
-		if err = ctxErr(ctx); err != nil {
-			stats.Total = time.Since(start)
-			return stats, err
-		}
-		t2 := time.Now()
-		stats.MastersMoved = mAssign(tr)
-		stats.PhaseDurations[2] = time.Since(t2)
-	}
-	stats.Total = time.Since(start)
-	return stats, nil
+	return v2h.run(ctx, p, m, cfg)
 }
+
+// v2h is VMigrate for the migrate phase — a candidate may only move
+// onto an underloaded fragment that already holds a copy of it, which
+// removes one replica — and VMerge for phase 2; its migrate leftovers
+// stay where they are.
+var v2h = refiner{vMigrateProbe, vMigrateApply, vMerge}
 
 // vMigrateProbe: fragment j must already hold a copy of v, and taking
 // over Fi's arcs of v must keep j within budget. The hypothetical
@@ -134,8 +59,23 @@ func vMigrateApply(tr *costmodel.Tracker, c candidate, j int, stats *Stats) {
 	if touched == nil {
 		return
 	}
-	refreshAll(tr, touched)
+	tr.RefreshSet(touched)
 	stats.Migrated++
+}
+
+// vMerge is phase 2 of V2H (lines 11-14): iteratively turn v-cut nodes
+// of underloaded fragments into e-cut nodes by pulling in their missing
+// arcs, until no valid merge remains (at most 8 passes).
+func vMerge(ctx context.Context, tr *costmodel.Tracker, _ []candidate, budget float64, stats *Stats) error {
+	for pass := 0; pass < 8; pass++ {
+		if err := ctxErr(ctx); err != nil {
+			return err
+		}
+		if vMergePass(tr, budget, stats) == 0 {
+			break
+		}
+	}
+	return nil
 }
 
 // vMergePass scans underloaded fragments in id order and merges their
@@ -165,7 +105,7 @@ func vMergePass(tr *costmodel.Tracker, budget float64, stats *Stats) int {
 			touched := mergeMissingArcs(tr, i, v, budget)
 			p.SetOwner(v, i)
 			touched = append(touched, v)
-			refreshAll(tr, touched)
+			tr.RefreshSet(touched)
 			stats.Merged++
 			merges++
 		}

@@ -24,9 +24,6 @@ import (
 // ErrNotFollower rejects replication traffic on a leader.
 var ErrNotFollower = errors.New("serve: not in follower mode")
 
-// ErrNotLeader is the class behind rejected follower writes.
-var ErrNotLeader = errors.New("serve: follower is read-only; write to the leader")
-
 // ReplStatus is the replication /metrics block, registered by the
 // process wiring via SetReplStatusFunc (the serve package has no import
 // of internal/replica, so the concrete stats are mapped in by the

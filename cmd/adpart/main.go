@@ -293,8 +293,8 @@ func runBatch(base *partition.Partition, spec partitioner.Spec, muts []store.Mut
 	fmt.Printf("  fc=%.2f composite=%d arcs, separate=%d arcs (%.0f%% saved)\n",
 		comp.FC(), comp.StorageArcs(), comp.SeparateStorageArcs(),
 		(1-float64(comp.StorageArcs())/float64(comp.SeparateStorageArcs()))*100)
-	for j, a := range costmodel.Algos() {
-		costs := costmodel.Evaluate(comp.Partition(j), costmodel.Reference(a))
+	for _, a := range costmodel.Algos() {
+		costs := costmodel.Evaluate(comp.Partition(comp.PartitionFor(a)), costmodel.Reference(a))
 		fmt.Printf("  %-4v parallel cost %.4g, λ=%.2f\n", a,
 			costmodel.ParallelCost(costs), costmodel.LambdaCost(costs))
 	}

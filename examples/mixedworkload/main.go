@@ -71,8 +71,8 @@ func main() {
 	// barrier state, so the printed costs never depend on -faults.
 	opts := algorithms.Options{SSSPSource: 1, PRIterations: 5}
 	inj := fault.NewInjector(events...)
-	for j, a := range costmodel.Algos() {
-		c := engine.NewCluster(comp.Partition(j)).
+	for _, a := range costmodel.Algos() {
+		c := engine.NewCluster(comp.Partition(comp.PartitionFor(a))).
 			Configure(engine.Options{Context: ctx, Injector: inj.Clone()})
 		out, err := algorithms.Run(c, a, opts)
 		if err != nil {

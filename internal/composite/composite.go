@@ -10,6 +10,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"adp/internal/costmodel"
 	"adp/internal/graph"
 	"adp/internal/partition"
 )
@@ -195,6 +196,14 @@ func (c *Composite) N() int { return c.n }
 
 // Partition returns the j-th individual hybrid partition HPj(n).
 func (c *Composite) Partition(j int) *partition.Partition { return c.parts[j] }
+
+// PartitionFor returns the index of the bundled partition algorithm a
+// runs on: a's position in costmodel.Algos() modulo K — one to one for
+// the five-algorithm batch, folded for smaller composites. An algorithm
+// outside Algos() runs on partition 0.
+func (c *Composite) PartitionFor(a costmodel.Algo) int {
+	return max(slices.Index(costmodel.Algos(), a), 0) % c.k
+}
 
 // Partitions returns all bundled partitions.
 func (c *Composite) Partitions() []*partition.Partition { return c.parts }

@@ -2,16 +2,20 @@ package composite
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"adp/internal/costmodel"
 	"adp/internal/gen"
 	"adp/internal/graph"
 	"adp/internal/partition"
 	"adp/internal/partitioner"
+	"adp/internal/pool"
 )
 
 // buildGolden is what one composite build must reproduce: the
@@ -38,11 +42,21 @@ var compositeGolden = map[string]buildGolden{
 	"undirected/MV2H/naive": {1289, 9930, 0, 40, 0x40074748d8748d87, 22906, 0xa6fa43aeb1cfad17},
 }
 
+// TestCompositeGoldenBuilds holds every build to the recorded goldens
+// at 1, 4 and NumCPU pool workers: the per-algorithm sections run on
+// the shared pool, and the output must not depend on its size.
 func TestCompositeGoldenBuilds(t *testing.T) {
-	var models []costmodel.CostModel
-	for _, a := range costmodel.Algos() {
-		models = append(models, costmodel.Reference(a))
+	t.Cleanup(func() { pool.SetDefaultWorkers(0) })
+	for _, w := range []int{1, 4, runtime.NumCPU()} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			pool.SetDefaultWorkers(w)
+			checkCompositeGoldens(t)
+		})
 	}
+}
+
+func checkCompositeGoldens(t *testing.T) {
+	models := costmodel.ReferenceModels()
 	for _, dir := range []string{"directed", "undirected"} {
 		g := gen.PowerLaw(gen.PowerLawConfig{N: 800, AvgDeg: 6, Exponent: 2.2, Directed: dir == "directed", Seed: 73})
 		ec, err := partitioner.FennelEdgeCut(g, 6, partitioner.FennelConfig{})
@@ -78,6 +92,38 @@ func TestCompositeGoldenBuilds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkCompositeBuild times the build half of the composite_build
+// workload: ME2H over a Fennel edge-cut and MV2H over a Grid vertex-cut
+// of a 6000-vertex power-law graph, 8 fragments, for the five reference
+// models. me2h-ms/op and mv2h-ms/op split the total.
+func BenchmarkCompositeBuild(b *testing.B) {
+	g := gen.PowerLaw(gen.PowerLawConfig{N: 6000, AvgDeg: 8, Exponent: 2.1, Seed: 1})
+	ec, err := partitioner.FennelEdgeCut(g, 8, partitioner.FennelConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	vc, err := partitioner.GridVertexCut(g, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	models := costmodel.ReferenceModels()
+	var me2h, mv2h time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		if _, _, err := ME2H(ec, models, Options{}); err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		if _, _, err := MV2H(vc, models, Options{}); err != nil {
+			b.Fatal(err)
+		}
+		me2h, mv2h = me2h+t1.Sub(t0), mv2h+time.Since(t1)
+	}
+	b.ReportMetric(float64(me2h.Milliseconds())/float64(b.N), "me2h-ms/op")
+	b.ReportMetric(float64(mv2h.Milliseconds())/float64(b.N), "mv2h-ms/op")
 }
 
 // placementHash folds every bundled partition's arcs (per fragment, in

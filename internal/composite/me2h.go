@@ -1,15 +1,16 @@
 package composite
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"adp/internal/costmodel"
 	"adp/internal/graph"
 	"adp/internal/partition"
 	"adp/internal/partitioner"
+	"adp/internal/pool"
 	"adp/internal/refine"
 )
 
@@ -36,32 +37,17 @@ type Options struct {
 // input partition is not modified.
 func ME2H(base *partition.Partition, models []costmodel.CostModel, opts Options) (*Composite, *BuildStats, error) {
 	b := newBuilder(base, models, opts)
-	start := time.Now()
-	b.place(wholeVertex{b})
-
 	// EAssign (lines 14-18): split what remains edge by edge onto the
-	// cheapest fragment per algorithm.
-	for j := range b.parts {
+	// cheapest fragment.
+	return b.build(wholeVertex{b}, func(t *target) {
 		for v := 0; v < b.g.NumVertices(); v++ {
 			vid := graph.VertexID(v)
-			if b.assigned[j][vid] {
-				continue
+			if !t.routed[v] {
+				t.arcs = wholeArcs(t.arcs[:0], b.g, vid)
+				b.eAssign(t, vid, t.arcs)
 			}
-			b.eAssign(j, vid, wholeArcs(b.g, vid))
 		}
-	}
-
-	// MAssign (line 19) per algorithm.
-	for j, p := range b.parts {
-		refine.MAssignOnly(p, b.models[j])
-	}
-	b.stats.Total = time.Since(start)
-
-	comp, err := New(b.g, b.parts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return comp, b.stats, nil
+	})
 }
 
 // ForFamily builds the composite for the family of the baseline that
@@ -77,103 +63,161 @@ func ForFamily(fam partitioner.Family, base *partition.Partition, models []costm
 	return nil, nil, fmt.Errorf("composite: a %v baseline is neither edge-cut nor vertex-cut", fam)
 }
 
-// builder carries the shared state of ME2H/MV2H.
-type builder struct {
-	g        *graph.Graph
-	base     *partition.Partition
-	models   []costmodel.CostModel
-	n        int
-	parts    []*partition.Partition
-	trs      []*costmodel.Tracker
-	budgets  []float64
-	assigned []map[graph.VertexID]bool // per algorithm: vertex fully routed (ME2H)
-	// copyAssigned tracks per-copy routing for MV2H, keyed by
-	// (fragment, vertex).
-	copyAssigned []map[uint64]bool
-	naiveDest    bool
-	stats        *BuildStats
+// target is one algorithm's side of a build: everything ME2H/MV2H read
+// and write for algorithm j except the set cover GetDest shares.
+type target struct {
+	model  costmodel.CostModel
+	budget float64
+	part   *partition.Partition
+	tr     *costmodel.Tracker
+	// routed[unit.key(i, v)] is set once (i, v) is placed whole.
+	routed []bool
+	// kept[p] is set when Init kept builder.units[p] in its base fragment.
+	kept []bool
+	arcs []arcT // split scratch
+
+	assigned, splitEdges, merged int
 }
 
-// rebuildTrackers re-evaluates every target partition from scratch,
-// clearing the drift the light per-vertex refreshes accumulate.
-func (b *builder) rebuildTrackers() {
-	for j := range b.parts {
-		b.trs[j] = costmodel.NewTracker(b.parts[j], b.models[j])
-	}
+// position is one eligible unit (i, v) of the base.
+type position struct {
+	i int
+	v graph.VertexID
+}
+
+// builder carries the shared state of ME2H/MV2H.
+type builder struct {
+	g       *graph.Graph
+	base    *partition.Partition
+	n       int
+	targets []*target
+	// units lists the eligible units in the BFS order of procedure Init,
+	// base fragment by base fragment.
+	units     []position
+	naiveDest bool
+	// GetDest scratch: the algorithms still pending and the fragment
+	// probe order.
+	ov    []*target
+	order []int
 }
 
 func newBuilder(base *partition.Partition, models []costmodel.CostModel, opts Options) *builder {
-	g := base.Graph()
-	n := base.NumFragments()
-	b := &builder{g: g, base: base, models: models, n: n, naiveDest: opts.NaiveDest, stats: &BuildStats{}}
+	b := &builder{g: base.Graph(), base: base, n: base.NumFragments(), naiveDest: opts.NaiveDest}
 	for _, m := range models {
-		// Budget Bj = average ChAj over the INPUT partition (line 1),
-		// with 5% slack so that algorithms the input already balances
-		// keep their vertices in place (scattering them would trade
-		// locality for nothing).
-		costs := costmodel.Evaluate(base, m)
-		b.budgets = append(b.budgets, 1.05*costmodel.TotalComp(costs)/float64(n))
-		p := partition.NewEmpty(g, n)
-		b.parts = append(b.parts, p)
-		b.trs = append(b.trs, costmodel.NewTracker(p, m))
-		b.assigned = append(b.assigned, map[graph.VertexID]bool{})
-		b.copyAssigned = append(b.copyAssigned, map[uint64]bool{})
+		b.targets = append(b.targets, &target{model: m})
 	}
-	b.stats.Budgets = b.budgets
 	return b
 }
 
 // unit is what Init and GetDest place (Fig. 7): ME2H routes whole
 // vertices (wholeVertex), MV2H base copies (i, v) with their local arc
-// sets (baseCopy). j names the target partition, x a fragment of it.
+// sets (baseCopy). x names a fragment of the target partition.
 type unit interface {
 	// eligible reports whether (i, v) carries computation to place.
 	eligible(i int, v graph.VertexID) bool
-	// pending reports whether partition j still needs (i, v) placed.
-	pending(j, i int, v graph.VertexID) bool
+	// keys is the size of a target's routed bitmap, key (i, v)'s slot.
+	keys() int
+	key(i int, v graph.VertexID) int
 	// fits probes ChAj(F^j_x ∪ (i, v)) ≤ Bj.
-	fits(j, i, x int, v graph.VertexID) bool
-	apply(j, i, x int, v graph.VertexID)
-	// cost is (i, v)'s hypothetical contribution under model j.
-	cost(j, i int, v graph.VertexID) float64
+	fits(t *target, i, x int, v graph.VertexID) bool
+	apply(t *target, i, x int, v graph.VertexID)
+	// cost is (i, v)'s hypothetical contribution under t's model.
+	cost(t *target, i int, v graph.VertexID) float64
 }
 
-// place runs Init and VAssign over the base fragments, each walked in
-// the BFS order of procedure Init. Init keeps every eligible unit in
-// place for each algorithm whose budget allows — growing the shared
-// core Ci; VAssign (lines 8-13) routes the leftovers with GetDest.
-func (b *builder) place(u unit) {
+// build runs the schedule ME2H and MV2H share. Every step reads and
+// writes one target only, except GetDest, whose set cover picks one
+// fragment for all the algorithms still pending. So the build is two
+// per-target sections on the shared pool around one sequential GetDest
+// sweep:
+//
+//   - (A) budget, Init over the BFS orders, tracker rebuild;
+//   - GetDest (VAssign, lines 8-13) for every unit, in BFS order;
+//   - (B) tracker rebuild, split (per algorithm), MAssign (line 19).
+//
+// Each target runs its steps in this order and sees only its own state
+// (and the read-only base), so the result does not depend on the worker
+// count.
+func (b *builder) build(u unit, split func(t *target)) (*Composite, *BuildStats, error) {
+	start := time.Now()
 	var bfs refine.BFS
-	orders := make([][]graph.VertexID, b.n)
-	for i := range orders {
-		orders[i] = slices.Clone(bfs.Order(b.base, i))
-	}
-	for i, order := range orders {
-		for _, v := range order {
-			if !u.eligible(i, v) {
-				continue
-			}
-			shared := 0
-			for j := range b.parts {
-				if u.fits(j, i, i, v) {
-					u.apply(j, i, i, v)
-					shared++
-				}
-			}
-			if shared == len(b.parts) {
-				b.stats.InitShared++
-			}
-		}
-	}
-	b.rebuildTrackers()
-	for i, order := range orders {
-		for _, v := range order {
+	for i := 0; i < b.n; i++ {
+		for _, v := range bfs.Order(b.base, i) {
 			if u.eligible(i, v) {
-				b.getDest(u, i, v)
+				b.units = append(b.units, position{i, v})
 			}
 		}
 	}
-	b.rebuildTrackers()
+	pl := pool.Default()
+	pl.RunChunks(len(b.targets), 1, func(lo, hi int) {
+		for _, t := range b.targets[lo:hi] {
+			b.initTarget(u, t)
+		}
+	})
+	for _, p := range b.units {
+		b.getDest(u, p.i, p.v)
+	}
+	pl.RunChunks(len(b.targets), 1, func(lo, hi int) {
+		for _, t := range b.targets[lo:hi] {
+			t.tr = costmodel.NewTracker(t.part, t.model)
+			split(t)
+			refine.MAssignOnly(t.part, t.model)
+		}
+	})
+
+	st := &BuildStats{}
+	parts := make([]*partition.Partition, len(b.targets))
+	for j, t := range b.targets {
+		parts[j] = t.part
+		st.Budgets = append(st.Budgets, t.budget)
+		st.Assigned += t.assigned
+		st.SplitEdges += t.splitEdges
+		st.Merged += t.merged
+	}
+	for p := range b.units {
+		shared := true
+		for _, t := range b.targets {
+			shared = shared && t.kept[p]
+		}
+		if shared {
+			st.InitShared++
+		}
+	}
+	st.Total = time.Since(start)
+	comp, err := New(b.g, parts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return comp, st, nil
+}
+
+// initTarget is section (A) for one target. Budget Bj = average ChAj
+// over the INPUT partition (line 1), with 5% slack so that algorithms
+// the input already balances keep their vertices in place (scattering
+// them would trade locality for nothing). Init then keeps every unit in
+// place that the budget allows — growing the shared core Ci.
+func (b *builder) initTarget(u unit, t *target) {
+	t.budget = 1.05 * costmodel.TotalComp(costmodel.Evaluate(b.base, t.model)) / float64(b.n)
+	t.part = partition.NewEmpty(b.g, b.n)
+	t.tr = costmodel.NewTracker(t.part, t.model)
+	t.routed = make([]bool, u.keys())
+	t.kept = make([]bool, len(b.units))
+	for p, pos := range b.units {
+		if u.fits(t, pos.i, pos.i, pos.v) {
+			b.assign(u, t, pos.i, pos.i, pos.v)
+			t.kept[p] = true
+		}
+	}
+	// Re-evaluate from scratch, clearing the drift the light per-vertex
+	// refreshes accumulated.
+	t.tr = costmodel.NewTracker(t.part, t.model)
+}
+
+// assign places unit (i, v) whole into fragment x of t's partition.
+func (b *builder) assign(u unit, t *target, i, x int, v graph.VertexID) {
+	u.apply(t, i, x, v)
+	t.routed[u.key(i, v)] = true
+	t.assigned++
 }
 
 // getDest implements procedure GetDest (Fig. 7): given the set Ov of
@@ -183,31 +227,39 @@ func (b *builder) place(u unit) {
 // composite and with it fc. NaiveDest instead lets each algorithm take
 // the first fragment that fits.
 func (b *builder) getDest(u unit, src int, v graph.VertexID) {
-	var ov []int
-	for j := range b.parts {
-		if u.pending(j, src, v) {
-			ov = append(ov, j)
+	ov := b.ov[:0]
+	for _, t := range b.targets {
+		if !t.routed[u.key(src, v)] {
+			ov = append(ov, t)
 		}
 	}
+	b.ov = ov
 	if b.naiveDest {
-		for _, j := range ov {
+		for _, t := range ov {
 			for x := 0; x < b.n; x++ {
-				if u.fits(j, src, x, v) {
-					u.apply(j, src, x, v)
+				if u.fits(t, src, x, v) {
+					b.assign(u, t, src, x, v)
 					break
 				}
 			}
 		}
 		return
 	}
+	// The source fragment is probed first so that cover ties keep the
+	// candidate where its neighbours are (locality).
+	order := append(b.order[:0], src)
+	for x := 0; x < b.n; x++ {
+		if x != src {
+			order = append(order, x)
+		}
+	}
+	b.order = order
 	for len(ov) > 0 {
 		bestX, bestCover := -1, 0
-		// The source fragment is probed first so that cover ties keep
-		// the candidate where its neighbours are (locality).
-		for _, x := range b.fragOrder(src) {
+		for _, x := range order {
 			cover := 0
-			for _, j := range ov {
-				if u.fits(j, src, x, v) {
+			for _, t := range ov {
+				if u.fits(t, src, x, v) {
 					cover++
 				}
 			}
@@ -221,25 +273,27 @@ func (b *builder) getDest(u unit, src int, v graph.VertexID) {
 			// to the currently cheapest one (the budgets hover at the
 			// average late in the pass, and shredding it via EAssign
 			// would destroy locality for nothing); only genuine
-			// over-budget hubs are left for EAssign. Placing for j
-			// changes only partition j, so no later j fits either.
-			for _, j := range ov {
+			// over-budget hubs are left for EAssign. Placing for t
+			// changes only t's partition, so no later t fits either.
+			for _, t := range ov {
 				// Keep only small units whole: a large one would
 				// overload the destination (quadratic-cost algorithms
 				// care), so it is left for EAssign to split.
-				if u.cost(j, src, v) > 0.25*b.budgets[j] {
+				if u.cost(t, src, v) > 0.25*t.budget {
 					continue
 				}
-				u.apply(j, src, b.trs[j].ArgminComp(), v)
+				b.assign(u, t, src, t.tr.ArgminComp(), v)
 			}
 			return
 		}
-		var rest []int
-		for _, j := range ov {
-			if u.fits(j, src, bestX, v) {
-				u.apply(j, src, bestX, v)
+		// Filter in place: each algorithm's probe reads only its own
+		// partition, so placing one does not change another's answer.
+		rest := ov[:0]
+		for _, t := range ov {
+			if u.fits(t, src, bestX, v) {
+				b.assign(u, t, src, bestX, v)
 			} else {
-				rest = append(rest, j)
+				rest = append(rest, t)
 			}
 		}
 		ov = rest
@@ -254,16 +308,17 @@ func (b wholeVertex) eligible(i int, v graph.VertexID) bool {
 	return b.base.Status(i, v) == partition.ECutNode
 }
 
-func (b wholeVertex) pending(j, _ int, v graph.VertexID) bool { return !b.assigned[j][v] }
+func (b wholeVertex) keys() int                       { return b.g.NumVertices() }
+func (b wholeVertex) key(_ int, v graph.VertexID) int { return int(v) }
 
-func (b wholeVertex) fits(j, i, x int, v graph.VertexID) bool {
-	return b.trs[j].Comp(x)+b.cost(j, i, v) <= b.budgets[j]
+func (b wholeVertex) fits(t *target, i, x int, v graph.VertexID) bool {
+	return t.tr.Comp(x)+b.cost(t, i, v) <= t.budget
 }
 
-// apply places v with every incident arc into fragment x of
-// partition j.
-func (b wholeVertex) apply(j, _, x int, v graph.VertexID) {
-	p := b.parts[j]
+// apply places v with every incident arc into fragment x of t's
+// partition.
+func (b wholeVertex) apply(t *target, _, x int, v graph.VertexID) {
+	p := t.part
 	for _, w := range b.g.OutNeighbors(v) {
 		p.AddArc(x, v, w)
 	}
@@ -275,80 +330,57 @@ func (b wholeVertex) apply(j, _, x int, v graph.VertexID) {
 	}
 	p.SetOwner(v, x)
 	_ = p.SetMaster(v, x)
-	b.assigned[j][v] = true
 	// Only the subject vertex is refreshed during the bulk build;
-	// neighbour contributions drift slightly and are reconciled by
-	// rebuildTrackers at the phase boundaries. Exact per-arc refreshes
-	// would cost O(deg·n) per assignment and dominate the build (the
-	// whole point of ME2H is to be cheaper than k separate refiners).
-	b.trs[j].Refresh(v)
-	b.stats.Assigned++
+	// neighbour contributions drift slightly and are reconciled by the
+	// tracker rebuilds at the section boundaries. Exact per-arc
+	// refreshes would cost O(deg·n) per assignment and dominate the
+	// build (the whole point of ME2H is to be cheaper than k separate
+	// refiners).
+	t.tr.Refresh(v)
 }
 
 // cost is v's hypothetical contribution as a complete copy.
-func (b wholeVertex) cost(j, _ int, v graph.VertexID) float64 {
-	return b.trs[j].HypotheticalComp(v, b.g.InDegree(v), b.g.OutDegree(v), 0, false)
-}
-
-// fragOrder yields fragment indices with src first.
-func (b *builder) fragOrder(src int) []int {
-	order := make([]int, 0, b.n)
-	if src >= 0 && src < b.n {
-		order = append(order, src)
-	}
-	for x := 0; x < b.n; x++ {
-		if x != src {
-			order = append(order, x)
-		}
-	}
-	return order
+func (b wholeVertex) cost(t *target, _ int, v graph.VertexID) float64 {
+	return t.tr.HypotheticalComp(v, b.g.InDegree(v), b.g.OutDegree(v), 0, false)
 }
 
 // arcT is one arc to place.
 type arcT struct{ u, w graph.VertexID }
 
-// wholeArcs lists every incident arc of v (canonical single direction
-// for undirected graphs).
-func wholeArcs(g *graph.Graph, v graph.VertexID) []arcT {
-	var arcs []arcT
+func compareArcs(a, c arcT) int {
+	if a.u != c.u {
+		return cmp.Compare(a.u, c.u)
+	}
+	return cmp.Compare(a.w, c.w)
+}
+
+// wholeArcs appends every incident arc of v (canonical single
+// direction for undirected graphs) to arcs, in key order.
+func wholeArcs(arcs []arcT, g *graph.Graph, v graph.VertexID) []arcT {
 	for _, w := range g.OutNeighbors(v) {
 		if g.Undirected() && v > w {
 			continue
 		}
 		arcs = append(arcs, arcT{v, w})
 	}
-	if !g.Undirected() {
-		for _, w := range g.InNeighbors(v) {
+	for _, w := range g.InNeighbors(v) {
+		if !g.Undirected() || w < v {
 			arcs = append(arcs, arcT{w, v})
 		}
-	} else {
-		for _, w := range g.InNeighbors(v) {
-			if w < v {
-				arcs = append(arcs, arcT{w, v})
-			}
-		}
 	}
-	sort.Slice(arcs, func(a, c int) bool {
-		if arcs[a].u != arcs[c].u {
-			return arcs[a].u < arcs[c].u
-		}
-		return arcs[a].w < arcs[c].w
-	})
+	slices.SortFunc(arcs, compareArcs)
 	return arcs
 }
 
-// eAssign splits v's arcs one by one onto the cheapest fragment of
-// partition j.
-func (b *builder) eAssign(j int, v graph.VertexID, arcs []arcT) {
-	p := b.parts[j]
-	tr := b.trs[j]
+// eAssign splits v's arcs one by one onto the cheapest fragment of t's
+// partition.
+func (b *builder) eAssign(t *target, v graph.VertexID, arcs []arcT) {
 	for _, a := range arcs {
-		p.AddEdge(tr.ArgminComp(), a.u, a.w)
-		tr.RefreshSet([]graph.VertexID{a.u, a.w})
-		b.stats.SplitEdges++
+		t.part.AddEdge(t.tr.ArgminComp(), a.u, a.w)
+		t.tr.RefreshSet([]graph.VertexID{a.u, a.w}) // does not escape
+		t.splitEdges++
 	}
-	if len(arcs) == 0 && len(p.Copies(v)) == 0 {
-		p.AddVertex(int(v)%b.n, v)
+	if len(arcs) == 0 && len(t.part.Copies(v)) == 0 {
+		t.part.AddVertex(int(v)%b.n, v)
 	}
-	b.assigned[j][v] = true
 }

@@ -1,8 +1,6 @@
 package composite
 
 import (
-	"time"
-
 	"adp/internal/costmodel"
 	"adp/internal/graph"
 	"adp/internal/partition"
@@ -17,34 +15,19 @@ import (
 // The input partition is not modified.
 func MV2H(base *partition.Partition, models []costmodel.CostModel, opts Options) (*Composite, *BuildStats, error) {
 	b := newBuilder(base, models, opts)
-	start := time.Now()
-	b.place(baseCopy{b})
-
-	// Residuals: split edge by edge.
-	for j := range b.parts {
+	u := baseCopy{b}
+	return b.build(u, func(t *target) {
+		// Residuals: split edge by edge, then VMerge.
 		for i := 0; i < b.n; i++ {
 			for _, v := range base.Fragment(i).SortedVertices() {
-				if !isComputeCopy(base, i, v) || b.localAssigned(j, i, v) {
-					continue
+				if isComputeCopy(base, i, v) && !t.routed[u.key(i, v)] {
+					t.arcs = localArcs(t.arcs[:0], base, i, v)
+					b.eAssign(t, v, t.arcs)
 				}
-				b.eAssign(j, v, localArcs(base, i, v))
-				b.markLocal(j, i, v)
 			}
 		}
-	}
-
-	// VMerge + MAssign per algorithm.
-	for j, p := range b.parts {
-		b.stats.Merged += refine.VMergeSweep(p, b.models[j], b.budgets[j])
-		refine.MAssignOnly(p, b.models[j])
-	}
-	b.stats.Total = time.Since(start)
-
-	comp, err := New(b.g, b.parts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return comp, b.stats, nil
+		t.merged = refine.VMergeSweep(t.part, t.model, t.budget)
+	})
 }
 
 // isComputeCopy reports whether the copy of v in base fragment i
@@ -54,46 +37,37 @@ func isComputeCopy(base *partition.Partition, i int, v graph.VertexID) bool {
 	return s == partition.ECutNode || s == partition.VCutNode
 }
 
-func (b *builder) localAssigned(j, i int, v graph.VertexID) bool {
-	return b.copyAssigned[j][copyKey(i, v)]
-}
-
-func (b *builder) markLocal(j, i int, v graph.VertexID) {
-	b.copyAssigned[j][copyKey(i, v)] = true
-}
-
-func copyKey(i int, v graph.VertexID) uint64 { return uint64(i)<<32 | uint64(v) }
-
 // baseCopy is MV2H's unit: the copy of v in base fragment i with its
 // local arc set (v, Evi).
 type baseCopy struct{ *builder }
 
 func (b baseCopy) eligible(i int, v graph.VertexID) bool { return isComputeCopy(b.base, i, v) }
 
-func (b baseCopy) pending(j, i int, v graph.VertexID) bool { return !b.localAssigned(j, i, v) }
+func (b baseCopy) keys() int                       { return b.n * b.g.NumVertices() }
+func (b baseCopy) key(i int, v graph.VertexID) int { return i*b.g.NumVertices() + int(v) }
 
 // fits probes ChAj(F^j_x ∪ (v,Evi)) ≤ Bj, counting the arcs v already
 // has in F^j_x.
-func (b baseCopy) fits(j, i, x int, v graph.VertexID) bool {
+func (b baseCopy) fits(t *target, i, x int, v graph.VertexID) bool {
 	adj := b.base.Fragment(i).Adjacency(v)
 	if adj == nil {
 		return true
 	}
-	dstAdj := b.parts[j].Fragment(x).Adjacency(v)
+	dstAdj := t.part.Fragment(x).Adjacency(v)
 	in, out := len(adj.In), len(adj.Out)
 	if dstAdj != nil {
 		in += len(dstAdj.In)
 		out += len(dstAdj.Out)
 	}
-	h := b.trs[j].HypotheticalComp(v, in, out, b.base.Replication(v), !b.base.IsComplete(i, v))
-	delta := h - b.trs[j].Contribution(x, v)
-	return b.trs[j].Comp(x)+delta <= b.budgets[j]
+	h := t.tr.HypotheticalComp(v, in, out, b.base.Replication(v), !b.base.IsComplete(i, v))
+	delta := h - t.tr.Contribution(x, v)
+	return t.tr.Comp(x)+delta <= t.budget
 }
 
 // apply places base copy (i,v) — its local arc set — into fragment x
-// of partition j.
-func (b baseCopy) apply(j, i, x int, v graph.VertexID) {
-	p := b.parts[j]
+// of t's partition.
+func (b baseCopy) apply(t *target, i, x int, v graph.VertexID) {
+	p := t.part
 	adj := b.base.Fragment(i).Adjacency(v)
 	if adj != nil {
 		for _, w := range adj.Out {
@@ -106,44 +80,36 @@ func (b baseCopy) apply(j, i, x int, v graph.VertexID) {
 	if adj == nil || adj.LocalDegree() == 0 {
 		p.AddVertex(x, v)
 	}
-	b.markLocal(j, i, v)
 	// Light refresh; see wholeVertex.apply.
-	b.trs[j].Refresh(v)
-	b.stats.Assigned++
+	t.tr.Refresh(v)
 }
 
 // cost is base copy (i,v)'s hypothetical contribution on its own.
-func (b baseCopy) cost(j, i int, v graph.VertexID) float64 {
+func (b baseCopy) cost(t *target, i int, v graph.VertexID) float64 {
 	adj := b.base.Fragment(i).Adjacency(v)
 	if adj == nil {
 		return 0
 	}
-	return b.trs[j].HypotheticalComp(v, len(adj.In), len(adj.Out), b.base.Replication(v), !b.base.IsComplete(i, v))
+	return t.tr.HypotheticalComp(v, len(adj.In), len(adj.Out), b.base.Replication(v), !b.base.IsComplete(i, v))
 }
 
-// localArcs lists the base-local incident arcs of copy (i,v),
-// canonical single direction for undirected graphs.
-func localArcs(base *partition.Partition, i int, v graph.VertexID) []arcT {
+// localArcs appends the base-local incident arcs of copy (i,v),
+// canonical single direction for undirected graphs, to arcs.
+func localArcs(arcs []arcT, base *partition.Partition, i int, v graph.VertexID) []arcT {
 	adj := base.Fragment(i).Adjacency(v)
 	if adj == nil {
-		return nil
+		return arcs
 	}
-	g := base.Graph()
-	var arcs []arcT
+	undirected := base.Graph().Undirected()
 	for _, w := range adj.Out {
-		if g.Undirected() && v > w {
-			continue
+		if !undirected || v <= w {
+			arcs = append(arcs, arcT{v, w})
 		}
-		arcs = append(arcs, arcT{v, w})
 	}
 	for _, w := range adj.In {
-		if g.Undirected() {
-			if w < v {
-				arcs = append(arcs, arcT{w, v})
-			}
-			continue
+		if !undirected || w < v {
+			arcs = append(arcs, arcT{w, v})
 		}
-		arcs = append(arcs, arcT{w, v})
 	}
 	return arcs
 }

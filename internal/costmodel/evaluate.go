@@ -113,10 +113,11 @@ type Tracker struct {
 
 // fragSlab is one fragment's dense contribution store. slot maps a
 // vertex id to a slab index (-1 when the vertex never had a tracked
-// contribution here); the slabs grow by appending when refinement
-// moves a new vertex into the fragment. On a compiled fragment the
-// remap starts as the CSR local-id array (compact); otherwise slots
-// are graph-wide vertex ids.
+// contribution here); the slabs grow by appending when a vertex is
+// first tracked in the fragment. On a compiled fragment the remap
+// starts as the CSR local-id array (compact); otherwise every slot
+// starts at -1, so the slabs are sized to what the fragment holds, not
+// to the graph.
 type fragSlab struct {
 	slot   []int32
 	comp   []float64
@@ -133,17 +134,17 @@ func (s *fragSlab) init(f *partition.Fragment, numVertices int) {
 	}
 	s.slot = make([]int32, numVertices)
 	for v := range s.slot {
-		s.slot[v] = int32(v)
+		s.slot[v] = -1
 	}
-	s.grow(numVertices)
 }
 
+// grow extends the slabs to n rows of "no contribution".
 func (s *fragSlab) grow(n int) {
-	for len(s.comp) < n {
-		s.comp = append(s.comp, 0)
-		s.comm = append(s.comm, 0)
-		s.vars = append(s.vars, Vars{})
-		s.varsOK = append(s.varsOK, false)
+	if d := n - len(s.comp); d > 0 {
+		s.comp = append(s.comp, make([]float64, d)...)
+		s.comm = append(s.comm, make([]float64, d)...)
+		s.vars = append(s.vars, make([]Vars, d)...)
+		s.varsOK = append(s.varsOK, make([]bool, d)...)
 	}
 }
 

@@ -3,7 +3,9 @@ package costmodel
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"adp/internal/gen"
 	"adp/internal/graph"
@@ -182,6 +184,31 @@ func TestTrackerMatchesEvaluate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A tracker over a sparsely filled map-form partition — NewEmpty plus a
+// few arcs, as every composite build starts — sizes its slabs to what
+// the fragments hold: its bytes must not scale with fragments × |V|
+// Vars rows.
+func TestNewTrackerSparseMapFormBytes(t *testing.T) {
+	const nv, frags = 20000, 16
+	g := gen.ErdosRenyi(nv, 2, false, 5)
+	p := partition.NewEmpty(g, frags)
+	for k, e := range g.EdgeList()[:200] {
+		p.AddEdge(k%frags, e.Src, e.Dst)
+	}
+	m := Reference(CN)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tr := NewTracker(p, m)
+	runtime.ReadMemStats(&after)
+	dense := uint64(frags*nv) * uint64(unsafe.Sizeof(Vars{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got > dense/4 {
+		t.Fatalf("NewTracker allocated %d bytes over %d sparse fragments of %d vertices; %d would be one Vars row per (fragment, vertex)",
+			got, frags, nv, dense)
+	}
+	assertTrackerMatches(t, tr, p, m, "sparse map form")
 }
 
 // tr2partition exposes the tracker's partition for the test; the

@@ -302,7 +302,7 @@ func (l *Loop) detect() (float64, []float64) {
 			rows[i] = work[i]
 			continue
 		}
-		costs := costmodel.Evaluate(comp.Partition(i%comp.K()), costmodel.Reference(a))
+		costs := costmodel.Evaluate(comp.Partition(comp.PartitionFor(a)), costmodel.Reference(a))
 		rows[i] = costmodel.FragTotals(costs)
 	}
 	return costmodel.WeightedImbalance(rows, weights), weights
@@ -413,7 +413,7 @@ func (l *Loop) buildCandidate(base *composite.Composite) (cand *composite.Compos
 	defer cancel()
 	for j := 0; j < work.K(); j++ {
 		p := work.Partition(j)
-		model := l.partitionModel(j, work.K())
+		model := partitionModel(work, j)
 		var rerr error
 		if hasVCut(p) {
 			_, rerr = refine.ParV2HCtx(ctx, p, model, l.cfg.Refine)
@@ -436,15 +436,15 @@ func (l *Loop) buildCandidate(base *composite.Composite) (cand *composite.Compos
 	return rebuilt, nil
 }
 
-// partitionModel picks the cost model partition j is refined against:
-// the reference model of the algorithm that maps onto j (the serving
-// plane routes algorithm i to partition i % K). When several
-// algorithms share j, the first wins — their reference models agree on
-// the load-balance direction that matters for drift.
-func (l *Loop) partitionModel(j, k int) costmodel.CostModel {
+// partitionModel picks the cost model partition j of c is refined
+// against: the reference model of the algorithm that runs on j
+// (Composite.PartitionFor). When several algorithms share j, the first
+// wins — their reference models agree on the load-balance direction
+// that matters for drift.
+func partitionModel(c *composite.Composite, j int) costmodel.CostModel {
 	algos := costmodel.Algos()
-	for i, a := range algos {
-		if i%k == j {
+	for _, a := range algos {
+		if c.PartitionFor(a) == j {
 			return costmodel.Reference(a)
 		}
 	}
@@ -474,7 +474,7 @@ var oracleOpts = algorithms.Options{}
 // (Value and Checksum) is bitwise placement-independent, so base and
 // candidate must agree exactly even though their placements differ.
 func (l *Loop) oracleRun(c *composite.Composite) (algorithms.Outcome, error) {
-	part := c.Partition(algoIndexOf(costmodel.WCC) % c.K())
+	part := c.Partition(c.PartitionFor(costmodel.WCC))
 	cl := engine.NewCluster(part).UsePool(l.pool())
 	opts := engine.Options{Context: l.ctx}
 	if l.cfg.OracleInjector != nil {
@@ -482,15 +482,6 @@ func (l *Loop) oracleRun(c *composite.Composite) (algorithms.Outcome, error) {
 	}
 	cl.Configure(opts)
 	return algorithms.Run(cl, costmodel.WCC, oracleOpts)
-}
-
-func algoIndexOf(a costmodel.Algo) int {
-	for i, x := range costmodel.Algos() {
-		if x == a {
-			return i
-		}
-	}
-	return 0
 }
 
 // validate is the promotion gate: coherence index, bitwise oracle
@@ -538,7 +529,7 @@ func (l *Loop) weightedCost(c *composite.Composite, weights []float64) float64 {
 			}
 			w = weights[i]
 		}
-		costs := costmodel.Evaluate(c.Partition(i%c.K()), costmodel.Reference(a))
+		costs := costmodel.Evaluate(c.Partition(c.PartitionFor(a)), costmodel.Reference(a))
 		total += w * costmodel.ParallelCost(costs)
 	}
 	return total

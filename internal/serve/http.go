@@ -407,7 +407,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		ApproxBytes:     ems.epochBytes,
 	}
 	for i, a := range costmodel.Algos() {
-		j := i % ep.comp.K()
+		j := ep.comp.PartitionFor(a)
 		resp.Algorithms = append(resp.Algorithms, algoMetrics{
 			Algo: a.String(), Partition: j,
 			FV: met[j].FV, FE: met[j].FE,

@@ -282,8 +282,8 @@ func (s *Server) newEpoch(seq uint64, comp *composite.Composite, lsn uint64) *ep
 	e := &epoch{seq: seq, lsn: lsn, comp: comp}
 	algos := costmodel.Algos()
 	e.pools = make([]*sessionPool, len(algos))
-	for i := range algos {
-		part := comp.Partition(i % comp.K())
+	for i, a := range algos {
+		part := comp.Partition(comp.PartitionFor(a))
 		e.pools[i] = newSessionPool(part, s.pool(), s.cfg.SessionsPerAlgo)
 	}
 	return e
@@ -378,10 +378,8 @@ func (s *Server) pin() *epoch {
 
 func (e *epoch) unpin() { e.pins.Add(-1) }
 
-// algoIndex returns a's position in costmodel.Algos(); the epoch's
-// session pool for that index runs over partition index%K — 1:1 when
-// the store bundles the full five-algorithm batch, folded modulo K
-// for smaller composites.
+// algoIndex returns a's position in costmodel.Algos(), the index of
+// its session pool and of its observed-work row.
 func algoIndex(a costmodel.Algo) int { return max(slices.Index(costmodel.Algos(), a), 0) }
 
 // metrics computes (once per epoch) the structural metrics and
@@ -397,7 +395,7 @@ func (e *epoch) metrics() ([]partition.Metrics, []float64, []float64) {
 		e.cost = make([]float64, len(algos))
 		e.lambda = make([]float64, len(algos))
 		for i, a := range algos {
-			costs := costmodel.Evaluate(e.comp.Partition(i%e.comp.K()), costmodel.Reference(a))
+			costs := costmodel.Evaluate(e.comp.Partition(e.comp.PartitionFor(a)), costmodel.Reference(a))
 			e.cost[i] = costmodel.ParallelCost(costs)
 			e.lambda[i] = costmodel.LambdaCost(costs)
 		}

@@ -80,8 +80,9 @@ func LambdaCost(costs []FragCost) float64 {
 // Protocol: after every AddArc/RemoveArc/AddEdge/RemoveEdge touching
 // vertices u,v call Refresh(u, v); after SetMaster(v) or SetOwner(v)
 // call Refresh(v). Refresh recomputes those vertices' contributions in
-// all fragments (a vertex's own variables depend only on its own
-// adjacency, copies and status, so this is exact).
+// the fragments holding a copy and clears any a vertex left behind (a
+// vertex's own variables depend only on its own adjacency, copies and
+// status, so this is exact).
 //
 // Representation: per-fragment contributions live in dense slabs
 // indexed by a compact vertex remap (fragSlab) instead of hash maps,
@@ -109,6 +110,8 @@ type Tracker struct {
 	// a per-call set allocation.
 	stamp []uint64
 	epoch uint64
+	// adjs is Refresh's scratch: the adjacency of each copy of v.
+	adjs []*partition.Adj
 }
 
 // fragSlab is one fragment's dense contribution store. slot maps a
@@ -193,9 +196,8 @@ func NewTracker(p *partition.Partition, m CostModel) *Tracker {
 		t.slabs[i].init(p.Fragment(i), g.NumVertices())
 	}
 	for i := 0; i < p.NumFragments(); i++ {
-		f := p.Fragment(i)
-		f.Vertices(func(v graph.VertexID, _ *partition.Adj) {
-			t.refreshAt(i, v, p.CompleteFragment(v))
+		p.Fragment(i).Vertices(func(v graph.VertexID, adj *partition.Adj) {
+			t.refreshAt(i, v, adj, p.CompleteFragment(v))
 		})
 	}
 	return t
@@ -226,14 +228,36 @@ func (t *Tracker) ArgminComp() int {
 }
 
 // Refresh recomputes the contribution of each vertex in every
-// fragment. Cost per vertex: one completeness classification
-// (CompleteFragment) plus an O(1) slab update per fragment — no map
-// probes and no allocation.
+// fragment. Cost per vertex: one adjacency probe per copy, from which
+// v is classified by CompleteFragment's rule (the owner's copy if
+// complete, else the lowest complete one) and those copies are
+// recomputed, plus a slab read per other fragment to clear what v left
+// there — no map probes and no allocation.
 func (t *Tracker) Refresh(vs ...graph.VertexID) {
 	for _, v := range vs {
-		cf := t.p.CompleteFragment(v)
-		for i := 0; i < t.p.NumFragments(); i++ {
-			t.refreshAt(i, v, cf)
+		t.refresh(v)
+	}
+}
+
+func (t *Tracker) refresh(v graph.VertexID) {
+	cs := t.p.Copies(v)
+	t.adjs = t.adjs[:0]
+	deg := t.p.Graph().InDegree(v) + t.p.Graph().OutDegree(v)
+	cf, owner := -1, t.p.Owner(v)
+	for _, i := range cs {
+		adj := t.p.Fragment(int(i)).Adjacency(v)
+		t.adjs = append(t.adjs, adj)
+		if adj.LocalDegree() == deg && (cf < 0 || int(i) == owner) {
+			cf = int(i)
+		}
+	}
+	k := 0
+	for i := range t.slabs {
+		if k < len(cs) && int(cs[k]) == i {
+			t.refreshAt(i, v, t.adjs[k], cf)
+			k++
+		} else {
+			t.refreshAt(i, v, nil, cf)
 		}
 	}
 }
@@ -253,16 +277,15 @@ func (t *Tracker) RefreshSet(vs []graph.VertexID) {
 	}
 }
 
-// extract rebuilds X(v) for fragment i from the cached base vector —
-// value-identical to Extract, without re-reading the graph. cf is
-// CompleteFragment(v); the copy is an e-cut node exactly when cf == i.
-func (t *Tracker) extract(i int, v graph.VertexID, f *partition.Fragment, cf int) Vars {
+// extract rebuilds X(v) for v's copy adj in fragment i from the cached
+// base vector — value-identical to Extract, without re-reading the
+// graph. cf is CompleteFragment(v); the copy is an e-cut node exactly
+// when cf == i.
+func (t *Tracker) extract(i int, v graph.VertexID, adj *partition.Adj, cf int) Vars {
 	x := t.base[v]
 	x[Repl] = float64(t.p.Replication(v))
-	if adj := f.Adjacency(v); adj != nil {
-		x[DLIn] = float64(len(adj.In))
-		x[DLOut] = float64(len(adj.Out))
-	}
+	x[DLIn] = float64(len(adj.In))
+	x[DLOut] = float64(len(adj.Out))
 	if cf != i {
 		x[NotECut] = 1
 	}
@@ -272,16 +295,16 @@ func (t *Tracker) extract(i int, v graph.VertexID, f *partition.Fragment, cf int
 
 // refreshAt replays the map-backed accumulation sequence on the dense
 // slab: subtract the stored (nonzero) contributions, then store and
-// add the recomputed ones, zero meaning "none". cf is the caller's
+// add the recomputed ones, zero meaning "none". adj is v's copy in
+// fragment i, nil when there is none; cf is the caller's
 // CompleteFragment(v).
-func (t *Tracker) refreshAt(i int, v graph.VertexID, cf int) {
+func (t *Tracker) refreshAt(i int, v graph.VertexID, adj *partition.Adj, cf int) {
 	s := &t.slabs[i]
-	f := t.p.Fragment(i)
 	var nc, nm float64
-	slot := int32(-1)
-	if f.Has(v) {
+	var slot int32
+	if adj != nil {
 		slot = s.ensure(v)
-		x := t.extract(i, v, f, cf)
+		x := t.extract(i, v, adj, cf)
 		s.vars[slot] = x
 		s.varsOK[slot] = true
 		if cf == i || cf < 0 { // ECutNode or VCutNode; dummies compute nothing

@@ -1,9 +1,11 @@
 package costmodel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -182,6 +184,60 @@ func TestTrackerMatchesEvaluate(t *testing.T) {
 				t.Fatalf("%v: compiled-model tracker diverged at fragment %d: comp %v vs %v, comm %v vs %v",
 					algo, i, rawComp[i], ccComp[i], rawComm[i], ccComm[i])
 			}
+		}
+	}
+
+	// A seeded walk on a compiled partition, checked after every step:
+	// moving a vertex's copy with all its arcs to another fragment drops
+	// that copy (and the copies of neighbours left edge-less), so Refresh
+	// must clear what they leave in the source fragment's slab; owner and
+	// master changes reclassify a vertex without touching an arc.
+	edges := g.EdgeList()
+	for _, algo := range Algos() {
+		m := Reference(algo)
+		q := p.CloneCOW()
+		tr := NewTracker(q, m)
+		wrng := rand.New(rand.NewSource(24))
+		for step := 0; step < 150; step++ {
+			v := graph.VertexID(wrng.Intn(g.NumVertices()))
+			frag := wrng.Intn(3)
+			touched := []graph.VertexID{v}
+			switch wrng.Intn(4) {
+			case 0:
+				adj := q.Fragment(frag).Adjacency(v)
+				if adj == nil {
+					continue
+				}
+				to := (frag + 1) % 3
+				out, in := slices.Clone(adj.Out), slices.Clone(adj.In)
+				q.RemoveVertex(frag, v)
+				q.AddVertex(to, v)
+				for _, w := range out {
+					q.AddArc(to, v, w)
+				}
+				for _, w := range in {
+					q.AddArc(to, w, v)
+				}
+				touched = append(append(touched, out...), in...)
+			case 1:
+				q.SetOwner(v, frag)
+			case 2:
+				cs := q.Copies(v)
+				if len(cs) == 0 {
+					continue
+				}
+				if err := q.SetMaster(v, int(cs[wrng.Intn(len(cs))])); err != nil {
+					t.Fatal(err)
+				}
+			case 3:
+				e := edges[wrng.Intn(len(edges))]
+				if !q.RemoveArc(frag, e.Src, e.Dst) {
+					q.AddArc(frag, e.Src, e.Dst)
+				}
+				touched = []graph.VertexID{e.Src, e.Dst}
+			}
+			tr.RefreshSet(touched)
+			assertTrackerMatches(t, tr, q, m, fmt.Sprintf("%v walk step %d", algo, step))
 		}
 	}
 }

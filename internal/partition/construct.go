@@ -85,7 +85,7 @@ func FromEdgeAssignment(g *graph.Graph, assign EdgeAssigner, n int) (*Partition,
 
 // Clone returns a deep copy of the partition sharing only the
 // immutable graph: every fragment is copied out whole into an overlay
-// over no base, whatever form the original is in. Refiners mutate
+// over an empty base, whatever form the original is in. Refiners mutate
 // partitions in place; benchmarks clone the baseline first, and the
 // copy-on-write tests use Clone as the oracle that shares nothing.
 func (p *Partition) Clone() *Partition {
@@ -101,20 +101,12 @@ func (p *Partition) Clone() *Partition {
 		q.copies[v] = append([]int32(nil), cs...)
 	}
 	for i, f := range p.frags {
-		ov := &overlay{
-			verts:  make(map[graph.VertexID]*Adj, f.NumVertices()),
-			arcs:   make(map[uint64]bool, f.NumArcs()),
-			nVerts: f.NumVertices(),
-			nArcs:  f.NumArcs(),
-		}
+		q.frags[i] = freezeFragment(i, noBase)
+		ov := q.overlayOf(i)
+		ov.nVerts, ov.nArcs, ov.edits = f.NumVertices(), f.NumArcs(), f.NumArcs()
 		f.Vertices(func(v graph.VertexID, adj *Adj) {
-			ov.verts[v] = &Adj{Out: slices.Clone(adj.Out), In: slices.Clone(adj.In)}
-			for _, w := range adj.Out {
-				ov.arcs[arcKey(v, w)] = true
-			}
+			ov.put(v, &Adj{Out: slices.Clone(adj.Out), In: slices.Clone(adj.In)})
 		})
-		q.frags[i] = &Fragment{id: i}
-		q.frags[i].ov.Store(ov)
 	}
 	return q
 }
@@ -172,14 +164,7 @@ func (p *Partition) Validate() error {
 					return
 				}
 			}
-			found := false
-			for _, c := range p.copies[v] {
-				if int(c) == i {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.Contains(p.copies[v], int32(i)) {
 				verr = fmt.Errorf("partition: copies index misses vertex %d in fragment %d", v, i)
 			}
 		})

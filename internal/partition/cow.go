@@ -56,7 +56,7 @@ func (p *Partition) ShareStats(prev *Partition) (shared, owned int, ownedBytes i
 		if prev != nil && i < len(prev.frags) {
 			pf = prev.frags[i]
 		}
-		if c := f.base.Load(); pf != nil && c != nil && c == pf.base.Load() {
+		if pf != nil && f.base.Load() == pf.base.Load() {
 			shared++
 			continue
 		}
@@ -73,11 +73,8 @@ func (p *Partition) ShareStats(prev *Partition) (shared, owned int, ownedBytes i
 // Used for the /metrics epoch memory accounting; not a heap measurement.
 func (f *Fragment) ApproxBytes(prev *Fragment) int64 {
 	c := f.base.Load()
-	if c == nil {
-		return 0
-	}
 	n := c.byteSize()
-	if prev == nil || prev.base.Load() == nil {
+	if prev == nil {
 		return n
 	}
 	pc := prev.base.Load()

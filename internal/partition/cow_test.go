@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"runtime"
 	"testing"
 
 	"adp/internal/graph"
@@ -221,4 +222,72 @@ func TestCompileFoldIsIdempotent(t *testing.T) {
 	p.RemoveArc(1, s5, t4) // drops t4: a tombstone
 	p.RemoveArc(1, s5, t5) // removed arc, thawed endpoints stay
 	check("overlay over a base", p.frags[1])
+}
+
+// TestReplacementWaveFoldSharesBase: a wave that deletes an arc and
+// inserts it again (what a client rewriting an edge sends) leaves the
+// arc set as it was, so the fold shares the base's arcs, ids and local
+// arrays, and it finds that out without building an arc array to
+// compare: it allocates at least 4 bytes per arc less than a wave of
+// two deletes on the same fragment.
+func TestReplacementWaveFoldSharesBase(t *testing.T) {
+	const n = 4000
+	b := graph.NewBuilder(n)
+	for i := 0; i < n; i++ {
+		b.AddEdge(graph.VertexID(i), graph.VertexID((i+1)%n))
+		b.AddEdge(graph.VertexID(i), graph.VertexID((i+2)%n))
+	}
+	p, err := FromVertexAssignment(b.MustBuild(), make([]int, n), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := p.frags[0]
+	if !f.Compiled() {
+		t.Fatal("constructor should emit a compiled fragment")
+	}
+	replace := func() {
+		if !p.RemoveArc(0, 3, 4) {
+			t.Fatal("arc (3,4) missing")
+		}
+		p.AddArc(0, 3, 4)
+	}
+	old := f.base.Load()
+	replace()
+	p.Compile()
+	c := f.base.Load()
+	if c == old {
+		t.Fatal("the fold should build a new base")
+	}
+	if &c.arcs[0] != &old.arcs[0] || &c.ids[0] != &old.ids[0] || &c.local[0] != &old.local[0] {
+		t.Fatal("a delete + re-insert must share arcs, ids and local with the old base")
+	}
+
+	// foldBytes is what wave plus the Compile that folds it allocate,
+	// summed over a few rounds; restore puts the arc set back unmeasured.
+	foldBytes := func(wave, restore func()) uint64 {
+		var before, after runtime.MemStats
+		var total uint64
+		for round := 0; round < 5; round++ {
+			runtime.ReadMemStats(&before)
+			wave()
+			p.Compile()
+			runtime.ReadMemStats(&after)
+			total += after.TotalAlloc - before.TotalAlloc
+			restore()
+			p.Compile()
+		}
+		return total / 5
+	}
+	replaced := foldBytes(replace, func() {})
+	deleted := foldBytes(func() {
+		p.RemoveArc(0, 3, 4)
+		p.RemoveArc(0, 6, 7)
+	}, func() {
+		p.AddArc(0, 3, 4)
+		p.AddArc(0, 6, 7)
+	})
+	if arcs := uint64(f.NumArcs()); replaced+4*arcs > deleted {
+		t.Fatalf("replacement wave folds in %d bytes, delete-only wave in %d: want at least 4 × %d arcs = %d less",
+			replaced, deleted, arcs, 4*arcs)
+	}
 }

@@ -59,46 +59,47 @@ func (p *Partition) Compile() *Partition {
 			continue
 		}
 		f.base.Store(compileFragment(f.base.Load(), ov, nv))
-		f.ov.Store(nil)
+		if f.ov.CompareAndSwap(ov, nil) {
+			f.stale = ov.touched
+		}
 	}
 	return p
 }
 
 // Compiled reports whether the fragment currently is its flat
 // execution form: a base and no overlay.
-func (f *Fragment) Compiled() bool { return f.ov.Load() == nil && f.base.Load() != nil }
+func (f *Fragment) Compiled() bool { return f.ov.Load() == nil }
 
-// adjacency is Fragment.Adjacency on the base alone; nil-safe.
+// adjacency is Fragment.Adjacency on the base alone.
 func (c *compiledFragment) adjacency(v graph.VertexID) *Adj {
-	if c == nil || int(v) >= len(c.local) {
-		return nil
+	if int(v) < len(c.local) {
+		if l := c.local[v]; l >= 0 {
+			return &c.adjs[l]
+		}
 	}
-	l := c.local[v]
-	if l < 0 {
-		return nil
-	}
-	return &c.adjs[l]
+	return nil
 }
 
-// noBase stands in for the base of a fragment that never had one.
+// has is Fragment.Has on the base alone.
+func (c *compiledFragment) has(v graph.VertexID) bool {
+	return int(v) < len(c.local) && c.local[v] >= 0
+}
+
+// noBase is the base of a fragment that was never compiled.
 var noBase = &compiledFragment{arcOff: []int32{0}}
 
-// compileFragment folds the overlay ov into the base b (nil for a
-// fragment that never had one) by linear merge: only the overlay's
-// touched ids are sorted, the runs of untouched base vertices between
-// them are block-copied, and the id and remap arrays are shared with b
-// when the vertex set did not change, the arc array when the arc set
-// did not (an edge deleted and re-inserted). The result is array for
-// array what sorting and packing the whole fragment from scratch
-// produces.
+// compileFragment folds the overlay ov into the base b by linear
+// merge: only the overlay's touched ids are sorted, the runs of
+// untouched base vertices between them are block-copied, and the id
+// and remap arrays are shared with b when the vertex set did not
+// change, the arc array when the arc set did not (an edge deleted and
+// re-inserted; see sameArcs). The result is array for array what
+// sorting and packing the whole fragment from scratch produces.
 func compileFragment(b *compiledFragment, ov *overlay, numVertices int) *compiledFragment {
-	if b == nil {
-		b = noBase
-	}
 	touched := ov.sortedVerts()
 	sameSet := len(b.local) == numVertices
 	for _, v := range touched {
-		if (ov.verts[v] == nil) != (b.adjacency(v) == nil) {
+		if adj, _ := ov.at(v); (adj == nil) != (b.adjacency(v) == nil) {
 			sameSet = false
 		}
 	}
@@ -147,7 +148,7 @@ func compileFragment(b *compiledFragment, ov *overlay, numVertices int) *compile
 			bo, bi = bo+len(b.adjs[bl].Out), bi+len(b.adjs[bl].In)
 			bl++
 		}
-		if adj := ov.verts[v]; adj != nil {
+		if adj, _ := ov.at(v); adj != nil {
 			pack([]graph.VertexID{v}, []Adj{*adj}, adj.Out, adj.In)
 		}
 	}
@@ -156,10 +157,37 @@ func compileFragment(b *compiledFragment, ov *overlay, numVertices int) *compile
 	if !sameSet {
 		c.local = newLocal(numVertices, c.ids)
 	}
-	if c.arcs = b.arcs; len(ov.arcs) > 0 {
+	if c.arcs = b.arcs; !sameArcs(b, ov, touched) {
 		c.arcs = appendFoldedArcs(make([]uint64, 0, ov.nArcs), b, ov, touched)
 	}
 	return c
+}
+
+// sameArcs reports whether the overlay leaves b's arc set as it is,
+// touched being ov.sortedVerts(). A changed arc always has a thawed
+// source, so it compares each touched vertex's arc run, rebuilt in a
+// scratch the size of one out-degree, with that vertex's run in b: no
+// arc array is built to be thrown away.
+func sameArcs(b *compiledFragment, ov *overlay, touched []graph.VertexID) bool {
+	if ov.edits == 0 {
+		return true
+	}
+	if ov.nArcs != len(b.arcs) {
+		return false
+	}
+	var run, old []uint64
+	for _, v := range touched {
+		if run, old = run[:0], nil; b.has(v) {
+			old = b.arcs[b.arcOff[b.local[v]]:b.arcOff[b.local[v]+1]]
+		}
+		if adj, _ := ov.at(v); adj != nil {
+			run = appendArcRun(run, v, adj.Out)
+		}
+		if !slices.Equal(run, old) {
+			return false
+		}
+	}
+	return true
 }
 
 // newLocal builds the global→local remap of the ascending id array.
@@ -177,8 +205,7 @@ func newLocal(numVertices int, ids []graph.VertexID) []int32 {
 // appendFoldedArcs appends to dst the sorted arc keys of b with the
 // overlay applied, touched being ov.sortedVerts(). A changed arc always
 // has a thawed source, so b's runs of untouched vertices are copied
-// whole and each touched vertex's run is re-derived from its out-list:
-// no key of the overlay's arc map is collected or sorted.
+// whole and each touched vertex's run is re-derived from its out-list.
 func appendFoldedArcs(dst []uint64, b *compiledFragment, ov *overlay, touched []graph.VertexID) []uint64 {
 	bl := 0
 	for _, v := range touched {
@@ -187,7 +214,7 @@ func appendFoldedArcs(dst []uint64, b *compiledFragment, ov *overlay, touched []
 		if bl += n; found {
 			bl++
 		}
-		if adj := ov.verts[v]; adj != nil {
+		if adj, _ := ov.at(v); adj != nil {
 			dst = appendArcRun(dst, v, adj.Out)
 		}
 	}
@@ -204,20 +231,17 @@ func (c *compiledFragment) byteSize() int64 {
 }
 
 // hasArc probes the compiled arc array: O(1) source remap plus a
-// binary search over that source's out-arcs only. Nil-safe.
+// binary search over that source's out-arcs only.
 func (c *compiledFragment) hasArc(u, v graph.VertexID) bool {
 	_, ok := c.arcIndex(u, v)
 	return ok
 }
 
 func (c *compiledFragment) arcIndex(u, v graph.VertexID) (int, bool) {
-	if c == nil || int(u) >= len(c.local) {
+	if !c.has(u) {
 		return 0, false
 	}
 	lu := c.local[u]
-	if lu < 0 {
-		return 0, false
-	}
 	k := arcKey(u, v)
 	lo, hi := int(c.arcOff[lu]), int(c.arcOff[lu+1])
 	for lo < hi {
@@ -241,10 +265,10 @@ func (c *compiledFragment) arcIndex(u, v graph.VertexID) (int, bool) {
 // The cost tracker seeds its dense contribution slabs from it, so on a
 // compiled partition the slabs start compact instead of graph-wide.
 func (f *Fragment) LocalRemap(numVertices int) ([]int32, int) {
-	ov, c := f.ov.Load(), f.base.Load()
-	if ov != nil || c == nil {
+	if f.ov.Load() != nil {
 		return nil, 0
 	}
+	c := f.base.Load()
 	remap := make([]int32, numVertices)
 	n := copy(remap, c.local)
 	for i := n; i < numVertices; i++ {

@@ -272,10 +272,7 @@ func (b *Builder) Build(loner func(v graph.VertexID) int) *Partition {
 // without hashing each arc.
 func (f *Fragment) AppendSortedArcKeys(dst []uint64) []uint64 {
 	ov, b := f.ov.Load(), f.base.Load()
-	if b == nil {
-		b = noBase
-	}
-	if ov == nil || len(ov.arcs) == 0 {
+	if ov == nil || ov.edits == 0 {
 		return append(dst, b.arcs...)
 	}
 	return appendFoldedArcs(dst, b, ov, ov.sortedVerts())

@@ -20,13 +20,7 @@ const partitionMagic = uint32(0xAD9A_0002)
 func Write(w io.Writer, p *Partition) error {
 	bw := bufio.NewWriter(w)
 	le := binary.LittleEndian
-	if err := binary.Write(bw, le, partitionMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, le, uint32(p.NumFragments())); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, le, uint32(p.g.NumVertices())); err != nil {
+	if err := binary.Write(bw, le, [3]uint32{partitionMagic, uint32(p.NumFragments()), uint32(p.g.NumVertices())}); err != nil {
 		return err
 	}
 	for i := 0; i < p.NumFragments(); i++ {
@@ -34,28 +28,20 @@ func Write(w io.Writer, p *Partition) error {
 		if err := binary.Write(bw, le, uint32(f.NumArcs())); err != nil {
 			return err
 		}
-		var werr error
-		f.Vertices(func(v graph.VertexID, adj *Adj) {
-			if werr != nil {
-				return
-			}
-			for _, u := range adj.Out {
-				if err := binary.Write(bw, le, [2]uint32{uint32(v), uint32(u)}); err != nil {
-					werr = err
-					return
-				}
-			}
-		})
-		if werr != nil {
-			return werr
-		}
-		// Edge-less placeholder copies (isolated vertices).
+		// The arcs, then the edge-less placeholder copies (isolated vertices).
+		var arcs [][2]uint32
 		var loners []uint32
 		f.Vertices(func(v graph.VertexID, adj *Adj) {
+			for _, u := range adj.Out {
+				arcs = append(arcs, [2]uint32{uint32(v), uint32(u)})
+			}
 			if adj.LocalDegree() == 0 {
 				loners = append(loners, uint32(v))
 			}
 		})
+		if err := binary.Write(bw, le, arcs); err != nil {
+			return err
+		}
 		if err := binary.Write(bw, le, uint32(len(loners))); err != nil {
 			return err
 		}

@@ -50,14 +50,15 @@ func (p *Partition) ComputeMetrics() Metrics {
 	if p.g.NumEdges() > 0 {
 		m.FE = eSum / float64(p.g.NumEdges())
 	}
-	m.LambdaV = balanceFactor(vCounts)
-	m.LambdaE = balanceFactor(eCounts)
+	m.LambdaV = BalanceFactor(vCounts)
+	m.LambdaE = BalanceFactor(eCounts)
 	return m
 }
 
-// balanceFactor returns the smallest λ with max(xs) ≤ (1+λ)·avg(xs),
-// i.e. max/avg − 1, the paper's balance factor definition.
-func balanceFactor(xs []float64) float64 {
+// BalanceFactor returns the smallest λ with max(xs) ≤ (1+λ)·avg(xs),
+// i.e. max/avg − 1, the paper's balance factor definition; the cost
+// model's λA uses it too.
+func BalanceFactor(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -75,20 +76,13 @@ func balanceFactor(xs []float64) float64 {
 	return max/avg - 1
 }
 
-// BalanceFactor exposes balanceFactor for cost-based λA computations
-// in other packages.
-func BalanceFactor(xs []float64) float64 { return balanceFactor(xs) }
-
 // IsEdgeCut reports whether the partition is an edge-cut special case:
 // every vertex is e-cut and the e-cut node sets of the fragments are
 // pairwise disjoint (automatic with canonical e-cut designation, so
 // the test reduces to "every vertex with a copy is e-cut").
 func (p *Partition) IsEdgeCut() bool {
-	for v := 0; v < p.g.NumVertices(); v++ {
-		if len(p.copies[v]) == 0 {
-			continue
-		}
-		if !p.IsECut(graph.VertexID(v)) {
+	for v, cs := range p.copies {
+		if len(cs) > 0 && !p.IsECut(graph.VertexID(v)) {
 			return false
 		}
 	}
@@ -97,13 +91,7 @@ func (p *Partition) IsEdgeCut() bool {
 
 // IsVertexCut reports whether the partition is a vertex-cut special
 // case: fragment edge sets are pairwise disjoint.
-func (p *Partition) IsVertexCut() bool {
-	var total int
-	for _, f := range p.frags {
-		total += f.NumArcs()
-	}
-	return int64(total) == p.g.NumEdges()
-}
+func (p *Partition) IsVertexCut() bool { return int64(p.StorageArcs()) == p.g.NumEdges() }
 
 // StorageArcs returns Σ|Ei| over fragments.
 func (p *Partition) StorageArcs() int {

@@ -15,7 +15,6 @@ package partition
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"adp/internal/graph"
@@ -65,57 +64,95 @@ func (a *Adj) LocalDegree() int { return len(a.Out) + len(a.In) }
 // held as per-vertex adjacency plus an arc set.
 //
 // A Fragment is one thing: an immutable compiled base (see
-// compiledFragment) plus a small map overlay holding only the vertices
-// and arc keys a mutation touched. The constructors emit bases (see
-// Builder); only NewEmpty starts from an overlay over a nil base, where
-// every vertex lives in the maps. Compile folds the overlay into a new
-// base and drops it, so a compiled fragment is a base with no overlay.
-// A mutation of a compiled fragment — a refiner's move, a served write —
-// creates an overlay and copies just the touched vertices' adjacency
-// into it (thaw): the base is never written, because clones and epochs
-// share it by pointer. Every accessor reads overlay-then-base.
+// compiledFragment) plus an overlay holding only the vertices a
+// mutation touched, addressed by a dense vertex index, not hashed.
+// The constructors emit bases (see Builder); NewEmpty starts from an
+// overlay over the empty base. Compile folds the overlay into a new
+// base and drops it. A mutation of a compiled fragment — a refiner's
+// move, a served write — creates an overlay and copies just the
+// touched vertices' adjacency into it (thaw): the base is never
+// written, because clones and epochs share it by pointer. Every
+// accessor reads overlay-then-base.
 type Fragment struct {
 	id int
-	// base is the compiled form; atomic because concurrent cluster
-	// constructions may Compile a shared baseline partition.
+	// base is the compiled form, noBase for a fragment never compiled;
+	// atomic because concurrent cluster constructions may Compile a
+	// shared baseline partition.
 	base atomic.Pointer[compiledFragment]
 	// ov is nil on a compiled fragment. Compile stores the new base
 	// before clearing it, so a racing reader that still holds the old
 	// overlay sees the same contents through either base.
 	ov atomic.Pointer[overlay]
+	// slot is the vertex index of every overlay this fragment creates,
+	// kept from one to the next so a mutation wave costs O(touched), not
+	// O(|V|). stale lists the entries the last folded overlay left set;
+	// the next overlay zeroes them, not Compile, whose racing readers may
+	// still probe the old one.
+	slot  []int32
+	stale []graph.VertexID
 }
 
 // overlay is the mutable part of a Fragment, relative to its base.
 type overlay struct {
-	// verts holds the private adjacency of every touched vertex; a nil
-	// value marks a base vertex whose copy was dropped.
-	verts map[graph.VertexID]*Adj
-	// arcs holds true for an arc added on top of the base and false
-	// for a base arc that was removed; untouched base arcs are absent.
-	arcs map[uint64]bool
+	// slot[v] indexes v's private adjacency in adjs (nil for a dropped
+	// copy), 0 when v is untouched: adjs[0] is a placeholder. touched
+	// lists the touched vertices in first-touch order.
+	slot    []int32
+	adjs    []*Adj
+	touched []graph.VertexID
+	// edits counts arc insertions and removals; 0 means the arc set is
+	// the base's. A changed arc always has a thawed source, so the fold
+	// tells a restored arc set from a changed one run by run (sameArcs).
+	edits int
 	// Fragment totals (base and overlay together).
 	nVerts, nArcs int
 }
 
 // mutable returns the overlay a structural mutator writes, creating it
 // on the first mutation of a compiled fragment.
-func (f *Fragment) mutable() *overlay {
+func (f *Fragment) mutable(numVertices int) *overlay {
 	if ov := f.ov.Load(); ov != nil {
 		return ov
 	}
-	ov := &overlay{verts: map[graph.VertexID]*Adj{}, arcs: map[uint64]bool{}}
-	if c := f.base.Load(); c != nil {
-		ov.nVerts, ov.nArcs = len(c.ids), len(c.arcs)
+	if len(f.slot) < numVertices {
+		f.slot = make([]int32, numVertices)
 	}
+	for _, v := range f.stale {
+		f.slot[v] = 0
+	}
+	f.stale = nil
+	c := f.base.Load()
+	ov := &overlay{slot: f.slot, adjs: []*Adj{nil}, nVerts: len(c.ids), nArcs: len(c.arcs)}
 	f.ov.Store(ov)
 	return ov
+}
+
+// at returns v's adjacency in the overlay and whether the overlay has
+// touched v.
+func (ov *overlay) at(v graph.VertexID) (*Adj, bool) {
+	if int(v) >= len(ov.slot) {
+		return nil, false
+	}
+	s := ov.slot[v]
+	return ov.adjs[s], s != 0
+}
+
+// put records adj (nil drops the copy) as v's adjacency.
+func (ov *overlay) put(v graph.VertexID, adj *Adj) {
+	if s := ov.slot[v]; s != 0 {
+		ov.adjs[s] = adj
+		return
+	}
+	ov.slot[v] = int32(len(ov.adjs))
+	ov.adjs = append(ov.adjs, adj)
+	ov.touched = append(ov.touched, v)
 }
 
 // thaw returns the overlay's private copy of v's adjacency, copying it
 // out of the base on first touch (the base's packed arrays are shared
 // with clones and never written). Nil when v has no copy here.
 func (f *Fragment) thaw(ov *overlay, v graph.VertexID) *Adj {
-	if adj, ok := ov.verts[v]; ok {
+	if adj, ok := ov.at(v); ok {
 		return adj
 	}
 	badj := f.base.Load().adjacency(v)
@@ -123,23 +160,8 @@ func (f *Fragment) thaw(ov *overlay, v graph.VertexID) *Adj {
 		return nil
 	}
 	adj := &Adj{Out: slices.Clone(badj.Out), In: slices.Clone(badj.In)}
-	ov.verts[v] = adj
+	ov.put(v, adj)
 	return adj
-}
-
-// setArc records that the arc with key k is now present or absent.
-// An overlay entry that restores the base's own answer is removed.
-func (ov *overlay) setArc(k uint64, present bool) {
-	if old, ok := ov.arcs[k]; ok && old != present {
-		delete(ov.arcs, k)
-	} else {
-		ov.arcs[k] = present
-	}
-	if present {
-		ov.nArcs++
-	} else {
-		ov.nArcs--
-	}
 }
 
 func arcKey(u, v graph.VertexID) uint64 { return uint64(u)<<32 | uint64(v) }
@@ -164,23 +186,31 @@ func (f *Fragment) NumVertices() int {
 	return len(f.base.Load().ids)
 }
 
-// Has reports whether a copy of v is present.
+// Has reports whether a copy of v is present. It and Adjacency spell
+// the overlay probe out, so both stay within the inlining budget.
 func (f *Fragment) Has(v graph.VertexID) bool {
-	if ov := f.ov.Load(); ov != nil {
-		if adj, ok := ov.verts[v]; ok {
-			return adj != nil
-		}
+	if ov := f.ov.Load(); ov != nil && int(v) < len(ov.slot) && ov.slot[v] != 0 {
+		return ov.adjs[ov.slot[v]] != nil
 	}
-	return f.base.Load().adjacency(v) != nil
+	return f.base.Load().has(v)
 }
 
-// HasArc reports whether the arc (u,v) is stored locally: an overlay
-// probe when the fragment has one, then a binary search on the base's
-// arcs.
+// HasArc reports whether the arc (u,v) is stored locally. Adding or
+// removing an arc thaws both endpoints, so unless both are thawed the
+// base still answers (a binary search over u's run); otherwise the
+// shorter of u's out-list and v's in-list is scanned.
 func (f *Fragment) HasArc(u, v graph.VertexID) bool {
 	if ov := f.ov.Load(); ov != nil {
-		if present, ok := ov.arcs[arcKey(u, v)]; ok {
-			return present
+		ua, uok := ov.at(u)
+		va, vok := ov.at(v)
+		switch {
+		case !uok || !vok:
+		case ua == nil || va == nil:
+			return false
+		case len(ua.Out) <= len(va.In):
+			return slices.Contains(ua.Out, v)
+		default:
+			return slices.Contains(va.In, u)
 		}
 	}
 	return f.base.Load().hasArc(u, v)
@@ -188,10 +218,8 @@ func (f *Fragment) HasArc(u, v graph.VertexID) bool {
 
 // Adjacency returns the local adjacency of v, or nil if absent.
 func (f *Fragment) Adjacency(v graph.VertexID) *Adj {
-	if ov := f.ov.Load(); ov != nil {
-		if adj, ok := ov.verts[v]; ok {
-			return adj
-		}
+	if ov := f.ov.Load(); ov != nil && int(v) < len(ov.slot) && ov.slot[v] != 0 {
+		return ov.adjs[ov.slot[v]]
 	}
 	return f.base.Load().adjacency(v)
 }
@@ -199,31 +227,26 @@ func (f *Fragment) Adjacency(v graph.VertexID) *Adj {
 // Vertices calls fn for every vertex copy in ascending id order.
 // Deterministic iteration keeps the refiners reproducible. On a
 // compiled fragment this walks the prebuilt id array (no per-call
-// sort, no map access); with an overlay the sorted touched ids are
-// merged into that walk.
+// sort); with an overlay the sorted touched ids are merged into that
+// walk.
 func (f *Fragment) Vertices(fn func(v graph.VertexID, adj *Adj)) {
-	ov := f.ov.Load()
-	var ids []graph.VertexID
-	var adjs []Adj
-	if c := f.base.Load(); c != nil {
-		ids, adjs = c.ids, c.adjs
-	}
+	c := f.base.Load()
 	l := 0
-	if ov != nil {
+	if ov := f.ov.Load(); ov != nil {
 		for _, v := range ov.sortedVerts() {
-			for ; l < len(ids) && ids[l] < v; l++ {
-				fn(ids[l], &adjs[l])
+			for ; l < len(c.ids) && c.ids[l] < v; l++ {
+				fn(c.ids[l], &c.adjs[l])
 			}
-			if l < len(ids) && ids[l] == v {
+			if l < len(c.ids) && c.ids[l] == v {
 				l++
 			}
-			if adj := ov.verts[v]; adj != nil {
+			if adj, _ := ov.at(v); adj != nil {
 				fn(v, adj)
 			}
 		}
 	}
-	for ; l < len(ids); l++ {
-		fn(ids[l], &adjs[l])
+	for ; l < len(c.ids); l++ {
+		fn(c.ids[l], &c.adjs[l])
 	}
 }
 
@@ -235,13 +258,10 @@ func (f *Fragment) SortedVertices() []graph.VertexID {
 	return ids
 }
 
-// sortedVerts returns every touched vertex id (tombstones included) in
-// ascending order.
+// sortedVerts returns every touched vertex id (dropped copies included)
+// in ascending order.
 func (ov *overlay) sortedVerts() []graph.VertexID {
-	ids := make([]graph.VertexID, 0, len(ov.verts))
-	for v := range ov.verts {
-		ids = append(ids, v)
-	}
+	ids := slices.Clone(ov.touched)
 	slices.Sort(ids)
 	return ids
 }
@@ -275,8 +295,8 @@ func NewEmpty(g *graph.Graph, n int) *Partition {
 		owner:  make([]int32, g.NumVertices()),
 	}
 	for i := range p.frags {
-		p.frags[i] = &Fragment{id: i}
-		p.frags[i].mutable()
+		p.frags[i] = freezeFragment(i, noBase)
+		p.overlayOf(i)
 	}
 	for i := range p.master {
 		p.master[i] = -1
@@ -327,15 +347,18 @@ func (p *Partition) SetMaster(v graph.VertexID, i int) error {
 	return nil
 }
 
+// overlayOf returns fragment i's writable overlay.
+func (p *Partition) overlayOf(i int) *overlay { return p.frags[i].mutable(p.g.NumVertices()) }
+
 // ensureVertex returns the writable adjacency of v's copy in fragment
 // i, adding an empty copy when there is none.
 func (p *Partition) ensureVertex(i int, v graph.VertexID) *Adj {
 	f := p.frags[i]
-	ov := f.mutable()
+	ov := p.overlayOf(i)
 	adj := f.thaw(ov, v)
 	if adj == nil {
 		adj = &Adj{}
-		ov.verts[v] = adj
+		ov.put(v, adj)
 		ov.nVerts++
 		p.insertCopy(v, int32(i))
 		if p.master[v] < 0 {
@@ -347,8 +370,8 @@ func (p *Partition) ensureVertex(i int, v graph.VertexID) *Adj {
 
 func (p *Partition) insertCopy(v graph.VertexID, i int32) {
 	cs := p.copies[v]
-	pos := sort.Search(len(cs), func(k int) bool { return cs[k] >= i })
-	if pos < len(cs) && cs[pos] == i {
+	pos, found := slices.BinarySearch(cs, i)
+	if found {
 		return
 	}
 	if p.copiesShared {
@@ -369,8 +392,8 @@ func (p *Partition) insertCopy(v graph.VertexID, i int32) {
 
 func (p *Partition) removeCopy(v graph.VertexID, i int32) {
 	cs := p.copies[v]
-	pos := sort.Search(len(cs), func(k int) bool { return cs[k] >= i })
-	if pos == len(cs) || cs[pos] != i {
+	pos, found := slices.BinarySearch(cs, i)
+	if !found {
 		return
 	}
 	if p.copiesShared {
@@ -407,7 +430,9 @@ func (p *Partition) AddArc(i int, u, v graph.VertexID) {
 	if f.HasArc(u, v) {
 		return
 	}
-	f.mutable().setArc(arcKey(u, v), true)
+	ov := p.overlayOf(i)
+	ov.edits++
+	ov.nArcs++
 	ua := p.ensureVertex(i, u)
 	ua.Out = append(ua.Out, v)
 	va := p.ensureVertex(i, v)
@@ -430,8 +455,9 @@ func (p *Partition) RemoveArc(i int, u, v graph.VertexID) bool {
 	if !f.HasArc(u, v) {
 		return false
 	}
-	ov := f.mutable()
-	ov.setArc(arcKey(u, v), false)
+	ov := p.overlayOf(i)
+	ov.edits++
+	ov.nArcs--
 	ua := f.thaw(ov, u)
 	ua.Out = removeID(ua.Out, v)
 	va := f.thaw(ov, v)
@@ -471,13 +497,8 @@ func (p *Partition) RemoveVertex(i int, v graph.VertexID) {
 func (p *Partition) dropIfIsolated(i int, v graph.VertexID) {
 	f := p.frags[i]
 	if adj := f.Adjacency(v); adj != nil && adj.LocalDegree() == 0 {
-		// A tombstone when the base holds v, plain removal otherwise.
-		ov := f.mutable()
-		if f.base.Load().adjacency(v) != nil {
-			ov.verts[v] = nil
-		} else {
-			delete(ov.verts, v)
-		}
+		ov := p.overlayOf(i)
+		ov.put(v, nil)
 		ov.nVerts--
 		p.removeCopy(v, int32(i))
 	}

@@ -1,10 +1,11 @@
 package refine
 
-// Compiled-form invariant: refiners operate on the partition's mutable
-// map form. Every structural mutation flows through the partition
-// mutators, which drop any compiled CSR form automatically (see
-// DESIGN.md "Data layout"), so a refined partition is always safe to
-// hand to engine.NewCluster — the cluster recompiles at construction.
+// Compiled-form invariant: refiners mutate the partition through its
+// mutators, which thaw the touched vertices into each fragment's
+// index-addressed overlay and never write the compiled base (see
+// DESIGN.md "Ownership rules: base + overlay"), so a refined partition
+// is always safe to hand to engine.NewCluster — the cluster recompiles
+// at construction.
 // The inverse does not hold: a partition must not be refined while a
 // live Cluster executes over it, since the cluster's responsibility
 // bitsets are built against the compiled arc slots at construction

@@ -1,8 +1,9 @@
 package refine
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"adp/internal/costmodel"
 	"adp/internal/graph"
@@ -77,11 +78,11 @@ func eSplit(tr *costmodel.Tracker, c candidate, stats *Stats) {
 			arcs = append(arcs, arc{w, c.v})
 		}
 	}
-	sort.Slice(arcs, func(a, b int) bool {
-		if arcs[a].u != arcs[b].u {
-			return arcs[a].u < arcs[b].u
+	slices.SortFunc(arcs, func(a, b arc) int {
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
 		}
-		return arcs[a].w < arcs[b].w
+		return cmp.Compare(a.w, b.w)
 	})
 	for _, a := range arcs {
 		t := tr.ArgminComp()

@@ -162,8 +162,8 @@ func parallelMigrateCtx(ctx context.Context, pl *pool.Pool, tr *costmodel.Tracke
 		// Apply at the barrier, destination by destination in order,
 		// re-checking so that earlier acceptances are respected. The
 		// ordering is a stable insertion sort on the destination ids —
-		// the same permutation sort.SliceStable produced, without its
-		// closure and reflection allocations.
+		// the same permutation any stable sort produces, without a
+		// closure or reflection allocation.
 		sc.order = sc.order[:len(sc.batch)]
 		for k := range sc.order {
 			sc.order[k] = k

@@ -21,7 +21,7 @@ package refine
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"adp/internal/costmodel"
@@ -101,17 +101,8 @@ type candidate struct {
 type BFS struct {
 	seen  []bool
 	queue []graph.VertexID
-	nbrs  vidSorter
+	nbrs  []graph.VertexID
 }
-
-// vidSorter sorts a vertex-id slice through a persistent
-// sort.Interface value, avoiding the per-call closure and reflection
-// allocations of sort.Slice.
-type vidSorter struct{ s []graph.VertexID }
-
-func (x *vidSorter) Len() int           { return len(x.s) }
-func (x *vidSorter) Less(a, b int) bool { return x.s[a] < x.s[b] }
-func (x *vidSorter) Swap(a, b int)      { x.s[a], x.s[b] = x.s[b], x.s[a] }
 
 // Order returns the vertices of fragment i of p in BFS order. The visit
 // queue doubles as the order: vertices are appended exactly once, in
@@ -139,9 +130,9 @@ func (sc *BFS) Order(p *partition.Partition, i int) []graph.VertexID {
 			if adj == nil {
 				continue
 			}
-			sc.nbrs.s = append(append(sc.nbrs.s[:0], adj.Out...), adj.In...)
-			sort.Sort(&sc.nbrs)
-			for _, w := range sc.nbrs.s {
+			sc.nbrs = append(append(sc.nbrs[:0], adj.Out...), adj.In...)
+			slices.Sort(sc.nbrs)
+			for _, w := range sc.nbrs {
 				if !sc.seen[w] && f.Has(w) {
 					sc.seen[w] = true
 					queue = append(queue, w)

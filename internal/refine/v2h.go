@@ -2,7 +2,7 @@ package refine
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"adp/internal/costmodel"
 	"adp/internal/graph"
@@ -163,6 +163,6 @@ func mergeMissingArcs(tr *costmodel.Tracker, i int, v graph.VertexID, budget flo
 			pull(w, v)
 		}
 	}
-	sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
+	slices.Sort(touched)
 	return touched
 }

@@ -13,6 +13,7 @@ import (
 	"adp/internal/costmodel"
 	"adp/internal/graph"
 	"adp/internal/partition"
+	"adp/internal/pool"
 )
 
 // indexEntry is the per-arc coherence index of Section 6.1 inside one
@@ -374,14 +375,32 @@ func (c *Composite) Clone() *Composite {
 // immutable compiled fragments, copied spines), the index overlays
 // written since the last cut are folded into new index arrays, and
 // every fragment's index is then shared by pointer, so a cut costs one
-// linear merge per touched fragment instead of O(graph). The serving
+// linear merge per touched fragment instead of O(graph). The index folds,
+// like each partition's fragment folds, run as a fan-out on
+// pool.Default() and write only their own fragment's slots. The serving
 // plane publishes epochs through it; Clone remains the deep-copy oracle.
 func (c *Composite) CloneCOW() *Composite {
-	for i, over := range c.over {
-		if len(over) > 0 {
-			c.index[i], c.over[i] = c.index[i].fold(over), nil
+	// dirty lists the folds as (partition, fragment) pairs; partition k
+	// stands for the coherence index.
+	var dirty [][2]int
+	for i := 0; i < c.n; i++ {
+		for j, p := range c.parts {
+			if !p.Fragment(i).Compiled() {
+				dirty = append(dirty, [2]int{j, i})
+			}
+		}
+		if len(c.over[i]) > 0 {
+			dirty = append(dirty, [2]int{c.k, i})
 		}
 	}
+	pool.Default().RunChunks(len(dirty), 1, func(x, _ int) {
+		j, i := dirty[x][0], dirty[x][1]
+		if j < c.k {
+			c.parts[j].CompileFragment(i)
+			return
+		}
+		c.index[i], c.over[i] = c.index[i].fold(c.over[i]), nil
+	})
 	out := &Composite{
 		g: c.g, n: c.n, k: c.k,
 		parts:    make([]*partition.Partition, c.k),

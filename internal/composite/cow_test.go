@@ -1,9 +1,12 @@
 package composite
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"adp/internal/algorithms"
 	"adp/internal/costmodel"
@@ -13,6 +16,7 @@ import (
 	"adp/internal/partition"
 	"adp/internal/partitioner"
 	"adp/internal/pool"
+	"adp/internal/refine"
 )
 
 // TestCloneCOWOracleWaves is the COW-publication property test: random
@@ -29,8 +33,19 @@ import (
 // epoch's Locate. Concurrent readers hold all previously published
 // epochs for the whole run, so under -race any write that leaks
 // through the structural sharing into an already-published snapshot is
-// caught.
+// caught. The cut's folds run on the shared pool, so the test runs at
+// 1, 4 and NumCPU pool workers.
 func TestCloneCOWOracleWaves(t *testing.T) {
+	t.Cleanup(func() { pool.SetDefaultWorkers(0) })
+	for _, w := range []int{1, 4, runtime.NumCPU()} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			pool.SetDefaultWorkers(w)
+			checkCloneCOWOracleWaves(t)
+		})
+	}
+}
+
+func checkCloneCOWOracleWaves(t *testing.T) {
 	const (
 		numFrags = 6
 		waves    = 40
@@ -268,6 +283,57 @@ func TestCloneCOWOracleWaves(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkPublish times the epoch cut of the serving plane's write
+// path: the five-model ME2H composite of a 6000-vertex power-law graph
+// with 8 fragments takes a wave of two batches, each deleting and
+// re-inserting 4 edges routed by locality (as the store routes an
+// insert without destinations), and CloneCOW then folds what the wave
+// touched. publish-ms/op and B/op cover the cut alone.
+func BenchmarkPublish(b *testing.B) {
+	g := gen.PowerLaw(gen.PowerLawConfig{N: 6000, AvgDeg: 8, Exponent: 2.1, Seed: 1})
+	ec, err := partitioner.FennelEdgeCut(g, 8, partitioner.FennelConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, _, err := ME2H(ec, costmodel.ReferenceModels(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.CloneCOW()
+	rng := rand.New(rand.NewSource(1))
+	wave := func() {
+		for m := 0; m < 2*4; m++ {
+			u := graph.VertexID(rng.Intn(g.NumVertices()))
+			nb := g.OutNeighbors(u)
+			if len(nb) == 0 {
+				m--
+				continue
+			}
+			v := nb[rng.Intn(len(nb))]
+			c.DeleteEdge(u, v)
+			dest := make([]int, c.K())
+			for j := range dest {
+				dest[j] = refine.RouteFragment(c.Partition(j), u, v)
+			}
+			if err := c.InsertEdge(u, v, dest); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var cut time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		wave()
+		b.StartTimer()
+		t0 := time.Now()
+		c.CloneCOW()
+		cut += time.Since(t0)
+	}
+	b.ReportMetric(float64(cut.Microseconds())/1000/float64(b.N), "publish-ms/op")
 }
 
 type wccFingerprint struct {

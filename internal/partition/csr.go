@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"adp/internal/graph"
+	"adp/internal/pool"
 )
 
 // compiledFragment is the flat, index-addressed execution form of a
@@ -47,23 +48,38 @@ type compiledFragment struct {
 // fragment an overlay again so a later Compile refreshes it. The
 // engine compiles at cluster construction and CloneCOW at every cut.
 //
+// The folds of the fragments with an overlay run as one fan-out on
+// pool.Default(): each writes only its own fragment, so the result is
+// the same at any worker count.
+//
 // Compile is safe to call from concurrent readers of an otherwise
 // quiescent partition (the bench grids build clusters over a shared
 // cached baseline): compilation is deterministic, so racing compiles
 // store interchangeable values. Mutation remains single-threaded.
 func (p *Partition) Compile() *Partition {
-	nv := p.g.NumVertices()
-	for _, f := range p.frags {
-		ov := f.ov.Load()
-		if ov == nil {
-			continue
-		}
-		f.base.Store(compileFragment(f.base.Load(), ov, nv))
-		if f.ov.CompareAndSwap(ov, nil) {
-			f.stale = ov.touched
+	var dirty []int
+	for i, f := range p.frags {
+		if f.ov.Load() != nil {
+			dirty = append(dirty, i)
 		}
 	}
+	pool.Default().Run(len(dirty), func(x int) { p.CompileFragment(dirty[x]) })
 	return p
+}
+
+// CompileFragment folds fragment i's overlay, if it has one, into a new
+// base: Compile's step for one fragment, for callers that fan the folds
+// of several partitions out together.
+func (p *Partition) CompileFragment(i int) {
+	f := p.frags[i]
+	ov := f.ov.Load()
+	if ov == nil {
+		return
+	}
+	f.base.Store(compileFragment(f.base.Load(), ov, p.g.NumVertices()))
+	if f.ov.CompareAndSwap(ov, nil) {
+		f.stale = ov.touched
+	}
 }
 
 // Compiled reports whether the fragment currently is its flat

@@ -1,7 +1,9 @@
 package partition_test
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"adp/internal/graph"
 	"adp/internal/partition"
 	"adp/internal/partitioner"
+	"adp/internal/pool"
 	"adp/internal/refine"
 )
 
@@ -116,8 +119,20 @@ func sameReads(t *testing.T, p, q *partition.Partition, i int) {
 
 // Property: on randomized partitions of every family — including
 // post-refinement hybrid shapes — the compiled accessors agree with
-// the mutable map form on everything the engine reads.
+// the mutable map form on everything the engine reads. Compile folds
+// fragments on the shared pool, so the property is checked at 1, 4 and
+// NumCPU pool workers.
 func TestQuickCompileEquivalence(t *testing.T) {
+	t.Cleanup(func() { pool.SetDefaultWorkers(0) })
+	for _, w := range []int{1, 4, runtime.NumCPU()} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			pool.SetDefaultWorkers(w)
+			checkQuickCompileEquivalence(t)
+		})
+	}
+}
+
+func checkQuickCompileEquivalence(t *testing.T) {
 	f := func(seed int64, modeRaw uint8) bool {
 		mode := int(modeRaw) % 3
 		p := buildShape(t, seed, mode)

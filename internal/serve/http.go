@@ -487,6 +487,15 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", "empty update stream")
 		return
 	}
+	// Refused here, a bad mutation costs its sender a 400; in the apply
+	// loop it would poison the store for every writer.
+	comp := s.cur.Load().comp
+	for i, m := range muts {
+		if err := m.Check(comp); err != nil {
+			writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("updates: mutation %d: %v", i, err))
+			return
+		}
+	}
 	b := &updateBatch{muts: muts, reply: make(chan updateResult, 1)}
 	select {
 	case s.updates <- b:

@@ -18,10 +18,10 @@
 //     job), so every response is consistent with one snapshot, with
 //     zero locks on the read path.
 //   - POST /updates batches flow through a bounded queue to the apply
-//     loop, which gathers them into waves on a fixed cadence (pace),
-//     applies a wave to the store (durable on WAL commit), then cuts
-//     and atomically publishes the next epoch. Readers keep serving
-//     the previous epoch until the swap.
+//     loop, which gathers what is queued into a wave (gather), applies
+//     it to the store (durable on WAL commit), then cuts and atomically
+//     publishes the next epoch. Readers keep serving the previous epoch
+//     until the swap.
 //
 // Requests are admission-controlled (a semaphore bounds in-flight
 // /run work; the update queue bounds writer backlog) and /run sessions
@@ -217,7 +217,6 @@ type Server struct {
 	epochMu     sync.Mutex
 	retired     []*epoch
 	lastPublish epochMemStats
-	lastWave    time.Time // start of the last update wave; apply loop only
 
 	// Counters mirrored out of the apply loop so /metrics never
 	// touches the store.
@@ -416,16 +415,15 @@ type updateResult struct {
 	inserts, deletes int
 }
 
-// applyLoop is the single writer: it holds the first queued batch until
-// its wave is due (pace), folds up to MaxBatch queued batches into the
-// wave, applies them to the store (each batch is one durable WAL
-// commit), and publishes a fresh epoch covering the wave. Maintenance
-// swap and replication requests interleave with waves on the same
-// goroutine, so they serialize with the update stream by construction,
-// and all three end in finish. A non-retryable store write failure
-// poisons the write path — the last good epoch keeps serving reads,
-// updates fail fast until the process restarts and recovery truncates
-// to the committed prefix.
+// applyLoop is the single writer: it gathers a wave of queued batches,
+// applies them to the store (each batch is one durable WAL commit), and
+// publishes a fresh epoch covering the wave. Maintenance swap and
+// replication requests interleave with waves on the same goroutine, so
+// they serialize with the update stream by construction, and all three
+// end in finish. A non-retryable store write failure poisons the write
+// path — the last good epoch keeps serving reads, updates fail fast
+// until the process restarts and recovery truncates to the committed
+// prefix.
 func (s *Server) applyLoop() {
 	defer s.applyWG.Done()
 	for {
@@ -434,21 +432,7 @@ func (s *Server) applyLoop() {
 			if !ok {
 				return
 			}
-			s.pace()
-			wave := []*updateBatch{b}
-		fold:
-			for len(wave) < s.cfg.MaxBatch {
-				select {
-				case nb, ok := <-s.updates:
-					if !ok {
-						break fold
-					}
-					wave = append(wave, nb)
-				default:
-					break fold
-				}
-			}
-			s.applyWave(wave)
+			s.applyWave(s.gather(b))
 		case sr := <-s.swaps:
 			s.applySwap(sr)
 		case rr := <-s.repl:
@@ -459,30 +443,31 @@ func (s *Server) applyLoop() {
 
 // A cut copies every fragment its wave touched, and one 8-mutation
 // batch touches most of them, so a publish costs about as much for one
-// batch as for MaxBatch. Waves therefore start publishInterval apart,
-// and a batch that opens one after a pause is held gatherWindow for
-// company: writers that post together are acked together every time,
-// not in alternating waves of one whenever the first beats the second
-// to the loop by microseconds, and a tight writer loop cannot make the
-// daemon allocate a snapshot per request. The price: a writer posting
-// back to back is acked once per interval. A full wave does not wait.
-const (
-	publishInterval = 40 * time.Millisecond
-	gatherWindow    = 2 * time.Millisecond
-)
+// batch as for MaxBatch. Writers that post together should therefore
+// share one wave, not fall into alternating waves of one whenever the
+// first beats the second to the loop by microseconds.
+const gatherWindow = 2 * time.Millisecond
 
-// pace sleeps until the wave whose first batch just arrived is due; the
-// next interval counts from that time, so late wake-ups do not add up.
-func (s *Server) pace() {
-	due := time.Now()
+// gather returns the wave b opens: unless MaxBatch batches are already
+// queued it first waits gatherWindow for company, then it takes what is
+// queued, up to MaxBatch batches in all.
+func (s *Server) gather(b *updateBatch) []*updateBatch {
 	if len(s.updates)+1 < s.cfg.MaxBatch {
-		due = due.Add(gatherWindow)
-		if next := s.lastWave.Add(publishInterval); next.After(due) {
-			due = next
-		}
-		time.Sleep(time.Until(due))
+		time.Sleep(gatherWindow)
 	}
-	s.lastWave = due
+	wave := []*updateBatch{b}
+	for len(wave) < s.cfg.MaxBatch {
+		select {
+		case nb, ok := <-s.updates:
+			if !ok {
+				return wave
+			}
+			wave = append(wave, nb)
+		default:
+			return wave
+		}
+	}
+	return wave
 }
 
 // finish is the one tail of every apply-loop request, whichever

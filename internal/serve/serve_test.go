@@ -277,12 +277,32 @@ func TestServeBadRequests(t *testing.T) {
 			s, _, eb := ts.postUpdates(t, "x 1 2\n")
 			return s, eb
 		}},
+		// Well-formed but unappliable: refused before the apply loop, so
+		// the store stays healthy and the valid batch after each one acks.
+		{"update vertex out of range", 400, "bad_request", func(t *testing.T) (int, errorBody) {
+			s, _, eb := ts.postUpdates(t, "+ 999999 1\ncommit\n")
+			return s, eb
+		}},
+		{"update destination arity", 400, "bad_request", func(t *testing.T) (int, errorBody) {
+			s, _, eb := ts.postUpdates(t, "+ 1 2 0\ncommit\n")
+			return s, eb
+		}},
+		{"update destination out of range", 400, "bad_request", func(t *testing.T) (int, errorBody) {
+			s, _, eb := ts.postUpdates(t, "+ 1 2 0 9\ncommit\n")
+			return s, eb
+		}},
 	}
+	var u, v graph.VertexID
+	ts.g.Edges(func(a, b graph.VertexID) bool { u, v = a, b; return false })
+	valid := fmt.Sprintf("- %d %d\n+ %d %d\ncommit\n", u, v, u, v)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			status, eb := tc.do(t)
 			if status != tc.status || eb.Class != tc.class {
 				t.Fatalf("got status %d class %q, want %d %q (%s)", status, eb.Class, tc.status, tc.class, eb.Error)
+			}
+			if status, ur, eb := ts.postUpdates(t, valid); status != http.StatusOK || !ur.Visible {
+				t.Fatalf("a valid batch after it: status %d visible %v (%s)", status, ur.Visible, eb.Error)
 			}
 		})
 	}

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -151,8 +153,9 @@ func TestServeWriteHeavyIsolation(t *testing.T) {
 		}(r)
 	}
 
-	// Updates-dominant writer: back-to-back batches, one wave each at
-	// the apply loop's cadence, so readers sample distinct epochs.
+	// Updates-dominant writer: back-to-back batches, one wave each (a
+	// lone writer has no batch to share a wave with), so readers sample
+	// distinct epochs.
 	prefixByEpoch := map[uint64]int{1: 0}
 	for i := 0; i < numBatches; i++ {
 		status, ur, eb := ts.postUpdates(t, streams[i])
@@ -334,46 +337,61 @@ func TestServeWriteHeavyChaos(t *testing.T) {
 	}
 }
 
-// TestServeWavesArePaced pins the apply loop's cadence: a lone writer
-// posting back to back gets one wave per publishInterval, and writers
-// that post together share waves instead of taking one each.
-func TestServeWavesArePaced(t *testing.T) {
-	g, comp := writeHeavyGraph(t)
-	ts := startServerOn(t, filepath.Join(t.TempDir(), "store"), g, comp, Config{}, store.Options{})
-	const writers, perWriter = 4, 5
-	_, streams := writeHeavyBatches(t, g, (writers+1)*perWriter, 2)
-	post := func(i int) {
-		if status, ur, eb := ts.postUpdates(t, streams[i]); status != http.StatusOK || !ur.Visible {
-			t.Errorf("batch %d: status %d visible %v (%v)", i, status, ur.Visible, eb)
+// TestServeWavesGather pins how the apply loop forms waves, and no
+// clock decides it: batches queued while a wave is in progress are
+// acked together in the next wave, a lone writer posting back to back
+// gets one wave per batch, and MaxBatch 1 never gathers.
+func TestServeWavesGather(t *testing.T) {
+	g := serveGraph()
+	batches, streams := writeHeavyBatches(t, g, 9, 2)
+
+	// queueBehind holds the apply loop on a wave of one batch whose reply
+	// channel is unbuffered, so the loop cannot take the next wave before
+	// the test receives that reply. Once the wave has published, the
+	// other batches are queued and the loop is released; queueBehind
+	// returns the epochs the queued batches were acked in.
+	queueBehind := func(ts *testServer, hold []store.Mutation, queued [][]store.Mutation) []uint64 {
+		e0 := ts.Epoch()
+		held := &updateBatch{muts: hold, reply: make(chan updateResult)}
+		ts.updates <- held
+		for ts.Epoch() == e0 {
+			runtime.Gosched()
+		}
+		var bs []*updateBatch
+		for _, muts := range queued {
+			b := &updateBatch{muts: muts, reply: make(chan updateResult, 1)}
+			ts.updates <- b
+			bs = append(bs, b)
+		}
+		if res := <-held.reply; res.err != nil || res.epoch != e0+1 {
+			t.Fatalf("held batch: epoch %d (want %d), err %v", res.epoch, e0+1, res.err)
+		}
+		epochs := make([]uint64, len(bs))
+		for i, b := range bs {
+			res := <-b.reply
+			if res.err != nil {
+				t.Fatalf("queued batch %d: %v", i, res.err)
+			}
+			epochs[i] = res.epoch
+		}
+		return epochs
+	}
+
+	ts := startServerOn(t, filepath.Join(t.TempDir(), "store"), g, serveComposite(t, g), Config{}, store.Options{})
+	e0 := ts.Epoch()
+	for i := 0; i < 5; i++ {
+		if status, ur, eb := ts.postUpdates(t, streams[i]); status != http.StatusOK || ur.Epoch != e0+uint64(i)+1 {
+			t.Fatalf("lone writer, batch %d: status %d epoch %d, want epoch %d (%v)", i, status, ur.Epoch, e0+uint64(i)+1, eb)
 		}
 	}
-
-	e0, t0 := ts.Epoch(), time.Now()
-	for i := 0; i < perWriter; i++ {
-		post(i)
-	}
-	if d, least := time.Since(t0), (perWriter-1)*publishInterval; d < least {
-		t.Errorf("%d back-to-back batches took %v, under %v: waves are not paced", perWriter, d, least)
-	}
-	if n := ts.Epoch() - e0; n != perWriter {
-		t.Errorf("lone writer: %d batches published %d epochs", perWriter, n)
-	}
-
 	e0 = ts.Epoch()
-	var wg sync.WaitGroup
-	for w := 1; w <= writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				post(w*perWriter + i)
-			}
-		}(w)
+	if got := queueBehind(ts, batches[5], batches[6:9]); !slices.Equal(got, []uint64{e0 + 2, e0 + 2, e0 + 2}) {
+		t.Errorf("3 batches queued behind a wave were acked in epochs %v, want all in %d", got, e0+2)
 	}
-	wg.Wait()
-	// In step the writers need perWriter waves; a straggler or two may
-	// add a few, but nowhere near one wave per batch.
-	if n := ts.Epoch() - e0; n >= writers*perWriter/2 {
-		t.Errorf("%d writers x %d batches published %d epochs: waves do not gather", writers, perWriter, n)
+
+	ts = startServerOn(t, filepath.Join(t.TempDir(), "store"), g, serveComposite(t, g), Config{MaxBatch: 1}, store.Options{})
+	e0 = ts.Epoch()
+	if got := queueBehind(ts, batches[0], batches[1:4]); !slices.Equal(got, []uint64{e0 + 2, e0 + 3, e0 + 4}) {
+		t.Errorf("MaxBatch 1: 3 queued batches were acked in epochs %v, want one each from %d", got, e0+2)
 	}
 }

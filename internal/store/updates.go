@@ -59,6 +59,24 @@ func (m Mutation) String() string {
 	return "invalid"
 }
 
+// Check validates m against c with the store's own checks: both
+// endpoints are vertices of c's graph and an insert's explicit
+// destinations name one in-range fragment per bundled partition. The
+// write path checks again, but a failure there poisons the store, so a
+// front end refuses a bad mutation with Check before enqueueing it.
+func (m Mutation) Check(c *composite.Composite) error {
+	if m.Kind == MutCommit {
+		return nil
+	}
+	if err := checkEdge(c.Partition(0).Graph(), m.U, m.V); err != nil {
+		return err
+	}
+	if len(m.Dest) > 0 {
+		return checkDest(c, m.Dest)
+	}
+	return nil
+}
+
 // ParseUpdates reads an update stream. Line numbers appear in errors.
 func ParseUpdates(r io.Reader) ([]Mutation, error) {
 	sc := bufio.NewScanner(r)
@@ -178,16 +196,12 @@ func (s *Store) ApplyRetrying(muts []Mutation, attempts int, base time.Duration)
 // that found their edge, so a caller that must refuse an absent delete
 // can count.
 func Fold(c *composite.Composite, muts []Mutation) (inserts, deletesFound int, err error) {
-	g := c.Partition(0).Graph()
 	for i, m := range muts {
 		switch m.Kind {
 		case MutInsert:
 			dest := m.Dest
-			if len(dest) == 0 {
+			if err = m.Check(c); err == nil && len(dest) == 0 {
 				dest = RouteDest(c, m.U, m.V)
-			}
-			if err = checkEdge(g, m.U, m.V); err == nil {
-				err = checkDest(c, dest)
 			}
 			if err == nil {
 				err = c.InsertEdge(m.U, m.V, dest)

@@ -94,10 +94,49 @@ func checkCompositeGoldens(t *testing.T) {
 	}
 }
 
+// TestCompositeBuildsLeaveCompiledPartitions: a build compiles its
+// target partitions at every section boundary, the last one included,
+// so every fragment of every bundled partition comes out compiled and
+// neither New's index merge nor engine.NewCluster has anything to fold.
+func TestCompositeBuildsLeaveCompiledPartitions(t *testing.T) {
+	models := costmodel.ReferenceModels()
+	for _, directed := range []bool{true, false} {
+		g := gen.PowerLaw(gen.PowerLawConfig{N: 500, AvgDeg: 6, Exponent: 2.2, Directed: directed, Seed: 41})
+		ec, err := partitioner.FennelEdgeCut(g, 5, partitioner.FennelConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vc, err := partitioner.GridVertexCut(g, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, naive := range []bool{false, true} {
+			opts := Options{NaiveDest: naive}
+			for name, build := range map[string]func() (*Composite, *BuildStats, error){
+				"ME2H": func() (*Composite, *BuildStats, error) { return ME2H(ec, models, opts) },
+				"MV2H": func() (*Composite, *BuildStats, error) { return MV2H(vc, models, opts) },
+			} {
+				c, _, err := build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, p := range c.Partitions() {
+					for i, f := range p.Fragments() {
+						if !f.Compiled() {
+							t.Errorf("directed=%v %s naive=%v: partition %d fragment %d left uncompiled", directed, name, naive, j, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkCompositeBuild times the build half of the composite_build
 // workload: ME2H over a Fennel edge-cut and MV2H over a Grid vertex-cut
 // of a 6000-vertex power-law graph, 8 fragments, for the five reference
-// models. me2h-ms/op and mv2h-ms/op split the total.
+// models. me2h-ms/op and mv2h-ms/op split the total; B/op and
+// allocs/op count both builds.
 func BenchmarkCompositeBuild(b *testing.B) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 6000, AvgDeg: 8, Exponent: 2.1, Seed: 1})
 	ec, err := partitioner.FennelEdgeCut(g, 8, partitioner.FennelConfig{})
@@ -110,6 +149,7 @@ func BenchmarkCompositeBuild(b *testing.B) {
 	}
 	models := costmodel.ReferenceModels()
 	var me2h, mv2h time.Duration
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()

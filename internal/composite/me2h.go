@@ -75,6 +75,9 @@ type target struct {
 	// kept[p] is set when Init kept builder.units[p] in its base fragment.
 	kept []bool
 	arcs []arcT // split scratch
+	// cost is GetDest's scratch: unit.cost of the unit being placed,
+	// evaluated once per unit rather than once per probed fragment.
+	cost float64
 
 	assigned, splitEdges, merged int
 }
@@ -118,11 +121,13 @@ type unit interface {
 	// keys is the size of a target's routed bitmap, key (i, v)'s slot.
 	keys() int
 	key(i int, v graph.VertexID) int
-	// fits probes ChAj(F^j_x ∪ (i, v)) ≤ Bj.
-	fits(t *target, i, x int, v graph.VertexID) bool
-	apply(t *target, i, x int, v graph.VertexID)
-	// cost is (i, v)'s hypothetical contribution under t's model.
+	// cost is (i, v)'s hypothetical contribution under t's model, on
+	// its own: what placing it adds to a fragment with no copy of v. It
+	// reads nothing a placement changes.
 	cost(t *target, i int, v graph.VertexID) float64
+	// fits probes ChAj(F^j_x ∪ (i, v)) ≤ Bj, c being cost(t, i, v).
+	fits(t *target, i, x int, v graph.VertexID, c float64) bool
+	apply(t *target, i, x int, v graph.VertexID)
 }
 
 // build runs the schedule ME2H and MV2H share. Every step reads and
@@ -137,7 +142,12 @@ type unit interface {
 //
 // Each target runs its steps in this order and sees only its own state
 // (and the read-only base), so the result does not depend on the worker
-// count.
+// count. Every tracker rebuild — after Init, before (B)'s split, before
+// VMergeSweep and before MAssign — is a section boundary (see
+// target.boundary), where the target partition is compiled first, so
+// every rebuild and vertex walk, New's index merge and the caller's
+// engine.NewCluster read flat arrays; compiling keeps every adjacency
+// order, so no float changes.
 func (b *builder) build(u unit, split func(t *target)) (*Composite, *BuildStats, error) {
 	start := time.Now()
 	var bfs refine.BFS
@@ -159,9 +169,10 @@ func (b *builder) build(u unit, split func(t *target)) (*Composite, *BuildStats,
 	}
 	pl.RunChunks(len(b.targets), 1, func(lo, hi int) {
 		for _, t := range b.targets[lo:hi] {
-			t.tr = costmodel.NewTracker(t.part, t.model)
+			t.boundary()
 			split(t)
-			refine.MAssignOnly(t.part, t.model)
+			t.boundary()
+			refine.MAssignOnly(t.tr)
 		}
 	})
 
@@ -203,14 +214,21 @@ func (b *builder) initTarget(u unit, t *target) {
 	t.routed = make([]bool, u.keys())
 	t.kept = make([]bool, len(b.units))
 	for p, pos := range b.units {
-		if u.fits(t, pos.i, pos.i, pos.v) {
+		if u.fits(t, pos.i, pos.i, pos.v, u.cost(t, pos.i, pos.v)) {
 			b.assign(u, t, pos.i, pos.i, pos.v)
 			t.kept[p] = true
 		}
 	}
-	// Re-evaluate from scratch, clearing the drift the light per-vertex
-	// refreshes accumulated.
-	t.tr = costmodel.NewTracker(t.part, t.model)
+	t.boundary()
+}
+
+// boundary closes a section of t's build: it folds t's partition into
+// compiled form and re-evaluates it from scratch in the tracker's own
+// storage, clearing the drift the light per-vertex refreshes
+// accumulated.
+func (t *target) boundary() {
+	t.part.Compile()
+	t.tr.Rebuild()
 }
 
 // assign places unit (i, v) whole into fragment x of t's partition.
@@ -225,11 +243,13 @@ func (b *builder) assign(u unit, t *target, i, x int, v graph.VertexID) {
 // destination fragment accepted by the most remaining algorithms — a
 // greedy minimum set cover that minimises v's replication across the
 // composite and with it fc. NaiveDest instead lets each algorithm take
-// the first fragment that fits.
+// the first fragment that fits. Each pending algorithm's unit cost is
+// evaluated once, up front, as it reads nothing a placement changes.
 func (b *builder) getDest(u unit, src int, v graph.VertexID) {
 	ov := b.ov[:0]
 	for _, t := range b.targets {
 		if !t.routed[u.key(src, v)] {
+			t.cost = u.cost(t, src, v)
 			ov = append(ov, t)
 		}
 	}
@@ -237,7 +257,7 @@ func (b *builder) getDest(u unit, src int, v graph.VertexID) {
 	if b.naiveDest {
 		for _, t := range ov {
 			for x := 0; x < b.n; x++ {
-				if u.fits(t, src, x, v) {
+				if u.fits(t, src, x, v, t.cost) {
 					b.assign(u, t, src, x, v)
 					break
 				}
@@ -259,7 +279,7 @@ func (b *builder) getDest(u unit, src int, v graph.VertexID) {
 		for _, x := range order {
 			cover := 0
 			for _, t := range ov {
-				if u.fits(t, src, x, v) {
+				if u.fits(t, src, x, v, t.cost) {
 					cover++
 				}
 			}
@@ -279,7 +299,7 @@ func (b *builder) getDest(u unit, src int, v graph.VertexID) {
 				// Keep only small units whole: a large one would
 				// overload the destination (quadratic-cost algorithms
 				// care), so it is left for EAssign to split.
-				if u.cost(t, src, v) > 0.25*t.budget {
+				if t.cost > 0.25*t.budget {
 					continue
 				}
 				b.assign(u, t, src, t.tr.ArgminComp(), v)
@@ -290,7 +310,7 @@ func (b *builder) getDest(u unit, src int, v graph.VertexID) {
 		// partition, so placing one does not change another's answer.
 		rest := ov[:0]
 		for _, t := range ov {
-			if u.fits(t, src, bestX, v) {
+			if u.fits(t, src, bestX, v, t.cost) {
 				b.assign(u, t, src, bestX, v)
 			} else {
 				rest = append(rest, t)
@@ -311,8 +331,8 @@ func (b wholeVertex) eligible(i int, v graph.VertexID) bool {
 func (b wholeVertex) keys() int                       { return b.g.NumVertices() }
 func (b wholeVertex) key(_ int, v graph.VertexID) int { return int(v) }
 
-func (b wholeVertex) fits(t *target, i, x int, v graph.VertexID) bool {
-	return t.tr.Comp(x)+b.cost(t, i, v) <= t.budget
+func (b wholeVertex) fits(t *target, _, x int, _ graph.VertexID, c float64) bool {
+	return t.tr.Comp(x)+c <= t.budget
 }
 
 // apply places v with every incident arc into fragment x of t's

@@ -26,7 +26,8 @@ func MV2H(base *partition.Partition, models []costmodel.CostModel, opts Options)
 				}
 			}
 		}
-		t.merged = refine.VMergeSweep(t.part, t.model, t.budget)
+		t.boundary()
+		t.merged = refine.VMergeSweep(t.tr, t.budget)
 	})
 }
 
@@ -46,20 +47,18 @@ func (b baseCopy) eligible(i int, v graph.VertexID) bool { return isComputeCopy(
 func (b baseCopy) keys() int                       { return b.n * b.g.NumVertices() }
 func (b baseCopy) key(i int, v graph.VertexID) int { return i*b.g.NumVertices() + int(v) }
 
-// fits probes ChAj(F^j_x ∪ (v,Evi)) ≤ Bj, counting the arcs v already
-// has in F^j_x.
-func (b baseCopy) fits(t *target, i, x int, v graph.VertexID) bool {
+// fits probes ChAj(F^j_x ∪ (v,Evi)) ≤ Bj. Where F^j_x holds no copy
+// of v the copy's contribution is c; otherwise it is re-evaluated
+// counting the arcs v already has there.
+func (b baseCopy) fits(t *target, i, x int, v graph.VertexID, c float64) bool {
 	adj := b.base.Fragment(i).Adjacency(v)
 	if adj == nil {
 		return true
 	}
-	dstAdj := t.part.Fragment(x).Adjacency(v)
-	in, out := len(adj.In), len(adj.Out)
-	if dstAdj != nil {
-		in += len(dstAdj.In)
-		out += len(dstAdj.Out)
+	h := c
+	if dstAdj := t.part.Fragment(x).Adjacency(v); dstAdj != nil {
+		h = t.tr.HypotheticalComp(v, len(adj.In)+len(dstAdj.In), len(adj.Out)+len(dstAdj.Out), b.base.Replication(v), !b.base.IsComplete(i, v))
 	}
-	h := t.tr.HypotheticalComp(v, in, out, b.base.Replication(v), !b.base.IsComplete(i, v))
 	delta := h - t.tr.Contribution(x, v)
 	return t.tr.Comp(x)+delta <= t.budget
 }

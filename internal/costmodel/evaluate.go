@@ -129,13 +129,17 @@ type fragSlab struct {
 	varsOK []bool
 }
 
+// init empties the slab for fragment f, keeping the rows' storage.
 func (s *fragSlab) init(f *partition.Fragment, numVertices int) {
+	s.comp, s.comm, s.vars, s.varsOK = s.comp[:0], s.comm[:0], s.vars[:0], s.varsOK[:0]
 	if remap, n := f.LocalRemap(numVertices); remap != nil {
 		s.slot = remap
 		s.grow(n)
 		return
 	}
-	s.slot = make([]int32, numVertices)
+	if len(s.slot) != numVertices {
+		s.slot = make([]int32, numVertices)
+	}
 	for v := range s.slot {
 		s.slot[v] = -1
 	}
@@ -174,7 +178,11 @@ func (s *fragSlab) ensure(v graph.VertexID) int32 {
 
 // NewTracker evaluates p fully and returns a tracker positioned on it.
 // The cost functions are compiled (see Compile): learned Models run as
-// flat term programs on every subsequent probe.
+// flat term programs on every subsequent probe. The slabs are seeded
+// as one pool.Default() item per fragment, Evaluate's idiom: item i
+// writes only slabs[i], comp[i] and comm[i], over the fragment's sorted
+// vertex order, so the tracker is the same at any worker count. The
+// partition must not be mutated concurrently.
 func NewTracker(p *partition.Partition, m CostModel) *Tracker {
 	g := p.Graph()
 	t := &Tracker{
@@ -192,15 +200,32 @@ func NewTracker(p *partition.Partition, m CostModel) *Tracker {
 		t.base[v][DGOut] = float64(g.OutDegree(graph.VertexID(v)))
 		t.base[v][AvgDeg] = avg
 	}
-	for i := range t.slabs {
-		t.slabs[i].init(p.Fragment(i), g.NumVertices())
-	}
-	for i := 0; i < p.NumFragments(); i++ {
+	t.seed()
+	return t
+}
+
+// Rebuild re-evaluates the tracker's partition from scratch in the
+// tracker's own storage: afterwards it is, float for float, what
+// NewTracker would return on the partition as it is now. A caller that
+// re-evaluates one partition at several points (each section boundary
+// of a composite build) rebuilds rather than allocating a tracker each
+// time.
+func (t *Tracker) Rebuild() {
+	clear(t.comp)
+	clear(t.comm)
+	t.seed()
+}
+
+// seed evaluates every fragment into its emptied slab, one pool item
+// per fragment.
+func (t *Tracker) seed() {
+	p, nv := t.p, t.p.Graph().NumVertices()
+	pool.Default().RunChunks(p.NumFragments(), 1, func(i, _ int) {
+		t.slabs[i].init(p.Fragment(i), nv)
 		p.Fragment(i).Vertices(func(v graph.VertexID, adj *partition.Adj) {
 			t.refreshAt(i, v, adj, p.CompleteFragment(v))
 		})
-	}
-	return t
+	})
 }
 
 // Partition returns the partition the tracker is positioned on.

@@ -12,6 +12,7 @@ import (
 	"adp/internal/gen"
 	"adp/internal/graph"
 	"adp/internal/partition"
+	"adp/internal/pool"
 )
 
 // buildG1 reconstructs the Fig. 1(a) graph (see partition fixtures).
@@ -265,6 +266,105 @@ func TestNewTrackerSparseMapFormBytes(t *testing.T) {
 			got, frags, nv, dense)
 	}
 	assertTrackerMatches(t, tr, p, m, "sparse map form")
+}
+
+// NewTracker seeds its slabs as one default-pool item per fragment; the
+// tracker it returns must be bit for bit the same at any worker count,
+// on a compiled partition and on one built by NewEmpty + AddEdge alike.
+func TestNewTrackerIdenticalAcrossWorkers(t *testing.T) {
+	t.Cleanup(func() { pool.SetDefaultWorkers(0) })
+	g := gen.PowerLaw(gen.PowerLawConfig{N: 1200, AvgDeg: 6, Exponent: 2.1, Directed: true, Seed: 31})
+	const frags = 6
+	rng := rand.New(rand.NewSource(32))
+	assign := make([]int, g.NumVertices())
+	for v := range assign {
+		assign[v] = rng.Intn(frags)
+	}
+	compiled, err := partition.FromVertexAssignment(g, assign, frags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := partition.NewEmpty(g, frags)
+	for _, e := range g.EdgeList() {
+		built.AddEdge(rng.Intn(frags), e.Src, e.Dst)
+	}
+	for v := 0; v < g.NumVertices(); v++ {
+		if len(built.Copies(graph.VertexID(v))) == 0 {
+			built.AddVertex(v%frags, graph.VertexID(v))
+		}
+	}
+	for _, form := range []struct {
+		name string
+		p    *partition.Partition
+	}{{"compiled", compiled}, {"NewEmpty", built}} {
+		for _, algo := range Algos() {
+			m := Reference(algo)
+			pool.SetDefaultWorkers(1)
+			want := trackerBits(NewTracker(form.p, m))
+			for _, w := range []int{4, runtime.NumCPU()} {
+				pool.SetDefaultWorkers(w)
+				if got := trackerBits(NewTracker(form.p, m)); !slices.Equal(got, want) {
+					t.Errorf("%s/%v: the tracker at %d workers differs from the one at 1", form.name, algo, w)
+				}
+			}
+		}
+	}
+}
+
+// trackerBits flattens everything a tracker answers — Comp, Comm and
+// every Contribution — into float bits.
+func trackerBits(tr *Tracker) []uint64 {
+	p := tr.Partition()
+	var bits []uint64
+	for i := 0; i < p.NumFragments(); i++ {
+		bits = append(bits, math.Float64bits(tr.Comp(i)), math.Float64bits(tr.Comm(i)))
+		for v := 0; v < p.Graph().NumVertices(); v++ {
+			bits = append(bits, math.Float64bits(tr.Contribution(i, graph.VertexID(v))))
+		}
+	}
+	return bits
+}
+
+// Rebuild re-evaluates in the tracker's own storage; the result must be
+// bit for bit a fresh NewTracker's, whatever the tracker went through
+// before: here the composite builders' pattern, a tracker grown over a
+// NewEmpty partition with light refreshes, then the partition compiled,
+// mutated on its compiled base and compiled again.
+func TestRebuildMatchesNewTracker(t *testing.T) {
+	g := gen.PowerLaw(gen.PowerLawConfig{N: 900, AvgDeg: 6, Exponent: 2.1, Directed: true, Seed: 33})
+	const frags = 5
+	edges := g.EdgeList()
+	for _, algo := range Algos() {
+		m := Reference(algo)
+		rng := rand.New(rand.NewSource(34))
+		p := partition.NewEmpty(g, frags)
+		tr := NewTracker(p, m)
+		for _, e := range edges[:len(edges)/2] {
+			p.AddEdge(rng.Intn(frags), e.Src, e.Dst)
+			tr.Refresh(e.Src)
+		}
+		check := func(label string) {
+			t.Helper()
+			tr.Rebuild()
+			if !slices.Equal(trackerBits(tr), trackerBits(NewTracker(p, m))) {
+				t.Fatalf("%v %s: the rebuilt tracker differs from a new one", algo, label)
+			}
+		}
+		check("on the NewEmpty form")
+		p.Compile()
+		check("after the compile")
+		for _, e := range edges[len(edges)/2:] {
+			p.AddEdge(rng.Intn(frags), e.Src, e.Dst)
+			tr.Refresh(e.Dst)
+		}
+		for k := 0; k < 200; k++ {
+			e := edges[rng.Intn(len(edges))]
+			p.RemoveArc(rng.Intn(frags), e.Src, e.Dst)
+		}
+		check("over an overlay on a compiled base")
+		p.Compile()
+		check("after the second compile")
+	}
 }
 
 // tr2partition exposes the tracker's partition for the test; the

@@ -83,12 +83,18 @@ func FromEdgeAssignment(g *graph.Graph, assign EdgeAssigner, n int) (*Partition,
 	return b.Build(func(v graph.VertexID) int { return int(v) % n }), nil
 }
 
-// Clone returns a deep copy of the partition sharing only the
+// Clone returns a compiled deep copy of the partition sharing only the
 // immutable graph: every fragment is copied out whole into an overlay
-// over an empty base, whatever form the original is in. Refiners mutate
-// partitions in place; benchmarks clone the baseline first, and the
+// over an empty base, whatever form the original is in, and then
+// compiled from scratch, so the copy's bases are its own. Refiners
+// mutate partitions in place; benchmarks clone the baseline first and
+// refine the same compiled form the constructors emit, and the
 // copy-on-write tests use Clone as the oracle that shares nothing.
-func (p *Partition) Clone() *Partition {
+func (p *Partition) Clone() *Partition { return p.copyOut().Compile() }
+
+// copyOut is Clone before the compile: every fragment an overlay over
+// an empty base.
+func (p *Partition) copyOut() *Partition {
 	q := &Partition{
 		g:      p.g,
 		frags:  make([]*Fragment, len(p.frags)),

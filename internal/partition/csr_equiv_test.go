@@ -166,17 +166,17 @@ func checkQuickCompileEquivalence(t *testing.T) {
 
 // mutateRecompileEquivalent drives seeded random AddArc / RemoveArc /
 // RemoveVertex sequences through a CloneCOW'd (compiled, shared)
-// partition and, in lockstep, through a deep Clone that is never
-// compiled — the oracle that keeps every vertex in its maps. After
+// partition and, in lockstep, through an OverlayClone that is never
+// compiled — the oracle that keeps every vertex in its overlay. After
 // every Compile the merged base must equal, array for array, a
-// from-scratch compile of a copy of the oracle, and every snapshot cut
+// from-scratch compile of a copy of the oracle (Clone), and every snapshot cut
 // earlier must still be bit for bit what it was when it was cut.
 func mutateRecompileEquivalent(t *testing.T, p *partition.Partition, seed int64) bool {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 	n, nv := p.NumFragments(), p.Graph().NumVertices()
 	live := p.Clone()
-	oracle := p.Clone()
+	oracle := partition.OverlayClone(p)
 
 	type cut struct {
 		part *partition.Partition
@@ -541,6 +541,48 @@ func TestConcurrentCompileOfSharedPartition(t *testing.T) {
 		for i := 0; i < p.NumFragments(); i++ {
 			if d := partition.SnapshotBase(p.Fragment(i)).Diff(partition.SnapshotBase(ref.Fragment(i))); d != "" {
 				t.Fatalf("seed %d fragment %d: concurrently compiled base differs in %s", seed, i, d)
+			}
+		}
+	}
+}
+
+// Clone hands the refiners a compiled copy; they must take exactly the
+// steps they take on the never-compiled OverlayClone of the same
+// partition: the same Stats and the same placement, for every model,
+// through both parallel refiners, on directed and undirected graphs.
+func TestRefineCloneMatchesOverlayClone(t *testing.T) {
+	for _, directed := range []bool{true, false} {
+		g := gen.PowerLaw(gen.PowerLawConfig{N: 3000, AvgDeg: 6, Exponent: 2.1, Directed: directed, Seed: 59})
+		ec, err := partitioner.FennelEdgeCut(g, 6, partitioner.FennelConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vc, err := partitioner.GridVertexCut(g, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range costmodel.Algos() {
+			m := costmodel.Reference(algo)
+			for _, r := range []struct {
+				name   string
+				base   *partition.Partition
+				refine func(*partition.Partition, costmodel.CostModel, refine.Config) *refine.Stats
+			}{{"ParE2H", ec, refine.ParE2H}, {"ParV2H", vc, refine.ParV2H}} {
+				label := fmt.Sprintf("directed=%v/%v/%s", directed, algo, r.name)
+				compiled, overlay := r.base.Clone(), partition.OverlayClone(r.base)
+				for i := 0; i < compiled.NumFragments(); i++ {
+					if !compiled.Fragment(i).Compiled() || overlay.Fragment(i).Compiled() {
+						t.Fatalf("%s: fragment %d: Clone not compiled, or OverlayClone compiled", label, i)
+					}
+				}
+				got, want := r.refine(compiled, m, refine.Config{}), r.refine(overlay, m, refine.Config{})
+				if got.Budget != want.Budget || got.Migrated != want.Migrated || got.SplitEdges != want.SplitEdges ||
+					got.Merged != want.Merged || got.MastersMoved != want.MastersMoved {
+					t.Errorf("%s: %v on Clone, %v on OverlayClone", label, got, want)
+				}
+				if err := compiled.EqualPlacement(overlay); err != nil {
+					t.Errorf("%s: %v", label, err)
+				}
 			}
 		}
 	}

@@ -20,6 +20,12 @@ type BaseSnapshot struct {
 	arcOff, recomp []int32 // recomp: arcOff as counted out of ids and arcs
 }
 
+// OverlayClone is Clone without the compile: a deep copy whose every
+// fragment is an overlay over an empty base, the form a partition built
+// by NewEmpty + AddArc is in. The tests use it as the never-compiled
+// oracle the compiled form must agree with.
+func OverlayClone(p *Partition) *Partition { return p.copyOut() }
+
 // SnapshotBase copies f's base; f must be compiled.
 func SnapshotBase(f *Fragment) *BaseSnapshot {
 	c := f.base.Load()

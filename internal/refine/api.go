@@ -56,20 +56,20 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// VMergeSweep runs the VMerge phase alone on p against an explicit
-// budget, returning the number of v-cut nodes merged. The composite
-// partitioner MV2H reuses it per target partition.
-func VMergeSweep(p *partition.Partition, m costmodel.CostModel, budget float64) int {
+// VMergeSweep runs the VMerge phase alone on tr's partition against an
+// explicit budget, returning the number of v-cut nodes merged. The
+// composite partitioner MV2H reuses it per target partition, on a
+// freshly built tracker.
+func VMergeSweep(tr *costmodel.Tracker, budget float64) int {
 	stats := &Stats{}
-	_ = vMerge(nil, costmodel.NewTracker(p, m), nil, budget, stats) // a nil ctx never cancels
+	_ = vMerge(nil, tr, nil, budget, stats) // a nil ctx never cancels
 	return stats.Merged
 }
 
-// MAssignOnly runs the MAssign phase alone on p, returning how many
-// masters moved. The composite partitioners reuse it per target
-// partition.
-func MAssignOnly(p *partition.Partition, m costmodel.CostModel) int {
-	tr := costmodel.NewTracker(p, m)
+// MAssignOnly runs the MAssign phase alone on tr's partition, returning
+// how many masters moved. The composite partitioners reuse it per
+// target partition, on a freshly built tracker.
+func MAssignOnly(tr *costmodel.Tracker) int {
 	return mAssign(tr)
 }
 

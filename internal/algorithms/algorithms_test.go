@@ -183,7 +183,7 @@ func TestTCMatchesSequential(t *testing.T) {
 
 func TestTCCliques(t *testing.T) {
 	// K5 + K4 + K3: C(5,3)+C(4,3)+C(3,3) = 10+4+1 triangles.
-	g := gen.CliqueCollection([]int{5, 4, 3})
+	g := cliques(5, 4, 3)
 	if got := TCSeq(g); got != 15 {
 		t.Fatalf("TCSeq = %d, want 15", got)
 	}

@@ -10,6 +10,26 @@ import (
 	"adp/internal/partitioner"
 )
 
+// cliques is the disjoint union K_{sizes[0]} + K_{sizes[1]} + ...,
+// ids allotted clique by clique.
+func cliques(sizes ...int) *graph.Graph {
+	n := 0
+	for _, s := range sizes {
+		n += s
+	}
+	b := graph.NewUndirectedBuilder(n)
+	base := 0
+	for _, s := range sizes {
+		for i := 0; i < s; i++ {
+			for j := i + 1; j < s; j++ {
+				b.AddEdge(graph.VertexID(base+i), graph.VertexID(base+j))
+			}
+		}
+		base += s
+	}
+	return b.MustBuild()
+}
+
 // bruteTriangles counts triangles by enumerating all vertex triples —
 // the unimpeachable O(n³) oracle for small graphs.
 func bruteTriangles(g *graph.Graph) int64 {
@@ -69,7 +89,7 @@ func TestQuickRunTCMatchesSeq(t *testing.T) {
 // ordering falls back to ids; K_n has C(n,3) triangles.
 func TestTCCompleteGraphs(t *testing.T) {
 	for _, n := range []int{3, 4, 5, 6, 8} {
-		g := gen.CliqueCollection([]int{n})
+		g := cliques(n)
 		want := int64(n * (n - 1) * (n - 2) / 6)
 		if got := TCSeq(g); got != want {
 			t.Fatalf("K%d: TCSeq = %d, want %d", n, got, want)

@@ -2,10 +2,13 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"adp/internal/algorithms"
 	"adp/internal/costmodel"
+	"adp/internal/engine"
 )
 
 func TestExperimentRegistry(t *testing.T) {
@@ -199,4 +202,26 @@ func TestTrainedModelAccuracy(t *testing.T) {
 			t.Errorf("%v gA MSRE = %v, want ≤ 0.11", algo, tg.MSRE)
 		}
 	}
+}
+
+// batchOutcomesMatchOracle verifies that every algorithm in the batch
+// returns oracle-identical results over its composite partition.
+func batchOutcomesMatchOracle(baseName string) error {
+	r, err := compositeFor(baseName)
+	if err != nil {
+		return err
+	}
+	g := Dataset(batchGraphName)
+	opts := defaultOpts(DSTwitter)
+	for j, algo := range batchAlgos {
+		want := algorithms.SeqOutcome(g, algo, opts)
+		got, err := algorithms.Run(engine.NewCluster(r.comp.Partition(j)), algo, opts)
+		if err != nil {
+			return fmt.Errorf("%v: %w", algo, err)
+		}
+		if got.Checksum != want.Checksum {
+			return fmt.Errorf("%v: checksum mismatch over composite partition %d", algo, j)
+		}
+	}
+	return nil
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"adp/internal/algorithms"
 	"adp/internal/composite"
 	"adp/internal/costmodel"
-	"adp/internal/engine"
 	"adp/internal/partition"
 	"adp/internal/partitioner"
 	"adp/internal/pool"
@@ -156,27 +154,4 @@ func Table4() (*Table, error) {
 			bName, c.mTotal, c.parHPTotal, gap))
 	}
 	return t, nil
-}
-
-// batchOutcomesMatchOracle verifies that every algorithm in the batch
-// returns oracle-identical results over its composite partition; used
-// by the tests rather than the printed table.
-func batchOutcomesMatchOracle(baseName string) error {
-	r, err := compositeFor(baseName)
-	if err != nil {
-		return err
-	}
-	g := Dataset(batchGraphName)
-	opts := defaultOpts(DSTwitter)
-	for j, algo := range batchAlgos {
-		want := algorithms.SeqOutcome(g, algo, opts)
-		got, err := algorithms.Run(engine.NewCluster(r.comp.Partition(j)), algo, opts)
-		if err != nil {
-			return fmt.Errorf("%v: %w", algo, err)
-		}
-		if got.Checksum != want.Checksum {
-			return fmt.Errorf("%v: checksum mismatch over composite partition %d", algo, j)
-		}
-	}
-	return nil
 }

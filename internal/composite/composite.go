@@ -209,9 +209,6 @@ func (c *Composite) PartitionFor(a costmodel.Algo) int {
 // Partitions returns all bundled partitions.
 func (c *Composite) Partitions() []*partition.Partition { return c.parts }
 
-// CoreArcs returns |Ci| in arcs for fragment i.
-func (c *Composite) CoreArcs(i int) int { return c.coreArcs[i] }
-
 // StorageArcs returns the composite storage cost
 // Σ_i (|Ci| + Σ_j |F̂ji|): arcs in a core are stored once regardless
 // of how many partitions share them.
@@ -245,25 +242,6 @@ func (c *Composite) FC() float64 {
 		return 0
 	}
 	return float64(c.StorageArcs()) / float64(c.g.NumEdges())
-}
-
-// Locate returns, for composite fragment i, whether the arc lies in
-// the core and the list of partitions whose residual holds it
-// (empty for core arcs, per the (ci, ri) index of Section 6.1).
-func (c *Composite) Locate(i int, u, v graph.VertexID) (core bool, residuals []int, present bool) {
-	e := c.entry(i, arcKey(u, v))
-	if e == 0 {
-		return false, nil, false
-	}
-	if e == c.full() {
-		return true, nil, true
-	}
-	for j := 0; j < c.k; j++ {
-		if e&(1<<uint(j)) != 0 {
-			residuals = append(residuals, j)
-		}
-	}
-	return false, residuals, true
 }
 
 // DeleteEdge deletes the edge coherently from every bundled partition

@@ -121,8 +121,8 @@ func TestCompositeBuildsLeaveCompiledPartitions(t *testing.T) {
 					t.Fatal(err)
 				}
 				for j, p := range c.Partitions() {
-					for i, f := range p.Fragments() {
-						if !f.Compiled() {
+					for i := 0; i < p.NumFragments(); i++ {
+						if !p.Fragment(i).Compiled() {
 							t.Errorf("directed=%v %s naive=%v: partition %d fragment %d left uncompiled", directed, name, naive, j, i)
 						}
 					}

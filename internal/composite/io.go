@@ -38,24 +38,14 @@ func Write(w io.Writer, c *Composite) error {
 const maxPartitions = 32
 
 // Read reconstructs a composite over g from the format produced by
-// Write.
+// Write. Each bundled partition decodes through partition.Read, so the
+// composite's edge set may have drifted from g (the durable store's
+// snapshots).
 //
 // Header fields are validated before any allocation scales with them —
 // a truncated, bit-flipped, or hostile stream yields a wrapped error,
 // never a panic or an oversized allocation.
 func Read(r io.Reader, g *graph.Graph) (*Composite, error) {
-	return read(r, g, partition.Read)
-}
-
-// ReadDynamic is Read for composites whose edge set has drifted from g
-// through logged inserts and deletes (the durable store's snapshots):
-// it delegates to partition.ReadDynamic, so stored arcs need not exist
-// in g.
-func ReadDynamic(r io.Reader, g *graph.Graph) (*Composite, error) {
-	return read(r, g, partition.ReadDynamic)
-}
-
-func read(r io.Reader, g *graph.Graph, readPart func(io.Reader, *graph.Graph) (*partition.Partition, error)) (*Composite, error) {
 	br := bufio.NewReader(r)
 	le := binary.LittleEndian
 	var magic, k uint32
@@ -73,7 +63,7 @@ func read(r io.Reader, g *graph.Graph, readPart func(io.Reader, *graph.Graph) (*
 	}
 	parts := make([]*partition.Partition, 0, k)
 	for j := uint32(0); j < k; j++ {
-		p, err := readPart(br, g)
+		p, err := partition.Read(br, g)
 		if err != nil {
 			return nil, fmt.Errorf("composite: partition %d: %w", j, err)
 		}

@@ -211,7 +211,12 @@ func TestTrackerMatchesEvaluate(t *testing.T) {
 				}
 				to := (frag + 1) % 3
 				out, in := slices.Clone(adj.Out), slices.Clone(adj.In)
-				q.RemoveVertex(frag, v)
+				for _, w := range out {
+					q.RemoveArc(frag, v, w)
+				}
+				for _, w := range in {
+					q.RemoveArc(frag, w, v)
+				}
 				q.AddVertex(to, v)
 				for _, w := range out {
 					q.AddArc(to, v, w)

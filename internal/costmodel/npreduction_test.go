@@ -3,7 +3,6 @@ package costmodel
 import (
 	"testing"
 
-	"adp/internal/gen"
 	"adp/internal/graph"
 	"adp/internal/partition"
 )
@@ -16,6 +15,41 @@ import (
 // of the cliques into two equal-sum halves achieves parallel cost
 // exactly B; any split of a clique forces replication and pushes the
 // cost above B.
+// cliqueCollection is the Theorem-1 reduction graph: a disjoint union
+// of cliques K_{sizes[0]}, K_{sizes[1]}, ...
+func cliqueCollection(sizes []int) *graph.Graph {
+	n := 0
+	for _, s := range sizes {
+		n += s
+	}
+	b := graph.NewUndirectedBuilder(n)
+	base := 0
+	for _, s := range sizes {
+		for i := 0; i < s; i++ {
+			for j := i + 1; j < s; j++ {
+				b.AddEdge(graph.VertexID(base+i), graph.VertexID(base+j))
+			}
+		}
+		base += s
+	}
+	return b.MustBuild()
+}
+
+func TestCliqueCollection(t *testing.T) {
+	g := cliqueCollection([]int{3, 4, 2})
+	if g.NumVertices() != 9 {
+		t.Fatalf("vertices = %d", g.NumVertices())
+	}
+	// K3 + K4 + K2 = 3 + 6 + 1 undirected edges.
+	if g.NumUndirectedEdges() != 10 {
+		t.Fatalf("edges = %d, want 10", g.NumUndirectedEdges())
+	}
+	_, comps := graph.ConnectedComponents(g)
+	if comps != 3 {
+		t.Fatalf("components = %d, want 3", comps)
+	}
+}
+
 func reductionModel() CostModel {
 	return CostModel{
 		H: Func(func(x Vars) float64 { return 1 }),
@@ -26,7 +60,7 @@ func reductionModel() CostModel {
 func TestSetPartitionReductionYesInstance(t *testing.T) {
 	// S = {3, 1, 4, 2, 5, 5} sums to 20; {5,4,1} vs {5,3,2} splits it.
 	sizes := []int{3, 1, 4, 2, 5, 5}
-	g := gen.CliqueCollection(sizes)
+	g := cliqueCollection(sizes)
 	b := 10.0
 
 	// Assign cliques 2(K4), 4(K5) and 1(K1) to fragment 0, rest to 1.
@@ -55,7 +89,7 @@ func TestSetPartitionReductionYesInstance(t *testing.T) {
 
 func TestSetPartitionReductionSplitCliqueCostsMore(t *testing.T) {
 	sizes := []int{3, 1, 4, 2, 5, 5}
-	g := gen.CliqueCollection(sizes)
+	g := cliqueCollection(sizes)
 	b := 10.0
 
 	// Split the first K5 (vertices 10..14) across the two fragments:
@@ -88,7 +122,7 @@ func TestSetPartitionReductionSplitCliqueCostsMore(t *testing.T) {
 // exactly when SET-PARTITION does on this instance family.
 func TestSetPartitionReductionCliquesStayWhole(t *testing.T) {
 	sizes := []int{2, 2, 4}
-	g := gen.CliqueCollection(sizes)
+	g := cliqueCollection(sizes)
 	assign := make([]int, g.NumVertices())
 	for v := 0; v < 4; v++ {
 		assign[v] = 0 // K2 + K2

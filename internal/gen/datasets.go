@@ -63,7 +63,7 @@ func Load(name string, symmetric bool) (*graph.Graph, error) {
 			return nil, err
 		}
 		defer f.Close()
-		if g, err = graph.ReadEdgeList(f); err != nil {
+		if g, err = graph.ParallelReadEdgeListStreaming(f, graph.LoadOptions{}, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -119,27 +119,6 @@ func Grid2D(rows, cols int) *graph.Graph {
 	return b.MustBuild()
 }
 
-// CliqueCollection generates the Theorem-1 reduction graph: a disjoint
-// union of cliques K_{sizes[0]}, K_{sizes[1]}, ... Used by the
-// NP-completeness sanity tests.
-func CliqueCollection(sizes []int) *graph.Graph {
-	n := 0
-	for _, s := range sizes {
-		n += s
-	}
-	b := graph.NewUndirectedBuilder(n)
-	base := 0
-	for _, s := range sizes {
-		for i := 0; i < s; i++ {
-			for j := i + 1; j < s; j++ {
-				b.AddEdge(graph.VertexID(base+i), graph.VertexID(base+j))
-			}
-		}
-		base += s
-	}
-	return b.MustBuild()
-}
-
 // RMATConfig parameterises a recursive-matrix generator.
 type RMATConfig struct {
 	Scale    int // 2^Scale vertices

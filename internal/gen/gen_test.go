@@ -79,21 +79,6 @@ func TestGrid2D(t *testing.T) {
 	}
 }
 
-func TestCliqueCollection(t *testing.T) {
-	g := CliqueCollection([]int{3, 4, 2})
-	if g.NumVertices() != 9 {
-		t.Fatalf("vertices = %d", g.NumVertices())
-	}
-	// K3 + K4 + K2 = 3 + 6 + 1 undirected edges.
-	if g.NumUndirectedEdges() != 10 {
-		t.Fatalf("edges = %d, want 10", g.NumUndirectedEdges())
-	}
-	_, comps := graph.ConnectedComponents(g)
-	if comps != 3 {
-		t.Fatalf("components = %d, want 3", comps)
-	}
-}
-
 func TestRMAT(t *testing.T) {
 	g := RMAT(RMATConfig{Scale: 10, AvgDeg: 8, A: 0.57, B: 0.19, C: 0.19, Directed: true, Seed: 2})
 	if err := g.Validate(); err != nil {

@@ -69,11 +69,6 @@ func dedupSorted(arcs []Edge) []Edge {
 	return out
 }
 
-// FromEdges is a convenience constructor over an explicit edge list.
-func FromEdges(n int, edges []Edge, undirected bool) (*Graph, error) {
-	return build(n, edges, undirected, false, serial, nil)
-}
-
 // Symmetrize returns the undirected version of g: every arc gains its
 // reverse and Undirected() reports true.
 func Symmetrize(g *Graph) *Graph {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"unsafe"
 )
 
 // Flat binary format: the complete CSR — both directions — laid out so
@@ -155,65 +156,36 @@ func validateFlat(g *Graph) error {
 	return nil
 }
 
-// ReadFlatBinary parses the flat format with plain reads (the portable
-// path; see MapFlatBinary for the zero-copy variant). All invariants
-// are validated, so corrupt input errors out instead of panicking
-// later.
-func ReadFlatBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var hdr [flatHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("graph: reading flat header: %w", err)
+// flatFromBytes builds the Graph over a flat-format byte image, its
+// four CSR arrays aliasing data — the one decoder of the format, behind
+// MapFlatBinary. data must be 8-aligned (mappings and heap buffers
+// are); only valid on little-endian hosts (every supported target), as
+// the arrays are reinterpreted in place. All invariants are validated,
+// so corrupt input errors out instead of panicking later.
+func flatFromBytes(data []byte) (*Graph, error) {
+	if len(data) < flatHeaderLen {
+		return nil, fmt.Errorf("graph: flat file is %d bytes, want at least %d", len(data), flatHeaderLen)
 	}
-	flags, n, m, err := parseFlatHeader(hdr[:])
+	flags, n, m, err := parseFlatHeader(data[:flatHeaderLen])
 	if err != nil {
 		return nil, err
 	}
+	need := int64(flatHeaderLen) + 2*8*int64(n+1) + 2*4*m
+	if int64(len(data)) != need {
+		return nil, fmt.Errorf("graph: flat file is %d bytes, header implies %d", len(data), need)
+	}
 	g := &Graph{n: n, undirected: flags&1 != 0}
-	scratch := make([]byte, 1<<16)
-	readI64s := func(dst []int64, what string) error {
-		for done := 0; done < len(dst); {
-			chunk := min(len(dst)-done, len(scratch)/8)
-			buf := scratch[:chunk*8]
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return fmt.Errorf("graph: reading flat %s: %w", what, err)
-			}
-			for k := 0; k < chunk; k++ {
-				dst[done+k] = int64(binary.LittleEndian.Uint64(buf[k*8:]))
-			}
-			done += chunk
-		}
-		return nil
-	}
-	readU32s := func(dst []VertexID, what string) error {
-		for done := 0; done < len(dst); {
-			chunk := min(len(dst)-done, len(scratch)/4)
-			buf := scratch[:chunk*4]
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return fmt.Errorf("graph: reading flat %s: %w", what, err)
-			}
-			for k := 0; k < chunk; k++ {
-				dst[done+k] = binary.LittleEndian.Uint32(buf[k*4:])
-			}
-			done += chunk
-		}
-		return nil
-	}
-	g.outIndex = make([]int64, n+1)
-	g.inIndex = make([]int64, n+1)
-	g.outAdj = make([]VertexID, m)
-	g.inAdj = make([]VertexID, m)
-	if err := readI64s(g.outIndex, "out-index"); err != nil {
-		return nil, err
-	}
-	if err := readI64s(g.inIndex, "in-index"); err != nil {
-		return nil, err
-	}
-	if err := readU32s(g.outAdj, "out-adjacency"); err != nil {
-		return nil, err
-	}
-	if err := readU32s(g.inAdj, "in-adjacency"); err != nil {
-		return nil, err
+	off := int64(flatHeaderLen)
+	g.outIndex = unsafe.Slice((*int64)(unsafe.Pointer(&data[off])), n+1)
+	off += 8 * int64(n+1)
+	g.inIndex = unsafe.Slice((*int64)(unsafe.Pointer(&data[off])), n+1)
+	off += 8 * int64(n+1)
+	if m > 0 {
+		g.outAdj = unsafe.Slice((*VertexID)(unsafe.Pointer(&data[off])), m)
+		off += 4 * m
+		g.inAdj = unsafe.Slice((*VertexID)(unsafe.Pointer(&data[off])), m)
+	} else {
+		g.outAdj, g.inAdj = []VertexID{}, []VertexID{}
 	}
 	if err := validateFlat(g); err != nil {
 		return nil, err

@@ -11,7 +11,7 @@ import (
 
 func mustGraph(t *testing.T, n int, edges []Edge, undirected bool) *Graph {
 	t.Helper()
-	g, err := FromEdges(n, edges, undirected)
+	g, err := fromEdges(n, edges, undirected)
 	if err != nil {
 		t.Fatalf("FromEdges: %v", err)
 	}
@@ -157,31 +157,37 @@ func TestEdgeListRoundTripText(t *testing.T) {
 		if err := WriteEdgeList(&buf, g); err != nil {
 			t.Fatal(err)
 		}
-		g2, err := ReadEdgeList(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !graphsEqual(g, g2) {
-			t.Fatalf("text round trip mismatch (undirected=%v)", undirected)
+		for _, cb := range chunkSizes {
+			g2, err := readEdgeList(buf.String(), cb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !graphsEqual(g, g2) {
+				t.Fatalf("text round trip mismatch (undirected=%v, chunk %d)", undirected, cb)
+			}
 		}
 	}
 }
 
 func TestEdgeListReaderSNAPStyle(t *testing.T) {
 	in := "% comment\n# some header\n0 1\n2\t3\n\n1 2\n"
-	g, err := ReadEdgeList(bytes.NewBufferString(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 4 || g.NumEdges() != 3 {
-		t.Fatalf("got %v", g)
+	for _, cb := range chunkSizes {
+		g, err := readEdgeList(in, cb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.NumVertices() != 4 || g.NumEdges() != 3 {
+			t.Fatalf("chunk %d: got %v", cb, g)
+		}
 	}
 }
 
 func TestEdgeListReaderErrors(t *testing.T) {
 	for _, in := range []string{"0\n", "a b\n", "0 x\n"} {
-		if _, err := ReadEdgeList(bytes.NewBufferString(in)); err == nil {
-			t.Errorf("input %q: expected parse error", in)
+		for _, cb := range chunkSizes {
+			if _, err := readEdgeList(in, cb); err == nil {
+				t.Errorf("input %q, chunk %d: expected parse error", in, cb)
+			}
 		}
 	}
 }
@@ -201,7 +207,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err := WriteFlatBinary(&buf, g); err != nil {
 			t.Fatal(err)
 		}
-		g2, err := ReadFlatBinary(&buf)
+		g2, err := readFlat(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +218,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestBinaryBadMagic(t *testing.T) {
-	if _, err := ReadFlatBinary(bytes.NewBuffer(make([]byte, 32))); err == nil {
+	if _, err := readFlat(make([]byte, 32)); err == nil {
 		t.Fatal("expected bad-magic error")
 	}
 }
@@ -238,13 +244,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 	if labels[5] != labels[6] || labels[5] == labels[3] {
 		t.Fatal("component {5,6} wrong")
-	}
-}
-
-func TestMaxDegreeVertex(t *testing.T) {
-	g := mustGraph(t, 4, []Edge{{0, 1}, {2, 1}, {3, 1}, {1, 0}}, false)
-	if got := MaxDegreeVertex(g); got != 1 {
-		t.Fatalf("MaxDegreeVertex = %d, want 1", got)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"syscall"
-	"unsafe"
 )
 
 // Mapping owns the mmap'd bytes backing a flat-format Graph. The Graph
@@ -59,35 +58,4 @@ func MapFlatBinary(path string) (*Graph, *Mapping, error) {
 		return nil, nil, err
 	}
 	return g, mp, nil
-}
-
-// flatFromBytes builds the aliasing Graph over a flat-format byte
-// image. Only valid on little-endian hosts (every supported target);
-// the arrays are reinterpreted in place.
-func flatFromBytes(data []byte) (*Graph, error) {
-	flags, n, m, err := parseFlatHeader(data[:flatHeaderLen])
-	if err != nil {
-		return nil, err
-	}
-	need := int64(flatHeaderLen) + 2*8*int64(n+1) + 2*4*m
-	if int64(len(data)) != need {
-		return nil, fmt.Errorf("graph: flat file is %d bytes, header implies %d", len(data), need)
-	}
-	g := &Graph{n: n, undirected: flags&1 != 0}
-	off := int64(flatHeaderLen)
-	g.outIndex = unsafe.Slice((*int64)(unsafe.Pointer(&data[off])), n+1)
-	off += 8 * int64(n+1)
-	g.inIndex = unsafe.Slice((*int64)(unsafe.Pointer(&data[off])), n+1)
-	off += 8 * int64(n+1)
-	if m > 0 {
-		g.outAdj = unsafe.Slice((*VertexID)(unsafe.Pointer(&data[off])), m)
-		off += 4 * m
-		g.inAdj = unsafe.Slice((*VertexID)(unsafe.Pointer(&data[off])), m)
-	} else {
-		g.outAdj, g.inAdj = []VertexID{}, []VertexID{}
-	}
-	if err := validateFlat(g); err != nil {
-		return nil, err
-	}
-	return g, nil
 }

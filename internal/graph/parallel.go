@@ -105,10 +105,12 @@ func splitLines(r io.Reader, chunkBytes int) ([]textChunk, error) {
 	}
 }
 
-// parseChunk parses one newline-aligned byte range with the exact
-// per-line grammar of ReadEdgeList. Range checks against a declared n
-// happen at merge time (the header may live in another chunk).
-func parseChunk(c textChunk) parsedChunk {
+// parseChunk parses one newline-aligned byte range of the edge-list
+// grammar: "src dst" lines, at most one "# vertices N kind" header
+// before the first edge, other '#' and '%' lines skipped. n is the
+// vertex count declared before the chunk, -1 when none is known; edges
+// are range-checked against it, or against the chunk's own header.
+func parseChunk(c textChunk, n int) parsedChunk {
 	var out parsedChunk
 	lineNo := c.firstLine - 1
 	data := c.data
@@ -148,6 +150,7 @@ func parseChunk(c textChunk) parsedChunk {
 					return out
 				}
 				out.headerN, out.headerDir, out.headerLine = v, fields[3] == "undirected", lineNo
+				n = v
 			}
 			continue
 		}
@@ -166,6 +169,10 @@ func parseChunk(c textChunk) parsedChunk {
 			out.err = fmt.Errorf("graph: line %d: bad dst: %w", lineNo, err)
 			return out
 		}
+		if n >= 0 && (s >= uint64(n) || d >= uint64(n)) {
+			out.err = fmt.Errorf("graph: line %d: edge (%d,%d) out of declared range [0,%d)", lineNo, s, d, n)
+			return out
+		}
 		e := Edge{VertexID(s), VertexID(d)}
 		if e.Src > out.maxV {
 			out.maxV = e.Src
@@ -182,12 +189,12 @@ func parseChunk(c textChunk) parsedChunk {
 }
 
 // ParallelReadEdgeListStreaming parses the WriteEdgeList/SNAP text
-// format chunk-parallel — the grammar and the header rule of
-// ReadEdgeList, so both accept the same inputs and build the same
-// Graph — and builds it with BuildStreaming: a non-nil consume receives
-// every finished forward star during the build, the one-pass
-// load-and-partition path for edge-list files. The result is
-// independent of opt.Workers.
+// format chunk-parallel and builds the Graph; a non-nil consume
+// receives every finished forward star during the build, the one-pass
+// load-and-partition path for edge-list files. Malformed input fails
+// with the earliest offending line; errors wrap the underlying parse or
+// IO cause. The result is independent of opt.Workers and
+// opt.ChunkBytes.
 func ParallelReadEdgeListStreaming(r io.Reader, opt LoadOptions, consume VertexConsumer) (*Graph, error) {
 	chunks, err := splitLines(r, opt.chunkBytes())
 	if err != nil {
@@ -196,14 +203,14 @@ func ParallelReadEdgeListStreaming(r io.Reader, opt LoadOptions, consume VertexC
 	pl := pool.New(opt.workers())
 	defer pl.Close()
 	parsed := pool.Map(pl, len(chunks), func(i int) parsedChunk {
-		return parseChunk(chunks[i])
+		return parseChunk(chunks[i], -1)
 	})
 	n := -1
 	undirected := false
 	maxV := VertexID(0)
 	total := 0
 	headerLine, firstEdge := 0, 0
-	for _, pc := range parsed {
+	for i, pc := range parsed {
 		// The header rule spans chunks: a chunk's first header is checked
 		// against the earlier chunks, before pc.err, which can only come
 		// from a later line.
@@ -212,6 +219,11 @@ func ParallelReadEdgeListStreaming(r io.Reader, opt LoadOptions, consume VertexC
 				return nil, err
 			}
 			n, undirected, headerLine = pc.headerN, pc.headerDir, pc.headerLine
+		} else if n >= 0 && len(pc.edges) > 0 && int64(pc.maxV) >= int64(n) {
+			// A header in an earlier chunk declared n after this chunk was
+			// parsed: re-parse it against n, on this error path only, so
+			// the violation names its line and wins over any later error.
+			pc = parseChunk(chunks[i], n)
 		}
 		if firstEdge == 0 {
 			firstEdge = pc.firstEdge
@@ -231,13 +243,7 @@ func ParallelReadEdgeListStreaming(r io.Reader, opt LoadOptions, consume VertexC
 	for _, pc := range parsed {
 		edges = append(edges, pc.edges...)
 	}
-	if n >= 0 {
-		for _, e := range edges {
-			if int64(e.Src) >= int64(n) || int64(e.Dst) >= int64(n) {
-				return nil, fmt.Errorf("graph: edge (%d,%d) out of declared range [0,%d)", e.Src, e.Dst, n)
-			}
-		}
-	} else {
+	if n < 0 {
 		n = int(maxV) + 1
 		if len(edges) == 0 {
 			n = 0
@@ -246,8 +252,9 @@ func ParallelReadEdgeListStreaming(r io.Reader, opt LoadOptions, consume VertexC
 	return build(n, edges, undirected, false, pl, consume)
 }
 
-// FromEdgesParallel builds the same Graph as FromEdges — bitwise — by
-// expanding, sorting, and filling the CSR in parallel on pl. Chunk
+// FromEdgesParallel builds the Graph of an explicit edge list — bitwise
+// what Builder builds — by expanding, sorting, and filling the CSR in
+// parallel on pl. Chunk
 // extents depend only on len(edges), so the output does not vary with
 // the pool's worker count.
 func FromEdgesParallel(n int, edges []Edge, undirected bool, pl *pool.Pool) (*Graph, error) {
@@ -453,16 +460,4 @@ func mergeRuns(runs [][]Edge) []Edge {
 type VertexConsumer interface {
 	Begin(nv int, m int64)
 	Vertex(v VertexID, out []VertexID)
-}
-
-// BuildStreaming is FromEdgesParallel with a consumer bolted onto the
-// out-CSR: once the forward stars are final it streams every vertex to
-// consume in id order while the in-adjacency builds concurrently, so a
-// one-pass streaming partitioner runs during — not after — ingestion.
-// The consumer sees exactly the adjacency the finished graph will
-// expose (sorted, deduped, loops dropped).
-func BuildStreaming(n int, edges []Edge, undirected bool, opt LoadOptions, consume VertexConsumer) (*Graph, error) {
-	pl := pool.New(opt.workers())
-	defer pl.Close()
-	return build(n, edges, undirected, false, pl, consume)
 }

@@ -45,6 +45,11 @@ func randomEdges(n, m int, seed int64) []Edge {
 	return edges
 }
 
+// fromEdges is the sequential build of an explicit edge list.
+func fromEdges(n int, edges []Edge, undirected bool) (*Graph, error) {
+	return FromEdgesParallel(n, edges, undirected, serial)
+}
+
 // refCSR is the independent oracle for the one CSR build: expand
 // (loops dropped, reverse arcs when undirected), sort, dedup, then
 // bucket per vertex — the definition, with none of build's chunking.
@@ -82,7 +87,7 @@ func TestFromEdgesParallelMatchesBuild(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			edges := randomEdges(500, 4000, seed)
 			want := refCSR(500, edges, undirected)
-			seq, err := FromEdges(500, edges, undirected)
+			seq, err := fromEdges(500, edges, undirected)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,18 +128,26 @@ func TestFromEdgesParallelRange(t *testing.T) {
 
 // TestParallelReadEdgeListMatchesSequential: tiny chunk sizes force
 // many parse chunks; every worker count must reproduce the sequential
-// reader bitwise.
+// constructor over the same edges bitwise.
 func TestParallelReadEdgeListMatchesSequential(t *testing.T) {
 	for _, header := range []string{"# vertices 300 directed\n", "# vertices 300 undirected\n", ""} {
 		var text bytes.Buffer
 		text.WriteString(header)
 		text.WriteString("% a comment line\n\n")
 		rng := rand.New(rand.NewSource(11))
+		var edges []Edge
+		maxV := 0
 		for i := 0; i < 5000; i++ {
 			s, d := rng.Intn(300), rng.Intn(300)
 			text.WriteString(itoa(s) + " " + itoa(d) + "\n")
+			edges = append(edges, Edge{VertexID(s), VertexID(d)})
+			maxV = max(maxV, s, d)
 		}
-		want, err := ReadEdgeList(bytes.NewReader(text.Bytes()))
+		n := maxV + 1
+		if header != "" {
+			n = 300
+		}
+		want, err := fromEdges(n, edges, strings.Contains(header, "undirected"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,12 +191,12 @@ func TestParallelReadEdgeListErrors(t *testing.T) {
 	}
 	_, err = ParallelReadEdgeListStreaming(strings.NewReader("# vertices 3 directed\n0 1\n1 9\n"),
 		LoadOptions{Workers: 2, ChunkBytes: 8}, nil)
-	if err == nil || !strings.Contains(err.Error(), "out of declared range") {
-		t.Fatalf("range violation not rejected: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "line 3: edge (1,9) out of declared range") {
+		t.Fatalf("range violation not rejected at its line: %v", err)
 	}
 }
 
-// streamRecorder checks the BuildStreaming consumer contract: Begin
+// streamRecorder checks the streaming build's consumer contract: Begin
 // before any vertex, ids ascending and complete, stars matching the
 // finished graph.
 type streamRecorder struct {
@@ -206,39 +219,46 @@ func (r *streamRecorder) Vertex(v VertexID, out []VertexID) {
 
 // TestBuildStreamingConsumer: the stream must deliver exactly the
 // finished graph's forward stars, in id order, with counts announced
-// up front, at every worker count.
+// up front, at every worker count and chunking.
 func TestBuildStreamingConsumer(t *testing.T) {
 	edges := randomEdges(400, 3000, 5)
-	want, err := FromEdges(400, edges, false)
+	want, err := fromEdges(400, edges, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var text bytes.Buffer
+	text.WriteString("# vertices 400 directed\n")
+	for _, e := range edges {
+		text.WriteString(itoa(int(e.Src)) + " " + itoa(int(e.Dst)) + "\n")
+	}
 	for _, w := range []int{1, 4, runtime.NumCPU()} {
-		rec := &streamRecorder{}
-		got, err := BuildStreaming(400, edges, false, LoadOptions{Workers: w}, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		graphBitwiseEqual(t, want, got, "streamed")
-		if rec.nv != want.NumVertices() || rec.m != want.NumEdges() {
-			t.Fatalf("Begin announced (%d,%d), want (%d,%d)", rec.nv, rec.m, want.NumVertices(), want.NumEdges())
-		}
-		if len(rec.stars) != want.NumVertices() {
-			t.Fatalf("streamed %d vertices of %d", len(rec.stars), want.NumVertices())
-		}
-		for v, star := range rec.stars {
-			if !slices.Equal(star, want.OutNeighbors(VertexID(v))) {
-				t.Fatalf("vertex %d: streamed star differs from final graph", v)
+		for _, cb := range chunkSizes {
+			rec := &streamRecorder{}
+			got, err := ParallelReadEdgeListStreaming(bytes.NewReader(text.Bytes()), LoadOptions{Workers: w, ChunkBytes: cb}, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphBitwiseEqual(t, want, got, "streamed")
+			if rec.nv != want.NumVertices() || rec.m != want.NumEdges() {
+				t.Fatalf("Begin announced (%d,%d), want (%d,%d)", rec.nv, rec.m, want.NumVertices(), want.NumEdges())
+			}
+			if len(rec.stars) != want.NumVertices() {
+				t.Fatalf("streamed %d vertices of %d", len(rec.stars), want.NumVertices())
+			}
+			for v, star := range rec.stars {
+				if !slices.Equal(star, want.OutNeighbors(VertexID(v))) {
+					t.Fatalf("vertex %d: streamed star differs from final graph", v)
+				}
 			}
 		}
 	}
 }
 
-// TestEdgeListHeaderRule: both readers accept a "# vertices" header at
-// most once and only before the first edge line, and reject anything
+// TestEdgeListHeaderRule: the reader accepts a "# vertices" header at
+// most once and only before the first edge line, and rejects anything
 // else with a line-numbered error; SNAP-style '#' comments anywhere and
 // WriteEdgeList output are unaffected. Tiny chunks put the header and
-// the edges in different parallel parse chunks.
+// the edges in different parse chunks.
 func TestEdgeListHeaderRule(t *testing.T) {
 	var written bytes.Buffer
 	if err := WriteEdgeList(&written, mustGraph(t, 5, []Edge{{0, 1}, {3, 4}}, true)); err != nil {
@@ -247,7 +267,7 @@ func TestEdgeListHeaderRule(t *testing.T) {
 	for _, c := range []struct {
 		name, input, wantErr string
 	}{
-		{"header after out-of-range edge", "# vertices 3 directed\n0 5\n# vertices 10 directed\n", "line"},
+		{"header after out-of-range edge", "# vertices 3 directed\n0 5\n# vertices 10 directed\n", "line 2: edge (0,5) out of declared range"},
 		{"header after edge", "0 1\n# vertices 4 undirected\n", "line 2: '# vertices' header after the first edge (line 1)"},
 		{"header after edge, later chunk", "0 1\n1 2\n2 3\n# vertices 9 directed\n", "line 4: '# vertices' header after the first edge (line 1)"},
 		{"second header", "# vertices 4 directed\n# vertices 4 directed\n0 1\n", "line 2: second '# vertices' header (the first is line 1)"},
@@ -256,36 +276,14 @@ func TestEdgeListHeaderRule(t *testing.T) {
 		{"header then comments", "% c\n# vertices 6 directed\n# note\n0 1\n# more\n", ""},
 		{"WriteEdgeList output", written.String(), ""},
 	} {
-		_, serr := ReadEdgeList(strings.NewReader(c.input))
-		_, perr := ParallelReadEdgeListStreaming(strings.NewReader(c.input), LoadOptions{Workers: 2, ChunkBytes: 4}, nil)
-		for reader, err := range map[string]error{"ReadEdgeList": serr, "ParallelReadEdgeListStreaming": perr} {
+		for _, cb := range chunkSizes {
+			_, err := readEdgeList(c.input, cb)
 			switch {
 			case c.wantErr == "" && err != nil:
-				t.Errorf("%s: %s rejected: %v", c.name, reader, err)
+				t.Errorf("%s: chunk %d: rejected: %v", c.name, cb, err)
 			case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
-				t.Errorf("%s: %s = %v, want an error containing %q", c.name, reader, err, c.wantErr)
+				t.Errorf("%s: chunk %d: got %v, want an error containing %q", c.name, cb, err, c.wantErr)
 			}
 		}
 	}
-}
-
-// FuzzParallelReadEdgeList: the chunked parallel parser must never
-// panic, must accept exactly the inputs the sequential reader accepts,
-// and must then produce the identical graph.
-func FuzzParallelReadEdgeList(f *testing.F) {
-	f.Add("# vertices 4 directed\n0 1\n1 2\n")
-	f.Add("# vertices 3 undirected\n0 1\n")
-	f.Add("% comment\n5 5\n1 2\n")
-	f.Add("0 1\n\n\n2 3")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, input string) {
-		got, perr := ParallelReadEdgeListStreaming(strings.NewReader(input), LoadOptions{Workers: 3, ChunkBytes: 16}, nil)
-		want, serr := ReadEdgeList(strings.NewReader(input))
-		if (perr == nil) != (serr == nil) {
-			t.Fatalf("readers disagree: parallel %v, sequential %v", perr, serr)
-		}
-		if serr == nil {
-			graphBitwiseEqual(t, want, got, "fuzz")
-		}
-	})
 }

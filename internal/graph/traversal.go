@@ -39,17 +39,3 @@ func ConnectedComponents(g *Graph) ([]VertexID, int) {
 	}
 	return label, count
 }
-
-// MaxDegreeVertex returns the vertex with the largest total degree,
-// breaking ties toward the smaller id. Returns 0 for an empty graph.
-func MaxDegreeVertex(g *Graph) VertexID {
-	best := VertexID(0)
-	bestDeg := -1
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.Degree(VertexID(v)); d > bestDeg {
-			bestDeg = d
-			best = VertexID(v)
-		}
-	}
-	return best
-}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"adp/internal/graph"
+	"adp/internal/pool"
 )
 
 func TestStatusString(t *testing.T) {
@@ -37,13 +38,13 @@ func TestFragmentAccessors(t *testing.T) {
 	if p.Graph() != g {
 		t.Fatal("Graph accessor broken")
 	}
-	if len(p.Fragments()) != 2 {
-		t.Fatal("Fragments accessor broken")
+	if p.NumFragments() != 2 {
+		t.Fatal("NumFragments accessor broken")
 	}
 }
 
 func TestRemoveEdgeUndirected(t *testing.T) {
-	g, err := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}, true)
+	g, err := graph.FromEdgesParallel(3, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}, true, pool.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}

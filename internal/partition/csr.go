@@ -44,7 +44,7 @@ type compiledFragment struct {
 
 // Compile folds every fragment's overlay into its flat execution form.
 // Idempotent: fragments without an overlay are skipped, and any
-// structural mutation (AddArc, RemoveVertex, ...) gives the affected
+// structural mutation (AddArc, RemoveArc, ...) gives the affected
 // fragment an overlay again so a later Compile refreshes it. The
 // engine compiles at cluster construction and CloneCOW at every cut.
 //

@@ -127,3 +127,42 @@ func (p *Partition) BorderNodes(i int) []graph.VertexID {
 	}
 	return out
 }
+
+// RemoveVertex drops v's copy from fragment i together with all its
+// local incident arcs.
+func (p *Partition) RemoveVertex(i int, v graph.VertexID) {
+	adj := p.frags[i].Adjacency(v)
+	if adj == nil {
+		return
+	}
+	// Copies: the removals rewrite (or thaw away from) these lists.
+	out, in := slices.Clone(adj.Out), slices.Clone(adj.In)
+	for _, w := range out {
+		p.RemoveArc(i, v, w)
+	}
+	for _, w := range in {
+		p.RemoveArc(i, w, v)
+	}
+	p.dropIfIsolated(i, v) // an edge-less placeholder copy
+}
+
+// IsEdgeCut reports whether the partition is an edge-cut special case:
+// every vertex is e-cut and the e-cut node sets of the fragments are
+// pairwise disjoint (automatic with canonical e-cut designation, so
+// the test reduces to "every vertex with a copy is e-cut").
+func (p *Partition) IsEdgeCut() bool {
+	for v, cs := range p.copies {
+		if len(cs) > 0 && !p.IsECut(graph.VertexID(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// IsVertexCut reports whether the partition is a vertex-cut special
+// case: fragment edge sets are pairwise disjoint.
+func (p *Partition) IsVertexCut() bool { return int64(p.StorageArcs()) == p.g.NumEdges() }
+
+// IsECut reports whether vertex v is e-cut: some fragment holds every
+// incident edge of v.
+func (p *Partition) IsECut(v graph.VertexID) bool { return p.CompleteFragment(v) >= 0 }

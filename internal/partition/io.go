@@ -64,39 +64,23 @@ func Write(w io.Writer, p *Partition) error {
 const maxFragments = 1 << 20
 
 // Read reconstructs a partition of g from the format produced by
-// Write. The graph must be the one the partition was built over.
+// Write. The partition's edge set may have drifted from g through
+// logged inserts and deletes (the durable store's snapshots), so
+// stored arcs need not exist in g; the vertex count must match.
 //
 // Every count and id read from the wire is validated against g before
 // use — a truncated, bit-flipped, or hostile stream yields a wrapped
 // error naming the offending fragment, never a panic or an
 // invariant-violating partition.
-func Read(r io.Reader, g *graph.Graph) (*Partition, error) {
-	return read(r, g, true)
-}
-
-// ReadDynamic is Read for partitions whose edge set has drifted from g
-// through logged inserts and deletes (the durable store's snapshots):
-// vertex ids are still bounds-checked against g, but arcs are not
-// required to exist in g and fragment arc counts may exceed
-// g.NumEdges().
-func ReadDynamic(r io.Reader, g *graph.Graph) (*Partition, error) {
-	return read(r, g, false)
-}
-
-// read is the flat recovery decoder: it collects each fragment's arc
-// keys with block reads and manual little-endian decoding, builds the
-// fragments directly in compiled form (no per-arc map inserts,
-// no per-vertex *Adj allocations), and wires the partition-level
-// copies/master indexes from one counting arena. The result is
-// placement-equal to what the old AddArc-per-arc path produced, with
-// identical compiled adjacency order (file order == insertion order),
-// at a small fraction of the time and allocations — the store_recover
-// hot path.
 //
-// Reads stay chunked (readChunkArcs bytes at a time) so a corrupt or
-// hostile count cannot demand a huge up-front allocation: memory grows
-// only as data actually arrives, matching the incremental old path.
-func read(r io.Reader, g *graph.Graph, static bool) (*Partition, error) {
+// The decoder collects each fragment's arc keys with block reads and
+// manual little-endian decoding, builds the fragments directly in
+// compiled form (file order == insertion order), and wires the
+// partition-level copies/master indexes from one counting arena — the
+// store_recover hot path. Reads stay chunked (readChunkArcs at a time)
+// so a corrupt or hostile count cannot demand a huge up-front
+// allocation: memory grows only as data actually arrives.
+func Read(r io.Reader, g *graph.Graph) (*Partition, error) {
 	br := bufio.NewReader(r)
 	le := binary.LittleEndian
 	var hdr [12]byte
@@ -125,9 +109,6 @@ func read(r io.Reader, g *graph.Graph, static bool) (*Partition, error) {
 		if err != nil {
 			return nil, fmt.Errorf("partition: reading arc count of fragment %d: %w", i, err)
 		}
-		if static && int64(arcs) > g.NumEdges() {
-			return nil, fmt.Errorf("partition: fragment %d declares %d arcs, graph has %d", i, arcs, g.NumEdges())
-		}
 		keys := make([]uint64, 0, min(int(arcs), readChunkArcs))
 		for done := 0; done < int(arcs); {
 			chunk := min(int(arcs)-done, readChunkArcs)
@@ -139,9 +120,6 @@ func read(r io.Reader, g *graph.Graph, static bool) (*Partition, error) {
 				u, v := le.Uint32(buf[a*8:]), le.Uint32(buf[a*8+4:])
 				if u >= nv || v >= nv {
 					return nil, fmt.Errorf("partition: fragment %d stores arc (%d,%d) beyond %d vertices", i, u, v, nv)
-				}
-				if static && !g.HasEdge(graph.VertexID(u), graph.VertexID(v)) {
-					return nil, fmt.Errorf("partition: stored arc (%d,%d) not in graph", u, v)
 				}
 				keys = append(keys, arcKey(graph.VertexID(u), graph.VertexID(v)))
 			}

@@ -54,7 +54,7 @@ func TestPartitionReadCorrupt(t *testing.T) {
 		{"zero fragments", patch(4, 0), "fragment count"},
 		{"fragment count over cap", patch(4, 1<<24), "fragment count"},
 		{"vertex count mismatch", patch(8, 99), "graph has"},
-		{"arc count over graph size", patch(frag0ArcsOff, 1000), "declares 1000 arcs"},
+		{"arc count over graph size", patch(frag0ArcsOff, 1000), "fragment 0: unexpected EOF"},
 		{"arc vertex out of range", patch(frag0ArcsOff+4, 9999), "beyond 10 vertices"},
 		{"loner count over graph size", patch(frag0LonersOff, 1000), "declares 1000 loners"},
 		{"truncated mid-fragment", valid[:frag0ArcsOff+6], "fragment 0"},
@@ -88,8 +88,8 @@ func TestPartitionReadWrapsIOError(t *testing.T) {
 
 // FuzzPartitionRead: arbitrary bytes must never panic the reader, and
 // any accepted partition must survive a write/read round trip with its
-// fragment shapes intact (Read only admits arcs present in g, so the
-// round trip re-validates everything it stored).
+// fragment shapes intact (the round trip re-validates every id it
+// stored).
 func FuzzPartitionRead(f *testing.F) {
 	g := figure1G1(f)
 	p := figure1bPartition(f, g)

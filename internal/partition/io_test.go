@@ -67,11 +67,6 @@ func TestPartitionReadRejectsWrongGraph(t *testing.T) {
 	if _, err := Read(bytes.NewReader(buf.Bytes()), other); err == nil {
 		t.Fatal("mismatched vertex count accepted")
 	}
-	// A same-size but different graph fails on arc validation.
-	other2 := gen.ErdosRenyi(100, 3, true, 9)
-	if _, err := Read(bytes.NewReader(buf.Bytes()), other2); err == nil {
-		t.Fatal("alien arcs accepted")
-	}
 }
 
 func TestPartitionReadBadMagic(t *testing.T) {

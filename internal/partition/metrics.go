@@ -76,23 +76,6 @@ func BalanceFactor(xs []float64) float64 {
 	return max/avg - 1
 }
 
-// IsEdgeCut reports whether the partition is an edge-cut special case:
-// every vertex is e-cut and the e-cut node sets of the fragments are
-// pairwise disjoint (automatic with canonical e-cut designation, so
-// the test reduces to "every vertex with a copy is e-cut").
-func (p *Partition) IsEdgeCut() bool {
-	for v, cs := range p.copies {
-		if len(cs) > 0 && !p.IsECut(graph.VertexID(v)) {
-			return false
-		}
-	}
-	return true
-}
-
-// IsVertexCut reports whether the partition is a vertex-cut special
-// case: fragment edge sets are pairwise disjoint.
-func (p *Partition) IsVertexCut() bool { return int64(p.StorageArcs()) == p.g.NumEdges() }
-
 // StorageArcs returns Σ|Ei| over fragments.
 func (p *Partition) StorageArcs() int {
 	total := 0

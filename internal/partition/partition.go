@@ -6,9 +6,8 @@
 // edge) or dummy nodes (a copy of an e-cut vertex elsewhere). Border
 // (replicated) vertices carry a master-node mapping.
 //
-// Both edge-cut and vertex-cut partitions are special cases
-// (IsEdgeCut, IsVertexCut), and the package computes the paper's
-// quality metrics: replication ratios fv and fe and balance factors
+// Both edge-cut and vertex-cut partitions are special cases, and the
+// package computes the paper's quality metrics: replication ratios fv and fe and balance factors
 // λv and λe.
 package partition
 
@@ -314,9 +313,6 @@ func (p *Partition) NumFragments() int { return len(p.frags) }
 // Fragment returns fragment i.
 func (p *Partition) Fragment(i int) *Fragment { return p.frags[i] }
 
-// Fragments returns all fragments.
-func (p *Partition) Fragments() []*Fragment { return p.frags }
-
 // Copies returns the sorted fragment ids holding a copy of v. The
 // returned slice is owned by the partition.
 func (p *Partition) Copies(v graph.VertexID) []int32 { return p.copies[v] }
@@ -476,24 +472,6 @@ func (p *Partition) RemoveEdge(i int, u, v graph.VertexID) bool {
 	return ok
 }
 
-// RemoveVertex drops v's copy from fragment i together with all its
-// local incident arcs.
-func (p *Partition) RemoveVertex(i int, v graph.VertexID) {
-	adj := p.frags[i].Adjacency(v)
-	if adj == nil {
-		return
-	}
-	// Copies: the removals rewrite (or thaw away from) these lists.
-	out, in := slices.Clone(adj.Out), slices.Clone(adj.In)
-	for _, w := range out {
-		p.RemoveArc(i, v, w)
-	}
-	for _, w := range in {
-		p.RemoveArc(i, w, v)
-	}
-	p.dropIfIsolated(i, v) // an edge-less placeholder copy
-}
-
 func (p *Partition) dropIfIsolated(i int, v graph.VertexID) {
 	f := p.frags[i]
 	if adj := f.Adjacency(v); adj != nil && adj.LocalDegree() == 0 {
@@ -592,7 +570,3 @@ func (p *Partition) Status(i int, v graph.VertexID) Status {
 		return VCutNode
 	}
 }
-
-// IsECut reports whether vertex v is e-cut: some fragment holds every
-// incident edge of v.
-func (p *Partition) IsECut(v graph.VertexID) bool { return p.CompleteFragment(v) >= 0 }

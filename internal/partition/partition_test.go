@@ -8,6 +8,7 @@ import (
 
 	"adp/internal/gen"
 	"adp/internal/graph"
+	"adp/internal/pool"
 )
 
 func TestFigure1bIsEdgeCut(t *testing.T) {
@@ -132,7 +133,7 @@ func TestVertexCutConstruction(t *testing.T) {
 }
 
 func TestUndirectedEdgeCoLocation(t *testing.T) {
-	g, err := graph.FromEdges(4, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}}, true)
+	g, err := graph.FromEdgesParallel(4, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}}, true, pool.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestIsolatedVertexPlacement(t *testing.T) {
-	g, err := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1}}, false)
+	g, err := graph.FromEdgesParallel(3, []graph.Edge{{Src: 0, Dst: 1}}, false, pool.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,8 @@ func TestConstructorsReturnCompiled(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
-		for i, f := range p.Fragments() {
-			if !f.Compiled() {
+		for i := 0; i < p.NumFragments(); i++ {
+			if !p.Fragment(i).Compiled() {
 				t.Errorf("%s: fragment %d is not compiled", s.Name, i)
 			}
 		}

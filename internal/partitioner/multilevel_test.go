@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"adp/internal/gen"
-	"adp/internal/graph"
 )
 
 func TestMultilevelEdgeCut(t *testing.T) {
@@ -16,7 +15,7 @@ func TestMultilevelEdgeCut(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.IsEdgeCut() {
+	if !isEdgeCut(p) {
 		t.Fatal("multilevel partition not an edge-cut")
 	}
 	m := p.ComputeMetrics()
@@ -77,7 +76,7 @@ func TestDBHVertexCut(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.IsVertexCut() {
+	if !isVertexCut(p) {
 		t.Fatal("DBH partition not a vertex-cut")
 	}
 	// DBH's point: replicate hubs, keep low-degree vertices whole. Its
@@ -87,7 +86,7 @@ func TestDBHVertexCut(t *testing.T) {
 		t.Errorf("DBH fv %v not better than Grid %v",
 			p.ComputeMetrics().FV, grid.ComputeMetrics().FV)
 	}
-	hub := graph.MaxDegreeVertex(g)
+	hub := maxDegreeVertex(g)
 	if p.Replication(hub) == 0 {
 		t.Error("DBH did not replicate the hub")
 	}

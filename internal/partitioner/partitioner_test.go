@@ -22,7 +22,7 @@ func TestHashEdgeCut(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.IsEdgeCut() {
+	if !isEdgeCut(p) {
 		t.Fatal("hash partition not an edge-cut")
 	}
 	m := p.ComputeMetrics()
@@ -40,7 +40,7 @@ func TestFennelEdgeCut(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.IsEdgeCut() {
+	if !isEdgeCut(p) {
 		t.Fatal("fennel partition not an edge-cut")
 	}
 	m := p.ComputeMetrics()
@@ -63,7 +63,7 @@ func TestLabelPropEdgeCut(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.IsEdgeCut() {
+	if !isEdgeCut(p) {
 		t.Fatal("label-prop partition not an edge-cut")
 	}
 	if m := p.ComputeMetrics(); m.LambdaV > 0.25 {
@@ -80,7 +80,7 @@ func TestGridVertexCut(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.IsVertexCut() {
+	if !isVertexCut(p) {
 		t.Fatal("grid partition not a vertex-cut")
 	}
 	// Grid bound: each vertex touches at most 2r−1 fragments (r=2).
@@ -101,7 +101,7 @@ func TestHDRFVertexCut(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.IsVertexCut() {
+	if !isVertexCut(p) {
 		t.Fatal("HDRF partition not a vertex-cut")
 	}
 	if m := p.ComputeMetrics(); m.LambdaE > 0.6 {
@@ -118,7 +118,7 @@ func TestNEVertexCut(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.IsVertexCut() {
+	if !isVertexCut(p) {
 		t.Fatal("NE partition not a vertex-cut")
 	}
 	// NE's whole point is locality: fv must beat Grid's (Table 3).
@@ -139,7 +139,7 @@ func TestNEVertexCutUndirected(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !p.IsVertexCut() {
+	if !isVertexCut(p) {
 		t.Fatal("NE on undirected graph not a vertex-cut")
 	}
 }
@@ -158,7 +158,7 @@ func TestGingerHybrid(t *testing.T) {
 	if m := p.ComputeMetrics(); m.FE != 1 {
 		t.Errorf("ginger fe = %v, want 1", m.FE)
 	}
-	hub := graph.MaxDegreeVertex(g)
+	hub := maxDegreeVertex(g)
 	if p.Replication(hub) == 0 {
 		t.Error("highest-degree vertex not split by Ginger")
 	}
@@ -194,11 +194,11 @@ func TestBaselinesRegistry(t *testing.T) {
 		}
 		switch s.Family {
 		case EdgeCutFamily:
-			if !p.IsEdgeCut() {
+			if !isEdgeCut(p) {
 				t.Errorf("%s should produce an edge-cut", s.Name)
 			}
 		case VertexCutFamily:
-			if !p.IsVertexCut() {
+			if !isVertexCut(p) {
 				t.Errorf("%s should produce a vertex-cut", s.Name)
 			}
 		}
@@ -306,7 +306,7 @@ func TestReFennelImprovesOnFennel(t *testing.T) {
 	if err := re.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !re.IsEdgeCut() {
+	if !isEdgeCut(re) {
 		t.Fatal("restreamed partition not an edge-cut")
 	}
 	// Restreaming must not hurt locality, and usually improves it.

@@ -9,8 +9,9 @@ import (
 
 // FennelStream is the one-pass Fennel heuristic decoupled from a
 // finished graph: it implements graph.VertexConsumer, so it can run
-// *during* ingestion (graph.BuildStreaming hands it each forward star
-// the moment it is final, while the in-adjacency still builds).
+// *during* ingestion (graph.ParallelReadEdgeListStreaming hands it each
+// forward star the moment it is final, while the in-adjacency still
+// builds).
 //
 // It hands the objective FennelEdgeCut uses the same neighbour counts,
 // so both place every vertex alike. The batch version counts
@@ -33,8 +34,8 @@ type FennelStream struct {
 }
 
 // NewFennelStream returns a streaming Fennel partitioner over n
-// fragments. Feed it to graph.BuildStreaming (it is a VertexConsumer),
-// then call Partition.
+// fragments. Feed it to graph.ParallelReadEdgeListStreaming (it is a
+// VertexConsumer), then call Partition.
 func NewFennelStream(n int, cfg FennelConfig) *FennelStream {
 	return &FennelStream{n: n, cfg: cfg}
 }
@@ -53,7 +54,7 @@ func (s *FennelStream) Begin(nv int, m int64) {
 
 // Vertex places v. out must be v's final forward star (sorted, deduped,
 // loop-free) and calls must arrive in ascending id order — the
-// contract BuildStreaming provides.
+// graph.VertexConsumer contract.
 func (s *FennelStream) Vertex(v graph.VertexID, out []graph.VertexID) {
 	for _, w := range out {
 		if w < v {
@@ -72,10 +73,6 @@ func (s *FennelStream) Vertex(v graph.VertexID, out []graph.VertexID) {
 		}
 	}
 }
-
-// Assignment exposes the raw vertex→fragment assignment (valid after
-// the stream completes).
-func (s *FennelStream) Assignment() []int { return s.assign }
 
 // Partition materialises the edge-cut partition over the finished
 // graph.

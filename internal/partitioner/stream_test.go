@@ -1,12 +1,16 @@
 package partitioner_test
 
 import (
+	"bytes"
+	"fmt"
 	"runtime"
 	"slices"
+	"strconv"
 	"testing"
 
 	"adp/internal/gen"
 	"adp/internal/graph"
+	"adp/internal/partition"
 	"adp/internal/partitioner"
 )
 
@@ -46,17 +50,34 @@ func TestFennelStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestFennelStreamDuringBuild wires FennelStream into BuildStreaming —
-// the production ingest path — and checks the partition it produces
-// over the finished graph equals the batch Fennel run afterwards.
+// ingest writes edges as a text edge list and loads it through
+// graph.ParallelReadEdgeListStreaming with st consuming the forward
+// stars: the production load-and-partition path.
+func ingest(t *testing.T, nv int, edges []graph.Edge, workers int, st *partitioner.FennelStream) *graph.Graph {
+	t.Helper()
+	text := fmt.Appendf(nil, "# vertices %d directed\n", nv)
+	for _, e := range edges {
+		text = strconv.AppendUint(text, uint64(e.Src), 10)
+		text = append(text, ' ')
+		text = strconv.AppendUint(text, uint64(e.Dst), 10)
+		text = append(text, '\n')
+	}
+	g, err := graph.ParallelReadEdgeListStreaming(bytes.NewReader(text), graph.LoadOptions{Workers: workers}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestFennelStreamDuringBuild wires FennelStream into the edge-list
+// loader — the production ingest path — and checks the partition it
+// produces over the finished graph equals the batch Fennel run
+// afterwards.
 func TestFennelStreamDuringBuild(t *testing.T) {
 	cfg := gen.PowerLawConfig{N: 1200, AvgDeg: 7, Exponent: 2.3, Directed: true, Seed: 4}
 	nv, edges := gen.PowerLawChunkedEdges(cfg, 2)
 	st := partitioner.NewFennelStream(6, partitioner.FennelConfig{})
-	g, err := graph.BuildStreaming(nv, edges, false, graph.LoadOptions{Workers: 2}, st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := ingest(t, nv, edges, 2, st)
 	p, err := st.Partition(g)
 	if err != nil {
 		t.Fatal(err)
@@ -82,32 +103,29 @@ func TestFennelStreamNotStarted(t *testing.T) {
 
 // TestIngestPipeline is the end-to-end determinism sweep the CI
 // ingest-matrix job runs under -race -short: a ~1M-edge chunked
-// power-law stream generated, CSR-built, and Fennel-partitioned at
-// workers ∈ {1, 4, NumCPU} must be bitwise identical throughout —
-// same graph bytes, same assignment, same partition placement.
+// power-law stream generated, written as an edge list, parsed,
+// CSR-built and Fennel-partitioned at workers ∈ {1, 4, NumCPU} must be
+// bitwise identical throughout — same graph bytes, same partition
+// placement.
 func TestIngestPipeline(t *testing.T) {
 	cfg := gen.PowerLawConfig{N: 125000, AvgDeg: 8, Exponent: 2.3, Directed: true, Seed: 7}
 	const frags = 8
 	workersSweep := []int{1, 4, runtime.NumCPU()}
 
 	var refGraph *graph.Graph
-	var refAssign []int
+	var refPart *partition.Partition
 	for _, w := range workersSweep {
 		nv, edges := gen.PowerLawChunkedEdges(cfg, w)
 		st := partitioner.NewFennelStream(frags, partitioner.FennelConfig{})
-		g, err := graph.BuildStreaming(nv, edges, false, graph.LoadOptions{Workers: w}, st)
+		g := ingest(t, nv, edges, w, st)
+		p, err := st.Partition(g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if refGraph == nil {
-			refGraph = g
-			refAssign = slices.Clone(st.Assignment())
+			refGraph, refPart = g, p
 			if !testing.Short() {
 				if err := g.Validate(); err != nil {
-					t.Fatal(err)
-				}
-				p, err := st.Partition(g)
-				if err != nil {
 					t.Fatal(err)
 				}
 				if err := p.Validate(); err != nil {
@@ -128,8 +146,8 @@ func TestIngestPipeline(t *testing.T) {
 					w, v, workersSweep[0])
 			}
 		}
-		if !slices.Equal(st.Assignment(), refAssign) {
-			t.Fatalf("workers=%d: Fennel assignment differs from workers=%d", w, workersSweep[0])
+		if err := refPart.EqualPlacement(p); err != nil {
+			t.Fatalf("workers=%d: Fennel placement differs from workers=%d: %v", w, workersSweep[0], err)
 		}
 	}
 }

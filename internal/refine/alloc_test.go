@@ -11,7 +11,7 @@ import (
 )
 
 // TestProbeLoopAllocFree locks the flattened probe plane: on warmed
-// scratch a full parallelMigrate run (several supersteps of batching,
+// scratch a full parallelMigrateCtx run (several supersteps of batching,
 // routing, probing and ordered carry-over) performs zero heap
 // allocations. A deterministic EMigrate workload whose probes all
 // reject (so only the probe plane runs) is driven repeatedly through

@@ -61,7 +61,7 @@ func (s *migrateScratch) grow(n int) {
 	}
 }
 
-// parallelMigrate is the Section-5.3 BSP schedule for the migrate
+// parallelMigrateCtx is the Section-5.3 BSP schedule for the migrate
 // phases: in each superstep every overloaded fragment offers a batch
 // of candidates round-robin to the underloaded workers; destinations
 // probe their batch concurrently against the superstep-start state
@@ -70,18 +70,13 @@ func (s *migrateScratch) grow(n int) {
 // barrier (with a re-check so a batch cannot overshoot the budget).
 // Rejected candidates carry over to the next destination; candidates
 // rejected everywhere are returned for ESplit/VMerge.
-func parallelMigrate(pl *pool.Pool, tr *costmodel.Tracker, candidates []candidate, under []int, budget float64,
-	batchSize int, probe probeFunc, apply applyFunc, stats *Stats) []candidate {
-	leftover, _ := parallelMigrateCtx(context.Background(), pl, tr, candidates, under, budget, batchSize, probe, apply, stats, nil)
-	return leftover
-}
-
-// parallelMigrateCtx is parallelMigrate with cancellation observed at
-// superstep boundaries: the supersteps already applied stand, the
-// unprocessed queue is abandoned, and the ctx error is returned with
-// the leftovers accumulated so far. sc supplies the superstep scratch
-// (nil allocates a private one); the returned leftover slice aliases
-// it, so callers must consume the leftovers before reusing sc.
+//
+// Cancellation is observed at superstep boundaries: the supersteps
+// already applied stand, the unprocessed queue is abandoned, and the
+// ctx error is returned with the leftovers accumulated so far. sc
+// supplies the superstep scratch (nil allocates a private one); the
+// returned leftover slice aliases it, so callers must consume the
+// leftovers before reusing sc.
 func parallelMigrateCtx(ctx context.Context, pl *pool.Pool, tr *costmodel.Tracker, candidates []candidate, under []int, budget float64,
 	batchSize int, probe probeFunc, apply applyFunc, stats *Stats, sc *migrateScratch) ([]candidate, error) {
 

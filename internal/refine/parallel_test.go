@@ -1,6 +1,7 @@
 package refine
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -22,7 +23,7 @@ func gridPartition(t testing.TB, g *graph.Graph, n int) *partition.Partition {
 }
 
 // loadModel is a synthetic destination-capacity model for driving
-// parallelMigrate without a real partition: each candidate vertex has
+// parallelMigrateCtx without a real partition: each candidate vertex has
 // a fixed weight and a destination accepts it while its accumulated
 // load stays within the budget. Probes are read-only between barriers,
 // exactly like the tracker-backed probes.
@@ -173,8 +174,8 @@ func TestParallelMigrateLeftoverAndBudget(t *testing.T) {
 			t.Run(tc.name, func(t *testing.T) {
 				lm := &loadModel{weight: tc.weights, loads: map[int]float64{}}
 				stats := &Stats{}
-				leftover := parallelMigrate(pl, nil, tc.candidates, tc.under, tc.budget,
-					tc.batchSize, lm.probe, lm.apply(t, tc.budget), stats)
+				leftover, _ := parallelMigrateCtx(context.Background(), pl, nil, tc.candidates, tc.under, tc.budget,
+					tc.batchSize, lm.probe, lm.apply(t, tc.budget), stats, nil)
 				if got := vids(leftover); !reflect.DeepEqual(got, tc.wantLeftover) {
 					t.Errorf("workers=%d: leftover = %v, want %v", workers, got, tc.wantLeftover)
 				}

@@ -46,7 +46,7 @@ func parallelCost(p *partition.Partition, m costmodel.CostModel) float64 {
 func countVCut(p *partition.Partition) int {
 	n := 0
 	for v := 0; v < p.Graph().NumVertices(); v++ {
-		if len(p.Copies(graph.VertexID(v))) > 0 && !p.IsECut(graph.VertexID(v)) {
+		if len(p.Copies(graph.VertexID(v))) > 0 && p.CompleteFragment(graph.VertexID(v)) < 0 {
 			n++
 		}
 	}

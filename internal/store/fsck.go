@@ -147,7 +147,7 @@ func Fsck(dir string, g *graph.Graph, repair bool) (*FsckReport, error) {
 		} else {
 			st.Bytes = int64(len(data))
 			if g != nil {
-				c, err := composite.ReadDynamic(bytes.NewReader(data), g)
+				c, err := composite.Read(bytes.NewReader(data), g)
 				if err != nil {
 					st.Err = err.Error()
 				} else if err := c.ValidateIndex(); err != nil {

@@ -28,7 +28,7 @@ func CreateReplica(dir string, g *graph.Graph, snap []byte, snapLSN uint64, opts
 	if err != nil {
 		return nil, err
 	}
-	comp, err := composite.ReadDynamic(bytes.NewReader(snap), g)
+	comp, err := composite.Read(bytes.NewReader(snap), g)
 	if err != nil {
 		return nil, fmt.Errorf("store: decoding leader snapshot: %w", err)
 	}
@@ -144,7 +144,7 @@ func (s *Store) InstallSnapshot(data []byte, lsn uint64) error {
 	if lsn <= s.commitLSN.Load() {
 		return fmt.Errorf("store: snapshot at lsn %d does not advance the watermark (%d)", lsn, s.commitLSN.Load())
 	}
-	comp, err := composite.ReadDynamic(bytes.NewReader(data), s.g)
+	comp, err := composite.Read(bytes.NewReader(data), s.g)
 	if err != nil {
 		return fmt.Errorf("store: decoding leader snapshot: %w", err)
 	}

@@ -212,7 +212,7 @@ func Open(dir string, g *graph.Graph, opts Options) (*Store, *RecoveryInfo, erro
 			var c *composite.Composite
 			// Dynamic read: logged inserts put arcs in snapshots that the
 			// base graph never had.
-			c, rerr = composite.ReadDynamic(bytes.NewReader(data), g)
+			c, rerr = composite.Read(bytes.NewReader(data), g)
 			if rerr == nil {
 				comp, compLSN = c, snaps[i]
 				break

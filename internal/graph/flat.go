@@ -1,10 +1,10 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"unsafe"
 )
 
@@ -31,9 +31,12 @@ func FixedSizeBytes(g *Graph) int64 {
 	return flatHeaderLen + 2*8*int64(g.NumVertices()+1) + 2*4*g.NumEdges()
 }
 
-// WriteFlatBinary writes g in the flat mmap-able CSR format.
+// WriteFlatBinary writes g in the flat mmap-able CSR format: the
+// header, then each CSR array as one write of its in-memory bytes.
 func WriteFlatBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
+	if err := checkLittleEndian(); err != nil {
+		return err
+	}
 	var hdr [flatHeaderLen]byte
 	flags := uint32(0)
 	if g.Undirected() {
@@ -43,29 +46,27 @@ func WriteFlatBinary(w io.Writer, g *Graph) error {
 	binary.LittleEndian.PutUint32(hdr[4:], flags)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(g.NumVertices()))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(g.NumEdges()))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	le := binary.LittleEndian
-	for _, arr := range [][]int64{g.outIndex, g.inIndex} {
-		for _, x := range arr {
-			var b [8]byte
-			le.PutUint64(b[:], uint64(x))
-			if _, err := bw.Write(b[:]); err != nil {
-				return err
-			}
+	for _, b := range [][]byte{hdr[:], byteView(g.outIndex), byteView(g.inIndex), byteView(g.outAdj), byteView(g.inAdj)} {
+		if _, err := w.Write(b); err != nil {
+			return err
 		}
 	}
-	for _, arr := range [][]VertexID{g.outAdj, g.inAdj} {
-		for _, x := range arr {
-			var b [4]byte
-			le.PutUint32(b[:], x)
-			if _, err := bw.Write(b[:]); err != nil {
-				return err
-			}
-		}
+	return nil
+}
+
+// byteView is s's backing memory as bytes, without a copy.
+func byteView[T int64 | VertexID](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0])))
+}
+
+// checkLittleEndian refuses a big-endian host: the flat format is
+// little-endian, and the writer and the decoder both take its arrays
+// as the host's in-memory bytes.
+func checkLittleEndian() error {
+	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		return fmt.Errorf("graph: the flat format needs a little-endian host")
 	}
-	return bw.Flush()
+	return nil
 }
 
 // parseFlatHeader validates the flat header and returns (flags, n, m).
@@ -121,24 +122,17 @@ func validateFlat(g *Graph) error {
 			}
 		}
 	}
-	// Transpose check: every out-arc (v,w) must appear as v in w's
-	// in-list and the totals already match, so per-arc membership is
-	// sufficient. Binary search keeps this allocation-free.
+	// Transpose check: walking v ascending, w's in-list must list
+	// exactly the sources of its out-arcs in order, so each out-arc
+	// (v,w) must be the next unconsumed entry of w's in-list. The
+	// cursors are a copy: the index may alias a read-only mapping.
+	cur := slices.Clone(g.inIndex[:g.n])
 	for v := 0; v < g.n; v++ {
 		for _, w := range g.OutNeighbors(VertexID(v)) {
-			in := g.InNeighbors(w)
-			lo, hi := 0, len(in)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if in[mid] < VertexID(v) {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo >= len(in) || in[lo] != VertexID(v) {
+			if c := cur[w]; c >= g.inIndex[w+1] || g.inAdj[c] != VertexID(v) {
 				return fmt.Errorf("graph: flat in-adjacency missing arc (%d,%d)", v, w)
 			}
+			cur[w]++
 		}
 	}
 	if g.undirected {
@@ -159,10 +153,13 @@ func validateFlat(g *Graph) error {
 // flatFromBytes builds the Graph over a flat-format byte image, its
 // four CSR arrays aliasing data — the one decoder of the format, behind
 // MapFlatBinary. data must be 8-aligned (mappings and heap buffers
-// are); only valid on little-endian hosts (every supported target), as
-// the arrays are reinterpreted in place. All invariants are validated,
-// so corrupt input errors out instead of panicking later.
+// are); a big-endian host is refused, as the arrays are reinterpreted
+// in place. All invariants are validated, so corrupt input errors out
+// instead of panicking later.
 func flatFromBytes(data []byte) (*Graph, error) {
+	if err := checkLittleEndian(); err != nil {
+		return nil, err
+	}
 	if len(data) < flatHeaderLen {
 		return nil, fmt.Errorf("graph: flat file is %d bytes, want at least %d", len(data), flatHeaderLen)
 	}

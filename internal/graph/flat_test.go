@@ -57,6 +57,57 @@ func TestFlatRoundTrip(t *testing.T) {
 	}
 }
 
+// refEncodeFlat is the per-field reference encoder of the flat format.
+func refEncodeFlat(g *Graph) []byte {
+	le := binary.LittleEndian
+	flags := uint32(0)
+	if g.undirected {
+		flags = 1
+	}
+	b := le.AppendUint32(nil, flatMagic)
+	b = le.AppendUint32(b, flags)
+	b = le.AppendUint64(b, uint64(g.n))
+	b = le.AppendUint64(b, uint64(len(g.outAdj)))
+	for _, arr := range [][]int64{g.outIndex, g.inIndex} {
+		for _, x := range arr {
+			b = le.AppendUint64(b, uint64(x))
+		}
+	}
+	for _, arr := range [][]VertexID{g.outAdj, g.inAdj} {
+		for _, x := range arr {
+			b = le.AppendUint32(b, x)
+		}
+	}
+	return b
+}
+
+// TestWriteFlatMatchesFieldEncoder: the one-write-per-array encoder is
+// byte for byte the per-field little-endian one.
+func TestWriteFlatMatchesFieldEncoder(t *testing.T) {
+	empty, err := fromEdges(0, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{
+		"directed":   roundTripGraph(t, true, 3),
+		"undirected": roundTripGraph(t, false, 3),
+		"empty":      empty,
+	} {
+		var buf bytes.Buffer
+		if err := WriteFlatBinary(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), refEncodeFlat(g)) {
+			t.Fatalf("%s: WriteFlatBinary differs from the per-field encoder", name)
+		}
+		got, err := readFlat(buf.Bytes())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		graphBitwiseEqual(t, g, got, name)
+	}
+}
+
 // flatFixture encodes a tiny valid graph in the flat format for the
 // corruption table to mangle: 3 vertices, arcs 0→{1,2}, 1→{2}.
 func flatFixture() []byte {
@@ -69,6 +120,21 @@ func flatFixture() []byte {
 		panic(err)
 	}
 	return buf.Bytes()
+}
+
+// spuriousInEntry and shortInList corrupt flatFixture so that only the
+// transpose check can tell: counts, index spans, ranges and sortedness
+// all stay valid. The first turns vertex 2's in-list [0,1] into [0,2],
+// though 2 has no arc to itself; the second moves inIndex[1] to 1, so
+// vertex 1's in-list is empty and vertex 0 gets its entry.
+func spuriousInEntry(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b[108:], 2)
+	return b
+}
+
+func shortInList(b []byte) []byte {
+	binary.LittleEndian.PutUint64(b[64:], 1)
+	return b
 }
 
 // TestReadFlatBinaryCorrupt: every flat-format invariant violation must
@@ -112,6 +178,8 @@ func TestReadFlatBinaryCorrupt(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[92:], 1)
 			return b
 		}, "not strictly sorted"},
+		{"in-entry not a source", spuriousInEntry, "in-adjacency missing arc (1,2)"},
+		{"in-list one short", shortInList, "in-adjacency missing arc (0,1)"},
 		{"transpose broken", func(b []byte) []byte {
 			// inAdj[0] (in-neighbor of 1, which is 0) becomes 1 → arc
 			// (0,1) vanishes from the in-view but stays sorted.
@@ -142,6 +210,8 @@ func TestReadFlatBinaryCorrupt(t *testing.T) {
 // graphs must pass full validation.
 func FuzzReadFlatBinary(f *testing.F) {
 	f.Add(flatFixture())
+	f.Add(spuriousInEntry(flatFixture()))
+	f.Add(shortInList(flatFixture()))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := readFlat(data)
@@ -152,4 +222,44 @@ func FuzzReadFlatBinary(f *testing.F) {
 			t.Fatalf("accepted invalid graph: %v", err)
 		}
 	})
+}
+
+// benchFlatGraph is a 100k-vertex, ≈1M-arc directed graph.
+func benchFlatGraph(b *testing.B) *Graph {
+	g, err := fromEdges(100_000, randomEdges(100_000, 1_000_000, 1), false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+// BenchmarkWriteFlat encodes the graph into a reused buffer; MB/s is
+// the image rate.
+func BenchmarkWriteFlat(b *testing.B) {
+	g := benchFlatGraph(b)
+	var buf bytes.Buffer
+	buf.Grow(int(FixedSizeBytes(g)))
+	b.SetBytes(FixedSizeBytes(g))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := WriteFlatBinary(&buf, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkValidateFlat runs every check MapFlatBinary runs on the
+// graph; MB/s is the image rate.
+func BenchmarkValidateFlat(b *testing.B) {
+	g := benchFlatGraph(b)
+	b.SetBytes(FixedSizeBytes(g))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := validateFlat(g); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

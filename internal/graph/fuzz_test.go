@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -16,6 +17,26 @@ func addEdgeListSeeds(f *testing.F) {
 	f.Add("% comment\n5 5\n1 2\n")
 	f.Add("0 1\n\n\n2 3")
 	f.Add("")
+	for _, tc := range boundaryInputs {
+		f.Add(tc.input)
+	}
+}
+
+// fuzzVertexBudget bounds the vertex count a fuzz input may ask for.
+// A header or an id up to maxDeclaredVertices is valid input, but each
+// such run allocates gigabytes; counts and ids past the cap stay in, as
+// they fail cheaply.
+const fuzzVertexBudget = 1 << 20
+
+// overBudget reports whether a digit run in input reads as a vertex
+// count or id in [fuzzVertexBudget, maxDeclaredVertices].
+func overBudget(input string) bool {
+	for _, f := range strings.FieldsFunc(input, func(r rune) bool { return r < '0' || r > '9' }) {
+		if v, err := strconv.ParseUint(f, 10, 64); err == nil && v >= fuzzVertexBudget && v <= maxDeclaredVertices {
+			return true
+		}
+	}
+	return false
 }
 
 // FuzzReadEdgeList: arbitrary text must never panic the reader, and
@@ -24,6 +45,9 @@ func addEdgeListSeeds(f *testing.F) {
 func FuzzReadEdgeList(f *testing.F) {
 	addEdgeListSeeds(f)
 	f.Fuzz(func(t *testing.T, input string) {
+		if overBudget(input) {
+			t.Skip()
+		}
 		g, err := ParallelReadEdgeListStreaming(strings.NewReader(input), LoadOptions{}, nil)
 		if err != nil {
 			return
@@ -49,6 +73,9 @@ func FuzzReadEdgeList(f *testing.F) {
 func FuzzParallelReadEdgeList(f *testing.F) {
 	addEdgeListSeeds(f)
 	f.Fuzz(func(t *testing.T, input string) {
+		if overBudget(input) {
+			t.Skip()
+		}
 		got, perr := ParallelReadEdgeListStreaming(strings.NewReader(input), LoadOptions{Workers: 3, ChunkBytes: 16}, nil)
 		want, serr := ParallelReadEdgeListStreaming(strings.NewReader(input), LoadOptions{Workers: 1, ChunkBytes: len(input) + 1}, nil)
 		if (perr == nil) != (serr == nil) {

@@ -37,8 +37,9 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// maxDeclaredVertices caps the vertex count a header may declare, so a
-// corrupt or hostile input cannot demand huge allocations up front.
+// maxDeclaredVertices caps the vertex count a header may declare, or
+// the ids of a headerless input imply, so a corrupt or hostile input
+// cannot demand huge allocations up front.
 const maxDeclaredVertices = 1 << 28
 
 // headerError is the edge-list header rule: the "# vertices N kind"

@@ -35,6 +35,10 @@ func TestReadEdgeListCorrupt(t *testing.T) {
 		{"edge beyond declared range", "# vertices 3 directed\n0 5\n", "line 2"},
 		{"later line beyond range", "# vertices 4 directed\n0 1\n1 2\n2 9\n", "line 4"},
 		{"range error before syntax error", "# vertices 3 directed\n0 5\nzz 1\n", "line 2: edge (0,5) out of declared range"},
+		{"header kind capitalised", "# vertices 3 Undirected\n0 1\n", "line 1: header must read"},
+		{"header kind unknown", "# vertices 3 bogus\n0 1\n", "line 1: header must read"},
+		{"header without kind", "# vertices 3\n0 9\n", "line 1: header must read"},
+		{"implied vertex count over cap", "0 1\n4294967295 0\n", "line 2: edge (4294967295,0) out of declared range [0,268435456)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"runtime"
@@ -91,11 +92,7 @@ func splitLines(r io.Reader, chunkBytes int) ([]textChunk, error) {
 		tail, rerr := br.ReadBytes('\n')
 		buf = append(buf, tail...)
 		chunks = append(chunks, textChunk{data: buf, firstLine: line})
-		for _, b := range buf {
-			if b == '\n' {
-				line++
-			}
-		}
+		line += bytes.Count(buf, []byte{'\n'})
 		if rerr == io.EOF {
 			return chunks, nil
 		}
@@ -106,38 +103,42 @@ func splitLines(r io.Reader, chunkBytes int) ([]textChunk, error) {
 }
 
 // parseChunk parses one newline-aligned byte range of the edge-list
-// grammar: "src dst" lines, at most one "# vertices N kind" header
-// before the first edge, other '#' and '%' lines skipped. n is the
-// vertex count declared before the chunk, -1 when none is known; edges
-// are range-checked against it, or against the chunk's own header.
+// grammar: "src dst" lines, at most one "# vertices N directed|undirected"
+// header before the first edge, other '#' and '%' lines skipped. n is
+// the vertex count declared before the chunk, -1 when none is known;
+// edges are range-checked against it, or against the chunk's own
+// header. Plain "src dst" lines take fastEdge; every other line takes
+// the general path.
 func parseChunk(c textChunk, n int) parsedChunk {
-	var out parsedChunk
+	out := parsedChunk{edges: make([]Edge, 0, bytes.Count(c.data, []byte{'\n'})+1)}
 	lineNo := c.firstLine - 1
 	data := c.data
 	for len(data) > 0 {
 		lineNo++
-		nl := -1
-		for i, b := range data {
-			if b == '\n' {
-				nl = i
-				break
-			}
-		}
-		var raw []byte
-		if nl < 0 {
-			raw, data = data, nil
-		} else {
+		raw := data
+		if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
 			raw, data = data[:nl], data[nl+1:]
+		} else {
+			data = nil
 		}
-		line := strings.TrimSpace(string(raw))
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			if len(fields) >= 4 && fields[1] == "vertices" {
+		s, d, ok := fastEdge(raw)
+		if !ok {
+			line := strings.TrimSpace(string(raw))
+			if line == "" || strings.HasPrefix(line, "%") {
+				continue
+			}
+			if strings.HasPrefix(line, "#") {
+				fields := strings.Fields(line)
+				if len(fields) < 2 || fields[1] != "vertices" {
+					continue
+				}
 				if out.headerLine > 0 || out.firstEdge > 0 {
 					out.badHeader = lineNo // reported at merge, against the whole input
+					return out
+				}
+				out.headerLine = lineNo
+				if len(fields) != 4 || fields[3] != "directed" && fields[3] != "undirected" {
+					out.err = fmt.Errorf("graph: line %d: header must read '# vertices N directed|undirected'", lineNo)
 					return out
 				}
 				v, err := strconv.Atoi(fields[2])
@@ -149,43 +150,65 @@ func parseChunk(c textChunk, n int) parsedChunk {
 					out.err = fmt.Errorf("graph: line %d: header declares %d vertices (cap %d)", lineNo, v, maxDeclaredVertices)
 					return out
 				}
-				out.headerN, out.headerDir, out.headerLine = v, fields[3] == "undirected", lineNo
+				out.headerN, out.headerDir = v, fields[3] == "undirected"
 				n = v
+				continue
 			}
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			out.err = fmt.Errorf("graph: line %d: expected 'src dst'", lineNo)
-			return out
-		}
-		s, err := strconv.ParseUint(fields[0], 10, 32)
-		if err != nil {
-			out.err = fmt.Errorf("graph: line %d: bad src: %w", lineNo, err)
-			return out
-		}
-		d, err := strconv.ParseUint(fields[1], 10, 32)
-		if err != nil {
-			out.err = fmt.Errorf("graph: line %d: bad dst: %w", lineNo, err)
-			return out
+			fields := strings.Fields(line)
+			if len(fields) < 2 {
+				out.err = fmt.Errorf("graph: line %d: expected 'src dst'", lineNo)
+				return out
+			}
+			var err error
+			if s, err = strconv.ParseUint(fields[0], 10, 32); err != nil {
+				out.err = fmt.Errorf("graph: line %d: bad src: %w", lineNo, err)
+				return out
+			}
+			if d, err = strconv.ParseUint(fields[1], 10, 32); err != nil {
+				out.err = fmt.Errorf("graph: line %d: bad dst: %w", lineNo, err)
+				return out
+			}
 		}
 		if n >= 0 && (s >= uint64(n) || d >= uint64(n)) {
 			out.err = fmt.Errorf("graph: line %d: edge (%d,%d) out of declared range [0,%d)", lineNo, s, d, n)
 			return out
 		}
 		e := Edge{VertexID(s), VertexID(d)}
-		if e.Src > out.maxV {
-			out.maxV = e.Src
-		}
-		if e.Dst > out.maxV {
-			out.maxV = e.Dst
-		}
+		out.maxV = max(out.maxV, e.Src, e.Dst)
 		if out.firstEdge == 0 {
 			out.firstEdge = lineNo
 		}
 		out.edges = append(out.edges, e)
 	}
 	return out
+}
+
+// fastEdge parses a line of the shape digits [ \t]+ digits [\r] with at
+// most nine digits per id, so both always fit a VertexID; ok is false
+// for every other line.
+func fastEdge(b []byte) (s, d uint64, ok bool) {
+	s, i := leadingDigits(b)
+	j := i
+	for j < len(b) && (b[j] == ' ' || b[j] == '\t') {
+		j++
+	}
+	d, k := leadingDigits(b[j:])
+	if i == 0 || i > 9 || j == i || k == 0 || k > 9 {
+		return 0, 0, false
+	}
+	if k += j; k < len(b) && b[k] == '\r' {
+		k++
+	}
+	return s, d, k == len(b)
+}
+
+// leadingDigits returns the value of b's leading decimal digits, at
+// most ten of them, and how many there were.
+func leadingDigits(b []byte) (v uint64, i int) {
+	for ; i < len(b) && i < 10 && '0' <= b[i] && b[i] <= '9'; i++ {
+		v = v*10 + uint64(b[i]-'0')
+	}
+	return v, i
 }
 
 // ParallelReadEdgeListStreaming parses the WriteEdgeList/SNAP text
@@ -211,6 +234,10 @@ func ParallelReadEdgeListStreaming(r io.Reader, opt LoadOptions, consume VertexC
 	total := 0
 	headerLine, firstEdge := 0, 0
 	for i, pc := range parsed {
+		limit := n // without a header the ids imply n, under the same cap
+		if limit < 0 {
+			limit = maxDeclaredVertices
+		}
 		// The header rule spans chunks: a chunk's first header is checked
 		// against the earlier chunks, before pc.err, which can only come
 		// from a later line.
@@ -219,11 +246,11 @@ func ParallelReadEdgeListStreaming(r io.Reader, opt LoadOptions, consume VertexC
 				return nil, err
 			}
 			n, undirected, headerLine = pc.headerN, pc.headerDir, pc.headerLine
-		} else if n >= 0 && len(pc.edges) > 0 && int64(pc.maxV) >= int64(n) {
-			// A header in an earlier chunk declared n after this chunk was
-			// parsed: re-parse it against n, on this error path only, so
+		} else if len(pc.edges) > 0 && int64(pc.maxV) >= int64(limit) {
+			// An id passes the bound, which was unknown when this chunk was
+			// parsed: re-parse it against limit, on this error path only, so
 			// the violation names its line and wins over any later error.
-			pc = parseChunk(chunks[i], n)
+			pc = parseChunk(chunks[i], limit)
 		}
 		if firstEdge == 0 {
 			firstEdge = pc.firstEdge

@@ -18,25 +18,42 @@ func addEdgeListSeeds(f *testing.F) {
 	f.Add("0 1\n\n\n2 3")
 	f.Add("")
 	for _, tc := range boundaryInputs {
+		if overBudget(tc.input) {
+			f.Fatalf("seed %q would be skipped", tc.name)
+		}
 		f.Add(tc.input)
 	}
 }
 
-// fuzzVertexBudget bounds the vertex count a fuzz input may ask for.
-// A header or an id up to maxDeclaredVertices is valid input, but each
-// such run allocates gigabytes; counts and ids past the cap stay in, as
-// they fail cheaply.
-const fuzzVertexBudget = 1 << 20
+// fuzzVertexBudget bounds the vertex count an accepted fuzz input may
+// ask for. Loading costs about 24 bytes a vertex and each target loads
+// twice, so a run stays near 200 MB on one worker per CPU. Counts and
+// ids past maxDeclaredVertices stay in: the reader rejects them before
+// it allocates.
+const fuzzVertexBudget = 1 << 22
 
-// overBudget reports whether a digit run in input reads as a vertex
-// count or id in [fuzzVertexBudget, maxDeclaredVertices].
+// overBudget reports whether the largest header count, or id among
+// the first two fields of an edge line, lies in [fuzzVertexBudget,
+// maxDeclaredVertices]. Past the cap the input is rejected whatever
+// the other lines hold.
 func overBudget(input string) bool {
-	for _, f := range strings.FieldsFunc(input, func(r rune) bool { return r < '0' || r > '9' }) {
-		if v, err := strconv.ParseUint(f, 10, 64); err == nil && v >= fuzzVertexBudget && v <= maxDeclaredVertices {
-			return true
+	most := 0
+	for _, line := range strings.Split(input, "\n") {
+		f := strings.Fields(line)
+		nums := f[:min(len(f), 2)]
+		if len(f) > 0 && (f[0][0] == '#' || f[0][0] == '%') {
+			nums = nil
+			if len(f) >= 3 && f[0][0] == '#' && f[1] == "vertices" {
+				nums = f[2:3]
+			}
+		}
+		for _, s := range nums {
+			if v, err := strconv.Atoi(s); err == nil {
+				most = max(most, v)
+			}
 		}
 	}
-	return false
+	return most >= fuzzVertexBudget && most <= maxDeclaredVertices
 }
 
 // FuzzReadEdgeList: arbitrary text must never panic the reader, and

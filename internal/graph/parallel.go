@@ -110,7 +110,8 @@ func splitLines(r io.Reader, chunkBytes int) ([]textChunk, error) {
 // header. Plain "src dst" lines take fastEdge; every other line takes
 // the general path.
 func parseChunk(c textChunk, n int) parsedChunk {
-	out := parsedChunk{edges: make([]Edge, 0, bytes.Count(c.data, []byte{'\n'})+1)}
+	// The shortest edge line, "0 0\n", is 4 bytes.
+	out := parsedChunk{edges: make([]Edge, 0, min(bytes.Count(c.data, []byte{'\n'})+1, len(c.data)/4+1))}
 	lineNo := c.firstLine - 1
 	data := c.data
 	for len(data) > 0 {

@@ -92,6 +92,7 @@ var boundaryInputs = []struct {
 	{"vertical tab separator", "0\v1\n", false},
 	{"leading zeros", "007 0008\n000000000 000000001\n", false},
 	{"nine digits", "123456789 987654321\n", false},
+	{"seven and nine digits", "1234567 0\n000999999 001000000\n", false},
 	{"ten digits", "1234567890 0\n0 0000000012\n", false},
 	{"max id", "4294967295 0\n", false},
 	{"id overflows", "0 1\n4294967296 0\n", true},

@@ -310,7 +310,7 @@ func foldUpdates(c *composite.Composite, muts []store.Mutation) error {
 		return fmt.Errorf("applying updates: %w", err)
 	}
 	if err := c.ValidateIndex(); err != nil {
-		return fmt.Errorf("composite index invalid after updates: %w", err)
+		return fmt.Errorf("composite incoherent after updates: %w", err)
 	}
 	fmt.Printf("  updates: +%d -%d applied coherently\n", ins, del)
 	return nil

@@ -79,5 +79,5 @@ func main() {
 	if err := comp.ValidateIndex(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("coherence index consistent after updates ✓")
+	fmt.Println("bundled partitions coherent after updates ✓")
 }

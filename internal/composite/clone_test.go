@@ -86,35 +86,3 @@ func TestCloneIsDeepAndEqual(t *testing.T) {
 		t.Fatalf("mutated clone index invalid: %v", err)
 	}
 }
-
-// TestShareStatsCountsOwnedIndexBases: after a wave only the index
-// bases it folded are owned by the new cut, each charged 12 bytes per
-// entry; everything else is the previous cut's very object.
-func TestShareStatsCountsOwnedIndexBases(t *testing.T) {
-	c := buildTwoPartComposite(t)
-	first := c.CloneCOW()
-	if st := first.ShareStats(c); st.OwnedIndexMaps != 0 || st.OwnedFragments != 0 || st.OwnedBytes != 0 {
-		t.Fatalf("fresh cut owns %+v", st)
-	}
-
-	nv := graph.VertexID(c.Partition(0).Graph().NumVertices())
-	if err := c.InsertEdge(nv-1, nv-2, []int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	second := c.CloneCOW()
-	st := second.ShareStats(first)
-	if st.OwnedIndexMaps != 2 || st.SharedIndexMaps != 1 {
-		t.Fatalf("one insert routed to fragments 0 and 1 left %d owned / %d shared index bases", st.OwnedIndexMaps, st.SharedIndexMaps)
-	}
-	want := int64(len(second.index[0].keys)+len(second.index[1].keys)) * 12
-	for j, p := range second.Partitions() {
-		_, _, b := p.ShareStats(first.Partition(j))
-		want += b
-	}
-	if st.OwnedBytes != want {
-		t.Fatalf("owned bytes %d, want %d", st.OwnedBytes, want)
-	}
-	if second.index[2] != first.index[2] || len(second.over[0]) != 0 {
-		t.Fatal("untouched index base must be shared by pointer and a cut must carry no overlay")
-	}
-}

@@ -11,19 +11,19 @@ import (
 )
 
 // The composite's contract is coherence: however inserts and deletes
-// interleave, all k bundled partitions describe the same edge set and
-// the arc index stays exact. This property test drives a long seeded
-// random interleaving — including deliberate no-op deletes and repeat
-// inserts — and re-checks both invariants after every single step.
+// interleave, all k bundled partitions describe the same edge set, and
+// each arc's core/residual placement is where the inserts routed it.
+// This property test drives a long seeded random interleaving —
+// including deliberate no-op deletes and repeat inserts — and re-checks
+// both after every single step.
 //
-// The index under test is the sorted base plus overlay: every few
-// steps the composite is cut with CloneCOW, which folds the overlays
-// into new sorted arrays, so steps land on fresh bases, on overlays
-// with tombstones and on both. A deep Clone taken at the start runs the
-// same steps and is never cut (its whole index stays in its overlay);
-// after every step the two must be in the same state and give the same
-// Locate, StorageArcs and CoreArcs answers, and every cut must still
-// answer what it answered when it was taken.
+// Every few steps the composite is cut with CloneCOW, which folds the
+// fragment overlays into new compiled bases, so steps land on fresh
+// bases, on overlays and on both. A deep Clone taken at the start runs
+// the same steps and is never cut; after every step the two must be in
+// the same state and give the same Locate, StorageArcs and CoreArcs
+// answers, and every cut must still answer what it answered when it
+// was taken.
 
 // arcSet collects the distinct arcs a partition stores (union over
 // fragments, replicas deduplicated).
@@ -173,7 +173,7 @@ func TestCoherenceUnderRandomInterleavings(t *testing.T) {
 		}
 
 		if err := c.ValidateIndex(); err != nil {
-			t.Fatalf("step %d: index invalid: %v", step, err)
+			t.Fatalf("step %d: incoherent: %v", step, err)
 		}
 		ref := arcSet(c.Partition(0))
 		if len(ref) != len(live) {

@@ -1,7 +1,9 @@
 package composite
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"adp/internal/algorithms"
@@ -11,6 +13,7 @@ import (
 	"adp/internal/graph"
 	"adp/internal/partition"
 	"adp/internal/partitioner"
+	"adp/internal/pool"
 	"adp/internal/refine"
 )
 
@@ -246,6 +249,89 @@ func TestDeleteEdgeCoherent(t *testing.T) {
 	}
 	if comp.DeleteEdge(u, w) {
 		t.Fatal("double delete reported copies")
+	}
+}
+
+// TestDeleteDropsLastCopy: partition 0 holds the arc (0,1) in
+// fragments 0 and 1, and both endpoints also have a copy in fragment
+// 2. Removing the arc from fragment 0 drops that fragment's copy of its
+// source (for an undirected graph, of the reverse arc's source) from
+// the copies list DeleteEdge walks. The delete must still reach
+// fragment 1 and leave the partitions coherent.
+func TestDeleteDropsLastCopy(t *testing.T) {
+	for _, undirected := range []bool{false, true} {
+		t.Run(fmt.Sprintf("undirected=%v", undirected), func(t *testing.T) {
+			g, err := graph.FromEdgesParallel(4, []graph.Edge{{Src: 0, Dst: 3}, {Src: 1, Dst: 3}}, undirected, pool.Serial())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p1, p2 := partition.NewEmpty(g, 3), partition.NewEmpty(g, 3)
+			for _, p := range []*partition.Partition{p1, p2} {
+				p.AddEdge(2, 0, 3)
+				p.AddEdge(2, 1, 3)
+			}
+			c, err := New(g, []*partition.Partition{p1, p2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dest := range [][]int{{0, 2}, {1, 2}} {
+				if err := c.InsertEdge(0, 1, dest); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !c.DeleteEdge(0, 1) {
+				t.Fatal("DeleteEdge found no copies")
+			}
+			for j, p := range c.Partitions() {
+				for i := 0; i < c.N(); i++ {
+					if f := p.Fragment(i); f.HasArc(0, 1) || f.HasArc(1, 0) {
+						t.Fatalf("partition %d fragment %d still holds the deleted edge", j, i)
+					}
+				}
+				for _, x := range []graph.VertexID{0, 1} {
+					if cs := p.Copies(x); !slices.Equal(cs, []int32{2}) {
+						t.Fatalf("partition %d holds vertex %d in fragments %v, want [2]", j, x, cs)
+					}
+				}
+			}
+			if err := c.ValidateIndex(); err != nil {
+				t.Fatal(err)
+			}
+			if c.DeleteEdge(0, 1) {
+				t.Fatal("double delete reported copies")
+			}
+		})
+	}
+}
+
+// TestValidateIndexCatchesIncoherence: an arc removed from, or added
+// to, one bundled partition behind the composite's back leaves the
+// partitions holding different edge sets, which ValidateIndex must
+// report.
+func TestValidateIndexCatchesIncoherence(t *testing.T) {
+	g := testGraph()
+	var u, v, w graph.VertexID // (u,v) is an edge of g, (u,w) is not
+	g.Edges(func(a, b graph.VertexID) bool { u, v = a, b; return false })
+	for w = 0; g.HasEdge(u, w); w++ {
+	}
+	cases := map[string]func(c *Composite){
+		"partition 1 lost an arc": func(c *Composite) {
+			p := c.Partition(1)
+			for _, i := range slices.Clone(p.Copies(u)) {
+				p.RemoveArc(int(i), u, v)
+			}
+		},
+		"partition 0 gained an arc": func(c *Composite) { c.Partition(0).AddArc(0, u, w) },
+	}
+	for name, edit := range cases {
+		c := buildTwoPartComposite(t)
+		if err := c.ValidateIndex(); err != nil {
+			t.Fatalf("%s: fresh composite: %v", name, err)
+		}
+		edit(c)
+		if err := c.ValidateIndex(); err == nil {
+			t.Errorf("%s: ValidateIndex returned nil", name)
+		}
 	}
 }
 

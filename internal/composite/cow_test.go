@@ -23,14 +23,13 @@ import (
 // update waves flow through the CloneCOW path exactly as the serving
 // plane's apply loop publishes epochs, while a deep Clone taken before
 // the first wave receives the same mutations and is never cut — its
-// partitions stay in their maps and its index in its overlay, the form
-// that shares nothing and folds nothing. Every published epoch must be
-// bitwise-equal to that oracle at its cut — EqualState in both
-// directions, a valid coherence index, the same Locate / StorageArcs /
-// CoreArcs answers and (periodically) identical engine fingerprints —
-// and must still answer the same after every later wave: a tombstone
-// or an insert leaking into a shared index base would change an old
-// epoch's Locate. Concurrent readers hold all previously published
+// partitions stay in their overlays, the form that shares nothing and
+// folds nothing. Every published epoch must be bitwise-equal to that
+// oracle at its cut — EqualState in both directions, coherent
+// partitions, the same Locate / StorageArcs / CoreArcs answers and
+// (periodically) identical engine fingerprints — and must still answer
+// the same after every later wave: a delete or an insert leaking into a
+// shared fragment would change an old epoch's Locate. Concurrent readers hold all previously published
 // epochs for the whole run, so under -race any write that leaks
 // through the structural sharing into an already-published snapshot is
 // caught. The cut's folds run on the shared pool, so the test runs at
@@ -244,7 +243,7 @@ func checkCloneCOWOracleWaves(t *testing.T) {
 				t.Fatalf("wave %d: CoreArcs(%d) %d vs oracle %d", w, i, a, b)
 			}
 		}
-		if st := epoch.ShareStats(live); st.OwnedFragments != 0 || st.OwnedIndexMaps != 0 {
+		if st := epoch.ShareStats(live); st.OwnedFragments != 0 {
 			t.Fatalf("wave %d: a fresh cut owns storage its source does not: %+v", w, st)
 		}
 		if w%8 == 7 {

@@ -13,8 +13,8 @@ import (
 const compositeMagic = uint32(0xAD9A_0003)
 
 // Write serialises the composite: a header plus each bundled partition
-// in the partition binary format. The coherence index and cores are
-// recomputed on load (they are derived state).
+// in the partition binary format. Cores are derived from the
+// partitions, so nothing else is stored.
 func Write(w io.Writer, c *Composite) error {
 	bw := bufio.NewWriter(w)
 	le := binary.LittleEndian
@@ -32,9 +32,9 @@ func Write(w io.Writer, c *Composite) error {
 	return bw.Flush()
 }
 
-// maxPartitions caps the bundle size a stored composite may declare;
-// it mirrors the residualSet bitset width, so anything past it is
-// corrupt input, not a big bundle.
+// maxPartitions caps the bundle size New accepts and a stored
+// composite may declare; anything past it is corrupt input, not a big
+// bundle.
 const maxPartitions = 32
 
 // Read reconstructs a composite over g from the format produced by

@@ -6,7 +6,7 @@
 // crosses a threshold it cuts a candidate composite from the current
 // epoch, re-refines it with ParE2H/ParV2H off the serving path, and
 // asks the server to promote it — but only after the candidate passes
-// a three-gate validation (coherence index, bitwise oracle spot-check,
+// a three-gate validation (coherence, bitwise oracle spot-check,
 // cost-improvement floor). A post-promotion regression watchdog
 // compares the observed window against the pre-promotion state and
 // rolls back to the retained base epoch if the promotion made things
@@ -394,8 +394,7 @@ func (l *Loop) backoff(attempt int) bool {
 // buildCandidate clones the base and re-refines every bundled
 // partition off the serving path, bounded by RefineTimeout. A refiner
 // panic is contained here (counted, candidate discarded). The refined
-// partitions are reassembled through composite.New, which rebuilds the
-// coherence index refinement invalidated.
+// partitions are reassembled through composite.New.
 func (l *Loop) buildCandidate(base *composite.Composite) (cand *composite.Composite, err error) {
 	l.setState("refining")
 	defer func() {
@@ -484,12 +483,12 @@ func (l *Loop) oracleRun(c *composite.Composite) (algorithms.Outcome, error) {
 	return algorithms.Run(cl, costmodel.WCC, oracleOpts)
 }
 
-// validate is the promotion gate: coherence index, bitwise oracle
+// validate is the promotion gate: coherence, bitwise oracle
 // spot-check against the base outcome, and the cost-improvement floor.
 func (l *Loop) validate(cand *composite.Composite, baseOracle algorithms.Outcome, baseCost float64, weights []float64) error {
 	l.setState("validating")
 	if err := cand.ValidateIndex(); err != nil {
-		return fmt.Errorf("coherence index: %w", err)
+		return fmt.Errorf("coherence: %w", err)
 	}
 	out, err := l.oracleRun(cand)
 	if err != nil {

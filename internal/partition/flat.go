@@ -268,8 +268,8 @@ func (b *Builder) Build(loner func(v graph.VertexID) int) *Partition {
 // src<<32|dst key in ascending order and returns the extended slice.
 // Compiled fragments answer straight from the sorted base arc array;
 // an overlay costs one sort of its touched ids plus the fold by runs.
-// Callers (the composite coherence index) use this to merge fragments
-// without hashing each arc.
+// Callers (composite storage and coherence checks) use this to merge
+// fragments without hashing each arc.
 func (f *Fragment) AppendSortedArcKeys(dst []uint64) []uint64 {
 	ov, b := f.ov.Load(), f.base.Load()
 	if ov == nil || ov.edits == 0 {

@@ -331,8 +331,6 @@ type epochMetrics struct {
 	LastPublishNS   int64 `json:"last_publish_ns"`
 	SharedFragments int   `json:"shared_fragments"`
 	OwnedFragments  int   `json:"owned_fragments"`
-	SharedIndexMaps int   `json:"shared_index_maps"`
-	OwnedIndexMaps  int   `json:"owned_index_maps"`
 	ApproxNewBytes  int64 `json:"approx_new_bytes"`
 	ApproxBytes     int64 `json:"approx_epoch_bytes"`
 }
@@ -362,15 +360,15 @@ type serverMetrics struct {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ep := s.pin()
 	defer ep.unpin()
-	met, cost, lambda := ep.metrics()
+	ep.metrics()
 	resp := metricsResponse{
 		Epoch:       ep.seq,
 		EpochLSN:    ep.lsn,
 		Pinned:      ep.pins.Load(),
 		K:           ep.comp.K(),
 		N:           ep.comp.N(),
-		FC:          ep.comp.FC(),
-		StorageArcs: ep.comp.StorageArcs(),
+		FC:          ep.fc,
+		StorageArcs: ep.storageArcs,
 		Store: storeMetrics{
 			LSN:       s.lastLSN.Load(),
 			Committed: s.committed.Load(),
@@ -401,8 +399,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		LastPublishNS:   ems.publishNS,
 		SharedFragments: ems.sharedFragments,
 		OwnedFragments:  ems.ownedFragments,
-		SharedIndexMaps: ems.sharedIndexMaps,
-		OwnedIndexMaps:  ems.ownedIndexMaps,
 		ApproxNewBytes:  ems.newBytes,
 		ApproxBytes:     ems.epochBytes,
 	}
@@ -410,9 +406,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		j := ep.comp.PartitionFor(a)
 		resp.Algorithms = append(resp.Algorithms, algoMetrics{
 			Algo: a.String(), Partition: j,
-			FV: met[j].FV, FE: met[j].FE,
-			LambdaV: met[j].LambdaV, LambdaE: met[j].LambdaE,
-			ParallelCost: cost[i], LambdaCost: lambda[i],
+			FV: ep.met[j].FV, FE: ep.met[j].FE,
+			LambdaV: ep.met[j].LambdaV, LambdaE: ep.met[j].LambdaE,
+			ParallelCost: ep.cost[i], LambdaCost: ep.lambda[i],
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -195,7 +195,7 @@ type swapResult struct {
 
 // SwapEpoch hands a candidate composite to the apply loop for a
 // guarded, durable promotion: the captured delta since baseSeq is
-// replayed onto it, the coherence index re-validated, the store's
+// replayed onto it, its coherence re-validated, the store's
 // composite durably replaced (snapshot + fresh WAL segment), and a
 // fresh epoch published. The candidate must derive from the base
 // returned by BeginMaintenance (same edge set as epoch baseSeq); the
@@ -241,7 +241,7 @@ func (s *Server) applySwap(sr *swapRequest) {
 		return
 	}
 	if err := sr.cand.ValidateIndex(); err != nil {
-		res.err = fmt.Errorf("serve: candidate index invalid after catch-up: %w", err)
+		res.err = fmt.Errorf("serve: candidate incoherent after catch-up: %w", err)
 		return
 	}
 	res.err = s.st.ReplaceComposite(sr.cand)

@@ -150,10 +150,12 @@ type epoch struct {
 	// pools[i] serves costmodel.Algos()[i]; sessions are built lazily.
 	pools []*sessionPool
 
-	metOnce sync.Once
-	met     []partition.Metrics // per bundled partition
-	cost    []float64           // ParallelCost per algorithm
-	lambda  []float64           // LambdaCost per algorithm
+	metOnce     sync.Once
+	met         []partition.Metrics // per bundled partition
+	cost        []float64           // ParallelCost per algorithm
+	lambda      []float64           // LambdaCost per algorithm
+	storageArcs int                 // composite StorageArcs
+	fc          float64             // composite FC
 }
 
 // Server is the serving daemon: one durable store, one hot epoch, and
@@ -293,10 +295,9 @@ func (s *Server) newEpoch(seq uint64, comp *composite.Composite, lsn uint64) *ep
 type epochMemStats struct {
 	publishNS                       int64
 	sharedFragments, ownedFragments int
-	sharedIndexMaps, ownedIndexMaps int
 	// newBytes approximates the memory the publish newly materialized
-	// (owned fragments + owned index bases); epochBytes the epoch's
-	// full resident size as if nothing were shared.
+	// (its owned fragments); epochBytes the epoch's full resident size
+	// as if nothing were shared.
 	newBytes, epochBytes int64
 }
 
@@ -332,8 +333,6 @@ func (s *Server) recordPublish(old, ne *epoch, d time.Duration) {
 		publishNS:       d.Nanoseconds(),
 		sharedFragments: delta.SharedFragments,
 		ownedFragments:  delta.OwnedFragments,
-		sharedIndexMaps: delta.SharedIndexMaps,
-		ownedIndexMaps:  delta.OwnedIndexMaps,
 		newBytes:        delta.OwnedBytes,
 		epochBytes:      full.OwnedBytes,
 	}
@@ -381,11 +380,13 @@ func (e *epoch) unpin() { e.pins.Add(-1) }
 // its session pool and of its observed-work row.
 func algoIndex(a costmodel.Algo) int { return max(slices.Index(costmodel.Algos(), a), 0) }
 
-// metrics computes (once per epoch) the structural metrics and
-// reference-model costs served by GET /metrics. Safe for concurrent
-// callers; the epoch is immutable.
-func (e *epoch) metrics() ([]partition.Metrics, []float64, []float64) {
+// metrics computes (once per epoch) the structural metrics, composite
+// storage and reference-model costs served by GET /metrics, filling
+// the epoch's met, cost, lambda, storageArcs and fc. Safe for
+// concurrent callers; the epoch is immutable.
+func (e *epoch) metrics() {
 	e.metOnce.Do(func() {
+		e.storageArcs, e.fc = e.comp.StorageArcs(), e.comp.FC()
 		e.met = make([]partition.Metrics, e.comp.K())
 		for j := 0; j < e.comp.K(); j++ {
 			e.met[j] = e.comp.Partition(j).ComputeMetrics()
@@ -399,7 +400,6 @@ func (e *epoch) metrics() ([]partition.Metrics, []float64, []float64) {
 			e.lambda[i] = costmodel.LambdaCost(costs)
 		}
 	})
-	return e.met, e.cost, e.lambda
 }
 
 // updateBatch is one POST /updates body on its way to the apply loop.

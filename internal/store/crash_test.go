@@ -14,9 +14,9 @@ import (
 // executable: record a 500-mutation run, simulate a process kill at
 // every frame boundary of its WAL (and at sampled intra-frame byte
 // offsets), reopen, and require the recovered composite to equal a
-// clean replay of exactly the acked prefix — same coherence index,
-// same placement, bitwise-identical engine report. Fsck must classify
-// every cut the same way recovery does.
+// clean replay of exactly the acked prefix — same placement,
+// bitwise-identical engine report. Fsck must classify every cut the
+// same way recovery does.
 
 // dumpFsckArtifact renders the fsck view of a failing store directory
 // into the test log and, when ADPART_FSCK_ARTIFACT names a file, appends

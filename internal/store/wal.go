@@ -5,8 +5,8 @@
 // the latest snapshot, truncating at the first torn or corrupt frame
 // and discarding any un-acked tail, so a process kill at any byte of
 // any write leaves a state identical to some committed prefix of the
-// mutation history — never a panic, a half-applied batch, or a corrupt
-// coherence index. See DESIGN.md, "Durability".
+// mutation history — never a panic, a half-applied batch, or
+// incoherent bundled partitions. See DESIGN.md, "Durability".
 package store
 
 import (

@@ -93,7 +93,7 @@ func walFrames(t *testing.T, dir string) (first uint64, frames []byte) {
 // three producers of the write path — leader Apply, follower
 // AppendReplicated fed from the leader's TailFrom, and Open replaying a
 // copy of the leader's directory — and requires one outcome: pairwise
-// EqualState, valid indexes, one committed LSN, and identical committed
+// EqualState, coherent composites, one committed LSN, and identical committed
 // frame bytes. The directory hashes were recorded at the commit before
 // the producers shared an interpreter, a commit and a rotation, so they
 // also pin the on-disk bytes across that change.

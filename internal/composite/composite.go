@@ -135,8 +135,11 @@ func (c *Composite) FC() float64 {
 // For undirected graphs both arcs go — independently, because a vertex-
 // or edge-cut partition may store (u,v) and (v,u) in different
 // fragments (each arc routes by its own source). It reports whether any
-// copy existed.
+// copy existed, so an endpoint outside the graph finds none.
 func (c *Composite) DeleteEdge(u, v graph.VertexID) bool {
+	if n := uint64(c.g.NumVertices()); uint64(u) >= n || uint64(v) >= n {
+		return false
+	}
 	found := c.deleteArc(u, v)
 	if c.g.Undirected() && u != v {
 		if c.deleteArc(v, u) {

@@ -250,6 +250,9 @@ func TestDeleteEdgeCoherent(t *testing.T) {
 	if comp.DeleteEdge(u, w) {
 		t.Fatal("double delete reported copies")
 	}
+	if nv := graph.VertexID(g.NumVertices()); comp.DeleteEdge(u, nv) || comp.DeleteEdge(nv, u) {
+		t.Fatal("delete with an endpoint outside the graph reported copies")
+	}
 }
 
 // TestDeleteDropsLastCopy: partition 0 holds the arc (0,1) in

@@ -41,6 +41,10 @@ func run(args []string) int {
 	memProfile := fs.String("memprofile", "", "write a heap profile to this path on exit")
 	fs.Usage = usage
 	fs.Parse(args)
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "adbench: -workers must be >= 0 (got %d)\n", *workers)
+		return 2
+	}
 	if *workers != 0 {
 		pool.SetDefaultWorkers(*workers)
 	}

@@ -16,3 +16,11 @@ func TestProfileWrittenOnFailure(t *testing.T) {
 	}
 	testutil.CheckCPUProfile(t, path)
 }
+
+// TestNegativeWorkersRejected: -workers below zero is a flag error, not
+// a silent fall-back to GOMAXPROCS.
+func TestNegativeWorkersRejected(t *testing.T) {
+	if code := run([]string{"-workers", "-1", "list"}); code != 2 {
+		t.Fatalf("exit code %d for -workers -1, want 2", code)
+	}
+}

@@ -56,7 +56,7 @@ func run(args []string) int {
 	var (
 		graphName = fs.String("graph", "social", "named graph (social|twitter|web|road) or edge-list file path")
 		n         = fs.Int("n", 4, "number of fragments")
-		baseName  = fs.String("base", "Fennel", "baseline partitioner (xtraPuLP|Fennel|Grid|NE|Ginger|TopoX|Hash|Multilevel|DBH|HDRF)")
+		baseName  = fs.String("base", "Fennel", "baseline partitioner (xtraPuLP|Fennel|Grid|NE|Ginger|TopoX|Hash)")
 		algoName  = fs.String("algo", "PR", "target algorithm (CN|TC|WCC|PR|SSSP) or 'batch' for the composite")
 		symmetric = fs.Bool("undirected", false, "symmetrise the graph (required for TC)")
 		savePath  = fs.String("save", "", "write the refined partition to this file")
@@ -76,6 +76,10 @@ func run(args []string) int {
 		saveFlat  = fs.String("saveflat", "", "write the loaded graph in flat binary CSR format to this path and continue")
 	)
 	fs.Parse(args)
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "adpart: -workers must be >= 0 (got %d)\n", *workers)
+		return 2
+	}
 	if *fsckDir != "" {
 		// Deep snapshot verification needs the graph the store was built
 		// over; only use one the caller named explicitly.

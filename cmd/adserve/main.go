@@ -97,7 +97,7 @@ func main() {
 		fatal(fmt.Errorf("-store is required"))
 	}
 	fc := flagConfig{
-		grace: *grace, maintEvery: *maintEvery, inflight: *inflight, queue: *queue,
+		grace: *grace, maintEvery: *maintEvery, inflight: *inflight, queue: *queue, workers: *workers,
 		driftThr: *driftThr, listen: *listen, listenRepl: *listenRepl,
 		replicaOf: *replicaOf, leaderURL: *leaderURL, maintain: *maintainOn,
 		promote: *promote, promoteAfter: *promoteAfter, ackFollowers: *ackFollowers,
@@ -250,6 +250,7 @@ type flagConfig struct {
 	maintEvery   time.Duration
 	inflight     int
 	queue        int
+	workers      int
 	driftThr     float64
 	listen       string
 	listenRepl   string
@@ -279,6 +280,9 @@ func validateFlags(c flagConfig) error {
 	}
 	if c.queue <= 0 {
 		return fmt.Errorf("-queue must be > 0 (got %d)", c.queue)
+	}
+	if c.workers < 0 {
+		return fmt.Errorf("-workers must be >= 0 (got %d)", c.workers)
 	}
 	if c.driftThr <= 0 {
 		return fmt.Errorf("-drift-threshold must be > 0 (got %g)", c.driftThr)

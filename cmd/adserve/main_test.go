@@ -44,6 +44,7 @@ func TestValidateFlags(t *testing.T) {
 		{"zero inflight", mut(func(c *flagConfig) { c.inflight = 0 }), "-inflight"},
 		{"negative inflight", mut(func(c *flagConfig) { c.inflight = -3 }), "-inflight"},
 		{"zero queue", mut(func(c *flagConfig) { c.queue = 0 }), "-queue"},
+		{"negative workers", mut(func(c *flagConfig) { c.workers = -1 }), "-workers"},
 		{"zero drift threshold", mut(func(c *flagConfig) { c.driftThr = 0 }), "-drift-threshold"},
 		{"negative drift threshold", mut(func(c *flagConfig) { c.driftThr = -0.2 }), "-drift-threshold"},
 		{"follower with maintenance", mut(func(c *flagConfig) {

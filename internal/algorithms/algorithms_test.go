@@ -187,7 +187,7 @@ func TestTCCliques(t *testing.T) {
 	if got := TCSeq(g); got != 15 {
 		t.Fatalf("TCSeq = %d, want 15", got)
 	}
-	p, err := partitioner.NEVertexCut(g, 3, partitioner.NEConfig{})
+	p, err := partitioner.NEVertexCut(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func TestTCCompleteGraphs(t *testing.T) {
 		if got := TCSeq(g); got != want {
 			t.Fatalf("K%d: TCSeq = %d, want %d", n, got, want)
 		}
-		p, err := partitioner.HDRFVertexCut(g, 2, partitioner.HDRFConfig{})
+		p, err := partitioner.NEVertexCut(g, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

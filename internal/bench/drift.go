@@ -61,7 +61,7 @@ func DriftRecover() (*Table, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	st, err := store.Create(dir, comp, store.Options{SyncEvery: 8})
+	st, err := store.Create(dir, comp, store.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -18,8 +18,8 @@ func TestConstructorsReturnCompiled(t *testing.T) {
 	specs = append(specs, Spec{Name: "FennelStream", Run: func(g *graph.Graph, n int) (*partition.Partition, error) {
 		return FennelStreamEdgeCut(g, n, FennelConfig{})
 	}})
-	if len(specs) != 12 {
-		t.Fatalf("%d constructors listed, want all 12", len(specs))
+	if len(specs) != 8 {
+		t.Fatalf("%d constructors listed, want all 8", len(specs))
 	}
 	g := testGraph(t)
 	for _, s := range specs {
@@ -62,12 +62,12 @@ func TestNEVertexCutMatchesMapBuild(t *testing.T) {
 				g := b.MustBuild()
 				what := fmt.Sprintf("directed=%v n=%d seed=%d", directed, n, seed)
 
-				got, err := NEVertexCut(g, n, NEConfig{})
+				got, err := NEVertexCut(g, n)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := partition.NewEmpty(g, n)
-				neExpand(g, n, NEConfig{}, want.AddEdge)
+				neExpand(g, n, want.AddEdge)
 				for v := 0; v < g.NumVertices(); v++ {
 					if len(want.Copies(graph.VertexID(v))) == 0 {
 						want.AddVertex(v%n, graph.VertexID(v))

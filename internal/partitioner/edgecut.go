@@ -2,9 +2,9 @@
 // paper compares against and refines (Section 7): edge-cut
 // partitioners (hash, the streaming Fennel of [47], and a
 // label-propagation partitioner in the spirit of xtraPuLP [46]),
-// vertex-cut partitioners (the Grid hash partitioner of [28], HDRF
-// [43] and a neighbourhood-expansion partitioner in the spirit of NE
-// [53]), and the hybrid baselines Ginger [16] and TopoX [35].
+// vertex-cut partitioners (the Grid hash partitioner of [28] and a
+// neighbourhood-expansion partitioner in the spirit of NE [53]), and
+// the hybrid baselines Ginger [16] and TopoX [35].
 //
 // Every partitioner returns a *partition.Partition so the refiners of
 // Sections 5–6 can post-process any of them uniformly.
@@ -43,9 +43,9 @@ func (c *FennelConfig) defaults() {
 }
 
 // fennel is the Fennel objective of Tsourakakis et al. shared by
-// FennelEdgeCut, ReFennelEdgeCut and FennelStream: a vertex goes to the
-// fragment maximising |N(v) ∩ Vi| − α·γ·|Vi|^(γ−1) among those below
-// the capacity cap, or to the smallest when every fragment is full.
+// FennelEdgeCut and FennelStream: a vertex goes to the fragment
+// maximising |N(v) ∩ Vi| − α·γ·|Vi|^(γ−1) among those below the
+// capacity cap, or to the smallest when every fragment is full.
 type fennel struct {
 	gamma, alpha float64
 	capLimit     int
@@ -94,19 +94,8 @@ func (f *fennel) place() int {
 // FennelEdgeCut implements the one-pass streaming heuristic of
 // Tsourakakis et al.: vertices stream in id order and each goes where
 // the Fennel objective puts it, neighbours on either edge direction
-// counting once placed. It is one pass of ReFennelEdgeCut.
+// counting once placed.
 func FennelEdgeCut(g *graph.Graph, n int, cfg FennelConfig) (*partition.Partition, error) {
-	return ReFennelEdgeCut(g, n, 1, cfg)
-}
-
-// ReFennelEdgeCut runs Fennel for several restreaming passes (the
-// ReLDG/ReFennel technique): after the first streaming pass, vertices
-// are re-streamed with full knowledge of everyone else's current
-// placement, which repairs the early blind decisions of a single pass.
-func ReFennelEdgeCut(g *graph.Graph, n, passes int, cfg FennelConfig) (*partition.Partition, error) {
-	if passes < 1 {
-		passes = 2
-	}
 	nv := g.NumVertices()
 	obj := newFennel(n, nv, g.NumEdges(), cfg)
 	assign := make([]int, nv)
@@ -118,46 +107,30 @@ func ReFennelEdgeCut(g *graph.Graph, n, passes int, cfg FennelConfig) (*partitio
 			obj.neighborIn[a]++
 		}
 	}
-	for pass := 0; pass < passes; pass++ {
-		for v := 0; v < nv; v++ {
-			if old := assign[v]; old >= 0 {
-				obj.sizes[old]--
-				assign[v] = -1
-			}
-			for _, w := range g.OutNeighbors(graph.VertexID(v)) {
-				count(w)
-			}
-			for _, w := range g.InNeighbors(graph.VertexID(v)) {
-				count(w)
-			}
-			assign[v] = obj.place()
+	for v := 0; v < nv; v++ {
+		for _, w := range g.OutNeighbors(graph.VertexID(v)) {
+			count(w)
 		}
+		for _, w := range g.InNeighbors(graph.VertexID(v)) {
+			count(w)
+		}
+		assign[v] = obj.place()
 	}
 	return partition.FromVertexAssignment(g, assign, n)
 }
 
-// LabelPropConfig tunes the label-propagation edge-cut partitioner.
-type LabelPropConfig struct {
-	Iterations int     // sweeps, default 8
-	Slack      float64 // size cap (1+Slack)·avg, default 0.1
-	Seed       int64
-}
-
-func (c *LabelPropConfig) defaults() {
-	if c.Iterations == 0 {
-		c.Iterations = 8
-	}
-	if c.Slack == 0 {
-		c.Slack = 0.1
-	}
-}
+// The label-propagation partitioner's sweep budget and size slack: a
+// fragment may grow to (1+labelPropSlack)·avg.
+const (
+	labelPropIterations = 8
+	labelPropSlack      = 0.1
+)
 
 // LabelPropEdgeCut is a size-constrained label-propagation partitioner
 // in the spirit of (xtra)PuLP: vertices start round-robin and
 // repeatedly adopt the fragment most common among their neighbours
 // when the move keeps fragment sizes within the slack.
-func LabelPropEdgeCut(g *graph.Graph, n int, cfg LabelPropConfig) (*partition.Partition, error) {
-	cfg.defaults()
+func LabelPropEdgeCut(g *graph.Graph, n int) (*partition.Partition, error) {
 	nv := g.NumVertices()
 	assign := make([]int, nv)
 	sizes := make([]int, n)
@@ -165,9 +138,9 @@ func LabelPropEdgeCut(g *graph.Graph, n int, cfg LabelPropConfig) (*partition.Pa
 		assign[v] = v % n
 		sizes[v%n]++
 	}
-	capLimit := int((1+cfg.Slack)*float64(nv)/float64(n)) + 1
+	capLimit := int((1+labelPropSlack)*float64(nv)/float64(n)) + 1
 	votes := make([]int, n)
-	for it := 0; it < cfg.Iterations; it++ {
+	for it := 0; it < labelPropIterations; it++ {
 		moved := 0
 		for v := 0; v < nv; v++ {
 			for i := range votes {

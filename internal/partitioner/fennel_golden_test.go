@@ -10,29 +10,23 @@ import (
 	"adp/internal/partition"
 )
 
-// fennelGolden pins the placements of the three Fennel entry points —
+// fennelGolden pins the placements of the two Fennel entry points —
 // FNV-64a over every vertex's owner and master, folded over n ∈ {1, 3,
-// 8} — to the values the three separate objective loops produced before
+// 8} — to the values the separate objective loops produced before
 // they shared one implementation.
 var fennelGolden = map[string]uint64{
-	"powerlaw/directed/Fennel":     0x64ccac07e179fc75,
-	"powerlaw/directed/ReFennel":   0x6a84ba0e36937355,
-	"powerlaw/directed/Stream":     0x64ccac07e179fc75,
-	"powerlaw/undirected/Fennel":   0xb53901b00382b8e5,
-	"powerlaw/undirected/ReFennel": 0x681b6bfa85743555,
-	"powerlaw/undirected/Stream":   0xb53901b00382b8e5,
-	"rmat/directed/Fennel":         0x229b10be4b828705,
-	"rmat/directed/ReFennel":       0xedfda2e2d4f41305,
-	"rmat/directed/Stream":         0x229b10be4b828705,
-	"rmat/undirected/Fennel":       0x1f53735d708b7505,
-	"rmat/undirected/ReFennel":     0x42364b3781656955,
-	"rmat/undirected/Stream":       0x1f53735d708b7505,
-	"er/directed/Fennel":           0x7fd86611b2427e75,
-	"er/directed/ReFennel":         0xf3a8bb7b824897b5,
-	"er/directed/Stream":           0x7fd86611b2427e75,
-	"er/undirected/Fennel":         0xc1a3dbcc92713e95,
-	"er/undirected/ReFennel":       0x04b22c34a79ea295,
-	"er/undirected/Stream":         0xc1a3dbcc92713e95,
+	"powerlaw/directed/Fennel":   0x64ccac07e179fc75,
+	"powerlaw/directed/Stream":   0x64ccac07e179fc75,
+	"powerlaw/undirected/Fennel": 0xb53901b00382b8e5,
+	"powerlaw/undirected/Stream": 0xb53901b00382b8e5,
+	"rmat/directed/Fennel":       0x229b10be4b828705,
+	"rmat/directed/Stream":       0x229b10be4b828705,
+	"rmat/undirected/Fennel":     0x1f53735d708b7505,
+	"rmat/undirected/Stream":     0x1f53735d708b7505,
+	"er/directed/Fennel":         0x7fd86611b2427e75,
+	"er/directed/Stream":         0x7fd86611b2427e75,
+	"er/undirected/Fennel":       0xc1a3dbcc92713e95,
+	"er/undirected/Stream":       0xc1a3dbcc92713e95,
 }
 
 func TestFennelGoldenPlacements(t *testing.T) {
@@ -49,9 +43,6 @@ func TestFennelGoldenPlacements(t *testing.T) {
 		run  func(g *graph.Graph, n int) (*partition.Partition, error)
 	}{
 		{"Fennel", func(g *graph.Graph, n int) (*partition.Partition, error) { return FennelEdgeCut(g, n, FennelConfig{}) }},
-		{"ReFennel", func(g *graph.Graph, n int) (*partition.Partition, error) {
-			return ReFennelEdgeCut(g, n, 3, FennelConfig{})
-		}},
 		{"Stream", func(g *graph.Graph, n int) (*partition.Partition, error) {
 			return FennelStreamEdgeCut(g, n, FennelConfig{})
 		}},

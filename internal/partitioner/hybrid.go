@@ -8,7 +8,6 @@ import (
 // GingerConfig tunes the Ginger hybrid baseline.
 type GingerConfig struct {
 	DegreeThreshold int // vertices with in-degree above this are split, default 2·avg
-	Fennel          FennelConfig
 }
 
 // GingerHybrid implements the Ginger partitioner of PowerLyra [16]:
@@ -22,7 +21,7 @@ func GingerHybrid(g *graph.Graph, n int, cfg GingerConfig) (*partition.Partition
 		cfg.DegreeThreshold = int(2*g.AvgDegree()) + 1
 	}
 	// Reuse the Fennel placement as the "home" assignment.
-	base, err := FennelEdgeCut(g, n, cfg.Fennel)
+	base, err := FennelEdgeCut(g, n, FennelConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -60,8 +59,11 @@ func splitHubs(g *graph.Graph, n int, home []int, isHub func(graph.VertexID) boo
 // TopoXConfig tunes the TopoX hybrid baseline.
 type TopoXConfig struct {
 	DegreeThreshold int // split threshold for hubs, default 4·avg
-	SuperNodeSize   int // max vertices merged into one super node, default 4
 }
+
+// topoXSuperNodeSize caps how many vertices TopoX merges into one
+// super node.
+const topoXSuperNodeSize = 4
 
 // TopoXHybrid implements the topology-refactorisation idea of TopoX
 // [35]: neighbouring low-degree vertices are merged into super nodes
@@ -71,9 +73,6 @@ type TopoXConfig struct {
 func TopoXHybrid(g *graph.Graph, n int, cfg TopoXConfig) (*partition.Partition, error) {
 	if cfg.DegreeThreshold == 0 {
 		cfg.DegreeThreshold = int(4*g.AvgDegree()) + 1
-	}
-	if cfg.SuperNodeSize == 0 {
-		cfg.SuperNodeSize = 4
 	}
 	nv := g.NumVertices()
 	isHub := func(v graph.VertexID) bool {
@@ -96,7 +95,7 @@ func TopoXHybrid(g *graph.Graph, n int, cfg TopoXConfig) (*partition.Partition, 
 		super[v] = id
 		size := 1
 		absorb := func(w graph.VertexID) {
-			if size < cfg.SuperNodeSize && super[w] < 0 && !isHub(w) {
+			if size < topoXSuperNodeSize && super[w] < 0 && !isHub(w) {
 				super[w] = id
 				size++
 			}

@@ -56,7 +56,7 @@ func TestFennelEdgeCut(t *testing.T) {
 
 func TestLabelPropEdgeCut(t *testing.T) {
 	g := testGraph(t)
-	p, err := LabelPropEdgeCut(g, 4, LabelPropConfig{})
+	p, err := LabelPropEdgeCut(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,26 +92,9 @@ func TestGridVertexCut(t *testing.T) {
 	}
 }
 
-func TestHDRFVertexCut(t *testing.T) {
-	g := testGraph(t)
-	p, err := HDRFVertexCut(g, 4, HDRFConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !isVertexCut(p) {
-		t.Fatal("HDRF partition not a vertex-cut")
-	}
-	if m := p.ComputeMetrics(); m.LambdaE > 0.6 {
-		t.Errorf("HDRF edge imbalance λe = %v", m.LambdaE)
-	}
-}
-
 func TestNEVertexCut(t *testing.T) {
 	g := testGraph(t)
-	p, err := NEVertexCut(g, 4, NEConfig{})
+	p, err := NEVertexCut(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +115,7 @@ func TestNEVertexCut(t *testing.T) {
 
 func TestNEVertexCutUndirected(t *testing.T) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 600, AvgDeg: 5, Exponent: 2.2, Directed: false, Seed: 5})
-	p, err := NEVertexCut(g, 3, NEConfig{})
+	p, err := NEVertexCut(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +249,7 @@ func BenchmarkNE(b *testing.B) {
 	g := testGraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := NEVertexCut(g, 8, NEConfig{})
+		p, err := NEVertexCut(g, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -285,33 +268,7 @@ func TestExtrasRegistry(t *testing.T) {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
 	}
-	if _, ok := ByName("Multilevel"); !ok {
-		t.Error("ByName should find extras")
-	}
-	if _, ok := ByName("DBH"); !ok {
-		t.Error("ByName should find DBH")
-	}
-}
-
-func TestReFennelImprovesOnFennel(t *testing.T) {
-	g := testGraph(t)
-	single, err := FennelEdgeCut(g, 4, FennelConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := ReFennelEdgeCut(g, 4, 3, FennelConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !isEdgeCut(re) {
-		t.Fatal("restreamed partition not an edge-cut")
-	}
-	// Restreaming must not hurt locality, and usually improves it.
-	if re.ComputeMetrics().FE > single.ComputeMetrics().FE*1.02 {
-		t.Errorf("ReFennel fe %v worse than single-pass %v",
-			re.ComputeMetrics().FE, single.ComputeMetrics().FE)
+	if _, ok := ByName("Hash"); !ok {
+		t.Error("ByName should find Hash")
 	}
 }

@@ -32,81 +32,9 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// HDRFConfig tunes the HDRF streaming vertex-cut partitioner.
-type HDRFConfig struct {
-	// Lambda weights the balance term against replication affinity.
-	// CREP can reach ~3 when both endpoints already live in a
-	// fragment, so the default of 4 lets an underloaded fragment win
-	// against a fully-affine one; smaller values trade balance for
-	// replication.
-	Lambda float64
-}
-
-// HDRFVertexCut implements High-Degree Replicated First [43]: edges
-// stream in order; each edge goes to the fragment maximising a score
-// that prefers fragments already holding the lower-degree endpoint
-// (replicating high-degree vertices instead) plus a load-balance term.
-func HDRFVertexCut(g *graph.Graph, n int, cfg HDRFConfig) (*partition.Partition, error) {
-	if cfg.Lambda == 0 {
-		cfg.Lambda = 4.0
-	}
-	nv := g.NumVertices()
-	// Partial degree counters, per the streaming formulation.
-	pdeg := make([]int, nv)
-	inFrag := make([]map[int]bool, nv)
-	loads := make([]int, n)
-	maxLoad, minLoad := 0, 0
-
-	score := func(u, v graph.VertexID, i int) float64 {
-		du, dv := float64(pdeg[u])+1, float64(pdeg[v])+1
-		thetaU := du / (du + dv)
-		thetaV := 1 - thetaU
-		var crep float64
-		if inFrag[u] != nil && inFrag[u][i] {
-			crep += 1 + (1 - thetaU)
-		}
-		if inFrag[v] != nil && inFrag[v][i] {
-			crep += 1 + (1 - thetaV)
-		}
-		denom := float64(maxLoad-minLoad) + 1
-		cbal := cfg.Lambda * float64(maxLoad-loads[i]) / denom
-		return crep + cbal
-	}
-
-	assigner := func(s, d graph.VertexID) int {
-		best, bestScore := 0, math.Inf(-1)
-		for i := 0; i < n; i++ {
-			if sc := score(s, d, i); sc > bestScore {
-				best, bestScore = i, sc
-			}
-		}
-		pdeg[s]++
-		pdeg[d]++
-		for _, v := range []graph.VertexID{s, d} {
-			if inFrag[v] == nil {
-				inFrag[v] = map[int]bool{}
-			}
-			inFrag[v][best] = true
-		}
-		loads[best]++
-		maxLoad, minLoad = loads[0], loads[0]
-		for _, l := range loads[1:] {
-			if l > maxLoad {
-				maxLoad = l
-			}
-			if l < minLoad {
-				minLoad = l
-			}
-		}
-		return best
-	}
-	return partition.FromEdgeAssignment(g, assigner, n)
-}
-
-// NEConfig tunes the neighbourhood-expansion vertex-cut partitioner.
-type NEConfig struct {
-	Slack float64 // per-fragment edge budget slack, default 0.05
-}
+// neSlack is the neighbourhood expansion's per-fragment edge budget
+// slack: a fragment claims edges until it holds (1+neSlack)·|E|/n.
+const neSlack = 0.05
 
 // NEVertexCut implements a neighbourhood-expansion vertex-cut in the
 // spirit of Zhang et al. [53]: fragments are grown one at a time from
@@ -115,9 +43,9 @@ type NEConfig struct {
 // edges, until the fragment's edge budget is met. This maximises
 // locality (low fv) at the price of some edge imbalance, matching the
 // paper's Table 3 observation (NE: fv 2.7, λv 8.0).
-func NEVertexCut(g *graph.Graph, n int, cfg NEConfig) (*partition.Partition, error) {
+func NEVertexCut(g *graph.Graph, n int) (*partition.Partition, error) {
 	b := partition.NewBuilder(g, n)
-	neExpand(g, n, cfg, b.AddEdge)
+	neExpand(g, n, b.AddEdge)
 	// Isolated vertices go round-robin.
 	return b.Build(func(v graph.VertexID) int { return int(v) % n }), nil
 }
@@ -125,15 +53,12 @@ func NEVertexCut(g *graph.Graph, n int, cfg NEConfig) (*partition.Partition, err
 // neExpand runs the expansion and hands every edge of g, once, to place
 // with the fragment that claimed it (an undirected edge smaller endpoint
 // first).
-func neExpand(g *graph.Graph, n int, cfg NEConfig, place func(i int, u, v graph.VertexID)) {
-	if cfg.Slack == 0 {
-		cfg.Slack = 0.05
-	}
+func neExpand(g *graph.Graph, n int, place func(i int, u, v graph.VertexID)) {
 	totalArcs := g.NumEdges()
 	if g.Undirected() {
 		totalArcs = g.NumUndirectedEdges()
 	}
-	budget := int((1 + cfg.Slack) * float64(totalArcs) / float64(n))
+	budget := int((1 + neSlack) * float64(totalArcs) / float64(n))
 
 	nv := g.NumVertices()
 	assignedEdge := make(map[uint64]bool, totalArcs)

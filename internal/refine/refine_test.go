@@ -250,7 +250,7 @@ func TestParallelMatchesValidity(t *testing.T) {
 func TestParV2HValid(t *testing.T) {
 	g := skewedDirected()
 	m := costmodel.Reference(costmodel.PR)
-	p, err := partitioner.NEVertexCut(g, 4, partitioner.NEConfig{})
+	p, err := partitioner.NEVertexCut(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

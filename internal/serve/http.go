@@ -147,7 +147,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeRunErr(w, err, nil)
 		return
 	}
-	opts := engine.Options{MaxSupersteps: s.cfg.MaxSupersteps, Context: ctx}
+	opts := engine.Options{Context: ctx}
 	if s.cfg.RunInjector != nil {
 		opts.Injector = s.cfg.RunInjector.Clone()
 	}
@@ -514,7 +514,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	// replicated=false so the client knows the guarantee is unconfirmed.
 	replicated := false
 	if s.cfg.ReplWait != nil {
-		wctx, cancel := context.WithTimeout(r.Context(), s.cfg.ReplWaitTimeout)
+		wctx, cancel := context.WithTimeout(r.Context(), replWaitTimeout)
 		replicated = s.cfg.ReplWait(wctx, res.lsn) == nil
 		cancel()
 	}

@@ -160,7 +160,7 @@ func (s *Server) applyRepl(rr *replReq) {
 		}
 	default:
 		var retries int
-		res.commits, retries, res.err = s.st.AppendReplicatedRetrying(rr.frames, s.cfg.ApplyRetries, s.cfg.ApplyRetryBase)
+		res.commits, retries, res.err = s.st.AppendReplicatedRetrying(rr.frames, applyRetries, applyRetryBase)
 		s.applyRetries.Add(int64(retries))
 		s.replCommits.Add(int64(res.commits))
 		publish = res.commits > 0

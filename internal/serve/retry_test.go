@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"testing"
-	"time"
 
 	"adp/internal/costmodel"
 	"adp/internal/fault"
@@ -19,16 +18,14 @@ import (
 func TestServeApplyRetryLadder(t *testing.T) {
 	// Create issues 2 fsyncs (snapshot + segment header); the first
 	// update commit is sync #2. Fail it and the first retry; the second
-	// retry (sync #4) lands. Ladder default is 3 retries, so the burst
-	// is absorbed.
+	// retry (sync #4) lands. The ladder makes applyRetries (3) attempts,
+	// so the burst is absorbed.
 	inj := fault.NewDiskInjector(
 		fault.DiskEvent{Kind: fault.SyncErr, N: 2},
 		fault.DiskEvent{Kind: fault.SyncErr, N: 3},
 	)
 	dir := t.TempDir() + "/store"
-	ts := startServer(t, dir, true,
-		Config{ApplyRetryBase: time.Millisecond},
-		store.Options{Injector: inj})
+	ts := startServer(t, dir, true, Config{}, store.Options{Injector: inj})
 
 	var live []graph.VertexID
 	ts.g.Edges(func(u, v graph.VertexID) bool {
@@ -85,17 +82,17 @@ func TestServeApplyRetryLadder(t *testing.T) {
 }
 
 // TestServeApplyRetryExhaustion: a burst longer than the ladder
-// poisons exactly as the pre-ladder behavior did, after the configured
-// number of retries.
+// poisons exactly as the pre-ladder behavior did, after applyRetries
+// retries.
 func TestServeApplyRetryExhaustion(t *testing.T) {
-	inj := fault.NewDiskInjector(
-		fault.DiskEvent{Kind: fault.SyncErr, N: 2},
-		fault.DiskEvent{Kind: fault.SyncErr, N: 3},
-		fault.DiskEvent{Kind: fault.SyncErr, N: 4},
-	)
-	ts := startServer(t, t.TempDir()+"/store", true,
-		Config{ApplyRetries: 1, ApplyRetryBase: time.Millisecond},
-		store.Options{Injector: inj})
+	// The first update commit is sync #2; it and every one of the
+	// ladder's applyRetries re-issues fail.
+	var events []fault.DiskEvent
+	for n := 2; n <= 2+applyRetries; n++ {
+		events = append(events, fault.DiskEvent{Kind: fault.SyncErr, N: n})
+	}
+	inj := fault.NewDiskInjector(events...)
+	ts := startServer(t, t.TempDir()+"/store", true, Config{}, store.Options{Injector: inj})
 
 	var live []graph.VertexID
 	ts.g.Edges(func(u, v graph.VertexID) bool {
@@ -113,8 +110,8 @@ func TestServeApplyRetryExhaustion(t *testing.T) {
 	if !m.Store.Failed {
 		t.Fatal("exhausted ladder did not poison the write path")
 	}
-	if m.Server.ApplyRetries != 1 {
-		t.Fatalf("apply_retries = %d, want 1 (ApplyRetries: 1)", m.Server.ApplyRetries)
+	if m.Server.ApplyRetries != applyRetries {
+		t.Fatalf("apply_retries = %d, want %d", m.Server.ApplyRetries, applyRetries)
 	}
 	// Reads keep serving the last good epoch.
 	if status, rr, _ := ts.postRun(t, runReqFor(costmodel.WCC)); status != http.StatusOK || rr.Epoch != 1 {

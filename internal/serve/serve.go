@@ -61,24 +61,9 @@ type Config struct {
 	// UpdateQueue bounds pending update batches; a full queue rejects
 	// POST /updates with 429. Default 16.
 	UpdateQueue int
-	// MaxBatch bounds how many queued update batches the apply loop
-	// folds into a single epoch publish. Default 8.
-	MaxBatch int
 	// DefaultTimeout is the per-request /run deadline when the request
 	// does not carry timeout_ms. Default 30s.
 	DefaultTimeout time.Duration
-	// MaxSupersteps, when > 0, overrides every run's superstep budget.
-	MaxSupersteps int
-	// ApplyRetries bounds the store's in-place retry ladder for
-	// transient commit-time fsync failures, for update waves and
-	// replicated frames alike: the failed fsync is re-issued up to this
-	// many times (exponential backoff from ApplyRetryBase) before the
-	// write path stays poisoned. Non-fsync write failures (torn writes,
-	// crashes) poison immediately. Default 3; negative disables retries.
-	ApplyRetries int
-	// ApplyRetryBase is the first backoff step of the retry ladder;
-	// each attempt doubles it. Default 2ms.
-	ApplyRetryBase time.Duration
 	// Pool is the engine worker pool sessions run on; nil uses the
 	// process-wide shared pool.
 	Pool *pool.Pool
@@ -101,11 +86,23 @@ type Config struct {
 	// ack carries replicated=false so the client knows the replication
 	// guarantee is unconfirmed.
 	ReplWait func(ctx context.Context, lsn uint64) error
-	// ReplWaitTimeout bounds each ReplWait call. Default 2s.
-	ReplWaitTimeout time.Duration
 	// Logf, when non-nil, receives one line per lifecycle event.
 	Logf func(format string, args ...any)
 }
+
+// The apply loop's fixed limits. A wave folds at most maxBatch queued
+// update batches into one epoch publish. A transient commit-time fsync
+// failure, for update waves and replicated frames alike, is re-issued
+// up to applyRetries times (backing off from applyRetryBase, doubling
+// each attempt) before the write path stays poisoned; non-fsync write
+// failures (torn writes, crashes) poison at once. Each ReplWait call is
+// bounded by replWaitTimeout.
+const (
+	maxBatch        = 8
+	applyRetries    = 3
+	applyRetryBase  = 2 * time.Millisecond
+	replWaitTimeout = 2 * time.Second
+)
 
 func (c *Config) fill() {
 	if c.SessionsPerAlgo <= 0 {
@@ -117,23 +114,8 @@ func (c *Config) fill() {
 	if c.UpdateQueue <= 0 {
 		c.UpdateQueue = 16
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.ApplyRetries == 0 {
-		c.ApplyRetries = 3
-	}
-	if c.ApplyRetries < 0 {
-		c.ApplyRetries = 0
-	}
-	if c.ApplyRetryBase <= 0 {
-		c.ApplyRetryBase = 2 * time.Millisecond
-	}
-	if c.ReplWaitTimeout <= 0 {
-		c.ReplWaitTimeout = 2 * time.Second
 	}
 }
 
@@ -443,20 +425,20 @@ func (s *Server) applyLoop() {
 
 // A cut copies every fragment its wave touched, and one 8-mutation
 // batch touches most of them, so a publish costs about as much for one
-// batch as for MaxBatch. Writers that post together should therefore
+// batch as for maxBatch. Writers that post together should therefore
 // share one wave, not fall into alternating waves of one whenever the
 // first beats the second to the loop by microseconds.
 const gatherWindow = 2 * time.Millisecond
 
-// gather returns the wave b opens: unless MaxBatch batches are already
+// gather returns the wave b opens: unless maxBatch batches are already
 // queued it first waits gatherWindow for company, then it takes what is
-// queued, up to MaxBatch batches in all.
+// queued, up to maxBatch batches in all.
 func (s *Server) gather(b *updateBatch) []*updateBatch {
-	if len(s.updates)+1 < s.cfg.MaxBatch {
+	if len(s.updates)+1 < maxBatch {
 		time.Sleep(gatherWindow)
 	}
 	wave := []*updateBatch{b}
-	for len(wave) < s.cfg.MaxBatch {
+	for len(wave) < maxBatch {
 		select {
 		case nb, ok := <-s.updates:
 			if !ok {
@@ -503,7 +485,7 @@ func (s *Server) applyWave(wave []*updateBatch) {
 		}
 		// Each commit marker is one durable WAL commit, retried in place
 		// on a transient fsync failure (store.ApplyRetrying).
-		ins, del, retries, err := s.st.ApplyRetrying(b.muts, s.cfg.ApplyRetries, s.cfg.ApplyRetryBase)
+		ins, del, retries, err := s.st.ApplyRetrying(b.muts, applyRetries, applyRetryBase)
 		s.applyRetries.Add(int64(retries))
 		results[i] = updateResult{err: err, inserts: ins, deletes: del}
 		if failed = err; err == nil {

@@ -330,7 +330,7 @@ func TestServeWriteHeavyChaos(t *testing.T) {
 // TestServeWavesGather pins how the apply loop forms waves, and no
 // clock decides it: batches queued while a wave is in progress are
 // acked together in the next wave, a lone writer posting back to back
-// gets one wave per batch, and MaxBatch 1 never gathers.
+// gets one wave per batch.
 func TestServeWavesGather(t *testing.T) {
 	g := serveGraph()
 	batches, streams := writeHeavyBatches(t, g, 9, 2)
@@ -377,11 +377,5 @@ func TestServeWavesGather(t *testing.T) {
 	e0 = ts.Epoch()
 	if got := queueBehind(ts, batches[5], batches[6:9]); !slices.Equal(got, []uint64{e0 + 2, e0 + 2, e0 + 2}) {
 		t.Errorf("3 batches queued behind a wave were acked in epochs %v, want all in %d", got, e0+2)
-	}
-
-	ts = startServerOn(t, filepath.Join(t.TempDir(), "store"), g, serveComposite(t, g), Config{MaxBatch: 1}, store.Options{})
-	e0 = ts.Epoch()
-	if got := queueBehind(ts, batches[0], batches[1:4]); !slices.Equal(got, []uint64{e0 + 2, e0 + 3, e0 + 4}) {
-		t.Errorf("MaxBatch 1: 3 queued batches were acked in epochs %v, want one each from %d", got, e0+2)
 	}
 }

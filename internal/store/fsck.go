@@ -12,8 +12,8 @@ import (
 
 // Fsck is the offline integrity walk behind `adpart -fsck <dir>`: it
 // classifies every snapshot and every WAL frame without opening the
-// store for writing, and (with repair) truncates frame-level damage
-// the way Open's recovery would.
+// store for writing, and (with repair) cuts the log where Open's
+// recovery would.
 
 // SnapshotStatus describes one snapshot file.
 type SnapshotStatus struct {
@@ -52,8 +52,9 @@ type FsckReport struct {
 	Dir       string           `json:"dir"`
 	Snapshots []SnapshotStatus `json:"snapshots"`
 	Segments  []SegmentStatus  `json:"segments"`
-	// ChainBroken notes an LSN discontinuity between segments, with the
-	// offending segment name.
+	// ChainBroken names the first live segment that breaks Open's chain
+	// rule (linkBreak) and why: an LSN gap between segments, or a log
+	// that does not reach back to the snapshot.
 	ChainBroken string `json:"chain_broken,omitempty"`
 	// Repaired lists the repair actions taken (empty without repair).
 	Repaired []string `json:"repaired,omitempty"`
@@ -127,10 +128,14 @@ func (r *FsckReport) WriteJSON(w io.Writer) error {
 
 // Fsck walks the store directory and classifies every file. g enables
 // deep snapshot verification (composite parse + index validation); a
-// nil g checks snapshots for readability only. With repair set,
-// damaged segments are truncated at their last commit boundary (the
-// same cut Open's recovery makes) and the actions are recorded in
-// Repaired.
+// nil g checks snapshots for readability only. The segment chain is
+// checked by Open's rule (linkBreak) from the newest usable snapshot.
+// With repair set, an unhealthy log gets exactly the cut Open's
+// recovery would make (cutLog): segments past it are removed and the
+// one holding it is truncated. Damaged segments the snapshot already
+// covers, which Open never reads, are truncated to their last commit.
+// The actions are recorded in Repaired, and the returned report
+// describes the repaired directory.
 func Fsck(dir string, g *graph.Graph, repair bool) (*FsckReport, error) {
 	fs := vfs(osVFS{})
 	snapLSNs, segLSNs, err := storeFiles(fs, dir)
@@ -139,6 +144,9 @@ func Fsck(dir string, g *graph.Graph, repair bool) (*FsckReport, error) {
 	}
 	rep := &FsckReport{Dir: dir}
 
+	// snapLSN is the snapshot Open would start from: the newest usable.
+	var snapLSN uint64
+	usable := false
 	for _, lsn := range snapLSNs {
 		st := SnapshotStatus{Name: snapName(lsn), LSN: lsn}
 		data, err := fs.ReadFile(join(dir, st.Name))
@@ -155,31 +163,32 @@ func Fsck(dir string, g *graph.Graph, repair bool) (*FsckReport, error) {
 				}
 			}
 		}
+		if st.Err == "" {
+			snapLSN, usable = lsn, true
+		}
 		rep.Snapshots = append(rep.Snapshots, st)
 	}
 
-	next := uint64(0)
-	for _, lsn := range segLSNs {
+	// hdrLen[i] is segment i's header length: 0 when its header is
+	// unreadable, -1 when the file is.
+	hdrLen := make([]int64, len(segLSNs))
+	for i, lsn := range segLSNs {
 		st := SegmentStatus{Name: walName(lsn), StartLSN: lsn, CommittedEnd: segHdrLen}
 		data, err := fs.ReadFile(join(dir, st.Name))
 		if err != nil {
 			st.Damage = &Damage{Offset: 0, Reason: err.Error()}
 			rep.Segments = append(rep.Segments, st)
-			next = 0
+			hdrLen[i] = -1
 			continue
 		}
 		st.Bytes = int64(len(data))
-		// v2 headers are longer than the fixed 8 bytes; the truncation
-		// floor must not cut into them.
-		st.CommittedEnd = segmentHeaderLen(data)
-		if next != 0 && lsn != next && rep.ChainBroken == "" {
-			rep.ChainBroken = fmt.Sprintf("%s (starts at lsn %d, previous segment ends at %d)", st.Name, lsn, next-1)
-		}
 		frames, dmg, serr := scanSegment(data, lsn)
 		if serr != nil {
 			st.Damage = &Damage{Offset: 0, Reason: serr.Error()}
 		} else {
 			st.Damage = dmg
+			hdrLen[i] = segmentHeaderLen(data)
+			st.CommittedEnd = hdrLen[i]
 		}
 		st.Frames = len(frames)
 		sinceCommit := 0
@@ -198,36 +207,85 @@ func Fsck(dir string, g *graph.Graph, repair bool) (*FsckReport, error) {
 			}
 		}
 		st.UncommittedFrames = sinceCommit
-		if len(frames) > 0 {
-			next = st.LastLSN + 1
-		} else if st.Damage == nil {
-			next = lsn
-		} else {
-			next = 0
-		}
 		rep.Segments = append(rep.Segments, st)
 	}
 
-	if repair {
-		for i := range rep.Segments {
-			st := &rep.Segments[i]
-			if st.Damage == nil && st.UncommittedFrames == 0 {
-				continue
-			}
+	// Open refuses a store with no usable snapshot, or whose usable one
+	// is a fallback the compacted log no longer reaches back to, or with
+	// an unreadable live segment: repair then has no cut to copy.
+	refused := !usable || (snapLSN != snapLSNs[len(snapLSNs)-1] && len(segLSNs) > 0 && segLSNs[0] > snapLSN+1)
+
+	// Open's walk over the live log, on the classification: the chain
+	// rule, then where recovery would end the log.
+	live := liveStart(segLSNs, snapLSN)
+	keepSeg, keepOff := -1, int64(0)
+	next := uint64(0)
+	for si := live; si < len(segLSNs); si++ {
+		st := &rep.Segments[si]
+		if why := linkBreak(st.StartLSN, next, snapLSN); why != "" {
+			rep.ChainBroken = fmt.Sprintf("%s (%s)", st.Name, why)
+			break
+		}
+		if hdrLen[si] <= 0 {
+			refused = refused || hdrLen[si] < 0
+			break
+		}
+		if si == live {
+			keepSeg, keepOff = si, hdrLen[si]
+		}
+		if st.Commits > 0 {
+			keepSeg, keepOff = si, st.CommittedEnd
+		}
+		if st.Damage != nil {
+			break
+		}
+		next = st.StartLSN + uint64(st.Frames)
+	}
+
+	if !repair || rep.Healthy() {
+		return rep, nil
+	}
+	if refused {
+		return rep, fmt.Errorf("fsck: Open refuses %s, so there is no cut to repair to", dir)
+	}
+	var actions []string
+	cause := func(si int) string {
+		st := rep.Segments[si]
+		switch {
+		case st.Damage != nil:
+			return fmt.Sprintf("%s at offset %d", st.Damage.Reason, st.Damage.Offset)
+		case st.UncommittedFrames > 0:
+			return fmt.Sprintf("%d un-acked frames", st.UncommittedFrames)
+		}
+		return "past the point Open stops"
+	}
+	// Covered history Open never reads keeps its committed prefix.
+	for si := 0; si < live; si++ {
+		st := rep.Segments[si]
+		if (st.Damage != nil || st.UncommittedFrames > 0) && st.Bytes > st.CommittedEnd {
 			if err := fs.Truncate(join(dir, st.Name), st.CommittedEnd); err != nil {
 				return rep, fmt.Errorf("fsck: repairing %s: %w", st.Name, err)
 			}
-			cause := fmt.Sprintf("%d un-acked frames", st.UncommittedFrames)
-			if st.Damage != nil {
-				cause = fmt.Sprintf("%s at offset %d", st.Damage.Reason, st.Damage.Offset)
-			}
-			rep.Repaired = append(rep.Repaired,
-				fmt.Sprintf("%s truncated from %d to %d bytes (cut %s)",
-					st.Name, st.Bytes, st.CommittedEnd, cause))
-			st.Bytes = st.CommittedEnd
-			st.Damage = nil
-			st.UncommittedFrames = 0
+			actions = append(actions, fmt.Sprintf("%s truncated from %d to %d bytes (cut %s)", st.Name, st.Bytes, st.CommittedEnd, cause(si)))
 		}
 	}
-	return rep, nil
+	cuts, err := cutLog(fs, dir, segLSNs, live, keepSeg, keepOff)
+	for _, c := range cuts {
+		name := rep.Segments[c.si].Name
+		if c.keep < 0 {
+			actions = append(actions, fmt.Sprintf("%s removed, %d bytes (cut %s)", name, c.bytes, cause(c.si)))
+		} else {
+			actions = append(actions, fmt.Sprintf("%s truncated from %d to %d bytes (cut %s)", name, c.bytes, c.keep, cause(c.si)))
+		}
+	}
+	if err != nil {
+		return rep, fmt.Errorf("fsck: repairing: %w", err)
+	}
+	// Report the repaired directory as it now stands.
+	after, err := Fsck(dir, g, false)
+	if err != nil {
+		return rep, err
+	}
+	after.Repaired = actions
+	return after, nil
 }

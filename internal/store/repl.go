@@ -67,7 +67,7 @@ func (s *Store) AppendReplicated(frames []RawFrame) (commits int, err error) {
 		s.nextLSN = f.LSN + 1
 		if kind == recCommit {
 			// Same commit as the leader's: one append of every frame since
-			// the last boundary, fsync per SyncEvery (a failed fsync poisons
+			// the last boundary, one fsync (a failed fsync poisons
 			// retryably), and only then the fold and the watermark.
 			if err := s.flush(); err != nil {
 				return commits, err

@@ -17,15 +17,10 @@ import (
 	"adp/internal/graph"
 )
 
-// Options tunes a store's durability/throughput trade and threads the
-// deterministic disk-fault injector through the write path.
+// Options sets a store's snapshot cadence and threads the
+// deterministic disk-fault injector through the write path. Every
+// commit is fsynced before it is acked.
 type Options struct {
-	// SyncEvery is the number of commits between fsyncs: 0 or 1 syncs
-	// every commit (full durability), N>1 batches N commits per fsync
-	// (a bounded loss window of up to N-1 acked batches on power
-	// failure — never an inconsistent state, recovery still lands on a
-	// commit boundary).
-	SyncEvery int
 	// SnapshotEvery triggers an automatic snapshot + log compaction
 	// once this many mutations have committed since the last snapshot;
 	// 0 disables automatic snapshots (call Snapshot explicitly).
@@ -103,9 +98,8 @@ type Store struct {
 	pendingMuts int
 	lastDest    []int // destination vector of the last logged recDest
 
-	commitsSinceSync int
-	mutsSinceSnap    int
-	committed        int64
+	mutsSinceSnap int
+	committed     int64
 
 	failed error
 	// retrySync marks the poisoning failure as a commit-time fsync
@@ -337,6 +331,72 @@ func (s *Store) foldStaged() (int, error) {
 	return n, nil
 }
 
+// liveStart returns the index of the first segment the snapshot at
+// snapLSN does not fully cover: the last one starting at or below
+// snapLSN+1, else 0. Recovery skips the segments before it without
+// decoding, so bitrot in compacted-but-undeleted history cannot block
+// live replay.
+func liveStart(segLSNs []uint64, snapLSN uint64) int {
+	live := 0
+	for si := 1; si < len(segLSNs); si++ {
+		if segLSNs[si] <= snapLSN+1 {
+			live = si
+		}
+	}
+	return live
+}
+
+// linkBreak is the log's chain rule, shared by recovery and fsck: a live
+// segment must start at next, the LSN after the previous live segment's
+// last frame, and the first live segment (next == 0) must reach back to
+// the snapshot at snapLSN. It returns why a segment starting at start
+// breaks the chain, or "" when it links. Nothing from a break on is
+// trustworthy: frames are missing or overlap.
+func linkBreak(start, next, snapLSN uint64) string {
+	if next != 0 && start != next {
+		return fmt.Sprintf("segment starts at lsn %d, want %d", start, next)
+	}
+	if next == 0 && start > snapLSN+1 {
+		return fmt.Sprintf("segment starts at lsn %d, snapshot covers %d", start, snapLSN)
+	}
+	return ""
+}
+
+// segCut is one segment file cutLog changed.
+type segCut struct {
+	si    int   // index into the segment list
+	bytes int64 // length before the cut
+	keep  int64 // length after it; -1 for a removed file
+}
+
+// cutLog makes the log end at byte keepOff of segment keepSeg, the one
+// cut recovery and fsck -repair make: every later segment is removed
+// and keepSeg is truncated to keepOff when longer. A keepSeg below live
+// keeps no live segment; the covered segments before live are never
+// touched.
+func cutLog(fs vfs, dir string, segLSNs []uint64, live, keepSeg int, keepOff int64) ([]segCut, error) {
+	var cuts []segCut
+	for si := len(segLSNs) - 1; si >= max(keepSeg, live); si-- {
+		name := walName(segLSNs[si])
+		path := join(dir, name)
+		// An unreadable length counts as nothing to cut, as a file already
+		// at or below the boundary does.
+		size, _ := fs.Size(path)
+		if si > keepSeg {
+			if err := fs.Remove(path); err != nil {
+				return cuts, fmt.Errorf("removing %s: %w", name, err)
+			}
+			cuts = append(cuts, segCut{si, size, -1})
+		} else if size > keepOff {
+			if err := fs.Truncate(path, keepOff); err != nil {
+				return cuts, fmt.Errorf("truncating %s: %w", name, err)
+			}
+			cuts = append(cuts, segCut{si, size, keepOff})
+		}
+	}
+	return cuts, nil
+}
+
 // replay walks the WAL segments in LSN order, applies committed
 // batches above the snapshot LSN, and physically truncates the log at
 // the first damage or after the last commit.
@@ -349,21 +409,13 @@ func (s *Store) replay(segLSNs []uint64, info *RecoveryInfo) error {
 		destAtCommit []int
 		next         = uint64(0) // expected first LSN; 0 accepts any start
 	)
-	// liveStart is the first segment not fully covered by the snapshot;
-	// covered segments are skipped without decoding so bitrot in
-	// compacted-but-undeleted history cannot block live replay.
-	liveStart := 0
-	for si := range segLSNs {
-		if si+1 < len(segLSNs) && segLSNs[si+1] <= s.snapLSN+1 {
-			liveStart = si + 1
-		}
-	}
-	// Last fully-committed position within the live segments.
-	lastCommitSeg, lastCommitOff := -1, int64(segHdrLen)
-	// liveHdrLen is the liveStart segment's header length — the
-	// truncation floor when no commit survives (v2 headers are longer
-	// than the fixed 8 bytes).
-	liveHdrLen := int64(segHdrLen)
+	live := liveStart(segLSNs, s.snapLSN)
+	// Where the log ends once recovery is done: just past the last
+	// commit, else after the first live segment's header (v2 headers are
+	// longer than the fixed 8 bytes), else — the log does not reach the
+	// snapshot or its first header is unreadable — nowhere: no live
+	// segment is kept.
+	keepSeg, keepOff := -1, int64(0)
 	damageAt := func(si int, off int64, reason string) {
 		if info.Damage == nil {
 			info.Damage = &Damage{Offset: off, Reason: reason}
@@ -372,31 +424,23 @@ func (s *Store) replay(segLSNs []uint64, info *RecoveryInfo) error {
 	}
 
 scan:
-	for si := liveStart; si < len(segLSNs); si++ {
+	for si := live; si < len(segLSNs); si++ {
 		start := segLSNs[si]
+		if why := linkBreak(start, next, s.snapLSN); why != "" {
+			damageAt(si, 0, why)
+			break scan
+		}
 		data, err := s.fs.ReadFile(join(s.dir, walName(start)))
 		if err != nil {
 			return fmt.Errorf("store: reading segment %s: %w", walName(start), err)
-		}
-		if next != 0 && start != next {
-			// A gap or overlap between segments severs the LSN chain:
-			// nothing from here on is trustworthy.
-			damageAt(si, 0, fmt.Sprintf("segment starts at lsn %d, want %d", start, next))
-			break scan
-		}
-		if next == 0 && start > s.snapLSN+1 {
-			// The live log does not reach back to the snapshot: frames
-			// between are missing, so nothing here can be applied.
-			damageAt(si, 0, fmt.Sprintf("segment starts at lsn %d, snapshot covers %d", start, s.snapLSN))
-			break scan
 		}
 		frames, hdrDest, dmg, err := scanSegmentDest(data, start)
 		if err != nil {
 			damageAt(si, 0, err.Error())
 			break scan
 		}
-		if si == liveStart {
-			liveHdrLen = segmentHeaderLen(data)
+		if si == live {
+			keepSeg, keepOff = si, segmentHeaderLen(data)
 		}
 		if hdrDest != nil {
 			// A follower-opened segment seeds the sticky dest vector from
@@ -423,7 +467,7 @@ scan:
 					break scan
 				}
 				info.Replayed += n
-				lastCommitSeg, lastCommitOff = si, f.end
+				keepSeg, keepOff = si, f.end
 				s.nextLSN = f.lsn + 1
 				destAtCommit = s.stickyDest
 			}
@@ -439,31 +483,13 @@ scan:
 	s.stickyDest = destAtCommit
 
 	// Physical truncation: cut the damaged/uncommitted tail so future
-	// opens see a log ending exactly at the last acked commit. Live
-	// segments past the last commit go entirely; the one holding it is
-	// truncated to the commit boundary. With no commit in the live log,
-	// the first live segment is reset to its bare header.
-	keepSeg, keepOff := lastCommitSeg, lastCommitOff
-	if keepSeg < 0 {
-		keepSeg, keepOff = liveStart, liveHdrLen
+	// opens see a log ending exactly at the last acked commit.
+	cuts, err := cutLog(s.fs, s.dir, segLSNs, live, keepSeg, keepOff)
+	for _, c := range cuts {
+		info.TruncatedBytes += c.bytes - max(c.keep, 0)
 	}
-	for si := len(segLSNs) - 1; si >= keepSeg; si-- {
-		name := walName(segLSNs[si])
-		path := join(s.dir, name)
-		// An unreadable length counts as nothing to cut, as a file already
-		// at or below the boundary does.
-		size, _ := s.fs.Size(path)
-		if si > keepSeg {
-			info.TruncatedBytes += size
-			if err := s.fs.Remove(path); err != nil {
-				return fmt.Errorf("store: removing %s: %w", name, err)
-			}
-		} else if size > keepOff {
-			info.TruncatedBytes += size - keepOff
-			if err := s.fs.Truncate(path, keepOff); err != nil {
-				return fmt.Errorf("store: truncating %s: %w", name, err)
-			}
-		}
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 	return nil
 }
@@ -546,7 +572,6 @@ func (s *Store) RetrySync() error {
 		return s.failed
 	}
 	// Durable now: finish what flush skipped when the sync failed.
-	s.commitsSinceSync = 0
 	s.failed = nil
 	s.retrySync = false
 	return s.finishCommit()
@@ -644,8 +669,8 @@ func (s *Store) Delete(u, v graph.VertexID) (bool, error) {
 }
 
 // Commit appends a commit marker and writes the whole batch to the log
-// in one append; the batch is acked once Commit returns nil. Fsync
-// cadence follows Options.SyncEvery. A no-op with nothing pending.
+// in one append and fsyncs it; the batch is acked once Commit returns
+// nil. A no-op with nothing pending.
 func (s *Store) Commit() error { return s.commit(true) }
 
 func (s *Store) commit(allowSnap bool) error {
@@ -670,23 +695,19 @@ func (s *Store) commit(allowSnap bool) error {
 
 // flush is the one commit: everything pending — a batch ending in its
 // commit marker, whether the leader framed it or a follower copied it —
-// goes to the log in a single append, is fsynced per SyncEvery, and only
-// then becomes visible through finishCommit.
+// goes to the log in a single append, is fsynced, and only then becomes
+// visible through finishCommit.
 func (s *Store) flush() error {
 	if _, err := s.seg.Write(s.pending); err != nil {
 		return s.fail(fmt.Errorf("store: appending commit batch: %w", err))
 	}
-	s.commitsSinceSync++
-	if s.commitsSinceSync >= max(1, s.opts.SyncEvery) {
-		if err := s.seg.Sync(); err != nil {
-			// The batch (commit frame included) is already in the file;
-			// only the fsync failed, so the commit can be completed by
-			// RetrySync. pending/committed are deliberately left alone:
-			// finishCommit runs from there on success.
-			s.retrySync = true
-			return s.fail(fmt.Errorf("store: syncing log: %w", err))
-		}
-		s.commitsSinceSync = 0
+	if err := s.seg.Sync(); err != nil {
+		// The batch (commit frame included) is already in the file; only
+		// the fsync failed, so the commit can be completed by RetrySync.
+		// pending/committed are deliberately left alone: finishCommit
+		// runs from there on success.
+		s.retrySync = true
+		return s.fail(fmt.Errorf("store: syncing log: %w", err))
 	}
 	return s.finishCommit()
 }
@@ -756,7 +777,6 @@ func (s *Store) seal(before string) error {
 		s.retrySync = true
 		return s.fail(fmt.Errorf("store: syncing log before %s: %w", before, err))
 	}
-	s.commitsSinceSync = 0
 	err := s.seg.Close()
 	s.seg = nil
 	if err != nil {

@@ -353,52 +353,6 @@ func TestStoreDiskFaults(t *testing.T) {
 	}
 }
 
-func TestStoreSyncEveryBatching(t *testing.T) {
-	g, c := testComposite(t)
-	dir := t.TempDir()
-	inj := fault.NewDiskInjector() // pure op counter
-	s, err := Create(dir, c, Options{SyncEvery: 8, Injector: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	muts := genMutations(t, g, s.Composite(), 32, 19)
-	if _, _, err := s.Apply(muts); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Apply commits per marker batch; with no markers it is one big
-	// commit, so drive per-mutation commits instead to count syncs.
-	dir2 := t.TempDir()
-	_, c2 := testComposite(t)
-	inj2 := fault.NewDiskInjector()
-	s2, err := Create(dir2, c2, Options{SyncEvery: 8, Injector: inj2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range muts {
-		if m.Kind == MutInsert {
-			err = s2.Insert(m.U, m.V, m.Dest)
-		} else {
-			_, err = s2.Delete(m.U, m.V)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s2.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writesBeforeClose := inj2.Writes()
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if writesBeforeClose != 32+2 { // 32 commit batches + header + snapshot
-		t.Fatalf("unexpected write count %d", writesBeforeClose)
-	}
-}
-
 // reportsEqual compares the deterministic fields of two engine
 // reports bitwise (WallTime and fault diagnostics excluded, per the
 // engine's determinism contract).
@@ -509,6 +463,82 @@ func TestFsckHealthyAndDamaged(t *testing.T) {
 	applyClean(t, clean, muts[:info.Replayed])
 	if err := s2.Composite().EqualState(clean); err != nil {
 		t.Fatalf("repaired store diverges: %v", err)
+	}
+}
+
+// TestFsckRepairMakesOpensCut: a store whose log lost a whole segment.
+// Fsck must flag it by Open's chain rule, and repair must cut the log
+// exactly where Open would, so the repaired store is healthy and the
+// next Open has nothing left to truncate.
+func TestFsckRepairMakesOpensCut(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		missing int // index of the segment deleted
+	}{
+		{"middle segment missing", 2},
+		{"first live segment missing", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, c := testComposite(t)
+			dir := t.TempDir()
+			s, err := Create(dir, c, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Four segments of 15 committed mutations each: every Open
+			// starts a fresh segment.
+			muts := genMutations(t, g, s.Composite(), 60, 7)
+			for i := 0; i < 4; i++ {
+				if i > 0 {
+					if s, _, err = Open(dir, g, Options{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, _, err := s.Apply(muts[i*15 : (i+1)*15]); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, segs, err := storeFiles(osVFS{}, dir)
+			if err != nil || len(segs) != 4 {
+				t.Fatalf("want 4 segments, have %v (%v)", segs, err)
+			}
+			if err := os.Remove(filepath.Join(dir, walName(segs[tc.missing]))); err != nil {
+				t.Fatal(err)
+			}
+
+			rep, err := Fsck(dir, g, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Healthy() || rep.ChainBroken == "" {
+				t.Fatalf("fsck of a broken chain: healthy=%v chain=%q", rep.Healthy(), rep.ChainBroken)
+			}
+			rep, err = Fsck(dir, g, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Healthy() || len(rep.Repaired) == 0 {
+				var buf bytes.Buffer
+				rep.Format(&buf)
+				t.Fatalf("repair left the store unhealthy:\n%s", buf.String())
+			}
+			s2, info, err := Open(dir, g, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if info.TruncatedBytes != 0 || info.Damage != nil {
+				t.Fatalf("open after repair still cut the log: %v", info)
+			}
+			_, clean := testComposite(t)
+			applyClean(t, clean, muts[:info.Replayed])
+			if err := s2.Composite().EqualState(clean); err != nil {
+				t.Fatalf("repaired store diverges: %v", err)
+			}
+		})
 	}
 }
 

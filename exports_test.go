@@ -26,6 +26,7 @@ var testOnlyAllowed = map[string]string{
 	"Swap":            "sort.Interface: package sort calls it",
 	"KeepSelfLoops":   "self-loop graphs reach production through MapFlatBinary, whose validator accepts them; other packages' tests build them",
 	"SetVertexWeight": "the paper's §3.1 vertex-data hook, listed in DESIGN.md's experiment index",
+	"NewEmpty":        "the arc-at-a-time reference build: other packages' tests hand-build partitions with it and hold Builder output to it",
 }
 
 // testSeams are the packages whose exported API exists for tests by

@@ -21,7 +21,12 @@ type BuildStats struct {
 	Assigned   int // whole-vertex VAssign placements
 	SplitEdges int // per-edge EAssign placements
 	Merged     int // MV2H VMerge merges
-	Total      time.Duration
+	// SectionDurations splits Total: the decision sweep (budgets, Init
+	// and GetDest on the ledgers), the target build (each partition
+	// emitted by a partition.Builder) and section B (split, VMerge,
+	// MAssign).
+	SectionDurations [3]time.Duration
+	Total            time.Duration
 }
 
 // Options tunes a composite build.
@@ -42,7 +47,7 @@ func ME2H(base *partition.Partition, models []costmodel.CostModel, opts Options)
 	return b.build(wholeVertex{b}, func(t *target) {
 		for v := 0; v < b.g.NumVertices(); v++ {
 			vid := graph.VertexID(v)
-			if !t.routed[v] {
+			if t.at[v] < 0 {
 				t.arcs = wholeArcs(t.arcs[:0], b.g, vid)
 				b.eAssign(t, vid, t.arcs)
 			}
@@ -68,10 +73,19 @@ func ForFamily(fam partitioner.Family, base *partition.Partition, models []costm
 type target struct {
 	model  costmodel.CostModel
 	budget float64
-	part   *partition.Partition
-	tr     *costmodel.Tracker
-	// routed[unit.key(i, v)] is set once (i, v) is placed whole.
-	routed []bool
+	// During the decision sweep, tr probes the model over the all-absent
+	// partition the target starts as (HypotheticalComp reads nothing of
+	// it but vertex weights, which a built partition leaves at 1), led
+	// stands in for the tracker's state and pb collects the arcs in
+	// placement order. From the target build on, part is the partition
+	// and tr its tracker.
+	tr   *costmodel.Tracker
+	led  ledger
+	pb   *partition.Builder
+	part *partition.Partition
+	// at[unit.key(i, v)] is the fragment (i, v) was placed in whole, -1
+	// while it is not.
+	at []int32
 	// kept[p] is set when Init kept builder.units[p] in its base fragment.
 	kept []bool
 	arcs []arcT // split scratch
@@ -90,9 +104,12 @@ type position struct {
 
 // builder carries the shared state of ME2H/MV2H.
 type builder struct {
-	g       *graph.Graph
-	base    *partition.Partition
-	n       int
+	g    *graph.Graph
+	base *partition.Partition
+	n    int
+	// empty is the all-absent partition every decision tracker probes
+	// over.
+	empty   *partition.Partition
 	targets []*target
 	// units lists the eligible units in the BFS order of procedure Init,
 	// base fragment by base fragment.
@@ -118,7 +135,7 @@ func newBuilder(base *partition.Partition, models []costmodel.CostModel, opts Op
 type unit interface {
 	// eligible reports whether (i, v) carries computation to place.
 	eligible(i int, v graph.VertexID) bool
-	// keys is the size of a target's routed bitmap, key (i, v)'s slot.
+	// keys is the size of a target's at array, key (i, v)'s slot.
 	keys() int
 	key(i int, v graph.VertexID) int
 	// cost is (i, v)'s hypothetical contribution under t's model, on
@@ -127,27 +144,35 @@ type unit interface {
 	cost(t *target, i int, v graph.VertexID) float64
 	// fits probes ChAj(F^j_x ∪ (i, v)) ≤ Bj, c being cost(t, i, v).
 	fits(t *target, i, x int, v graph.VertexID, c float64) bool
-	apply(t *target, i, x int, v graph.VertexID)
+	// place adds the arcs of (i, v) that fragment x of t does not hold
+	// yet, or an edge-less copy of v.
+	place(t *target, i, x int, v graph.VertexID)
+	// owner is v's owner in t's partition (-1 when unset).
+	owner(t *target, v graph.VertexID) int
+	// settle gives the built partition the owners and masters the
+	// placements fixed.
+	settle(t *target)
 }
 
-// build runs the schedule ME2H and MV2H share. Every step reads and
-// writes one target only, except GetDest, whose set cover picks one
-// fragment for all the algorithms still pending. So the build is two
-// per-target sections on the shared pool around one sequential GetDest
-// sweep:
+// build runs the schedule ME2H and MV2H share in three sections:
 //
-//   - (A) budget, Init over the BFS orders, tracker rebuild;
-//   - GetDest (VAssign, lines 8-13) for every unit, in BFS order;
-//   - (B) tracker rebuild, split (per algorithm), MAssign (line 19).
+//   - decision: per target on the shared pool, the budget and Init over
+//     the BFS orders; then GetDest (VAssign, lines 8-13) for every unit
+//     in BFS order, the one sequential sweep, as its set cover picks one
+//     fragment for all the algorithms still pending;
+//   - target build: per target, its partition emitted in one go;
+//   - (B): per target, split (per algorithm) and MAssign (line 19).
 //
-// Each target runs its steps in this order and sees only its own state
-// (and the read-only base), so the result does not depend on the worker
-// count. Every tracker rebuild — after Init, before (B)'s split, before
-// VMergeSweep and before MAssign — is a section boundary (see
-// target.boundary), where the target partition is compiled first, so
-// every rebuild and vertex walk, New's index merge and the caller's
-// engine.NewCluster read flat arrays; compiling keeps every adjacency
-// order, so no float changes.
+// Init and GetDest decide on each target's ledger, which replays float
+// for float the Comp(x) sequence a tracker over the growing partition
+// would show, and only record the arcs; the build emits each partition
+// from those records, compiled, in the order a per-arc build would have
+// inserted them, so every adjacency order and every float downstream is
+// that build's. Each target sees only its own state (and the read-only
+// base), so the result does not depend on the worker count. Every
+// tracker rebuild in (B) is a section boundary (see target.boundary),
+// where the partition is compiled first, so New's index merge and the
+// caller's engine.NewCluster read flat arrays.
 func (b *builder) build(u unit, split func(t *target)) (*Composite, *BuildStats, error) {
 	start := time.Now()
 	var bfs refine.BFS
@@ -158,6 +183,7 @@ func (b *builder) build(u unit, split func(t *target)) (*Composite, *BuildStats,
 			}
 		}
 	}
+	b.empty = partition.NewBuilder(b.g, b.n).Build(nil)
 	pl := pool.Default()
 	pl.RunChunks(len(b.targets), 1, func(lo, hi int) {
 		for _, t := range b.targets[lo:hi] {
@@ -167,16 +193,28 @@ func (b *builder) build(u unit, split func(t *target)) (*Composite, *BuildStats,
 	for _, p := range b.units {
 		b.getDest(u, p.i, p.v)
 	}
+	st := &BuildStats{}
+	st.SectionDurations[0] = time.Since(start)
+	t1 := time.Now()
 	pl.RunChunks(len(b.targets), 1, func(lo, hi int) {
 		for _, t := range b.targets[lo:hi] {
-			t.boundary()
+			t.part = t.pb.Build(nil)
+			u.settle(t)
+			t.pb, t.led = nil, ledger{}
+			t.tr = costmodel.NewTracker(t.part, t.model)
+		}
+	})
+	st.SectionDurations[1] = time.Since(t1)
+	t2 := time.Now()
+	pl.RunChunks(len(b.targets), 1, func(lo, hi int) {
+		for _, t := range b.targets[lo:hi] {
 			split(t)
 			t.boundary()
 			refine.MAssignOnly(t.tr)
 		}
 	})
+	st.SectionDurations[2] = time.Since(t2)
 
-	st := &BuildStats{}
 	parts := make([]*partition.Partition, len(b.targets))
 	for j, t := range b.targets {
 		parts[j] = t.part
@@ -202,16 +240,22 @@ func (b *builder) build(u unit, split func(t *target)) (*Composite, *BuildStats,
 	return comp, st, nil
 }
 
-// initTarget is section (A) for one target. Budget Bj = average ChAj
-// over the INPUT partition (line 1), with 5% slack so that algorithms
-// the input already balances keep their vertices in place (scattering
-// them would trade locality for nothing). Init then keeps every unit in
-// place that the budget allows — growing the shared core Ci.
+// initTarget is the decision section for one target. Budget Bj =
+// average ChAj over the INPUT partition (line 1), with 5% slack so that
+// algorithms the input already balances keep their vertices in place
+// (scattering them would trade locality for nothing). Init then keeps
+// every unit in place that the budget allows — growing the shared core
+// Ci — and closes with the ledger re-seeded the way a tracker rebuild
+// would re-evaluate the partition Init left.
 func (b *builder) initTarget(u unit, t *target) {
 	t.budget = 1.05 * costmodel.TotalComp(costmodel.Evaluate(b.base, t.model)) / float64(b.n)
-	t.part = partition.NewEmpty(b.g, b.n)
-	t.tr = costmodel.NewTracker(t.part, t.model)
-	t.routed = make([]bool, u.keys())
+	t.tr = costmodel.NewTracker(b.empty, t.model)
+	t.led = newLedger(b.g.NumVertices(), b.n)
+	t.pb = partition.NewBuilder(b.g, b.n)
+	t.at = make([]int32, u.keys())
+	for k := range t.at {
+		t.at[k] = -1
+	}
 	t.kept = make([]bool, len(b.units))
 	for p, pos := range b.units {
 		if u.fits(t, pos.i, pos.i, pos.v, u.cost(t, pos.i, pos.v)) {
@@ -219,7 +263,11 @@ func (b *builder) initTarget(u unit, t *target) {
 			t.kept[p] = true
 		}
 	}
-	t.boundary()
+	t.led.forget()
+	for v := range b.g.NumVertices() {
+		vid := graph.VertexID(v)
+		t.led.refresh(t.tr, b.g, vid, u.owner(t, vid))
+	}
 }
 
 // boundary closes a section of t's build: it folds t's partition into
@@ -232,9 +280,15 @@ func (t *target) boundary() {
 }
 
 // assign places unit (i, v) whole into fragment x of t's partition.
+// Only v is refreshed, as a tracker over a per-arc build would be:
+// neighbour contributions drift slightly until Init's re-seed or (B)'s
+// tracker. Exact per-arc refreshes would cost O(deg·n) per assignment
+// and dominate the build (the whole point of ME2H is to be cheaper than
+// k separate refiners).
 func (b *builder) assign(u unit, t *target, i, x int, v graph.VertexID) {
-	u.apply(t, i, x, v)
-	t.routed[u.key(i, v)] = true
+	u.place(t, i, x, v)
+	t.at[u.key(i, v)] = int32(x)
+	t.led.refresh(t.tr, b.g, v, u.owner(t, v))
 	t.assigned++
 }
 
@@ -248,7 +302,7 @@ func (b *builder) assign(u unit, t *target, i, x int, v graph.VertexID) {
 func (b *builder) getDest(u unit, src int, v graph.VertexID) {
 	ov := b.ov[:0]
 	for _, t := range b.targets {
-		if !t.routed[u.key(src, v)] {
+		if t.at[u.key(src, v)] < 0 {
 			t.cost = u.cost(t, src, v)
 			ov = append(ov, t)
 		}
@@ -302,7 +356,7 @@ func (b *builder) getDest(u unit, src int, v graph.VertexID) {
 				if t.cost > 0.25*t.budget {
 					continue
 				}
-				b.assign(u, t, src, t.tr.ArgminComp(), v)
+				b.assign(u, t, src, t.led.argmin(), v)
 			}
 			return
 		}
@@ -332,31 +386,39 @@ func (b wholeVertex) keys() int                       { return b.g.NumVertices()
 func (b wholeVertex) key(_ int, v graph.VertexID) int { return int(v) }
 
 func (b wholeVertex) fits(t *target, _, x int, _ graph.VertexID, c float64) bool {
-	return t.tr.Comp(x)+c <= t.budget
+	return t.led.comp[x]+c <= t.budget
 }
 
-// apply places v with every incident arc into fragment x of t's
-// partition.
-func (b wholeVertex) apply(t *target, _, x int, v graph.VertexID) {
-	p := t.part
+// place adds v with every incident arc to fragment x of t's partition.
+// An arc is already there exactly when its other endpoint was placed in
+// x, or it is a self-loop the out-arcs brought.
+func (b wholeVertex) place(t *target, _, x int, v graph.VertexID) {
 	for _, w := range b.g.OutNeighbors(v) {
-		p.AddArc(x, v, w)
+		if int(t.at[w]) != x {
+			t.addArc(x, v, w)
+		}
 	}
 	for _, w := range b.g.InNeighbors(v) {
-		p.AddArc(x, w, v)
+		if w != v && int(t.at[w]) != x {
+			t.addArc(x, w, v)
+		}
 	}
 	if b.g.OutDegree(v) == 0 && b.g.InDegree(v) == 0 {
-		p.AddVertex(x, v)
+		t.addVertex(x, v)
 	}
-	p.SetOwner(v, x)
-	_ = p.SetMaster(v, x)
-	// Only the subject vertex is refreshed during the bulk build;
-	// neighbour contributions drift slightly and are reconciled by the
-	// tracker rebuilds at the section boundaries. Exact per-arc
-	// refreshes would cost O(deg·n) per assignment and dominate the
-	// build (the whole point of ME2H is to be cheaper than k separate
-	// refiners).
-	t.tr.Refresh(v)
+}
+
+// owner is the fragment v was placed in: placing a vertex makes it
+// v's owner and master.
+func (b wholeVertex) owner(t *target, v graph.VertexID) int { return int(t.at[v]) }
+
+func (b wholeVertex) settle(t *target) {
+	for v, x := range t.at {
+		if x >= 0 {
+			t.part.SetOwner(graph.VertexID(v), int(x))
+			_ = t.part.SetMaster(graph.VertexID(v), int(x))
+		}
+	}
 }
 
 // cost is v's hypothetical contribution as a complete copy.

@@ -15,12 +15,12 @@ import (
 // The input partition is not modified.
 func MV2H(base *partition.Partition, models []costmodel.CostModel, opts Options) (*Composite, *BuildStats, error) {
 	b := newBuilder(base, models, opts)
-	u := baseCopy{b}
+	u := baseCopy{b, arcsOnce(base)}
 	return b.build(u, func(t *target) {
 		// Residuals: split edge by edge, then VMerge.
 		for i := 0; i < b.n; i++ {
 			for _, v := range base.Fragment(i).SortedVertices() {
-				if isComputeCopy(base, i, v) && !t.routed[u.key(i, v)] {
+				if isComputeCopy(base, i, v) && t.at[u.key(i, v)] < 0 {
 					t.arcs = localArcs(t.arcs[:0], base, i, v)
 					b.eAssign(t, v, t.arcs)
 				}
@@ -39,8 +39,22 @@ func isComputeCopy(base *partition.Partition, i int, v graph.VertexID) bool {
 }
 
 // baseCopy is MV2H's unit: the copy of v in base fragment i with its
-// local arc set (v, Evi).
-type baseCopy struct{ *builder }
+// local arc set (v, Evi). once records that the base stores every arc
+// in one fragment only, as a vertex-cut does.
+type baseCopy struct {
+	*builder
+	once bool
+}
+
+// arcsOnce reports whether base stores each arc of its graph in exactly
+// one fragment (it stores each at least once).
+func arcsOnce(base *partition.Partition) bool {
+	var arcs int64
+	for i := 0; i < base.NumFragments(); i++ {
+		arcs += int64(base.Fragment(i).NumArcs())
+	}
+	return arcs == base.Graph().NumEdges()
+}
 
 func (b baseCopy) eligible(i int, v graph.VertexID) bool { return isComputeCopy(b.base, i, v) }
 
@@ -55,33 +69,60 @@ func (b baseCopy) fits(t *target, i, x int, v graph.VertexID, c float64) bool {
 	if adj == nil {
 		return true
 	}
-	h := c
-	if dstAdj := t.part.Fragment(x).Adjacency(v); dstAdj != nil {
-		h = t.tr.HypotheticalComp(v, len(adj.In)+len(dstAdj.In), len(adj.Out)+len(dstAdj.Out), b.base.Replication(v), !b.base.IsComplete(i, v))
+	h, dst := c, t.led.at(x, v)
+	if dst.in >= 0 {
+		h = t.tr.HypotheticalComp(v, len(adj.In)+int(dst.in), len(adj.Out)+int(dst.out), b.base.Replication(v), !b.base.IsComplete(i, v))
 	}
-	delta := h - t.tr.Contribution(x, v)
-	return t.tr.Comp(x)+delta <= t.budget
+	delta := h - dst.comp
+	return t.led.comp[x]+delta <= t.budget
 }
 
-// apply places base copy (i,v) — its local arc set — into fragment x
-// of t's partition.
-func (b baseCopy) apply(t *target, i, x int, v graph.VertexID) {
-	p := t.part
+// place adds base copy (i,v) — its local arc set — to fragment x of t's
+// partition, skipping the arcs x already holds.
+func (b baseCopy) place(t *target, i, x int, v graph.VertexID) {
 	adj := b.base.Fragment(i).Adjacency(v)
 	if adj != nil {
 		for _, w := range adj.Out {
-			p.AddArc(x, v, w)
+			if !b.held(t, i, x, v, w) {
+				t.addArc(x, v, w)
+			}
 		}
 		for _, w := range adj.In {
-			p.AddArc(x, w, v)
+			if w != v && !b.held(t, i, x, w, v) {
+				t.addArc(x, w, v)
+			}
 		}
 	}
 	if adj == nil || adj.LocalDegree() == 0 {
-		p.AddVertex(x, v)
+		t.addVertex(x, v)
 	}
-	// Light refresh; see wholeVertex.apply.
-	t.tr.Refresh(v)
 }
+
+// held reports whether fragment x of t holds the arc (a, c) of base
+// fragment i: some unit placed in x carries it, the copy of a or of c
+// in a base fragment storing the arc — i, or, when the base repeats
+// arcs, another one.
+func (b baseCopy) held(t *target, i, x int, a, c graph.VertexID) bool {
+	if int(t.at[b.key(i, a)]) == x || int(t.at[b.key(i, c)]) == x {
+		return true
+	}
+	if b.once {
+		return false
+	}
+	for _, j := range b.base.Copies(a) {
+		if int(j) != i && (int(t.at[b.key(int(j), a)]) == x || int(t.at[b.key(int(j), c)]) == x) &&
+			b.base.Fragment(int(j)).HasArc(a, c) {
+			return true
+		}
+	}
+	return false
+}
+
+// owner is -1: placing a base copy fixes neither owner nor master, and
+// masters stay where the build first touched each vertex.
+func (b baseCopy) owner(*target, graph.VertexID) int { return -1 }
+
+func (b baseCopy) settle(*target) {}
 
 // cost is base copy (i,v)'s hypothetical contribution on its own.
 func (b baseCopy) cost(t *target, i int, v graph.VertexID) float64 {

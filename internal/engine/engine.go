@@ -267,11 +267,14 @@ func (c *Cluster) Run(init func(w *WorkerCtx), step StepFunc, maxSupersteps int)
 // cancellation lands in still returns success. The cancellation-point
 // sweep test locks both properties in for every observation point.
 //
-// When Options arms an Injector or CheckpointEvery, RunCtx snapshots
-// barrier state (worker State via Snapshotter, in-flight inboxes,
-// report accumulators) and recovers injected crashes, transient step
-// errors and step panics by rolling back to the last checkpoint and
-// replaying, GRAPE-style. Because the injector is deterministic and
+// A step that panics ends the run with a *FailedRunError whose Err is
+// the *pool.Panic; the workers' state is whatever the panic left, so a
+// caller that pools clusters should drop this one. When Options arms an
+// Injector or CheckpointEvery, RunCtx instead snapshots barrier state
+// (worker State via Snapshotter, in-flight inboxes, report
+// accumulators) and recovers injected crashes, transient step errors
+// and step panics by rolling back to the last checkpoint and replaying,
+// GRAPE-style. Because the injector is deterministic and
 // each event fires once, a recovered run's Report matches the
 // fault-free run bitwise (diagnostics and WallTime aside).
 //
@@ -447,9 +450,8 @@ func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step Step
 		stepPanic, stepErr := c.tryRunChunksCtx(ctx, stepChunk)
 		if stepPanic != nil {
 			if ck == nil {
-				// No fault tolerance configured: propagate like the
-				// pool would have.
-				panic(stepPanic)
+				// No fault tolerance configured: the run fails.
+				return fail("step panicked", stepPanic)
 			}
 			if err := rollback(stepPanic); err != nil {
 				return fail("recovery budget exhausted", err)

@@ -264,8 +264,10 @@ func TestStepPanicBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestStepPanicWithoutFaultTolerance: zero Options preserves the legacy
-// contract — the *pool.Panic propagates to the caller.
+// TestStepPanicWithoutFaultTolerance: with zero Options a step panic
+// ends the run with the typed error — the *pool.Panic as its cause and
+// the partial report of the supersteps before it — instead of
+// panicking out of Run past the caller's cleanup.
 func TestStepPanicWithoutFaultTolerance(t *testing.T) {
 	c := testCluster(t, 3)
 	init, inner := ringProgram(4)
@@ -275,14 +277,18 @@ func TestStepPanicWithoutFaultTolerance(t *testing.T) {
 		}
 		return inner(w, s, inbox)
 	}
-	defer func() {
-		r := recover()
-		if _, ok := r.(*pool.Panic); !ok {
-			t.Fatalf("recovered %v, want *pool.Panic", r)
-		}
-	}()
-	_, _ = c.Run(init, step, 20)
-	t.Fatal("panic did not propagate")
+	rep, err := c.Run(init, step, 20)
+	var fre *FailedRunError
+	if !errors.As(err, &fre) || fre.Reason != "step panicked" {
+		t.Fatalf("err = %v, want a step-panic *FailedRunError", err)
+	}
+	var pv *pool.Panic
+	if !errors.As(err, &pv) || pv.Value != "unprotected" {
+		t.Fatalf("err %v does not unwrap to the step's *pool.Panic", err)
+	}
+	if rep == nil || fre.Report != rep || rep.Supersteps != 1 {
+		t.Fatalf("partial report %+v, want superstep 0 accounted and carried on the error", rep)
+	}
 }
 
 // TestNonConvergenceTypedError: the non-convergence path returns the

@@ -6,8 +6,8 @@
 // crosses a threshold it cuts a candidate composite from the current
 // epoch, re-refines it with ParE2H/ParV2H off the serving path, and
 // asks the server to promote it — but only after the candidate passes
-// a three-gate validation (coherence, bitwise oracle spot-check,
-// cost-improvement floor). A post-promotion regression watchdog
+// a four-gate validation (coherence, composite storage, bitwise oracle
+// spot-check, cost-improvement floor). A post-promotion regression watchdog
 // compares the observed window against the pre-promotion state and
 // rolls back to the retained base epoch if the promotion made things
 // worse.
@@ -167,6 +167,7 @@ type Loop struct {
 	validationFailures atomic.Int64
 	refineFailures     atomic.Int64
 	refinePanics       atomic.Int64
+	rejectedStorage    atomic.Int64
 	swapFailures       atomic.Int64
 	lastDrift          atomic.Uint64 // Float64bits
 }
@@ -210,6 +211,7 @@ func (l *Loop) Status() serve.MaintStatus {
 		ValidationFailures: l.validationFailures.Load(),
 		RefineFailures:     l.refineFailures.Load(),
 		RefinePanics:       l.refinePanics.Load(),
+		RejectedStorage:    l.rejectedStorage.Load(),
 		SwapFailures:       l.swapFailures.Load(),
 		LastDrift:          math.Float64frombits(l.lastDrift.Load()),
 		Threshold:          l.cfg.DriftThreshold,
@@ -333,6 +335,7 @@ func (l *Loop) cycle(weights []float64) {
 	defer l.setState("idle")
 
 	baseCost := l.weightedCost(base, weights)
+	baseArcs := base.StorageArcs()
 	baseOracle, err := l.oracleRun(base)
 	if err != nil {
 		// The base itself cannot run the oracle (it IS the serving
@@ -351,7 +354,7 @@ func (l *Loop) cycle(weights []float64) {
 			l.setError(err)
 			continue // counters bumped inside buildCandidate
 		}
-		if err := l.validate(cand, baseOracle, baseCost, weights); err != nil {
+		if err := l.validate(cand, baseOracle, baseCost, baseArcs, weights); err != nil {
 			l.validationFailures.Add(1)
 			l.setError(err)
 			l.logf("maintain: attempt %d: candidate rejected: %v", attempt, err)
@@ -483,12 +486,25 @@ func (l *Loop) oracleRun(c *composite.Composite) (algorithms.Outcome, error) {
 	return algorithms.Run(cl, costmodel.WCC, oracleOpts)
 }
 
-// validate is the promotion gate: coherence, bitwise oracle
-// spot-check against the base outcome, and the cost-improvement floor.
-func (l *Loop) validate(cand *composite.Composite, baseOracle algorithms.Outcome, baseCost float64, weights []float64) error {
+// maxStorageGrowth bounds a candidate's StorageArcs relative to its
+// base's. buildCandidate refines the k partitions one by one and keeps
+// only the arcs all k still share as the core, so without it a
+// promotion can undo the sharing ME2H/MV2H built (an MV2H composite
+// once stored 72 % more arcs after one promotion).
+const maxStorageGrowth = 0.10
+
+// validate is the promotion gate: coherence, composite storage against
+// the base's, bitwise oracle spot-check against the base outcome, and
+// the cost-improvement floor.
+func (l *Loop) validate(cand *composite.Composite, baseOracle algorithms.Outcome, baseCost float64, baseArcs int, weights []float64) error {
 	l.setState("validating")
 	if err := cand.ValidateIndex(); err != nil {
 		return fmt.Errorf("coherence: %w", err)
+	}
+	if arcs := cand.StorageArcs(); float64(arcs) > (1+maxStorageGrowth)*float64(baseArcs) {
+		l.rejectedStorage.Add(1)
+		return fmt.Errorf("storage: candidate stores %d arcs, over %.0f%% more than the base's %d",
+			arcs, 100*maxStorageGrowth, baseArcs)
 	}
 	out, err := l.oracleRun(cand)
 	if err != nil {

@@ -67,6 +67,28 @@ func maintComposite(t testing.TB, g *graph.Graph) *composite.Composite {
 	return c
 }
 
+// familyComposite is the composite adserve serves: composite.ForFamily
+// over the family's baseline (Fennel for edge-cuts, Grid for
+// vertex-cuts), for the five reference models, 4 fragments.
+func familyComposite(t testing.TB, g *graph.Graph, fam partitioner.Family) *composite.Composite {
+	t.Helper()
+	var base *partition.Partition
+	var err error
+	if fam == partitioner.EdgeCutFamily {
+		base, err = partitioner.FennelEdgeCut(g, 4, partitioner.FennelConfig{})
+	} else {
+		base, err = partitioner.GridVertexCut(g, 4)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := composite.ForFamily(fam, base, costmodel.ReferenceModels(), composite.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func wccIdx() int {
 	for i, a := range costmodel.Algos() {
 		if a == costmodel.WCC {
@@ -144,7 +166,14 @@ func (ms *maintServer) drain() error {
 func bootServer(t testing.TB, dir string, cfg serve.Config, sopts store.Options) *maintServer {
 	t.Helper()
 	g := maintGraph()
-	st, err := store.Create(dir, maintComposite(t, g), sopts)
+	return bootServerOn(t, dir, maintComposite(t, g), cfg, sopts)
+}
+
+// bootServerOn serves c, a composite over maintGraph().
+func bootServerOn(t testing.TB, dir string, c *composite.Composite, cfg serve.Config, sopts store.Options) *maintServer {
+	t.Helper()
+	g := c.Partition(0).Graph()
+	st, err := store.Create(dir, c, sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -764,4 +793,59 @@ func TestMaintainDrainRace(t *testing.T) {
 	}
 	t.Logf("drain races: %d promoted, %d aborted", promoted, aborted)
 	leakCheck(t, baseGoroutines)
+}
+
+// TestMaintainStorageGate runs one cycle over each family's ForFamily
+// composite with the cost floor and watchdog out of the way. Re-refining
+// the k partitions one by one and reassembling them keeps only the arcs
+// all k still share as the core, so a candidate can store far more than
+// the build did (MV2H's measured +72 %): the storage gate must refuse
+// it, count the refusal in /metrics, and leave the live composite
+// within the bound of the fresh build.
+func TestMaintainStorageGate(t *testing.T) {
+	for _, fam := range []partitioner.Family{partitioner.EdgeCutFamily, partitioner.VertexCutFamily} {
+		t.Run(fam.String(), func(t *testing.T) {
+			g := maintGraph()
+			c := familyComposite(t, g, fam)
+			fresh := c.StorageArcs()
+			ms := bootServerOn(t, t.TempDir()+"/store", c, serve.Config{}, store.Options{})
+			lp := New(ms.Srv, Config{
+				Interval:       time.Hour,
+				DriftThreshold: 1e-9,
+				MinGain:        -5,
+				BaseBackoff:    time.Millisecond,
+				MaxAttempts:    1,
+				Watchdog:       WatchdogConfig{Window: time.Millisecond, CostFactor: 1000, LatFactor: 1000, MinSamples: 1 << 20},
+				Seed:           3,
+				Logf:           t.Logf,
+			})
+			lp.Start() // registers the /metrics block; ticks are driven here
+			defer lp.Stop()
+			ms.traffic(t, 2)
+			lp.Tick()
+			st := lp.Status()
+			if st.Cycles != 1 {
+				t.Fatalf("status: %+v, want one cycle", st)
+			}
+			live, _ := ms.Srv.CurrentComposite()
+			if got := live.StorageArcs(); float64(got) > 1.1*float64(fresh) {
+				t.Fatalf("live composite stores %d arcs, %.1f%% over the fresh build's %d (promoted %d)",
+					got, 100*(float64(got)/float64(fresh)-1), fresh, st.Promoted)
+			}
+			var raw struct {
+				Maintenance map[string]any `json:"maintenance"`
+			}
+			if status, class := do(t, "GET", ms.URL+"/metrics", nil, &raw); status != http.StatusOK {
+				t.Fatalf("GET /metrics: status %d class %q", status, class)
+			}
+			rejected, ok := raw.Maintenance["rejected_storage"].(float64)
+			if !ok {
+				t.Fatalf("/metrics maintenance block has no rejected_storage: %v", raw.Maintenance)
+			}
+			if st.Promoted == 0 && rejected == 0 {
+				t.Fatalf("nothing promoted and no storage rejection counted: %+v", st)
+			}
+			t.Logf("%v: fresh %d arcs, live %d, promoted %d, rejected_storage %v", fam, fresh, live.StorageArcs(), st.Promoted, rejected)
+		})
+	}
 }

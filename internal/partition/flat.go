@@ -205,13 +205,16 @@ func assembleFrozen(g *graph.Graph, frags []*Fragment, master []int32) *Partitio
 
 // Builder accumulates a partition as per-fragment arc lists in call
 // order and builds every fragment straight into compiled form: what the
-// constructors use instead of NewEmpty + one AddArc per arc. The result
-// is, array for array, what Compile gives after the same calls on a
-// NewEmpty partition, provided no (fragment, arc) pair is added twice —
-// a Builder does not probe for repeats the way Partition.AddArc does.
+// constructors and the composite builders use instead of NewEmpty + one
+// AddArc per arc. The result is, array for array, what Compile gives
+// after the same calls on a NewEmpty partition, provided no (fragment,
+// arc) pair is added twice — a Builder does not probe for repeats the
+// way Partition.AddArc does.
 type Builder struct {
 	g    *graph.Graph
 	keys [][]uint64
+	// loners[i] lists the edge-less copies AddVertex placed in fragment i.
+	loners [][]graph.VertexID
 	// master[v] is the first fragment a call touched v in (ensureVertex's
 	// rule on the map path), -1 while v is untouched.
 	master []int32
@@ -219,22 +222,25 @@ type Builder struct {
 
 // NewBuilder returns a builder of an n-fragment partition of g.
 func NewBuilder(g *graph.Graph, n int) *Builder {
-	b := &Builder{g: g, keys: make([][]uint64, n), master: make([]int32, g.NumVertices())}
+	b := &Builder{g: g, keys: make([][]uint64, n), loners: make([][]graph.VertexID, n), master: make([]int32, g.NumVertices())}
 	for v := range b.master {
 		b.master[v] = -1
 	}
 	return b
 }
 
-// AddArc stores the arc (u,v) in fragment i.
-func (b *Builder) AddArc(i int, u, v graph.VertexID) {
-	b.keys[i] = append(b.keys[i], arcKey(u, v))
-	if b.master[u] < 0 {
-		b.master[u] = int32(i)
-	}
+// touch records fragment i as v's master if no earlier call touched v.
+func (b *Builder) touch(i int, v graph.VertexID) {
 	if b.master[v] < 0 {
 		b.master[v] = int32(i)
 	}
+}
+
+// AddArc stores the arc (u,v) in fragment i.
+func (b *Builder) AddArc(i int, u, v graph.VertexID) {
+	b.keys[i] = append(b.keys[i], arcKey(u, v))
+	b.touch(i, u)
+	b.touch(i, v)
 }
 
 // AddEdge stores the edge (u,v): for undirected graphs both arcs, for
@@ -246,20 +252,26 @@ func (b *Builder) AddEdge(i int, u, v graph.VertexID) {
 	}
 }
 
-// Build returns the partition. Every vertex no arc touched gets an
-// edge-less copy in fragment loner(v), mastered there; owners are unset.
+// AddVertex places an edge-less copy of v in fragment i, which must not
+// hold one yet.
+func (b *Builder) AddVertex(i int, v graph.VertexID) {
+	b.loners[i] = append(b.loners[i], v)
+	b.touch(i, v)
+}
+
+// Build returns the partition; owners are unset. A vertex no call
+// touched gets an edge-less copy in fragment loner(v), mastered there —
+// or, with a nil loner, stays absent everywhere (master -1) for a
+// caller that places it afterwards.
 func (b *Builder) Build(loner func(v graph.VertexID) int) *Partition {
-	loners := make([][]graph.VertexID, len(b.keys))
 	for v, m := range b.master {
-		if m < 0 {
-			i := loner(graph.VertexID(v))
-			loners[i] = append(loners[i], graph.VertexID(v))
-			b.master[v] = int32(i)
+		if m < 0 && loner != nil {
+			b.AddVertex(loner(graph.VertexID(v)), graph.VertexID(v))
 		}
 	}
 	frags := make([]*Fragment, len(b.keys))
 	for i := range frags {
-		frags[i] = freezeFragment(i, buildCompiled(b.g.NumVertices(), b.keys[i], loners[i]))
+		frags[i] = freezeFragment(i, buildCompiled(b.g.NumVertices(), b.keys[i], b.loners[i]))
 	}
 	return assembleFrozen(b.g, frags, b.master)
 }

@@ -284,7 +284,10 @@ type Partition struct {
 	copiesShared bool
 }
 
-// NewEmpty returns a partition of g with n empty fragments.
+// NewEmpty returns a partition of g with n empty fragments, to be
+// filled arc by arc through the overlay: the reference build tests hold
+// Builder output to. Every constructor and composite build goes through
+// a Builder instead.
 func NewEmpty(g *graph.Graph, n int) *Partition {
 	p := &Partition{
 		g:      g,

@@ -140,24 +140,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !s.checkFresh(w, ep, req.MinLSN) {
 		return
 	}
-	sp := ep.pools[algoIndex(algo)]
-	sess, err := sp.acquire(ctx)
-	if err != nil {
-		s.runFailures.Add(1)
-		s.writeRunErr(w, err, nil)
-		return
-	}
 	opts := engine.Options{Context: ctx}
 	if s.cfg.RunInjector != nil {
 		opts.Injector = s.cfg.RunInjector.Clone()
 	}
-	sess.Configure(opts)
-	out, err := algorithms.Run(sess, algo, algorithms.Options{
-		CNTheta:      req.Theta,
-		SSSPSource:   graph.VertexID(req.Source),
-		PRIterations: req.Iterations,
+	var out algorithms.Outcome
+	err := ep.pools[algoIndex(algo)].run(ctx, func(sess *engine.Cluster) (err error) {
+		sess.Configure(opts)
+		out, err = algorithms.Run(sess, algo, algorithms.Options{
+			CNTheta:      req.Theta,
+			SSSPSource:   graph.VertexID(req.Source),
+			PRIterations: req.Iterations,
+		})
+		return err
 	})
-	sp.release(sess)
 	if err != nil {
 		s.runFailures.Add(1)
 		s.writeRunErr(w, err, out.Report)
@@ -200,9 +196,9 @@ func (s *Server) checkFresh(w http.ResponseWriter, ep *epoch, minLSN uint64) boo
 }
 
 // writeRunErr maps the engine's typed failure onto a status code:
-// deadline → 504, cancellation (client gone or drain) → 503,
-// any other *FailedRunError (non-convergence, exhausted recovery
-// budget) → 422, everything else → 500.
+// deadline → 504, cancellation (client gone or drain) → 503, a step
+// panic → 500, any other *FailedRunError (non-convergence, exhausted
+// recovery budget) → 422, everything else → 500.
 func (s *Server) writeRunErr(w http.ResponseWriter, err error, rep *engine.Report) {
 	body := errorBody{Error: err.Error()}
 	var fre *engine.FailedRunError
@@ -221,6 +217,8 @@ func (s *Server) writeRunErr(w http.ResponseWriter, err error, rep *engine.Repor
 		status, body.Class = http.StatusGatewayTimeout, "timeout"
 	case errors.Is(err, context.Canceled):
 		status, body.Class = http.StatusServiceUnavailable, "cancelled"
+	case stepPanicked(err):
+		// A bug, not a property of the request: 500 "internal".
 	case fre != nil:
 		status, body.Class = http.StatusUnprocessableEntity, "failed_run"
 	}

@@ -53,6 +53,7 @@ type MaintStatus struct {
 	ValidationFailures int64   `json:"validation_failures"`
 	RefineFailures     int64   `json:"refine_failures"`
 	RefinePanics       int64   `json:"refine_panics"`
+	RejectedStorage    int64   `json:"rejected_storage"`
 	SwapFailures       int64   `json:"swap_failures"`
 	LastDrift          float64 `json:"last_drift"`
 	Threshold          float64 `json:"drift_threshold"`

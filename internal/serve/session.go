@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"adp/internal/engine"
@@ -64,4 +65,28 @@ func (sp *sessionPool) release(c *engine.Cluster) {
 	sp.idle = append(sp.idle, c)
 	sp.mu.Unlock()
 	<-sp.tokens
+}
+
+// run runs fn on an acquired cluster and gives the session back. A run
+// that ended in a step panic (*pool.Panic) gives back only the token:
+// its cluster holds whatever state the panic left, so it is dropped
+// and the next acquire builds a fresh one.
+func (sp *sessionPool) run(ctx context.Context, fn func(*engine.Cluster) error) error {
+	c, err := sp.acquire(ctx)
+	if err != nil {
+		return err
+	}
+	err = fn(c)
+	if stepPanicked(err) {
+		<-sp.tokens
+	} else {
+		sp.release(c)
+	}
+	return err
+}
+
+// stepPanicked reports whether err is a run's step panic.
+func stepPanicked(err error) bool {
+	var p *pool.Panic
+	return errors.As(err, &p)
 }

@@ -3,8 +3,12 @@ package serve
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 
+	"adp/internal/engine"
 	"adp/internal/gen"
 	"adp/internal/partitioner"
 	"adp/internal/pool"
@@ -48,5 +52,53 @@ func TestSessionPoolReusesMostRecent(t *testing.T) {
 	sp.release(b)
 	if c, _ := sp.acquire(ctx); c != b {
 		t.Fatal("acquire did not return the most recently released cluster")
+	}
+}
+
+// A step panic comes back from the engine as an error, which /run
+// answers with a 500, and the session pool drops the panicked cluster
+// but returns its token: a pool of two survives two panicked runs and
+// serves a third without waiting, on a fresh cluster.
+func TestSessionPoolSurvivesStepPanics(t *testing.T) {
+	g := gen.PowerLaw(gen.PowerLawConfig{N: 200, AvgDeg: 4, Exponent: 2.2, Seed: 5})
+	p, err := partitioner.HashEdgeCut(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := newSessionPool(p.Compile(), pool.Serial(), 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var panicked []*engine.Cluster
+	for i := 0; i < 2; i++ {
+		err := sp.run(ctx, func(c *engine.Cluster) error {
+			panicked = append(panicked, c)
+			_, err := c.RunCtx(ctx, nil, func(w *engine.WorkerCtx, s int, _ []engine.Message) bool {
+				panic("poisoned step")
+			}, 5)
+			return err
+		})
+		var pv *pool.Panic
+		if !errors.As(err, &pv) {
+			t.Fatalf("panicked run %d: err = %v, want a *pool.Panic", i, err)
+		}
+		rec := httptest.NewRecorder()
+		(&Server{}).writeRunErr(rec, err, nil)
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("panicked run %d answered %d, want 500", i, rec.Code)
+		}
+	}
+	var served *engine.Cluster
+	err = sp.run(ctx, func(c *engine.Cluster) error {
+		served = c
+		_, err := c.RunCtx(ctx, nil, func(*engine.WorkerCtx, int, []engine.Message) bool { return true }, 5)
+		return err
+	})
+	if err != nil {
+		t.Fatalf("third run: %v", err)
+	}
+	for _, c := range panicked {
+		if c == served {
+			t.Fatal("a panicked cluster went back into the pool")
+		}
 	}
 }

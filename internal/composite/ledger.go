@@ -39,14 +39,11 @@ func (l *ledger) at(x int, v graph.VertexID) *cell { return &l.cells[int(v)*l.n+
 
 // addArc counts the arc (u, w), new to fragment x, at both endpoints.
 func (l *ledger) addArc(x int, u, w graph.VertexID) {
-	if cu := l.at(x, u); cu.in < 0 {
-		cu.in = 0
-	}
-	l.at(x, u).out++
-	if cw := l.at(x, w); cw.in < 0 {
-		cw.in = 0
-	}
-	l.at(x, w).in++
+	cu := l.at(x, u)
+	cu.in = max(cu.in, 0)
+	cu.out++
+	cw := l.at(x, w)
+	cw.in = max(cw.in, 0) + 1
 }
 
 // refresh replays Tracker.Refresh(v): v's copies are classified by

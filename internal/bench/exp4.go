@@ -51,7 +51,7 @@ func Fig10B() (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"paper: ParMHP 109%/104%/19%/111% faster than the ParHP loop for xtraPuLP/Fennel/Grid/NE",
-		"in-process, in-place E2H/V2H refinement is cheap relative to building 5 fresh partitions, so the pure-refinement comparison can invert; see EXPERIMENTS.md")
+		"in-process ParHP refines in place and pays no partition loading or shipping, so margins run below the paper's distributed ones (NE's is within noise); see EXPERIMENTS.md")
 	return t, nil
 }
 

@@ -7,10 +7,10 @@
 // epoch, re-refines it with ParE2H/ParV2H off the serving path, and
 // asks the server to promote it — but only after the candidate passes
 // a four-gate validation (coherence, composite storage, bitwise oracle
-// spot-check, cost-improvement floor). A post-promotion regression watchdog
-// compares the observed window against the pre-promotion state and
-// rolls back to the retained base epoch if the promotion made things
-// worse.
+// spot-check, cost-improvement floor). A post-promotion regression
+// watchdog compares the observed window against the pre-promotion state
+// and rolls back to the retained base epoch if the promotion made
+// things worse.
 //
 // The loop treats itself as a fallible component: refiner panics,
 // injected engine or disk faults, deadline expiry and repeated

@@ -22,7 +22,6 @@ import (
 
 	"adp/internal/bench"
 	"adp/internal/engine"
-	"adp/internal/fault"
 	"adp/internal/pool"
 	"adp/internal/prof"
 )
@@ -34,9 +33,7 @@ func main() { os.Exit(run(os.Args[1:])) }
 func run(args []string) int {
 	fs := flag.NewFlagSet("adbench", flag.ExitOnError)
 	workers := fs.Int("workers", 0, "worker-pool size for all parallel phases (0 = GOMAXPROCS, 1 = single-threaded)")
-	seed := fs.Int64("seed", 1, "seed for rand:N fault schedules")
 	timeout := fs.Duration("timeout", 0, "abort the remaining experiments after this duration (0 = no timeout)")
-	faultSpec := fs.String("faults", "", `fault schedule injected into every engine run: grammar spec or "rand:N" (costs are unchanged by design)`)
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this path on exit")
 	fs.Usage = usage
@@ -54,18 +51,13 @@ func run(args []string) int {
 		return 1
 	}
 	defer stopProf()
-	events, err := fault.FromFlag(*faultSpec, *seed, 8, 8)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adbench:", err)
-		return 2
-	}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	bench.Configure(engine.Options{Context: ctx, Injector: fault.NewInjector(events...)})
+	bench.Configure(engine.Options{Context: ctx})
 	ids := fs.Args()
 	if len(ids) == 0 {
 		usage()
@@ -111,8 +103,5 @@ usage:
 -workers sizes the shared worker pool (0 = GOMAXPROCS). Results are
 identical for every value; only wall time changes.
 -cpuprofile / -memprofile write runtime/pprof CPU and heap profiles.
--faults injects a deterministic fault schedule (grammar spec or
-"rand:N", drawn from -seed) into every engine run; checkpoint/recovery
-replays to identical barrier state, so every reported cost is
-unchanged. -timeout aborts the remaining experiments cleanly.`)
+-timeout aborts the remaining experiments cleanly.`)
 }

@@ -36,7 +36,6 @@ import (
 	"adp/internal/composite"
 	"adp/internal/costmodel"
 	"adp/internal/engine"
-	"adp/internal/fault"
 	"adp/internal/gen"
 	"adp/internal/graph"
 	"adp/internal/partition"
@@ -61,9 +60,7 @@ func run(args []string) int {
 		symmetric = fs.Bool("undirected", false, "symmetrise the graph (required for TC)")
 		savePath  = fs.String("save", "", "write the refined partition to this file")
 		workers   = fs.Int("workers", 0, "worker-pool size for refinement and simulation (0 = GOMAXPROCS, 1 = single-threaded)")
-		seed      = fs.Int64("seed", 1, "seed for rand:N fault schedules")
 		timeout   = fs.Duration("timeout", 0, "abort the run after this duration (0 = no timeout)")
-		faultSpec = fs.String("faults", "", `fault schedule for the simulated run: grammar spec ("crash@1:w0,drop@2:d1#0") or "rand:N"`)
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this path")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this path on exit")
 		updates   = fs.String("updates", "", "apply an edge-update stream from this file ('+ u v [dests]', '- u v', 'commit')")
@@ -109,17 +106,12 @@ func run(args []string) int {
 		return fail(err)
 	}
 	defer stopProf()
-	events, err := fault.FromFlag(*faultSpec, *seed, *n, 8)
-	if err != nil {
-		return fail(err)
-	}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	runOpts := engine.Options{Context: ctx, Injector: fault.NewInjector(events...)}
 
 	loadStart := time.Now()
 	g, st, mapping, err := loadGraph(*graphName, *symmetric, *useMmap, *stream, *n)
@@ -225,19 +217,16 @@ func run(args []string) int {
 		upd := costmodel.Evaluate(refined, model)
 		fmt.Printf("  updated metrics: %s, parallel cost %.4g\n", metricsLine(refined), costmodel.ParallelCost(upd))
 	}
-	// Simulate the target algorithm over the refined partition — with
-	// -faults this exercises checkpoint/recovery, and the reported cost
-	// is identical to the fault-free run by the determinism contract.
+	// Simulate the target algorithm over the refined partition.
 	start = time.Now()
-	out, err := algorithms.Run(engine.NewCluster(refined).Configure(runOpts), algo,
+	out, err := algorithms.Run(engine.NewCluster(refined).Configure(engine.Options{Context: ctx}), algo,
 		algorithms.Options{SSSPSource: 1, PRIterations: 5})
 	if err != nil {
 		return fail(fmt.Errorf("simulated %v run: %w", algo, err))
 	}
-	fmt.Printf("  simulated %v run in %v: cost=%.4g supersteps=%d recoveries=%d redelivered=%d stragglers=%d\n",
+	fmt.Printf("  simulated %v run in %v: cost=%.4g supersteps=%d\n",
 		algo, time.Since(start).Round(time.Millisecond),
-		out.Report.SimCost(engine.DefaultBytesWeight), out.Report.Supersteps,
-		out.Report.Recoveries, out.Report.Redelivered, out.Report.Stragglers)
+		out.Report.SimCost(engine.DefaultBytesWeight), out.Report.Supersteps)
 	if *savePath != "" {
 		f, err := os.Create(*savePath)
 		if err != nil {

@@ -20,7 +20,6 @@ import (
 	"adp/internal/composite"
 	"adp/internal/costmodel"
 	"adp/internal/engine"
-	"adp/internal/fault"
 	"adp/internal/gen"
 	"adp/internal/graph"
 	"adp/internal/partitioner"
@@ -29,16 +28,10 @@ import (
 
 func main() {
 	workers := flag.Int("workers", 0, "worker-pool size for refinement and the BSP engine (0 = GOMAXPROCS)")
-	seed := flag.Int64("seed", 1, "seed for rand:N fault schedules")
 	timeout := flag.Duration("timeout", 0, "abort the batch after this duration (0 = no timeout)")
-	faultSpec := flag.String("faults", "", `fault schedule injected into every run: grammar spec or "rand:N" (results are unchanged by design)`)
 	flag.Parse()
 	if *workers != 0 {
 		pool.SetDefaultWorkers(*workers)
-	}
-	events, err := fault.FromFlag(*faultSpec, *seed, 4, 8)
-	if err != nil {
-		log.Fatal(err)
 	}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -66,21 +59,17 @@ func main() {
 		comp.StorageArcs(), comp.SeparateStorageArcs(),
 		(1-float64(comp.StorageArcs())/float64(comp.SeparateStorageArcs()))*100, comp.FC())
 
-	// Run every algorithm over its own bundled partition. Each run gets
-	// its own clone of the fault schedule; recovery replays to identical
-	// barrier state, so the printed costs never depend on -faults.
+	// Run every algorithm over its own bundled partition.
 	opts := algorithms.Options{SSSPSource: 1, PRIterations: 5}
-	inj := fault.NewInjector(events...)
 	for _, a := range costmodel.Algos() {
 		c := engine.NewCluster(comp.Partition(comp.PartitionFor(a))).
-			Configure(engine.Options{Context: ctx, Injector: inj.Clone()})
+			Configure(engine.Options{Context: ctx})
 		out, err := algorithms.Run(c, a, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
 		want := algorithms.SeqOutcome(g, a, opts)
-		fmt.Printf("  %-4v simulated cost %10.4g  recoveries=%d  result matches single-machine oracle: %v\n",
-			a, out.Report.SimCost(engine.DefaultBytesWeight), out.Report.Recoveries,
-			out.Checksum == want.Checksum)
+		fmt.Printf("  %-4v simulated cost %10.4g  result matches single-machine oracle: %v\n",
+			a, out.Report.SimCost(engine.DefaultBytesWeight), out.Checksum == want.Checksum)
 	}
 }

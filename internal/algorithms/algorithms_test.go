@@ -1,6 +1,8 @@
 package algorithms
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -408,5 +410,30 @@ func TestIsolatedVerticesAcrossAlgorithms(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("rank mass %v with isolated vertices", sum)
+	}
+}
+
+// TestRunnerAttachesPartialReport: when a run fails (here: a context
+// cancelled before the run starts), the dispatcher must still hand back
+// the engine's partial Report instead of discarding it.
+func TestRunnerAttachesPartialReport(t *testing.T) {
+	g := gen.PowerLaw(gen.PowerLawConfig{N: 200, AvgDeg: 5, Exponent: 2.2, Directed: true, Seed: 7})
+	p, err := partitioner.HashEdgeCut(g, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := engine.NewCluster(p).Configure(engine.Options{Context: ctx})
+	out, err := Run(c, costmodel.PR, Options{PRIterations: 10})
+	var fre *engine.FailedRunError
+	if !errors.As(err, &fre) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want *engine.FailedRunError wrapping context.Canceled", err)
+	}
+	if out.Report == nil || out.Report.Supersteps != 0 {
+		t.Fatalf("partial report missing or wrong: %+v", out.Report)
+	}
+	if out.Report != fre.Report {
+		t.Fatal("outcome report is not the error's partial report")
 	}
 }

@@ -19,15 +19,8 @@ type CNOptions struct {
 
 type cnState struct {
 	exch exchState
-	// total is worker 0's aggregate; it lives in State (not a closure)
-	// so a checkpoint rollback rewinds it instead of double-counting
-	// on replay.
+	// total is worker 0's aggregate.
 	total CNResult
-}
-
-// Snapshot deep-copies the state for engine checkpointing.
-func (st *cnState) Snapshot() any {
-	return &cnState{exch: st.exch.clone(), total: st.total}
 }
 
 // RunCN enumerates common-out-neighbour triples (u1, u2, w): u1 < u2

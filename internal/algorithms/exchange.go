@@ -40,9 +40,9 @@ type exchState struct {
 	// incompletely; superstep 1 resolves them from the shares.
 	pending []int32
 
-	// Reusable buffers, each refilled by the superstep that reads it, so
-	// a rollback rewinds none. A carved arena segment is never written
-	// again; a grown arena leaves earlier segments valid in the old one.
+	// Reusable buffers, each refilled by the superstep that reads it. A
+	// carved arena segment is never written again; a grown arena leaves
+	// earlier segments valid in the old one.
 	arena []graph.VertexID
 	need  []bool
 	// merged memoises superstep 1's mergedList by local id: a map,
@@ -52,16 +52,6 @@ type exchState struct {
 	// about local vertex l, in delivery order, -1 ending a chain.
 	head, next []int32
 	parts      [][]graph.VertexID // mergedList's operands
-}
-
-// clone deep-copies what a rollback must rewind, so checkpointed copies
-// share no memory with the live run; the buffers regrow on demand.
-func (st *exchState) clone() exchState {
-	out := exchState{full: make([][]graph.VertexID, len(st.full)), pending: slices.Clone(st.pending)}
-	for l, list := range st.full {
-		out.full[l] = slices.Clone(list)
-	}
-	return out
 }
 
 const (

@@ -1,10 +1,6 @@
 package algorithms
 
-import (
-	"slices"
-
-	"adp/internal/engine"
-)
+import "adp/internal/engine"
 
 // PROptions configures a PageRank run.
 type PROptions struct {
@@ -29,20 +25,10 @@ type prState struct {
 	rank    []float64 // by local id
 	partial []float64 // by local id; valid where has[l]
 	has     []bool    // partial accumulated this iteration
-	// Recomputed before every use, so a rollback need not rewind them:
-	// contrib[l] = rank[l] / outdeg(l) for the current iteration, and
-	// the AppendMirrors scratch.
+	// Recomputed before every use: contrib[l] = rank[l] / outdeg(l) for
+	// the current iteration, and the AppendMirrors scratch.
 	contrib []float64
 	mirrors []int
-}
-
-// Snapshot deep-copies the state for engine checkpointing.
-func (st *prState) Snapshot() any {
-	return &prState{
-		rank:    slices.Clone(st.rank),
-		partial: slices.Clone(st.partial),
-		has:     slices.Clone(st.has),
-	}
 }
 
 const (

@@ -1,8 +1,6 @@
 package algorithms
 
 import (
-	"slices"
-
 	"adp/internal/engine"
 	"adp/internal/graph"
 	"adp/internal/partition"
@@ -92,20 +90,10 @@ type propState struct {
 	// once (∝ r(v)), matching the gWCC/gSSSP shape, while every
 	// broadcast still pays wire bytes.
 	synced []bool
-	// Not rewound: the heap is empty at every barrier, pl is immutable.
+	// The heap is empty at every barrier; pl is immutable.
 	pq      propHeap
 	mirrors []int // AppendMirrors scratch
 	pl      *engine.Plan
-}
-
-// Snapshot deep-copies the state for engine checkpointing.
-func (st *propState) Snapshot() any {
-	return &propState{
-		val:    slices.Clone(st.val),
-		dirty:  slices.Clone(st.dirty),
-		synced: slices.Clone(st.synced),
-		pl:     st.pl,
-	}
 }
 
 // lower offers vertex u the value nv: taken when smaller, which queues

@@ -24,18 +24,12 @@ func sortCost(n int) float64 {
 
 type tcState struct {
 	exch exchState
-	// total is worker 0's aggregate; kept in State so checkpoint
-	// rollback rewinds it (see cnState.total).
+	// total is worker 0's aggregate.
 	total int64
 	// Superstep-2 buffers, refilled there: the part of each full list
 	// above its vertex in the TC order, upper[upperOff[l]:upperOff[l+1]].
 	upper    []graph.VertexID
 	upperOff []int32
-}
-
-// Snapshot deep-copies the state for engine checkpointing.
-func (st *tcState) Snapshot() any {
-	return &tcState{exch: st.exch.clone(), total: st.total}
 }
 
 // RunTC counts the triangles of the cluster's (undirected) graph.

@@ -157,27 +157,13 @@ var (
 	benchOpts   engine.Options
 )
 
-// Configure sets the engine Options (fault injection, checkpoint
-// cadence, superstep budget, run context) applied to every engine run
-// the experiments perform. The cmd layer wires -seed/-faults/-timeout
-// through here. Because the injected schedule is deterministic and
-// recovery replays to the same barrier state, configured faults leave
-// every reported cost unchanged — only wall time moves.
+// Configure sets the engine Options (the run context) applied to every
+// engine run the experiments perform. The cmd layer wires -timeout
+// through here.
 func Configure(opts engine.Options) {
 	benchOptsMu.Lock()
 	benchOpts = opts
 	benchOptsMu.Unlock()
-}
-
-// runOptions snapshots the configured options for one engine run. The
-// injector is cloned per run: experiment grids execute many runs
-// concurrently, and each must consume its own copy of the schedule.
-func runOptions() engine.Options {
-	benchOptsMu.Lock()
-	o := benchOpts
-	benchOptsMu.Unlock()
-	o.Injector = o.Injector.Clone()
-	return o
 }
 
 // benchCtx is the configured run context (Background when unset); the
@@ -195,7 +181,7 @@ func benchCtx() context.Context {
 // runCost executes algo over p and returns the simulated parallel
 // cost.
 func runCost(p *partition.Partition, algo costmodel.Algo, opts algorithms.Options) (float64, error) {
-	out, err := algorithms.Run(engine.NewCluster(p).Configure(runOptions()), algo, opts)
+	out, err := algorithms.Run(engine.NewCluster(p).Configure(engine.Options{Context: benchCtx()}), algo, opts)
 	if err != nil {
 		return 0, err
 	}

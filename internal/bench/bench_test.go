@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -224,4 +226,16 @@ func batchOutcomesMatchOracle(baseName string) error {
 		}
 	}
 	return nil
+}
+
+// TestConfiguredContextCancelsExperiments: a dead configured context
+// aborts an experiment driver before it does any work.
+func TestConfiguredContextCancelsExperiments(t *testing.T) {
+	defer Configure(engine.Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	Configure(engine.Options{Context: ctx})
+	if _, err := Fig9Exec(costmodel.CN, DSSocial, "fig9a"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
 }

@@ -10,6 +10,33 @@ import (
 	"adp/internal/pool"
 )
 
+// ringState is the ring test state: workers pass values around a ring
+// and accumulate them.
+type ringState struct {
+	sum  float64
+	seen int
+}
+
+// ringProgram runs `rounds` message-passing supersteps and halts at the
+// quiescent barrier after them, charging deterministic per-worker work.
+func ringProgram(rounds int) (func(*WorkerCtx), StepFunc) {
+	init := func(w *WorkerCtx) { w.State = &ringState{} }
+	step := func(w *WorkerCtx, s int, inbox []Message) bool {
+		st := w.State.(*ringState)
+		for _, m := range inbox {
+			st.sum += m.Data[0]
+			st.seen++
+		}
+		w.AddWork(float64(w.ID()+1) * float64(s+1))
+		if s < rounds {
+			w.Send((w.ID()+1)%w.NumWorkers(), Message{Data: []float64{float64(w.ID()) + float64(s)*0.5}})
+			return false
+		}
+		return true
+	}
+	return init, step
+}
+
 // TestRunCtxCancelledBeforeStart: a dead context fails fast with the
 // typed error and an empty (but non-nil) report.
 func TestRunCtxCancelledBeforeStart(t *testing.T) {
@@ -60,19 +87,25 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 }
 
 // TestRunCtxDeadline: a deadline works through the same path as manual
-// cancellation.
+// cancellation. Superstep 1 blocks until the deadline fires, so the run
+// ends there whatever the speed of the machine.
 func TestRunCtxDeadline(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	c := testCluster(t, 2)
 	step := func(w *WorkerCtx, s int, inbox []Message) bool {
-		time.Sleep(2 * time.Millisecond)
+		if s == 1 {
+			<-ctx.Done()
+		}
 		w.Send((w.ID()+1)%2, Message{Data: []float64{1}})
 		return false
 	}
-	_, err := c.RunCtx(ctx, nil, step, 1_000_000)
+	rep, err := c.RunCtx(ctx, nil, step, 1_000_000)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	if rep.Supersteps != 1 {
+		t.Fatalf("Supersteps = %d, want 1", rep.Supersteps)
 	}
 }
 
@@ -129,4 +162,53 @@ func TestCancelNoGoroutineLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines grew from %d to %d after 50 cancelled runs", base, runtime.NumGoroutine())
+}
+
+// TestStepPanicWithoutFaultTolerance: a step panic ends the run with
+// the typed error — the *pool.Panic as its cause and the partial report
+// of the supersteps before it — instead of panicking out of Run past
+// the caller's cleanup.
+func TestStepPanicWithoutFaultTolerance(t *testing.T) {
+	c := testCluster(t, 3)
+	init, inner := ringProgram(4)
+	step := func(w *WorkerCtx, s int, inbox []Message) bool {
+		if s == 1 && w.ID() == 0 {
+			panic("unprotected")
+		}
+		return inner(w, s, inbox)
+	}
+	rep, err := c.Run(init, step, 20)
+	var fre *FailedRunError
+	if !errors.As(err, &fre) || fre.Reason != "step panicked" {
+		t.Fatalf("err = %v, want a step-panic *FailedRunError", err)
+	}
+	var pv *pool.Panic
+	if !errors.As(err, &pv) || pv.Value != "unprotected" {
+		t.Fatalf("err %v does not unwrap to the step's *pool.Panic", err)
+	}
+	if rep == nil || fre.Report != rep || rep.Supersteps != 1 {
+		t.Fatalf("partial report %+v, want superstep 0 accounted and carried on the error", rep)
+	}
+}
+
+// TestNonConvergenceTypedError: the non-convergence path returns the
+// typed error carrying the partial report instead of discarding it.
+func TestNonConvergenceTypedError(t *testing.T) {
+	c := testCluster(t, 2)
+	step := func(w *WorkerCtx, s int, inbox []Message) bool {
+		w.AddWork(1)
+		w.Send((w.ID()+1)%2, Message{Data: []float64{1}})
+		return false
+	}
+	rep, err := c.Run(nil, step, 5)
+	var fre *FailedRunError
+	if !errors.As(err, &fre) {
+		t.Fatalf("err = %v, want *FailedRunError", err)
+	}
+	if fre.Reason != "no convergence within 5 supersteps" {
+		t.Fatalf("Reason = %q", fre.Reason)
+	}
+	if rep == nil || rep.Supersteps != 5 || rep.Work[0] != 5 {
+		t.Fatalf("partial report wrong: %+v", rep)
+	}
 }

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"time"
 
-	"adp/internal/fault"
 	"adp/internal/graph"
 	"adp/internal/partition"
 	"adp/internal/pool"
@@ -75,16 +74,6 @@ type Report struct {
 	// CriticalBytes is Σ over supersteps of max-per-worker sent
 	// bytes — the BSP communication critical path.
 	CriticalBytes float64
-
-	// Recoveries, Redelivered and Stragglers are fault-tolerance
-	// diagnostics: rollback-replays performed, corrupted delivery
-	// batches redelivered, and straggler delays absorbed. Like
-	// WallTime they are excluded from the determinism contract — a
-	// recovered run matches its fault-free twin on every field above,
-	// not on these.
-	Recoveries  int
-	Redelivered int64
-	Stragglers  int
 }
 
 // DefaultBytesWeight converts a communicated byte into work units for
@@ -128,19 +117,17 @@ type Cluster struct {
 	// is v-cut (computation split across copies).
 	computeFrag []int32
 
-	// inboxes, halts and redeliv are the barrier's per-worker buffers,
-	// kept here so their capacity survives Runs: a Run truncates the
-	// inboxes at its start and zeroes their slots at its end.
+	// inboxes and halts are the barrier's per-worker buffers, kept
+	// here so their capacity survives Runs: a Run truncates the inboxes
+	// at its start and zeroes their slots at its end.
 	inboxes [][]Message
 	halts   []bool
-	redeliv []int64
 
 	recordCosts bool
 	// pl executes superstep fan-outs and message routing; defaults to
 	// the process-wide shared pool.
 	pl *pool.Pool
-	// opts carries the fault-tolerance knobs; zero value = legacy
-	// behaviour (no checkpoints, no injection).
+	// opts carries the default run context.
 	opts Options
 }
 
@@ -151,7 +138,7 @@ type Cluster struct {
 func NewCluster(p *partition.Partition) *Cluster {
 	n := p.NumFragments()
 	c := &Cluster{p: p, n: n, pl: pool.Default(),
-		inboxes: make([][]Message, n), halts: make([]bool, n), redeliv: make([]int64, n)}
+		inboxes: make([][]Message, n), halts: make([]bool, n)}
 	p.Compile()
 	c.buildResponsibility()
 	c.workers = make([]*WorkerCtx, c.n)
@@ -243,8 +230,7 @@ func (c *Cluster) buildResponsibility() {
 
 // Run executes the program: init once per worker, then supersteps of
 // step until every worker halts with no messages in flight, or the
-// superstep budget runs out. The budget is maxSupersteps unless
-// Options.MaxSupersteps overrides it; the run context is
+// superstep budget maxSupersteps runs out. The run context is
 // Options.Context (Background when unset). Every failure — including
 // non-convergence — returns a *FailedRunError carrying the partial
 // Report.
@@ -269,39 +255,17 @@ func (c *Cluster) Run(init func(w *WorkerCtx), step StepFunc, maxSupersteps int)
 //
 // A step that panics ends the run with a *FailedRunError whose Err is
 // the *pool.Panic; the workers' state is whatever the panic left, so a
-// caller that pools clusters should drop this one. When Options arms an
-// Injector or CheckpointEvery, RunCtx instead snapshots barrier state
-// (worker State via Snapshotter, in-flight inboxes, report
-// accumulators) and recovers injected crashes, transient step errors
-// and step panics by rolling back to the last checkpoint and replaying,
-// GRAPE-style. Because the injector is deterministic and
-// each event fires once, a recovered run's Report matches the
-// fault-free run bitwise (diagnostics and WallTime aside).
+// caller that pools clusters should drop this one. A superstep is pure
+// in-process compute, so the engine does not retry it: a rerun would
+// panic the same way.
 //
 // The superstep loop is allocation-free in the steady state: the
 // fan-out closures are hoisted out of the loop, outboxes and inboxes
 // are truncated and refilled in place, and SendVal payloads come from
 // the workers' double-buffered arenas. Per-superstep heap traffic is
-// therefore zero once buffer capacities stabilise (checkpoints and
-// recoveries, which clone state by design, are the exception), and
-// the buffers belong to the cluster, so the next Run finds them warm.
+// therefore zero once buffer capacities stabilise, and the buffers
+// belong to the cluster, so the next Run finds them warm.
 func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step StepFunc, maxSupersteps int) (*Report, error) {
-	if c.opts.MaxSupersteps > 0 {
-		maxSupersteps = c.opts.MaxSupersteps
-	}
-	inj := c.opts.Injector
-	armed := inj.Armed()
-	ckEvery := c.opts.CheckpointEvery
-	if ckEvery <= 0 && armed {
-		ckEvery = 1
-	}
-	maxRec := c.opts.MaxRecoveries
-	if maxRec <= 0 {
-		// Every scheduled event fires at most once, so schedule length
-		// plus a margin for step panics always suffices.
-		maxRec = len(inj.Schedule()) + 3
-	}
-
 	start := time.Now()
 	rep := &Report{
 		Work:     make([]float64, c.n),
@@ -315,7 +279,7 @@ func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step Step
 	if err := ctx.Err(); err != nil {
 		return fail("cancelled before start", err)
 	}
-	inboxes, halts, redeliv := c.inboxes, c.halts, c.redeliv
+	inboxes, halts := c.inboxes, c.halts
 	for i, w := range c.workers {
 		w.reset()
 		inboxes[i] = inboxes[i][:0]
@@ -324,16 +288,6 @@ func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step Step
 	if init != nil {
 		c.parallel(func(w *WorkerCtx) { init(w) })
 	}
-	var ck *checkpoint
-	lastCk := -1
-	if ckEvery > 0 {
-		var err error
-		if ck, err = c.snapshot(0, rep); err != nil {
-			return fail("checkpoint failed", err)
-		}
-		lastCk = 0
-	}
-	attempts := 0
 
 	// Hoisted fan-out bodies: created once per Run, so the superstep
 	// loop spends zero allocations on closures. All of them capture
@@ -357,23 +311,12 @@ func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step Step
 		// Inbox dst is assembled from every sender's outbox in
 		// ascending sender order into dst's capacity-retained buffer,
 		// so delivery order is a pure function of the superstep's
-		// sends regardless of pool size. The assembled batch is the
-		// reliable-delivery ground truth: an injected drop/dup
-		// corrupts a copy, the per-batch count check detects it, and
-		// the ground truth is "redelivered" — wire accounting stays
-		// logical, so the Report is unaffected.
+		// sends regardless of pool size.
 		for dst := lo; dst < hi; dst++ {
 			in := inboxes[dst][:0]
 			for _, w := range c.workers {
 				if msgs := w.outbox[dst]; len(msgs) > 0 {
 					in = append(in, msgs...)
-				}
-			}
-			if armed {
-				if e, ok := inj.DeliveryFault(s, dst); ok && len(in) > 0 {
-					if corrupted := corruptBatch(in, e); len(corrupted) != len(in) {
-						redeliv[dst]++
-					}
 				}
 			}
 			inboxes[dst] = in
@@ -394,80 +337,19 @@ func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step Step
 			}
 		}
 	}
-	rollback := func(cause error) error {
-		attempts++
-		rep.Recoveries++
-		if attempts > maxRec {
-			return cause
-		}
-		c.restore(ck, rep)
-		s = ck.next - 1 // loop increment resumes at ck.next
-		return nil
-	}
 
 	for s = 0; s < maxSupersteps; s++ {
 		if err := ctx.Err(); err != nil {
 			return fail("cancelled", err)
 		}
-		// Periodic barrier checkpoint.
-		if ck != nil && s > lastCk && s%ckEvery == 0 {
-			nck, err := c.snapshot(s, rep)
-			if err != nil {
-				return fail("checkpoint failed", err)
-			}
-			ck, lastCk = nck, s
-		}
-		// Injected worker faults for this barrier, probed in ascending
-		// worker order: a crash aborts the superstep before compute, a
-		// transient error lets compute run and discards it, stragglers
-		// stall the barrier (wall time only).
-		var failEv *fault.Event
-		preFail := false
-		for i := 0; armed && i < c.n && failEv == nil; i++ {
-			for {
-				e, ok := inj.WorkerFault(s, i)
-				if !ok {
-					break
-				}
-				if e.Kind == fault.Straggler {
-					rep.Stragglers++
-					if e.Delay > 0 {
-						time.Sleep(e.Delay)
-					}
-					continue
-				}
-				ev := e
-				failEv, preFail = &ev, e.Kind == fault.Crash
-				break
-			}
-		}
-		if failEv != nil && preFail {
-			if err := rollback(fmt.Errorf("injected fault: %s", failEv)); err != nil {
-				return fail("recovery budget exhausted", err)
-			}
-			continue
-		}
 		stepPanic, stepErr := c.tryRunChunksCtx(ctx, stepChunk)
 		if stepPanic != nil {
-			if ck == nil {
-				// No fault tolerance configured: the run fails.
-				return fail("step panicked", stepPanic)
-			}
-			if err := rollback(stepPanic); err != nil {
-				return fail("recovery budget exhausted", err)
-			}
-			continue
+			return fail("step panicked", stepPanic)
 		}
 		if stepErr != nil {
 			// Cancelled mid-compute: the partial superstep is
 			// discarded, the report covers completed supersteps only.
 			return fail("cancelled", stepErr)
-		}
-		if failEv != nil {
-			if err := rollback(fmt.Errorf("injected fault: %s", failEv)); err != nil {
-				return fail("recovery budget exhausted", err)
-			}
-			continue
 		}
 		rep.Supersteps = s + 1
 		// Collect the per-superstep critical path.
@@ -485,10 +367,6 @@ func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step Step
 		rep.CriticalWork += maxWork
 		rep.CriticalBytes += float64(maxBytes)
 		c.pl.RunChunks(c.n, 1, deliverChunk)
-		for dst := range redeliv {
-			rep.Redelivered += redeliv[dst]
-			redeliv[dst] = 0
-		}
 		c.pl.RunChunks(c.n, 1, accountChunk)
 		inflight := false
 		for i := range inboxes {
@@ -511,11 +389,9 @@ func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step Step
 		// The harvest phase (critical-path collection, delivery,
 		// accounting) runs cancellation-blind so a completed superstep
 		// is always accounted in full; a cancellation landing during it
-		// is observed here, inside the same barrier. Without this check
-		// the run would continue into the next superstep's checkpoint
-		// before noticing, and the typed-error contract — every non-nil
-		// error is a *FailedRunError — would rest on the top-of-loop
-		// check alone.
+		// is observed here, inside the same barrier, so the typed-error
+		// contract — every non-nil error is a *FailedRunError — does
+		// not rest on the top-of-loop check alone.
 		if err := ctx.Err(); err != nil {
 			return fail("cancelled during harvest", err)
 		}
@@ -549,7 +425,7 @@ func (c *Cluster) parallel(fn func(w *WorkerCtx)) {
 
 // tryRunChunksCtx is a per-worker chunk fan-out with the failure modes
 // surfaced instead of propagated: a pool worker panic is captured as
-// *pool.Panic (the recovery loop converts it into a rollback), and ctx
+// *pool.Panic (RunCtx fails the run with it), and ctx
 // cancellation stops further worker claims and is returned as the ctx
 // error. Takes the prebuilt chunk body so the superstep loop does not
 // allocate a closure per call.
@@ -594,8 +470,7 @@ type WorkerCtx struct {
 	State any
 	// Scratch is the running algorithm's reusable buffers: it survives
 	// reset, so a later Run of the same algorithm finds them warm (one
-	// that finds another's scratch replaces it). Checkpoints cover State
-	// alone, so nothing a rollback must rewind may live only here.
+	// that finds another's scratch replaces it).
 	Scratch any
 	// plan is built on first use (see plan.go).
 	plan *Plan

@@ -3,31 +3,11 @@ package engine
 import (
 	"context"
 	"fmt"
-
-	"adp/internal/fault"
 )
 
-// Options configures the fault-tolerance and termination behaviour of
-// a Cluster's runs. The zero value preserves the pre-fault-tolerance
-// engine exactly: no checkpoints, no injection, Background context,
-// caller-supplied superstep budget.
+// Options configures a Cluster's runs. The zero value runs under
+// context.Background.
 type Options struct {
-	// MaxSupersteps, when > 0, overrides the superstep budget passed
-	// to Run — the knob the cmds expose so algorithm call sites need
-	// no change.
-	MaxSupersteps int
-	// CheckpointEvery takes a globally consistent snapshot (per-worker
-	// State + in-flight inboxes + report accumulators) at every k-th
-	// superstep barrier. 0 disables checkpointing unless an Injector
-	// is armed, in which case every barrier is checkpointed.
-	CheckpointEvery int
-	// MaxRecoveries bounds rollback-replay attempts per run. 0 sizes
-	// the budget to the armed schedule (every event fires at most
-	// once, so schedule length + a margin always suffices).
-	MaxRecoveries int
-	// Injector arms deterministic fault injection for this cluster's
-	// runs. nil runs fault-free.
-	Injector *fault.Injector
 	// Context, when non-nil, is the default run context used by Run
 	// (RunCtx callers pass their own).
 	Context context.Context
@@ -40,29 +20,19 @@ func (c *Cluster) Configure(opts Options) *Cluster {
 	return c
 }
 
-// Snapshotter is the deep-copy contract checkpointing requires of
-// WorkerCtx.State: Snapshot returns a copy sharing no mutable memory
-// with the receiver, and the returned value must itself implement
-// Snapshotter (so a stored checkpoint can be re-cloned on every
-// rollback, keeping the checkpoint pristine across repeated
-// recoveries). All algorithms in internal/algorithms implement it.
-type Snapshotter interface {
-	Snapshot() any
-}
-
 // FailedRunError is the typed failure every non-nil error path of
-// Run/RunCtx returns: non-convergence, cancellation, checkpoint
-// failure, or an exhausted recovery budget. Report always carries the
-// partial accounting up to the last completed superstep, so callers
-// can report partial cost instead of discarding the run.
+// Run/RunCtx returns: non-convergence, cancellation or a step panic.
+// Report always carries the partial accounting up to the last completed
+// superstep, so callers can report partial cost instead of discarding
+// the run.
 type FailedRunError struct {
 	// Reason is a short human-readable failure class, e.g.
 	// "no convergence within 10 supersteps".
 	Reason string
 	// Report is the partial report; never nil.
 	Report *Report
-	// Err is the underlying cause (context error, *pool.Panic,
-	// injected fault), or nil when Reason stands alone.
+	// Err is the underlying cause (context error or *pool.Panic), or
+	// nil when Reason stands alone.
 	Err error
 }
 

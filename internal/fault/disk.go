@@ -6,14 +6,11 @@ import (
 	"sync"
 )
 
-// Disk faults extend the injector family from the BSP message plane to
-// the storage plane: the crash-consistent store (internal/store)
-// threads every file write and fsync through a DiskInjector, so torn
-// frames, failed syncs, and mid-write process deaths are deterministic,
-// replayable events rather than rare hardware accidents. Like the BSP
-// Injector, a DiskInjector never consults the wall clock or global
-// randomness: whether an operation faults depends only on the armed
-// schedule and the operation counters.
+// The crash-consistent store (internal/store) threads every file write
+// and fsync through a DiskInjector, so torn frames, failed syncs, and
+// mid-write process deaths are deterministic, replayable events rather
+// than rare hardware accidents: whether an operation faults depends
+// only on the armed schedule and the operation counters.
 
 // ErrDiskFault is the sentinel wrapped by every injected disk error
 // that is NOT a simulated process death; callers distinguish injected

@@ -7,15 +7,13 @@ import (
 	"time"
 )
 
-// Network faults extend the injector family to the replication plane:
-// the WAL-shipping transport (internal/replica) consults a NetInjector
+// The WAL-shipping transport (internal/replica) consults a NetInjector
 // before every message it puts on the wire, so dropped, duplicated,
 // reordered and delayed frames — and whole partition windows — are
-// deterministic, replayable events. Like the BSP and disk injectors, a
-// NetInjector never consults the wall clock or global randomness:
-// whether a message faults depends only on the armed schedule and the
-// per-injector send counter. (NetDelay perturbs delivery *timing*, like
-// the BSP Straggler, but which message is delayed is still pinned.)
+// deterministic, replayable events: whether a message faults depends
+// only on the armed schedule and the per-injector send counter.
+// (NetDelay perturbs delivery *timing*, but which message is delayed is
+// still pinned.)
 
 // NetKind enumerates the injectable network-fault classes.
 type NetKind uint8

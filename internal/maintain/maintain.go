@@ -13,11 +13,10 @@
 // things worse.
 //
 // The loop treats itself as a fallible component: refiner panics,
-// injected engine or disk faults, deadline expiry and repeated
-// validation failure all degrade to "keep serving the last good epoch"
-// with typed counters — never to a corrupted or half-promoted state.
-// The chaos suite drives both injector families through live
-// maintenance cycles under -race to prove it.
+// injected disk faults, deadline expiry and repeated validation failure
+// all degrade to "keep serving the last good epoch" with typed counters
+// — never to a corrupted or half-promoted state. The chaos suite drives
+// them through live maintenance cycles under -race to prove it.
 package maintain
 
 import (
@@ -34,7 +33,6 @@ import (
 	"adp/internal/composite"
 	"adp/internal/costmodel"
 	"adp/internal/engine"
-	"adp/internal/fault"
 	"adp/internal/graph"
 	"adp/internal/partition"
 	"adp/internal/pool"
@@ -91,10 +89,6 @@ type Config struct {
 	// Pool runs refinement probes and oracle spot-checks. Nil uses the
 	// process-wide shared pool.
 	Pool *pool.Pool
-	// OracleInjector, when non-nil, is cloned into every oracle
-	// spot-check run — the chaos suite proves validation still reaches
-	// bitwise-correct verdicts under engine faults.
-	OracleInjector *fault.Injector
 	// Seed drives the backoff jitter. Default 1.
 	Seed int64
 	// TransformCandidate, when non-nil, runs on each candidate after
@@ -471,18 +465,13 @@ func hasVCut(p *partition.Partition) bool {
 // placement-independent — bitwise comparable across refinements.
 var oracleOpts = algorithms.Options{}
 
-// oracleRun executes the WCC spot-check over c's first partition with
-// the oracle injector armed. WCC is the one algorithm whose Outcome
-// (Value and Checksum) is bitwise placement-independent, so base and
-// candidate must agree exactly even though their placements differ.
+// oracleRun executes the WCC spot-check over c's WCC partition. WCC is
+// the one algorithm whose Outcome (Value and Checksum) is bitwise
+// placement-independent, so base and candidate must agree exactly even
+// though their placements differ.
 func (l *Loop) oracleRun(c *composite.Composite) (algorithms.Outcome, error) {
 	part := c.Partition(c.PartitionFor(costmodel.WCC))
-	cl := engine.NewCluster(part).UsePool(l.pool())
-	opts := engine.Options{Context: l.ctx}
-	if l.cfg.OracleInjector != nil {
-		opts.Injector = l.cfg.OracleInjector.Clone()
-	}
-	cl.Configure(opts)
+	cl := engine.NewCluster(part).UsePool(l.pool()).Configure(engine.Options{Context: l.ctx})
 	return algorithms.Run(cl, costmodel.WCC, oracleOpts)
 }
 

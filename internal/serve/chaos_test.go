@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"adp/internal/algorithms"
 	"adp/internal/costmodel"
@@ -17,13 +16,12 @@ import (
 	"adp/internal/testutil"
 )
 
-// TestServeChaos threads both injector families through a live server:
-// every /run session replays a crash + transient + straggler schedule
-// (requests still answer 200 with the deterministic fault-free report),
-// a disk-fault schedule poisons the store mid-update-batch (in-flight
-// and later writes get typed errors while reads keep serving the last
-// good epoch), the server drains without leaking goroutines, and a
-// restart recovers exactly the committed WAL prefix.
+// TestServeChaos threads a disk-fault schedule through a live server:
+// /run answers 200 with the fault-free oracle's result, the schedule
+// poisons the store mid-update-batch (in-flight and later writes get
+// typed errors while reads keep serving the last good epoch), the
+// server drains without leaking goroutines, and a restart recovers
+// exactly the committed WAL prefix.
 func TestServeChaos(t *testing.T) {
 	g := serveGraph()
 
@@ -37,14 +35,6 @@ func TestServeChaos(t *testing.T) {
 	}
 	baseGoroutines := testutil.GoroutineBaseline()
 
-	// Engine chaos: every /run session gets a clone of this schedule —
-	// a worker crash, a transient failure and a straggler per run, all
-	// recovered behind the barrier.
-	runInj := fault.NewInjector(
-		fault.Event{Kind: fault.Crash, Superstep: 1, Worker: 0},
-		fault.Event{Kind: fault.Transient, Superstep: 2, Worker: 1},
-		fault.Event{Kind: fault.Straggler, Superstep: 1, Worker: 2, Delay: time.Millisecond},
-	)
 	// Disk chaos: a burst of failing fsyncs starting at the 6th — a few
 	// update batches in, mid-wave, with full EIO ambiguity about
 	// durability. The burst outlasts the apply loop's retry ladder
@@ -59,11 +49,10 @@ func TestServeChaos(t *testing.T) {
 	)
 
 	ts := startServer(t, t.TempDir()+"/store", true,
-		Config{Pool: pl, RunInjector: runInj, SessionsPerAlgo: 2},
+		Config{Pool: pl, SessionsPerAlgo: 2},
 		store.Options{Injector: diskInj})
 
-	// Faulted runs still answer 200 with the fault-free deterministic
-	// report (the engine's recovery contract, now over HTTP).
+	// Runs answer 200 with the oracle's deterministic report.
 	oracle := serveComposite(t, g)
 	for _, a := range []costmodel.Algo{costmodel.WCC, costmodel.PR} {
 		status, rr, eb := ts.postRun(t, runReqFor(a))
@@ -79,13 +68,9 @@ func TestServeChaos(t *testing.T) {
 			t.Fatalf("%s under chaos: (%v,%d,%d) vs fault-free (%v,%d,%d)",
 				a, rr.Value, rr.Checksum, rr.Supersteps, want.Value, want.Checksum, want.Report.Supersteps)
 		}
-		if rr.Recoveries < 2 {
-			t.Fatalf("%s under chaos: %d recoveries, want >= 2 (crash + transient)", a, rr.Recoveries)
-		}
 	}
 
-	// A deadline that cannot fit the run maps to a typed 504 even with
-	// fault injection active.
+	// A deadline that cannot fit the run maps to a typed 504.
 	if status, _, eb := ts.postRun(t, runRequest{Algo: "PR", Iterations: 100000, TimeoutMS: 1}); status != http.StatusGatewayTimeout || eb.Class != "timeout" {
 		t.Fatalf("timeout under chaos: status %d class %q", status, eb.Class)
 	}

@@ -97,7 +97,6 @@ type runResponse struct {
 	CriticalWork  float64 `json:"critical_work"`
 	CriticalBytes float64 `json:"critical_bytes"`
 	MsgBytes      int64   `json:"msg_bytes"`
-	Recoveries    int     `json:"recoveries"`
 	WallMS        float64 `json:"wall_ms"`
 }
 
@@ -140,13 +139,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !s.checkFresh(w, ep, req.MinLSN) {
 		return
 	}
-	opts := engine.Options{Context: ctx}
-	if s.cfg.RunInjector != nil {
-		opts.Injector = s.cfg.RunInjector.Clone()
-	}
 	var out algorithms.Outcome
 	err := ep.pools[algoIndex(algo)].run(ctx, func(sess *engine.Cluster) (err error) {
-		sess.Configure(opts)
+		sess.Configure(engine.Options{Context: ctx})
 		out, err = algorithms.Run(sess, algo, algorithms.Options{
 			CNTheta:      req.Theta,
 			SSSPSource:   graph.VertexID(req.Source),
@@ -171,7 +166,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		CriticalWork:  out.Report.CriticalWork,
 		CriticalBytes: out.Report.CriticalBytes,
 		MsgBytes:      out.Report.TotalMsgBytes(),
-		Recoveries:    out.Report.Recoveries,
 		WallMS:        float64(out.Report.WallTime) / float64(time.Millisecond),
 	})
 }
@@ -197,8 +191,8 @@ func (s *Server) checkFresh(w http.ResponseWriter, ep *epoch, minLSN uint64) boo
 
 // writeRunErr maps the engine's typed failure onto a status code:
 // deadline → 504, cancellation (client gone or drain) → 503, a step
-// panic → 500, any other *FailedRunError (non-convergence, exhausted
-// recovery budget) → 422, everything else → 500.
+// panic → 500, any other *FailedRunError (non-convergence) → 422,
+// everything else → 500.
 func (s *Server) writeRunErr(w http.ResponseWriter, err error, rep *engine.Report) {
 	body := errorBody{Error: err.Error()}
 	var fre *engine.FailedRunError

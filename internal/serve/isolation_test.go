@@ -112,7 +112,6 @@ func TestServeSnapshotIsolation(t *testing.T) {
 		defer obsMu.Unlock()
 		k := runKey{rr.Epoch, rr.Algo}
 		rr.WallMS = 0 // wall time is not part of the determinism contract
-		rr.Recoveries = 0
 		if prev, ok := runObs[k]; ok {
 			if !reflect.DeepEqual(prev, rr) {
 				torn = append(torn, fmt.Sprintf("run %v: %+v vs %+v", k, prev, rr))

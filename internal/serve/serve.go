@@ -43,7 +43,6 @@ import (
 
 	"adp/internal/composite"
 	"adp/internal/costmodel"
-	"adp/internal/fault"
 	"adp/internal/graph"
 	"adp/internal/partition"
 	"adp/internal/pool"
@@ -67,10 +66,6 @@ type Config struct {
 	// Pool is the engine worker pool sessions run on; nil uses the
 	// process-wide shared pool.
 	Pool *pool.Pool
-	// RunInjector, when non-nil, is cloned into every /run session —
-	// the chaos harness threads deterministic engine faults through a
-	// live server with it.
-	RunInjector *fault.Injector
 	// ReadOnly starts the server in follower mode: POST /updates is
 	// rejected (or forwarded, see LeaderURL) and the composite advances
 	// only through the replication surface (ReplApply and friends).

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"adp/internal/composite"
-	"adp/internal/fault"
 	"adp/internal/gen"
 	"adp/internal/graph"
 	"adp/internal/partition"
@@ -255,20 +254,14 @@ func TestServeWriteHeavyIsolation(t *testing.T) {
 }
 
 // TestServeWriteHeavyChaos runs the same updates-dominant workload
-// with engine faults injected into every /run session: reader crashes
-// and stragglers must never perturb the write path or the published
-// epochs, and the drained store must still recover to the exact acked
-// state.
+// with /run readers running next to the writer: every read answers 200,
+// the readers never perturb the write path or the published epochs,
+// and the drained store must still recover to the exact acked state.
 func TestServeWriteHeavyChaos(t *testing.T) {
 	g, comp := writeHeavyGraph(t)
 	dir := filepath.Join(t.TempDir(), "store")
-	runInj := fault.NewInjector(
-		fault.Event{Kind: fault.Crash, Superstep: 1, Worker: 0},
-		fault.Event{Kind: fault.Transient, Superstep: 2, Worker: 1},
-		fault.Event{Kind: fault.Straggler, Superstep: 1, Worker: 2, Delay: time.Millisecond},
-	)
 	ts := startServerOn(t, dir, g, comp,
-		Config{SessionsPerAlgo: 2, MaxInflight: 32, UpdateQueue: 64, RunInjector: runInj},
+		Config{SessionsPerAlgo: 2, MaxInflight: 32, UpdateQueue: 64},
 		store.Options{})
 
 	const (
@@ -290,7 +283,10 @@ func TestServeWriteHeavyChaos(t *testing.T) {
 				default:
 				}
 				a := isolationAlgos[(r+i)%len(isolationAlgos)]
-				ts.postRun(t, runReqFor(a)) // faults injected; status may legitimately vary
+				if status, _, eb := ts.postRun(t, runReqFor(a)); status != http.StatusOK {
+					t.Errorf("reader %d: %s status %d (%v)", r, a, status, eb)
+					return
+				}
 			}
 		}(r)
 	}

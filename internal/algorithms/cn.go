@@ -73,7 +73,7 @@ func RunCN(c *engine.Cluster, opts CNOptions) (CNResult, *engine.Report, error) 
 					}
 					responsible++
 					// u pairs with the in-neighbours after it in id order.
-					u := in.NbrID[k]
+					u := in.NbrID(k)
 					pos, found := slices.BinarySearch(fullIn, u)
 					if found {
 						pos++

@@ -144,7 +144,7 @@ func (pr *propagation) run(c *engine.Cluster, maxSupersteps int) ([]float64, *en
 		if s == 0 {
 			for l, v := range pl.IDs {
 				st.pq.push(propEntry{int32(l), st.val[l]})
-				w.ChargeVertex(v, float64(pr.scanDegree(&pl.Adjs[l])))
+				w.ChargeVertex(v, float64(pr.scanDegree(pl.Adjs[l])))
 			}
 		}
 		// (2) local fixpoint as a value-ordered sweep (a local
@@ -156,7 +156,7 @@ func (pr *propagation) run(c *engine.Cluster, maxSupersteps int) ([]float64, *en
 			if top.val > st.val[top.l] {
 				continue // stale entry
 			}
-			adj := &pl.Adjs[top.l]
+			adj := pl.Adjs[top.l]
 			w.AddWork(float64(pr.scanDegree(adj)))
 			pr.relax(st, pl.IDs[top.l], top.val, adj)
 		}

@@ -52,7 +52,7 @@ func RunTC(c *engine.Cluster) (int64, *engine.Report, error) {
 	}
 	// leads: this worker counts the triangles of a's edge at position k.
 	leads := func(out *engine.Scan, a graph.VertexID, k int32) bool {
-		return out.Responsible(k) && TCLess(g, a, out.NbrID[k])
+		return out.Responsible(k) && TCLess(g, a, out.NbrID(k))
 	}
 	exch := &neighborExchange{
 		needs: func(w *engine.WorkerCtx, need []bool) {
@@ -116,7 +116,7 @@ func RunTC(c *engine.Cluster) (int64, *engine.Report, error) {
 					// × its degree — the β·dL·dG shape of hTC —
 					// rather than inheriting its neighbours' degrees.
 					w.ChargeVertex(a, float64(len(na)))
-					w.ChargeVertex(out.NbrID[k], float64(len(full[lb])))
+					w.ChargeVertex(out.NbrID(k), float64(len(full[lb])))
 				}
 			}
 			w.Send(0, engine.Message{Kind: kindTCCount, Data: []float64{float64(count)}})

@@ -201,7 +201,8 @@ func (c *Composite) Clone() *Composite {
 // every bundled partition is cloned through Partition.CloneCOW (shared
 // immutable compiled fragments, copied spines), so a cut costs one fold
 // per touched fragment instead of O(graph). The folds run as a fan-out
-// on pool.Default() and each writes only its own fragment. The serving
+// on pool.Default() and each writes only its own fragment; the spines
+// are then copied as a second fan-out, one partition each. The serving
 // plane publishes epochs through it; Clone remains the deep-copy oracle.
 func (c *Composite) CloneCOW() *Composite {
 	// dirty lists the folds as (partition, fragment) pairs.
@@ -217,9 +218,7 @@ func (c *Composite) CloneCOW() *Composite {
 		c.parts[dirty[x][0]].CompileFragment(dirty[x][1])
 	})
 	out := &Composite{g: c.g, n: c.n, k: c.k, parts: make([]*partition.Partition, c.k)}
-	for j, p := range c.parts {
-		out.parts[j] = p.CloneCOW()
-	}
+	pool.Default().Run(c.k, func(j int) { out.parts[j] = c.parts[j].CloneCOW() })
 	return out
 }
 

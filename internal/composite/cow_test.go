@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -55,9 +56,11 @@ func checkCloneCOWOracleWaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// p2 leaves its last fragment empty: a fragment of one chunk, which
+	// the random waves' inserts grow.
 	assign := make([]int, g.NumVertices())
 	for v := range assign {
-		assign[v] = (v + 1) % numFrags
+		assign[v] = (v + 1) % (numFrags - 1)
 	}
 	p2, err := partition.FromVertexAssignment(g, assign, numFrags)
 	if err != nil {
@@ -158,12 +161,47 @@ func checkCloneCOWOracleWaves(t *testing.T) {
 		}
 		return d
 	}
-	for w := 0; w < waves; w++ {
+	if f := live.Partition(1).Fragment(numFrags - 1); f.NumChunks() != 1 || f.NumArcs() != 0 {
+		t.Fatalf("p2's empty fragment has %d chunks", f.NumChunks())
+	}
+	chunkWaves := chunkBoundaryWaves(t, live.Partition(0), func(u, v graph.VertexID, frag int) bool {
+		if _, ok := present[key(u, v)]; !ok {
+			return false
+		}
+		if !live.DeleteEdge(u, v) || !oracle.DeleteEdge(u, v) {
+			t.Fatalf("edge (%d,%d) not deletable", u, v)
+		}
+		delete(present, key(u, v))
+		i := slices.Index(liveKeys, key(u, v))
+		liveKeys[i] = liveKeys[len(liveKeys)-1]
+		liveKeys = liveKeys[:len(liveKeys)-1]
+		return true
+	}, func(u, v graph.VertexID, frag int) bool {
+		if _, ok := present[key(u, v)]; ok || u == v {
+			return false
+		}
+		dest := randDest()
+		dest[0] = frag
+		if err := live.InsertEdge(u, v, dest); err != nil {
+			t.Fatalf("insert (%d,%d): %v", u, v, err)
+		}
+		if err := oracle.InsertEdge(u, v, dest); err != nil {
+			t.Fatalf("oracle insert (%d,%d): %v", u, v, err)
+		}
+		present[key(u, v)] = [2]graph.VertexID{u, v}
+		liveKeys = append(liveKeys, key(u, v))
+		return true
+	})
+	for w := 0; w < waves+len(chunkWaves); w++ {
 		// One wave: a mix of deletes of live edges and inserts of new
 		// (or previously deleted) arcs, exactly what one POST /updates
-		// batch does to the store's composite.
+		// batch does to the store's composite; the last waves are
+		// chunkBoundaryWaves'.
 		var probes [][2]graph.VertexID
-		for m := 0; m < waveSize; m++ {
+		if w >= waves {
+			probes = chunkWaves[w-waves]()
+		}
+		for m := 0; m < waveSize && w < waves; m++ {
 			if rng.Intn(2) == 0 && len(liveKeys) > 0 {
 				i := rng.Intn(len(liveKeys))
 				k := liveKeys[i]
@@ -262,6 +300,9 @@ func checkCloneCOWOracleWaves(t *testing.T) {
 
 	close(done)
 	wg.Wait()
+	if f := live.Partition(1).Fragment(numFrags - 1); f.NumChunks() != 1 || f.NumArcs() == 0 {
+		t.Fatalf("p2's once empty fragment has %d chunks and %d arcs after the waves, want 1 chunk that grew", f.NumChunks(), f.NumArcs())
+	}
 
 	// Every retained epoch must still equal its oracle: a later wave
 	// scribbling through shared state would show up here even if the
@@ -284,21 +325,170 @@ func checkCloneCOWOracleWaves(t *testing.T) {
 	}
 }
 
-// BenchmarkPublish times the epoch cut of the serving plane's write
-// path: the five-model ME2H composite of a 6000-vertex power-law graph
-// with 8 fragments takes a wave of two batches, each deleting and
-// re-inserting 4 edges routed by locality (as the store routes an
-// insert without destinations), and CloneCOW then folds what the wave
-// touched. publish-ms/op and B/op cover the cut alone.
-func BenchmarkPublish(b *testing.B) {
+// chunkStarts returns the first id of every chunk a build gives f,
+// replaying the boundary rule of internal/partition over f's vertices:
+// a chunk holds about a 64th of the fragment's list entries, and a
+// vertex whose lists alone exceed that share holds one of its own.
+func chunkStarts(f *partition.Fragment) []graph.VertexID {
+	share := (2*f.NumArcs() + 63) / 64
+	starts := []graph.VertexID{0}
+	vol, first := 0, true
+	f.Vertices(func(v graph.VertexID, adj *partition.Adj) {
+		if d := adj.LocalDegree(); !first && (vol > share || vol+d > share) {
+			starts, vol = append(starts, v), 0
+		}
+		first = false
+		vol += adj.LocalDegree()
+	})
+	return starts
+}
+
+// chunkBoundaryWaves returns five waves on the freshly built, compiled
+// partition p (the composite's first), each returning the edges it
+// touched: a hub of fragment 0 that holds a chunk of its own is
+// rewired; a middle chunk of fragment 1 is emptied by deletes, and the
+// next wave refills it; a vertex copy is added in a middle chunk of
+// fragment 2; a middle chunk of fragment 3 grows past twice its
+// build-time entries. del and ins delete and insert an edge through
+// the composite (ins placing it in p's fragment frag) and report
+// whether they did.
+func chunkBoundaryWaves(t *testing.T, p *partition.Partition, del, ins func(u, v graph.VertexID, frag int) bool) []func() [][2]graph.VertexID {
+	t.Helper()
+	nv := graph.VertexID(p.Graph().NumVertices())
+	starts := make([][]graph.VertexID, 4)
+	for i := range starts {
+		if starts[i] = chunkStarts(p.Fragment(i)); len(starts[i]) != p.Fragment(i).NumChunks() || len(starts[i]) < 4 {
+			t.Fatalf("fragment %d: the rule replayed gives %d chunks, the build %d", i, len(starts[i]), p.Fragment(i).NumChunks())
+		}
+	}
+	// middle is the id range of a middle chunk of fragment i.
+	middle := func(i int) (graph.VertexID, graph.VertexID) {
+		k := len(starts[i]) / 2
+		return starts[i][k], starts[i][k+1]
+	}
+	// entries sums the list entries fragment i holds for the ids [lo,hi).
+	entries := func(i int, lo, hi graph.VertexID) int {
+		n := 0
+		for v := lo; v < hi; v++ {
+			if adj := p.Fragment(i).Adjacency(v); adj != nil {
+				n += adj.LocalDegree()
+			}
+		}
+		return n
+	}
+	var emptied [][2]graph.VertexID
+	return []func() [][2]graph.VertexID{
+		func() [][2]graph.VertexID { // a hub holding a chunk of its own
+			f := p.Fragment(0)
+			var hub graph.VertexID
+			f.Vertices(func(v graph.VertexID, adj *partition.Adj) {
+				if adj.LocalDegree() > f.Adjacency(hub).LocalDegree() {
+					hub = v
+				}
+			})
+			k, found := slices.BinarySearch(starts[0], hub)
+			if !found {
+				k--
+			}
+			lo, hi := starts[0][k], nv
+			if k+1 < len(starts[0]) {
+				hi = starts[0][k+1]
+			}
+			if d := f.Adjacency(hub).LocalDegree(); entries(0, lo, hi) != d || d <= (2*f.NumArcs()+63)/64 {
+				t.Fatalf("hub %d of fragment 0 does not hold a chunk of its own", hub)
+			}
+			var touched [][2]graph.VertexID
+			for _, x := range slices.Clone(f.Adjacency(hub).Out) {
+				if del(hub, x, 0) {
+					touched = append(touched, [2]graph.VertexID{hub, x})
+					break
+				}
+			}
+			for y := nv - 1; len(touched) < 2; y-- {
+				if ins(hub, y, 0) {
+					touched = append(touched, [2]graph.VertexID{hub, y})
+				}
+			}
+			return touched
+		},
+		func() [][2]graph.VertexID { // a middle chunk emptied by deletes
+			lo, hi := middle(1)
+			for v := lo; v < hi; v++ {
+				if adj := p.Fragment(1).Adjacency(v); adj != nil {
+					for _, w := range slices.Clone(adj.Out) {
+						emptied = append(emptied, [2]graph.VertexID{v, w})
+					}
+					for _, w := range slices.Clone(adj.In) {
+						emptied = append(emptied, [2]graph.VertexID{w, v})
+					}
+				}
+			}
+			emptied = slices.DeleteFunc(emptied, func(e [2]graph.VertexID) bool { return !del(e[0], e[1], 1) })
+			if len(emptied) == 0 || entries(1, lo, hi) != 0 {
+				t.Fatalf("middle chunk [%d,%d) of fragment 1: %d edges deleted, %d entries left", lo, hi, len(emptied), entries(1, lo, hi))
+			}
+			return emptied
+		},
+		func() [][2]graph.VertexID { // ... and refilled
+			for _, e := range emptied {
+				if !ins(e[0], e[1], 1) {
+					t.Fatalf("edge %v not reinsertable", e)
+				}
+			}
+			return emptied
+		},
+		func() [][2]graph.VertexID { // a vertex copy added in a middle chunk
+			for k := 1; k+2 < len(starts[2]); k++ {
+				for x := starts[2][k]; x < starts[2][k+1]; x++ {
+					if p.Fragment(2).Has(x) {
+						continue
+					}
+					for y := graph.VertexID(0); y < nv; y++ {
+						if ins(x, y, 2) {
+							if !p.Fragment(2).Has(x) {
+								t.Fatalf("vertex %d has no copy in fragment 2 after an insert placed its edge there", x)
+							}
+							return [][2]graph.VertexID{{x, y}}
+						}
+					}
+				}
+			}
+			t.Fatalf("fragment 2 holds every id of its middle chunks")
+			return nil
+		},
+		func() [][2]graph.VertexID { // a chunk grown past twice its size
+			lo, hi := middle(3)
+			before := entries(3, lo, hi)
+			var grown [][2]graph.VertexID
+			for y := graph.VertexID(0); entries(3, lo, hi) <= 2*before && y < nv; y++ {
+				for u := lo; u < hi; u++ {
+					if p.Fragment(3).Has(u) && ins(u, y, 3) {
+						grown = append(grown, [2]graph.VertexID{u, y})
+					}
+				}
+			}
+			if entries(3, lo, hi) <= 2*before {
+				t.Fatalf("middle chunk [%d,%d) of fragment 3 grew from %d to only %d entries", lo, hi, before, entries(3, lo, hi))
+			}
+			return grown
+		},
+	}
+}
+
+// publishFixture is the serving plane's write path on the benchmark's
+// composite: the five-model ME2H composite of a 6000-vertex power-law
+// graph with 8 fragments, cut once, and a seeded wave of two batches,
+// each deleting and re-inserting 4 edges routed by locality (as the
+// store routes an insert without destinations).
+func publishFixture(tb testing.TB) (*Composite, func()) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 6000, AvgDeg: 8, Exponent: 2.1, Seed: 1})
 	ec, err := partitioner.FennelEdgeCut(g, 8, partitioner.FennelConfig{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	c, _, err := ME2H(ec, costmodel.ReferenceModels(), Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	c.CloneCOW()
 	rng := rand.New(rand.NewSource(1))
@@ -317,10 +507,18 @@ func BenchmarkPublish(b *testing.B) {
 				dest[j] = refine.RouteFragment(c.Partition(j), u, v)
 			}
 			if err := c.InsertEdge(u, v, dest); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
+	return c, wave
+}
+
+// BenchmarkPublish times the epoch cut of publishFixture's waves:
+// CloneCOW folds what the wave touched. publish-ms/op and B/op cover
+// the cut alone.
+func BenchmarkPublish(b *testing.B) {
+	c, wave := publishFixture(b)
 	var cut time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -333,6 +531,33 @@ func BenchmarkPublish(b *testing.B) {
 		cut += time.Since(t0)
 	}
 	b.ReportMetric(float64(cut.Microseconds())/1000/float64(b.N), "publish-ms/op")
+}
+
+// TestPublishOwnsTouchedChunksOnly counts what a cut of
+// BenchmarkPublish's waves owns: ShareStats(prev).OwnedBytes, the
+// approx_new_bytes of /metrics, averaged over 20 seeded waves. When a
+// fold re-packed every touched fragment whole the mean was 13,830,997
+// bytes (this test's 20 waves, measured on the whole-fragment fold it
+// replaced); re-packing only the touched chunks must own at most a
+// fifth of that.
+func TestPublishOwnsTouchedChunksOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the 6000-vertex five-model composite")
+	}
+	const waves, wholeFragments = 20, 13_830_997
+	c, wave := publishFixture(t)
+	prev := c.CloneCOW()
+	var owned int64
+	for w := 0; w < waves; w++ {
+		wave()
+		next := c.CloneCOW()
+		owned += next.ShareStats(prev).OwnedBytes
+		prev = next
+	}
+	t.Logf("mean owned bytes per cut: %d", owned/waves)
+	if mean := owned / waves; mean*5 > wholeFragments {
+		t.Fatalf("a cut owns %d bytes on average, want at most a fifth of %d", mean, wholeFragments)
+	}
 }
 
 type wccFingerprint struct {

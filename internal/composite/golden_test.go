@@ -297,18 +297,19 @@ func packedHash(c *Composite) uint64 {
 		for i := 0; i < p.NumFragments(); i++ {
 			pk := p.Fragment(i).Packed()
 			put(uint64(len(pk.IDs)))
-			for l, v := range pk.IDs {
+			for _, v := range pk.IDs {
 				put(uint64(v))
-				for _, w := range pk.Adjs[l].Out {
+				adj := p.Fragment(i).Adjacency(v)
+				for _, w := range adj.Out {
 					put(uint64(w))
 				}
 				put(^uint64(0))
-				for _, w := range pk.Adjs[l].In {
+				for _, w := range adj.In {
 					put(uint64(w))
 				}
 				put(^uint64(0))
 			}
-			for _, k := range pk.Arcs {
+			for _, k := range p.Fragment(i).AppendSortedArcKeys(nil) {
 				put(k)
 			}
 		}

@@ -195,11 +195,9 @@ func (c *Cluster) Worker(i int) *WorkerCtx { return c.workers[i] }
 // each target with the source, finds every arc a lower fragment already
 // stores: one pass over those runs, no arc hashed.
 func (c *Cluster) buildResponsibility() {
-	packed := make([]partition.Packed, c.n)
 	c.foreignArc = make([][]uint64, c.n)
-	for i := range packed {
-		packed[i] = c.p.Fragment(i).Packed()
-		c.foreignArc[i] = make([]uint64, (len(packed[i].Arcs)+63)/64)
+	for i := range c.foreignArc {
+		c.foreignArc[i] = make([]uint64, (c.p.Fragment(i).NumArcs()+63)/64)
 	}
 	nv := c.p.Graph().NumVertices()
 	c.computeFrag = make([]int32, nv)
@@ -213,10 +211,9 @@ func (c *Cluster) buildResponsibility() {
 			continue
 		}
 		for _, i := range copies {
-			pk, foreign := &packed[i], c.foreignArc[i]
-			l := pk.Local[v]
-			first := int(pk.ArcOff[l])
-			for k, key := range pk.Arcs[first:pk.ArcOff[l+1]] {
+			run, first := c.p.Fragment(int(i)).ArcRun(v)
+			foreign := c.foreignArc[i]
+			for k, key := range run {
 				if t := uint32(key); seen[t] == uint32(v)+1 {
 					slot := first + k
 					foreign[slot>>6] |= 1 << (uint(slot) & 63)

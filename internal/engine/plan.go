@@ -27,14 +27,14 @@ const (
 	FlagShares
 )
 
-// Plan is a worker's scan plan: its fragment's packed arrays, addressed
-// by local id, plus what the partition's placement says about every
-// local vertex and — in the two Scans — about every stored arc. It is a
-// pure function of the compiled fragment and the placement, both
-// immutable while the cluster is in use, so it is built once, on first
-// use, and shared by every later superstep and Run.
+// Plan is a worker's scan plan: its fragment's vertices, addressed by
+// local id, plus what the partition's placement says about every local
+// vertex and — in the two Scans — about every stored arc. It is a pure
+// function of the compiled fragment and the placement, both immutable
+// while the cluster is in use, so it is built once, on first use, and
+// shared by every later superstep and Run.
 type Plan struct {
-	// The fragment's arrays: IDs[l] is the vertex with local id l,
+	// The fragment's vertices: IDs[l] is the vertex with local id l,
 	// Local the inverse remap, Adjs[l] its local adjacency.
 	partition.Packed
 	// Flags[l] describes the copy of IDs[l] held here.
@@ -49,15 +49,18 @@ type Plan struct {
 type Scan struct {
 	// Off[l]:Off[l+1] are the positions of local vertex l's list.
 	Off []int32
-	// NbrID[k] is the vertex at list position k (the fragment's packed
-	// array, in the order Adjs lists it) and Nbr[k] its local id —
-	// both endpoints of a stored arc have a copy here.
-	NbrID []graph.VertexID
-	Nbr   []int32
+	// Nbr[k] is the local id of the vertex at list position k (the
+	// lists in local-id order, back to back): both endpoints
+	// of a stored arc have a copy here. ids are the plan's IDs.
+	Nbr []int32
+	ids []graph.VertexID
 	// resp has bit k set when this worker is responsible for the arc
 	// at position k on behalf of the vertex whose list it is in.
 	resp []uint64
 }
+
+// NbrID returns the vertex at list position k.
+func (s *Scan) NbrID(k int32) graph.VertexID { return s.ids[s.Nbr[k]] }
 
 // Responsible reports whether this worker processes the arc at list
 // position k for the list's vertex: ResponsibleFor as an array read.
@@ -112,7 +115,7 @@ func (w *WorkerCtx) Plan() *Plan {
 func (w *WorkerCtx) InScan() *Scan {
 	pl := w.Plan()
 	if pl.in == nil {
-		pl.in = w.buildScan(pl, pl.In, true)
+		pl.in = w.buildScan(pl, true)
 	}
 	return pl.in
 }
@@ -122,21 +125,23 @@ func (w *WorkerCtx) InScan() *Scan {
 func (w *WorkerCtx) OutScan() *Scan {
 	pl := w.Plan()
 	if pl.out == nil {
-		pl.out = w.buildScan(pl, pl.Out, false)
+		pl.out = w.buildScan(pl, false)
 	}
 	return pl.out
 }
 
-// buildScan translates one packed array and fills the responsibility
-// bits by the placement rule, subject = the vertex whose list an arc is
-// in. One pass over the stored arcs; only the arcs of v-cut subjects
-// cost a slot lookup.
-func (w *WorkerCtx) buildScan(pl *Plan, packed []graph.VertexID, in bool) *Scan {
+// buildScan lays one direction's lists out back to back, translates
+// them and fills the responsibility bits by the placement rule,
+// subject = the vertex whose list an arc is in. One pass over the
+// stored arcs (every arc is one out-list and one in-list entry); only
+// the arcs of v-cut subjects cost a slot lookup.
+func (w *WorkerCtx) buildScan(pl *Plan, in bool) *Scan {
+	n := w.frag.NumArcs()
 	s := &Scan{
-		Off:   make([]int32, len(pl.IDs)+1),
-		NbrID: packed,
-		Nbr:   make([]int32, len(packed)),
-		resp:  make([]uint64, (len(packed)+63)/64),
+		Off:  make([]int32, len(pl.IDs)+1),
+		Nbr:  make([]int32, n),
+		ids:  pl.IDs,
+		resp: make([]uint64, (n+63)/64),
 	}
 	k := int32(0)
 	for l, subject := range pl.IDs {

@@ -36,7 +36,7 @@ func refResponsibleFor(p *partition.Partition, i int, subject, u, v graph.Vertex
 // planPartitions builds one seeded partition per family the plan must
 // hold on: edge-cut, vertex-cut, the hybrids E2H and V2H leave behind,
 // and a copy-on-write clone mutated after its base was compiled (so the
-// plan is read from a recompiled, partly shared base).
+// plan is read from a recompiled base of several chunks, partly shared).
 func planPartitions(t *testing.T, seed int64) map[string]*partition.Partition {
 	t.Helper()
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 260, AvgDeg: 5, Exponent: 2.1, Seed: seed})
@@ -77,6 +77,14 @@ func planPartitions(t *testing.T, seed int64) map[string]*partition.Partition {
 			}
 		}
 	}
+	// The folds keep each fragment's chunk table, so the plan is read
+	// across chunk boundaries, and from chunks a fold re-packed.
+	cow.Compile()
+	for i := 0; i < cow.NumFragments(); i++ {
+		if n := cow.Fragment(i).NumChunks(); n < 2 {
+			t.Fatalf("cow-mutated fragment %d has %d chunks, want several", i, n)
+		}
+	}
 	out["cow-mutated"] = cow
 	return out
 }
@@ -113,9 +121,9 @@ func TestPlanMatchesResponsibleFor(t *testing.T) {
 						any := false
 						for j, x := range list {
 							k := sc.Off[l] + int32(j)
-							if sc.NbrID[k] != x || pl.IDs[sc.Nbr[k]] != x {
+							if sc.NbrID(k) != x || pl.IDs[sc.Nbr[k]] != x {
 								t.Fatalf("%s seed %d worker %d: position %d names %d / local %d, want %d",
-									name, seed, i, k, sc.NbrID[k], sc.Nbr[k], x)
+									name, seed, i, k, sc.NbrID(k), sc.Nbr[k], x)
 							}
 							arc := [2]graph.VertexID{subject, x}
 							if dir == 1 {

@@ -5,7 +5,7 @@ import "slices"
 // Copy-on-write cloning: the serving plane publishes an epoch snapshot
 // per update wave, and a wave touches a handful of vertices — so a
 // publish must not pay for what it did not touch. CloneCOW compiles the
-// partition (one linear merge per fragment the last waves touched) and
+// partition (one linear merge per chunk the last waves touched) and
 // shares every fragment's immutable base with the clone, copying only
 // the partition spine (master/owner/weight and the outer copies index).
 //
@@ -16,8 +16,9 @@ import "slices"
 //     own fragment's overlay (thaw) and record arc changes there;
 //     Compile builds a new base from base + overlay and swaps only its
 //     own fragment's pointer, so a clone holding the old pointer is
-//     untouched. A new base may share the ids, local and arcs arrays of
-//     the one it was folded from; they are immutable.
+//     untouched. A new base shares the chunks and pages of the one it
+//     was folded from that the overlay did not touch, and a re-packed
+//     chunk may share its predecessor's ids and arcs; all immutable.
 //   - The per-vertex copies slices are shared between both sides after
 //     a CloneCOW. The sticky copiesShared flag makes insertCopy and
 //     removeCopy allocate a fresh slice instead of writing the shared
@@ -66,23 +67,43 @@ func (p *Partition) ShareStats(prev *Partition) (shared, owned int, ownedBytes i
 	return shared, owned, ownedBytes
 }
 
-// ApproxBytes estimates the resident size of the fragment's base from
-// its exact array lengths. The ids and local arrays, and the arc array,
-// are not counted when they are the very arrays prev's base holds (a
-// fold that did not change the vertex set, or the arc set, shares them).
-// Used for the /metrics epoch memory accounting; not a heap measurement.
+// ApproxBytes estimates the resident size of the fragment's base from its
+// array lengths, less what prev's base (typically the previous epoch's)
+// holds too: each page or chunk at the same position, and the id and arc
+// arrays a re-packed chunk kept. Used for the /metrics epoch memory
+// accounting; not a heap measurement.
 func (f *Fragment) ApproxBytes(prev *Fragment) int64 {
-	c := f.base.Load()
-	n := c.byteSize()
-	if prev == nil {
-		return n
+	c, pc := f.base.Load(), noBase
+	if prev != nil {
+		pc = prev.base.Load()
 	}
-	pc := prev.base.Load()
-	if len(c.local) > 0 && len(pc.local) > 0 && &c.local[0] == &pc.local[0] {
-		n -= int64(len(c.ids)+len(c.local)) * 4
+	n := int64(len(c.chunks))*12 + int64(len(c.pages))*24 // a pointer and an arc base, a page header
+	if !sameArray(c.chunkOf, pc.chunkOf) {
+		n += int64(len(c.chunkOf))
 	}
-	if len(c.arcs) > 0 && len(pc.arcs) > 0 && &c.arcs[0] == &pc.arcs[0] {
-		n -= int64(len(c.arcs)) * 8
+	for p, page := range c.pages {
+		if p >= len(pc.pages) || !sameArray(page, pc.pages[p]) {
+			n += int64(len(page)) * 8
+		}
+	}
+	for k, ch := range c.chunks {
+		pch := noBase.chunks[0] // shares nothing
+		if k < len(pc.chunks) {
+			pch = pc.chunks[k]
+		}
+		if ch != pch {
+			n += int64(len(ch.adjs))*48 + int64(len(ch.outAdj)+len(ch.inAdj)+len(ch.arcOff))*4
+		}
+		if ch != pch && !sameArray(ch.ids, pch.ids) {
+			n += int64(len(ch.ids)) * 4
+		}
+		if ch != pch && !sameArray(ch.arcs, pch.arcs) {
+			n += int64(len(ch.arcs)) * 8
+		}
 	}
 	return n
 }
+
+// sameArray reports whether a and b are views of one backing array
+// from the same first element.
+func sameArray[T any](a, b []T) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }

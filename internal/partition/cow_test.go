@@ -91,6 +91,84 @@ func TestCloneCOWSharesAndIsolates(t *testing.T) {
 	if p.frags[0].NumArcs() != before {
 		t.Fatal("mutating the clone changed the original fragment")
 	}
+
+	// One new arc on a fragment of many chunks: the fold re-packs the
+	// chunks holding its endpoints, and re-points the pages over their
+	// ids, and shares every other chunk and page with the previous cut
+	// by pointer. The publish is charged the table, those pages and
+	// those chunks, less the id arrays their unchanged vertex sets keep
+	// and the arc array of the target's chunk (only an in-list grew
+	// there).
+	const nv = 2000
+	b := graph.NewBuilder(nv)
+	for i := 0; i < nv; i++ {
+		b.AddEdge(graph.VertexID(i), graph.VertexID((i+1)%nv))
+		b.AddEdge(graph.VertexID(i), graph.VertexID((i+2)%nv))
+	}
+	r, err := FromVertexAssignment(b.MustBuild(), make([]int, nv), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first fold of a base splitChunks cut also gives each page an
+	// allocation of its own (entries left behind in the one the split
+	// made would keep replaced chunks alive); it too shares every chunk
+	// that holds no endpoint.
+	split := r.CloneCOW()
+	x, y := graph.VertexID(nv-1), graph.VertexID(nv-4)
+	r.AddArc(0, x, y)
+	r.Compile()
+	c, pc := r.frags[0].base.Load(), split.frags[0].base.Load()
+	for p := range c.pages {
+		if sameArray(c.pages[p], pc.pages[p]) != sameArray(c.pages[p], emptyPage) {
+			t.Fatalf("page %d still shares the split's allocation after the first fold", p)
+		}
+	}
+	for k, ch := range c.chunks {
+		if k != int(c.chunkOf[x]) && k != int(c.chunkOf[y]) && ch != pc.chunks[k] {
+			t.Fatalf("chunk %d holds neither endpoint of (%d,%d) yet was re-packed by the first fold", k, x, y)
+		}
+	}
+	prev := r.CloneCOW()
+	u, v := graph.VertexID(10), graph.VertexID(nv/2)
+	r.AddArc(0, u, v)
+	r.Compile()
+	c, pc = r.frags[0].base.Load(), prev.frags[0].base.Load()
+	if len(pc.chunks) < 16 || len(c.chunks) != len(pc.chunks) || len(c.pages) != len(pc.pages) || &c.chunkOf[0] != &pc.chunkOf[0] {
+		t.Fatalf("fold of a %d-chunk fragment left %d chunks, %d pages of %d", len(pc.chunks), len(c.chunks), len(c.pages), len(pc.pages))
+	}
+	want := int64(len(c.chunks))*12 + int64(len(c.pages))*24 // a chunk pointer and arc base, a page header
+	repointed := map[int]bool{}
+	for k, ch := range c.chunks {
+		if k != int(c.chunkOf[u]) && k != int(c.chunkOf[v]) {
+			if ch != pc.chunks[k] {
+				t.Fatalf("chunk %d holds neither endpoint of (%d,%d) yet was re-packed", k, u, v)
+			}
+			continue
+		}
+		if ch == pc.chunks[k] || !sameArray(ch.ids, pc.chunks[k].ids) {
+			t.Fatalf("chunk %d holds an endpoint: want it re-packed over its unchanged id array", k)
+		}
+		want += int64(len(ch.adjs))*48 + int64(len(ch.outAdj)+len(ch.inAdj)+len(ch.arcOff))*4
+		if source := k == int(c.chunkOf[u]); source == sameArray(ch.arcs, pc.chunks[k].arcs) {
+			t.Fatalf("chunk %d (holds the source: %v) shares its arc array: %v", k, source, !source)
+		} else if source {
+			want += int64(len(ch.arcs)) * 8
+		}
+		for _, x := range ch.ids {
+			repointed[int(x>>pageBits)] = true
+		}
+	}
+	for p, page := range c.pages {
+		if sameArray(page, pc.pages[p]) == repointed[p] {
+			t.Fatalf("page %d: re-pointed %v, holds an id of a re-packed chunk %v", p, !sameArray(page, pc.pages[p]), repointed[p])
+		}
+		if repointed[p] {
+			want += int64(len(page)) * 8
+		}
+	}
+	if got := r.frags[0].ApproxBytes(prev.frags[0]); got != want {
+		t.Fatalf("ApproxBytes after a one-arc fold = %d, want %d: the table, the re-pointed pages and the two re-packed chunks", got, want)
+	}
 }
 
 // TestCloneCOWChain: repeated COW clones (epoch after epoch) stay
@@ -144,17 +222,17 @@ func TestCloneCOWChain(t *testing.T) {
 	}
 }
 
-// TestShareStatsSkipsSharedIDArrays: a fold that leaves the vertex set
-// and the arc set alone reuses the previous base's ids, local and arcs
-// arrays, so the bytes a publish is charged for the owned fragment must
-// leave them out.
+// TestShareStatsSkipsSharedIDArrays: a fold that leaves a chunk's
+// vertex set and arc set alone reuses the previous chunk's ids and
+// arcs arrays, so the bytes a publish is charged for the owned
+// fragment must leave them out.
 func TestShareStatsSkipsSharedIDArrays(t *testing.T) {
 	g := figure1G1(t)
 	p := figure1bPartition(t, g)
 	prev := p.CloneCOW()
 
 	// Drop and restore one arc: t4 is dropped from F2 and comes back, so
-	// the fragment is rebuilt over an unchanged vertex set.
+	// its chunks are rebuilt over unchanged vertex sets.
 	if !p.RemoveArc(1, s5, t4) {
 		t.Fatal("expected arc s5→t4 in F2")
 	}
@@ -166,25 +244,40 @@ func TestShareStatsSkipsSharedIDArrays(t *testing.T) {
 	if c == pc {
 		t.Fatal("touched fragment still shares its base")
 	}
-	if &c.ids[0] != &pc.ids[0] || &c.local[0] != &pc.local[0] {
-		t.Fatal("unchanged vertex set should share ids and local with the previous base")
+	if !SharesIDs(f, pf) {
+		t.Fatal("unchanged vertex sets should share ids with the previous base")
 	}
-	if &c.arcs[0] != &pc.arcs[0] {
-		t.Fatal("unchanged arc set should share arcs with the previous base")
+	// The fold may also give the chunks it left alone arcs of their own
+	// (the pack they window is then freed); the re-packed one keeps its.
+	if !SharesArcRun(f, pf, s5) {
+		t.Fatal("an unchanged arc set should keep its chunk's arc array")
 	}
-	full, marginal := f.ApproxBytes(nil), f.ApproxBytes(pf)
-	if want := full - int64(len(c.ids)+len(c.local))*4 - int64(len(c.arcs))*8; marginal != want {
-		t.Fatalf("marginal bytes %d, want %d (full %d less the shared id and arc arrays)", marginal, want, full)
+	want := int64(len(c.chunks))*12 + int64(len(c.pages))*24
+	for k, ch := range c.chunks {
+		if ch != pc.chunks[k] {
+			want += int64(len(ch.adjs))*48 + int64(len(ch.outAdj)+len(ch.inAdj)+len(ch.arcOff))*4
+		}
+		if !sameArray(ch.arcs, pc.chunks[k].arcs) {
+			want += int64(len(ch.arcs)) * 8
+		}
+	}
+	for p, page := range c.pages {
+		if !sameArray(page, pc.pages[p]) {
+			want += int64(len(page)) * 8
+		}
+	}
+	if marginal := f.ApproxBytes(pf); marginal != want || marginal >= f.ApproxBytes(nil) {
+		t.Fatalf("marginal bytes %d, want %d (the table, the re-pointed pages and the re-packed chunks less their shared id and arc arrays)", marginal, want)
 	}
 	sh, ow, bytes := p.ShareStats(prev)
-	if sh != 1 || ow != 1 || bytes != marginal {
-		t.Fatalf("ShareStats = (%d shared, %d owned, %d bytes), want (1, 1, %d)", sh, ow, bytes, marginal)
+	if sh != 1 || ow != 1 || bytes != want {
+		t.Fatalf("ShareStats = (%d shared, %d owned, %d bytes), want (1, 1, %d)", sh, ow, bytes, want)
 	}
 
 	// A net arc change gives the fold an arc array of its own.
 	p.RemoveArc(1, s5, t4)
 	p.Compile()
-	if c2 := f.base.Load(); len(c2.arcs) != len(c.arcs)-1 || &c2.arcs[0] == &c.arcs[0] {
+	if f.NumArcs() != pf.NumArcs()-1 || SharesArcs(f, pf) {
 		t.Fatal("a removed arc must produce a new arc array")
 	}
 }
@@ -226,10 +319,10 @@ func TestCompileFoldIsIdempotent(t *testing.T) {
 
 // TestReplacementWaveFoldSharesBase: a wave that deletes an arc and
 // inserts it again (what a client rewriting an edge sends) leaves the
-// arc set as it was, so the fold shares the base's arcs, ids and local
-// arrays, and it finds that out without building an arc array to
-// compare: it allocates at least 4 bytes per arc less than a wave of
-// two deletes on the same fragment.
+// arc set as it was, so the fold of the chunk holding it shares the
+// chunk's arcs and ids arrays, and it finds that out without
+// building an arc array to compare: it allocates at least 4 bytes per
+// arc of the chunk less than a wave of two deletes on the same chunk.
 func TestReplacementWaveFoldSharesBase(t *testing.T) {
 	const n = 4000
 	b := graph.NewBuilder(n)
@@ -258,8 +351,12 @@ func TestReplacementWaveFoldSharesBase(t *testing.T) {
 	if c == old {
 		t.Fatal("the fold should build a new base")
 	}
-	if &c.arcs[0] != &old.arcs[0] || &c.ids[0] != &old.ids[0] || &c.local[0] != &old.local[0] {
-		t.Fatal("a delete + re-insert must share arcs, ids and local with the old base")
+	k := old.chunkOf[3]
+	if ch, och := c.chunks[k], old.chunks[k]; ch == och || !sameArray(ch.arcs, och.arcs) || !sameArray(ch.ids, och.ids) {
+		t.Fatal("a delete + re-insert must re-pack the chunk over its old arcs and ids")
+	}
+	if old.chunkOf[4] != k || old.chunkOf[6] != k || old.chunkOf[7] != k {
+		t.Fatal("vertices 3, 4, 6 and 7 should share a chunk")
 	}
 
 	// foldBytes is what wave plus the Compile that folds it allocate,
@@ -286,8 +383,8 @@ func TestReplacementWaveFoldSharesBase(t *testing.T) {
 		p.AddArc(0, 3, 4)
 		p.AddArc(0, 6, 7)
 	})
-	if arcs := uint64(f.NumArcs()); replaced+4*arcs > deleted {
-		t.Fatalf("replacement wave folds in %d bytes, delete-only wave in %d: want at least 4 × %d arcs = %d less",
+	if arcs := uint64(len(c.chunks[k].arcs)); replaced+4*arcs > deleted {
+		t.Fatalf("replacement wave folds in %d bytes, delete-only wave in %d: want at least 4 × %d arcs of the chunk = %d less",
 			replaced, deleted, arcs, 4*arcs)
 	}
 }

@@ -59,31 +59,28 @@ func sameFragment(t *testing.T, p, q *partition.Partition, i int) {
 	sameReads(t, p, q, i)
 	f, cf := p.Fragment(i), q.Fragment(i)
 	pk := cf.Packed()
-	if slots := len(pk.Arcs); f.NumArcs() != slots || len(pk.Out) != slots || len(pk.In) != slots {
-		t.Fatalf("frag %d: NumArcs %d vs %d arc slots, %d out and %d in entries", i, f.NumArcs(), slots, len(pk.Out), len(pk.In))
-	}
 	// The packed view is what the engine's scan plan addresses by
-	// index: local ids walk Vertices' order, the lists of consecutive
-	// local ids lie back to back in Out and In, ArcOff is the running
-	// out-degree, and an arc's slot lies in its source's ArcOff range.
-	l, out, in := 0, 0, 0
+	// index: local ids walk Vertices' order; the arc slots run through
+	// them in that order, each source's out-arcs one sorted run
+	// (ArcRun), and an arc's slot lies in its source's run.
+	l, out := 0, 0
 	cf.Vertices(func(v graph.VertexID, adj *partition.Adj) {
 		if pk.IDs[l] != v || int(pk.Local[v]) != l {
 			t.Fatalf("frag %d vertex %d: packed IDs/Local roundtrip broke (l=%d)", i, v, l)
 		}
-		if int(pk.ArcOff[l]) != out || !slices.Equal(pk.Adjs[l].Out, adj.Out) || !slices.Equal(pk.Adjs[l].In, adj.In) ||
-			!slices.Equal(pk.Out[out:out+len(adj.Out)], adj.Out) || !slices.Equal(pk.In[in:in+len(adj.In)], adj.In) {
-			t.Fatalf("frag %d vertex %d: packed lists do not lie at out %d / in %d", i, v, out, in)
+		run, first := cf.ArcRun(v)
+		if first != out && len(run) > 0 || len(run) != len(adj.Out) || !slices.IsSorted(run) {
+			t.Fatalf("frag %d vertex %d: arc run (%d arcs from slot %d) does not match, want slot %d", i, v, len(run), first, out)
 		}
 		for _, x := range adj.Out {
-			if slot, ok := cf.ArcIndex(v, x); !ok || slot < out || slot >= out+len(adj.Out) || pk.Arcs[slot] != uint64(v)<<32|uint64(x) {
+			if slot, ok := cf.ArcIndex(v, x); !ok || slot < out || slot >= out+len(adj.Out) || run[slot-first] != uint64(v)<<32|uint64(x) {
 				t.Fatalf("frag %d arc (%d,%d): slot %d outside its source's range [%d,%d)", i, v, x, slot, out, out+len(adj.Out))
 			}
 		}
-		l, out, in = l+1, out+len(adj.Out), in+len(adj.In)
+		l, out = l+1, out+len(adj.Out)
 	})
-	if len(pk.IDs) != l || int(pk.ArcOff[l]) != out || !slices.IsSorted(pk.Arcs) {
-		t.Fatalf("frag %d: packed view ends at %d ids / offset %d, walk at %d / %d", i, len(pk.IDs), pk.ArcOff[l], l, out)
+	if len(pk.IDs) != l || out != f.NumArcs() {
+		t.Fatalf("frag %d: packed view holds %d ids, the walk %d with %d arc slots of %d", i, len(pk.IDs), l, out, f.NumArcs())
 	}
 }
 
@@ -157,7 +154,7 @@ func checkQuickCompileEquivalence(t *testing.T) {
 			}
 			return true
 		})
-		return ok && mutateRecompileEquivalent(t, p, seed) && refinerOverlaysEquivalent(t, p)
+		return ok && mutateRecompileEquivalent(t, p, seed) && refinerOverlaysEquivalent(t, p) && chunkBoundaryFolds(t, p.Graph(), seed)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -282,8 +279,8 @@ func mutateRecompileEquivalent(t *testing.T, p *partition.Partition, seed int64)
 // into fragment 1, a vertex of fragment 2 dropped to a tombstone, an
 // arc of fragment 3 deleted and re-inserted — and holds the fold to the
 // from-scratch compile of a deep Clone taken through the same calls.
-// Fragment 3's arc set is back where it was, so its new base must still
-// share the arc array with the old one.
+// Fragment 3's arc set is back where it was, so the chunk holding the
+// arc's source must still share its arc array with the old one.
 func refinerOverlaysEquivalent(t *testing.T, p *partition.Partition) bool {
 	t.Helper()
 	live, oracle := p.CloneCOW(), p.Clone()
@@ -334,12 +331,207 @@ func refinerOverlaysEquivalent(t *testing.T, p *partition.Partition) bool {
 			return false
 		}
 	}
-	if !partition.SharesArcs(live.Fragment(3), prev.Fragment(3)) || partition.SharesArcs(live.Fragment(0), prev.Fragment(0)) {
-		t.Errorf("arc array sharing: fragment 3 (arc set unchanged) must share with the old base, fragment 0 (hub gone) must not")
+	if !partition.SharesArcRun(live.Fragment(3), prev.Fragment(3), u) || partition.SharesArcRun(live.Fragment(0), prev.Fragment(0), hub) {
+		t.Errorf("arc array sharing: fragment 3's chunk of %d (arc set unchanged) must share with the old base, fragment 0's of the hub (gone) must not", u)
 		return false
 	}
 	if err := live.EqualPlacement(oracle); err != nil {
 		t.Errorf("refiner-shaped overlay: fold diverges from the oracle: %v", err)
+		return false
+	}
+	return true
+}
+
+// chunkBoundaryFolds folds waves across chunk boundaries on a compiled
+// 5-fragment partition of g whose last fragment is built empty, and
+// drives an OverlayClone through the same calls: a hub that holds a
+// chunk of its own is rewired; a middle chunk is emptied by deletes
+// and then refilled; a vertex copy is added in a middle chunk; a chunk
+// grows past twice its build-time entries; and the fragment of one
+// chunk grows from nothing. After every fold each fragment keeps its
+// build-time boundaries and equals, array for array, the from-scratch
+// compile of the oracle.
+func chunkBoundaryFolds(t *testing.T, g *graph.Graph, seed int64) bool {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed ^ 0xc4a7))
+	assign := make([]int, g.NumVertices())
+	for v := range assign {
+		assign[v] = rng.Intn(4)
+	}
+	built, err := partition.FromVertexAssignment(g, assign, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, oracle := built.CloneCOW(), partition.OverlayClone(built)
+	both := func(fn func(q *partition.Partition)) { fn(live); fn(oracle) }
+	bounds := make([][]graph.VertexID, 5)
+	for i := range bounds {
+		bounds[i] = partition.ChunkBounds(live.Fragment(i))
+	}
+	if len(bounds[4]) != 1 || live.Fragment(4).NumArcs() != 0 {
+		t.Errorf("the empty fragment should be one chunk, has %d", len(bounds[4]))
+		return false
+	}
+	// chunkOf is the build-time chunk of v in fragment i; ids the
+	// build-time range of chunk k there.
+	chunkOf := func(i int, v graph.VertexID) int {
+		k, found := slices.BinarySearch(bounds[i], v)
+		if !found {
+			k--
+		}
+		return k
+	}
+	ids := func(i, k int) (lo, hi graph.VertexID) {
+		lo, hi = bounds[i][k], graph.VertexID(g.NumVertices())
+		if k+1 < len(bounds[i]) {
+			hi = bounds[i][k+1]
+		}
+		return lo, hi
+	}
+	fold := func(what string) bool {
+		next := live.CloneCOW()
+		ref := oracle.Clone()
+		for i := range bounds {
+			f := live.Fragment(i)
+			if !slices.Equal(partition.ChunkBounds(f), bounds[i]) {
+				t.Errorf("%s: fragment %d: the fold moved the chunk boundaries", what, i)
+				return false
+			}
+			if d := partition.SnapshotBase(f).Diff(partition.SnapshotBase(ref.Fragment(i))); d != "" {
+				t.Errorf("%s: fragment %d: fold differs from the from-scratch compile in %s", what, i, d)
+				return false
+			}
+			if err := partition.CheckPacked(f); err != nil {
+				t.Errorf("%s: %v", what, err)
+				return false
+			}
+		}
+		if err := next.EqualPlacement(ref); err != nil {
+			t.Errorf("%s: %v", what, err)
+			return false
+		}
+		return true
+	}
+
+	// A hub of fragment 0 holds a chunk of its own: its lists exceed a
+	// 64th of the fragment's entries. Drop one of its arcs, add another.
+	f0 := live.Fragment(0)
+	var hub graph.VertexID
+	f0.Vertices(func(v graph.VertexID, adj *partition.Adj) {
+		if adj.LocalDegree() > f0.Adjacency(hub).LocalDegree() {
+			hub = v
+		}
+	})
+	share := (2*f0.NumArcs() + 63) / 64
+	if hk := chunkOf(0, hub); !slices.Equal(partition.ChunkIDs(f0, hk), []graph.VertexID{hub}) || f0.Adjacency(hub).LocalDegree() <= share {
+		t.Errorf("hub %d (%d entries, share %d) does not hold a chunk of its own", hub, f0.Adjacency(hub).LocalDegree(), share)
+		return false
+	}
+	out, to := slices.Clone(f0.Adjacency(hub).Out), graph.VertexID(rng.Intn(g.NumVertices()))
+	both(func(q *partition.Partition) {
+		if len(out) > 0 {
+			q.RemoveArc(0, hub, out[0])
+		}
+		q.AddArc(0, hub, to)
+	})
+	if !fold("hub") {
+		return false
+	}
+
+	// Empty a middle chunk of fragment 1 by deletes, then refill it.
+	k1 := len(bounds[1]) / 2
+	var arcs [][2]graph.VertexID
+	for _, v := range partition.ChunkIDs(live.Fragment(1), k1) {
+		adj := live.Fragment(1).Adjacency(v)
+		for _, w := range adj.Out {
+			arcs = append(arcs, [2]graph.VertexID{v, w})
+		}
+		for _, w := range adj.In {
+			arcs = append(arcs, [2]graph.VertexID{w, v})
+		}
+	}
+	both(func(q *partition.Partition) {
+		for _, a := range arcs {
+			q.RemoveArc(1, a[0], a[1])
+		}
+	})
+	if !fold("emptied") {
+		return false
+	}
+	f1 := live.Fragment(1)
+	if n := partition.ChunkEntries(f1)[k1]; n != 0 || len(arcs) == 0 {
+		t.Errorf("chunk %d of fragment 1 held %d arcs and still holds %d entries after they were deleted", k1, len(arcs), n)
+		return false
+	}
+	for _, v := range partition.ChunkIDs(f1, k1) {
+		if f1.Adjacency(v).LocalDegree() != 0 {
+			t.Errorf("vertex %d of the emptied chunk kept its lists", v)
+			return false
+		}
+	}
+	both(func(q *partition.Partition) {
+		for _, a := range arcs {
+			q.AddArc(1, a[0], a[1])
+		}
+	})
+	if !fold("refilled") {
+		return false
+	}
+
+	// Add a vertex copy in a middle chunk of fragment 2: an id of the
+	// chunk's range the fragment holds no copy of.
+	f2 := live.Fragment(2)
+	added := false
+	for k := 1; k+1 < len(bounds[2]) && !added; k++ {
+		lo, hi := ids(2, k)
+		for x := lo; x < hi && !added; x++ {
+			if !f2.Has(x) {
+				y := partition.ChunkIDs(f2, 0)[0]
+				both(func(q *partition.Partition) { q.AddArc(2, x, y) })
+				if !fold("new copy") {
+					return false
+				}
+				if added = slices.Contains(partition.ChunkIDs(f2, k), x); !added {
+					t.Errorf("vertex %d added to fragment 2 is not in chunk %d, whose range holds it", x, k)
+					return false
+				}
+			}
+		}
+	}
+	if !added {
+		t.Errorf("fragment 2 holds every id of its middle chunks")
+		return false
+	}
+
+	// Grow a middle chunk of fragment 3 past twice its build-time size.
+	k3 := len(bounds[3]) / 2
+	before := partition.ChunkEntries(live.Fragment(3))[k3]
+	src := partition.ChunkIDs(live.Fragment(3), k3)
+	for n, w := 0, graph.VertexID(0); n <= before && int(w) < g.NumVertices(); w++ {
+		if u := src[int(w)%len(src)]; u != w && !live.Fragment(3).HasArc(u, w) {
+			both(func(q *partition.Partition) { q.AddArc(3, u, w) })
+			n++
+		}
+	}
+	if !fold("grown") {
+		return false
+	}
+	if after := partition.ChunkEntries(live.Fragment(3))[k3]; after <= 2*before {
+		t.Errorf("chunk %d of fragment 3 grew from %d to %d entries, want more than twice", k3, before, after)
+		return false
+	}
+
+	// The empty fragment: one chunk, grown from nothing.
+	both(func(q *partition.Partition) {
+		for v := 0; v < g.NumVertices(); v += 7 {
+			q.AddArc(4, graph.VertexID(v), graph.VertexID((v*31+5)%g.NumVertices()))
+		}
+	})
+	if !fold("one chunk") {
+		return false
+	}
+	if f := live.Fragment(4); f.NumChunks() != 1 || f.NumArcs() == 0 {
+		t.Errorf("the fragment of one chunk has %d chunks and %d arcs after growing", f.NumChunks(), f.NumArcs())
 		return false
 	}
 	return true

@@ -16,20 +16,21 @@ import (
 
 // buildCompiled constructs a compiled fragment from an arc-key list in
 // insertion order (deduplicated; key = src<<32|dst) plus edge-less
-// placeholder vertices. nv is the graph's vertex universe; every
-// endpoint must be < nv (callers validate).
+// placeholder vertices: packed whole as one chunk over every id, then
+// split at the boundaries chunkShare sets. nv is the graph's vertex
+// universe; every endpoint must be < nv (callers validate).
 func buildCompiled(nv int, keys []uint64, loners []graph.VertexID) *compiledFragment {
 	// Vertex universe: arc endpoints plus loners, ascending, unique —
 	// derived by marking presence in the local array and scanning it in
 	// id order, O(nv + keys) instead of sorting a 2|keys| scratch.
-	c := &compiledFragment{local: make([]int32, nv)}
-	for i := range c.local {
-		c.local[i] = -1
+	c, local := &chunk{}, make([]int32, nv)
+	for i := range local {
+		local[i] = -1
 	}
 	members := 0
 	mark := func(v graph.VertexID) {
-		if c.local[v] < 0 {
-			c.local[v] = 0
+		if local[v] < 0 {
+			local[v] = 0
 			members++
 		}
 	}
@@ -42,8 +43,8 @@ func buildCompiled(nv int, keys []uint64, loners []graph.VertexID) *compiledFrag
 	}
 	ids := make([]graph.VertexID, 0, members)
 	for v := 0; v < nv; v++ {
-		if c.local[v] >= 0 {
-			c.local[v] = int32(len(ids))
+		if local[v] >= 0 {
+			local[v] = int32(len(ids))
 			ids = append(ids, graph.VertexID(v))
 		}
 	}
@@ -56,8 +57,8 @@ func buildCompiled(nv int, keys []uint64, loners []graph.VertexID) *compiledFrag
 	outOff := make([]int32, len(ids)+1)
 	inOff := make([]int32, len(ids)+1)
 	for _, k := range keys {
-		outOff[c.local[graph.VertexID(k>>32)]+1]++
-		inOff[c.local[graph.VertexID(k)]+1]++
+		outOff[local[graph.VertexID(k>>32)]+1]++
+		inOff[local[graph.VertexID(k)]+1]++
 	}
 	for l := 0; l < len(ids); l++ {
 		outOff[l+1] += outOff[l]
@@ -71,7 +72,7 @@ func buildCompiled(nv int, keys []uint64, loners []graph.VertexID) *compiledFrag
 	copy(inPos, inOff[:len(ids)])
 	for _, k := range keys {
 		u, v := graph.VertexID(k>>32), graph.VertexID(k)
-		lu, lv := c.local[u], c.local[v]
+		lu, lv := local[u], local[v]
 		c.outAdj[outPos[lu]] = v
 		outPos[lu]++
 		c.inAdj[inPos[lv]] = u
@@ -95,11 +96,11 @@ func buildCompiled(nv int, keys []uint64, loners []graph.VertexID) *compiledFrag
 		}
 	}
 	c.arcOff = outOff
-	return c
+	return splitChunks(c, nv, nil)
 }
 
 // appendArcRun appends the arc keys v is the source of, ascending: the
-// slots arcOff gives v in a compiled fragment's arc array.
+// slots arcOff gives v in a compiled chunk's arc array.
 func appendArcRun(dst []uint64, v graph.VertexID, out []graph.VertexID) []uint64 {
 	n := len(dst)
 	for _, w := range out {
@@ -175,9 +176,7 @@ func assembleFrozen(g *graph.Graph, frags []*Fragment, master []int32) *Partitio
 	}
 	off := make([]int32, nv+1)
 	for _, f := range frags {
-		for _, v := range f.base.Load().ids {
-			off[v+1]++
-		}
+		f.Vertices(func(v graph.VertexID, _ *Adj) { off[v+1]++ })
 	}
 	for v := 0; v < nv; v++ {
 		off[v+1] += off[v]
@@ -186,10 +185,7 @@ func assembleFrozen(g *graph.Graph, frags []*Fragment, master []int32) *Partitio
 	pos := make([]int32, nv)
 	copy(pos, off[:nv])
 	for i, f := range frags {
-		for _, v := range f.base.Load().ids {
-			arena[pos[v]] = int32(i)
-			pos[v]++
-		}
+		f.Vertices(func(v graph.VertexID, _ *Adj) { arena[pos[v]], pos[v] = int32(i), pos[v]+1 })
 	}
 	for v := 0; v < nv; v++ {
 		if lo, hi := off[v], off[v+1]; lo < hi {
@@ -278,14 +274,18 @@ func (b *Builder) Build(loner func(v graph.VertexID) int) *Partition {
 
 // AppendSortedArcKeys appends every stored arc as a packed
 // src<<32|dst key in ascending order and returns the extended slice.
-// Compiled fragments answer straight from the sorted base arc array;
-// an overlay costs one sort of its touched ids plus the fold by runs.
-// Callers (composite storage and coherence checks) use this to merge
-// fragments without hashing each arc.
+// Compiled fragments answer straight from the chunks' sorted arc
+// arrays; an overlay costs one sort of its touched ids plus the fold by
+// runs. Callers (composite storage and coherence checks) use this to
+// merge fragments without hashing each arc.
 func (f *Fragment) AppendSortedArcKeys(dst []uint64) []uint64 {
-	ov, b := f.ov.Load(), f.base.Load()
-	if ov == nil || ov.edits == 0 {
-		return append(dst, b.arcs...)
+	var touched []graph.VertexID
+	ov, c := f.ov.Load(), f.base.Load()
+	if ov != nil && ov.edits != 0 {
+		touched = ov.sortedVerts()
 	}
-	return appendFoldedArcs(dst, b, ov, ov.sortedVerts())
+	c.eachChunk(touched, func(k int, t []graph.VertexID) {
+		dst = appendFoldedArcs(dst, c.chunks[k], ov, t)
+	})
+	return dst
 }

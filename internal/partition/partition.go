@@ -63,7 +63,7 @@ func (a *Adj) LocalDegree() int { return len(a.Out) + len(a.In) }
 // held as per-vertex adjacency plus an arc set.
 //
 // A Fragment is one thing: an immutable compiled base (see
-// compiledFragment) plus an overlay holding only the vertices a
+// compiledFragment, a table of chunks) plus an overlay holding only the vertices a
 // mutation touched, addressed by a dense vertex index, not hashed.
 // The constructors emit bases (see Builder); NewEmpty starts from an
 // overlay over the empty base. Compile folds the overlay into a new
@@ -121,7 +121,7 @@ func (f *Fragment) mutable(numVertices int) *overlay {
 	}
 	f.stale = nil
 	c := f.base.Load()
-	ov := &overlay{slot: f.slot, adjs: []*Adj{nil}, nVerts: len(c.ids), nArcs: len(c.arcs)}
+	ov := &overlay{slot: f.slot, adjs: []*Adj{nil}, nVerts: c.nIDs, nArcs: c.nArcs}
 	f.ov.Store(ov)
 	return ov
 }
@@ -173,7 +173,7 @@ func (f *Fragment) NumArcs() int {
 	if ov := f.ov.Load(); ov != nil {
 		return ov.nArcs
 	}
-	return len(f.base.Load().arcs)
+	return f.base.Load().nArcs
 }
 
 // NumVertices returns the number of vertex copies (including dummies)
@@ -182,7 +182,7 @@ func (f *Fragment) NumVertices() int {
 	if ov := f.ov.Load(); ov != nil {
 		return ov.nVerts
 	}
-	return len(f.base.Load().ids)
+	return f.base.Load().nIDs
 }
 
 // Has reports whether a copy of v is present. It and Adjacency spell
@@ -223,29 +223,32 @@ func (f *Fragment) Adjacency(v graph.VertexID) *Adj {
 	return f.base.Load().adjacency(v)
 }
 
-// Vertices calls fn for every vertex copy in ascending id order.
-// Deterministic iteration keeps the refiners reproducible. On a
-// compiled fragment this walks the prebuilt id array (no per-call
-// sort); with an overlay the sorted touched ids are merged into that
-// walk.
+// Vertices calls fn for every vertex copy in ascending id order (the
+// refiners' determinism): the chunks' id arrays, merged with the sorted
+// touched ids of an overlay.
 func (f *Fragment) Vertices(fn func(v graph.VertexID, adj *Adj)) {
-	c := f.base.Load()
-	l := 0
-	if ov := f.ov.Load(); ov != nil {
-		for _, v := range ov.sortedVerts() {
-			for ; l < len(c.ids) && c.ids[l] < v; l++ {
-				fn(c.ids[l], &c.adjs[l])
+	var touched []graph.VertexID
+	ov, chunks := f.ov.Load(), f.base.Load().chunks
+	if ov != nil {
+		touched = ov.sortedVerts()
+	}
+	emit := func(v graph.VertexID) {
+		if adj, _ := ov.at(v); adj != nil {
+			fn(v, adj)
+		}
+	}
+	for _, ch := range chunks {
+		for l, v := range ch.ids {
+			for ; len(touched) > 0 && touched[0] < v; touched = touched[1:] {
+				emit(touched[0])
 			}
-			if l < len(c.ids) && c.ids[l] == v {
-				l++
-			}
-			if adj, _ := ov.at(v); adj != nil {
-				fn(v, adj)
+			if len(touched) == 0 || touched[0] != v { // else the overlay's copy comes next
+				fn(v, &ch.adjs[l])
 			}
 		}
 	}
-	for ; l < len(c.ids); l++ {
-		fn(c.ids[l], &c.adjs[l])
+	for _, v := range touched {
+		emit(v)
 	}
 }
 

@@ -84,10 +84,10 @@ func TestNEVertexCutMatchesMapBuild(t *testing.T) {
 					}
 					gp, wp := got.Fragment(i).Packed(), want.Fragment(i).Packed()
 					same := slices.Equal(gp.IDs, wp.IDs) && slices.Equal(gp.Local, wp.Local) &&
-						slices.Equal(gp.Out, wp.Out) && slices.Equal(gp.In, wp.In) &&
-						slices.Equal(gp.Arcs, wp.Arcs) && slices.Equal(gp.ArcOff, wp.ArcOff)
-					for l := 0; same && l < len(gp.Adjs); l++ {
-						same = slices.Equal(gp.Adjs[l].Out, wp.Adjs[l].Out) && slices.Equal(gp.Adjs[l].In, wp.Adjs[l].In)
+						slices.Equal(got.Fragment(i).AppendSortedArcKeys(nil), want.Fragment(i).AppendSortedArcKeys(nil))
+					for _, v := range gp.IDs {
+						ga, wa := got.Fragment(i).Adjacency(v), want.Fragment(i).Adjacency(v)
+						same = same && slices.Equal(ga.Out, wa.Out) && slices.Equal(ga.In, wa.In)
 					}
 					if !same {
 						t.Fatalf("%s: fragment %d differs from the map-built base", what, i)

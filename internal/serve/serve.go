@@ -418,20 +418,11 @@ func (s *Server) applyLoop() {
 	}
 }
 
-// A cut copies every fragment its wave touched, and one 8-mutation
-// batch touches most of them, so a publish costs about as much for one
-// batch as for maxBatch. Writers that post together should therefore
-// share one wave, not fall into alternating waves of one whenever the
-// first beats the second to the loop by microseconds.
-const gatherWindow = 2 * time.Millisecond
-
-// gather returns the wave b opens: unless maxBatch batches are already
-// queued it first waits gatherWindow for company, then it takes what is
-// queued, up to maxBatch batches in all.
+// gather returns the wave b opens: b and whatever is already queued
+// behind it, up to maxBatch batches in all. It does not wait for
+// company: a cut re-packs only the chunks its wave touched, so a wave
+// of one batch costs about one batch's worth of cut.
 func (s *Server) gather(b *updateBatch) []*updateBatch {
-	if len(s.updates)+1 < maxBatch {
-		time.Sleep(gatherWindow)
-	}
 	wave := []*updateBatch{b}
 	for len(wave) < maxBatch {
 		select {

@@ -30,7 +30,7 @@ func TestRunPRSteadyStateZeroAllocs(t *testing.T) {
 			}
 		}
 	}
-	run(24)() // warm outboxes, inboxes, arenas and state capacities
+	run(24)() // warm outboxes, inboxes and state capacities
 	short := testing.AllocsPerRun(5, run(3))
 	long := testing.AllocsPerRun(5, run(24))
 	if long > short {

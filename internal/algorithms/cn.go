@@ -44,7 +44,7 @@ func RunCN(c *engine.Cluster, opts CNOptions) (CNResult, *engine.Report, error) 
 			}
 		},
 	}
-	step := func(w *engine.WorkerCtx, s int, inbox []engine.Message) bool {
+	step := func(w *engine.WorkerCtx, s int, in engine.Inbox) bool {
 		switch s {
 		case 0:
 			st := reuseState[cnState](w)
@@ -53,27 +53,27 @@ func RunCN(c *engine.Cluster, opts CNOptions) (CNResult, *engine.Report, error) 
 			return false
 		case 1:
 			st := w.State.(*cnState)
-			exch.step1(w, &st.exch, inbox)
+			exch.step1(w, &st.exch, in)
 			return false
 		case 2:
 			st := w.State.(*cnState)
-			exch.step2(w, &st.exch, inbox)
+			exch.step2(w, &st.exch, in)
 			var count int64
 			var checksum uint64
-			in := w.InScan()
+			scan := w.InScan()
 			for l, v := range w.Plan().IDs {
 				fullIn := st.exch.full[l]
 				if len(fullIn) == 0 || !inTheta(v) {
 					continue
 				}
 				responsible := 0
-				for k := in.Off[l]; k < in.Off[l+1]; k++ {
-					if !in.Responsible(k) {
+				for k := scan.Off[l]; k < scan.Off[l+1]; k++ {
+					if !scan.Responsible(k) {
 						continue
 					}
 					responsible++
 					// u pairs with the in-neighbours after it in id order.
-					u := in.NbrID(k)
+					u := scan.NbrID(k)
 					pos, found := slices.BinarySearch(fullIn, u)
 					if found {
 						pos++
@@ -97,7 +97,7 @@ func RunCN(c *engine.Cluster, opts CNOptions) (CNResult, *engine.Report, error) 
 		case 3:
 			if w.ID() == 0 {
 				st := w.State.(*cnState)
-				for _, m := range inbox {
+				for _, m := range in.Msgs {
 					if m.Kind == kindCNCount {
 						st.total.Triples += int64(m.Data[0])
 						st.total.Checksum += uint64(m.Data[1])<<32 | uint64(m.Data[2])

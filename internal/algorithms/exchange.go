@@ -106,19 +106,19 @@ func (e *neighborExchange) step0(w *engine.WorkerCtx, st *exchState) {
 		case f&engine.FlagMaster != 0:
 			st.pending = append(st.pending, int32(l))
 		default:
-			// The requester id rides in Data[0] so the master knows
-			// where to respond.
+			// The requester id rides in X so the master knows where to
+			// respond.
 			x := pl.IDs[l]
 			w.SendVal(p.Master(x), x, kindAdjReq, float64(w.ID()))
 		}
 	}
 }
 
-func (e *neighborExchange) step1(w *engine.WorkerCtx, st *exchState, inbox []engine.Message) {
-	pl := w.Plan()
+func (e *neighborExchange) step1(w *engine.WorkerCtx, st *exchState, in engine.Inbox) {
+	pl, inbox := w.Plan(), in.Msgs
 	nl := len(pl.IDs)
-	// Chain the shares per subject, walking the inbox backwards so each
-	// chain runs in delivery order.
+	// Chain the shares per subject, walking the rich lane backwards so
+	// each chain runs in delivery order.
 	st.head, st.next = sized(st.head, nl), sized(st.next, len(inbox))
 	for l := range st.head {
 		st.head[l] = -1
@@ -146,10 +146,10 @@ func (e *neighborExchange) step1(w *engine.WorkerCtx, st *exchState, inbox []eng
 		}
 		return list
 	}
-	for _, m := range inbox {
+	for _, m := range in.Vals {
 		if m.Kind == kindAdjReq {
 			list := mergedList(pl.Local[m.V])
-			w.Send(int(m.Data[0]), engine.Message{V: m.V, Kind: kindAdjResp, Adj: list})
+			w.Send(int(m.X), engine.Message{V: m.V, Kind: kindAdjResp, Adj: list})
 			w.ChargeVertexComm(m.V, float64(len(list)))
 		}
 	}
@@ -170,9 +170,9 @@ func (e *neighborExchange) step1(w *engine.WorkerCtx, st *exchState, inbox []eng
 	}
 }
 
-func (e *neighborExchange) step2(w *engine.WorkerCtx, st *exchState, inbox []engine.Message) {
+func (e *neighborExchange) step2(w *engine.WorkerCtx, st *exchState, in engine.Inbox) {
 	pl := w.Plan()
-	for _, m := range inbox {
+	for _, m := range in.Msgs {
 		if m.Kind == kindAdjResp {
 			st.full[pl.Local[m.V]] = m.Adj
 		}

@@ -60,7 +60,7 @@ func RunPR(c *engine.Cluster, opts PROptions) ([]float64, *engine.Report, error)
 	n := g.NumVertices()
 	invN := 1 / float64(n)
 
-	step := func(w *engine.WorkerCtx, s int, inbox []engine.Message) bool {
+	step := func(w *engine.WorkerCtx, s int, in engine.Inbox) bool {
 		pl := w.Plan()
 		st, _ := w.State.(*prState)
 		if st == nil {
@@ -75,12 +75,12 @@ func RunPR(c *engine.Cluster, opts PROptions) ([]float64, *engine.Report, error)
 		if iter >= opts.Iterations {
 			return true
 		}
-		w.AddWork(float64(len(inbox)))
+		w.AddWork(float64(in.Len()))
 		if s%2 == 0 {
 			// Apply rank broadcasts from the previous odd superstep.
-			for _, m := range inbox {
+			for _, m := range in.Vals {
 				if m.Kind == kindRank {
-					st.rank[pl.Local[m.V]] = m.Data[0]
+					st.rank[pl.Local[m.V]] = m.X
 				}
 			}
 			// Dangling mass is counted once, at the vertex's compute
@@ -96,13 +96,13 @@ func RunPR(c *engine.Cluster, opts PROptions) ([]float64, *engine.Report, error)
 			}
 			// Accumulate partials over responsible in-arcs, shipping
 			// border partials to masters and keeping local ones.
-			in := w.InScan()
+			scan := w.InScan()
 			for l, v := range pl.IDs {
-				lo, hi := in.Off[l], in.Off[l+1]
+				lo, hi := scan.Off[l], scan.Off[l+1]
 				sum, any := 0.0, false
 				for k := lo; k < hi; k++ {
-					if in.Responsible(k) {
-						sum += st.contrib[in.Nbr[k]]
+					if scan.Responsible(k) {
+						sum += st.contrib[scan.Nbr[k]]
 						any = true
 					}
 				}
@@ -127,12 +127,12 @@ func RunPR(c *engine.Cluster, opts PROptions) ([]float64, *engine.Report, error)
 		}
 		// Odd superstep: masters combine.
 		var danglingTerm float64
-		for _, m := range inbox {
+		for _, m := range in.Vals {
 			switch m.Kind {
 			case kindPartial:
-				st.partial[pl.Local[m.V]] += m.Data[0]
+				st.partial[pl.Local[m.V]] += m.X
 			case kindDangling:
-				danglingTerm += m.Data[0]
+				danglingTerm += m.X
 			}
 		}
 		base := (1-opts.Damping)*invN + opts.Damping*danglingTerm*invN

@@ -118,7 +118,7 @@ const (
 // fragment holds keeps its starting value).
 func (pr *propagation) run(c *engine.Cluster, maxSupersteps int) ([]float64, *engine.Report, error) {
 	p := c.Partition()
-	step := func(w *engine.WorkerCtx, s int, inbox []engine.Message) bool {
+	step := func(w *engine.WorkerCtx, s int, in engine.Inbox) bool {
 		st, _ := w.State.(*propState)
 		if st == nil {
 			st = reuseState[propState](w)
@@ -132,10 +132,10 @@ func (pr *propagation) run(c *engine.Cluster, maxSupersteps int) ([]float64, *en
 		pl := st.pl
 		// (1) apply incoming updates.
 		st.pq = st.pq[:0]
-		for _, m := range inbox {
-			st.lower(m.V, m.Data[0])
+		for _, m := range in.Vals {
+			st.lower(m.V, m.X)
 		}
-		w.AddWork(float64(len(inbox)))
+		w.AddWork(float64(in.Len()))
 		// On the first superstep every vertex is a seed, and the full
 		// scan is where per-vertex cost samples come from: each vertex
 		// is charged its local degree exactly once (the hWCC/hSSSP

@@ -66,7 +66,7 @@ func RunTC(c *engine.Cluster) (int64, *engine.Report, error) {
 			}
 		},
 	}
-	step := func(w *engine.WorkerCtx, s int, inbox []engine.Message) bool {
+	step := func(w *engine.WorkerCtx, s int, in engine.Inbox) bool {
 		switch s {
 		case 0:
 			st := reuseState[tcState](w)
@@ -75,11 +75,11 @@ func RunTC(c *engine.Cluster) (int64, *engine.Report, error) {
 			return false
 		case 1:
 			st := w.State.(*tcState)
-			exch.step1(w, &st.exch, inbox)
+			exch.step1(w, &st.exch, in)
 			return false
 		case 2:
 			st := w.State.(*tcState)
-			exch.step2(w, &st.exch, inbox)
+			exch.step2(w, &st.exch, in)
 			pl, out, full := w.Plan(), w.OutScan(), st.exch.full
 			st.upper, st.upperOff = st.upper[:0], sized(st.upperOff, len(pl.IDs)+1)
 			for l, a := range pl.IDs {
@@ -119,14 +119,14 @@ func RunTC(c *engine.Cluster) (int64, *engine.Report, error) {
 					w.ChargeVertex(out.NbrID(k), float64(len(full[lb])))
 				}
 			}
-			w.Send(0, engine.Message{Kind: kindTCCount, Data: []float64{float64(count)}})
+			w.SendVal(0, 0, kindTCCount, float64(count))
 			return false
 		case 3:
 			if w.ID() == 0 {
 				st := w.State.(*tcState)
-				for _, m := range inbox {
+				for _, m := range in.Vals {
 					if m.Kind == kindTCCount {
-						st.total += int64(m.Data[0])
+						st.total += int64(m.X)
 					}
 				}
 			}

@@ -3,7 +3,6 @@ package algorithms
 import (
 	"testing"
 
-	"adp/internal/composite"
 	"adp/internal/costmodel"
 	"adp/internal/engine"
 	"adp/internal/gen"
@@ -42,43 +41,5 @@ func TestWarmRunAllocs(t *testing.T) {
 				t.Errorf("N=%d %v: warm run allocates %.0f times, want <= %d", n, algo, got, bound)
 			}
 		}
-	}
-}
-
-// BenchmarkRunBatch is the serving plane's run batch without the
-// daemon: the five algorithms, each on a warm cluster over its own
-// partition of an ME2H composite.
-func BenchmarkRunBatch(b *testing.B) {
-	g := gen.PowerLaw(gen.PowerLawConfig{N: 6000, AvgDeg: 8, Exponent: 2.1, Seed: 3})
-	base, err := partitioner.FennelEdgeCut(g, 8, partitioner.FennelConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	algos := costmodel.Algos()
-	models := make([]costmodel.CostModel, len(algos))
-	for j, a := range algos {
-		models[j] = costmodel.Reference(a)
-	}
-	comp, _, err := composite.ME2H(base, models, composite.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := Options{PRIterations: 10, SSSPSource: 1}
-	clusters := make([]*engine.Cluster, len(algos))
-	batch := func() {
-		for j, a := range algos {
-			if _, err := Run(clusters[j], a, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	for j := range algos {
-		clusters[j] = engine.NewCluster(comp.Partition(j))
-	}
-	batch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch()
 	}
 }

@@ -17,9 +17,11 @@
 // plan from it on first use (plan.go: adjacency by local id, arc
 // responsibility as one cached bit per list position), per-vertex cost
 // charging is dense, and the message plane reuses its outbox/inbox
-// buffers and scalar payload arenas across supersteps and Runs — the
-// steady-state superstep loop performs no heap allocations (locked in
-// by TestSteadyStateZeroAllocs).
+// buffers across supersteps and Runs — the steady-state superstep loop
+// performs no heap allocations (locked in by TestSteadyStateZeroAllocs).
+// Messages travel in two lanes: pointer-free 16-byte Vals (SendVal),
+// which the garbage collector never scans, and Messages that carry
+// slices (Send).
 package engine
 
 import (
@@ -32,9 +34,21 @@ import (
 	"adp/internal/pool"
 )
 
-// Message is one unit of communication between workers. V names the
-// subject vertex; Data carries numeric payload and Adj carries
-// adjacency payload (for the neighbourhood-exchange algorithms).
+// Val is a scalar message: one float X about vertex V. It holds no
+// pointer, so the buffers of the scalar lane are never scanned by the
+// garbage collector and never need clearing.
+type Val struct {
+	V    graph.VertexID
+	Kind uint8
+	X    float64
+}
+
+// valSize is a Val's wire size: that of a Message with one Data float.
+const valSize = 16
+
+// Message is a message that carries slices: V names the subject
+// vertex; Data carries numeric payload and Adj carries adjacency
+// payload (for the neighbourhood-exchange algorithms).
 type Message struct {
 	V    graph.VertexID
 	Kind uint8
@@ -47,17 +61,26 @@ func (m Message) Size() int64 {
 	return 8 + 8*int64(len(m.Data)) + 4*int64(len(m.Adj))
 }
 
-// StepFunc advances one worker by one superstep. inbox holds the
-// messages addressed to this worker during the previous superstep
-// (grouped by sending worker in ascending order). Returning true
-// votes to halt; the run stops when every worker votes to halt in the
-// same superstep and no messages are in flight.
+// Inbox holds both lanes of the messages one worker receives in a
+// superstep, each grouped by sending worker in ascending order; a
+// worker's outbox to one destination has the same shape.
+type Inbox struct {
+	Vals []Val
+	Msgs []Message
+}
+
+// Len counts the messages of both lanes.
+func (in Inbox) Len() int { return len(in.Vals) + len(in.Msgs) }
+
+// StepFunc advances one worker by one superstep. in holds the messages
+// addressed to this worker during the previous superstep. Returning
+// true votes to halt; the run stops when every worker votes to halt in
+// the same superstep and no messages are in flight.
 //
-// The inbox slice (and the payload of SendVal-sent messages) is only
-// valid for the duration of the call: the engine reuses the backing
-// buffers on the following superstep. Copy values out; do not retain
-// the slice.
-type StepFunc func(w *WorkerCtx, superstep int, inbox []Message) (halt bool)
+// The inbox slices are only valid for the duration of the call: the
+// engine reuses their backing buffers on the following superstep. Copy
+// values out; do not retain the slices.
+type StepFunc func(w *WorkerCtx, superstep int, in Inbox) (halt bool)
 
 // Report aggregates the execution statistics of one Run.
 type Report struct {
@@ -119,8 +142,8 @@ type Cluster struct {
 
 	// inboxes and halts are the barrier's per-worker buffers, kept
 	// here so their capacity survives Runs: a Run truncates the inboxes
-	// at its start and zeroes their slots at its end.
-	inboxes [][]Message
+	// at its start and zeroes their Msgs slots at its end.
+	inboxes []Inbox
 	halts   []bool
 
 	recordCosts bool
@@ -138,12 +161,12 @@ type Cluster struct {
 func NewCluster(p *partition.Partition) *Cluster {
 	n := p.NumFragments()
 	c := &Cluster{p: p, n: n, pl: pool.Default(),
-		inboxes: make([][]Message, n), halts: make([]bool, n)}
+		inboxes: make([]Inbox, n), halts: make([]bool, n)}
 	p.Compile()
 	c.buildResponsibility()
 	c.workers = make([]*WorkerCtx, c.n)
 	for i := 0; i < c.n; i++ {
-		c.workers[i] = &WorkerCtx{cluster: c, id: i, frag: p.Fragment(i), outbox: make([][]Message, c.n)}
+		c.workers[i] = &WorkerCtx{cluster: c, id: i, frag: p.Fragment(i), outbox: make([]Inbox, c.n)}
 	}
 	return c
 }
@@ -257,11 +280,11 @@ func (c *Cluster) Run(init func(w *WorkerCtx), step StepFunc, maxSupersteps int)
 // panic the same way.
 //
 // The superstep loop is allocation-free in the steady state: the
-// fan-out closures are hoisted out of the loop, outboxes and inboxes
-// are truncated and refilled in place, and SendVal payloads come from
-// the workers' double-buffered arenas. Per-superstep heap traffic is
-// therefore zero once buffer capacities stabilise, and the buffers
-// belong to the cluster, so the next Run finds them warm.
+// fan-out closures are hoisted out of the loop, and both lanes of the
+// outboxes and inboxes are truncated and refilled in place.
+// Per-superstep heap traffic is therefore zero once buffer capacities
+// stabilise, and the buffers belong to the cluster, so the next Run
+// finds them warm.
 func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step StepFunc, maxSupersteps int) (*Report, error) {
 	start := time.Now()
 	rep := &Report{
@@ -279,7 +302,7 @@ func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step Step
 	inboxes, halts := c.inboxes, c.halts
 	for i, w := range c.workers {
 		w.reset()
-		inboxes[i] = inboxes[i][:0]
+		inboxes[i] = Inbox{inboxes[i].Vals[:0], inboxes[i].Msgs[:0]}
 	}
 	defer c.releaseMessages()
 	if init != nil {
@@ -293,28 +316,21 @@ func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step Step
 	stepChunk := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			w := c.workers[i]
-			// Flip the scalar arena: parity s&1 is written now, read
-			// by receivers during s+1, and truncated here at s+2.
-			if s >= 2 {
-				w.arenas[s&1] = w.arenas[s&1][:0]
-			}
-			w.arenaCur = uint8(s & 1)
 			w.stepWork = 0
 			w.stepBytes = 0
 			halts[i] = step(w, s, inboxes[i])
 		}
 	}
 	deliverChunk := func(lo, hi int) {
-		// Inbox dst is assembled from every sender's outbox in
-		// ascending sender order into dst's capacity-retained buffer,
-		// so delivery order is a pure function of the superstep's
-		// sends regardless of pool size.
+		// Each lane of inbox dst is assembled from every sender's
+		// outbox in ascending sender order into dst's
+		// capacity-retained buffer, so delivery order is a pure
+		// function of the superstep's sends regardless of pool size.
 		for dst := lo; dst < hi; dst++ {
-			in := inboxes[dst][:0]
+			in := Inbox{inboxes[dst].Vals[:0], inboxes[dst].Msgs[:0]}
 			for _, w := range c.workers {
-				if msgs := w.outbox[dst]; len(msgs) > 0 {
-					in = append(in, msgs...)
-				}
+				in.Vals = append(in.Vals, w.outbox[dst].Vals...)
+				in.Msgs = append(in.Msgs, w.outbox[dst].Msgs...)
 			}
 			inboxes[dst] = in
 		}
@@ -325,12 +341,13 @@ func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step Step
 		// the buffers' capacity for the next superstep's sends.
 		for i := lo; i < hi; i++ {
 			w := c.workers[i]
-			for dst, msgs := range w.outbox {
-				rep.MsgCount[i] += int64(len(msgs))
-				for _, m := range msgs {
+			for dst, out := range w.outbox {
+				rep.MsgCount[i] += int64(out.Len())
+				rep.MsgBytes[i] += valSize * int64(len(out.Vals))
+				for _, m := range out.Msgs {
 					rep.MsgBytes[i] += m.Size()
 				}
-				w.outbox[dst] = msgs[:0]
+				w.outbox[dst] = Inbox{out.Vals[:0], out.Msgs[:0]}
 			}
 		}
 	}
@@ -367,7 +384,7 @@ func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step Step
 		c.pl.RunChunks(c.n, 1, accountChunk)
 		inflight := false
 		for i := range inboxes {
-			if len(inboxes[i]) > 0 {
+			if inboxes[i].Len() > 0 {
 				inflight = true
 				break
 			}
@@ -396,15 +413,16 @@ func (c *Cluster) RunCtx(ctx context.Context, init func(w *WorkerCtx), step Step
 	return fail(fmt.Sprintf("no convergence within %d supersteps", maxSupersteps), nil)
 }
 
-// releaseMessages zeroes the retained inboxes and outboxes when a Run
-// ends, up to their capacity (a slot past the current length can hold a
-// message of an earlier superstep), so a warm cluster's buffers pin no
-// Adj or Data payload of a finished run.
+// releaseMessages zeroes the rich lane of the retained inboxes and
+// outboxes when a Run ends, up to its capacity (a slot past the current
+// length can hold a message of an earlier superstep), so a warm
+// cluster's buffers pin no Adj or Data payload of a finished run. The
+// scalar lane holds no pointer and is left as it is.
 func (c *Cluster) releaseMessages() {
 	for i, w := range c.workers {
-		clear(c.inboxes[i][:cap(c.inboxes[i])])
-		for _, msgs := range w.outbox {
-			clear(msgs[:cap(msgs)])
+		clear(c.inboxes[i].Msgs[:cap(c.inboxes[i].Msgs)])
+		for _, out := range w.outbox {
+			clear(out.Msgs[:cap(out.Msgs)])
 		}
 	}
 }
@@ -447,16 +465,9 @@ type WorkerCtx struct {
 	id      int
 	frag    *partition.Fragment
 
-	outbox    [][]Message
+	outbox    []Inbox // by destination worker
 	stepWork  float64
 	stepBytes int64
-
-	// arenas are the double-buffered scalar payload buffers behind
-	// SendVal: parity s&1 is written during superstep s, read by
-	// receivers during s+1, and truncated at the start of s+2, so a
-	// payload always outlives every reader without any allocation.
-	arenas   [2][]float64
-	arenaCur uint8
 
 	// vertexComp / vertexComm are dense per-vertex cost accumulators
 	// (indexed by global vertex id), nil unless EnableCostRecording.
@@ -476,12 +487,9 @@ type WorkerCtx struct {
 // reset truncates the reusable buffers (keeping their capacity) and
 // clears algorithm and recording state for a fresh Run.
 func (w *WorkerCtx) reset() {
-	for i := range w.outbox {
-		w.outbox[i] = w.outbox[i][:0]
+	for i, out := range w.outbox {
+		w.outbox[i] = Inbox{out.Vals[:0], out.Msgs[:0]}
 	}
-	w.arenas[0] = w.arenas[0][:0]
-	w.arenas[1] = w.arenas[1][:0]
-	w.arenaCur = 0
 	w.State = nil
 	for i := range w.vertexComp {
 		w.vertexComp[i] = 0
@@ -530,24 +538,24 @@ func (w *WorkerCtx) responsibleStored(subject, u, v graph.VertexID) bool {
 	return !w.foreignBit(slot)
 }
 
-// Send enqueues a message for worker dst, delivered next superstep.
-// Messages to self are free of charge on the wire but still counted.
+// Send enqueues a message on the rich lane for worker dst, delivered
+// next superstep. Messages to self are free of charge on the wire but
+// still counted.
 func (w *WorkerCtx) Send(dst int, m Message) {
-	w.outbox[dst] = append(w.outbox[dst], m)
+	w.outbox[dst].Msgs = append(w.outbox[dst].Msgs, m)
 	if dst != w.id {
 		w.stepBytes += m.Size()
 	}
 }
 
-// SendVal enqueues a single-value message without heap allocation: the
-// payload slot is carved from the worker's double-buffered arena, so
-// wire accounting is identical to Send with a one-element Data slice
-// while the steady-state superstep loop stays allocation-free. The
-// payload is valid while the receiver's step runs, like the inbox.
-func (w *WorkerCtx) SendVal(dst int, v graph.VertexID, kind uint8, val float64) {
-	a := append(w.arenas[w.arenaCur], val)
-	w.arenas[w.arenaCur] = a
-	w.Send(dst, Message{V: v, Kind: kind, Data: a[len(a)-1 : len(a) : len(a)]})
+// SendVal enqueues a scalar message on the pointer-free lane for worker
+// dst, delivered next superstep in the receiver's Inbox.Vals. Its wire
+// accounting is identical to Send with a one-element Data slice.
+func (w *WorkerCtx) SendVal(dst int, v graph.VertexID, kind uint8, x float64) {
+	w.outbox[dst].Vals = append(w.outbox[dst].Vals, Val{V: v, Kind: kind, X: x})
+	if dst != w.id {
+		w.stepBytes += valSize
+	}
 }
 
 // AppendMirrors appends the fragments holding copies of v other than

@@ -25,14 +25,14 @@ func testCluster(t testing.TB, n int) *Cluster {
 func TestMessageRouting(t *testing.T) {
 	c := testCluster(t, 3)
 	var got [3][]float64
-	step := func(w *WorkerCtx, s int, inbox []Message) bool {
+	step := func(w *WorkerCtx, s int, in Inbox) bool {
 		switch s {
 		case 0:
 			// Everyone sends its id to worker (id+1) mod 3.
 			w.Send((w.ID()+1)%3, Message{Data: []float64{float64(w.ID())}})
 			return false
 		case 1:
-			for _, m := range inbox {
+			for _, m := range in.Msgs {
 				got[w.ID()] = append(got[w.ID()], m.Data[0])
 			}
 			return true
@@ -57,7 +57,7 @@ func TestMessageRouting(t *testing.T) {
 func TestHaltRequiresQuiescence(t *testing.T) {
 	c := testCluster(t, 2)
 	steps := 0
-	step := func(w *WorkerCtx, s int, inbox []Message) bool {
+	step := func(w *WorkerCtx, s int, in Inbox) bool {
 		if w.ID() == 0 {
 			steps = s + 1
 		}
@@ -78,7 +78,7 @@ func TestHaltRequiresQuiescence(t *testing.T) {
 
 func TestNoConvergenceError(t *testing.T) {
 	c := testCluster(t, 2)
-	step := func(w *WorkerCtx, s int, inbox []Message) bool { return false }
+	step := func(w *WorkerCtx, s int, in Inbox) bool { return false }
 	if _, err := c.Run(nil, step, 3); err == nil {
 		t.Fatal("expected no-convergence error")
 	}
@@ -86,7 +86,7 @@ func TestNoConvergenceError(t *testing.T) {
 
 func TestWorkAccounting(t *testing.T) {
 	c := testCluster(t, 2)
-	step := func(w *WorkerCtx, s int, inbox []Message) bool {
+	step := func(w *WorkerCtx, s int, in Inbox) bool {
 		if s == 0 {
 			w.AddWork(float64(w.ID()+1) * 10) // worker0: 10, worker1: 20
 			w.Send(1-w.ID(), Message{Data: make([]float64, 4)})
@@ -121,12 +121,12 @@ func TestWorkAccounting(t *testing.T) {
 
 func TestSelfSendFreeOnWire(t *testing.T) {
 	c := testCluster(t, 2)
-	step := func(w *WorkerCtx, s int, inbox []Message) bool {
+	step := func(w *WorkerCtx, s int, in Inbox) bool {
 		if s == 0 && w.ID() == 0 {
 			w.Send(0, Message{Data: []float64{1}})
 			return false
 		}
-		if s == 1 && w.ID() == 0 && len(inbox) != 1 {
+		if s == 1 && w.ID() == 0 && in.Len() != 1 {
 			t.Errorf("self message not delivered")
 		}
 		return true
@@ -174,7 +174,7 @@ func TestHarvestSamples(t *testing.T) {
 	c := testCluster(t, 2)
 	c.EnableCostRecording()
 	p := c.Partition()
-	step := func(w *WorkerCtx, s int, inbox []Message) bool {
+	step := func(w *WorkerCtx, s int, in Inbox) bool {
 		w.Fragment().Vertices(func(v graph.VertexID, adj *partition.Adj) {
 			w.ChargeVertex(v, float64(adj.LocalDegree()))
 			if p.IsBorder(v) && p.Master(v) == w.ID() {

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"adp/internal/gen"
 	"adp/internal/graph"
@@ -9,20 +11,23 @@ import (
 	"adp/internal/pool"
 )
 
-// SendVal must behave exactly like Send with a one-element Data slice:
-// same delivery, same payload value, same wire accounting — while the
-// payload lives in the worker's reusable arena.
+// SendVal delivers on the scalar lane with the wire accounting of Send
+// with a one-element Data slice: the same count and 16 bytes apiece.
 func TestSendValDelivery(t *testing.T) {
 	c := testCluster(t, 2).UsePool(pool.Serial())
 	const rounds = 6
-	step := func(w *WorkerCtx, s int, inbox []Message) bool {
-		for _, m := range inbox {
-			want := float64(s-1)*10 + float64(1-w.ID())
-			if m.Data[0] != want {
-				t.Errorf("superstep %d worker %d got %v, want %v", s, w.ID(), m.Data[0], want)
-			}
-			if m.Size() != 16 {
-				t.Errorf("SendVal message size = %d, want 16", m.Size())
+	step := func(w *WorkerCtx, s int, in Inbox) bool {
+		want := 0
+		if s >= 1 && s <= rounds {
+			want = 1
+		}
+		if len(in.Msgs) != 0 || len(in.Vals) != want {
+			t.Errorf("superstep %d worker %d: inbox %+v, want %d scalar messages", s, w.ID(), in, want)
+		}
+		for _, m := range in.Vals {
+			want := Val{V: graph.VertexID(s - 1), Kind: 9, X: float64(s-1)*10 + float64(1-w.ID())}
+			if m != want {
+				t.Errorf("superstep %d worker %d got %+v, want %+v", s, w.ID(), m, want)
 			}
 		}
 		if s < rounds {
@@ -35,9 +40,50 @@ func TestSendValDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// rounds messages each way, 16 bytes apiece.
+	// rounds messages each way, 16 bytes apiece, as Send would count
+	// them.
+	if want := (Message{Data: []float64{0}}).Size(); want != 16 {
+		t.Fatalf("one-float Message size = %d, want 16", want)
+	}
 	if rep.MsgBytes[0] != 16*rounds || rep.MsgBytes[1] != 16*rounds {
 		t.Fatalf("msg bytes = %v, want %d each", rep.MsgBytes, 16*rounds)
+	}
+	if rep.MsgCount[0] != rounds || rep.MsgCount[1] != rounds {
+		t.Fatalf("msg count = %v, want %d each", rep.MsgCount, rounds)
+	}
+}
+
+// The scalar lane is what the garbage collector never scans and
+// releaseMessages never clears: Val must hold no pointer, and it must
+// stay 16 bytes, the wire size the accounting charges.
+func TestValIsPointerFree(t *testing.T) {
+	if sz := unsafe.Sizeof(Val{}); sz != 16 {
+		t.Fatalf("unsafe.Sizeof(Val{}) = %d, want 16", sz)
+	}
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return true
+		case reflect.Array:
+			return pointerFree(typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if !pointerFree(typ.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	typ := reflect.TypeOf(Val{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); !pointerFree(f.Type) {
+			t.Errorf("Val.%s (%v) holds a pointer", f.Name, f.Type)
+		}
 	}
 }
 
@@ -48,7 +94,7 @@ func TestCostRecordingSurvivesConsecutiveRuns(t *testing.T) {
 	c := testCluster(t, 2).UsePool(pool.Serial())
 	c.EnableCostRecording()
 	p := c.Partition()
-	step := func(w *WorkerCtx, s int, inbox []Message) bool {
+	step := func(w *WorkerCtx, s int, in Inbox) bool {
 		w.Fragment().Vertices(func(v graph.VertexID, adj *partition.Adj) {
 			w.ChargeVertex(v, float64(adj.LocalDegree()))
 			if p.IsBorder(v) && p.Master(v) == w.ID() {
@@ -84,9 +130,9 @@ func TestCostRecordingSurvivesConsecutiveRuns(t *testing.T) {
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	c := testCluster(t, 2).UsePool(pool.Serial())
 	limit := 0
-	step := func(w *WorkerCtx, s int, inbox []Message) bool {
-		for _, m := range inbox {
-			w.AddWork(m.Data[0])
+	step := func(w *WorkerCtx, s int, in Inbox) bool {
+		for _, m := range in.Vals {
+			w.AddWork(m.X)
 		}
 		if s < limit {
 			w.SendVal(1-w.ID(), graph.VertexID(w.ID()), 3, 1)
@@ -168,17 +214,19 @@ func BenchmarkResponsibleFor(b *testing.B) {
 }
 
 // The inboxes and outboxes keep their capacity between Runs but must
-// not keep a finished run's messages alive: every slot, including those
-// past the final length, is zero once Run returns — also on a failed
-// run.
+// not keep a finished run's payloads alive: every rich-lane slot,
+// including those past the final length, is zero once Run returns —
+// also on a failed run. The scalar lane pins nothing, so it keeps its
+// capacity and is not cleared.
 func TestRunReleasesMessagePayloads(t *testing.T) {
 	c := testCluster(t, 2).UsePool(pool.Serial())
-	step := func(w *WorkerCtx, s int, inbox []Message) bool {
+	step := func(w *WorkerCtx, s int, in Inbox) bool {
 		if s < 3 {
 			// Fewer messages each superstep, so stale slots trail the
 			// final length.
 			for i := s; i < 3; i++ {
 				w.Send(1-w.ID(), Message{V: graph.VertexID(i), Adj: []graph.VertexID{1, 2, 3}})
+				w.SendVal(1-w.ID(), graph.VertexID(i), 5, float64(i))
 			}
 			return false
 		}
@@ -190,16 +238,16 @@ func TestRunReleasesMessagePayloads(t *testing.T) {
 			t.Fatalf("budget %d: err = %v", budget, err)
 		}
 		for i, w := range c.workers {
-			boxes := append([][]Message{c.inboxes[i]}, w.outbox...)
+			boxes := append([]Inbox{c.inboxes[i]}, w.outbox...)
 			for _, box := range boxes {
-				for _, m := range box[:cap(box)] {
+				for _, m := range box.Msgs[:cap(box.Msgs)] {
 					if m.Adj != nil || m.Data != nil || m.V != 0 {
 						t.Fatalf("budget %d worker %d: retained message %+v after Run", budget, i, m)
 					}
 				}
 			}
-			if cap(c.inboxes[i]) == 0 {
-				t.Fatalf("budget %d worker %d: inbox capacity not retained", budget, i)
+			if cap(c.inboxes[i].Msgs) == 0 || cap(c.inboxes[i].Vals) == 0 || cap(w.outbox[1-i].Vals) == 0 {
+				t.Fatalf("budget %d worker %d: message capacity not retained", budget, i)
 			}
 		}
 	}

@@ -72,7 +72,7 @@ func TestSessionPoolSurvivesStepPanics(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		err := sp.run(ctx, func(c *engine.Cluster) error {
 			panicked = append(panicked, c)
-			_, err := c.RunCtx(ctx, nil, func(w *engine.WorkerCtx, s int, _ []engine.Message) bool {
+			_, err := c.RunCtx(ctx, nil, func(w *engine.WorkerCtx, s int, _ engine.Inbox) bool {
 				panic("poisoned step")
 			}, 5)
 			return err
@@ -90,7 +90,7 @@ func TestSessionPoolSurvivesStepPanics(t *testing.T) {
 	var served *engine.Cluster
 	err = sp.run(ctx, func(c *engine.Cluster) error {
 		served = c
-		_, err := c.RunCtx(ctx, nil, func(*engine.WorkerCtx, int, []engine.Message) bool { return true }, 5)
+		_, err := c.RunCtx(ctx, nil, func(*engine.WorkerCtx, int, engine.Inbox) bool { return true }, 5)
 		return err
 	})
 	if err != nil {

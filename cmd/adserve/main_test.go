@@ -15,7 +15,6 @@ func base() flagConfig {
 		inflight:   64,
 		queue:      16,
 		driftThr:   0.5,
-		listen:     "127.0.0.1:7133",
 	}
 }
 
@@ -23,7 +22,7 @@ func TestValidateFlags(t *testing.T) {
 	if err := validateFlags(base()); err != nil {
 		t.Fatalf("default configuration rejected: %v", err)
 	}
-	minimal := flagConfig{maintEvery: time.Second, inflight: 1, queue: 1, driftThr: 0.01, listen: ":0"}
+	minimal := flagConfig{maintEvery: time.Second, inflight: 1, queue: 1, driftThr: 0.01}
 	if err := validateFlags(minimal); err != nil {
 		t.Fatalf("minimal configuration rejected: %v", err)
 	}
@@ -47,41 +46,6 @@ func TestValidateFlags(t *testing.T) {
 		{"negative workers", mut(func(c *flagConfig) { c.workers = -1 }), "-workers"},
 		{"zero drift threshold", mut(func(c *flagConfig) { c.driftThr = 0 }), "-drift-threshold"},
 		{"negative drift threshold", mut(func(c *flagConfig) { c.driftThr = -0.2 }), "-drift-threshold"},
-		{"follower with maintenance", mut(func(c *flagConfig) {
-			c.replicaOf = ":7233"
-			c.maintain = true
-		}), "-replica-of and -maintain"},
-		{"follower with repl listener", mut(func(c *flagConfig) {
-			c.replicaOf = ":7233"
-			c.listenRepl = ":7234"
-		}), "-replica-of and -listen-repl"},
-		{"follower with promote", mut(func(c *flagConfig) {
-			c.replicaOf = ":7233"
-			c.promote = true
-		}), "-promote"},
-		{"repl listener collides with http listener", mut(func(c *flagConfig) {
-			c.listenRepl = c.listen
-		}), "-listen-repl"},
-		{"self replication", mut(func(c *flagConfig) {
-			c.replicaOf = c.listen
-		}), "-replica-of"},
-		{"negative ack followers", mut(func(c *flagConfig) {
-			c.listenRepl = ":7233"
-			c.ackFollowers = -1
-		}), "-ack-followers"},
-		{"ack followers without repl listener", mut(func(c *flagConfig) {
-			c.ackFollowers = 1
-		}), "-ack-followers"},
-		{"leader url on a leader", mut(func(c *flagConfig) {
-			c.leaderURL = "http://127.0.0.1:7133"
-		}), "-leader-url"},
-		{"negative lease", mut(func(c *flagConfig) {
-			c.replicaOf = ":7233"
-			c.promoteAfter = -time.Second
-		}), "-promote-after"},
-		{"lease on a leader", mut(func(c *flagConfig) {
-			c.promoteAfter = time.Second
-		}), "-promote-after"},
 	}
 	for _, tc := range cases {
 		err := validateFlags(tc.cfg)
@@ -92,22 +56,5 @@ func TestValidateFlags(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.want)
 		}
-	}
-
-	// The full replication topologies both validate.
-	lead := mut(func(c *flagConfig) {
-		c.listenRepl = ":7233"
-		c.ackFollowers = 1
-	})
-	if err := validateFlags(lead); err != nil {
-		t.Fatalf("leader configuration rejected: %v", err)
-	}
-	fol := mut(func(c *flagConfig) {
-		c.replicaOf = ":7233"
-		c.leaderURL = "http://127.0.0.1:7133"
-		c.promoteAfter = 2 * time.Second
-	})
-	if err := validateFlags(fol); err != nil {
-		t.Fatalf("follower configuration rejected: %v", err)
 	}
 }

@@ -21,6 +21,9 @@ type cnState struct {
 	exch exchState
 	// total is worker 0's aggregate.
 	total CNResult
+	// agg is this worker's aggregate message body (count and the two
+	// checksum halves), kept here so a warm run sends it unallocated.
+	agg [3]float64
 }
 
 // RunCN enumerates common-out-neighbour triples (u1, u2, w): u1 < u2
@@ -90,9 +93,8 @@ func RunCN(c *engine.Cluster, opts CNOptions) (CNResult, *engine.Report, error) 
 			// The checksum ships as two exact 32-bit halves: float64
 			// represents integers below 2^53 exactly, while raw bit
 			// reinterpretation would risk NaN payload trouble.
-			w.Send(0, engine.Message{Kind: kindCNCount, Data: []float64{
-				float64(count), float64(checksum >> 32), float64(checksum & 0xffffffff),
-			}})
+			st.agg = [3]float64{float64(count), float64(checksum >> 32), float64(checksum & 0xffffffff)}
+			w.Send(0, engine.Message{Kind: kindCNCount, Data: st.agg[:]})
 			return false
 		case 3:
 			if w.ID() == 0 {

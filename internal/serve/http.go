@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -35,10 +34,10 @@ func (s *Server) Handler() http.Handler {
 
 // errorBody is the uniform error envelope: class is the machine-
 // matchable failure taxonomy (bad_request, overloaded, draining,
-// timeout, cancelled, failed_run, store_failed, not_leader, stale,
-// internal). stale errors carry the bound the reader asked for and the
-// watermark the serving epoch actually covers, so clients can retry
-// against the leader or wait out the lag.
+// timeout, cancelled, failed_run, store_failed, stale, internal).
+// stale errors carry the bound the reader asked for and the watermark
+// the serving epoch actually covers, so a client can retry once the
+// write it waits for is published.
 type errorBody struct {
 	Error      string `json:"error"`
 	Class      string `json:"class"`
@@ -46,7 +45,6 @@ type errorBody struct {
 	Supersteps int    `json:"supersteps,omitempty"`
 	MinLSN     uint64 `json:"min_lsn,omitempty"`
 	AppliedLSN uint64 `json:"applied_lsn,omitempty"`
-	Leader     string `json:"leader,omitempty"`
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -78,7 +76,7 @@ type runRequest struct {
 	Theta      int    `json:"theta,omitempty"`      // CN in-degree filter
 	Source     uint32 `json:"source,omitempty"`     // SSSP source
 	Iterations int    `json:"iterations,omitempty"` // PR iterations
-	// MinLSN, when > 0, is the bounded-staleness floor: the run is
+	// MinLSN, when > 0, is the read-your-writes floor: the run is
 	// refused with the stale class (412) unless the serving epoch covers
 	// at least this committed LSN.
 	MinLSN uint64 `json:"min_lsn,omitempty"`
@@ -170,12 +168,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// checkFresh enforces a reader's bounded-staleness floor against the
-// pinned epoch: the epoch's lsn is the committed watermark it was cut
-// at, so ep.lsn >= minLSN means every commit up to minLSN is visible.
-// A too-stale epoch writes the typed stale error (412) and reports
-// false; the client retries after the follower catches up, or goes to
-// the leader.
+// checkFresh enforces a reader's min_lsn floor against the pinned
+// epoch: the epoch's lsn is the committed watermark it was cut at, so
+// ep.lsn >= minLSN means every commit up to minLSN is visible. A
+// too-stale epoch writes the typed stale error (412) and reports false;
+// the client retries once a later epoch is published.
 func (s *Server) checkFresh(w http.ResponseWriter, ep *epoch, minLSN uint64) bool {
 	if minLSN == 0 || ep.lsn >= minLSN {
 		return true
@@ -231,8 +228,8 @@ type vertexPlacement struct {
 
 type vertexResponse struct {
 	Epoch uint64 `json:"epoch"`
-	// EpochLSN is the committed watermark the serving epoch covers — the
-	// advertised staleness bound for this read.
+	// EpochLSN is the committed watermark the serving epoch covers: every
+	// write acked at or below it is visible in this read.
 	EpochLSN   uint64            `json:"epoch_lsn"`
 	Vertex     uint32            `json:"vertex"`
 	Partitions []vertexPlacement `json:"partitions"`
@@ -311,7 +308,6 @@ type metricsResponse struct {
 	Server      serverMetrics  `json:"server"`
 	Epochs      epochMetrics   `json:"epochs"`
 	Maintenance *MaintStatus   `json:"maintenance,omitempty"`
-	Replication *ReplStatus    `json:"replication,omitempty"`
 }
 
 // epochMetrics is the epoch memory-accounting block: how many epochs
@@ -343,9 +339,6 @@ type serverMetrics struct {
 	ApplyRetries    int64 `json:"apply_retries"`
 	MaintPromotions int64 `json:"maint_promotions"`
 	MaintRollbacks  int64 `json:"maint_rollbacks"`
-	ReplCommits     int64 `json:"repl_commits"`
-	ReplSnapshots   int64 `json:"repl_snapshots"`
-	ReadOnly        bool  `json:"read_only"`
 	Draining        bool  `json:"draining"`
 }
 
@@ -376,14 +369,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			ApplyRetries:    s.applyRetries.Load(),
 			MaintPromotions: s.maintPromotions.Load(),
 			MaintRollbacks:  s.maintRollbacks.Load(),
-			ReplCommits:     s.replCommits.Load(),
-			ReplSnapshots:   s.replSnapshots.Load(),
-			ReadOnly:        s.readOnly.Load(),
 			Draining:        s.draining.Load(),
 		},
 		Wal:         s.st.WalStats(),
 		Maintenance: s.maintStatusSnapshot(),
-		Replication: s.replStatusSnapshot(),
 	}
 	retained, ems := s.epochMemSnapshot()
 	resp.Epochs = epochMetrics{
@@ -409,57 +398,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // updatesResponse acks a durable batch. Epoch is the snapshot the
 // batch became visible in; 0 means the batch committed durably but a
 // later batch in the same wave poisoned the store before publish.
-// Replicated reports whether the configured replication ack (ReplWait)
-// confirmed the batch durable on enough followers; false with Durable
-// true is the ambiguous case — locally durable, replication
-// unconfirmed — mirroring how an EIO mid-commit leaves durability
-// ambiguous until recovery.
 type updatesResponse struct {
-	Epoch      uint64 `json:"epoch"`
-	LSN        uint64 `json:"lsn"`
-	Inserts    int    `json:"inserts"`
-	Deletes    int    `json:"deletes"`
-	Durable    bool   `json:"durable"`
-	Visible    bool   `json:"visible"`
-	Mutation   int    `json:"mutations"`
-	Replicated bool   `json:"replicated,omitempty"`
-}
-
-// forwardUpdates proxies a follower's POST /updates to the leader, so
-// clients can write to any member. The leader's status and body come
-// back verbatim.
-func (s *Server) forwardUpdates(w http.ResponseWriter, r *http.Request) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-		strings.TrimRight(s.cfg.LeaderURL, "/")+"/updates", http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "internal", "forwarding to leader: "+err.Error())
-		return
-	}
-	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		writeJSON(w, http.StatusBadGateway, errorBody{
-			Error: "forwarding to leader: " + err.Error(), Class: "not_leader", Leader: s.cfg.LeaderURL})
-		return
-	}
-	defer resp.Body.Close()
-	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	Epoch    uint64 `json:"epoch"`
+	LSN      uint64 `json:"lsn"`
+	Inserts  int    `json:"inserts"`
+	Deletes  int    `json:"deletes"`
+	Durable  bool   `json:"durable"`
+	Visible  bool   `json:"visible"`
+	Mutation int    `json:"mutations"`
 }
 
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeErr(w, http.StatusServiceUnavailable, "draining", "server is draining")
-		return
-	}
-	if s.readOnly.Load() {
-		if s.cfg.LeaderURL != "" {
-			s.forwardUpdates(w, r)
-			return
-		}
-		writeJSON(w, http.StatusConflict, errorBody{
-			Error: "follower is read-only; write to the leader", Class: "not_leader"})
 		return
 	}
 	if s.storeFailed.Load() {
@@ -500,24 +451,13 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: res.err.Error(), Class: "store_failed"})
 		return
 	}
-	// Replication ack: locally durable already; wait (bounded) for the
-	// configured follower quorum. A timeout does not fail the request —
-	// the write is durable here and will replicate — but the ack says
-	// replicated=false so the client knows the guarantee is unconfirmed.
-	replicated := false
-	if s.cfg.ReplWait != nil {
-		wctx, cancel := context.WithTimeout(r.Context(), replWaitTimeout)
-		replicated = s.cfg.ReplWait(wctx, res.lsn) == nil
-		cancel()
-	}
 	writeJSON(w, http.StatusOK, updatesResponse{
-		Epoch:      res.epoch,
-		LSN:        res.lsn,
-		Inserts:    res.inserts,
-		Deletes:    res.deletes,
-		Durable:    true,
-		Visible:    res.epoch != 0,
-		Mutation:   res.inserts + res.deletes,
-		Replicated: replicated,
+		Epoch:    res.epoch,
+		LSN:      res.lsn,
+		Inserts:  res.inserts,
+		Deletes:  res.deletes,
+		Durable:  true,
+		Visible:  res.epoch != 0,
+		Mutation: res.inserts + res.deletes,
 	})
 }

@@ -66,37 +66,20 @@ type Config struct {
 	// Pool is the engine worker pool sessions run on; nil uses the
 	// process-wide shared pool.
 	Pool *pool.Pool
-	// ReadOnly starts the server in follower mode: POST /updates is
-	// rejected (or forwarded, see LeaderURL) and the composite advances
-	// only through the replication surface (ReplApply and friends).
-	// PromoteToLeader clears it at failover.
-	ReadOnly bool
-	// LeaderURL, when set on a follower, forwards POST /updates to the
-	// leader instead of rejecting them with the not_leader error class.
-	LeaderURL string
-	// ReplWait, when non-nil on a leader, is consulted after each durable
-	// update batch: it blocks until the batch's LSN is durably replicated
-	// (replica.Leader.WaitDurable) or the context ends. A wait failure
-	// does NOT fail the request — the batch is locally durable — but the
-	// ack carries replicated=false so the client knows the replication
-	// guarantee is unconfirmed.
-	ReplWait func(ctx context.Context, lsn uint64) error
 	// Logf, when non-nil, receives one line per lifecycle event.
 	Logf func(format string, args ...any)
 }
 
 // The apply loop's fixed limits. A wave folds at most maxBatch queued
 // update batches into one epoch publish. A transient commit-time fsync
-// failure, for update waves and replicated frames alike, is re-issued
-// up to applyRetries times (backing off from applyRetryBase, doubling
-// each attempt) before the write path stays poisoned; non-fsync write
-// failures (torn writes, crashes) poison at once. Each ReplWait call is
-// bounded by replWaitTimeout.
+// failure is re-issued up to applyRetries times (backing off from
+// applyRetryBase, doubling each attempt) before the write path stays
+// poisoned; non-fsync write failures (torn writes, crashes) poison at
+// once.
 const (
-	maxBatch        = 8
-	applyRetries    = 3
-	applyRetryBase  = 2 * time.Millisecond
-	replWaitTimeout = 2 * time.Second
+	maxBatch       = 8
+	applyRetries   = 3
+	applyRetryBase = 2 * time.Millisecond
 )
 
 func (c *Config) fill() {
@@ -149,10 +132,6 @@ type Server struct {
 	// apply loop. Unbuffered: senders block until the single writer
 	// accepts (or abort on baseCtx when a drain races them).
 	swaps chan *swapRequest
-	// repl carries replication requests (frame batches, snapshot
-	// installs, promotion) into the apply loop, same discipline as
-	// swaps: unbuffered, abort on baseCtx.
-	repl chan *replReq
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -161,7 +140,6 @@ type Server struct {
 
 	draining    atomic.Bool
 	storeFailed atomic.Bool
-	readOnly    atomic.Bool
 
 	// Maintenance delta capture (guarded by capMu; written by the
 	// apply loop, armed/drained by the maintenance loop).
@@ -183,12 +161,6 @@ type Server struct {
 	maintMu     sync.Mutex
 	maintStatus func() MaintStatus
 
-	// Replication /metrics provider (registered by the process wiring —
-	// cmd/adserve or a test harness — never by this package, which must
-	// not import internal/replica).
-	replMu         sync.Mutex
-	replStatusFunc func() ReplStatus
-
 	// Epoch memory accounting (guarded by epochMu): superseded epochs
 	// still pinned by in-flight readers, plus the last publish's
 	// sharing breakdown. Epochs are reclaimed by the garbage collector;
@@ -207,8 +179,6 @@ type Server struct {
 	applyRetries    atomic.Int64
 	maintPromotions atomic.Int64
 	maintRollbacks  atomic.Int64
-	replCommits     atomic.Int64
-	replSnapshots   atomic.Int64
 	lastLSN         atomic.Uint64
 	committed       atomic.Int64
 }
@@ -229,9 +199,7 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		admit:   make(chan struct{}, cfg.MaxInflight),
 		updates: make(chan *updateBatch, cfg.UpdateQueue),
 		swaps:   make(chan *swapRequest),
-		repl:    make(chan *replReq),
 	}
-	s.readOnly.Store(cfg.ReadOnly)
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.publish(comp)
 	s.lastLSN.Store(st.LSN())
@@ -289,8 +257,8 @@ func (s *Server) publish(comp *composite.Composite) *epoch {
 	}
 	start := time.Now()
 	// The epoch advertises the durable watermark, not the last appended
-	// LSN: bounded-staleness reads (min_lsn) promise "this epoch covers
-	// every commit up to lsn", which only the committed prefix delivers.
+	// LSN: min_lsn reads promise "this epoch covers every commit up to
+	// lsn", which only the committed prefix delivers.
 	ne := s.newEpoch(seq, comp.CloneCOW(), s.st.CommittedLSN())
 	elapsed := time.Since(start)
 	s.cur.Store(ne)
@@ -394,13 +362,12 @@ type updateResult struct {
 
 // applyLoop is the single writer: it gathers a wave of queued batches,
 // applies them to the store (each batch is one durable WAL commit), and
-// publishes a fresh epoch covering the wave. Maintenance swap and
-// replication requests interleave with waves on the same goroutine, so
-// they serialize with the update stream by construction, and all three
-// end in finish. A non-retryable store write failure poisons the write
-// path — the last good epoch keeps serving reads, updates fail fast
-// until the process restarts and recovery truncates to the committed
-// prefix.
+// publishes a fresh epoch covering the wave. Maintenance swap requests
+// interleave with waves on the same goroutine, so they serialize with
+// the update stream by construction, and both end in finish. A
+// non-retryable store write failure poisons the write path — the last
+// good epoch keeps serving reads, updates fail fast until the process
+// restarts and recovery truncates to the committed prefix.
 func (s *Server) applyLoop() {
 	defer s.applyWG.Done()
 	for {
@@ -412,8 +379,6 @@ func (s *Server) applyLoop() {
 			s.applyWave(s.gather(b))
 		case sr := <-s.swaps:
 			s.applySwap(sr)
-		case rr := <-s.repl:
-			s.applyRepl(rr)
 		}
 	}
 }
@@ -439,7 +404,7 @@ func (s *Server) gather(b *updateBatch) []*updateBatch {
 }
 
 // finish is the one tail of every apply-loop request, whichever
-// producer it came from (update wave, maintenance swap, replication):
+// producer it came from (update wave or maintenance swap):
 // mirror the store's counters out for /metrics, derive storeFailed from
 // the store's own poison state, and — when the request advanced the
 // composite — cut and publish the next epoch. err is the request's

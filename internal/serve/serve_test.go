@@ -470,6 +470,48 @@ func TestServeUpdatesPublishEpochs(t *testing.T) {
 	}
 }
 
+// TestServeMinLSN holds the read-your-writes contract on one node: after
+// an acked /updates at LSN L, a read with min_lsn <= L is served from an
+// epoch covering L, and one asking for more is a typed 412 naming both
+// sides of the gap.
+func TestServeMinLSN(t *testing.T) {
+	ts := newServer(t, Config{})
+	u, v := pickLiveEdge(t, ts.g)
+	status, ur, eb := ts.postUpdates(t, fmt.Sprintf("- %d %d\n+ %d %d\ncommit\n", u, v, u, v))
+	if status != http.StatusOK || !ur.Visible {
+		t.Fatalf("updates: status %d ack %+v (%v)", status, ur, eb)
+	}
+	lsn := ur.LSN
+
+	var vr vertexResponse
+	if status, eb := doJSON(t, "GET", fmt.Sprintf("%s/vertex/1?min_lsn=%d", ts.URL, lsn), nil, &vr); status != http.StatusOK {
+		t.Fatalf("fresh-enough vertex read: status %d (%v)", status, eb)
+	}
+	if vr.EpochLSN != lsn {
+		t.Fatalf("vertex epoch_lsn %d, want %d", vr.EpochLSN, lsn)
+	}
+	status, eb = doJSON(t, "GET", fmt.Sprintf("%s/vertex/1?min_lsn=%d", ts.URL, lsn+5), nil, nil)
+	if status != http.StatusPreconditionFailed || eb.Class != "stale" {
+		t.Fatalf("stale vertex read: status %d class %q", status, eb.Class)
+	}
+	if eb.MinLSN != lsn+5 || eb.AppliedLSN != lsn {
+		t.Fatalf("stale error carries (min %d, applied %d), want (%d, %d)", eb.MinLSN, eb.AppliedLSN, lsn+5, lsn)
+	}
+	if status, eb := doJSON(t, "GET", ts.URL+"/vertex/1?min_lsn=bogus", nil, nil); status != http.StatusBadRequest || eb.Class != "bad_request" {
+		t.Fatalf("bogus min_lsn: status %d class %q", status, eb.Class)
+	}
+
+	req := runReqFor(costmodel.WCC)
+	req.MinLSN = lsn
+	if status, _, eb := ts.postRun(t, req); status != http.StatusOK {
+		t.Fatalf("fresh-enough run: status %d (%v)", status, eb)
+	}
+	req.MinLSN = lsn + 1
+	if status, _, eb := ts.postRun(t, req); status != http.StatusPreconditionFailed || eb.Class != "stale" {
+		t.Fatalf("stale run: status %d class %q", status, eb.Class)
+	}
+}
+
 // TestServeAdmissionControl: more concurrent runs than MaxInflight gets
 // 429s, never queue collapse; the admitted requests all succeed.
 func TestServeAdmissionControl(t *testing.T) {

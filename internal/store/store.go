@@ -77,17 +77,17 @@ type Store struct {
 	nextLSN uint64 // LSN the next appended frame gets
 	snapLSN uint64 // highest LSN folded into the newest snapshot
 
-	// commitLSN is the LSN of the newest durably committed frame — the
-	// replication watermark. It is the only Store field readable from
-	// other goroutines (TailFrom, /metrics, the replication leader);
-	// everything else keeps the single-writer discipline.
+	// commitLSN is the LSN of the newest durably committed frame. It is
+	// the only Store field readable from other goroutines (/metrics and
+	// the serving plane's epoch cut); everything else keeps the
+	// single-writer discipline.
 	commitLSN atomic.Uint64
 
 	// What interpret has read since the last commit boundary (recovery
-	// and the follower role; the leader applies eagerly and stages
-	// nothing): the decoded mutations, folded into the composite only
-	// once their commit marker is on disk, and the sticky destination
-	// vector in effect — which a fresh segment's header records.
+	// only; Insert and Delete apply eagerly and stage nothing): the
+	// decoded mutations, folded into the composite only at their commit
+	// marker, and the sticky destination vector in effect — which a
+	// fresh segment's header records.
 	staged     []stagedMut
 	stickyDest []int
 
@@ -145,9 +145,10 @@ func storeFiles(fs vfs, dir string) (snaps, segs []uint64, err error) {
 	return snaps, segs, nil
 }
 
-// newStoreDir makes dir (created if missing) ready to receive a fresh
-// store and refuses one that already holds store files.
-func newStoreDir(dir string, opts Options) (vfs, error) {
+// Create initialises dir (created if missing, must not already hold a
+// store) with a full snapshot of c at LSN 0 and an empty WAL segment.
+// The store mutates c in place from then on.
+func Create(dir string, c *composite.Composite, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -159,21 +160,10 @@ func newStoreDir(dir string, opts Options) (vfs, error) {
 	if len(snaps)+len(segs) > 0 {
 		return nil, fmt.Errorf("store: %s already holds a store (%d snapshots, %d segments); use Open", dir, len(snaps), len(segs))
 	}
-	return fs, nil
-}
-
-// Create initialises dir (created if missing, must not already hold a
-// store) with a full snapshot of c at LSN 0 and an empty WAL segment.
-// The store mutates c in place from then on.
-func Create(dir string, c *composite.Composite, opts Options) (*Store, error) {
-	fs, err := newStoreDir(dir, opts)
-	if err != nil {
-		return nil, err
-	}
 	s := &Store{dir: dir, fs: fs, opts: opts, g: c.Partition(0).Graph()}
 	// LSN 0 is reserved for "nothing logged yet": the initial snapshot
 	// covers it and the first frame gets LSN 1.
-	if err := s.rebase(c, nil, 0); err != nil {
+	if err := s.rebase(c, 0); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -266,16 +256,15 @@ func checkEdge(g *graph.Graph, u, v graph.VertexID) error {
 	return nil
 }
 
-// interpret is the one reader of WAL frames, shared by recovery and the
-// follower role. It validates a frame's (kind, body) against the
-// composite's shape, the vertex range and the sticky destination
-// vector, and stages what the frame says: a recDest replaces the sticky
-// vector, an insert or delete joins the staged batch unless the
-// snapshot already covers its LSN. Nothing reaches the composite until
-// foldStaged runs at the batch's commit marker. What a rejection means
-// is the caller's call: Damage on recovery, poison on a follower. (The
-// leader does not come through here: its Insert/Delete apply first and
-// log second, because locality routing reads the composite mid-batch.)
+// interpret is the one reader of WAL frames, used by recovery. It
+// validates a frame's (kind, body) against the composite's shape, the
+// vertex range and the sticky destination vector, and stages what the
+// frame says: a recDest replaces the sticky vector, an insert or delete
+// joins the staged batch unless the snapshot already covers its LSN. Nothing reaches the composite until
+// foldStaged runs at the batch's commit marker; recovery reports a
+// rejection as Damage. (Insert and Delete do not come through here:
+// they apply first and log second, because locality routing reads the
+// composite mid-batch.)
 func (s *Store) interpret(lsn uint64, kind recKind, body []byte) error {
 	switch kind {
 	case recDest:
@@ -312,10 +301,9 @@ func (s *Store) interpret(lsn uint64, kind recKind, body []byte) error {
 }
 
 // foldStaged applies the staged batch to the composite and reports its
-// size — the one place a logged mutation reaches memory on the recovery
-// and follower paths, run only once the batch's commit marker is on
-// disk. An error is unreachable after interpret's validation and leaves
-// the composite half-updated.
+// size — the one place a logged mutation reaches memory on recovery,
+// run only at the batch's commit marker. An error is unreachable after
+// interpret's validation and leaves the composite half-updated.
 func (s *Store) foldStaged() (int, error) {
 	for _, m := range s.staged {
 		if m.insert {
@@ -403,9 +391,9 @@ func cutLog(fs vfs, dir string, segLSNs []uint64, live, keepSeg int, keepOff int
 func (s *Store) replay(segLSNs []uint64, info *RecoveryInfo) error {
 	var (
 		// destAtCommit is the sticky dest vector as of the last commit
-		// boundary — what stickyDest is reset to afterwards so a restarted
-		// follower can keep self-contained segment headers (a recDest in a
-		// discarded uncommitted tail must not leak into it).
+		// boundary — what stickyDest is reset to afterwards, so the next
+		// segment's header records it (a recDest in a discarded
+		// uncommitted tail must not leak into it).
 		destAtCommit []int
 		next         = uint64(0) // expected first LSN; 0 accepts any start
 	)
@@ -443,8 +431,8 @@ scan:
 			keepSeg, keepOff = si, segmentHeaderLen(data)
 		}
 		if hdrDest != nil {
-			// A follower-opened segment seeds the sticky dest vector from
-			// its header; validate like a recDest frame.
+			// A v2 header seeds the sticky dest vector; validate like a
+			// recDest frame.
 			if err := checkDest(s.comp, hdrDest); err != nil {
 				damageAt(si, 0, "segment header: "+err.Error())
 				break scan
@@ -503,10 +491,10 @@ func (s *Store) openSegment() error {
 	}
 	hdr := newSegmentHeader()
 	if len(s.stickyDest) > 0 {
-		// Follower role: replicated frames are appended verbatim, so the
-		// fresh segment cannot re-log a recDest without consuming an LSN.
-		// Record the sticky dest vector in the header instead, keeping
-		// the segment self-contained for replay.
+		// Recovery left the sticky dest vector of the last commit here:
+		// record it in the header. The first insert re-logs a recDest
+		// anyway (lastDest resets below); the header keeps the bytes a
+		// segment opened after recovery has always had.
 		hdr = newSegmentHeaderDest(s.stickyDest)
 	}
 	if _, err := f.Write(hdr); err != nil {
@@ -574,7 +562,8 @@ func (s *Store) RetrySync() error {
 	// Durable now: finish what flush skipped when the sync failed.
 	s.failed = nil
 	s.retrySync = false
-	return s.finishCommit()
+	s.finishCommit()
+	return nil
 }
 
 // retrySyncLadder is the one back-off loop around RetrySync. err is what
@@ -606,9 +595,8 @@ func (s *Store) Composite() *composite.Composite { return s.comp }
 // LSN returns the LSN of the most recently appended frame.
 func (s *Store) LSN() uint64 { return s.nextLSN - 1 }
 
-// CommittedLSN returns the LSN of the newest durably committed frame —
-// the replication watermark. Unlike every other accessor it is safe to
-// call from any goroutine.
+// CommittedLSN returns the LSN of the newest durably committed frame.
+// Unlike every other accessor it is safe to call from any goroutine.
 func (s *Store) CommittedLSN() uint64 { return s.commitLSN.Load() }
 
 // Committed returns the number of mutations committed through this
@@ -694,9 +682,8 @@ func (s *Store) commit(allowSnap bool) error {
 }
 
 // flush is the one commit: everything pending — a batch ending in its
-// commit marker, whether the leader framed it or a follower copied it —
-// goes to the log in a single append, is fsynced, and only then becomes
-// visible through finishCommit.
+// commit marker — goes to the log in a single append, is fsynced, and
+// only then becomes visible through finishCommit.
 func (s *Store) flush() error {
 	if _, err := s.seg.Write(s.pending); err != nil {
 		return s.fail(fmt.Errorf("store: appending commit batch: %w", err))
@@ -709,23 +696,19 @@ func (s *Store) flush() error {
 		s.retrySync = true
 		return s.fail(fmt.Errorf("store: syncing log: %w", err))
 	}
-	return s.finishCommit()
+	s.finishCommit()
+	return nil
 }
 
 // finishCommit is the bookkeeping of a batch that just became durable:
-// count it, drop the pending bytes, fold what a follower staged for it
-// into the composite, and only then advance the watermark readers and
-// replication see.
-func (s *Store) finishCommit() error {
+// count it, drop the pending bytes, and only then advance the watermark
+// readers see.
+func (s *Store) finishCommit() {
 	s.committed += int64(s.pendingMuts)
 	s.mutsSinceSnap += s.pendingMuts
 	s.pending = s.pending[:0]
 	s.pendingMuts = 0
-	if _, err := s.foldStaged(); err != nil {
-		return s.fail(fmt.Errorf("store: %w", err))
-	}
 	s.commitLSN.Store(s.nextLSN - 1)
-	return nil
 }
 
 // Snapshot commits anything pending, persists the full composite via
@@ -736,7 +719,7 @@ func (s *Store) Snapshot() error {
 	if err := s.commit(false); err != nil {
 		return err
 	}
-	return s.reseat("snapshot", s.comp, nil, s.nextLSN-1)
+	return s.reseat("snapshot", s.comp, s.nextLSN-1)
 }
 
 // ReplaceComposite durably replaces the live composite with c — the
@@ -766,7 +749,7 @@ func (s *Store) ReplaceComposite(c *composite.Composite) error {
 	if err := s.commit(false); err != nil {
 		return err
 	}
-	return s.reseat("replace", c, nil, s.nextLSN-1)
+	return s.reseat("replace", c, s.nextLSN-1)
 }
 
 // seal is the one end of an active segment: fsync it, close it. A
@@ -787,21 +770,16 @@ func (s *Store) seal(before string) error {
 
 // rebase makes (comp, lsn) the store's durable base: the snapshot is
 // persisted, and only once it is visible does the store adopt comp, move
-// the watermark to lsn and open a fresh segment at lsn+1. data is comp
-// already encoded (a leader's snapshot bytes, kept verbatim) or nil to
-// encode it here.
-func (s *Store) rebase(comp *composite.Composite, data []byte, lsn uint64) error {
-	if data == nil {
-		// Encode in memory first: the snapshot lands in one Write call, so
-		// injected write faults hit whole-snapshot boundaries and the op
-		// count stays deterministic for the fault schedules.
-		var buf bytes.Buffer
-		if err := composite.Write(&buf, comp); err != nil {
-			return s.fail(fmt.Errorf("store: encoding snapshot: %w", err))
-		}
-		data = buf.Bytes()
+// the watermark to lsn and open a fresh segment at lsn+1.
+func (s *Store) rebase(comp *composite.Composite, lsn uint64) error {
+	// Encode in memory first: the snapshot lands in one Write call, so
+	// injected write faults hit whole-snapshot boundaries and the op
+	// count stays deterministic for the fault schedules.
+	var buf bytes.Buffer
+	if err := composite.Write(&buf, comp); err != nil {
+		return s.fail(fmt.Errorf("store: encoding snapshot: %w", err))
 	}
-	if err := s.persistSnapshot(data, lsn); err != nil {
+	if err := s.persistSnapshot(buf.Bytes(), lsn); err != nil {
 		return s.fail(err)
 	}
 	s.comp, s.snapLSN, s.nextLSN, s.mutsSinceSnap = comp, lsn, lsn+1, 0
@@ -815,11 +793,11 @@ func (s *Store) rebase(comp *composite.Composite, data []byte, lsn uint64) error
 // reseat is the one segment rotation under a new base: seal the active
 // segment, rebase onto (comp, lsn), compact what the new snapshot
 // covers.
-func (s *Store) reseat(before string, comp *composite.Composite, data []byte, lsn uint64) error {
+func (s *Store) reseat(before string, comp *composite.Composite, lsn uint64) error {
 	if err := s.seal(before); err != nil {
 		return err
 	}
-	if err := s.rebase(comp, data, lsn); err != nil {
+	if err := s.rebase(comp, lsn); err != nil {
 		return err
 	}
 	s.compact()

@@ -569,3 +569,27 @@ commit
 		}
 	}
 }
+
+// TestWalStats sanity-checks the /metrics wal block numbers.
+func TestWalStats(t *testing.T) {
+	g, c := testComposite(t)
+	st, err := Create(t.TempDir()+"/st", c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	muts := genMutations(t, g, c.Clone(), 10, 29)
+	if _, _, err := st.Apply(append(muts[:len(muts):len(muts)], Mutation{Kind: MutCommit})); err != nil {
+		t.Fatal(err)
+	}
+	ws := st.WalStats()
+	if ws.CommittedLSN != st.CommittedLSN() {
+		t.Fatalf("wal stats lsn %d, store %d", ws.CommittedLSN, st.CommittedLSN())
+	}
+	if ws.Segments < 1 || ws.Bytes <= 0 {
+		t.Fatalf("implausible segment stats: %+v", ws)
+	}
+	if ws.Snapshots < 1 || ws.SnapshotBytes <= 0 {
+		t.Fatalf("implausible snapshot stats: %+v", ws)
+	}
+}

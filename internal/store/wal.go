@@ -26,13 +26,11 @@ import (
 //	payload: [lsn u64][kind u8][body]
 //
 // A version-2 header additionally records the destination vector in
-// effect when the segment was opened. Replication followers append the
-// leader's frames verbatim into segments whose boundaries do not line
-// up with the leader's, so — unlike the leader, which re-logs a recDest
-// on the first insert of every fresh segment — a follower segment may
-// open mid-batch with a sticky recDest that lives in an earlier
-// (possibly compacted) file. The header extension keeps every segment
-// self-contained for replay without consuming an LSN.
+// effect when the segment was opened: the sticky vector recovery read
+// from the log before it (see openSegment). The store re-logs a
+// recDest on the first insert of every fresh segment anyway, so replay
+// never needs the header's vector; it stays part of the format, and
+// replay validates and seeds the sticky vector from it.
 //
 // The CRC (Castagnoli) covers the payload only; payloadLen covers the
 // payload only. Record kinds and bodies:
@@ -53,7 +51,7 @@ const (
 	segMagic   = uint32(0xAD9A_0005)
 	segVersion = uint32(1)
 	// segVersionDest marks a header carrying the sticky destination
-	// vector (follower-opened segments).
+	// vector (segments opened after a recovery that read one).
 	segVersionDest = uint32(2)
 	segHdrLen      = 8
 	frameHdr       = 8 // payloadLen + crc

@@ -90,52 +90,43 @@ func walFrames(t *testing.T, dir string) (first uint64, frames []byte) {
 }
 
 // TestWritePathProducersAgree drives the recorded history through the
-// three producers of the write path — leader Apply, follower
-// AppendReplicated fed from the leader's TailFrom, and Open replaying a
-// copy of the leader's directory — and requires one outcome: pairwise
-// EqualState, coherent composites, one committed LSN, and identical committed
-// frame bytes. The directory hashes were recorded at the commit before
-// the producers shared an interpreter, a commit and a rotation, so they
-// also pin the on-disk bytes across that change.
+// two producers of the write path — leader Apply, and Open replaying a
+// copy of the leader's directory — and requires one outcome: EqualState,
+// coherent composites, one committed LSN, and identical committed frame
+// bytes. The directory hashes were recorded at the commit before the
+// producers shared an interpreter, a commit and a rotation, so they
+// also pin the on-disk bytes across that change and every later one.
 func TestWritePathProducersAgree(t *testing.T) {
 	cases := []struct {
 		name       string
 		opts       Options
 		snapAfter  int // explicit leader Snapshot after this call; -1 for none
 		leaderHash string
-		followHash string
 	}{
 		{"plain", Options{}, -1,
-			"d9df5d0192eac86583c8dca8a3544211ef7a4400cf0bcd81c3c3a5ab76ff4a44",
 			"d9df5d0192eac86583c8dca8a3544211ef7a4400cf0bcd81c3c3a5ab76ff4a44"},
 		{"snapshot mid-stream", Options{}, 2,
-			"3b6ab14578799b8437f6403908870bc7abc813a5a8505848bf30c2f101a5b377",
-			"d9df5d0192eac86583c8dca8a3544211ef7a4400cf0bcd81c3c3a5ab76ff4a44"},
-		// The leader compacts inside an Apply call here, so the follower
-		// re-bases through InstallSnapshot on the way. The case name is
+			"3b6ab14578799b8437f6403908870bc7abc813a5a8505848bf30c2f101a5b377"},
+		// The leader compacts inside an Apply call here. The case name is
 		// kept as a stable test id; every commit fsyncs.
 		{"auto snapshots, batched fsync", Options{SnapshotEvery: 25}, -1,
-			"d6866a440bda52a56b44ac940fa89ddcdd3d05320134963f7568b3b28d717429",
 			"d6866a440bda52a56b44ac940fa89ddcdd3d05320134963f7568b3b28d717429"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g, c := testComposite(t)
 			root := t.TempDir()
-			dirL, dirF, dirC := root+"/lead", root+"/fol", root+"/copy"
+			dirL, dirC := root+"/lead", root+"/copy"
 			leader, err := Create(dirL, c, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer leader.Close()
-			follower := bootstrapReplica(t, leader, dirF, tc.opts)
-			defer follower.Close()
 
 			for i, call := range writePathHistory(t) {
 				if _, _, err := leader.Apply(call); err != nil {
 					t.Fatalf("call %d: %v", i, err)
 				}
-				catchUp(t, leader, follower, 5)
 				if i == tc.snapAfter {
 					if err := leader.Snapshot(); err != nil {
 						t.Fatal(err)
@@ -143,7 +134,7 @@ func TestWritePathProducersAgree(t *testing.T) {
 				}
 			}
 
-			// Third producer: recovery over a copy of the leader's files.
+			// Second producer: recovery over a copy of the leader's files.
 			if err := os.MkdirAll(dirC, 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +151,7 @@ func TestWritePathProducersAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			gotL, gotF := hashDir(t, dirL), hashDir(t, dirF)
+			gotL := hashDir(t, dirL)
 			reopened, info, err := Open(dirC, g, tc.opts)
 			if err != nil {
 				t.Fatal(err)
@@ -170,35 +161,32 @@ func TestWritePathProducersAgree(t *testing.T) {
 				t.Fatalf("recovery of a clean copy was not clean: %v", info)
 			}
 
-			stores := []struct {
+			for _, st := range []struct {
 				name string
 				s    *Store
-			}{{"leader", leader}, {"follower", follower}, {"reopened", reopened}}
-			for i, a := range stores {
-				if err := a.s.Composite().ValidateIndex(); err != nil {
-					t.Fatalf("%s index: %v", a.name, err)
-				}
-				if got, want := a.s.CommittedLSN(), leader.CommittedLSN(); got != want {
-					t.Fatalf("%s committed lsn %d, leader %d", a.name, got, want)
-				}
-				for _, b := range stores[i+1:] {
-					if err := a.s.Composite().EqualState(b.s.Composite()); err != nil {
-						t.Fatalf("%s vs %s: %v", a.name, b.name, err)
-					}
+			}{{"leader", leader}, {"reopened", reopened}} {
+				if err := st.s.Composite().ValidateIndex(); err != nil {
+					t.Fatalf("%s index: %v", st.name, err)
 				}
 			}
+			if got, want := reopened.CommittedLSN(), leader.CommittedLSN(); got != want {
+				t.Fatalf("reopened committed lsn %d, leader %d", got, want)
+			}
+			if err := leader.Composite().EqualState(reopened.Composite()); err != nil {
+				t.Fatalf("leader vs reopened: %v", err)
+			}
 
-			// The follower keeps history the leader compacted away, so the
-			// leader's retained frames must be a suffix of the follower's.
+			// Recovery cut nothing and appended nothing: the reopened
+			// directory holds the leader's committed frames byte for byte.
 			firstL, framesL := walFrames(t, dirL)
-			firstF, framesF := walFrames(t, dirF)
-			if firstF > firstL || !bytes.HasSuffix(framesF, framesL) {
-				t.Fatalf("committed frame bytes differ: leader %d bytes from lsn %d, follower %d bytes from lsn %d",
-					len(framesL), firstL, len(framesF), firstF)
+			firstC, framesC := walFrames(t, dirC)
+			if firstC != firstL || !bytes.Equal(framesC, framesL) {
+				t.Fatalf("committed frame bytes differ: leader %d bytes from lsn %d, reopened %d bytes from lsn %d",
+					len(framesL), firstL, len(framesC), firstC)
 			}
 
-			if gotL != tc.leaderHash || gotF != tc.followHash {
-				t.Fatalf("on-disk bytes moved:\n leader   %s\n follower %s", gotL, gotF)
+			if gotL != tc.leaderHash {
+				t.Fatalf("on-disk bytes moved:\n leader %s", gotL)
 			}
 		})
 	}
@@ -252,6 +240,22 @@ func (f *recFile) Close() error {
 	return f.f.Close()
 }
 
+// rotateSegment syncs and closes the active segment and opens a fresh
+// one at the next LSN, with no pending batch: the bare rotation that
+// Snapshot and ReplaceComposite make under a new base.
+func (s *Store) rotateSegment() error {
+	if err := s.ready(); err != nil {
+		return err
+	}
+	if len(s.pending) > 0 {
+		return fmt.Errorf("store: rotate with %d pending bytes", len(s.pending))
+	}
+	if err := s.seal("rotate"); err != nil {
+		return err
+	}
+	return s.openSegment()
+}
+
 // TestWritePathOpTrace pins the exact Create/Write/Sync/Close/Rename/
 // Remove sequence behind each public write-path call to the sequence
 // recorded at the commit before those calls shared their helpers: the
@@ -271,25 +275,17 @@ func TestWritePathOpTrace(t *testing.T) {
 		}
 		return strings.Join(ops, "\n")
 	}
-	// adopt moves a store onto the recording vfs; the rotation puts the
-	// active segment under it too.
-	adopt := func(s *Store) {
-		t.Helper()
-		s.fs = rec
-		if err := s.RotateSegment(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	leader, err := Create(t.TempDir()+"/lead", c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer leader.Close()
-	follower := bootstrapReplica(t, leader, t.TempDir()+"/fol", Options{})
-	defer follower.Close()
-	adopt(leader)
-	adopt(follower)
+	// Move the store onto the recording vfs; the rotation puts the
+	// active segment under it too.
+	leader.fs = rec
+	if err := leader.rotateSegment(); err != nil {
+		t.Fatal(err)
+	}
 
 	muts := genMutations(t, g, c.Clone(), 8, 101)
 	got := map[string]string{}
@@ -302,12 +298,7 @@ func TestWritePathOpTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	got["ReplaceComposite"] = trace(func() error { return leader.ReplaceComposite(leader.Composite().Clone()) })
-	got["RotateSegment"] = trace(leader.RotateSegment)
-	lsn, snap, err := leader.NewestSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got["InstallSnapshot"] = trace(func() error { return follower.InstallSnapshot(snap, lsn) })
+	got["RotateSegment"] = trace(leader.rotateSegment)
 
 	want := map[string]string{
 		"Commit": `write wal-0000000000000001.log 175
@@ -340,17 +331,6 @@ close wal-0000000000000011.log
 create wal-0000000000000011.log
 write wal-0000000000000011.log 8
 sync wal-0000000000000011.log`,
-		"InstallSnapshot": `sync wal-0000000000000001.log
-close wal-0000000000000001.log
-create snap-0000000000000010.comp.tmp
-write snap-0000000000000010.comp.tmp 37424
-sync snap-0000000000000010.comp.tmp
-close snap-0000000000000010.comp.tmp
-rename snap-0000000000000010.comp.tmp snap-0000000000000010.comp
-create wal-0000000000000011.log
-write wal-0000000000000011.log 8
-sync wal-0000000000000011.log
-remove wal-0000000000000001.log`,
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d calls traced, %d pinned", len(got), len(want))

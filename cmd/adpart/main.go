@@ -272,9 +272,6 @@ func runBatch(base *partition.Partition, spec partitioner.Spec, muts []store.Mut
 			}
 			fmt.Printf("  updates: +%d -%d committed durably (lsn=%d)\n", ins, del, st.LSN())
 		}
-		if err := st.Snapshot(); err != nil {
-			return err
-		}
 		if err := st.Close(); err != nil {
 			return err
 		}

@@ -23,6 +23,10 @@ func FuzzWALReplay(f *testing.F) {
 	tampered := append([]byte(nil), walBytes...)
 	tampered[len(tampered)/3] ^= 0xFF
 	f.Add(tampered)
+	// The version-2 header only earlier stores wrote: once with a vector
+	// the composite can place, once with a fragment out of range.
+	f.Add(v2Segment(walBytes, []int{1, 2}))
+	f.Add(v2Segment(walBytes, []int{0, 99}))
 
 	f.Fuzz(func(t *testing.T, wal []byte) {
 		dir := t.TempDir()

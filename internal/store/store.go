@@ -17,14 +17,10 @@ import (
 	"adp/internal/graph"
 )
 
-// Options sets a store's snapshot cadence and threads the
-// deterministic disk-fault injector through the write path. Every
-// commit is fsynced before it is acked.
+// Options threads the deterministic disk-fault injector through the
+// write path. Every commit is fsynced before it is acked, and the store
+// compacts by its own rule (see Commit).
 type Options struct {
-	// SnapshotEvery triggers an automatic snapshot + log compaction
-	// once this many mutations have committed since the last snapshot;
-	// 0 disables automatic snapshots (call Snapshot explicitly).
-	SnapshotEvery int
 	// Injector, when non-nil, arms deterministic disk faults (short
 	// writes, fsync errors, crash-after-N-bytes) on every write and
 	// sync the store issues.
@@ -65,12 +61,12 @@ func (ri *RecoveryInfo) String() string {
 }
 
 // Store is a crash-consistent composite partition: an in-memory
-// composite fronted by an append-only mutation WAL and periodic full
-// snapshots. Not safe for concurrent use; wrap externally if shared.
+// composite fronted by an append-only mutation WAL and full snapshots,
+// a new one whenever the log past the newest outgrows it. Not safe for
+// concurrent use; wrap externally if shared.
 type Store struct {
 	dir  string
 	fs   vfs
-	opts Options
 	g    *graph.Graph
 	comp *composite.Composite
 
@@ -86,8 +82,7 @@ type Store struct {
 	// What interpret has read since the last commit boundary (recovery
 	// only; Insert and Delete apply eagerly and stage nothing): the
 	// decoded mutations, folded into the composite only at their commit
-	// marker, and the sticky destination vector in effect — which a
-	// fresh segment's header records.
+	// marker, and the sticky destination vector in effect.
 	staged     []stagedMut
 	stickyDest []int
 
@@ -98,8 +93,13 @@ type Store struct {
 	pendingMuts int
 	lastDest    []int // destination vector of the last logged recDest
 
-	mutsSinceSnap int
-	committed     int64
+	// The compaction rule's two counts: the newest snapshot's size and
+	// the frame bytes logged since it. rebase sets them, finishCommit
+	// adds to logBytes, and Open seeds them from the snapshot it loaded
+	// and the frames it replayed.
+	snapBytes, logBytes int64
+
+	committed int64
 
 	failed error
 	// retrySync marks the poisoning failure as a commit-time fsync
@@ -160,7 +160,7 @@ func Create(dir string, c *composite.Composite, opts Options) (*Store, error) {
 	if len(snaps)+len(segs) > 0 {
 		return nil, fmt.Errorf("store: %s already holds a store (%d snapshots, %d segments); use Open", dir, len(snaps), len(segs))
 	}
-	s := &Store{dir: dir, fs: fs, opts: opts, g: c.Partition(0).Graph()}
+	s := &Store{dir: dir, fs: fs, g: c.Partition(0).Graph()}
 	// LSN 0 is reserved for "nothing logged yet": the initial snapshot
 	// covers it and the first frame gets LSN 1.
 	if err := s.rebase(c, 0); err != nil {
@@ -190,6 +190,7 @@ func Open(dir string, g *graph.Graph, opts Options) (*Store, *RecoveryInfo, erro
 	// Newest readable snapshot wins.
 	var comp *composite.Composite
 	var compLSN uint64
+	var compBytes int64
 	for i := len(snaps) - 1; i >= 0; i-- {
 		data, rerr := fs.ReadFile(join(dir, snapName(snaps[i])))
 		if rerr == nil {
@@ -198,7 +199,7 @@ func Open(dir string, g *graph.Graph, opts Options) (*Store, *RecoveryInfo, erro
 			// base graph never had.
 			c, rerr = composite.Read(bytes.NewReader(data), g)
 			if rerr == nil {
-				comp, compLSN = c, snaps[i]
+				comp, compLSN, compBytes = c, snaps[i], int64(len(data))
 				break
 			}
 		}
@@ -215,7 +216,7 @@ func Open(dir string, g *graph.Graph, opts Options) (*Store, *RecoveryInfo, erro
 	}
 	info.SnapshotLSN = compLSN
 
-	s := &Store{dir: dir, fs: fs, opts: opts, g: g, comp: comp, snapLSN: compLSN, nextLSN: compLSN + 1}
+	s := &Store{dir: dir, fs: fs, g: g, comp: comp, snapLSN: compLSN, nextLSN: compLSN + 1, snapBytes: compBytes}
 	if err := s.replay(segLSNs, info); err != nil {
 		return nil, nil, err
 	}
@@ -234,8 +235,8 @@ type stagedMut struct {
 }
 
 // checkDest validates a destination vector against c's shape — the one
-// check every vector read from a log, a segment header or a caller
-// passes before it can place an arc.
+// check every vector read from a log or passed by a caller passes
+// before it can place an arc.
 func checkDest(c *composite.Composite, dest []int) error {
 	if len(dest) != c.K() {
 		return fmt.Errorf("dest vector has %d entries, composite has %d partitions", len(dest), c.K())
@@ -387,15 +388,12 @@ func cutLog(fs vfs, dir string, segLSNs []uint64, live, keepSeg int, keepOff int
 
 // replay walks the WAL segments in LSN order, applies committed
 // batches above the snapshot LSN, and physically truncates the log at
-// the first damage or after the last commit.
+// the first damage or after the last commit. It leaves logBytes at the
+// frame bytes of the log it keeps.
 func (s *Store) replay(segLSNs []uint64, info *RecoveryInfo) error {
 	var (
-		// destAtCommit is the sticky dest vector as of the last commit
-		// boundary — what stickyDest is reset to afterwards, so the next
-		// segment's header records it (a recDest in a discarded
-		// uncommitted tail must not leak into it).
-		destAtCommit []int
-		next         = uint64(0) // expected first LSN; 0 accepts any start
+		next   = uint64(0) // expected first LSN; 0 accepts any start
+		logged int64       // frame bytes scanned so far
 	)
 	live := liveStart(segLSNs, s.snapLSN)
 	// Where the log ends once recovery is done: just past the last
@@ -422,7 +420,7 @@ scan:
 		if err != nil {
 			return fmt.Errorf("store: reading segment %s: %w", walName(start), err)
 		}
-		frames, hdrDest, dmg, err := scanSegmentDest(data, start)
+		frames, dmg, err := scanSegment(data, start)
 		if err != nil {
 			damageAt(si, 0, err.Error())
 			break scan
@@ -430,23 +428,12 @@ scan:
 		if si == live {
 			keepSeg, keepOff = si, segmentHeaderLen(data)
 		}
-		if hdrDest != nil {
-			// A v2 header seeds the sticky dest vector; validate like a
-			// recDest frame.
-			if err := checkDest(s.comp, hdrDest); err != nil {
-				damageAt(si, 0, "segment header: "+err.Error())
-				break scan
-			}
-			// Segments open only at commit boundaries, so the header dest
-			// is also the dest-at-commit state until a commit says
-			// otherwise.
-			s.stickyDest, destAtCommit = hdrDest, hdrDest
-		}
 		for _, f := range frames {
 			if err := s.interpret(f.lsn, f.kind, f.body); err != nil {
 				damageAt(si, f.off, err.Error())
 				break scan
 			}
+			logged += f.end - f.off
 			if f.kind == recCommit {
 				n, err := s.foldStaged()
 				if err != nil {
@@ -457,7 +444,7 @@ scan:
 				info.Replayed += n
 				keepSeg, keepOff = si, f.end
 				s.nextLSN = f.lsn + 1
-				destAtCommit = s.stickyDest
+				s.logBytes = logged
 			}
 		}
 		if dmg != nil {
@@ -468,7 +455,6 @@ scan:
 	}
 	info.DiscardedMutations = len(s.staged)
 	s.staged = s.staged[:0]
-	s.stickyDest = destAtCommit
 
 	// Physical truncation: cut the damaged/uncommitted tail so future
 	// opens see a log ending exactly at the last acked commit.
@@ -490,13 +476,6 @@ func (s *Store) openSegment() error {
 		return s.fail(fmt.Errorf("store: creating segment: %w", err))
 	}
 	hdr := newSegmentHeader()
-	if len(s.stickyDest) > 0 {
-		// Recovery left the sticky dest vector of the last commit here:
-		// record it in the header. The first insert re-logs a recDest
-		// anyway (lastDest resets below); the header keeps the bytes a
-		// segment opened after recovery has always had.
-		hdr = newSegmentHeaderDest(s.stickyDest)
-	}
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return s.fail(fmt.Errorf("store: writing segment header: %w", err))
@@ -567,22 +546,20 @@ func (s *Store) RetrySync() error {
 }
 
 // retrySyncLadder is the one back-off loop around RetrySync. err is what
-// an operation just returned; while it left the store retryably
-// poisoned and attempts remain, the ladder sleeps base<<attempt,
-// re-issues the fsync and, once it lands, lets resume finish the
-// operation (nil when the interrupted commit was all that was left).
-// It returns the attempts made and the operation's final error: only an
-// exhausted ladder or a non-retryable failure (torn write, crash,
-// rejected input) leaves the store poisoned.
-func (s *Store) retrySyncLadder(err error, attempts int, base time.Duration, resume func() error) (int, error) {
+// a Commit just returned. While the store is retryably poisoned — by
+// that commit's fsync (err says so), or by the fsync that seals the
+// segment for the compaction after a commit that had already landed
+// (err is nil) — and attempts remain, the ladder sleeps base<<attempt
+// and re-issues the fsync; once it lands, the interrupted commit is
+// complete and err is cleared. It returns the attempts made and the
+// final error: only an exhausted ladder or a non-retryable failure
+// (torn write, crash, rejected input) leaves the store poisoned.
+func (s *Store) retrySyncLadder(err error, attempts int, base time.Duration) (int, error) {
 	tried := 0
-	for ; err != nil && tried < attempts && s.CanRetrySync(); tried++ {
+	for ; tried < attempts && s.CanRetrySync(); tried++ {
 		time.Sleep(base << tried)
 		if s.RetrySync() == nil {
 			err = nil
-			if resume != nil {
-				err = resume()
-			}
 		}
 	}
 	return tried, err
@@ -659,9 +636,18 @@ func (s *Store) Delete(u, v graph.VertexID) (bool, error) {
 // Commit appends a commit marker and writes the whole batch to the log
 // in one append and fsyncs it; the batch is acked once Commit returns
 // nil. A no-op with nothing pending.
+//
+// The store compacts by one rule: a commit that leaves more frame bytes
+// in the log past the newest snapshot than that snapshot holds then
+// takes a snapshot, inline, so the log stays no longer than the
+// snapshot and a reopen replays at most a snapshot's worth of frames.
+// The batch is durable before the snapshot starts, so a failed snapshot
+// is not the batch's error: Commit returns nil and the failure poisons
+// the store for the next operation — retryably when it is the fsync
+// sealing the segment, which retrySyncLadder then re-issues.
 func (s *Store) Commit() error { return s.commit(true) }
 
-func (s *Store) commit(allowSnap bool) error {
+func (s *Store) commit(compact bool) error {
 	if err := s.ready(); err != nil {
 		return err
 	}
@@ -675,8 +661,8 @@ func (s *Store) commit(allowSnap bool) error {
 	if err := s.flush(); err != nil {
 		return err
 	}
-	if allowSnap && s.opts.SnapshotEvery > 0 && s.mutsSinceSnap >= s.opts.SnapshotEvery {
-		return s.Snapshot()
+	if compact && s.logBytes > s.snapBytes {
+		_ = s.snapshot() // every failure in it poisons the store
 	}
 	return nil
 }
@@ -705,17 +691,17 @@ func (s *Store) flush() error {
 // readers see.
 func (s *Store) finishCommit() {
 	s.committed += int64(s.pendingMuts)
-	s.mutsSinceSnap += s.pendingMuts
+	s.logBytes += int64(len(s.pending))
 	s.pending = s.pending[:0]
 	s.pendingMuts = 0
 	s.commitLSN.Store(s.nextLSN - 1)
 }
 
-// Snapshot commits anything pending, persists the full composite via
+// snapshot commits anything pending, persists the full composite via
 // an fsynced temp file plus atomic rename, rotates to a fresh WAL
 // segment, and compacts: covered segments and all but one older
 // snapshot are deleted.
-func (s *Store) Snapshot() error {
+func (s *Store) snapshot() error {
 	if err := s.commit(false); err != nil {
 		return err
 	}
@@ -782,7 +768,8 @@ func (s *Store) rebase(comp *composite.Composite, lsn uint64) error {
 	if err := s.persistSnapshot(buf.Bytes(), lsn); err != nil {
 		return s.fail(err)
 	}
-	s.comp, s.snapLSN, s.nextLSN, s.mutsSinceSnap = comp, lsn, lsn+1, 0
+	s.comp, s.snapLSN, s.nextLSN = comp, lsn, lsn+1
+	s.snapBytes, s.logBytes = int64(buf.Len()), 0
 	if err := s.openSegment(); err != nil {
 		return err
 	}

@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"adp/internal/algorithms"
 	"adp/internal/composite"
@@ -178,37 +180,70 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// logPastSnapshot returns the size of dir's newest snapshot, its LSN,
+// and the frame bytes of every WAL segment that starts above it (each
+// segment the store writes has the 8-byte header).
+func logPastSnapshot(t *testing.T, dir string) (snapBytes int64, snapLSN uint64, logBytes int64) {
+	t.Helper()
+	var fs osVFS
+	snaps, segs, err := storeFiles(fs, dir)
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("store files: %v, %d snapshots", err, len(snaps))
+	}
+	snapLSN = snaps[len(snaps)-1]
+	if snapBytes, err = fs.Size(filepath.Join(dir, snapName(snapLSN))); err != nil {
+		t.Fatal(err)
+	}
+	for _, lsn := range segs {
+		if lsn <= snapLSN {
+			t.Fatalf("segment %s survived the snapshot at lsn %d", walName(lsn), snapLSN)
+		}
+		sz, err := fs.Size(filepath.Join(dir, walName(lsn)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		logBytes += sz - segHdrLen
+	}
+	return snapBytes, snapLSN, logBytes
+}
+
+// TestStoreSnapshotCompaction: a store opened as adserve opens it
+// (Options{}) takes 50,000 mutations in batches of 64. The compaction
+// rule must keep the log's frames past the newest snapshot no longer
+// than that snapshot after every commit, and a reopen must replay only
+// the mutations committed after the newest snapshot.
 func TestStoreSnapshotCompaction(t *testing.T) {
+	const nMuts, batch = 50_000, 64
 	g, c := testComposite(t)
 	dir := t.TempDir()
-	s, err := Create(dir, c, Options{SnapshotEvery: 40})
+	s, err := Create(dir, c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	muts := genMutations(t, g, s.Composite(), 150, 11)
-	if _, _, err := s.Apply(muts); err != nil {
-		t.Fatal(err)
+	muts := genMutations(t, g, c.Clone(), nMuts, 11)
+	compactions, sinceSnap := 0, 0
+	lastSnap := uint64(0)
+	for i := 0; i < nMuts; i += batch {
+		call := muts[i:min(i+batch, nMuts)]
+		if _, _, err := s.Apply(call); err != nil {
+			t.Fatal(err)
+		}
+		snapBytes, snapLSN, logBytes := logPastSnapshot(t, dir)
+		if logBytes > snapBytes {
+			t.Fatalf("after %d mutations the log past the snapshot is %d bytes, the snapshot %d",
+				i+len(call), logBytes, snapBytes)
+		}
+		sinceSnap += len(call)
+		if snapLSN != lastSnap {
+			compactions, sinceSnap, lastSnap = compactions+1, 0, snapLSN
+		}
 	}
+	if compactions < 2 {
+		t.Fatalf("%d compactions in %d mutations", compactions, nMuts)
+	}
+	t.Logf("%d compactions in %d mutations; %d follow the newest snapshot", compactions, nMuts, sinceSnap)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
-	}
-	// Compaction must have dropped covered segments: the bytes on disk
-	// hold only the newest snapshots plus the short live log suffix.
-	names, _ := os.ReadDir(dir)
-	walFiles, snapFiles := 0, 0
-	for _, e := range names {
-		if _, ok := parseWALName(e.Name()); ok {
-			walFiles++
-		}
-		if _, ok := parseSnapName(e.Name()); ok {
-			snapFiles++
-		}
-	}
-	if walFiles != 1 {
-		t.Fatalf("compaction left %d wal segments, want 1", walFiles)
-	}
-	if snapFiles > 2 {
-		t.Fatalf("compaction left %d snapshots, want <= 2", snapFiles)
 	}
 
 	_, clean := testComposite(t)
@@ -218,8 +253,11 @@ func TestStoreSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
+	if info.SnapshotLSN != lastSnap || info.Replayed != sinceSnap || info.Damage != nil {
+		t.Fatalf("reopen %v, want snapshot lsn %d and %d replayed", info, lastSnap, sinceSnap)
+	}
 	if err := s2.Composite().EqualState(clean); err != nil {
-		t.Fatalf("recovered state diverges after compaction: %v (info %v)", err, info)
+		t.Fatalf("recovered state diverges after compaction: %v", err)
 	}
 }
 
@@ -348,6 +386,131 @@ func TestStoreDiskFaults(t *testing.T) {
 			}
 			if err := s2.Composite().ValidateIndex(); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestStoreAutoSnapshotFaults: disk faults inside the snapshot the
+// compaction rule takes after a commit. The batch was durable before
+// the snapshot began, so what ApplyRetrying reports must match what a
+// reopen recovers: nil, with every acked batch replayed. A torn or
+// unsynced snapshot file poisons the store for good; a failed fsync
+// sealing the segment stays retryable, the ladder completes it, and
+// the next commit compacts. An injected crash models a process that
+// never replied, so only the recovered committed prefix is checked.
+func TestStoreAutoSnapshotFaults(t *testing.T) {
+	const batch = 64
+	g, base := testComposite(t)
+	muts := genMutations(t, g, base, 40*batch, 53)
+	batchOf := func(i int) []Mutation { return muts[i*batch : (i+1)*batch] }
+
+	// A fault-free run finds the batch whose commit compacts first and
+	// the write ordinal of that commit. Before the compaction every
+	// write is followed by one fsync (Create's snapshot and header, then
+	// one per commit), so the fsync ordinals match: w is the commit's
+	// write and fsync, w+1 the snapshot's write and the fsync sealing
+	// the segment, w+2 the snapshot file's fsync.
+	fire, w := -1, 0
+	{
+		_, c := testComposite(t)
+		inj := fault.NewDiskInjector()
+		s, err := Create(t.TempDir(), c, Options{Injector: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; fire < 0 && (i+1)*batch <= len(muts); i++ {
+			w = inj.Writes()
+			if _, _, err := s.Apply(batchOf(i)); err != nil {
+				t.Fatal(err)
+			}
+			if s.snapLSN > 0 {
+				fire = i
+			}
+		}
+		s.Close()
+		if fire < 1 {
+			t.Fatalf("compaction fired at batch %d", fire)
+		}
+	}
+
+	cases := []struct {
+		name  string
+		event fault.DiskEvent
+		cause string // what the poisoning error names, for the permanent ones
+	}{
+		{"short write", fault.DiskEvent{Kind: fault.ShortWrite, N: w + 1, Bytes: 10}, "writing snapshot"},
+		{"snapshot fsync error", fault.DiskEvent{Kind: fault.SyncErr, N: w + 2}, "syncing snapshot"},
+		{"seal fsync error", fault.DiskEvent{Kind: fault.SyncErr, N: w + 1}, ""},
+		{"crash mid snapshot", fault.DiskEvent{Kind: fault.CrashWrite, N: w + 1, Bytes: 10}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, c := testComposite(t)
+			dir := t.TempDir()
+			s, err := Create(dir, c, Options{Injector: fault.NewDiskInjector(tc.event)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < fire; i++ {
+				if _, _, err := s.Apply(batchOf(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, _, retries, err := s.ApplyRetrying(batchOf(fire), 3, time.Microsecond)
+			// prefix is how many mutations a reopen must recover, replayed
+			// how many of them it must replay on top of the snapshot.
+			prefix := (fire + 1) * batch
+			replayed := prefix
+			switch {
+			case tc.event.Kind == fault.CrashWrite:
+				prefix = -1 // the reply never left: any committed prefix from the acked batches on
+			case tc.event.Kind == fault.SyncErr && tc.event.N == w+1:
+				// Retried in place: the store is healthy, the snapshot was
+				// not taken, and the next commit takes it.
+				if err != nil || retries != 1 || s.Failed() || s.snapLSN != 0 {
+					t.Fatalf("err=%v retries=%d failed=%v snapLSN=%d, want one clean retry and no snapshot",
+						err, retries, s.Failed(), s.snapLSN)
+				}
+				if _, _, err := s.Apply(batchOf(fire + 1)); err != nil {
+					t.Fatal(err)
+				}
+				if s.snapLSN == 0 {
+					t.Fatal("the commit after the retried fsync did not compact")
+				}
+				prefix, replayed = prefix+batch, 0
+			default:
+				if err != nil || retries != 0 {
+					t.Fatalf("durable batch reported err=%v after %d retries", err, retries)
+				}
+				if !s.Failed() || s.CanRetrySync() || !strings.Contains(s.failed.Error(), tc.cause) {
+					t.Fatalf("failed=%v (%v) retryable=%v, want poisoned for good by %q",
+						s.Failed(), s.failed, s.CanRetrySync(), tc.cause)
+				}
+				if _, _, err := s.Apply(batchOf(fire + 1)); !errors.Is(err, errPoisoned) {
+					t.Fatalf("poisoned store answered %v", err)
+				}
+			}
+			s.Close()
+
+			s2, info, err := Open(dir, g, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if prefix < 0 {
+				if info.Replayed < fire*batch || info.Replayed > (fire+1)*batch {
+					t.Fatalf("replayed %d, want between the %d acked and the %d written", info.Replayed, fire*batch, (fire+1)*batch)
+				}
+				prefix, replayed = info.Replayed, info.Replayed
+			}
+			if info.Replayed != replayed || info.Damage != nil {
+				t.Fatalf("reopen %v, want %d replayed", info, replayed)
+			}
+			_, clean := testComposite(t)
+			applyClean(t, clean, muts[:prefix])
+			if err := s2.Composite().EqualState(clean); err != nil {
+				t.Fatalf("recovered state is not the %d-mutation prefix: %v", prefix, err)
 			}
 		})
 	}

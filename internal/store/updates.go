@@ -164,7 +164,7 @@ func (s *Store) Apply(muts []Mutation) (inserts, deletes int, err error) {
 // reports the retries made.
 func (s *Store) ApplyRetrying(muts []Mutation, attempts int, base time.Duration) (inserts, deletes, retries int, err error) {
 	commit := func() error {
-		n, err := s.retrySyncLadder(s.Commit(), attempts, base, nil)
+		n, err := s.retrySyncLadder(s.Commit(), attempts, base)
 		retries += n
 		return err
 	}

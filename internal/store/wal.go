@@ -1,7 +1,8 @@
 // Package store is the crash-consistent on-disk home of a composite
 // partition: an append-only CRC-framed write-ahead log of coherent
-// edge mutations in front of periodic full snapshots in the existing
-// composite serialisation format. Recovery (Open) replays the log onto
+// edge mutations in front of full snapshots in the existing composite
+// serialisation format, a new one whenever the log past the newest
+// outgrows it (see Store.Commit). Recovery (Open) replays the log onto
 // the latest snapshot, truncating at the first torn or corrupt frame
 // and discarding any un-acked tail, so a process kill at any byte of
 // any write leaves a state identical to some committed prefix of the
@@ -21,16 +22,16 @@ import (
 // WAL segment wire format (all little-endian):
 //
 //	header:  [segMagic u32][segVersion u32]
-//	v2:      [segMagic u32][2 u32][k u16][k × dest u32]
+//	v2:      [segMagic u32][2 u32][k u16][k × dest u32]   (read only)
 //	frame:   [payloadLen u32][crc32c u32][payload]
 //	payload: [lsn u64][kind u8][body]
 //
-// A version-2 header additionally records the destination vector in
-// effect when the segment was opened: the sticky vector recovery read
-// from the log before it (see openSegment). The store re-logs a
-// recDest on the first insert of every fresh segment anyway, so replay
-// never needs the header's vector; it stays part of the format, and
-// replay validates and seeds the sticky vector from it.
+// The store writes only the 8-byte version-1 header. Earlier stores
+// wrote a version-2 header, which also carries the destination vector
+// in effect when the segment was opened, after every recovery; such
+// segments are still read. The store re-logs a recDest before the first
+// insert of every fresh segment, so replay never needs that vector: it
+// is decoded (its length bounds the header) and otherwise skipped.
 //
 // The CRC (Castagnoli) covers the payload only; payloadLen covers the
 // payload only. Record kinds and bodies:
@@ -50,8 +51,8 @@ import (
 const (
 	segMagic   = uint32(0xAD9A_0005)
 	segVersion = uint32(1)
-	// segVersionDest marks a header carrying the sticky destination
-	// vector (segments opened after a recovery that read one).
+	// segVersionDest marks the read-only version-2 header, which carries
+	// a destination vector after the version-1 fields.
 	segVersionDest = uint32(2)
 	segHdrLen      = 8
 	frameHdr       = 8 // payloadLen + crc
@@ -123,42 +124,40 @@ func (d *Damage) Error() string {
 // whole file is untrusted.
 var errBadSegHeader = errors.New("wal: bad segment header")
 
-// parseSegmentHeader validates a segment header and returns the sticky
-// destination vector it carries (nil for version 1) plus the header
-// length in bytes.
-func parseSegmentHeader(data []byte) ([]int, int64, error) {
+// parseSegmentHeader validates a segment header and returns its length
+// in bytes.
+func parseSegmentHeader(data []byte) (int64, error) {
 	if len(data) < segHdrLen {
-		return nil, 0, errBadSegHeader
+		return 0, errBadSegHeader
 	}
 	if binary.LittleEndian.Uint32(data) != segMagic {
-		return nil, 0, errBadSegHeader
+		return 0, errBadSegHeader
 	}
 	switch v := binary.LittleEndian.Uint32(data[4:]); v {
 	case segVersion:
-		return nil, segHdrLen, nil
+		return segHdrLen, nil
 	case segVersionDest:
 		// The extension is a recDest body: [k u16][k × dest u32].
 		if len(data) < segHdrLen+2 {
-			return nil, 0, fmt.Errorf("%w: torn dest extension", errBadSegHeader)
+			return 0, fmt.Errorf("%w: torn dest extension", errBadSegHeader)
 		}
 		end := segHdrLen + 2 + 4*int(binary.LittleEndian.Uint16(data[segHdrLen:]))
 		if len(data) < end {
-			return nil, 0, fmt.Errorf("%w: torn dest extension", errBadSegHeader)
+			return 0, fmt.Errorf("%w: torn dest extension", errBadSegHeader)
 		}
-		dest, err := decodeDest(data[segHdrLen:end])
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: %v", errBadSegHeader, err)
+		if _, err := decodeDest(data[segHdrLen:end]); err != nil {
+			return 0, fmt.Errorf("%w: %v", errBadSegHeader, err)
 		}
-		return dest, int64(end), nil
+		return int64(end), nil
 	default:
-		return nil, 0, fmt.Errorf("%w: version %d", errBadSegHeader, v)
+		return 0, fmt.Errorf("%w: version %d", errBadSegHeader, v)
 	}
 }
 
 // segmentHeaderLen returns the header length of a segment, or segHdrLen
 // when the header is unreadable (the legacy truncation floor).
 func segmentHeaderLen(data []byte) int64 {
-	_, n, err := parseSegmentHeader(data)
+	n, err := parseSegmentHeader(data)
 	if err != nil {
 		return segHdrLen
 	}
@@ -171,35 +170,28 @@ func segmentHeaderLen(data []byte) int64 {
 // wantLSN is the LSN the first frame must carry; pass 0 to accept any
 // start. A clean, fully-consumed segment returns (frames, nil, nil).
 func scanSegment(data []byte, wantLSN uint64) ([]frame, *Damage, error) {
-	frames, _, dmg, err := scanSegmentDest(data, wantLSN)
-	return frames, dmg, err
-}
-
-// scanSegmentDest is scanSegment plus the header's sticky destination
-// vector (nil for a version-1 header).
-func scanSegmentDest(data []byte, wantLSN uint64) ([]frame, []int, *Damage, error) {
-	hdrDest, off, herr := parseSegmentHeader(data)
+	off, herr := parseSegmentHeader(data)
 	if herr != nil {
-		return nil, nil, nil, herr
+		return nil, nil, herr
 	}
 	var frames []frame
 	next := wantLSN
 	for off < int64(len(data)) {
 		rest := data[off:]
 		if len(rest) < frameHdr {
-			return frames, hdrDest, &Damage{Offset: off, Reason: fmt.Sprintf("torn frame header (%d trailing bytes)", len(rest))}, nil
+			return frames, &Damage{Offset: off, Reason: fmt.Sprintf("torn frame header (%d trailing bytes)", len(rest))}, nil
 		}
 		plen := binary.LittleEndian.Uint32(rest)
 		crc := binary.LittleEndian.Uint32(rest[4:])
 		if plen < 9 || plen > maxFramePayload {
-			return frames, hdrDest, &Damage{Offset: off, Reason: fmt.Sprintf("implausible payload length %d", plen)}, nil
+			return frames, &Damage{Offset: off, Reason: fmt.Sprintf("implausible payload length %d", plen)}, nil
 		}
 		if int64(len(rest)) < frameHdr+int64(plen) {
-			return frames, hdrDest, &Damage{Offset: off, Reason: fmt.Sprintf("torn frame (%d of %d payload bytes)", len(rest)-frameHdr, plen)}, nil
+			return frames, &Damage{Offset: off, Reason: fmt.Sprintf("torn frame (%d of %d payload bytes)", len(rest)-frameHdr, plen)}, nil
 		}
 		payload := rest[frameHdr : frameHdr+int(plen)]
 		if got := crc32.Checksum(payload, castagnoli); got != crc {
-			return frames, hdrDest, &Damage{Offset: off, Reason: fmt.Sprintf("crc mismatch (stored %#x, computed %#x)", crc, got)}, nil
+			return frames, &Damage{Offset: off, Reason: fmt.Sprintf("crc mismatch (stored %#x, computed %#x)", crc, got)}, nil
 		}
 		f := frame{
 			lsn:  binary.LittleEndian.Uint64(payload),
@@ -209,16 +201,16 @@ func scanSegmentDest(data []byte, wantLSN uint64) ([]frame, []int, *Damage, erro
 			end:  off + frameHdr + int64(plen),
 		}
 		if f.kind < recDest || f.kind > recCommit {
-			return frames, hdrDest, &Damage{Offset: off, Reason: fmt.Sprintf("unknown record kind %d", payload[8])}, nil
+			return frames, &Damage{Offset: off, Reason: fmt.Sprintf("unknown record kind %d", payload[8])}, nil
 		}
 		if next != 0 && f.lsn != next {
-			return frames, hdrDest, &Damage{Offset: off, Reason: fmt.Sprintf("lsn break (want %d, got %d)", next, f.lsn)}, nil
+			return frames, &Damage{Offset: off, Reason: fmt.Sprintf("lsn break (want %d, got %d)", next, f.lsn)}, nil
 		}
 		next = f.lsn + 1
 		frames = append(frames, f)
 		off = f.end
 	}
-	return frames, hdrDest, nil, nil
+	return frames, nil, nil
 }
 
 // decodeDest parses a recDest body.
@@ -269,12 +261,4 @@ func newSegmentHeader() []byte {
 	binary.LittleEndian.PutUint32(hdr, segMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], segVersion)
 	return hdr
-}
-
-// newSegmentHeaderDest builds a version-2 header carrying the sticky
-// destination vector in effect at segment open, as a recDest body.
-func newSegmentHeaderDest(dest []int) []byte {
-	hdr := newSegmentHeader()
-	binary.LittleEndian.PutUint32(hdr[4:], segVersionDest)
-	return append(hdr, encodeDest(dest)...)
 }

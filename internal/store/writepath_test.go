@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,7 +78,7 @@ func walFrames(t *testing.T, dir string) (first uint64, frames []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, hdr, err := parseSegmentHeader(data)
+		hdr, err := parseSegmentHeader(data)
 		if err != nil {
 			t.Fatalf("%s: %v", n, err)
 		}
@@ -99,17 +100,18 @@ func walFrames(t *testing.T, dir string) (first uint64, frames []byte) {
 func TestWritePathProducersAgree(t *testing.T) {
 	cases := []struct {
 		name       string
-		opts       Options
-		snapAfter  int // explicit leader Snapshot after this call; -1 for none
+		snapAfter  []int // the calls after which the leader snapshots
 		leaderHash string
 	}{
-		{"plain", Options{}, -1,
+		{"plain", nil,
 			"d9df5d0192eac86583c8dca8a3544211ef7a4400cf0bcd81c3c3a5ab76ff4a44"},
-		{"snapshot mid-stream", Options{}, 2,
+		{"snapshot mid-stream", []int{2},
 			"3b6ab14578799b8437f6403908870bc7abc813a5a8505848bf30c2f101a5b377"},
-		// The leader compacts inside an Apply call here. The case name is
-		// kept as a stable test id; every commit fsyncs.
-		{"auto snapshots, batched fsync", Options{SnapshotEvery: 25}, -1,
+		// The case name is kept as a stable test id. It was recorded with
+		// a snapshot every 25 committed mutations, which fired at the last
+		// commit of calls 2 and 5; the history's log never outgrows the
+		// snapshot, so the compaction rule adds none.
+		{"auto snapshots, batched fsync", []int{2, 5},
 			"d6866a440bda52a56b44ac940fa89ddcdd3d05320134963f7568b3b28d717429"},
 	}
 	for _, tc := range cases {
@@ -117,7 +119,7 @@ func TestWritePathProducersAgree(t *testing.T) {
 			g, c := testComposite(t)
 			root := t.TempDir()
 			dirL, dirC := root+"/lead", root+"/copy"
-			leader, err := Create(dirL, c, tc.opts)
+			leader, err := Create(dirL, c, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,8 +129,8 @@ func TestWritePathProducersAgree(t *testing.T) {
 				if _, _, err := leader.Apply(call); err != nil {
 					t.Fatalf("call %d: %v", i, err)
 				}
-				if i == tc.snapAfter {
-					if err := leader.Snapshot(); err != nil {
+				if slices.Contains(tc.snapAfter, i) {
+					if err := leader.snapshot(); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -152,7 +154,7 @@ func TestWritePathProducersAgree(t *testing.T) {
 				}
 			}
 			gotL := hashDir(t, dirL)
-			reopened, info, err := Open(dirC, g, tc.opts)
+			reopened, info, err := Open(dirC, g, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +244,7 @@ func (f *recFile) Close() error {
 
 // rotateSegment syncs and closes the active segment and opens a fresh
 // one at the next LSN, with no pending batch: the bare rotation that
-// Snapshot and ReplaceComposite make under a new base.
+// snapshot and ReplaceComposite make under a new base.
 func (s *Store) rotateSegment() error {
 	if err := s.ready(); err != nil {
 		return err
@@ -257,7 +259,7 @@ func (s *Store) rotateSegment() error {
 }
 
 // TestWritePathOpTrace pins the exact Create/Write/Sync/Close/Rename/
-// Remove sequence behind each public write-path call to the sequence
+// Remove sequence behind each write-path call to the sequence
 // recorded at the commit before those calls shared their helpers: the
 // crash sweeps and every fault schedule address faults by write and
 // sync ordinal, so an operation added, dropped or reordered here moves
@@ -293,7 +295,7 @@ func TestWritePathOpTrace(t *testing.T) {
 		_, _, err := leader.Apply(muts[:4])
 		return err
 	})
-	got["Snapshot"] = trace(leader.Snapshot)
+	got["Snapshot"] = trace(leader.snapshot)
 	if _, _, err := leader.Apply(muts[4:]); err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,8 @@ type cnState struct {
 	// agg is this worker's aggregate message body (count and the two
 	// checksum halves), kept here so a warm run sends it unallocated.
 	agg [3]float64
+	// h2 holds pairHash's u2 factor for every u2 of the list in hand.
+	h2 []uint64
 }
 
 // RunCN enumerates common-out-neighbour triples (u1, u2, w): u1 < u2
@@ -39,7 +41,8 @@ func RunCN(c *engine.Cluster, opts CNOptions) (CNResult, *engine.Report, error) 
 		return opts.Theta <= 0 || g.InDegree(w) <= opts.Theta
 	}
 	exch := &neighborExchange{
-		in: true,
+		in:  true,
+		key: max(opts.Theta, 0),
 		needs: func(w *engine.WorkerCtx, need []bool) {
 			in := w.InScan()
 			for l, v := range w.Plan().IDs {
@@ -69,6 +72,14 @@ func RunCN(c *engine.Cluster, opts CNOptions) (CNResult, *engine.Report, error) 
 				if len(fullIn) == 0 || !inTheta(v) {
 					continue
 				}
+				// pairHash(u, u2, v) with v's factor and every u2's
+				// hoisted out of the pair loop, which keeps one multiply.
+				// (A needed v has a responsible arc, so none is wasted.)
+				vh := uint64(v) * hashW
+				st.h2 = st.h2[:0]
+				for _, u2 := range fullIn {
+					st.h2 = append(st.h2, uint64(u2)*hashU2)
+				}
 				responsible := 0
 				for k := scan.Off[l]; k < scan.Off[l+1]; k++ {
 					if !scan.Responsible(k) {
@@ -82,8 +93,9 @@ func RunCN(c *engine.Cluster, opts CNOptions) (CNResult, *engine.Report, error) 
 						pos++
 					}
 					count += int64(len(fullIn) - pos)
-					for _, u2 := range fullIn[pos:] {
-						checksum += pairHash(u, u2, v)
+					uh := uint64(u)*hashU1 ^ vh
+					for _, h := range st.h2[pos:] {
+						checksum += pairMix(uh ^ h)
 					}
 				}
 				if responsible > 0 {

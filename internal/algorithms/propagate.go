@@ -141,24 +141,53 @@ func (pr *propagation) run(c *engine.Cluster, maxSupersteps int) ([]float64, *en
 		// is charged its local degree exactly once (the hWCC/hSSSP
 		// shape); all later incremental relaxations count as fragment
 		// work only.
+		nl, seed := len(pl.IDs), len(pl.IDs)
 		if s == 0 {
+			seed = 0
 			for l, v := range pl.IDs {
-				st.pq.push(propEntry{int32(l), st.val[l]})
 				w.ChargeVertex(v, float64(pr.scanDegree(pl.Adjs[l])))
 			}
 		}
 		// (2) local fixpoint as a value-ordered sweep (a local
-		// Dijkstra): values only decrease, so popping in ascending
-		// order settles each vertex at most once per superstep and
-		// keeps the work insensitive to relaxation order.
-		for len(st.pq) > 0 {
-			top := st.pq.pop()
-			if top.val > st.val[top.l] {
-				continue // stale entry
+		// Dijkstra): values only decrease, so taking vertices in
+		// ascending value order settles each at most once per
+		// superstep and keeps the work insensitive to relaxation order.
+		// Seeds stay off the heap: their finite values ascend with
+		// local id (WCC's labels are the ids; SSSP has one, the
+		// source), so the seed cursor walks them in order, merged with
+		// the heap, skipping a seed the sweep has lowered (it is queued
+		// at its new value). An Unreachable seed relaxes nothing and
+		// is skipped too.
+		for {
+			for seed < nl && (st.val[seed] >= Unreachable || st.val[seed] != pr.init(pl.IDs[seed])) {
+				seed++
 			}
-			adj := pl.Adjs[top.l]
+			var l int32
+			if seed < nl && (len(st.pq) == 0 || st.val[seed] <= st.pq[0].val) {
+				l = int32(seed)
+				seed++
+			} else if len(st.pq) > 0 {
+				top := st.pq.pop()
+				if top.val > st.val[top.l] {
+					continue // stale entry
+				}
+				l = top.l
+			} else {
+				break
+			}
+			adj := pl.Adjs[l]
 			w.AddWork(float64(pr.scanDegree(adj)))
-			pr.relax(st, pl.IDs[top.l], top.val, adj)
+			pr.relax(st, pl.IDs[l], st.val[l], adj)
+		}
+		// A seed still unreached is charged its scan, as the pop of an
+		// unreached seed was charged when every seed went through the
+		// heap: the same integer work units.
+		if s == 0 {
+			for l, v := range st.val {
+				if v >= Unreachable {
+					w.AddWork(float64(pr.scanDegree(pl.Adjs[l])))
+				}
+			}
 		}
 		// (3) synchronise borders through masters, in ascending local
 		// id order.
@@ -266,10 +295,8 @@ func RunSSSP(c *engine.Cluster, source graph.VertexID) (SSSPResult, *engine.Repo
 			return Unreachable
 		},
 		scanDegree: func(adj *partition.Adj) int { return len(adj.Out) },
+		// The sweep never relaxes an Unreachable value.
 		relax: func(st *propState, v graph.VertexID, val float64, adj *partition.Adj) {
-			if val >= Unreachable {
-				return
-			}
 			for _, u := range adj.Out {
 				st.lower(u, val+EdgeWeight(v, u))
 			}

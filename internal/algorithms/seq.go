@@ -24,7 +24,18 @@ func EdgeWeight(u, v graph.VertexID) float64 {
 // checksum contribution, so distributed and sequential enumeration
 // orders agree.
 func pairHash(u1, u2, w graph.VertexID) uint64 {
-	x := uint64(u1)*0x9e3779b97f4a7c15 ^ uint64(u2)*0xc2b2ae3d27d4eb4f ^ uint64(w)*0x165667b19e3779f9
+	return pairMix(uint64(u1)*hashU1 ^ uint64(u2)*hashU2 ^ uint64(w)*hashW)
+}
+
+// pairHash's per-operand factors.
+const (
+	hashU1 = 0x9e3779b97f4a7c15
+	hashU2 = 0xc2b2ae3d27d4eb4f
+	hashW  = 0x165667b19e3779f9
+)
+
+// pairMix finalises pairHash's combined factors.
+func pairMix(x uint64) uint64 {
 	x ^= x >> 29
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 32

@@ -26,10 +26,13 @@ type tcState struct {
 	exch exchState
 	// total is worker 0's aggregate.
 	total int64
-	// Superstep-2 buffers, refilled there: the part of each full list
-	// above its vertex in the TC order, upper[upperOff[l]:upperOff[l+1]].
+	// The part of each full list above its vertex in the TC order,
+	// upper[upperOff[l]:upperOff[l+1]]: like the exchange's topology, a
+	// function of the plan alone, so filled by the first Run on upperFor
+	// and reused by every later one.
 	upper    []graph.VertexID
 	upperOff []int32
+	upperFor *engine.Plan
 }
 
 // RunTC counts the triangles of the cluster's (undirected) graph.
@@ -54,6 +57,7 @@ func RunTC(c *engine.Cluster) (int64, *engine.Report, error) {
 	leads := func(out *engine.Scan, a graph.VertexID, k int32) bool {
 		return out.Responsible(k) && TCLess(g, a, out.NbrID(k))
 	}
+	// TC's needs depend on the plan alone: the key stays 0.
 	exch := &neighborExchange{
 		needs: func(w *engine.WorkerCtx, need []bool) {
 			out := w.OutScan()
@@ -81,14 +85,16 @@ func RunTC(c *engine.Cluster) (int64, *engine.Report, error) {
 			st := w.State.(*tcState)
 			exch.step2(w, &st.exch, in)
 			pl, out, full := w.Plan(), w.OutScan(), st.exch.full
-			st.upper, st.upperOff = st.upper[:0], sized(st.upperOff, len(pl.IDs)+1)
-			for l, a := range pl.IDs {
-				for _, c := range full[l] {
-					if TCLess(g, a, c) {
-						st.upper = append(st.upper, c)
+			if st.upperFor != pl {
+				st.upper, st.upperOff, st.upperFor = st.upper[:0], sized(st.upperOff, len(pl.IDs)+1), pl
+				for l, a := range pl.IDs {
+					for _, c := range full[l] {
+						if TCLess(g, a, c) {
+							st.upper = append(st.upper, c)
+						}
 					}
+					st.upperOff[l+1] = int32(len(st.upper))
 				}
-				st.upperOff[l+1] = int32(len(st.upper))
 			}
 			upper := func(l int32) []graph.VertexID { return st.upper[st.upperOff[l]:st.upperOff[l+1]] }
 			var count int64

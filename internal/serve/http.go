@@ -381,7 +381,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		SharedFragments: ems.sharedFragments,
 		OwnedFragments:  ems.ownedFragments,
 		ApproxNewBytes:  ems.newBytes,
-		ApproxBytes:     ems.epochBytes,
+		ApproxBytes:     ep.fullBytes,
 	}
 	for i, a := range costmodel.Algos() {
 		j := ep.comp.PartitionFor(a)

@@ -246,7 +246,7 @@ func (s *Server) applySwap(sr *swapRequest) {
 		return
 	}
 	res.err = s.st.ReplaceComposite(sr.cand)
-	ne := s.finish(res.err, res.err == nil)
+	ne := s.finish(res.err == nil)
 	if ne == nil {
 		return
 	}

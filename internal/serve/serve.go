@@ -116,6 +116,8 @@ type epoch struct {
 	lambda      []float64           // LambdaCost per algorithm
 	storageArcs int                 // composite StorageArcs
 	fc          float64             // composite FC
+	// fullBytes is the epoch's resident size as if nothing were shared.
+	fullBytes int64
 }
 
 // Server is the serving daemon: one durable store, one hot epoch, and
@@ -241,9 +243,8 @@ type epochMemStats struct {
 	publishNS                       int64
 	sharedFragments, ownedFragments int
 	// newBytes approximates the memory the publish newly materialized
-	// (its owned fragments); epochBytes the epoch's full resident size
-	// as if nothing were shared.
-	newBytes, epochBytes int64
+	// (its owned fragments).
+	newBytes int64
 }
 
 // publish cuts a snapshot of comp, installs it as the next epoch, and
@@ -272,14 +273,15 @@ func (s *Server) recordPublish(old, ne *epoch, d time.Duration) {
 	if old != nil {
 		prev = old.comp
 	}
+	// The epoch's full size walks every chunk of every partition, so it
+	// is left to the first /metrics that asks (epoch.metrics), off the
+	// ack path.
 	delta := ne.comp.ShareStats(prev)
-	full := ne.comp.ShareStats(nil)
 	st := epochMemStats{
 		publishNS:       d.Nanoseconds(),
 		sharedFragments: delta.SharedFragments,
 		ownedFragments:  delta.OwnedFragments,
 		newBytes:        delta.OwnedBytes,
-		epochBytes:      full.OwnedBytes,
 	}
 	s.epochMu.Lock()
 	if old != nil {
@@ -326,12 +328,13 @@ func (e *epoch) unpin() { e.pins.Add(-1) }
 func algoIndex(a costmodel.Algo) int { return max(slices.Index(costmodel.Algos(), a), 0) }
 
 // metrics computes (once per epoch) the structural metrics, composite
-// storage and reference-model costs served by GET /metrics, filling
-// the epoch's met, cost, lambda, storageArcs and fc. Safe for
-// concurrent callers; the epoch is immutable.
+// storage, full size and reference-model costs served by GET /metrics,
+// filling the epoch's met, cost, lambda, storageArcs, fc and fullBytes.
+// Safe for concurrent callers; the epoch is immutable.
 func (e *epoch) metrics() {
 	e.metOnce.Do(func() {
 		e.storageArcs, e.fc = e.comp.StorageArcs(), e.comp.FC()
+		e.fullBytes = e.comp.ShareStats(nil).OwnedBytes
 		e.met = make([]partition.Metrics, e.comp.K())
 		for j := 0; j < e.comp.K(); j++ {
 			e.met[j] = e.comp.Partition(j).ComputeMetrics()
@@ -406,15 +409,14 @@ func (s *Server) gather(b *updateBatch) []*updateBatch {
 // finish is the one tail of every apply-loop request, whichever
 // producer it came from (update wave or maintenance swap):
 // mirror the store's counters out for /metrics, derive storeFailed from
-// the store's own poison state, and — when the request advanced the
-// composite — cut and publish the next epoch. err is the request's
-// error, for the log line that goes with a poisoning.
-func (s *Server) finish(err error, publish bool) *epoch {
+// the store's own poison state, logging its cause, and — when the
+// request advanced the composite — cut and publish the next epoch.
+func (s *Server) finish(publish bool) *epoch {
 	s.lastLSN.Store(s.st.LSN())
 	s.committed.Store(s.st.Committed())
-	if s.st.Failed() && !s.storeFailed.Load() {
+	if cause := s.st.Failed(); cause != nil && !s.storeFailed.Load() {
 		s.storeFailed.Store(true)
-		s.logf("serve: store poisoned, write path failed until restart: %v", err)
+		s.logf("serve: store poisoned, write path failed until restart: %v", cause)
 	}
 	if !publish {
 		return nil
@@ -448,7 +450,7 @@ func (s *Server) applyWave(wave []*updateBatch) {
 	// published epoch and the committed WAL prefix can be trusted.
 	// Batches before the failure are durable but invisible; their result
 	// says so via epoch == 0.
-	if ne := s.finish(failed, failed == nil); ne != nil {
+	if ne := s.finish(failed == nil); ne != nil {
 		s.captureWave(ne.seq, wave)
 		for i := range results {
 			results[i].epoch = ne.seq

@@ -110,7 +110,7 @@ func TestStoreReplaceShapeMismatch(t *testing.T) {
 	if err := s.ReplaceComposite(bad); err == nil {
 		t.Fatal("shape-mismatched replacement accepted")
 	}
-	if s.Failed() {
+	if s.Failed() != nil {
 		t.Fatal("shape mismatch poisoned the store")
 	}
 	// The write path still works.
@@ -149,7 +149,7 @@ func TestStoreReplaceDiskFault(t *testing.T) {
 	} else if !errors.Is(err, fault.ErrDiskFault) {
 		t.Fatalf("got %v, want wrapped ErrDiskFault", err)
 	}
-	if !s.Failed() {
+	if s.Failed() == nil {
 		t.Fatal("store not poisoned after failed replacement")
 	}
 	if s.Composite() != before {
@@ -196,7 +196,7 @@ func TestStoreRetrySync(t *testing.T) {
 	} else if !errors.Is(err, fault.ErrDiskFault) {
 		t.Fatalf("got %v, want wrapped ErrDiskFault", err)
 	}
-	if !s.Failed() || !s.CanRetrySync() {
+	if s.Failed() == nil || !s.CanRetrySync() {
 		t.Fatalf("failed=%v retryable=%v, want both true", s.Failed(), s.CanRetrySync())
 	}
 	if s.Committed() != 0 {
@@ -206,7 +206,7 @@ func TestStoreRetrySync(t *testing.T) {
 	if err := s.RetrySync(); err != nil {
 		t.Fatalf("retry after transient fault: %v", err)
 	}
-	if s.Failed() || s.CanRetrySync() {
+	if s.Failed() != nil || s.CanRetrySync() {
 		t.Fatal("poison not cleared by successful retry")
 	}
 	if s.Committed() != 1 {

@@ -512,8 +512,9 @@ func (s *Store) ready() error {
 	return nil
 }
 
-// Failed reports whether the write path is poisoned.
-func (s *Store) Failed() bool { return s.failed != nil }
+// Failed returns the failure that poisoned the write path, nil while
+// the store is healthy.
+func (s *Store) Failed() error { return s.failed }
 
 // CanRetrySync reports whether the poisoning failure is a retryable
 // commit-time fsync error: the batch's frames reached the file intact

@@ -468,7 +468,7 @@ func TestStoreAutoSnapshotFaults(t *testing.T) {
 			case tc.event.Kind == fault.SyncErr && tc.event.N == w+1:
 				// Retried in place: the store is healthy, the snapshot was
 				// not taken, and the next commit takes it.
-				if err != nil || retries != 1 || s.Failed() || s.snapLSN != 0 {
+				if err != nil || retries != 1 || s.Failed() != nil || s.snapLSN != 0 {
 					t.Fatalf("err=%v retries=%d failed=%v snapLSN=%d, want one clean retry and no snapshot",
 						err, retries, s.Failed(), s.snapLSN)
 				}
@@ -483,9 +483,9 @@ func TestStoreAutoSnapshotFaults(t *testing.T) {
 				if err != nil || retries != 0 {
 					t.Fatalf("durable batch reported err=%v after %d retries", err, retries)
 				}
-				if !s.Failed() || s.CanRetrySync() || !strings.Contains(s.failed.Error(), tc.cause) {
-					t.Fatalf("failed=%v (%v) retryable=%v, want poisoned for good by %q",
-						s.Failed(), s.failed, s.CanRetrySync(), tc.cause)
+				if s.Failed() == nil || s.CanRetrySync() || !strings.Contains(s.Failed().Error(), tc.cause) {
+					t.Fatalf("failed=%v retryable=%v, want poisoned for good by %q",
+						s.Failed(), s.CanRetrySync(), tc.cause)
 				}
 				if _, _, err := s.Apply(batchOf(fire + 1)); !errors.Is(err, errPoisoned) {
 					t.Fatalf("poisoned store answered %v", err)

@@ -363,7 +363,7 @@ func TestApplyFailurePoisons(t *testing.T) {
 			t.Fatalf("insert with dest %v accepted", dest)
 		}
 	}
-	if s.Failed() || len(s.pending) != 0 {
+	if s.Failed() != nil || len(s.pending) != 0 {
 		t.Fatalf("rejected inserts left failed=%v, %d pending bytes", s.Failed(), len(s.pending))
 	}
 
@@ -372,7 +372,7 @@ func TestApplyFailurePoisons(t *testing.T) {
 	if _, _, err := s.Apply(append(muts[:len(muts):len(muts)], beyond)); err == nil {
 		t.Fatal("stream with an out-of-range edge applied")
 	}
-	if !s.Failed() || s.CanRetrySync() {
+	if s.Failed() == nil || s.CanRetrySync() {
 		t.Fatalf("failed=%v retryable=%v after a half-applied stream, want poisoned for good", s.Failed(), s.CanRetrySync())
 	}
 	if _, _, err := s.Apply(muts); !errors.Is(err, errPoisoned) {

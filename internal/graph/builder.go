@@ -43,7 +43,7 @@ var serial = pool.Serial()
 // (unless KeepSelfLoops), sorts adjacency lists, and verifies vertex
 // ranges.
 func (b *Builder) Build() (*Graph, error) {
-	return build(b.n, b.edges, b.undirected, b.keepLoops, serial, nil)
+	return build(b.n, [][]Edge{b.edges}, b.undirected, b.keepLoops, serial, nil)
 }
 
 // MustBuild is Build that panics on error; for tests and generators
@@ -54,19 +54,6 @@ func (b *Builder) MustBuild() *Graph {
 		panic(err)
 	}
 	return g
-}
-
-func dedupSorted(arcs []Edge) []Edge {
-	if len(arcs) == 0 {
-		return arcs
-	}
-	out := arcs[:1]
-	for _, e := range arcs[1:] {
-		if last := out[len(out)-1]; last != e {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Symmetrize returns the undirected version of g: every arc gains its

@@ -14,12 +14,11 @@ import (
 )
 
 // Big-graph ingestion: the work splits into data-determined chunks
-// (fixed byte/arc extents, never dependent on the worker count),
-// processed on an internal/pool instance and merged with a
-// deterministic k-way merge — so the resulting Graph is bitwise
-// identical for any Workers value, including 1. Every constructor, the
-// sequential Builder included, builds through the one expand → sort →
-// merge → CSR fill below.
+// (fixed byte/arc extents, never dependent on the worker count) and
+// fixed source-range buckets, processed on an internal/pool instance —
+// so the resulting Graph is bitwise identical for any Workers value,
+// including 1. Every constructor, the sequential Builder included,
+// builds through the one expand → bucket → sort → CSR fill below.
 
 // LoadOptions tunes the parallel ingestion paths.
 type LoadOptions struct {
@@ -76,7 +75,9 @@ func splitLines(r io.Reader, chunkBytes int) ([]textChunk, error) {
 	var chunks []textChunk
 	line := 1
 	for {
-		buf := make([]byte, chunkBytes)
+		// Room for a typical line tail, so extending the chunk to its
+		// newline does not reallocate it.
+		buf := make([]byte, chunkBytes, chunkBytes+256)
 		n, err := io.ReadFull(br, buf)
 		buf = buf[:n]
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -267,62 +268,57 @@ func ParallelReadEdgeListStreaming(r io.Reader, opt LoadOptions, consume VertexC
 		}
 		total += len(pc.edges)
 	}
-	edges := make([]Edge, 0, total)
-	for _, pc := range parsed {
-		edges = append(edges, pc.edges...)
+	parts := make([][]Edge, len(parsed))
+	for i, pc := range parsed {
+		parts[i] = pc.edges
 	}
 	if n < 0 {
 		n = int(maxV) + 1
-		if len(edges) == 0 {
+		if total == 0 {
 			n = 0
 		}
 	}
-	return build(n, edges, undirected, false, pl, consume)
+	return build(n, parts, undirected, false, pl, consume)
 }
 
 // FromEdgesParallel builds the Graph of an explicit edge list — bitwise
 // what Builder builds — by expanding, sorting, and filling the CSR in
-// parallel on pl. Chunk
-// extents depend only on len(edges), so the output does not vary with
-// the pool's worker count.
+// parallel on pl. The output does not vary with the pool's worker
+// count.
 func FromEdgesParallel(n int, edges []Edge, undirected bool, pl *pool.Pool) (*Graph, error) {
-	return build(n, edges, undirected, false, pl, nil)
+	return build(n, [][]Edge{edges}, undirected, false, pl, nil)
 }
 
-// build is the one CSR construction: expand, sort and merge the arcs on
-// pl, fill the out-CSR, then the in-CSR. With consume non-nil the
-// finished forward stars stream to it in id order on this goroutine
+// build is the one CSR construction: sort the arcs of parts on pl
+// (sortArcs), fill the out-CSR, then the in-CSR. With consume non-nil
+// the finished forward stars stream to it in id order on this goroutine
 // while the in-adjacency scatter proceeds on a helper.
-func build(n int, edges []Edge, undirected, keepLoops bool, pl *pool.Pool, consume VertexConsumer) (*Graph, error) {
-	arcs, err := expandSortMerge(n, edges, undirected, keepLoops, pl)
+func build(n int, parts [][]Edge, undirected, keepLoops bool, pl *pool.Pool, consume VertexConsumer) (*Graph, error) {
+	keys, deg, err := sortArcs(n, parts, undirected, keepLoops, pl)
 	if err != nil {
 		return nil, err
 	}
-	g := &Graph{n: n, undirected: undirected}
-	g.outIndex = make([]int64, n+1)
-	for _, e := range arcs {
-		g.outIndex[e.Src+1]++
-	}
+	g := &Graph{n: n, undirected: undirected, outIndex: deg}
 	for v := 0; v < n; v++ {
 		g.outIndex[v+1] += g.outIndex[v]
 	}
 	// Sorted by (src,dst), the out-adjacency is simply the dst column.
-	g.outAdj = make([]VertexID, len(arcs))
-	pl.RunChunks(len(arcs), arcChunk, func(lo, hi int) {
+	g.outAdj = make([]VertexID, len(keys))
+	pl.RunChunks(len(keys), arcChunk, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			g.outAdj[i] = arcs[i].Dst
+			g.outAdj[i] = VertexID(keys[i])
 		}
 	})
 	if consume == nil {
-		g.buildInAdjacency(arcs)
+		g.buildInAdjacency(keys)
 		return g, nil
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		g.buildInAdjacency(arcs)
+		g.buildInAdjacency(keys)
 	}()
-	consume.Begin(n, int64(len(arcs)))
+	consume.Begin(n, int64(len(keys)))
 	for v := 0; v < n; v++ {
 		consume.Vertex(VertexID(v), g.outAdj[g.outIndex[v]:g.outIndex[v+1]])
 	}
@@ -330,155 +326,117 @@ func build(n int, edges []Edge, undirected, keepLoops bool, pl *pool.Pool, consu
 	return g, nil
 }
 
-// expandSortMerge bounds-checks edges, expands them per fixed-extent
-// chunk (loops dropped unless keepLoops, kept once when symmetrising;
-// every other edge gains its reverse when undirected), sorts each
-// chunk, and k-way-merges the sorted runs into one sorted
-// duplicate-free arc slice.
-func expandSortMerge(n int, edges []Edge, undirected, keepLoops bool, pl *pool.Pool) ([]Edge, error) {
-	nchunks := (len(edges) + arcChunk - 1) / arcChunk
-	if nchunks == 0 {
-		return nil, nil
+// sortBuckets is how many fixed source ranges the arc sort scatters
+// into: enough to keep both cores busy on a skewed graph, few enough
+// that every chunk's histogram stays a few KiB.
+const sortBuckets = 256
+
+// sortArcs bounds-checks the edges of parts and returns the sorted,
+// duplicate-free arc keys (src<<32 | dst) and each source's out-degree
+// at deg[src+1]. Loops are dropped unless keepLoops (kept once when
+// symmetrising); every other edge gains its reverse when undirected.
+// Every chunk of at most arcChunk edges counts its arcs per bucket of
+// 2^shift sources, then scatters them at prefix offsets (bucket-major,
+// chunk-minor); each bucket is sorted, deduplicated and counted on its
+// own, and the buckets are compacted in order. The result depends only
+// on the multiset of arcs, so neither the chunking nor the schedule
+// changes a byte.
+func sortArcs(n int, parts [][]Edge, undirected, keepLoops bool, pl *pool.Pool) (keys []uint64, deg []int64, err error) {
+	var chunks [][]Edge
+	for _, p := range parts {
+		for len(p) > 0 {
+			k := min(len(p), arcChunk)
+			chunks, p = append(chunks, p[:k]), p[k:]
+		}
 	}
-	errs := make([]error, nchunks)
-	runs := make([][]Edge, nchunks)
-	pl.Run(nchunks, func(c int) {
-		lo, hi := c*arcChunk, min((c+1)*arcChunk, len(edges))
-		for _, e := range edges[lo:hi] {
+	shift := 0
+	for (n-1)>>shift >= sortBuckets {
+		shift++
+	}
+	// at[c][b] counts chunk c's arcs in bucket b, then is where the next
+	// one goes.
+	at := make([][sortBuckets]int, len(chunks))
+	errs := make([]error, len(chunks))
+	pl.Run(len(chunks), func(c int) {
+		for _, e := range chunks[c] {
 			if int(e.Src) >= n || int(e.Dst) >= n {
 				errs[c] = fmt.Errorf("graph: edge (%d,%d) out of range for n=%d", e.Src, e.Dst, n)
 				return
 			}
-		}
-		run := make([]Edge, 0, (hi-lo)*2)
-		for _, e := range edges[lo:hi] {
-			if e.Src == e.Dst {
-				if keepLoops {
-					run = append(run, e)
-				}
-				continue
+			if e.Src != e.Dst || keepLoops {
+				at[c][e.Src>>shift]++
 			}
-			run = append(run, e)
-			if undirected {
-				run = append(run, Edge{e.Dst, e.Src})
+			if e.Src != e.Dst && undirected {
+				at[c][e.Dst>>shift]++
 			}
 		}
-		slices.SortFunc(run, cmpEdge)
-		runs[c] = run
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return mergeRuns(runs), nil
+	var start [sortBuckets + 1]int
+	for b := 0; b < sortBuckets; b++ {
+		start[b+1] = start[b]
+		for c := range at {
+			at[c][b], start[b+1] = start[b+1], start[b+1]+at[c][b]
+		}
+	}
+	keys = make([]uint64, start[sortBuckets])
+	pl.Run(len(chunks), func(c int) {
+		put := func(u, v VertexID) {
+			keys[at[c][u>>shift]] = uint64(u)<<32 | uint64(v)
+			at[c][u>>shift]++
+		}
+		for _, e := range chunks[c] {
+			if e.Src != e.Dst || keepLoops {
+				put(e.Src, e.Dst)
+			}
+			if e.Src != e.Dst && undirected {
+				put(e.Dst, e.Src)
+			}
+		}
+	})
+	deg = make([]int64, n+1)
+	var kept [sortBuckets]int
+	pl.Run(sortBuckets, func(b int) {
+		run := keys[start[b]:start[b+1]]
+		slices.Sort(run)
+		run = slices.Compact(run)
+		for _, k := range run {
+			deg[k>>32+1]++ // a bucket's sources are its own
+		}
+		kept[b] = len(run)
+	})
+	m := 0
+	for b := 0; b < sortBuckets; b++ {
+		if m != start[b] {
+			copy(keys[m:], keys[start[b]:start[b]+kept[b]])
+		}
+		m += kept[b]
+	}
+	return keys[:m], deg, nil
 }
 
-// buildInAdjacency fills inIndex/inAdj from sorted deduped arcs; the
-// arc-order scatter yields sorted in-lists (sources ascend per
-// destination bucket).
-func (g *Graph) buildInAdjacency(arcs []Edge) {
+// buildInAdjacency fills inIndex/inAdj from the sorted deduped arc
+// keys; the arc-order scatter yields sorted in-lists (sources ascend
+// per destination bucket).
+func (g *Graph) buildInAdjacency(keys []uint64) {
 	g.inIndex = make([]int64, g.n+1)
-	g.inAdj = make([]VertexID, len(arcs))
-	for _, e := range arcs {
-		g.inIndex[e.Dst+1]++
+	g.inAdj = make([]VertexID, len(keys))
+	for _, k := range keys {
+		g.inIndex[VertexID(k)+1]++
 	}
 	for v := 0; v < g.n; v++ {
 		g.inIndex[v+1] += g.inIndex[v]
 	}
 	cursor := make([]int64, g.n)
 	copy(cursor, g.inIndex[:g.n])
-	for _, e := range arcs {
-		g.inAdj[cursor[e.Dst]] = e.Src
-		cursor[e.Dst]++
+	for _, k := range keys {
+		g.inAdj[cursor[VertexID(k)]] = VertexID(k >> 32)
+		cursor[VertexID(k)]++
 	}
-}
-
-func cmpEdge(a, b Edge) int {
-	if a.Src != b.Src {
-		if a.Src < b.Src {
-			return -1
-		}
-		return 1
-	}
-	switch {
-	case a.Dst < b.Dst:
-		return -1
-	case a.Dst > b.Dst:
-		return 1
-	}
-	return 0
-}
-
-// mergeRuns k-way-merges sorted runs into one sorted duplicate-free
-// slice. The result depends only on the multiset of arcs, so any run
-// partitioning — and therefore any worker count — converges to the
-// same bytes.
-func mergeRuns(runs [][]Edge) []Edge {
-	total := 0
-	live := runs[:0]
-	for _, r := range runs {
-		if len(r) > 0 {
-			live = append(live, r)
-			total += len(r)
-		}
-	}
-	if len(live) == 0 {
-		return nil
-	}
-	if len(live) == 1 {
-		return dedupSorted(live[0])
-	}
-	// Small binary heap keyed by each run's head arc.
-	heap := make([]int, len(live)) // indexes into live
-	pos := make([]int, len(live))
-	for i := range heap {
-		heap[i] = i
-	}
-	less := func(a, b int) bool {
-		ea, eb := live[a][pos[a]], live[b][pos[b]]
-		if c := cmpEdge(ea, eb); c != 0 {
-			return c < 0
-		}
-		return a < b
-	}
-	var down func(i, n int)
-	down = func(i, n int) {
-		for {
-			l := 2*i + 1
-			if l >= n {
-				return
-			}
-			j := l
-			if r := l + 1; r < n && less(heap[r], heap[l]) {
-				j = r
-			}
-			if !less(heap[j], heap[i]) {
-				return
-			}
-			heap[i], heap[j] = heap[j], heap[i]
-			i = j
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		down(i, len(heap))
-	}
-	out := make([]Edge, 0, total)
-	hn := len(heap)
-	for hn > 0 {
-		r := heap[0]
-		e := live[r][pos[r]]
-		if len(out) == 0 || out[len(out)-1] != e {
-			out = append(out, e)
-		}
-		pos[r]++
-		if pos[r] == len(live[r]) {
-			heap[0] = heap[hn-1]
-			hn--
-		}
-		down(0, hn)
-	}
-	return out
 }
 
 // VertexConsumer receives the finished forward stars of a streaming

@@ -2,10 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -51,19 +51,20 @@ func fromEdges(n int, edges []Edge, undirected bool) (*Graph, error) {
 }
 
 // refCSR is the independent oracle for the one CSR build: expand
-// (loops dropped, reverse arcs when undirected), sort, dedup, then
-// bucket per vertex — the definition, with none of build's chunking.
-func refCSR(n int, edges []Edge, undirected bool) *Graph {
+// (loops dropped unless keepLoops, reverse arcs when undirected), sort,
+// dedup, then bucket per vertex — the definition, with none of build's
+// chunking.
+func refCSR(n int, edges []Edge, undirected, keepLoops bool) *Graph {
 	var arcs []Edge
 	for _, e := range edges {
-		if e.Src != e.Dst {
+		if e.Src != e.Dst || keepLoops {
 			arcs = append(arcs, e)
-			if undirected {
-				arcs = append(arcs, Edge{e.Dst, e.Src})
-			}
+		}
+		if e.Src != e.Dst && undirected {
+			arcs = append(arcs, Edge{e.Dst, e.Src})
 		}
 	}
-	sort.Slice(arcs, func(i, j int) bool { return cmpEdge(arcs[i], arcs[j]) < 0 })
+	slices.SortFunc(arcs, cmpArcs)
 	arcs = slices.Compact(arcs)
 	g := &Graph{n: n, undirected: undirected, outIndex: make([]int64, n+1), inIndex: make([]int64, n+1)}
 	out, in := make([][]VertexID, n), make([][]VertexID, n)
@@ -78,32 +79,67 @@ func refCSR(n int, edges []Edge, undirected bool) *Graph {
 	return g
 }
 
+// cmpArcs orders arcs by (src, dst).
+func cmpArcs(a, b Edge) int { return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst)) }
+
 // TestFromEdgesParallelMatchesBuild: the sequential and chunk-parallel
-// constructors must both be bitwise the reference CSR across worker
-// counts, directions, and messy inputs.
+// constructors, and Builder with and without self loops, must all be
+// bitwise the reference CSR across worker counts, directions, and
+// inputs that reach every path of the arc sort: one chunk or more than
+// three, already-sorted arcs, a star whose arcs all fall in one bucket
+// (its reverse arcs, when undirected, in every bucket), duplicates and
+// self loops.
 func TestFromEdgesParallelMatchesBuild(t *testing.T) {
 	workersSweep := []int{1, 4, runtime.NumCPU()}
-	for _, undirected := range []bool{false, true} {
-		for seed := int64(0); seed < 3; seed++ {
-			edges := randomEdges(500, 4000, seed)
-			want := refCSR(500, edges, undirected)
-			seq, err := fromEdges(500, edges, undirected)
+	star := make([]Edge, 0, arcChunk+500)
+	for i := 0; i < cap(star); i++ {
+		star = append(star, Edge{0, VertexID(i%4999 + 1)}) // every arc from 0, most of them repeats
+	}
+	sorted := randomEdges(2000, arcChunk+1000, 9)
+	slices.SortFunc(sorted, cmpArcs)
+	inputs := []struct {
+		name  string
+		n     int
+		edges []Edge
+	}{
+		{"random/seed0", 500, randomEdges(500, 4000, 0)},
+		{"random/seed1", 500, randomEdges(500, 4000, 1)},
+		{"random/seed2", 500, randomEdges(500, 4000, 2)},
+		{"random/multichunk", 50_000, randomEdges(50_000, 3*arcChunk+777, 3)},
+		{"sorted", 2000, sorted},
+		{"star", 5000, star},
+		{"loops", 3, []Edge{{0, 0}, {1, 1}, {0, 1}, {0, 1}, {2, 2}, {1, 0}}},
+	}
+	for _, in := range inputs {
+		for _, undirected := range []bool{false, true} {
+			label := in.name + " undirected=" + boolStr(undirected)
+			want, withLoops := refCSR(in.n, in.edges, undirected, false), refCSR(in.n, in.edges, undirected, true)
+			seq, err := fromEdges(in.n, in.edges, undirected)
 			if err != nil {
 				t.Fatal(err)
 			}
-			graphBitwiseEqual(t, want, seq, "sequential undirected="+boolStr(undirected))
+			graphBitwiseEqual(t, want, seq, "sequential "+label)
 			for _, w := range workersSweep {
 				pl := pool.New(w)
-				got, err := FromEdgesParallel(500, edges, undirected, pl)
+				got, err := FromEdgesParallel(in.n, in.edges, undirected, pl)
 				pl.Close()
 				if err != nil {
 					t.Fatal(err)
 				}
-				graphBitwiseEqual(t, want, got, "undirected="+boolStr(undirected))
+				graphBitwiseEqual(t, want, got, label)
 				if err := got.Validate(); err != nil {
 					t.Fatal(err)
 				}
+				pl = pool.New(w)
+				got, err = build(in.n, [][]Edge{in.edges}, undirected, true, pl, nil)
+				pl.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				graphBitwiseEqual(t, withLoops, got, "keep-loops "+label)
 			}
+			b := &Builder{n: in.n, edges: in.edges, undirected: undirected}
+			graphBitwiseEqual(t, withLoops, b.KeepSelfLoops().MustBuild(), "keep-loops Builder "+label)
 		}
 	}
 }

@@ -5,7 +5,12 @@ import (
 	"slices"
 
 	"adp/internal/graph"
+	"adp/internal/pool"
 )
+
+// sourceBlock is how many consecutive sources FromVertexAssignment
+// counts and fills as one task.
+const sourceBlock = 4096
 
 // FromVertexAssignment builds the edge-cut partition induced by a
 // vertex→fragment assignment: fragment a(v) receives every arc
@@ -28,25 +33,40 @@ func FromVertexAssignment(g *graph.Graph, assign []int, n int) (*Partition, erro
 			b.master[v] = int32(i)
 		}
 	}
-	// Count first, so that each fragment's arc list is allocated once.
-	counts := make([]int, n)
-	g.Edges(func(s, d graph.VertexID) bool {
-		counts[assign[s]]++
-		if assign[d] != assign[s] {
-			counts[assign[d]]++
+	// Count, then fill, per block of sourceBlock sources on
+	// pool.Default(): block k's arcs go to offs[k*n+i] onward in fragment
+	// i's list, after every earlier block's, so each list is allocated
+	// once at its exact length and comes out in g.Edges order.
+	blocks := (len(assign) + sourceBlock - 1) / sourceBlock
+	offs := make([]int, blocks*n)
+	pass := func(k int, fill bool) {
+		at := offs[k*n : (k+1)*n]
+		for v := k * sourceBlock; v < min((k+1)*sourceBlock, len(assign)); v++ {
+			i := assign[v]
+			for _, d := range g.OutNeighbors(graph.VertexID(v)) {
+				key, j := arcKey(graph.VertexID(v), d), assign[d]
+				if fill {
+					b.keys[i][at[i]] = key
+				}
+				at[i]++
+				if j != i {
+					if fill {
+						b.keys[j][at[j]] = key
+					}
+					at[j]++
+				}
+			}
 		}
-		return true
-	})
-	for i, c := range counts {
-		b.keys[i] = make([]uint64, 0, c)
 	}
-	g.Edges(func(s, d graph.VertexID) bool {
-		b.keys[assign[s]] = append(b.keys[assign[s]], arcKey(s, d))
-		if assign[d] != assign[s] {
-			b.keys[assign[d]] = append(b.keys[assign[d]], arcKey(s, d))
+	pool.Default().Run(blocks, func(k int) { pass(k, false) })
+	for i := 0; i < n; i++ {
+		total := 0
+		for k := 0; k < blocks; k++ {
+			offs[k*n+i], total = total, total+offs[k*n+i]
 		}
-		return true
-	})
+		b.keys[i] = make([]uint64, total)
+	}
+	pool.Default().Run(blocks, func(k int) { pass(k, true) })
 	p := b.Build(func(v graph.VertexID) int { return assign[v] }) // isolated vertices: at their owner too
 	for v, i := range assign {
 		p.owner[v] = int32(i)

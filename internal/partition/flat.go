@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"adp/internal/graph"
+	"adp/internal/pool"
 )
 
 // Flat construction: every constructor (through Builder) and the file
@@ -86,14 +87,20 @@ func buildCompiled(nv int, keys []uint64, loners []graph.VertexID) *compiledFrag
 	}
 
 	// Keys in ascending order (g.Edges order, a writer's) are the arc
-	// array. Otherwise it is rebuilt a source at a time: a vertex's arc
-	// keys are its out-list's and ids ascend, so sorting each run on its
-	// own sorts the array.
-	if c.arcs = slices.Clone(keys); !slices.IsSorted(keys) {
-		c.arcs = c.arcs[:0]
+	// array: adopted when the list is exactly sized, copied when it has
+	// slack the partition should not keep. Otherwise it is rebuilt a
+	// source at a time: a vertex's arc keys are its out-list's and ids
+	// ascend, so sorting each run on its own sorts the array.
+	switch {
+	case !slices.IsSorted(keys):
+		c.arcs = make([]uint64, 0, len(keys))
 		for l, v := range ids {
 			c.arcs = appendArcRun(c.arcs, v, c.adjs[l].Out)
 		}
+	case cap(keys) == len(keys):
+		c.arcs = keys
+	default:
+		c.arcs = slices.Clone(keys)
 	}
 	c.arcOff = outOff
 	return splitChunks(c, nv, nil)
@@ -258,7 +265,10 @@ func (b *Builder) AddVertex(i int, v graph.VertexID) {
 // Build returns the partition; owners are unset. A vertex no call
 // touched gets an edge-less copy in fragment loner(v), mastered there —
 // or, with a nil loner, stays absent everywhere (master -1) for a
-// caller that places it afterwards.
+// caller that places it afterwards. The fragments build as one fan-out
+// on pool.Default(), each from its own lists, so the result is the same
+// at any worker count. Build consumes the key lists (a sorted, exactly
+// sized one becomes the fragment's arc array): the Builder is done.
 func (b *Builder) Build(loner func(v graph.VertexID) int) *Partition {
 	for v, m := range b.master {
 		if m < 0 && loner != nil {
@@ -266,9 +276,9 @@ func (b *Builder) Build(loner func(v graph.VertexID) int) *Partition {
 		}
 	}
 	frags := make([]*Fragment, len(b.keys))
-	for i := range frags {
+	pool.Default().Run(len(frags), func(i int) {
 		frags[i] = freezeFragment(i, buildCompiled(b.g.NumVertices(), b.keys[i], b.loners[i]))
-	}
+	})
 	return assembleFrozen(b.g, frags, b.master)
 }
 

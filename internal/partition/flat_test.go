@@ -3,6 +3,7 @@ package partition_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"adp/internal/graph"
 	"adp/internal/partition"
 	"adp/internal/partitioner"
+	"adp/internal/pool"
 )
 
 // skewedGraph is a random graph over 120 vertices whose last 20 are
@@ -89,15 +91,49 @@ func sameBuild(t *testing.T, what string, got, want *partition.Partition) {
 
 // TestConstructorsMatchMapBuild holds every constructor that places
 // edges in g.Edges order to the map build of the same calls, on directed
-// and undirected graphs with isolated vertices, hubs and self loops.
-// (NEVertexCut, whose call order is its own, is held to the same
-// reference in internal/partitioner.)
+// and undirected graphs with isolated vertices, hubs and self loops, at
+// 1, 4 and NumCPU workers of pool.Default(), which the constructors fan
+// out on; a graph of several source blocks covers FromVertexAssignment's
+// per-block offsets. (NEVertexCut, whose call order is its own, is held
+// to the same reference in internal/partitioner.)
 func TestConstructorsMatchMapBuild(t *testing.T) {
+	t.Cleanup(func() { pool.SetDefaultWorkers(0) })
+	big := gen.PowerLaw(gen.PowerLawConfig{N: 10_000, AvgDeg: 6, Exponent: 2.1, Directed: true, Seed: 3})
+	bigAssign := make([]int, big.NumVertices())
+	for v := range bigAssign {
+		bigAssign[v] = (v*v + 7*v) % 8
+	}
+	bigWant := mapBuilt(big, 8, func(p *partition.Partition, s, d graph.VertexID) {
+		p.AddArc(bigAssign[s], s, d)
+		if bigAssign[d] != bigAssign[s] {
+			p.AddArc(bigAssign[d], s, d)
+		}
+	}, func(v graph.VertexID) int { return bigAssign[v] })
+	for v, i := range bigAssign {
+		bigWant.SetOwner(graph.VertexID(v), i)
+		if err := bigWant.SetMaster(graph.VertexID(v), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 4, runtime.NumCPU()} {
+		pool.SetDefaultWorkers(workers)
+		got, err := partition.FromVertexAssignment(big, bigAssign, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBuild(t, fmt.Sprintf("FromVertexAssignment over %d vertices, workers=%d", big.NumVertices(), workers), got, bigWant)
+		constructorsMatchMapBuild(t, workers)
+	}
+}
+
+// constructorsMatchMapBuild is the small-graph table, built on the
+// current pool.Default().
+func constructorsMatchMapBuild(t *testing.T, workers int) {
 	for _, directed := range []bool{true, false} {
 		for _, n := range []int{1, 3, 8} {
 			for seed := int64(0); seed < 3; seed++ {
 				g := skewedGraph(directed, seed)
-				what := fmt.Sprintf("directed=%v n=%d seed=%d", directed, n, seed)
+				what := fmt.Sprintf("directed=%v n=%d seed=%d workers=%d", directed, n, seed, workers)
 				rng := rand.New(rand.NewSource(seed*31 + int64(n)))
 				roundRobin := func(v graph.VertexID) int { return int(v) % n }
 

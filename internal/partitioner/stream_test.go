@@ -151,3 +151,27 @@ func TestIngestPipeline(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkStreamingIngest is the ingest path apart from the disk: a
+// text edge list, as graph.WriteEdgeList writes it, parsed and
+// CSR-built while a FennelStream places every vertex, then the flat
+// partition built over the finished graph.
+func BenchmarkStreamingIngest(b *testing.B) {
+	src := gen.PowerLawChunked(gen.PowerLawConfig{N: 50_000, AvgDeg: 8, Exponent: 2.1, Directed: true, Seed: 7}, 0)
+	var text bytes.Buffer
+	if err := graph.WriteEdgeList(&text, src); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := partitioner.NewFennelStream(8, partitioner.FennelConfig{})
+		g, err := graph.ParallelReadEdgeListStreaming(bytes.NewReader(text.Bytes()), graph.LoadOptions{}, st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := st.Partition(g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

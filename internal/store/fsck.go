@@ -129,7 +129,7 @@ func (r *FsckReport) WriteJSON(w io.Writer) error {
 // Fsck walks the store directory and classifies every file. g enables
 // deep snapshot verification (composite parse + index validation); a
 // nil g checks snapshots for readability only. The segment chain is
-// checked by Open's rule (linkBreak) from the newest usable snapshot.
+// checked by Open's rule (linkBreak) from the newest snapshot.
 // With repair set, an unhealthy log gets exactly the cut Open's
 // recovery would make (cutLog): segments past it are removed and the
 // one holding it is truncated. Damaged segments the snapshot already
@@ -144,7 +144,7 @@ func Fsck(dir string, g *graph.Graph, repair bool) (*FsckReport, error) {
 	}
 	rep := &FsckReport{Dir: dir}
 
-	// snapLSN is the snapshot Open would start from: the newest usable.
+	// snapLSN is the snapshot Open starts from: the newest.
 	var snapLSN uint64
 	usable := false
 	for _, lsn := range snapLSNs {
@@ -163,9 +163,7 @@ func Fsck(dir string, g *graph.Graph, repair bool) (*FsckReport, error) {
 				}
 			}
 		}
-		if st.Err == "" {
-			snapLSN, usable = lsn, true
-		}
+		snapLSN, usable = lsn, st.Err == ""
 		rep.Snapshots = append(rep.Snapshots, st)
 	}
 
@@ -210,10 +208,9 @@ func Fsck(dir string, g *graph.Graph, repair bool) (*FsckReport, error) {
 		rep.Segments = append(rep.Segments, st)
 	}
 
-	// Open refuses a store with no usable snapshot, or whose usable one
-	// is a fallback the compacted log no longer reaches back to, or with
-	// an unreadable live segment: repair then has no cut to copy.
-	refused := !usable || (snapLSN != snapLSNs[len(snapLSNs)-1] && len(segLSNs) > 0 && segLSNs[0] > snapLSN+1)
+	// Open refuses a store whose newest snapshot is unusable, or with an
+	// unreadable live segment: repair then has no cut to copy.
+	refused := !usable
 
 	// Open's walk over the live log, on the classification: the chain
 	// rule, then where recovery would end the log.

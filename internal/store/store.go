@@ -45,9 +45,6 @@ type RecoveryInfo struct {
 	// TruncatedBytes is how many trailing log bytes Open cut away
 	// (damage plus uncommitted tail).
 	TruncatedBytes int64
-	// SnapshotsSkipped counts newer snapshot files that failed to parse
-	// and were passed over.
-	SnapshotsSkipped int
 }
 
 // String summarises the recovery on one line.
@@ -169,54 +166,36 @@ func Create(dir string, c *composite.Composite, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Open recovers the store in dir over g: it loads the newest readable
+// Open recovers the store in dir over g: it loads the newest
 // snapshot, replays every committed WAL mutation above its LSN in
 // order, truncates the log at the first torn or corrupt frame (and
 // drops any valid but uncommitted tail — those mutations were never
 // acked), and resumes logging on a fresh segment. Damaged log bytes
-// never fail an Open; it fails only when no usable snapshot exists or
-// when compaction has discarded frames a fallback snapshot would need.
+// never fail an Open; it fails only when the newest snapshot is
+// unreadable. There is no older one to fall back to: compaction deletes
+// it together with the segments it would need.
 func Open(dir string, g *graph.Graph, opts Options) (*Store, *RecoveryInfo, error) {
 	fs := withInjector(vfs(osVFS{}), opts.Injector)
 	snaps, segLSNs, err := storeFiles(fs, dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
-	info := &RecoveryInfo{}
 	if len(snaps) == 0 {
 		return nil, nil, fmt.Errorf("store: %s holds no snapshot", dir)
 	}
-
-	// Newest readable snapshot wins.
+	compLSN := snaps[len(snaps)-1]
+	data, err := fs.ReadFile(join(dir, snapName(compLSN)))
 	var comp *composite.Composite
-	var compLSN uint64
-	var compBytes int64
-	for i := len(snaps) - 1; i >= 0; i-- {
-		data, rerr := fs.ReadFile(join(dir, snapName(snaps[i])))
-		if rerr == nil {
-			var c *composite.Composite
-			// Dynamic read: logged inserts put arcs in snapshots that the
-			// base graph never had.
-			c, rerr = composite.Read(bytes.NewReader(data), g)
-			if rerr == nil {
-				comp, compLSN, compBytes = c, snaps[i], int64(len(data))
-				break
-			}
-		}
-		info.SnapshotsSkipped++
+	if err == nil {
+		// Dynamic read: logged inserts put arcs in snapshots that the
+		// base graph never had.
+		comp, err = composite.Read(bytes.NewReader(data), g)
 	}
-	if comp == nil {
-		return nil, nil, fmt.Errorf("store: no snapshot in %s is readable (%d tried)", dir, len(snaps))
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: newest snapshot %s unreadable: %w", snapName(compLSN), err)
 	}
-	if info.SnapshotsSkipped > 0 && len(segLSNs) > 0 && segLSNs[0] > compLSN+1 {
-		// A fallback snapshot is only usable while the log still
-		// reaches back to it; compaction may have cut that prefix.
-		return nil, nil, fmt.Errorf("store: newest snapshot unreadable and log compacted past the %s fallback (log starts at lsn %d)",
-			snapName(compLSN), segLSNs[0])
-	}
-	info.SnapshotLSN = compLSN
-
-	s := &Store{dir: dir, fs: fs, g: g, comp: comp, snapLSN: compLSN, nextLSN: compLSN + 1, snapBytes: compBytes}
+	info := &RecoveryInfo{SnapshotLSN: compLSN}
+	s := &Store{dir: dir, fs: fs, g: g, comp: comp, snapLSN: compLSN, nextLSN: compLSN + 1, snapBytes: int64(len(data))}
 	if err := s.replay(segLSNs, info); err != nil {
 		return nil, nil, err
 	}
@@ -700,8 +679,8 @@ func (s *Store) finishCommit() {
 
 // snapshot commits anything pending, persists the full composite via
 // an fsynced temp file plus atomic rename, rotates to a fresh WAL
-// segment, and compacts: covered segments and all but one older
-// snapshot are deleted.
+// segment, and compacts: covered segments and every older snapshot are
+// deleted.
 func (s *Store) snapshot() error {
 	if err := s.commit(false); err != nil {
 		return err
@@ -792,9 +771,10 @@ func (s *Store) reseat(before string, comp *composite.Composite, lsn uint64) err
 	return nil
 }
 
-// compact removes WAL segments covered by the newest snapshot and all
-// but one older snapshot (kept as a bitrot fallback). Advisory: a
-// failed listing just leaves garbage for the next compaction.
+// compact removes WAL segments covered by the newest snapshot and
+// every older snapshot: without those segments an older snapshot could
+// not be brought up to date, so none is kept. Advisory: a failed
+// listing just leaves garbage for the next compaction.
 func (s *Store) compact() {
 	snaps, segs, err := storeFiles(s.fs, s.dir)
 	if err != nil {
@@ -805,14 +785,10 @@ func (s *Store) compact() {
 			_ = s.fs.Remove(join(s.dir, walName(lsn)))
 		}
 	}
-	var old []uint64
 	for _, lsn := range snaps {
 		if lsn < s.snapLSN {
-			old = append(old, lsn)
+			_ = s.fs.Remove(join(s.dir, snapName(lsn)))
 		}
-	}
-	for i := 0; i+1 < len(old); i++ {
-		_ = s.fs.Remove(join(s.dir, snapName(old[i])))
 	}
 }
 

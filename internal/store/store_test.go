@@ -261,6 +261,52 @@ func TestStoreSnapshotCompaction(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesCorruptNewestSnapshot: compaction keeps no snapshot
+// but the newest, since it deletes the segments an older one would need.
+// So a bit flipped in the newest snapshot (a seeded bit of its magic
+// word, which every reader checks) must fail Open with that file's name,
+// never fall back to older state.
+func TestOpenRefusesCorruptNewestSnapshot(t *testing.T) {
+	g, c := testComposite(t)
+	muts := genMutations(t, g, c.Clone(), 24, 17)
+	for seed := int64(0); seed < 4; seed++ {
+		dir := t.TempDir()
+		s, err := Create(dir, c.Clone(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(muts); i += 8 {
+			if _, _, err := s.Apply(muts[i : i+8]); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		snaps, _, err := storeFiles(osVFS{}, dir)
+		if err != nil || len(snaps) != 1 {
+			t.Fatalf("compaction left snapshots %v (%v), want only the newest", snaps, err)
+		}
+		name := snapName(snaps[0])
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bit := rand.New(rand.NewSource(seed)).Intn(32)
+		data[bit/8] ^= 1 << (bit % 8)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(dir, g, Options{}); err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("seed %d: Open over a flipped bit %d of %s: %v, want a refusal naming it", seed, bit, name, err)
+		}
+	}
+}
+
 func TestStoreUncommittedTailDiscarded(t *testing.T) {
 	g, c := testComposite(t)
 	dir := t.TempDir()

@@ -105,14 +105,16 @@ func TestWritePathProducersAgree(t *testing.T) {
 	}{
 		{"plain", nil,
 			"d9df5d0192eac86583c8dca8a3544211ef7a4400cf0bcd81c3c3a5ab76ff4a44"},
+		// The snapshot rows hold the newest snapshot alone: compaction
+		// deletes every older one.
 		{"snapshot mid-stream", []int{2},
-			"3b6ab14578799b8437f6403908870bc7abc813a5a8505848bf30c2f101a5b377"},
+			"5e7d25bae6ef28966c627966b254a848843dfa6902845b08e725ab4961f4ae88"},
 		// The case name is kept as a stable test id. It was recorded with
 		// a snapshot every 25 committed mutations, which fired at the last
 		// commit of calls 2 and 5; the history's log never outgrows the
 		// snapshot, so the compaction rule adds none.
 		{"auto snapshots, batched fsync", []int{2, 5},
-			"d6866a440bda52a56b44ac940fa89ddcdd3d05320134963f7568b3b28d717429"},
+			"6994421cf4f66d30121210b57d6604ef3acf61832c8f55ef14fc41adc5ee6793"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -315,7 +317,8 @@ rename snap-0000000000000007.comp.tmp snap-0000000000000007.comp
 create wal-0000000000000008.log
 write wal-0000000000000008.log 8
 sync wal-0000000000000008.log
-remove wal-0000000000000001.log`,
+remove wal-0000000000000001.log
+remove snap-0000000000000000.comp`,
 		"ReplaceComposite": `sync wal-0000000000000008.log
 close wal-0000000000000008.log
 create snap-0000000000000010.comp.tmp
@@ -327,7 +330,7 @@ create wal-0000000000000011.log
 write wal-0000000000000011.log 8
 sync wal-0000000000000011.log
 remove wal-0000000000000008.log
-remove snap-0000000000000000.comp`,
+remove snap-0000000000000007.comp`,
 		"RotateSegment": `sync wal-0000000000000011.log
 close wal-0000000000000011.log
 create wal-0000000000000011.log

@@ -14,11 +14,6 @@
 // SIGINT drains gracefully: in-flight sessions complete or are
 // cancelled after -grace, the WAL is flushed, and the process exits 0.
 //
-// With -maintain, a background loop watches the served workload for
-// learned-cost drift (-drift-threshold, checked every
-// -maintain-interval) and re-refines + promotes the partitioning in
-// place; see the "maintenance" block of GET /metrics.
-//
 // Endpoints:
 //
 //	POST /run          {"algo":"PR","timeout_ms":5000,"min_lsn":0,...}
@@ -41,7 +36,6 @@ import (
 	"adp/internal/costmodel"
 	"adp/internal/gen"
 	"adp/internal/graph"
-	"adp/internal/maintain"
 	"adp/internal/partitioner"
 	"adp/internal/pool"
 	"adp/internal/serve"
@@ -62,19 +56,12 @@ func main() {
 		timeout   = flag.Duration("timeout", 30*time.Second, "default /run deadline")
 		grace     = flag.Duration("grace", 10*time.Second, "drain grace period before cancelling in-flight runs")
 		workers   = flag.Int("workers", 0, "engine worker-pool size (0 = GOMAXPROCS)")
-
-		maintainOn = flag.Bool("maintain", false, "enable the background re-refinement maintenance loop")
-		driftThr   = flag.Float64("drift-threshold", 0.5, "learned-cost imbalance that triggers a re-refinement cycle")
-		maintEvery = flag.Duration("maintain-interval", 5*time.Second, "drift-detector tick interval")
 	)
 	flag.Parse()
 	if *storeDir == "" {
 		fatal(fmt.Errorf("-store is required"))
 	}
-	fc := flagConfig{
-		grace: *grace, maintEvery: *maintEvery, inflight: *inflight, queue: *queue, workers: *workers,
-		driftThr: *driftThr,
-	}
+	fc := flagConfig{grace: *grace, inflight: *inflight, queue: *queue, workers: *workers}
 	if err := validateFlags(fc); err != nil {
 		fatal(err)
 	}
@@ -113,25 +100,10 @@ func main() {
 	}
 	srv.Start(l)
 
-	var lp *maintain.Loop
-	if *maintainOn {
-		lp = maintain.New(srv, maintain.Config{
-			Interval:       *maintEvery,
-			DriftThreshold: *driftThr,
-			Logf:           logf,
-		})
-		lp.Start()
-		fmt.Fprintf(os.Stderr, "adserve: maintenance loop on (interval %v, drift threshold %.3f)\n", *maintEvery, *driftThr)
-	}
-
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	sig := <-sigc
 	fmt.Fprintf(os.Stderr, "adserve: %v, draining (grace %v)\n", sig, *grace)
-	if lp != nil {
-		// Stop the loop first so no maintenance cycle races the drain.
-		lp.Stop()
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
@@ -143,24 +115,19 @@ func main() {
 // flagConfig is the validated slice of the flag set (kept as a struct
 // so the unit tests enumerate bad combinations without a flag.Parse).
 type flagConfig struct {
-	grace      time.Duration
-	maintEvery time.Duration
-	inflight   int
-	queue      int
-	workers    int
-	driftThr   float64
+	grace    time.Duration
+	inflight int
+	queue    int
+	workers  int
 }
 
 // validateFlags rejects configurations that would only fail later and
-// obscurely: a negative grace or tick interval silently disables the
-// mechanism it configures, and a non-positive admission or queue limit
+// obscurely: a negative grace silently disables the drain's grace
+// period, and a non-positive admission or queue limit
 // wedges every request.
 func validateFlags(c flagConfig) error {
 	if c.grace < 0 {
 		return fmt.Errorf("-grace must be >= 0 (got %v)", c.grace)
-	}
-	if c.maintEvery <= 0 {
-		return fmt.Errorf("-maintain-interval must be > 0 (got %v)", c.maintEvery)
 	}
 	if c.inflight <= 0 {
 		return fmt.Errorf("-inflight must be > 0 (got %d)", c.inflight)
@@ -170,9 +137,6 @@ func validateFlags(c flagConfig) error {
 	}
 	if c.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (got %d)", c.workers)
-	}
-	if c.driftThr <= 0 {
-		return fmt.Errorf("-drift-threshold must be > 0 (got %g)", c.driftThr)
 	}
 	return nil
 }

@@ -10,11 +10,9 @@ import (
 // aspect of it.
 func base() flagConfig {
 	return flagConfig{
-		grace:      10 * time.Second,
-		maintEvery: 5 * time.Second,
-		inflight:   64,
-		queue:      16,
-		driftThr:   0.5,
+		grace:    10 * time.Second,
+		inflight: 64,
+		queue:    16,
 	}
 }
 
@@ -22,7 +20,7 @@ func TestValidateFlags(t *testing.T) {
 	if err := validateFlags(base()); err != nil {
 		t.Fatalf("default configuration rejected: %v", err)
 	}
-	minimal := flagConfig{maintEvery: time.Second, inflight: 1, queue: 1, driftThr: 0.01}
+	minimal := flagConfig{inflight: 1, queue: 1}
 	if err := validateFlags(minimal); err != nil {
 		t.Fatalf("minimal configuration rejected: %v", err)
 	}
@@ -38,14 +36,10 @@ func TestValidateFlags(t *testing.T) {
 		want string
 	}{
 		{"negative grace", mut(func(c *flagConfig) { c.grace = -time.Second }), "-grace"},
-		{"negative maintain interval", mut(func(c *flagConfig) { c.maintEvery = -time.Second }), "-maintain-interval"},
-		{"zero maintain interval", mut(func(c *flagConfig) { c.maintEvery = 0 }), "-maintain-interval"},
 		{"zero inflight", mut(func(c *flagConfig) { c.inflight = 0 }), "-inflight"},
 		{"negative inflight", mut(func(c *flagConfig) { c.inflight = -3 }), "-inflight"},
 		{"zero queue", mut(func(c *flagConfig) { c.queue = 0 }), "-queue"},
 		{"negative workers", mut(func(c *flagConfig) { c.workers = -1 }), "-workers"},
-		{"zero drift threshold", mut(func(c *flagConfig) { c.driftThr = 0 }), "-drift-threshold"},
-		{"negative drift threshold", mut(func(c *flagConfig) { c.driftThr = -0.2 }), "-drift-threshold"},
 	}
 	for _, tc := range cases {
 		err := validateFlags(tc.cfg)

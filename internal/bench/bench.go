@@ -3,8 +3,7 @@
 // repository: Exp-1 (Fig 9a-j), Exp-2 (Table 4 / Fig 10a), Exp-3
 // (Fig 9k), Exp-4 (Fig 10b + space), Exp-5 (Fig 9l), Exp-6 (Table 5),
 // Table 3, and the appendix phase decomposition (Fig 11), plus the
-// DESIGN.md ablations and a wall-clock measurement of the serving
-// plane (maintenance drift recovery).
+// DESIGN.md ablations.
 //
 // "Execution time" columns report the engine's deterministic simulated
 // parallel cost (compute critical path + weighted communication
@@ -243,7 +242,6 @@ func Experiments() []Experiment {
 		{"seqcmp", "Monolithic reference vs partitioned execution (Exp-6 remark)", SeqCompare},
 		{"gingersweep", "Ginger threshold sweep vs cost-driven refinement", GingerSweep},
 		{"ablation", "Design-choice ablations (DESIGN.md)", Ablations},
-		{"drift", "Maintenance drift recovery through the live update path", DriftRecover},
 	}
 }
 

@@ -31,22 +31,6 @@ func ParV2H(p *partition.Partition, m costmodel.CostModel, cfg Config) *Stats {
 	return V2H(p, m, cfg)
 }
 
-// ParE2HCtx is ParE2H under a context: cancellation stops at the next
-// phase or migrate-superstep boundary, returning the partial Stats and
-// the ctx error. The partition stays structurally valid (every applied
-// move preserves the Section-2 invariants).
-func ParE2HCtx(ctx context.Context, p *partition.Partition, m costmodel.CostModel, cfg Config) (*Stats, error) {
-	cfg.Parallel = true
-	return E2HCtx(ctx, p, m, cfg)
-}
-
-// ParV2HCtx is ParV2H under a context; see ParE2HCtx for the abort
-// contract.
-func ParV2HCtx(ctx context.Context, p *partition.Partition, m costmodel.CostModel, cfg Config) (*Stats, error) {
-	cfg.Parallel = true
-	return V2HCtx(ctx, p, m, cfg)
-}
-
 // ctxErr treats a nil context as never-cancelled, so the ctx-less
 // entry points share the ctx-aware implementations.
 func ctxErr(ctx context.Context) error {

@@ -23,7 +23,7 @@ func TestRefineCtxPreCancelled(t *testing.T) {
 			return E2HCtx(ctx, hubConcentratedEdgeCut(t, g, 4), m, Config{})
 		},
 		"ParE2HCtx": func() (*Stats, error) {
-			return ParE2HCtx(ctx, hubConcentratedEdgeCut(t, g, 4), m, Config{})
+			return E2HCtx(ctx, hubConcentratedEdgeCut(t, g, 4), m, Config{Parallel: true})
 		},
 		"V2HCtx": func() (*Stats, error) {
 			p, err := partitioner.GridVertexCut(g, 4)
@@ -37,7 +37,7 @@ func TestRefineCtxPreCancelled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return ParV2HCtx(ctx, p, m, Config{})
+			return V2HCtx(ctx, p, m, Config{Parallel: true})
 		},
 	}
 	for name, run := range runs {

@@ -8,14 +8,15 @@ import (
 	"adp/internal/partitioner"
 )
 
-// ForFamilyCtx is ForFamily under a context; see ParE2HCtx for the
-// abort contract. Hybrid families return (nil, nil).
+// ForFamilyCtx is ForFamily under a context, on the parallel refiners;
+// see E2HCtx for the abort contract. Hybrid families return (nil, nil).
 func ForFamilyCtx(ctx context.Context, fam partitioner.Family, p *partition.Partition, m costmodel.CostModel, cfg Config) (*Stats, error) {
+	cfg.Parallel = true
 	switch fam {
 	case partitioner.EdgeCutFamily:
-		return ParE2HCtx(ctx, p, m, cfg)
+		return E2HCtx(ctx, p, m, cfg)
 	case partitioner.VertexCutFamily:
-		return ParV2HCtx(ctx, p, m, cfg)
+		return V2HCtx(ctx, p, m, cfg)
 	}
 	return nil, nil
 }

@@ -152,9 +152,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeRunErr(w, err, out.Report)
 		return
 	}
-	// Feed the drift detector: the observed algorithm mix plus the
-	// engine's harvested per-fragment work, tagged with the epoch.
-	s.recordObserved(algoIndex(algo), out.Report.Work, ep.seq, out.Report.WallTime)
 	writeJSON(w, http.StatusOK, runResponse{
 		Epoch:         ep.seq,
 		Algo:          algo.String(),
@@ -307,7 +304,6 @@ type metricsResponse struct {
 	Wal         store.WalStats `json:"wal"`
 	Server      serverMetrics  `json:"server"`
 	Epochs      epochMetrics   `json:"epochs"`
-	Maintenance *MaintStatus   `json:"maintenance,omitempty"`
 }
 
 // epochMetrics is the epoch memory-accounting block: how many epochs
@@ -330,16 +326,14 @@ type storeMetrics struct {
 }
 
 type serverMetrics struct {
-	Inflight        int   `json:"inflight_runs"`
-	Served          int64 `json:"runs_served"`
-	Rejected        int64 `json:"runs_rejected"`
-	RunFailures     int64 `json:"run_failures"`
-	EpochSwaps      int64 `json:"epoch_swaps"`
-	UpdatesApplied  int64 `json:"updates_applied"`
-	ApplyRetries    int64 `json:"apply_retries"`
-	MaintPromotions int64 `json:"maint_promotions"`
-	MaintRollbacks  int64 `json:"maint_rollbacks"`
-	Draining        bool  `json:"draining"`
+	Inflight       int   `json:"inflight_runs"`
+	Served         int64 `json:"runs_served"`
+	Rejected       int64 `json:"runs_rejected"`
+	RunFailures    int64 `json:"run_failures"`
+	EpochSwaps     int64 `json:"epoch_swaps"`
+	UpdatesApplied int64 `json:"updates_applied"`
+	ApplyRetries   int64 `json:"apply_retries"`
+	Draining       bool  `json:"draining"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -360,19 +354,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Failed:    s.storeFailed.Load(),
 		},
 		Server: serverMetrics{
-			Inflight:        len(s.admit),
-			Served:          s.served.Load(),
-			Rejected:        s.rejected.Load(),
-			RunFailures:     s.runFailures.Load(),
-			EpochSwaps:      s.epochSwaps.Load(),
-			UpdatesApplied:  s.updatesApplied.Load(),
-			ApplyRetries:    s.applyRetries.Load(),
-			MaintPromotions: s.maintPromotions.Load(),
-			MaintRollbacks:  s.maintRollbacks.Load(),
-			Draining:        s.draining.Load(),
+			Inflight:       len(s.admit),
+			Served:         s.served.Load(),
+			Rejected:       s.rejected.Load(),
+			RunFailures:    s.runFailures.Load(),
+			EpochSwaps:     s.epochSwaps.Load(),
+			UpdatesApplied: s.updatesApplied.Load(),
+			ApplyRetries:   s.applyRetries.Load(),
+			Draining:       s.draining.Load(),
 		},
-		Wal:         s.st.WalStats(),
-		Maintenance: s.maintStatusSnapshot(),
+		Wal: s.st.WalStats(),
 	}
 	retained, ems := s.epochMemSnapshot()
 	resp.Epochs = epochMetrics{

@@ -130,10 +130,6 @@ type Server struct {
 	cur     atomic.Pointer[epoch]
 	admit   chan struct{}
 	updates chan *updateBatch
-	// swaps carries maintenance promotion/rollback requests into the
-	// apply loop. Unbuffered: senders block until the single writer
-	// accepts (or abort on baseCtx when a drain races them).
-	swaps chan *swapRequest
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -142,26 +138,6 @@ type Server struct {
 
 	draining    atomic.Bool
 	storeFailed atomic.Bool
-
-	// Maintenance delta capture (guarded by capMu; written by the
-	// apply loop, armed/drained by the maintenance loop).
-	capMu       sync.Mutex
-	capOn       bool
-	capWaves    []capturedWave
-	capCount    int
-	capOverflow bool
-
-	// Observation window for the drift detector plus the /run latency
-	// ring for the regression watchdog.
-	obsMu      sync.Mutex
-	obsCounts  []int64
-	obsWork    [][]float64
-	latSamples []LatencySample
-	latNext    int
-
-	// Maintenance /metrics provider (registered by internal/maintain).
-	maintMu     sync.Mutex
-	maintStatus func() MaintStatus
 
 	// Epoch memory accounting (guarded by epochMu): superseded epochs
 	// still pinned by in-flight readers, plus the last publish's
@@ -173,16 +149,14 @@ type Server struct {
 
 	// Counters mirrored out of the apply loop so /metrics never
 	// touches the store.
-	served          atomic.Int64
-	rejected        atomic.Int64
-	runFailures     atomic.Int64
-	epochSwaps      atomic.Int64
-	updatesApplied  atomic.Int64
-	applyRetries    atomic.Int64
-	maintPromotions atomic.Int64
-	maintRollbacks  atomic.Int64
-	lastLSN         atomic.Uint64
-	committed       atomic.Int64
+	served         atomic.Int64
+	rejected       atomic.Int64
+	runFailures    atomic.Int64
+	epochSwaps     atomic.Int64
+	updatesApplied atomic.Int64
+	applyRetries   atomic.Int64
+	lastLSN        atomic.Uint64
+	committed      atomic.Int64
 }
 
 // New wraps an opened (or freshly created) store. The server owns the
@@ -200,7 +174,6 @@ func New(st *store.Store, cfg Config) (*Server, error) {
 		st:      st,
 		admit:   make(chan struct{}, cfg.MaxInflight),
 		updates: make(chan *updateBatch, cfg.UpdateQueue),
-		swaps:   make(chan *swapRequest),
 	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.publish(comp)
@@ -324,7 +297,7 @@ func (s *Server) pin() *epoch {
 func (e *epoch) unpin() { e.pins.Add(-1) }
 
 // algoIndex returns a's position in costmodel.Algos(), the index of
-// its session pool and of its observed-work row.
+// its session pool.
 func algoIndex(a costmodel.Algo) int { return max(slices.Index(costmodel.Algos(), a), 0) }
 
 // metrics computes (once per epoch) the structural metrics, composite
@@ -365,24 +338,14 @@ type updateResult struct {
 
 // applyLoop is the single writer: it gathers a wave of queued batches,
 // applies them to the store (each batch is one durable WAL commit), and
-// publishes a fresh epoch covering the wave. Maintenance swap requests
-// interleave with waves on the same goroutine, so they serialize with
-// the update stream by construction, and both end in finish. A
-// non-retryable store write failure poisons the write path — the last
-// good epoch keeps serving reads, updates fail fast until the process
-// restarts and recovery truncates to the committed prefix.
+// publishes a fresh epoch covering the wave. A non-retryable store
+// write failure poisons the write path — the last good epoch keeps
+// serving reads, updates fail fast until the process restarts and
+// recovery truncates to the committed prefix.
 func (s *Server) applyLoop() {
 	defer s.applyWG.Done()
-	for {
-		select {
-		case b, ok := <-s.updates:
-			if !ok {
-				return
-			}
-			s.applyWave(s.gather(b))
-		case sr := <-s.swaps:
-			s.applySwap(sr)
-		}
+	for b := range s.updates {
+		s.applyWave(s.gather(b))
 	}
 }
 
@@ -406,11 +369,10 @@ func (s *Server) gather(b *updateBatch) []*updateBatch {
 	return wave
 }
 
-// finish is the one tail of every apply-loop request, whichever
-// producer it came from (update wave or maintenance swap):
-// mirror the store's counters out for /metrics, derive storeFailed from
-// the store's own poison state, logging its cause, and — when the
-// request advanced the composite — cut and publish the next epoch.
+// finish is the tail of every wave: mirror the store's counters out for
+// /metrics, derive storeFailed from the store's own poison state,
+// logging its cause, and — when the wave advanced the composite — cut
+// and publish the next epoch.
 func (s *Server) finish(publish bool) *epoch {
 	s.lastLSN.Store(s.st.LSN())
 	s.committed.Store(s.st.Committed())
@@ -451,7 +413,6 @@ func (s *Server) applyWave(wave []*updateBatch) {
 	// Batches before the failure are durable but invisible; their result
 	// says so via epoch == 0.
 	if ne := s.finish(failed == nil); ne != nil {
-		s.captureWave(ne.seq, wave)
 		for i := range results {
 			results[i].epoch = ne.seq
 			results[i].lsn = ne.lsn
@@ -508,8 +469,12 @@ func (s *Server) Drain(ctx context.Context) error {
 	return closeErr
 }
 
-// Epoch returns the sequence number of the currently published epoch.
-func (s *Server) Epoch() uint64 { return s.cur.Load().seq }
+// CurrentComposite returns the live epoch's immutable composite and
+// sequence. Callers must treat it as read-only.
+func (s *Server) CurrentComposite() (*composite.Composite, uint64) {
+	e := s.cur.Load()
+	return e.comp, e.seq
+}
 
 // Graph returns the immutable base graph the store serves over.
 func (s *Server) Graph() *graph.Graph { return s.g }

@@ -2,172 +2,11 @@ package store
 
 import (
 	"errors"
-	"os"
 	"testing"
 
 	"adp/internal/composite"
 	"adp/internal/fault"
-	"adp/internal/partition"
 )
-
-// TestStoreReplaceComposite proves the maintenance-plane primitive: a
-// durable whole-composite swap that survives reopen, accepts further
-// mutations afterwards, and compacts the log it obsoletes.
-func TestStoreReplaceComposite(t *testing.T) {
-	g, c := testComposite(t)
-	dir := t.TempDir()
-	s, err := Create(dir, c, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre := genMutations(t, g, s.Composite(), 40, 19)
-	if _, _, err := s.Apply(pre); err != nil {
-		t.Fatal(err)
-	}
-
-	// Build the "refined candidate": a clone nudged by a few more
-	// coherent mutations, so it genuinely differs from the live state.
-	cand := s.Composite().Clone()
-	extra := genMutations(t, g, cand, 10, 23)
-	applyClean(t, cand, extra)
-	if err := s.ReplaceComposite(cand); err != nil {
-		t.Fatal(err)
-	}
-	if s.Composite() != cand {
-		t.Fatal("store did not adopt the replacement composite")
-	}
-
-	// The swap is a snapshot: the WAL it covered must be compacted away.
-	names, _ := os.ReadDir(dir)
-	walFiles := 0
-	for _, e := range names {
-		if _, ok := parseWALName(e.Name()); ok {
-			walFiles++
-		}
-	}
-	if walFiles != 1 {
-		t.Fatalf("replace left %d wal segments, want 1", walFiles)
-	}
-
-	// Post-swap mutations land on the new lineage.
-	post := genMutations(t, g, s.Composite(), 25, 29)
-	if _, _, err := s.Apply(post); err != nil {
-		t.Fatal(err)
-	}
-	lsn := s.LSN()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	_, clean := testComposite(t)
-	applyClean(t, clean, pre)
-	applyClean(t, clean, extra)
-	applyClean(t, clean, post)
-
-	s2, info, err := Open(dir, g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if info.Damage != nil || info.DiscardedMutations != 0 {
-		t.Fatalf("unexpected recovery: %v", info)
-	}
-	if s2.LSN() != lsn {
-		t.Fatalf("reopened LSN %d, want %d", s2.LSN(), lsn)
-	}
-	if err := s2.Composite().EqualState(clean); err != nil {
-		t.Fatalf("reopened state diverges from replaced lineage: %v", err)
-	}
-	if err := s2.Composite().ValidateIndex(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStoreReplaceShapeMismatch: a malformed candidate is rejected
-// before any disk write and must NOT poison the store.
-func TestStoreReplaceShapeMismatch(t *testing.T) {
-	g, c := testComposite(t)
-	dir := t.TempDir()
-	s, err := Create(dir, c, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	// Wrong K: a single-partition composite over the same graph.
-	assign := make([]int, g.NumVertices())
-	for v := range assign {
-		assign[v] = v % c.N()
-	}
-	p, err := partition.FromVertexAssignment(g, assign, c.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := composite.New(g, []*partition.Partition{p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ReplaceComposite(bad); err == nil {
-		t.Fatal("shape-mismatched replacement accepted")
-	}
-	if s.Failed() != nil {
-		t.Fatal("shape mismatch poisoned the store")
-	}
-	// The write path still works.
-	muts := genMutations(t, g, s.Composite(), 5, 31)
-	if _, _, err := s.Apply(muts); err != nil {
-		t.Fatalf("store unusable after rejected replacement: %v", err)
-	}
-}
-
-// TestStoreReplaceDiskFault: an injected fsync failure during the
-// promotion sync poisons the store but leaves the in-memory composite
-// on the previous state, and a faultless reopen recovers a committed
-// prefix of the OLD lineage.
-func TestStoreReplaceDiskFault(t *testing.T) {
-	g, c := testComposite(t)
-	dir := t.TempDir()
-	inj := fault.NewDiskInjector()
-	s, err := Create(dir, c, Options{Injector: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre := genMutations(t, g, s.Composite(), 10, 37)
-	if _, _, err := s.Apply(pre); err != nil {
-		t.Fatal(err)
-	}
-	before := s.Composite()
-
-	// Swap in a fresh injector whose counters start at zero: sync #0 is
-	// ReplaceComposite's pre-snapshot log sync.
-	inj2 := fault.NewDiskInjector(fault.DiskEvent{Kind: fault.SyncErr, N: 0})
-	s.fs = withInjector(vfs(osVFS{}), inj2)
-
-	cand := s.Composite().Clone()
-	if err := s.ReplaceComposite(cand); err == nil {
-		t.Fatal("replacement succeeded under injected sync failure")
-	} else if !errors.Is(err, fault.ErrDiskFault) {
-		t.Fatalf("got %v, want wrapped ErrDiskFault", err)
-	}
-	if s.Failed() == nil {
-		t.Fatal("store not poisoned after failed replacement")
-	}
-	if s.Composite() != before {
-		t.Fatal("failed replacement swapped the in-memory composite")
-	}
-	s.Close()
-
-	_, clean := testComposite(t)
-	applyClean(t, clean, pre)
-	s2, _, err := Open(dir, g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if err := s2.Composite().EqualState(clean); err != nil {
-		t.Fatalf("reopen does not recover the pre-replacement lineage: %v", err)
-	}
-}
 
 // TestStoreRetrySync: a transient commit-time fsync failure poisons
 // the store retryably; RetrySync completes the interrupted commit and

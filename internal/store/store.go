@@ -685,37 +685,14 @@ func (s *Store) snapshot() error {
 	if err := s.commit(false); err != nil {
 		return err
 	}
-	return s.reseat("snapshot", s.comp, s.nextLSN-1)
-}
-
-// ReplaceComposite durably replaces the live composite with c — the
-// maintenance plane's promotion/rollback primitive. The pending batch
-// is committed and synced, the active segment closed, and c persisted
-// as a full snapshot (temp file + fsync + atomic rename) before a
-// fresh WAL segment opens — so a crash at any byte recovers either the
-// previous committed state (rename not yet visible) or exactly c, and
-// every update wave after a nil return cuts its epochs from c's
-// lineage. The store owns c from then on; the caller must stop
-// mutating it. Shape mismatches are rejected before any disk write and
-// do not poison the store; disk failures do, like any other write-path
-// error, and leave the in-memory composite on the previous state so it
-// keeps matching the durable prefix a reopen recovers.
-func (s *Store) ReplaceComposite(c *composite.Composite) error {
-	if err := s.ready(); err != nil {
+	if err := s.seal("snapshot"); err != nil {
 		return err
 	}
-	if c.K() != s.comp.K() || c.N() != s.comp.N() {
-		return fmt.Errorf("store: replacement shape (n=%d,k=%d) does not match store (n=%d,k=%d)",
-			c.N(), c.K(), s.comp.N(), s.comp.K())
-	}
-	if c.Partition(0).Graph().NumVertices() != s.g.NumVertices() {
-		return fmt.Errorf("store: replacement covers %d vertices, store has %d",
-			c.Partition(0).Graph().NumVertices(), s.g.NumVertices())
-	}
-	if err := s.commit(false); err != nil {
+	if err := s.rebase(s.comp, s.nextLSN-1); err != nil {
 		return err
 	}
-	return s.reseat("replace", c, s.nextLSN-1)
+	s.compact()
+	return nil
 }
 
 // seal is the one end of an active segment: fsync it, close it. A
@@ -754,20 +731,6 @@ func (s *Store) rebase(comp *composite.Composite, lsn uint64) error {
 		return err
 	}
 	s.commitLSN.Store(lsn)
-	return nil
-}
-
-// reseat is the one segment rotation under a new base: seal the active
-// segment, rebase onto (comp, lsn), compact what the new snapshot
-// covers.
-func (s *Store) reseat(before string, comp *composite.Composite, lsn uint64) error {
-	if err := s.seal(before); err != nil {
-		return err
-	}
-	if err := s.rebase(comp, lsn); err != nil {
-		return err
-	}
-	s.compact()
 	return nil
 }
 

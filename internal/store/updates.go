@@ -190,11 +190,10 @@ func (s *Store) ApplyRetrying(muts []Mutation, attempts int, base time.Duration)
 
 // Fold applies an update stream to a composite that no store fronts —
 // the same coherent insert/delete without the log, for `adpart
-// -updates` and for catching a maintenance candidate up. Commit markers
-// are framing only; an insert without destinations is routed by
-// locality against c. It returns the inserts applied and the deletes
-// that found their edge, so a caller that must refuse an absent delete
-// can count.
+// -updates`. Commit markers are framing only; an insert without
+// destinations is routed by locality against c. It returns the inserts
+// applied and the deletes that found their edge, so a caller that must
+// refuse an absent delete can count.
 func Fold(c *composite.Composite, muts []Mutation) (inserts, deletesFound int, err error) {
 	for i, m := range muts {
 		switch m.Kind {

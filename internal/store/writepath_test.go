@@ -246,7 +246,7 @@ func (f *recFile) Close() error {
 
 // rotateSegment syncs and closes the active segment and opens a fresh
 // one at the next LSN, with no pending batch: the bare rotation that
-// snapshot and ReplaceComposite make under a new base.
+// snapshot makes under a new base.
 func (s *Store) rotateSegment() error {
 	if err := s.ready(); err != nil {
 		return err
@@ -301,7 +301,7 @@ func TestWritePathOpTrace(t *testing.T) {
 	if _, _, err := leader.Apply(muts[4:]); err != nil {
 		t.Fatal(err)
 	}
-	got["ReplaceComposite"] = trace(func() error { return leader.ReplaceComposite(leader.Composite().Clone()) })
+	got["Snapshot after writes"] = trace(leader.snapshot)
 	got["RotateSegment"] = trace(leader.rotateSegment)
 
 	want := map[string]string{
@@ -319,7 +319,7 @@ write wal-0000000000000008.log 8
 sync wal-0000000000000008.log
 remove wal-0000000000000001.log
 remove snap-0000000000000000.comp`,
-		"ReplaceComposite": `sync wal-0000000000000008.log
+		"Snapshot after writes": `sync wal-0000000000000008.log
 close wal-0000000000000008.log
 create snap-0000000000000010.comp.tmp
 write snap-0000000000000010.comp.tmp 37424

@@ -123,8 +123,8 @@ type flagConfig struct {
 
 // validateFlags rejects configurations that would only fail later and
 // obscurely: a negative grace silently disables the drain's grace
-// period, and a non-positive admission or queue limit
-// wedges every request.
+// period, and a non-positive admission or queue limit wedges every
+// request.
 func validateFlags(c flagConfig) error {
 	if c.grace < 0 {
 		return fmt.Errorf("-grace must be >= 0 (got %v)", c.grace)
